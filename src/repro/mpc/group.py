@@ -9,9 +9,12 @@ charging the identical load to every member keeps the simulation cost at
 ``sum p_i`` instead of ``prod p_i`` while preserving the exact ledger the
 real execution would produce (the replicas are deterministic copies).
 
-All data movement funnels through :meth:`Group.exchange`; higher-level
-helpers (hash routing, broadcast, gather) and the Section 2 primitives in
-:mod:`repro.mpc.primitives` build on it.
+All message delivery funnels through :meth:`Group.exchange`; higher-level
+helpers (hash routing, gather) and the Section 2 primitives in
+:mod:`repro.mpc.primitives` build on it.  Steps whose messages nobody
+reads — :meth:`Group.broadcast`, the PSRS kernel's shuffle — post their
+per-server counts straight to the ledger entry point ``exchange`` uses,
+:meth:`Cluster.tally_members <repro.mpc.cluster.Cluster.tally_members>`.
 """
 
 from __future__ import annotations
@@ -234,18 +237,15 @@ class Group:
         """Replicate ``items`` (held by local server ``src``) to every server.
 
         Every server (except the sender) receives ``len(items)`` units.  The
-        caller keeps using the same Python objects; only the ledger moves.
+        caller keeps using the same Python objects; only the ledger moves,
+        so the step is charged by count — no backend sees a message.
         """
-        outbox: list[tuple[int, Any]] = []
-        for dst in range(self.size):
-            for item in items:
-                outbox.append((dst, item))
-        outboxes: list[list[tuple[int, Any]]] = [[] for _ in range(self.size)]
-        outboxes[src] = outbox
+        counts = [len(items)] * self.size
+        counts[src] = 0
         rec = self.cluster.recorder
         if rec is not None:
             rec.mark_broadcast()
-        self.exchange(outboxes, label)
+        self.cluster.tally_members(self.members, counts, label)
 
     def gather(
         self, parts: Sequence[Iterable[Any]], label: str, dst: int = 0

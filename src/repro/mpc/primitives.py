@@ -1,25 +1,27 @@
 """The paper's Section 2 MPC primitives, all with linear load, O(1) rounds.
 
-Implemented sort-first (the [14, 18] recipe): a deterministic
-regular-sampling sort (PSRS) range-partitions items so that equal keys are
-contiguous *across* servers, then per-key logic runs locally with an O(p)
-boundary round-trip through a coordinator to stitch runs that span server
-boundaries.  The coordinator traffic is O(p) units per primitive, which is
-within the linear-load budget whenever ``IN >= p^2`` (documented in
-DESIGN.md; the paper assumes ``IN >= p^{1+eps}`` and uses aggregation trees
-instead — same interface, same asymptotics for our experiment range).
+Implemented sort-first (the [14, 18] recipe): the regular-sampling sort
+kernel :func:`repro.mpc.substrate.psrs` range-partitions items so that
+equal keys are contiguous *across* servers, then per-key logic scans each
+server's sorted index arrays — fetching ``parts[src][j]`` only to emit —
+with an O(p) boundary round-trip through a coordinator to stitch runs
+that span server boundaries.  The coordinator traffic is O(p) units per
+primitive, which is within the linear-load budget whenever ``IN >= p^2``
+(documented in DESIGN.md; the paper assumes ``IN >= p^{1+eps}`` and uses
+aggregation trees instead — same interface, same asymptotics for our
+experiment range).
 
-Two layers of primitives:
+Two layers of primitives, one kernel underneath:
 
 *Generic* (item-level, as in the paper's exposition):
 
-* :func:`sample_sort` — global sort (the substrate).
+* :func:`sample_sort` — global sort.
 * :func:`sum_by_key` — per-key aggregation with any associative operator.
 * :func:`multi_numbering` — consecutive numbering 1,2,3,... per key.
 * :func:`multi_search` — predecessor search of X elements in Y.
 
-*Relation-aware* (fused onto a cached sorted run of the relation — see
-:mod:`repro.mpc.substrate` and DESIGN.md; identical semantics, one PSRS
+*Relation-aware* (on a cached sorted run of the relation — see
+:func:`repro.mpc.substrate.sorted_run`; identical semantics, one PSRS
 pass shared across primitives on the same ``(relation, key)``):
 
 * :func:`count_by_key` / :func:`fold_by_key` — per-key aggregation of a
@@ -36,6 +38,7 @@ pass shared across primitives on the same ``(relation, key)``):
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -45,12 +48,14 @@ from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.plan.trace import prim_span
 from repro.mpc.substrate import (
+    TagStamp,
     coordinator_for,
+    index_sort,
+    merge_slices,
     orderable,
     pair_key_encoder,
-    pick_splitters,
     projected_keys,
-    sample_indices,
+    psrs,
     sorted_run,
 )
 
@@ -97,6 +102,12 @@ def _coordinator_roundtrip(
     return [box[0] for box in inboxes2]
 
 
+def _sort(group: Group, keys: Sequence[list], label: str) -> list[tuple]:
+    """A generic primitive's PSRS pass, under its ``SampleSort`` span."""
+    with prim_span(group.cluster, "SampleSort", label):
+        return psrs(group, keys, label)[0]
+
+
 def sample_sort(
     group: Group,
     parts: Sequence[Iterable[Any]],
@@ -118,73 +129,71 @@ def sample_sort(
     Load: ~``n/p`` per server (PSRS guarantees < 2n/p) plus O(p) sampling
     traffic at the coordinator.
     """
-    with prim_span(group.cluster, "SampleSort", label):
-        return _sample_sort_impl(group, parts, key_fn, label, encoder)
-
-
-def _sample_sort_impl(
-    group: Group,
-    parts: Sequence[Iterable[Any]],
-    key_fn: Callable[[Any], Any],
-    label: str,
-    encoder: Callable[[Any], tuple] | None,
-) -> list[list[tuple[tuple, tuple[int, int], Any]]]:
-    p = group.size
     enc = encoder or orderable
-    decorated: list[list[tuple[tuple, tuple[int, int], Any]]] = []
-    for i, part in enumerate(parts):
-        d = [(enc(key_fn(item)), (i, j), item) for j, item in enumerate(part)]
-        d.sort(key=_decorated_key)
-        decorated.append(d)
-    if p == 1:
-        return decorated
-
-    # Regular sampling: p evenly spaced (key, uid) pivots per server, each
-    # counted as one unit of communication at the coordinator.
-    sample_parts: list[list[tuple[tuple, tuple[int, int]]]] = []
-    for d in decorated:
-        if not d:
-            sample_parts.append([])
-            continue
-        idxs = sample_indices(len(d), p)
-        sample_parts.append([(d[i][0], d[i][1]) for i in idxs])
-
-    coord = coordinator_for(group, label)
-    flat = sorted(group.gather(sample_parts, f"{label}/sample", dst=coord))
-    splitters: list[tuple] = pick_splitters(flat, p)
-    group.broadcast(splitters, f"{label}/splitters", src=coord)
-
-    outboxes = [
-        [(bisect_right(splitters, (t[0], t[1])), t) for t in d]
-        for d in decorated
+    items = [list(part) for part in parts]
+    keys = [[enc(key_fn(item)) for item in part] for part in items]
+    return [
+        [(k, (s, j), items[s][j]) for k, s, j in zip(ks, srcs, js)]
+        for ks, srcs, js in _sort(group, keys, label)
     ]
-    routed = group.exchange(outboxes, f"{label}/shuffle")
-    for part in routed:
-        part.sort(key=_decorated_key)
-    return routed
-
-
-def _decorated_key(t: tuple) -> tuple:
-    return (t[0], t[1])
 
 
 # ----------------------------------------------------------------------
-# Boundary-stitching helpers shared by the sum/fold family
+# Per-key folds over sorted index arrays, stitched across server boundaries
 # ----------------------------------------------------------------------
 
-def _run_summaries(
-    runs_per_server: Sequence[Sequence[tuple]],
-) -> list[Any]:
-    """Per-server ``((first_ok, first_acc), (last_ok, last_acc), n_runs)``."""
-    summaries: list[Any] = []
-    for runs in runs_per_server:
-        if not runs:
-            summaries.append(None)
-        else:
-            first = (runs[0][0], runs[0][2])
-            last = (runs[-1][0], runs[-1][2])
-            summaries.append((first, last, len(runs)))
-    return summaries
+def _fold_sorted(
+    group: Group,
+    routed: Sequence[tuple[list, list[int], list[int]]],
+    keys: Sequence[list],
+    values: Sequence[Sequence[Any]] | None,
+    plus: Callable[[Any, Any], Any],
+    label: str,
+) -> list[list[tuple[Any, Any]]]:
+    """Fold ``values[src][j]`` (1 each when ``None``) per run of equal
+    sort keys, then stitch the runs that span servers.
+
+    Emits ``(keys[src][j], total)`` once per key globally, on the first
+    server of its sorted span.
+    """
+    folded: list[tuple[list, list, list]] = []
+    for ks, srcs, js in routed:
+        run_keys, heads, accs = [], [], []
+        prev: Any = _SENTINEL
+        for k, s, j in zip(ks, srcs, js):
+            v = 1 if values is None else values[s][j]
+            if k == prev:
+                accs[-1] = plus(accs[-1], v)
+            else:
+                run_keys.append(k)
+                heads.append(keys[s][j])
+                accs.append(v)
+                prev = k
+        folded.append((run_keys, heads, accs))
+
+    # Boundary stitching: only each server's first and last run can span.
+    summaries = [
+        ((rk[0], accs[0]), (rk[-1], accs[-1]), len(rk)) if rk else None
+        for rk, _heads, accs in folded
+    ]
+    replies = _coordinator_roundtrip(
+        group, summaries, _stitch_fn(plus), f"{label}/stitch"
+    )
+    out_parts: list[list[tuple[Any, Any]]] = []
+    for (_rk, heads, accs), (first, last) in zip(folded, replies):
+        lo, hi = 0, len(accs)
+        if hi > 1 and last is not None:
+            if last[0] == "emit":
+                accs[-1] = last[1]
+            else:
+                hi -= 1
+        if first is not None:
+            if first[0] == "emit":
+                accs[0] = first[1]
+            else:  # drop: owned upstream
+                lo = 1
+        out_parts.append(list(zip(heads[lo:hi], accs[lo:hi])))
+    return out_parts
 
 
 def _stitch_fn(plus: Callable[[Any, Any], Any]) -> Callable[[list[Any]], list[Any]]:
@@ -227,29 +236,6 @@ def _stitch_fn(plus: Callable[[Any, Any], Any]) -> Callable[[list[Any]], list[An
     return stitch
 
 
-def _emit_stitched(
-    runs_per_server: Sequence[Sequence[tuple]], replies: Sequence[Any]
-) -> list[list[tuple[Any, Any]]]:
-    """Apply stitch replies: emit owned runs as ``(key, total)`` pairs."""
-    out_parts: list[list[tuple[Any, Any]]] = []
-    for runs, reply in zip(runs_per_server, replies):
-        first_action, last_action = reply
-        out: list[tuple[Any, Any]] = []
-        last_idx = len(runs) - 1
-        for idx, (_okey, key, partial) in enumerate(runs):
-            if idx == 0 and first_action is not None:
-                if first_action[0] == "emit":
-                    out.append((key, first_action[1]))
-                # drop: owned upstream
-            elif idx == last_idx and last_action is not None:
-                if last_action[0] == "emit":
-                    out.append((key, last_action[1]))
-            else:
-                out.append((key, partial))
-        out_parts.append(out)
-    return out_parts
-
-
 def sum_by_key(
     group: Group,
     parts: Sequence[Iterable[tuple[Any, Any]]],
@@ -262,25 +248,14 @@ def sum_by_key(
     Returns per-server lists of ``(key, total)``; each key appears exactly
     once globally (on the first server of its sorted span).
     """
-    sorted_parts = sample_sort(group, parts, _key0, label, encoder=encoder)
-
-    # Local runs: (okey, key, partial_sum).
-    runs_per_server: list[list[tuple[tuple, Any, Any]]] = []
-    for part in sorted_parts:
-        runs: list[tuple[tuple, Any, Any]] = []
-        for okey, _uid, (key, value) in part:
-            if runs and runs[-1][0] == okey:
-                prev = runs[-1]
-                runs[-1] = (prev[0], prev[1], plus(prev[2], value))
-            else:
-                runs.append((okey, key, value))
-        runs_per_server.append(runs)
-
-    # Boundary stitching: only each server's first and last run can span.
-    replies = _coordinator_roundtrip(
-        group, _run_summaries(runs_per_server), _stitch_fn(plus), f"{label}/stitch"
-    )
-    return _emit_stitched(runs_per_server, replies)
+    pairs = [list(part) for part in parts]
+    keys = [[kv[0] for kv in part] for part in pairs]
+    values = [[kv[1] for kv in part] for part in pairs]
+    # Tag-stamped keys order like their encodings: sort them as they are.
+    skeys = keys if isinstance(encoder, TagStamp) else [
+        list(map(encoder or orderable, k)) for k in keys
+    ]
+    return _fold_sorted(group, _sort(group, skeys, label), keys, values, plus, label)
 
 
 def fold_by_key(
@@ -306,35 +281,9 @@ def fold_by_key(
     with prim_span(
         group.cluster, "FoldByKey", f"{rel.name}[{','.join(key_attrs)}] {label}"
     ):
-        return _fold_by_key_impl(group, rel, key_attrs, plus, label, values, scalar)
-
-
-def _fold_by_key_impl(
-    group: Group,
-    rel: DistRelation,
-    key_attrs: Sequence[str],
-    plus: Callable[[Any, Any], Any] | None,
-    label: str,
-    values: Sequence[Sequence[Any]] | None,
-    scalar: bool,
-) -> list[list[tuple[Any, Any]]]:
-    run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
-    add = plus if plus is not None else lambda a, b: a + b
-    runs_per_server: list[list[tuple[tuple, Any, Any]]] = []
-    for part in run.parts:
-        runs: list[tuple[tuple, Any, Any]] = []
-        for okey, uid, key, _row in part:
-            v = 1 if values is None else values[uid[0]][uid[1]]
-            if runs and runs[-1][0] == okey:
-                prev = runs[-1]
-                runs[-1] = (okey, prev[1], add(prev[2], v))
-            else:
-                runs.append((okey, key, v))
-        runs_per_server.append(runs)
-    replies = _coordinator_roundtrip(
-        group, _run_summaries(runs_per_server), _stitch_fn(add), f"{label}/stitch"
-    )
-    return _emit_stitched(runs_per_server, replies)
+        run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
+        add = plus if plus is not None else lambda a, b: a + b
+        return _fold_sorted(group, run.parts, run.keys, values, add, label)
 
 
 def count_by_key(
@@ -348,6 +297,51 @@ def count_by_key(
     return fold_by_key(group, rel, key_attrs, label=label, scalar=scalar)
 
 
+def _number_sorted(
+    group: Group,
+    routed: Sequence[tuple[list, list[int], list[int]]],
+    label: str,
+    counted: Sequence[Sequence[bool]] | None = None,
+) -> list[list[int]]:
+    """Consecutive numbers 1, 2, ... per run of equal sort keys, continued
+    across server boundaries.
+
+    Returns one number per item, aligned with ``routed``'s arrays; items
+    whose ``counted[src][j]`` is false are skipped and get 0.
+    """
+    numbered, first_lens, summaries = [], [], []
+    for ks, srcs, js in routed:
+        nums: list[int] = []
+        pos = 0
+        first_len = first_count = -1  # the first run's length / counted items
+        prev: Any = _SENTINEL
+        for i, k in enumerate(ks):
+            if k != prev:
+                if first_len < 0 and i:
+                    first_len, first_count = i, pos
+                pos = 0
+                prev = k
+            if counted is None or counted[srcs[i]][js[i]]:
+                pos += 1
+                nums.append(pos)
+            else:
+                nums.append(0)
+        if first_len < 0:
+            first_len, first_count = len(ks), pos
+        numbered.append(nums)
+        first_lens.append(first_len)
+        summaries.append((ks[0], first_count, ks[-1], pos) if ks else None)
+
+    replies = _coordinator_roundtrip(
+        group, summaries, _numbering_offsets, f"{label}/stitch"
+    )
+    # Only a part's very first run continues an upstream span.
+    for nums, first_len, offset in zip(numbered, first_lens, replies):
+        if offset:
+            nums[:first_len] = [n and n + offset for n in nums[:first_len]]
+    return numbered
+
+
 def multi_numbering(
     group: Group,
     parts: Sequence[Iterable[tuple[Any, Any]]],
@@ -357,37 +351,16 @@ def multi_numbering(
 
     Returns per-server lists of ``(key, payload, number)``.
     """
-    sorted_parts = sample_sort(group, parts, _key0, label)
-
-    summaries = []
-    for part in sorted_parts:
-        if not part:
-            summaries.append(None)
-            continue
-        first_ok = part[0][0]
-        last_ok = part[-1][0]
-        first_count = sum(1 for okey, _u, _it in part if okey == first_ok)
-        last_count = sum(1 for okey, _u, _it in part if okey == last_ok)
-        summaries.append((first_ok, first_count, last_ok, last_count))
-
-    replies = _coordinator_roundtrip(
-        group, summaries, _numbering_offsets, f"{label}/stitch"
+    pairs = [list(part) for part in parts]
+    routed = _sort(
+        group, [[orderable(kv[0]) for kv in part] for part in pairs], label
     )
-
-    out_parts: list[list[tuple[Any, Any, int]]] = []
-    for part, offset in zip(sorted_parts, replies):
-        out: list[tuple[Any, Any, int]] = []
-        pos = 0
-        prev_ok: tuple | None = None
-        for okey, _uid, (key, payload) in part:
-            if okey != prev_ok:
-                # Only the part's very first run continues an upstream span.
-                pos = offset if prev_ok is None else 0
-                prev_ok = okey
-            pos += 1
-            out.append((key, payload, pos))
-        out_parts.append(out)
-    return out_parts
+    return [
+        [(*pairs[s][j], n) for s, j, n in zip(srcs, js, nums)]
+        for (_ks, srcs, js), nums in zip(
+            routed, _number_sorted(group, routed, label)
+        )
+    ]
 
 
 def _numbering_offsets(summaries_list: list[Any]) -> list[Any]:
@@ -431,58 +404,17 @@ def number_rows(
     with prim_span(
         group.cluster, "NumberRows", f"{rel.name}[{','.join(key_attrs)}] {label}"
     ):
-        return _number_rows_impl(group, rel, key_attrs, label, only_keys, scalar)
-
-
-def _number_rows_impl(
-    group: Group,
-    rel: DistRelation,
-    key_attrs: Sequence[str],
-    label: str,
-    only_keys: Any | None,
-    scalar: bool,
-) -> list[list[tuple[Any, Row, int]]]:
-    run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
-    if only_keys is None:
-        member = None
-    else:
-        member = only_keys.__contains__
-
-    summaries: list[Any] = []
-    for part in run.parts:
-        if not part:
-            summaries.append(None)
-            continue
-        first_ok = part[0][0]
-        last_ok = part[-1][0]
-        fc = lc = 0
-        for okey, _uid, key, _row in part:
-            if member is not None and not member(key):
-                continue
-            if okey == first_ok:
-                fc += 1
-            if okey == last_ok:
-                lc += 1
-        summaries.append((first_ok, fc, last_ok, lc))
-
-    replies = _coordinator_roundtrip(
-        group, summaries, _numbering_offsets, f"{label}/stitch"
-    )
-
-    out_parts: list[list[tuple[Any, Row, int]]] = []
-    for part, offset in zip(run.parts, replies):
-        out: list[tuple[Any, Row, int]] = []
-        pos = 0
-        prev_ok: Any = _SENTINEL
-        for okey, _uid, key, row in part:
-            if okey != prev_ok:
-                pos = offset if prev_ok is _SENTINEL else 0
-                prev_ok = okey
-            if member is None or member(key):
-                pos += 1
-                out.append((key, row, pos))
-        out_parts.append(out)
-    return out_parts
+        run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
+        keys, rows = run.keys, rel.parts
+        counted = None
+        if only_keys is not None:
+            counted = [list(map(only_keys.__contains__, part)) for part in keys]
+        return [
+            [(keys[s][j], rows[s][j], n) for s, j, n in zip(srcs, js, nums) if n]
+            for (_ks, srcs, js), nums in zip(
+                run.parts, _number_sorted(group, run.parts, label, counted)
+            )
+        ]
 
 
 _SENTINEL = object()
@@ -507,43 +439,81 @@ def multi_search(
         the predecessor fields are ``None`` when no Y key <= x exists.
         Ties (equal keys) resolve to the Y element, enabling equality tests.
     """
-    tagged: list[list[tuple[int, Any, Any]]] = []
-    for xp, yp in zip(x_parts, y_parts):
-        part = [(0, k, v) for k, v in yp] + [(1, k, v) for k, v in xp]
-        tagged.append(part)
-    pair_encoder = None
-    if encoder is not None:
-        enc = encoder
-        pair_encoder = lambda kt: (5, (enc(kt[0]), (2, kt[1])))  # noqa: E731
-    sorted_parts = sample_sort(
-        group, tagged, lambda t: (t[1], t[0]), label, encoder=pair_encoder
+    xs = [list(part) for part in x_parts]
+    ys = [list(part) for part in y_parts]
+    found = _search(
+        group,
+        [[kv[0] for kv in part] for part in xs],
+        [[kv[0] for kv in part] for part in ys],
+        ys, label, encoder,
     )
+    return [
+        [
+            (*xs[s][j], None, None) if pred is None else (*xs[s][j], pred[0], pred[1])
+            for s, j, pred in zip(srcs, js, preds)
+        ]
+        for srcs, js, preds in found
+    ]
 
-    # Per-server trailing Y element.
-    summaries: list[Any] = []
-    for part in sorted_parts:
+
+# Tag suffixes of the union sort: at equal keys a Y (0) precedes an X (1).
+# Raw tuple keys take the flat suffix; encodings the orderable((key, tag)) shape.
+_Y, _X = (0,), (1,)
+_ENC_Y, _ENC_X = (2, 0), (2, 1)
+
+
+def _search(
+    group: Group,
+    x_keys: Sequence[list],
+    y_keys: Sequence[list],
+    y_items: Sequence[list],
+    label: str,
+    encoder: Callable[[Any], tuple] | None,
+) -> list[tuple[list[int], list[int], list[Any]]]:
+    """Predecessor search over key lists: one union sort, one carry trip.
+
+    Returns, per server, parallel arrays over the X elements it holds in
+    sorted order: origin ``(src, j)`` into ``x_keys`` and the predecessor
+    ``y_items[src'][j']`` (``None`` when no Y key <= the X key exists).
+    """
+    if isinstance(encoder, TagStamp):
+        union = [
+            [k + _Y for k in yk] + [k + _X for k in xk]
+            for xk, yk in zip(x_keys, y_keys)
+        ]
+    else:
+        enc = encoder or orderable
+        union = [
+            [(5, (enc(k), _ENC_Y)) for k in yk] + [(5, (enc(k), _ENC_X)) for k in xk]
+            for xk, yk in zip(x_keys, y_keys)
+        ]
+    n_y = [len(yk) for yk in y_keys]
+
+    found: list[tuple[list[int], list[int], list[Any]]] = []
+    leading: list[int] = []  # X elements ahead of the server's first Y
+    trailing: list[Any] = []  # the server's last Y element
+    for _ks, srcs, js in _sort(group, union, label):
+        x_srcs, x_js, preds = [], [], []
         carry = None
-        for _okey, _uid, (tag, key, payload) in part:
-            if tag == 0:
-                carry = (key, payload)
-        summaries.append(carry)
-
-    incoming = _coordinator_roundtrip(group, summaries, _carries, f"{label}/carry")
-
-    out_parts: list[list[tuple[Any, Any, Any, Any]]] = []
-    for part, carry_in in zip(sorted_parts, incoming):
-        out: list[tuple[Any, Any, Any, Any]] = []
-        carry = carry_in
-        for _okey, _uid, (tag, key, payload) in part:
-            if tag == 0:
-                carry = (key, payload)
+        lead = -1
+        for s, j in zip(srcs, js):
+            if j < n_y[s]:
+                if lead < 0:
+                    lead = len(preds)
+                carry = y_items[s][j]
             else:
-                if carry is None:
-                    out.append((key, payload, None, None))
-                else:
-                    out.append((key, payload, carry[0], carry[1]))
-        out_parts.append(out)
-    return out_parts
+                x_srcs.append(s)
+                x_js.append(j - n_y[s])
+                preds.append(carry)
+        found.append((x_srcs, x_js, preds))
+        leading.append(len(preds) if lead < 0 else lead)
+        trailing.append(carry)
+
+    incoming = _coordinator_roundtrip(group, trailing, _carries, f"{label}/carry")
+    for (_s, _j, preds), lead, carry_in in zip(found, leading, incoming):
+        if carry_in is not None:
+            preds[:lead] = [carry_in] * lead
+    return found
 
 
 def _carries(summaries_list: list[Any]) -> list[Any]:
@@ -555,10 +525,6 @@ def _carries(summaries_list: list[Any]) -> list[Any]:
         if s is not None:
             run = s
     return replies
-
-
-# A uid lower bound: real uids are (i, j) with i >= 0, so (-1,) sorts first.
-_UID_LO = (-1,)
 
 
 def search_rows(
@@ -597,65 +563,50 @@ def search_rows(
     with prim_span(
         group.cluster, "SearchRows", f"{rel.name}[{','.join(key_attrs)}] {label}"
     ):
-        return _search_rows_impl(
-            group, rel, key_attrs, table_parts, label, payloads, scalar
+        run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
+        p = group.size
+        tables = [list(part) for part in table_parts]
+        table_keys, splitters, run_keys = run.table_keys(
+            [[kv[0] for kv in part] for part in tables]
         )
 
+        # A table entry lands where a row with its key and the lowest uid
+        # would: on the server numbered by how many splitter keys are < its
+        # key.  Sorted slices are routed and merged as in the kernel, and the
+        # shuffle is charged by its per-destination counts.
+        orders = [index_sort(k) for k in table_keys]
+        sorted_keys = [list(map(k.__getitem__, o)) for k, o in zip(table_keys, orders)]
+        cuts = [
+            [0] + [bisect_right(sk, key) for key, _uid in splitters]
+            + [len(sk)] * (p - len(splitters))
+            for sk in sorted_keys
+        ]
+        routed, received = merge_slices(sorted_keys, orders, cuts)
+        if p > 1:
+            group.cluster.tally_members(group.members, received, f"{label}/table")
 
-def _search_rows_impl(
-    group: Group,
-    rel: DistRelation,
-    key_attrs: Sequence[str],
-    table_parts: Sequence[Iterable[tuple[Any, Any]]],
-    label: str,
-    payloads: Sequence[Sequence[Any]] | None,
-    scalar: bool,
-) -> list[list[tuple[Any, Any, Any, Any]]]:
-    run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
-    p = group.size
+        summaries = [
+            (tables[srcs[-1]][js[-1]] if js else None) for _ks, srcs, js in routed
+        ]
+        incoming = _coordinator_roundtrip(group, summaries, _carries, f"{label}/carry")
 
-    if p > 1:
-        splitters = run.splitters
-        outboxes = []
-        for part in table_parts:
-            box = []
-            for k, v in part:
-                ok = orderable(k)
-                box.append((bisect_right(splitters, (ok, _UID_LO)), (ok, k, v)))
-            outboxes.append(box)
-        inboxes = group.exchange(outboxes, f"{label}/table")
-        tables = []
-        for box in inboxes:
-            box.sort(key=_key0)
-            tables.append(box)
-    else:
-        table0 = [(orderable(k), k, v) for k, v in table_parts[0]]
-        table0.sort(key=_key0)
-        tables = [table0]
-
-    summaries = [
-        ((t[-1][1], t[-1][2]) if t else None) for t in tables
-    ]
-    incoming = _coordinator_roundtrip(group, summaries, _carries, f"{label}/carry")
-
-    out_parts: list[list[tuple[Any, Any, Any, Any]]] = []
-    for part, table, carry_in in zip(run.parts, tables, incoming):
-        carry = carry_in
-        ti = 0
-        n_t = len(table)
-        out: list[tuple[Any, Any, Any, Any]] = []
-        for okey, uid, key, row in part:
-            while ti < n_t and table[ti][0] <= okey:
-                entry = table[ti]
-                carry = (entry[1], entry[2])
-                ti += 1
-            payload = row if payloads is None else payloads[uid[0]][uid[1]]
-            if carry is None:
-                out.append((key, payload, None, None))
-            else:
-                out.append((key, payload, carry[0], carry[1]))
-        out_parts.append(out)
-    return out_parts
+        keys = run.keys
+        payloads = rel.parts if payloads is None else payloads
+        out_parts: list[list[tuple[Any, Any, Any, Any]]] = []
+        for rks, (_k, srcs, js), (tks, t_srcs, t_js), carry in zip(
+            run_keys, run.parts, routed, incoming
+        ):
+            pred = (None, None) if carry is None else carry
+            ti = 0
+            n_t = len(tks)
+            out: list[tuple[Any, Any, Any, Any]] = []
+            for k, s, j in zip(rks, srcs, js):
+                while ti < n_t and tks[ti] <= k:
+                    pred = tables[t_srcs[ti]][t_js[ti]]
+                    ti += 1
+                out.append((keys[s][j], payloads[s][j], pred[0], pred[1]))
+            out_parts.append(out)
+        return out_parts
 
 
 def semi_join(
@@ -676,37 +627,26 @@ def semi_join(
     with prim_span(
         group.cluster, "SemiJoin", f"{rel.name} ⋉ {filter_rel.name} {label}"
     ):
-        return _semi_join_impl(group, rel, filter_rel, label)
-
-
-def _semi_join_impl(
-    group: Group,
-    rel: DistRelation,
-    filter_rel: DistRelation,
-    label: str,
-) -> DistRelation:
-    shared = tuple(sorted(set(rel.attrs) & set(filter_rel.attrs)))
-    if not shared:
-        # Degenerate: an empty filter kills everything, else no-op.
-        if filter_rel.total_size() == 0:
-            return rel.empty_like()
-        return rel
-    pos_r = rel.positions(shared)
-    pos_f = filter_rel.positions(shared)
-    rel_keys = projected_keys(rel, pos_r)
-    filter_keys = projected_keys(filter_rel, pos_f)
-    x_parts = [
-        list(zip(keys, part)) for keys, part in zip(rel_keys, rel.parts)
-    ]
-    y_parts = [[(k, None) for k in part] for part in filter_keys]
-    found = multi_search(
-        group, x_parts, y_parts, label,
-        encoder=pair_key_encoder(rel, pos_r, filter_rel, pos_f),
-    )
-    parts = [
-        [payload for key, payload, pk, _pv in part if pk == key] for part in found
-    ]
-    return DistRelation(rel.name, rel.attrs, parts, owned=True)
+        shared = tuple(sorted(set(rel.attrs) & set(filter_rel.attrs)))
+        if not shared:
+            # Degenerate: an empty filter kills everything, else no-op.
+            if filter_rel.total_size() == 0:
+                return rel.empty_like()
+            return rel
+        pos_r = rel.positions(shared)
+        pos_f = filter_rel.positions(shared)
+        rel_keys = projected_keys(rel, pos_r)
+        filter_keys = projected_keys(filter_rel, pos_f)
+        found = _search(
+            group, rel_keys, filter_keys, filter_keys, label,
+            pair_key_encoder(rel, pos_r, filter_rel, pos_f),
+        )
+        rows = rel.parts
+        parts = [
+            [rows[s][j] for s, j, pk in zip(srcs, js, preds) if pk == rel_keys[s][j]]
+            for srcs, js, preds in found
+        ]
+        return DistRelation(rel.name, rel.attrs, parts, owned=True)
 
 
 def attach_degrees(
@@ -735,76 +675,44 @@ def attach_degrees(
         group.cluster, "AttachDegrees",
         f"{rel.name}[{','.join(key_attrs)}] {label}",
     ):
-        return _attach_degrees_impl(
-            group, rel, key_attrs, label, degree_parts, scalar
-        )
-
-
-def _attach_degrees_impl(
-    group: Group,
-    rel: DistRelation,
-    key_attrs: Sequence[str],
-    label: str,
-    degree_parts: Sequence[Iterable[tuple[Any, int]]] | None,
-    scalar: bool,
-) -> list[list[tuple[Row, int]]]:
-    if degree_parts is not None:
-        found = search_rows(
-            group, rel, key_attrs, list(degree_parts), f"{label}/lookup",
-            scalar=scalar,
-        )
-        return [
-            [(payload, pv if pk == key else 0) for key, payload, pk, pv in part]
-            for part in found
-        ]
-
-    run = sorted_run(group, rel, key_attrs, f"{label}/count", scalar=scalar)
-
-    # Local run-length counts: [(okey, count)] per server.
-    counts_per_server: list[list[list[Any]]] = []
-    for part in run.parts:
-        runs: list[list[Any]] = []
-        for item in part:
-            okey = item[0]
-            if runs and runs[-1][0] == okey:
-                runs[-1][1] += 1
-            else:
-                runs.append([okey, 1])
-        counts_per_server.append(runs)
-
-    summaries: list[Any] = []
-    for runs in counts_per_server:
-        if not runs:
-            summaries.append(None)
-        else:
-            summaries.append(
-                ((runs[0][0], runs[0][1]), (runs[-1][0], runs[-1][1]), len(runs))
+        if degree_parts is not None:
+            found = search_rows(
+                group, rel, key_attrs, list(degree_parts), f"{label}/lookup",
+                scalar=scalar,
             )
+            return [
+                [(payload, pv if pk == key else 0) for key, payload, pk, pv in part]
+                for part in found
+            ]
 
-    replies = _coordinator_roundtrip(
-        group, summaries, _span_totals, f"{label}/stitch"
-    )
+        run = sorted_run(group, rel, key_attrs, f"{label}/count", scalar=scalar)
 
-    out_parts: list[list[tuple[Row, int]]] = []
-    for part, runs, reply in zip(run.parts, counts_per_server, replies):
-        first_total, last_total = reply
-        n_runs = len(runs)
-        out: list[tuple[Row, int]] = []
-        ri = -1
-        prev_ok: Any = _SENTINEL
-        for okey, _uid, _key, row in part:
-            if okey != prev_ok:
-                ri += 1
-                prev_ok = okey
-            if ri == 0 and first_total is not None:
-                deg = first_total
-            elif ri == n_runs - 1 and last_total is not None:
-                deg = last_total
-            else:
-                deg = runs[ri][1]
-            out.append((row, deg))
-        out_parts.append(out)
-    return out_parts
+        # Local run-length counts per server: [(sort_key, count)].
+        counted = [
+            [(k, sum(1 for _ in g)) for k, g in groupby(ks)]
+            for ks, _srcs, _js in run.parts
+        ]
+        summaries = [
+            (runs[0], runs[-1], len(runs)) if runs else None for runs in counted
+        ]
+        replies = _coordinator_roundtrip(
+            group, summaries, _span_totals, f"{label}/stitch"
+        )
+
+        rows = rel.parts
+        out_parts: list[list[tuple[Row, int]]] = []
+        for (_ks, srcs, js), runs, (first, last) in zip(run.parts, counted, replies):
+            degrees = [n for _k, n in runs]
+            if last is not None:
+                degrees[-1] = last
+            if first is not None:
+                degrees[0] = first
+            origins = zip(srcs, js)
+            out: list[tuple[Row, int]] = []
+            for (_k, n), deg in zip(runs, degrees):
+                out += [(rows[s][j], deg) for s, j in islice(origins, n)]
+            out_parts.append(out)
+        return out_parts
 
 
 def _span_totals(summaries_list: list[Any]) -> list[Any]:

@@ -1,45 +1,48 @@
-"""Cross-primitive performance substrate: key encoding + sorted-run caching.
+"""The PSRS kernel every Section-2 primitive sorts with, and its caches.
 
-Every Section-2 primitive funnels through the same PSRS pass: encode each
-row's key with :func:`orderable`, sort locally, sample, route, sort again.
-The core algorithms invoke the primitives dozens of times per join — often
-on the *same* relation with the *same* key attributes (``attach_degrees``
-is ``sum_by_key`` + ``multi_search`` on identical keys; the acyclic solver
-semi-joins and splits one relation per heavy/light pattern).  This module
-makes the repeated work cheap without changing a single ledger number:
+Paper Section 2 reduces sum-by-key, multi-numbering, multi-search and
+semi-join to one linear-load sort; :func:`psrs` is that sort, once.  It
+takes per-source lists of comparable *sort keys* and returns, per
+destination, index arrays — sort key and origin ``(src, j)`` in global
+``(key, uid)`` order — so callers allocate nothing per item until they
+emit.  Local sorts are stable index sorts, routing is ``p - 1`` bisects
+per sorted source, the destination merge is a stable index sort of the
+received slices, and all three communication steps are charged to the
+ledger by their per-server counts (:func:`charge_pass`).
 
-* **Key-encoding cache** — ``orderable(project_row(row, pos))`` is computed
-  once per ``(DistRelation, positions)`` and reused.  When a column is
-  statically homogeneous (int/float-only or str-only, detected once per
-  relation and cached), the recursive :func:`orderable` dispatch collapses
-  into a tuple-build with a constant type tag; the fast encoder emits
-  *bit-for-bit identical* keys, so sort orders, splitters, and routing are
-  unchanged.
-* **Sorted-run cache** — :func:`sorted_run` performs the PSRS pass for a
-  ``(relation, key)`` pair once and caches the routed, sorted parts on the
-  relation.  A repeat call *replays* the exact communication of the
-  original pass (sample gather, splitter broadcast, shuffle exchange) so
-  the ledger — loads, step-max, step count — is charged in full; only the
-  Python-side encoding and sorting are skipped.  The cache can never go
-  stale: :class:`~repro.mpc.distrel.DistRelation` parts are immutable
-  after construction, every relation-producing operation returns a fresh
-  object, and entries are keyed by the owning cluster/group identity so a
-  relation reused under a different group re-sorts from scratch.
+* **Raw keys where they order like** :func:`orderable`.  A column that is
+  statically homogeneous (int/float-only or str-only; :func:`column_kind`,
+  detected once per relation) stamps one constant type tag on every value,
+  so projected keys over such columns compare exactly like their
+  encodings and are sorted as they are (:class:`TagStamp`).  Any other
+  key list is encoded first — same kernel, different key list,
+  bit-identical arrangement and ledger.
+* **Sorted-run cache.**  :func:`sorted_run` runs the pass for a
+  ``(relation, key)`` pair once and caches it on the relation.  A repeat
+  call charges the original pass's exact counts again, so the ledger —
+  loads, step-max, step count — is billed in full; only the Python-side
+  projecting and sorting are skipped.  The cache can never go stale:
+  :class:`~repro.mpc.distrel.DistRelation` parts are immutable after
+  construction, every relation-producing operation returns a fresh
+  object, and entries are keyed by the owning cluster/group identity.
 
-``set_caching(False)`` / :func:`cache_disabled` bypass both caches; the
-bypass path recomputes everything and is the reference the correctness
-tests compare against (identical outputs *and* identical ledgers).
-See DESIGN.md for the full argument.
+``set_caching(False)`` / :func:`cache_disabled` bypass every cache *and*
+the homogeneity tags: the bypass path re-sorts :func:`orderable`
+encodings each time and is the reference the correctness tests compare
+against (identical outputs *and* identical ledgers).  See DESIGN.md
+section 3 for the full argument.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.data.relation import Row
+from repro.errors import MPCError
 from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.mpc.hashing import stable_hash
@@ -58,8 +61,13 @@ __all__ = [
     "scalar_encoder_from_tag",
     "key_encoder",
     "projected_keys",
+    "TagStamp",
     "sample_indices",
     "pick_splitters",
+    "index_sort",
+    "merge_slices",
+    "psrs",
+    "charge_pass",
     "SortedRun",
     "sorted_run",
 ]
@@ -111,9 +119,29 @@ def orderable(value: Any) -> tuple:
     raise TypeError(f"cannot order value of type {type(value).__name__}")
 
 
-# The orderable() type tags of the two homogeneity fast paths.
+# The orderable() type tags of the two homogeneity fast paths, and the
+# exact Python types each admits (``bool`` carries its own tag).
 _TAG_NUM = 2
 _TAG_STR = 3
+_TAG_TYPES = {_TAG_NUM: (int, float), _TAG_STR: (str,)}
+
+
+@dataclass(frozen=True, slots=True)
+class TagStamp:
+    """``key -> orderable(key)`` for tuple keys whose position ``i`` always
+    holds values of the one type tag ``tags[i]``.
+
+    The encoding stamps a constant onto every component, so such keys
+    compare *exactly* like their encodings — ``(5, ((t0, a), (t1, b)))``
+    orders as ``(a, b)`` does once ``t0``/``t1`` are fixed — and a sort may
+    use them raw.  Returned by :func:`key_encoder` and
+    :func:`pair_key_encoder` when the homogeneity tags agree.
+    """
+
+    tags: tuple[int, ...]
+
+    def __call__(self, key: tuple) -> tuple:
+        return (5, tuple(zip(self.tags, key)))
 
 
 def column_kind(rel: DistRelation, col: int) -> int | None:
@@ -235,7 +263,7 @@ def projection_encoder_from_tags(
     """Build the row encoder from a plain ``(positions, tags)`` descriptor.
 
     The descriptor is picklable, so execution backends can rebuild the
-    exact encoder inside a worker process (:func:`_decorate_sort_part`).
+    exact encoder inside a worker process (:func:`_sort_part`).
     """
     if all(t is not None for t in tags):
         if len(pos) == 1:
@@ -301,9 +329,8 @@ def key_encoder(rel: DistRelation, pos: Sequence[int]) -> Callable[[Row], tuple]
     """
     pos = tuple(pos)
     tags = [column_kind(rel, i) for i in pos]
-    if all(t is not None for t in tags):
-        tags_t = tuple(tags)
-        return lambda key: (5, tuple(zip(tags_t, key)))
+    if None not in tags:
+        return TagStamp(tuple(tags))
     luts = [_column_lut(rel, i) if t is None else None for i, t in zip(pos, tags)]
     if not any(luts):
         return orderable
@@ -334,9 +361,8 @@ def pair_key_encoder(
     pos2 = tuple(pos2)
     tags1 = [column_kind(rel1, i) for i in pos1]
     tags2 = [column_kind(rel2, i) for i in pos2]
-    if tags1 == tags2 and all(t is not None for t in tags1):
-        tags_t = tuple(tags1)
-        return lambda key: (5, tuple(zip(tags_t, key)))
+    if tags1 == tags2 and None not in tags1:
+        return TagStamp(tuple(tags1))
     encs: list[Callable[[Any], tuple]] = []
     useful = False
     for j in range(len(pos1)):
@@ -416,9 +442,7 @@ def coordinator_for(group: Group, label: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# PSRS regular sampling (shared by the generic and run-fused sort paths —
-# both must pick samples/splitters identically or the two primitive
-# families would charge structurally different ledgers for the same sort)
+# The PSRS kernel: the one linear-load sort every primitive reduces to
 # ----------------------------------------------------------------------
 
 def sample_indices(n: int, p: int) -> list[int]:
@@ -434,47 +458,191 @@ def pick_splitters(flat: Sequence, p: int) -> list:
     return [flat[min(m - 1, (k * m) // p)] for k in range(1, p)]
 
 
+def index_sort(keys: list) -> list[int]:
+    """Stable index sort: positions of ``keys`` in key order, ties in index
+    order — which for one source's items *is* uid order."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def merge_slices(
+    sorted_keys: Sequence[list], orders: Sequence[list[int]],
+    cuts: Sequence[Sequence[int]],
+) -> tuple[list[tuple[list, list[int], list[int]]], list[int]]:
+    """Route sorted sources by cut points and merge at each destination.
+
+    Source ``s`` sends ``sorted_keys[s][cuts[s][d]:cuts[s][d + 1]]`` to
+    destination ``d``, which stable-sorts the slices concatenated in
+    source order — equal keys stay in ``(src, j)`` order.  Returns the
+    per-destination ``(keys, srcs, js)`` index arrays and the units each
+    destination received from *other* servers (the exchange's ledger
+    counts; a server's own slice never crosses the network).
+    """
+    p = len(sorted_keys)
+    parts, received = [], []
+    for d in range(p):
+        ks, srcs, js = [], [], []
+        for s in range(p):
+            lo, hi = cuts[s][d], cuts[s][d + 1]
+            if lo < hi:
+                ks += sorted_keys[s][lo:hi]
+                srcs += [s] * (hi - lo)
+                js += orders[s][lo:hi]
+        received.append(len(ks) - (cuts[d][d + 1] - cuts[d][d]))
+        perm = index_sort(ks)
+        parts.append((
+            list(map(ks.__getitem__, perm)),
+            list(map(srcs.__getitem__, perm)),
+            list(map(js.__getitem__, perm)),
+        ))
+    return parts, received
+
+
+def psrs(
+    group: Group,
+    keys: Sequence[list],
+    label: str,
+    orders: Sequence[list[int]] | None = None,
+) -> tuple[list[tuple[list, list[int], list[int]]], list[tuple], tuple | None]:
+    """One regular-sampling sort pass over per-source sort-key lists.
+
+    ``keys[src][j]`` is the sort key of source ``src``'s item ``j``; any
+    mutually comparable values (raw projected keys or :func:`orderable`
+    encodings — the kernel never looks inside).  The global order is
+    ``(key, uid)`` with ``uid = (src, j)``, so a key heavier than ``n/p``
+    spreads over servers.  ``orders`` are the per-source
+    :func:`index_sort` results when the caller already ran them (through
+    :meth:`Group.map_parts`).
+
+    Returns ``(parts, splitters, charges)``: ``parts[d] = (ks, srcs, js)``
+    lists destination ``d``'s items in global order as parallel arrays —
+    sort key and origin, so callers fetch ``source[src][j]`` only when they
+    emit; ``splitters`` are the ``p - 1`` ``(key, uid)`` range bounds;
+    ``charges`` is what :func:`charge_pass` needs besides them to bill the
+    same pass again (``None`` on a single server, where nothing moves).
+
+    Load: ~``n/p`` per server (PSRS guarantees < 2n/p) plus O(p) sampling
+    traffic at the coordinator.
+    """
+    p = group.size
+    if len(keys) != p:
+        raise MPCError(f"expected {p} parts, got {len(keys)}")
+    if orders is None:
+        orders = [index_sort(k) for k in keys]
+    sorted_keys = [list(map(k.__getitem__, o)) for k, o in zip(keys, orders)]
+    if p == 1:
+        return [(sorted_keys[0], [0] * len(orders[0]), orders[0])], [], None
+
+    # Regular sampling: p evenly spaced (key, uid) pivots per server, each
+    # counted as one unit of communication at the coordinator.
+    samples: list[tuple] = []
+    sample_sizes = []
+    for src, (sk, o) in enumerate(zip(sorted_keys, orders)):
+        idxs = sample_indices(len(sk), p) if sk else []
+        samples += [(sk[i], (src, o[i])) for i in idxs]
+        sample_sizes.append(len(idxs))
+    samples.sort()
+    splitters = pick_splitters(samples, p)
+
+    # An item lands on the server numbered by how many splitters are <=
+    # its (key, uid): p - 1 bisects per sorted source, not one per item.
+    cuts = []
+    for src, (sk, o) in enumerate(zip(sorted_keys, orders)):
+        row = [0]
+        for key, (s, j) in splitters:
+            lo = bisect_left(sk, key)
+            if src <= s:
+                hi = bisect_right(sk, key, lo)
+                lo = hi if src < s else bisect_left(o, j, lo, hi)
+            row.append(lo)
+        # No splitters means no items anywhere: every bound is 0.
+        cuts.append(row + [len(sk)] * (p - len(splitters)))
+    parts, received = merge_slices(sorted_keys, orders, cuts)
+    charges = (sample_sizes, received)
+    charge_pass(group, label, splitters, charges)
+    return parts, splitters, charges
+
+
+def charge_pass(
+    group: Group, label: str, splitters: list[tuple], charges: tuple | None
+) -> None:
+    """Post one PSRS pass's three steps — sample gather, splitter
+    broadcast, shuffle — to the ledger by their per-server counts.
+
+    Every backend's ``exchange`` is the in-process ``deliver_local`` and
+    only its counts reach :meth:`Cluster.tally_members`, so charging the
+    counts is ledger-exact on every backend; a fresh pass and a cache hit
+    go through this one function and cannot drift apart.
+    """
+    if charges is None:
+        return
+    sample_sizes, received = charges
+    coord = coordinator_for(group, label)
+    counts = [0] * group.size
+    counts[coord] = sum(sample_sizes) - sample_sizes[coord]
+    group.cluster.tally_members(group.members, counts, f"{label}/sample")
+    group.broadcast(splitters, f"{label}/splitters", src=coord)
+    group.cluster.tally_members(group.members, received, f"{label}/shuffle")
+
+
 # ----------------------------------------------------------------------
 # Sorted runs
 # ----------------------------------------------------------------------
 
+@dataclass(slots=True, eq=False)
 class SortedRun:
     """One PSRS pass over a relation's rows, keyed by one projection.
 
     Attributes:
-        pos: Column positions of the sort key.
         scalar: Whether keys are bare column values (True) or 1+-tuples.
-        splitters: The ``p - 1`` global ``(okey, uid)`` range splitters.
-        parts: ``parts[d]`` holds destination server ``d``'s items as
-            ``(okey, uid, key, row)`` quadruples in global sorted order;
-            ``uid = (src_part, src_index)`` ties equal keys apart (heavy
-            keys spread over servers) and indexes caller-side payloads.
+        tags: The columns' homogeneity tags when every one is set — the
+            run is then sorted on the raw keys — else ``None`` (sorted on
+            :func:`orderable` encodings).
+        keys: ``keys[src][j]`` is the projected key of ``rel.parts[src][j]``.
+        splitters: The ``p - 1`` global ``(sort_key, uid)`` range splitters.
+        parts: ``parts[d] = (sort_keys, srcs, js)``, destination ``d``'s
+            items in global sorted order as parallel arrays; the origin
+            ``(src, j)`` ties equal keys apart (heavy keys spread over
+            servers) and indexes ``keys``, the relation's rows and
+            caller-side payloads.
 
-    The private fields record the pass's communication profile —
-    per-source sample counts and the shuffle's per-destination received
-    counts — so a cache hit can re-charge the ledger exactly without
-    re-materializing the exchanges.
+    ``_charges`` is the pass's communication profile (:func:`charge_pass`),
+    so a cache hit can re-charge the ledger exactly without re-sorting.
     """
 
-    __slots__ = (
-        "pos", "scalar", "splitters", "parts", "_sample_sizes", "_shuffle_counts"
-    )
+    scalar: bool
+    tags: tuple[int, ...] | None
+    keys: list[list]
+    splitters: list[tuple]
+    parts: list[tuple[list, list[int], list[int]]]
+    _charges: tuple | None
 
-    def __init__(
-        self,
-        pos: tuple[int, ...],
-        scalar: bool,
-        splitters: list[tuple],
-        parts: list[list[tuple]],
-        sample_sizes: list[int] | None,
-        shuffle_counts: list[int] | None,
-    ) -> None:
-        self.pos = pos
-        self.scalar = scalar
-        self.splitters = splitters
-        self.parts = parts
-        self._sample_sizes = sample_sizes
-        self._shuffle_counts = shuffle_counts
+    def table_keys(
+        self, keys: Sequence[list]
+    ) -> tuple[list[list], list[tuple], list[list]]:
+        """Outside per-source ``keys`` and this run, in one key space.
+
+        Returns ``(sort_keys, splitters, run_sort_keys_per_destination)``.
+        A raw run stays raw only while every outside key carries the run's
+        type tags; otherwise both sides become :func:`orderable` encodings,
+        which order the run's own keys exactly as they already are.
+        """
+        run_keys = [part[0] for part in self.parts]
+        splitters = self.splitters
+        if self.tags is not None:
+            kinds = [_TAG_TYPES[t] for t in self.tags]
+            if self.scalar:
+                fits = all(type(k) in kinds[0] for part in keys for k in part)
+            else:
+                fits = all(
+                    type(k) is tuple and len(k) == len(kinds)
+                    and all(type(v) in ts for v, ts in zip(k, kinds))
+                    for part in keys for k in part
+                )
+            if fits:
+                return keys, splitters, run_keys
+            run_keys = [list(map(orderable, ks)) for ks in run_keys]
+            splitters = [(orderable(k), uid) for k, uid in splitters]
+        return [list(map(orderable, part)) for part in keys], splitters, run_keys
 
 
 def sorted_run(
@@ -487,139 +655,61 @@ def sorted_run(
     """Sort ``rel``'s rows globally by their key projection (cached).
 
     On a cache hit the exact communication of the original pass is
-    *replayed* — the sample gather, the splitter broadcast, and the full
-    shuffle exchange are re-issued with identical message counts — so the
-    ledger never under-charges; only local encoding/sorting is skipped.
+    *replayed* — sample gather, splitter broadcast and shuffle are charged
+    again with identical per-server counts (:func:`charge_pass`) — so the
+    ledger never under-charges; only local projecting/sorting is skipped.
     """
     with prim_span(
         group.cluster, "SampleSort",
         f"run {rel.name}[{','.join(key_attrs)}] {label}",
     ):
-        return _sorted_run(group, rel, key_attrs, label, scalar)
-
-
-def _sorted_run(
-    group: Group,
-    rel: DistRelation,
-    key_attrs: Sequence[str],
-    label: str,
-    scalar: bool,
-) -> SortedRun:
-    pos = rel.positions(key_attrs)
-    if _ENABLED:
-        runs: dict[tuple, SortedRun] = rel._substrate.setdefault("runs", {})
+        pos = rel.positions(key_attrs)
+        runs: dict[tuple, SortedRun] = (
+            rel._substrate.setdefault("runs", {}) if _ENABLED else {}
+        )
         cache_key = (id(group.cluster), group.members, pos, bool(scalar))
         run = runs.get(cache_key)
         if run is not None:
-            _replay_charges(group, run, label)
+            charge_pass(group, label, run.splitters, run._charges)
             return run
-        run = _build_run(group, rel, pos, label, scalar)
-        runs[cache_key] = run
+        tags = tuple(column_kind(rel, i) for i in pos)
+        # With caching disabled this is the reference path: pass no owner so
+        # backends also skip their worker-local memoization and recompute.
+        local = group.map_parts(
+            _sort_part,
+            rel.parts,
+            (pos, tags, bool(scalar)),
+            owner=rel if _ENABLED else None,
+        )
+        keys, skeys, orders = zip(*local)
+        parts, splitters, charges = psrs(group, skeys, label, orders)
+        run = runs[cache_key] = SortedRun(
+            scalar, None if None in tags else tags, list(keys),
+            splitters, parts, charges,
+        )
         return run
-    return _build_run(group, rel, pos, label, scalar)
 
 
-def _replay_charges(group: Group, run: SortedRun, label: str) -> None:
-    """Re-charge the cached pass's exact communication to the ledger.
+def _sort_part(part: list, common: tuple, idx: int) -> tuple[list, list, list[int]]:
+    """Per-server key projection + local index sort (backend-shippable).
 
-    Posts the same three steps a fresh pass performs — sample gather,
-    splitter broadcast, shuffle — with identical per-server counts,
-    through the same ledger entry point :meth:`Cluster.tally_members`
-    that :meth:`Group.exchange` uses.  Only the O(n) Python-side message
-    materialization is skipped; the charged units are bit-for-bit equal.
-    """
-    if group.size == 1:
-        return
-    p = group.size
-    coord = coordinator_for(group, label)
-    tally = group.cluster.tally_members
-    sizes = run._sample_sizes or [0] * p
-    counts = [0] * p
-    counts[coord] = sum(sizes) - sizes[coord]
-    tally(group.members, counts, f"{label}/sample")
-    n_spl = len(run.splitters)
-    counts = [n_spl] * p
-    counts[coord] = 0
-    tally(group.members, counts, f"{label}/splitters")
-    tally(group.members, run._shuffle_counts or [0] * p, f"{label}/shuffle")
-
-
-def _decorate_sort_part(part: list, common: tuple, idx: int) -> list[tuple]:
-    """Per-server decorate + local sort of one part (backend-shippable).
-
-    ``common = (pos, tags, scalar)`` is a pure-data descriptor of the key
-    encoding, so any :class:`~repro.mpc.backends.Backend` can run this in a
-    worker process and produce bit-identical ``(okey, uid, key, row)``
-    quadruples; ``uid = (idx, j)`` is globally unique, so the plain tuple
-    sort never compares rows.
+    ``common = (pos, tags, scalar)`` is a pure-data descriptor, so any
+    :class:`~repro.mpc.backends.Backend` can run this in a worker process.
+    Returns ``(keys, sort_keys, order)``: the projected keys, what they are
+    sorted on — the same list when every column is tagged homogeneous,
+    their :func:`orderable` encodings otherwise — and the stable sorted
+    positions.  Rows are never compared.
     """
     pos, tags, scalar = common
-    if scalar:
-        enc = scalar_encoder_from_tag(pos[0], tags[0])
+    if scalar or len(pos) == 1:
         i0 = pos[0]
-        d = [(enc(row), (idx, j), row[i0], row) for j, row in enumerate(part)]
+        keys = [row[i0] for row in part] if scalar else [(row[i0],) for row in part]
     else:
-        enc = projection_encoder_from_tags(pos, tags)
-        if len(pos) == 1:
-            i0 = pos[0]
-            d = [
-                (enc(row), (idx, j), (row[i0],), row)
-                for j, row in enumerate(part)
-            ]
-        else:
-            d = [
-                (enc(row), (idx, j), tuple(row[i] for i in pos), row)
-                for j, row in enumerate(part)
-            ]
-    d.sort()
-    return d
-
-
-def _build_run(
-    group: Group,
-    rel: DistRelation,
-    pos: tuple[int, ...],
-    label: str,
-    scalar: bool,
-) -> SortedRun:
-    p = group.size
-    tags = tuple(column_kind(rel, i) for i in pos)
-    # With caching disabled this is the reference path: pass no owner so
-    # backends also skip their worker-local memoization and recompute.
-    decorated = group.map_parts(
-        _decorate_sort_part,
-        rel.parts,
-        (pos, tags, bool(scalar)),
-        owner=rel if _ENABLED else None,
-    )
-
-    if p == 1:
-        return SortedRun(pos, scalar, [], decorated, None, None)
-
-    sample_parts: list[list[tuple]] = []
-    for d in decorated:
-        if not d:
-            sample_parts.append([])
-            continue
-        idxs = sample_indices(len(d), p)
-        sample_parts.append([(d[i][0], d[i][1]) for i in idxs])
-
-    coord = coordinator_for(group, label)
-    flat = sorted(group.gather(sample_parts, f"{label}/sample", dst=coord))
-    splitters: list[tuple] = pick_splitters(flat, p)
-    group.broadcast(splitters, f"{label}/splitters", src=coord)
-
-    outboxes = [
-        [(bisect_right(splitters, (item[0], item[1])), item) for item in d]
-        for d in decorated
-    ]
-    shuffle_counts = [0] * p
-    for src, box in enumerate(outboxes):
-        for dst, _item in box:
-            if dst != src:
-                shuffle_counts[dst] += 1
-    inboxes = group.exchange(outboxes, f"{label}/shuffle")
-    for box in inboxes:
-        box.sort()
-    sample_sizes = [len(sp) for sp in sample_parts]
-    return SortedRun(pos, scalar, splitters, inboxes, sample_sizes, shuffle_counts)
+        keys = [tuple(row[i] for i in pos) for row in part]
+    if None not in tags:
+        skeys = keys
+    elif scalar:
+        skeys = list(map(scalar_encoder_from_tag(pos[0], tags[0]), part))
+    else:
+        skeys = list(map(projection_encoder_from_tags(pos, tags), part))
+    return keys, skeys, index_sort(skeys)

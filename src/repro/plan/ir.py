@@ -154,7 +154,7 @@ class PrimSpan(Op):
 
 @dataclass(eq=False)
 class SampleSort(PrimSpan):
-    """A PSRS pass: decorate+sort, sample gather, splitters, shuffle."""
+    """A PSRS pass: local index sort, sample gather, splitters, shuffle."""
 
 
 @dataclass(eq=False)

@@ -6,7 +6,7 @@ trace is *complete by construction*:
 
 * every ledger mutation funnels through
   :meth:`~repro.mpc.cluster.Cluster.tally_members` (exchanges, gathers,
-  broadcasts, and the substrate's sorted-run ledger replays alike), which
+  broadcasts, and the PSRS kernel's by-count charges alike), which
   records one :class:`~repro.plan.ir.Charge`;
 * every backend compute dispatch funnels through
   :meth:`~repro.mpc.group.Group.map_parts`, which records one

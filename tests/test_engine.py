@@ -231,3 +231,24 @@ def test_stats_fingerprint_tracks_planning_stats():
     # ...while a degree-profile change moves it.
     eng.register(Relation("R3", ("C", "D"), [(0, i) for i in range(40)]))
     assert stats_fingerprint(eng.instance_for(parsed)) != base
+
+
+def test_cold_wall_seconds_includes_the_recording(monkeypatch):
+    """Encoding and sizing the result blocks is part of a cold request:
+    slowing ``_recording_nbytes`` must show in ``wall_seconds`` and in the
+    engine's latency percentiles."""
+    import time
+
+    eng = _basic_engine()
+    sizer = Engine._recording_nbytes
+    delay = 0.2
+
+    def slow_sizer(self, stored):
+        time.sleep(delay)
+        return sizer(self, stored)
+
+    monkeypatch.setattr(Engine, "_recording_nbytes", slow_sizer)
+    res = eng.execute(LINE3)
+    assert not (res.metrics.result_cached or res.metrics.plan_replayed)
+    assert res.metrics.wall_seconds >= delay
+    assert eng.stats().latency_percentiles()["p50"] >= delay

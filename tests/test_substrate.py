@@ -10,6 +10,7 @@ ledger tallies must be bit-for-bit identical between
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from repro.mpc.primitives import (
     attach_degrees,
     count_by_key,
     fold_by_key,
+    multi_search,
     number_rows,
     orderable,
     search_rows,
@@ -167,8 +169,15 @@ class TestRunCacheRecharges:
         with cache_disabled():
             r3 = sorted_run(g, rel, ("B",), "warm")
         assert r3 is not r1
-        assert r3.parts == r1.parts
-        assert r3.splitters == r1.splitters
+        # The cached run sorts the raw (all-int) keys, the reference their
+        # orderable encodings: same origins in the same order, and the
+        # sort keys / splitters of one are the encodings of the other.
+        assert r1.tags == (2,) and r3.tags is None
+        assert r3.keys == r1.keys
+        for (ok, s3, j3), (raw, s1, j1) in zip(r3.parts, r1.parts):
+            assert (s3, j3) == (s1, j1)
+            assert ok == [orderable(k) for k in raw]
+        assert r3.splitters == [(orderable(k), uid) for k, uid in r1.splitters]
 
 
 # Hypothesis value pools: homogeneous and heterogeneous columns.
@@ -237,6 +246,44 @@ class TestCachedEqualsBypassed:
                         "ext",
                     )
                 )
+            return out, cl.snapshot()
+
+        got_c, rep_c = run_all(bypass=False)
+        got_u, rep_u = run_all(bypass=True)
+        assert got_c == got_u
+        assert ledger_key(rep_c) == ledger_key(rep_u)
+
+    @given(
+        instances(),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4)), max_size=20)
+        | st.lists(st.tuples(_VALUE, _VALUE), max_size=20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_search_primitives_on_a_two_relation_key(self, inst, filter_rows):
+        """``semi_join`` / ``multi_search`` across two relations whose shared
+        column may be homogeneous on one side only, on both, or on neither:
+        the cached path (raw keys where both sides' tags agree, encodings
+        otherwise) equals the bypassed reference, outputs and ledger."""
+        p, rows, _table_keys = inst
+
+        def run_all(bypass):
+            cl = Cluster(p)
+            g = cl.root_group()
+            rel = distribute_relation(make_rel(rows), g)
+            flt = distribute_relation(
+                make_rel(filter_rows, attrs=("B", "C"), name="F"), g
+            )
+            pos_r, pos_f = rel.positions(("B",)), flt.positions(("B",))
+            xs = [[(project_row(r, pos_r), r) for r in part] for part in rel.parts]
+            ys = [[(project_row(r, pos_f), r[1]) for r in part] for part in flt.parts]
+            with cache_disabled() if bypass else nullcontext():
+                out = [
+                    semi_join(g, rel, flt, "sj").parts,
+                    multi_search(
+                        g, xs, ys, "ms",
+                        encoder=pair_key_encoder(rel, pos_r, flt, pos_f),
+                    ),
+                ]
             return out, cl.snapshot()
 
         got_c, rep_c = run_all(bypass=False)
