@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-reproduction benchmarks.
 
 Every benchmark regenerates one of the paper's tables/figures: it sweeps
 workloads, runs the simulated algorithms, and prints the series the paper's
@@ -8,58 +8,13 @@ Run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.core.runner import mpc_join
 from repro.data.instance import Instance
-from repro.obs import percentiles
 from repro.query.hypergraph import Hypergraph
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "REQUIRED_BENCH_KEYS",
-    "finish_payload",
-    "latency_summary",
-    "run_join",
-    "print_table",
-    "fmt",
-]
-
-#: Version of the shared ``BENCH_*.json`` payload schema.  Bump when the
-#: required keys change; ``benchmarks/export_results.py --bench-only``
-#: fails on any stamped file whose version or keys drift.
-BENCH_SCHEMA_VERSION = 2
-
-#: Keys every stamped benchmark payload must carry.
-REQUIRED_BENCH_KEYS = ("schema_version", "note")
-
-
-def latency_summary(samples: Iterable[float]) -> dict[str, float]:
-    """p50/p95/p99 (+ mean/count) of wall-clock samples.
-
-    One shared implementation (:func:`repro.obs.percentiles`) so every
-    percentile a benchmark reports is computed the same way the engine's
-    :meth:`EngineStats.latency_percentiles` computes serving latency.
-    """
-    values = list(samples)
-    out: dict[str, float] = percentiles(values)
-    out["mean"] = sum(values) / len(values) if values else 0.0
-    out["count"] = len(values)
-    return out
-
-
-def finish_payload(data: dict[str, Any]) -> dict[str, Any]:
-    """Stamp the shared benchmark schema onto a payload before writing.
-
-    Adds ``schema_version`` and verifies the required keys are present,
-    so drift is caught at write time (and again at aggregation time by
-    ``export_results.py``).
-    """
-    data["schema_version"] = BENCH_SCHEMA_VERSION
-    missing = [k for k in REQUIRED_BENCH_KEYS if k not in data]
-    if missing:
-        raise ValueError(f"bench payload missing required keys: {missing}")
-    return data
+__all__ = ["run_join", "print_table", "fmt"]
 
 
 def run_join(

@@ -4,13 +4,7 @@ Not a pytest benchmark: a straight script that re-runs the headline sweeps
 and writes machine-readable series to ``results/`` so the tables in
 EXPERIMENTS.md can be regenerated or re-plotted without scraping stdout.
 
-Also the schema gate for the ``BENCH_*.json`` artifacts: ``--bench-only``
-scans the repo root, validates every stamped payload against the shared
-schema in ``benchmarks/_common.py`` (exit 1 on drift), and aggregates
-any latency percentiles into ``results/bench_latency.json``.
-
 Run:  python benchmarks/export_results.py [output_dir]
-      python benchmarks/export_results.py --bench-only [output_dir]
 """
 
 from __future__ import annotations
@@ -18,8 +12,6 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-
-from _common import BENCH_SCHEMA_VERSION, REQUIRED_BENCH_KEYS
 
 from repro.core.runner import mpc_join, mpc_output_size
 from repro.data.generators import forest_instance, line_trap_instance
@@ -96,30 +88,6 @@ def corollary4_sweep() -> list[dict]:
     return series
 
 
-def substrate_speedup() -> list[dict]:
-    """Before/after wall-clock comparison of the mpc substrate caches.
-
-    "Before" is the *same* (fused) primitive code with every substrate
-    cache bypassed — it isolates the caching layer's gain, not the full
-    distance to the pre-substrate primitives (the fusion itself is not
-    un-doable at runtime).  Ledger numbers and outputs are verified
-    identical between the two paths by the benchmark itself.
-    """
-    from bench_substrate import bench
-
-    rows = bench(quick=True)["workloads"]
-    header = f"{'workload':24s} {'before (s)':>11s} {'after (s)':>10s} {'speedup':>8s}"
-    print("\n=== substrate: before/after wall-clock ===")
-    print(header)
-    print("-" * len(header))
-    for w in rows:
-        print(
-            f"{w['workload']:24s} {w['bypassed_seconds']:11.3f} "
-            f"{w['cached_seconds']:10.3f} {w['speedup']:7.2f}x"
-        )
-    return rows
-
-
 def classification_census() -> list[dict]:
     return [
         {
@@ -138,80 +106,7 @@ EXPORTS = {
     "thm5_out_sweep": thm5_sweep,
     "thm6_crossover": thm6_sweep,
     "cor4_linear_count": corollary4_sweep,
-    "substrate_speedup": substrate_speedup,
 }
-
-
-def _collect_latency_fields(node, path=""):
-    """Recursively pull every latency/percentile dict out of a payload."""
-    found = []
-    if isinstance(node, dict):
-        if {"p50", "p95", "p99"} <= set(node):
-            found.append((path, node))
-        else:
-            for key, value in node.items():
-                found.extend(
-                    _collect_latency_fields(value, f"{path}.{key}" if path else key)
-                )
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            found.extend(_collect_latency_fields(value, f"{path}[{i}]"))
-    return found
-
-
-def check_bench_artifacts(out_dir: str = "results") -> int:
-    """Validate stamped BENCH_*.json files and aggregate their percentiles.
-
-    Stamped payloads (any with a ``schema_version`` key) must match
-    :data:`_common.BENCH_SCHEMA_VERSION` exactly and carry every key in
-    :data:`_common.REQUIRED_BENCH_KEYS` — drift fails the run (exit 1).
-    Unstamped files are legacy artifacts: warn and skip.
-    """
-    root = Path(__file__).parent.parent
-    bench_files = sorted(root.glob("BENCH_*.json"))
-    if not bench_files:
-        print("no BENCH_*.json artifacts found — nothing to validate")
-        return 0
-    failures = []
-    latency: dict[str, dict] = {}
-    for bf in bench_files:
-        try:
-            data = json.loads(bf.read_text())
-        except (OSError, ValueError) as exc:
-            failures.append(f"{bf.name}: unreadable ({exc})")
-            continue
-        if "schema_version" not in data:
-            print(f"warn: {bf.name} is unstamped (legacy artifact) — skipped")
-            continue
-        if data["schema_version"] != BENCH_SCHEMA_VERSION:
-            failures.append(
-                f"{bf.name}: schema_version {data['schema_version']} != "
-                f"{BENCH_SCHEMA_VERSION}"
-            )
-            continue
-        missing = [k for k in REQUIRED_BENCH_KEYS if k not in data]
-        if missing:
-            failures.append(f"{bf.name}: missing required keys {missing}")
-            continue
-        fields = _collect_latency_fields(data)
-        if fields:
-            latency[bf.name] = {path: stats for path, stats in fields}
-        print(f"ok: {bf.name} (schema v{data['schema_version']}, "
-              f"{len(fields)} latency series)")
-    if latency:
-        path = root / out_dir
-        path.mkdir(exist_ok=True)
-        target = path / "bench_latency.json"
-        target.write_text(
-            json.dumps({"schema_version": BENCH_SCHEMA_VERSION,
-                        "artifacts": latency}, indent=2) + "\n"
-        )
-        print(f"wrote {target} ({sum(len(v) for v in latency.values())} series)")
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}")
-        return 1
-    return 0
 
 
 def main(out_dir: str = "results") -> None:
@@ -222,12 +117,7 @@ def main(out_dir: str = "results") -> None:
         target = path / f"{name}.json"
         target.write_text(json.dumps({"p": P, "series": data}, indent=2))
         print(f"wrote {target} ({len(data)} rows)")
-    raise SystemExit(check_bench_artifacts(out_dir))
 
 
 if __name__ == "__main__":
-    argv = [a for a in sys.argv[1:] if a != "--bench-only"]
-    target_dir = argv[0] if argv else "results"
-    if "--bench-only" in sys.argv[1:]:
-        raise SystemExit(check_bench_artifacts(target_dir))
-    main(target_dir)
+    main(sys.argv[1] if len(sys.argv) > 1 else "results")

@@ -97,14 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser(
         "explain",
-        help="print the traced physical plan (ops, fusion groups, "
-        "per-op ledger units) without executing on the serving cluster",
+        help="print the traced physical plan (ops, per-op ledger units, "
+        "replay cost) without executing on the serving cluster",
     )
     x.add_argument("text", help="e.g. 'Q(A,B) :- R1(A,B), R2(B,C)'")
     add_common(x)
     x.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
-    x.add_argument("--no-fuse", action="store_true",
-                   help="show the unfused schedule (one request per op)")
     x.add_argument("--timings", action="store_true",
                    help="execute once to warm the backend, then time a "
                         "per-op replay: wall=/wire= columns per op")
@@ -126,9 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--chaos-seed", type=int, default=None,
                    help="fault-schedule seed for --chaos (default: "
                         "REPRO_CHAOS_SEED env or 1)")
-    s.add_argument("--no-pipeline", action="store_true",
-                   help="await every replay round synchronously instead of "
-                        "overlapping charge posting with in-flight rounds")
     s.add_argument("--replicas", type=int, default=1,
                    help="serve through the sharded front door with this "
                         "many engine replicas (routing, admission, "
@@ -168,12 +163,7 @@ def _load_engine(args, tracer=None) -> "Engine":
     from repro.engine import Engine
     from repro.io import read_relation_csv
 
-    engine = Engine(
-        p=args.servers,
-        backend=args.backend,
-        pipeline=not getattr(args, "no_pipeline", False),
-        tracer=tracer,
-    )
+    engine = Engine(p=args.servers, backend=args.backend, tracer=tracer)
     for path in sorted(Path(args.data_dir).glob("*.csv")):
         engine.register(read_relation_csv(path))
     return engine
@@ -198,7 +188,6 @@ def _serve_frontdoor(args, workload, tracer=None) -> int:
         backend=backend,
         shed_after=args.shed_after,
         tracer=tracer,
-        pipeline=not args.no_pipeline,
     ) as door:
         for path in sorted(Path(args.data_dir).glob("*.csv")):
             door.register(read_relation_csv(path))
@@ -287,8 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         engine = _load_engine(args)
         print(
             engine.explain(
-                args.text, algorithm=args.algorithm,
-                fusion=not args.no_fuse, timings=args.timings,
+                args.text, algorithm=args.algorithm, timings=args.timings
             )
         )
         return 0

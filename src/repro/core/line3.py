@@ -57,18 +57,6 @@ def is_line3(query: Hypergraph) -> tuple[str, str, str] | None:
     return None
 
 
-def _is_line3(query: Hypergraph) -> tuple[str, str, str] | None:
-    """Deprecated alias of :func:`is_line3` (pre-1.1 private name)."""
-    import warnings
-
-    warnings.warn(
-        "_is_line3 is deprecated; use repro.core.line3.is_line3",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return is_line3(query)
-
-
 def line3_join(
     group: Group,
     query: Hypergraph,

@@ -28,8 +28,8 @@ queries.  :class:`Engine` is the serving-side answer:
   entry points use, *tracing the physical op schedule as they go*
   (:mod:`repro.plan`); warm executions replay that schedule through the
   :class:`~repro.plan.executor.Executor` — ledger re-charged bit-exactly,
-  worker-local compute re-issued in fused ``run_ops`` batches — instead
-  of re-driving Python control flow.  Either way, outputs and the
+  worker-local compute re-issued in one ``run_ops`` round — instead of
+  re-driving Python control flow.  Either way, outputs and the
   per-query :class:`~repro.mpc.cluster.LoadReport` are bit-identical to
   ``mpc_join`` / ``mpc_join_aggregate`` (see ``tests/test_engine_parity``).
 * **``submit_batch()``** — run many queries against the shared backend,
@@ -49,7 +49,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Sequence
 
 from repro.core.planner import price_fold_orders
@@ -151,6 +151,28 @@ class _CachedResult:
         return rel
 
 
+@dataclass(slots=True)
+class _Call:
+    """One :meth:`Engine.execute` call's bookkeeping.
+
+    Handed to every serving path in place of positional flags;
+    :meth:`Engine._finish` turns it into the call's
+    :class:`QueryMetrics`.  ``status`` is the :meth:`Engine._resolve`
+    plan-cache status.  The last four fields are armed only once the
+    call is past the result cache, so a cached hit pays for none of them.
+    """
+
+    entry: "PreparedQuery"
+    status: str
+    t0: float
+    versions: dict[str, int]
+    span: Any
+    deadline_at: float | None = None
+    faults_before: int = 0
+    requests_before: int = 0
+    meter: WireMeter | None = None
+
+
 @dataclass
 class PreparedQuery:
     """A compiled, cached query plan.
@@ -206,7 +228,7 @@ class QueryMetrics:
     data stats drifted.  ``result_cached`` — the recorded execution was
     replayed instead of re-simulated (identical outputs and ledger).
     ``plan_replayed`` — the traced physical plan was replayed through the
-    op executor (fused backend requests, ledger re-charged bit-exactly)
+    op executor (one backend request, ledger re-charged bit-exactly)
     instead of re-driving Python control flow.
     """
 
@@ -233,10 +255,12 @@ class QueryMetrics:
     plan_ops: int = 0
     #: Worker-local (MapParts) ops among them.
     map_ops: int = 0
-    #: Fused backend-request groups the replay dispatched (0 off-replay).
+    #: ``run_ops`` batches the replay dispatched: 1 when the plan has
+    #: worker-local ops, else 0 (always 0 off-replay).
     fused_groups: int = 0
     #: Backend request rounds this execution issued (map dispatches on the
-    #: cold path; run_ops rounds on the replay path; 0 for result serves).
+    #: cold path; the run_ops round on the replay path; 0 for result
+    #: serves).
     backend_requests: int = 0
     #: The execution failed (its :class:`ExecutionResult`, if any, carries
     #: the error); the load fields above are zero.
@@ -255,40 +279,8 @@ class QueryMetrics:
     #: is disabled — the engine's default ``NULL_TRACER``).
     trace_id: str | None = None
 
-    @property
-    def fusion_ratio(self) -> float:
-        """Worker-local ops per backend request on the replay path."""
-        return self.map_ops / self.fused_groups if self.fused_groups else 1.0
-
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "text": self.text,
-            "kind": self.kind,
-            "algorithm": self.algorithm,
-            "cache_hit": self.cache_hit,
-            "plan_reused": self.plan_reused,
-            "invalidated": self.invalidated,
-            "result_cached": self.result_cached,
-            "load": self.load,
-            "max_step_load": self.max_step_load,
-            "steps": self.steps,
-            "out_size": self.out_size,
-            "wall_seconds": self.wall_seconds,
-            "plan_quality": self.plan_quality,
-            "wire_bytes": self.wire_bytes,
-            "plan_replayed": self.plan_replayed,
-            "plan_ops": self.plan_ops,
-            "map_ops": self.map_ops,
-            "fused_groups": self.fused_groups,
-            "fusion_ratio": self.fusion_ratio,
-            "backend_requests": self.backend_requests,
-            "failed": self.failed,
-            "error": self.error,
-            "deadline_exceeded": self.deadline_exceeded,
-            "degraded_serial": self.degraded_serial,
-            "fault_events": self.fault_events,
-            "trace_id": self.trace_id,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -421,32 +413,15 @@ class EngineStats:
         return "\n".join(lines)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "p": self.p,
-            "backend": self.backend,
-            "queries": self.queries,
-            "prepares": self.prepares,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "invalidations": self.invalidations,
-            "result_hits": self.result_hits,
-            "plan_replays": self.plan_replays,
-            "plans_installed": self.plans_installed,
-            "total_load": self.total_load,
-            "max_load": self.max_load,
-            "total_wall_seconds": self.total_wall_seconds,
-            "total_wire_bytes": self.total_wire_bytes,
-            "total_backend_requests": self.total_backend_requests,
-            "failures": self.failures,
-            "deadline_misses": self.deadline_misses,
-            "quarantined": self.quarantined,
-            "quarantine_fast_fails": self.quarantine_fast_fails,
-            "degraded_serial": self.degraded_serial,
-            "fault_events": self.fault_events,
-            "latency_percentiles": self.latency_percentiles(),
-            "plan_gaps": self.plan_gaps(),
-            "per_query": [m.as_dict() for m in self.per_query],
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("per_query", "max_per_query")
         }
+        out["latency_percentiles"] = self.latency_percentiles()
+        out["plan_gaps"] = self.plan_gaps()
+        out["per_query"] = [m.as_dict() for m in self.per_query]
+        return out
 
 
 @dataclass
@@ -497,6 +472,29 @@ class BatchReport:
     stats: EngineStats
 
 
+def _run_algorithm(
+    entry: PreparedQuery, group: Any, rels: dict[str, DistRelation]
+) -> tuple[DistRelation | Relation | None, Any, dict[str, Any], int]:
+    """Drive the entry's resolved algorithm over ``rels`` on ``group``.
+
+    The one join/aggregate dispatch behind cold executions, serial
+    degradation and scratch traces; returns ``(relation, scalar, meta,
+    out_size)``.
+    """
+    parsed = entry.parsed
+    if entry.kind == "join":
+        result = run_join_algorithm(
+            group, parsed.query, rels, entry.algorithm, plan=entry.plan
+        )
+        out_size = result.total_size()
+        return result, None, {"out_size": out_size}, out_size
+    relation, scalar, meta = run_aggregate_algorithm(
+        group, parsed.query, parsed.output_attrs or (), rels,
+        parsed.semiring, algorithm=entry.algorithm,
+    )
+    return relation, scalar, meta, len(relation) if relation is not None else 1
+
+
 class Engine:
     """A concurrent serving session over one warm cluster.
 
@@ -508,26 +506,11 @@ class Engine:
             relations' versions are unchanged (default).  The simulation
             is deterministic, so a replayed recording is bit-identical to
             a re-run — outputs and ledger alike; pass ``False`` to force
-            every execution back onto the cluster (the op-replay path, or
-            a full re-drive with ``plan_replay=False``).
-        plan_replay: Replay the traced physical plan on warm executions
-            (default): the recorded op schedule re-charges the ledger
-            bit-exactly and re-issues the worker-local compute through
-            fused :meth:`~repro.mpc.backends.Backend.run_ops` batches,
-            instead of re-driving the algorithm's Python control flow.
-            Pass ``False`` to re-drive every execution (the pre-plan
-            baseline the fusion benchmark compares against).
-        fusion: Batch adjacent worker-local ops of a replayed plan into
-            single backend requests (default); ``False`` dispatches one
-            request per op (the unfused baseline).
-        pipeline: Dispatch replayed backend rounds asynchronously
-            (default): the executor posts ledger charges while a round is
-            in flight, and — because each warm replay runs on its own
-            scratch ledger over the shared backend — concurrent
-            :meth:`submit_batch` submitters overlap whole queries instead
-            of serializing on the engine lock.  ``False`` awaits every
-            round synchronously (the PR-5 behaviour, kept as the
-            benchmark baseline).
+            every warm execution back onto the backend: the traced
+            physical plan replays (ledger re-charged bit-exactly, the
+            worker-local compute re-issued in one
+            :meth:`~repro.mpc.backends.Backend.run_ops` round) instead of
+            re-driving the algorithm's Python control flow.
         result_cache_entries: LRU bound on recorded executions held by
             the session (``None`` = unbounded).  Recordings back both the
             result cache and plan replay; evicting one falls the next
@@ -554,12 +537,7 @@ class Engine:
             span per execution, threaded engine → executor → backend →
             worker rounds.  ``None`` (default) installs the no-op
             ``NULL_TRACER``: spans cost one attribute read on the hot
-            path (the ≤3% overhead gate in ``benchmarks/bench_obs.py``).
-        observe: Record per-query registry metrics (counters + latency
-            histograms).  ``False`` skips registry updates on the query
-            path entirely — the bare baseline the overhead benchmark
-            compares against.  Never affects :class:`EngineStats` or the
-            :class:`~repro.mpc.cluster.LoadReport` ledger.
+            path.
 
     Example::
 
@@ -575,21 +553,14 @@ class Engine:
         p: int = 8,
         backend: Backend | str | None = None,
         result_cache: bool = True,
-        plan_replay: bool = True,
-        fusion: bool = True,
-        pipeline: bool = True,
         result_cache_entries: int | None = 256,
         result_cache_bytes: int | None = 128 * 1024 * 1024,
         degrade_to_serial: bool = True,
         registry: MetricsRegistry | None = None,
         tracer: Any = None,
-        observe: bool = True,
     ) -> None:
         self.p = p
         self.result_cache = result_cache
-        self.plan_replay = plan_replay
-        self.fusion = fusion
-        self.pipeline = pipeline
         self.result_cache_entries = result_cache_entries
         self.result_cache_bytes = result_cache_bytes
         self.degrade_to_serial = degrade_to_serial
@@ -612,7 +583,6 @@ class Engine:
         self._stats = EngineStats(
             p=p, backend=self._cluster.backend.name, max_per_query=1024
         )
-        self.observe = observe
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # EngineStats and the backend's wire/fault counters join the
@@ -986,13 +956,11 @@ class Engine:
             parsed, algorithm = query.parsed, query.key[2]
         else:
             parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
-        # Root of this execution's span tree and its wire-byte meter; both
-        # cost ~nothing when tracing is off (NULL_TRACER hands out the
-        # no-op NULL_SPAN singleton).
+        # Root of this execution's span tree; costs ~nothing when tracing
+        # is off (NULL_TRACER hands out the no-op NULL_SPAN singleton).
         span = self.tracer.span("query", query=parsed.text, algorithm=algorithm)
-        meter = WireMeter()
         try:
-            result = self._execute_traced(parsed, algorithm, deadline, span, meter)
+            result = self._execute_traced(parsed, algorithm, deadline, span)
         except Exception as exc:
             span.end(error=f"{type(exc).__name__}: {exc}")
             raise
@@ -1017,24 +985,26 @@ class Engine:
         algorithm: str,
         deadline: float | None,
         span: Any,
-        meter: WireMeter,
     ) -> ExecutionResult:
-        """The :meth:`execute` body under one root span and wire meter.
+        """The :meth:`execute` body under one root span.
 
         ``span`` parents the path-level child spans (``cold_execute`` /
-        ``replay`` / ``degrade_serial``); ``meter`` travels into every
-        backend round this query issues, so ``wire_bytes`` is per-query
-        by construction — before the meter, concurrent submitters
-        computed before/after deltas of the backend's *shared* cumulative
-        counters and double-counted each other's bytes.
+        ``replay`` / ``degrade_serial``).  Past the result cache the call
+        gets its own :class:`~repro.obs.WireMeter`, which travels into
+        every backend round this query issues, so ``wire_bytes`` is
+        per-query by construction — deltas of the backend's *shared*
+        cumulative counters would double-count concurrent submitters.
         """
         with self._lock:
             entry, status = self._resolve(parsed, algorithm)
-            cache_hit = status == "hit"
-            plan_reused = status in ("hit", "revalidated")
-            invalidated = status == "invalidated"
-            t0 = time.perf_counter()
-            versions = self._current_versions(parsed)
+            call = _Call(
+                entry=entry,
+                status=status,
+                t0=time.perf_counter(),
+                versions=self._current_versions(parsed),
+                span=span,
+            )
+            versions = call.versions
             held = self._quarantine.get(entry.key)
             if held is not None:
                 if held["versions"] == versions:
@@ -1043,7 +1013,7 @@ class Engine:
                         "query is quarantined until its relations change: "
                         + held["error"]
                     )
-                    self._record_failure(entry, exc, t0, span.trace_id)
+                    self._finish(call, "failed", error=exc)
                     raise exc
                 # Data moved since the failure: parole and retry for real.
                 del self._quarantine[entry.key]
@@ -1051,33 +1021,17 @@ class Engine:
                 exc = DeadlineExceeded(
                     "deadline expired before execution began"
                 )
-                self._record_failure(entry, exc, t0, span.trace_id)
+                self._finish(call, "failed", error=exc)
                 raise exc
             cached = entry.cached_result
-            if (
-                self.result_cache
-                and cached is not None
-                and cached.relation_versions == versions
-            ):
+            if cached is not None and cached.relation_versions != versions:
+                cached = None
+            if self.result_cache and cached is not None:
                 entry.uses += 1
                 self._touch_recording(entry.key)
-                metrics = QueryMetrics(
-                    text=entry.parsed.text,
-                    kind=entry.kind,
-                    algorithm=entry.algorithm,
-                    cache_hit=cache_hit,
-                    plan_reused=plan_reused,
-                    invalidated=invalidated,
-                    result_cached=True,
-                    load=cached.report.load,
-                    max_step_load=cached.report.max_step_load,
-                    steps=cached.report.steps,
-                    out_size=cached.out_size,
-                    wall_seconds=time.perf_counter() - t0,
-                    plan_quality=entry.plan_quality,
-                    trace_id=span.trace_id,
+                metrics = self._finish(
+                    call, "cached", cached.report, cached.out_size
                 )
-                self._record(metrics, "cached")
                 return ExecutionResult(
                     prepared=entry,
                     relation=cached.served_relation(),
@@ -1086,46 +1040,33 @@ class Engine:
                     metrics=metrics,
                     meta=dict(cached.meta),
                 )
-            deadline_at = (
-                time.monotonic() + deadline if deadline is not None else None
-            )
-            faults_before = self._fault_level()
+            if deadline is not None:
+                call.deadline_at = time.monotonic() + deadline
+            call.faults_before = self._fault_level()
+            call.requests_before = self._cluster.backend.requests
+            call.meter = WireMeter()
             trace = entry.trace
-            warm = (
-                self.plan_replay
-                and trace is not None
-                and trace.relation_versions == versions
-                and cached is not None
-                and cached.relation_versions == versions
-            )
-            if not warm:
-                # Cold (or re-drive) path: owns the serving cluster and
-                # its recorder, so it runs under the engine lock end to
-                # end.
-                self._cluster.deadline = deadline_at
+            if (
+                cached is None
+                or trace is None
+                or trace.relation_versions != versions
+            ):
+                # Cold path: owns the serving cluster and its recorder,
+                # so it runs under the engine lock end to end.
+                self._cluster.deadline = call.deadline_at
                 try:
-                    return self._execute_on_cluster(
-                        entry, versions, t0,
-                        cache_hit, plan_reused, invalidated, faults_before,
-                        span, meter,
-                    )
+                    return self._execute_on_cluster(call)
                 except DeadlineExceeded as exc:
                     # Cooperative cancellation fired between rounds; the
                     # partial ledger is discarded.  A miss never
                     # quarantines — the same query with a looser deadline
                     # is fine.
-                    self._cluster.recorder = None
                     self._cluster.reset()
-                    self._record_failure(entry, exc, t0, span.trace_id)
+                    self._finish(call, "failed", error=exc)
                     raise
                 except FaultError as exc:
-                    self._cluster.recorder = None
                     self._cluster.reset()
-                    return self._handle_fault(
-                        entry, versions, exc, t0, deadline_at,
-                        cache_hit, plan_reused, invalidated, faults_before,
-                        span,
-                    )
+                    return self._handle_fault(call, exc)
                 finally:
                     self._cluster.deadline = None
         # Warm path: replay the traced schedule on a scratch ledger over
@@ -1133,142 +1074,69 @@ class Engine:
         # replay-pure and outputs come from the recording, so nothing
         # per-query touches the serving cluster — concurrent submitters
         # overlap whole replays, and the backend serializes its rounds
-        # internally (I/O lock + ordered dispatcher).
+        # internally (I/O lock).
         try:
-            return self._replay_warm(
-                entry, trace, cached, t0, deadline_at,
-                cache_hit, plan_reused, invalidated, faults_before,
-                span, meter,
-            )
+            return self._replay_warm(call, trace, cached)
         except DeadlineExceeded as exc:
             with self._lock:
-                self._record_failure(entry, exc, t0, span.trace_id)
+                self._finish(call, "failed", error=exc)
             raise
         except FaultError as exc:
             with self._lock:
-                return self._handle_fault(
-                    entry, versions, exc, t0, deadline_at,
-                    cache_hit, plan_reused, invalidated, faults_before,
-                    span,
-                )
+                return self._handle_fault(call, exc)
 
-    def _handle_fault(
-        self,
-        entry: PreparedQuery,
-        versions: dict[str, int],
-        exc: Exception,
-        t0: float,
-        deadline_at: float | None,
-        cache_hit: bool,
-        plan_reused: bool,
-        invalidated: bool,
-        faults_before: int,
-        span: Any,
-    ) -> ExecutionResult:
+    def _handle_fault(self, call: _Call, exc: Exception) -> ExecutionResult:
         """The backend faulted past its own recovery: next rungs of the
         ladder — re-run on a scratch serial cluster; if that is off (or
         itself fails), quarantine the query.  Caller holds the lock.
         """
         if self.degrade_to_serial:
             try:
-                return self._serial_degrade(
-                    entry, versions, exc, t0, deadline_at,
-                    cache_hit, plan_reused, invalidated,
-                    faults_before, span,
-                )
+                return self._serial_degrade(call, exc)
             except DeadlineExceeded as exc2:
-                self._record_failure(entry, exc2, t0, span.trace_id)
+                self._finish(call, "failed", error=exc2)
                 raise
             except ReproError as exc2:
-                self._quarantine_entry(entry, versions, exc2)
-                self._record_failure(entry, exc2, t0, span.trace_id)
+                self._quarantine_entry(call, exc2)
+                self._finish(call, "failed", error=exc2)
                 raise
-        self._quarantine_entry(entry, versions, exc)
-        self._record_failure(entry, exc, t0, span.trace_id)
+        self._quarantine_entry(call, exc)
+        self._finish(call, "failed", error=exc)
         raise exc
 
     def _replay_warm(
-        self,
-        entry: PreparedQuery,
-        trace: PhysicalPlan,
-        cached: _CachedResult,
-        t0: float,
-        deadline_at: float | None,
-        cache_hit: bool,
-        plan_reused: bool,
-        invalidated: bool,
-        faults_before: int,
-        span: Any,
-        meter: WireMeter,
+        self, call: _Call, trace: PhysicalPlan, cached: _CachedResult
     ) -> ExecutionResult:
         """One warm execution: replay the traced op schedule, serve the
         recording.
 
         Charges re-post the recorded count vectors (ledger bit-identical
         by construction) onto a per-call scratch ledger over the shared
-        backend, worker-local ops re-issue through fused (and pipelined)
-        ``run_ops`` batches, and the outputs are served from the
-        recording — no Python control flow of the algorithm re-runs and
-        the engine lock is NOT held.  Wire bytes are attributed exactly
-        per query (the meter travels with each round); the request/fault
-        deltas still read shared monotone counters, so under concurrent
-        submitters those two stay approximate.
+        backend, worker-local ops re-issue in one ``run_ops`` round, and
+        the outputs are served from the recording — no Python control
+        flow of the algorithm re-runs and the engine lock is NOT held.
+        Wire bytes are attributed exactly per query (the meter travels
+        with the round); the request/fault deltas still read shared
+        monotone counters, so under concurrent submitters those two stay
+        approximate.
         """
-        backend = self._cluster.backend
-        requests_before = backend.requests
-        scratch = Cluster(self.p, backend=backend)
-        scratch.deadline = deadline_at
-        rspan = span.child(
-            "replay", ops=len(trace.ops),
-            fusion=self.fusion, pipeline=self.pipeline,
-        )
+        entry = call.entry
+        scratch = Cluster(self.p, backend=self._cluster.backend)
+        scratch.deadline = call.deadline_at
+        rspan = call.span.child("replay", ops=len(trace.ops))
         with rspan:
-            replay_stats = Executor(
-                scratch, fusion=self.fusion, pipeline=self.pipeline,
-                meter=meter, span=rspan,
-            ).replay(trace)
+            Executor(scratch, meter=call.meter, span=rspan).replay(trace)
         report = scratch.snapshot()
-        relation: DistRelation | Relation | None = cached.served_relation()
-        wall = time.perf_counter() - t0
-        wire_bytes = meter.bytes
+        relation = cached.served_relation()
         meta: dict[str, Any] = dict(cached.meta)
         meta["plan_replayed"] = True
-        meta.update(
-            {
-                "algorithm": entry.algorithm,
-                "p": self.p,
-                "backend": self.backend_name,
-                "query_class": entry.query_class,
-                "wire_bytes": wire_bytes,
-            }
-        )
-        metrics = QueryMetrics(
-            text=entry.parsed.text,
-            kind=entry.kind,
-            algorithm=entry.algorithm,
-            cache_hit=cache_hit,
-            plan_reused=plan_reused,
-            invalidated=invalidated,
-            result_cached=False,
-            load=report.load,
-            max_step_load=report.max_step_load,
-            steps=report.steps,
-            out_size=cached.out_size,
-            wall_seconds=wall,
-            plan_quality=entry.plan_quality,
-            wire_bytes=wire_bytes,
-            plan_replayed=True,
-            plan_ops=len(trace.ops),
-            map_ops=len(trace.map_ops()),
-            fused_groups=replay_stats["groups"],
-            backend_requests=backend.requests - requests_before,
-            fault_events=self._fault_level() - faults_before,
-            trace_id=span.trace_id,
-        )
+        self._stamp_meta(meta, entry, call.meter.bytes)
         with self._lock:
             entry.uses += 1
             self._touch_recording(entry.key)
-            self._record(metrics, "replay")
+            metrics = self._finish(
+                call, "replay", report, cached.out_size, plan=trace
+            )
         return ExecutionResult(
             prepared=entry,
             relation=relation,
@@ -1278,37 +1146,26 @@ class Engine:
             meta=meta,
         )
 
-    def _execute_on_cluster(
-        self,
-        entry: PreparedQuery,
-        versions: dict[str, int],
-        t0: float,
-        cache_hit: bool,
-        plan_reused: bool,
-        invalidated: bool,
-        faults_before: int,
-        span: Any,
-        meter: WireMeter,
-    ) -> ExecutionResult:
-        """One cold (or re-drive) execution on the warm serving cluster.
+    def _execute_on_cluster(self, call: _Call) -> ExecutionResult:
+        """One cold execution on the warm serving cluster.
 
-        The fault/deadline/degradation policy lives in :meth:`execute`;
-        this method only runs, records a trace + recording, and reports.
-        Caller holds the lock and has already armed
-        ``self._cluster.deadline``.
+        The fault/deadline/degradation policy lives in
+        :meth:`_execute_traced`; this method only runs, records a trace +
+        recording, and reports.  Caller holds the lock and has already
+        armed ``self._cluster.deadline``.
         """
-        requests_before = self._cluster.backend.requests
-        rec = TraceRecorder() if self.plan_replay else None
+        entry = call.entry
+        rec = TraceRecorder()
         aggregate = (
             None if entry.kind == "join"
             else (entry.parsed.aggregate or "bool")
         )
-        cspan = span.child("cold_execute", algorithm=entry.algorithm)
+        cspan = call.span.child("cold_execute", algorithm=entry.algorithm)
         # Meter and span ride on the cluster from *before* relation
         # distribution: dist-cache misses ship parts to the workers, and
         # those bytes belong to this query.  Cleared in the finally no
         # matter how the execution ends — the serving cluster is shared.
-        self._cluster.wire_meter = meter
+        self._cluster.wire_meter = call.meter
         self._cluster.obs_span = cspan
         try:
             with cspan:
@@ -1316,115 +1173,56 @@ class Engine:
                 self._cluster.reset()
                 self._cluster.recorder = rec
                 try:
-                    if entry.kind == "join":
-                        result = run_join_algorithm(
-                            self._group, entry.parsed.query, rels,
-                            entry.algorithm, plan=entry.plan,
-                        )
-                        relation: DistRelation | Relation | None = result
-                        scalar = None
-                        out_size = result.total_size()
-                        meta: dict[str, Any] = {"out_size": out_size}
-                    else:
-                        relation, scalar, meta = run_aggregate_algorithm(
-                            self._group, entry.parsed.query,
-                            entry.parsed.output_attrs or (), rels,
-                            entry.parsed.semiring, algorithm=entry.algorithm,
-                        )
-                        out_size = len(relation) if relation is not None else 1
+                    relation, scalar, meta, out_size = _run_algorithm(
+                        entry, self._group, rels
+                    )
                 finally:
                     self._cluster.recorder = None
         finally:
             self._cluster.wire_meter = None
             self._cluster.obs_span = None
         report = self._cluster.snapshot()
-        if rec is not None:
-            entry.trace = rec.finish(
-                query=entry.parsed.text,
-                kind=entry.kind,
-                algorithm=entry.algorithm,
-                p=self.p,
-                backend=self.backend_name,
-                relation_versions=versions,
-            )
+        entry.trace = self._finish_trace(rec, entry, call.versions)
         entry.uses += 1
-        wire_bytes = meter.bytes
-        meta.update(
-            {
-                "algorithm": entry.algorithm,
-                "p": self.p,
-                "backend": self.backend_name,
-                "query_class": entry.query_class,
-                "wire_bytes": wire_bytes,
-            }
-        )
-        if self.result_cache or self.plan_replay:
-            # Record the execution in columnar form: distributed
-            # results are encoded once into shared column blocks, and
-            # the caller keeps its row-backed relation untouched —
-            # storing the compacted object itself would leave callers
-            # holding BOTH representations after their first row
-            # access, pure GC ballast for the rest of the session.
-            # The recording backs the result cache (serve without
-            # executing) AND the plan-replay path (outputs while the
-            # Executor re-charges the ledger); the LRU bounds both.
-            stored: Any = relation
-            if isinstance(relation, DistRelation):
-                blocks = relation.column_parts
-                if blocks is None:
-                    arity = len(relation.attrs)
-                    blocks = [
-                        ColumnBlock.from_rows(p, arity)
-                        for p in relation.parts
-                    ]
-                stored = _ColumnarPayload(
-                    relation.name, relation.attrs, list(blocks)
-                )
-            self._store_recording(
-                entry,
-                _CachedResult(
-                    relation_versions=versions,
-                    relation=stored,
-                    scalar=scalar,
-                    report=report,
-                    meta=dict(meta),
-                    out_size=out_size,
-                    stored_bytes=self._recording_nbytes(stored),
-                ),
+        self._stamp_meta(meta, entry, call.meter.bytes)
+        # Record the execution in columnar form: distributed results are
+        # encoded once into shared column blocks, and the caller keeps
+        # its row-backed relation untouched — storing the compacted
+        # object itself would leave callers holding BOTH representations
+        # after their first row access, pure GC ballast for the rest of
+        # the session.  The recording backs the result cache (serve
+        # without executing) AND the plan-replay path (outputs while the
+        # Executor re-charges the ledger); the LRU bounds both.
+        stored: Any = relation
+        if isinstance(relation, DistRelation):
+            blocks = relation.column_parts
+            if blocks is None:
+                arity = len(relation.attrs)
+                blocks = [
+                    ColumnBlock.from_rows(p, arity) for p in relation.parts
+                ]
+            stored = _ColumnarPayload(
+                relation.name, relation.attrs, list(blocks)
             )
+        self._store_recording(
+            entry,
+            _CachedResult(
+                relation_versions=call.versions,
+                relation=stored,
+                scalar=scalar,
+                report=report,
+                meta=dict(meta),
+                out_size=out_size,
+                stored_bytes=self._recording_nbytes(stored),
+            ),
+        )
         # The clock stops after the recording: encoding and sizing the
         # result blocks is part of what a cold request costs its caller.
-        wall = time.perf_counter() - t0
-        plan_ops = len(entry.trace.ops) if entry.trace is not None else 0
-        map_ops = (
-            len(entry.trace.map_ops()) if entry.trace is not None else 0
+        # (An over-budget recording took its trace with it — then the
+        # metrics report no plan, as nothing can replay.)
+        metrics = self._finish(
+            call, "cold", report, out_size, plan=entry.trace
         )
-        metrics = QueryMetrics(
-            text=entry.parsed.text,
-            kind=entry.kind,
-            algorithm=entry.algorithm,
-            cache_hit=cache_hit,
-            plan_reused=plan_reused,
-            invalidated=invalidated,
-            result_cached=False,
-            load=report.load,
-            max_step_load=report.max_step_load,
-            steps=report.steps,
-            out_size=out_size,
-            wall_seconds=wall,
-            plan_quality=entry.plan_quality,
-            wire_bytes=wire_bytes,
-            plan_replayed=False,
-            plan_ops=plan_ops,
-            map_ops=map_ops,
-            fused_groups=0,
-            backend_requests=(
-                self._cluster.backend.requests - requests_before
-            ),
-            fault_events=self._fault_level() - faults_before,
-            trace_id=span.trace_id,
-        )
-        self._record(metrics, "cold")
         return ExecutionResult(
             prepared=entry,
             relation=relation,
@@ -1434,6 +1232,44 @@ class Engine:
             meta=meta,
         )
 
+    def _stamp_meta(
+        self, meta: dict[str, Any], entry: PreparedQuery, wire_bytes: int
+    ) -> None:
+        """The serving facts every executed result's ``meta`` carries."""
+        meta.update(
+            algorithm=entry.algorithm,
+            p=self.p,
+            backend=self.backend_name,
+            query_class=entry.query_class,
+            wire_bytes=wire_bytes,
+        )
+
+    def _finish_trace(
+        self, rec: TraceRecorder, entry: PreparedQuery, versions: dict[str, int]
+    ) -> PhysicalPlan:
+        return rec.finish(
+            query=entry.parsed.text,
+            kind=entry.kind,
+            algorithm=entry.algorithm,
+            p=self.p,
+            backend=self.backend_name,
+            relation_versions=versions,
+        )
+
+    def _scratch_rels(
+        self, entry: PreparedQuery, group: Any
+    ) -> dict[str, DistRelation]:
+        """Fresh distributed copies of the bound relations on a scratch
+        group (the serving caches stay warm-backend-shaped)."""
+        annotate = entry.kind != "join"
+        rels: dict[str, DistRelation] = {}
+        for b in entry.parsed.bindings:
+            rel = self._bound(b)
+            if annotate and not rel.annotated:
+                rel = rel.with_annotations(entry.parsed.semiring)
+            rels[b.edge] = distribute_relation(rel, group, annotate=annotate)
+        return rels
+
     # ------------------------------------------------------------------
     # Failure policy: record, quarantine, degrade (DESIGN.md section 8)
     # ------------------------------------------------------------------
@@ -1442,42 +1278,89 @@ class Engine:
         fs = self._cluster.backend.fault_stats()
         return fs.get("worker_deaths", 0) + fs.get("round_timeouts", 0)
 
-    def _record_failure(
-        self, entry: PreparedQuery, exc: Exception, t0: float,
-        trace_id: str | None = None,
-    ) -> None:
+    def _finish(
+        self,
+        call: _Call,
+        path: str,
+        report: LoadReport | None = None,
+        out_size: int = 0,
+        plan: PhysicalPlan | None = None,
+        error: Exception | None = None,
+    ) -> QueryMetrics:
+        """Build and record one call's :class:`QueryMetrics`.
+
+        Every serving path reports through here.  ``path`` is the
+        registry label — ``cold`` | ``replay`` | ``cached`` |
+        ``degraded`` | ``failed`` — and decides which counters apply:
+        only ``cold``/``replay`` touched the warm backend (wire bytes,
+        request delta), those two and ``degraded`` report the faults
+        absorbed on the way, and a failure counts as a plan-cache miss
+        (it served nothing from the cache).  ``plan`` is the physical
+        plan that served or was traced by the call, if one is held.
+        """
+        entry = call.entry
+        failed = path == "failed"
+        status = "" if failed else call.status
+        load = max_step_load = steps = 0
+        if report is not None:
+            load = report.load
+            max_step_load = report.max_step_load
+            steps = report.steps
+        # Beyond what every path reports, a field keeps its dataclass
+        # default unless the path touched it (a cached hit touches none).
+        extra: dict[str, Any] = {}
+        if plan is not None:
+            extra.update(plan_ops=len(plan.ops), map_ops=len(plan.map_ops()))
+        if path in ("cold", "replay"):
+            extra.update(
+                wire_bytes=call.meter.bytes,
+                backend_requests=(
+                    self._cluster.backend.requests - call.requests_before
+                ),
+            )
+        if path in ("cold", "replay", "degraded"):
+            extra["fault_events"] = self._fault_level() - call.faults_before
+        if path == "replay":
+            extra.update(
+                plan_replayed=True, fused_groups=1 if extra["map_ops"] else 0
+            )
+        elif path == "degraded":
+            extra["degraded_serial"] = True
+        elif failed:
+            extra.update(
+                failed=True,
+                error=f"{type(error).__name__}: {error}",
+                deadline_exceeded=isinstance(error, DeadlineExceeded),
+            )
         metrics = QueryMetrics(
             text=entry.parsed.text,
             kind=entry.kind,
             algorithm=entry.algorithm,
-            cache_hit=False,
-            plan_reused=False,
-            invalidated=False,
-            result_cached=False,
-            load=0,
-            max_step_load=0,
-            steps=0,
-            out_size=0,
-            wall_seconds=time.perf_counter() - t0,
+            cache_hit=status == "hit",
+            plan_reused=status in ("hit", "revalidated"),
+            invalidated=status == "invalidated",
+            result_cached=path == "cached",
+            load=load,
+            max_step_load=max_step_load,
+            steps=steps,
+            out_size=out_size,
+            wall_seconds=time.perf_counter() - call.t0,
             plan_quality=entry.plan_quality,
-            failed=True,
-            error=f"{type(exc).__name__}: {exc}",
-            deadline_exceeded=isinstance(exc, DeadlineExceeded),
-            trace_id=trace_id,
+            trace_id=call.span.trace_id,
+            **extra,
         )
-        self._record(metrics, "failed")
+        self._record(metrics, path)
+        return metrics
 
-    def _quarantine_entry(
-        self, entry: PreparedQuery, versions: dict[str, int], exc: Exception
-    ) -> None:
+    def _quarantine_entry(self, call: _Call, exc: Exception) -> None:
         """Mark the query unservable until its input versions move.
 
         The original failure text is kept so fast-fails carry it; the
         version snapshot is the parole condition (new data genuinely
         changes the execution, so it deserves a fresh attempt).
         """
-        self._quarantine[entry.key] = {
-            "versions": dict(versions),
+        self._quarantine[call.entry.key] = {
+            "versions": dict(call.versions),
             "error": f"{type(exc).__name__}: {exc}",
         }
         self._stats.quarantined += 1
@@ -1492,103 +1375,44 @@ class Engine:
                 out[text] = held["error"]
             return out
 
-    def _serial_degrade(
-        self,
-        entry: PreparedQuery,
-        versions: dict[str, int],
-        fault: Exception,
-        t0: float,
-        deadline_at: float | None,
-        cache_hit: bool,
-        plan_reused: bool,
-        invalidated: bool,
-        faults_before: int,
-        span: Any,
-    ) -> ExecutionResult:
+    def _serial_degrade(self, call: _Call, fault: Exception) -> ExecutionResult:
         """Re-run a faulted query to completion on a scratch serial cluster.
 
         The scratch cluster inherits the remaining deadline and gets
-        freshly distributed copies of the bound relations (the serving
-        caches stay warm-backend-shaped).  Because ledgers and outputs
-        are backend-independent (the conformance contract), the rerun is
-        *the same execution* — and when a recording of this query is
-        still valid, that is checked, not assumed: a ledger or size
-        mismatch means a determinism violation, which must surface, never
-        serve.
+        freshly distributed copies of the bound relations.  Because
+        ledgers and outputs are backend-independent (the conformance
+        contract), the rerun is *the same execution* — and when a
+        recording of this query is still valid, that is checked, not
+        assumed: a ledger or size mismatch means a determinism violation,
+        which must surface, never serve.
         """
+        entry = call.entry
         scratch = Cluster(self.p, backend="serial")
-        scratch.deadline = deadline_at
+        scratch.deadline = call.deadline_at
         group = scratch.root_group()
-        dspan = span.child("degrade_serial", fault=type(fault).__name__)
-        with dspan:
-            if entry.kind == "join":
-                rels = {
-                    b.edge: distribute_relation(self._bound(b), group)
-                    for b in entry.parsed.bindings
-                }
-                result = run_join_algorithm(
-                    group, entry.parsed.query, rels,
-                    entry.algorithm, plan=entry.plan,
-                )
-                relation: DistRelation | Relation | None = result
-                scalar = None
-                out_size = result.total_size()
-                meta: dict[str, Any] = {"out_size": out_size}
-            else:
-                rels = {}
-                for b in entry.parsed.bindings:
-                    rel = self._bound(b)
-                    if not rel.annotated:
-                        rel = rel.with_annotations(entry.parsed.semiring)
-                    rels[b.edge] = distribute_relation(rel, group, annotate=True)
-                relation, scalar, meta = run_aggregate_algorithm(
-                    group, entry.parsed.query,
-                    entry.parsed.output_attrs or (), rels,
-                    entry.parsed.semiring, algorithm=entry.algorithm,
-                )
-                out_size = len(relation) if relation is not None else 1
+        with call.span.child("degrade_serial", fault=type(fault).__name__):
+            relation, scalar, meta, out_size = _run_algorithm(
+                entry, group, self._scratch_rels(entry, group)
+            )
         report = scratch.snapshot()
         cached = entry.cached_result
-        if cached is not None and cached.relation_versions == versions:
-            if (
+        if (
+            cached is not None
+            and cached.relation_versions == call.versions
+            and (
                 report.as_dict() != cached.report.as_dict()
                 or out_size != cached.out_size
-            ):
-                raise EngineError(
-                    "serial degradation diverged from the cached recording "
-                    "(determinism violation); refusing to serve"
-                )
+            )
+        ):
+            raise EngineError(
+                "serial degradation diverged from the cached recording "
+                "(determinism violation); refusing to serve"
+            )
         entry.uses += 1
-        meta.update(
-            {
-                "algorithm": entry.algorithm,
-                "p": self.p,
-                "backend": self.backend_name,
-                "query_class": entry.query_class,
-                "wire_bytes": 0,
-                "degraded_serial": True,
-                "degraded_from": f"{type(fault).__name__}: {fault}",
-            }
-        )
-        metrics = QueryMetrics(
-            text=entry.parsed.text,
-            kind=entry.kind,
-            algorithm=entry.algorithm,
-            cache_hit=cache_hit,
-            plan_reused=plan_reused,
-            invalidated=invalidated,
-            result_cached=False,
-            load=report.load,
-            max_step_load=report.max_step_load,
-            steps=report.steps,
-            out_size=out_size,
-            wall_seconds=time.perf_counter() - t0,
-            plan_quality=entry.plan_quality,
-            degraded_serial=True,
-            fault_events=self._fault_level() - faults_before,
-            trace_id=span.trace_id,
-        )
-        self._record(metrics, "degraded")
+        self._stamp_meta(meta, entry, 0)
+        meta["degraded_serial"] = True
+        meta["degraded_from"] = f"{type(fault).__name__}: {fault}"
+        metrics = self._finish(call, "degraded", report, out_size)
         return ExecutionResult(
             prepared=entry,
             relation=relation,
@@ -1624,51 +1448,19 @@ class Engine:
                 return trace
             scratch = Cluster(self.p, backend="serial")
             group = scratch.root_group()
-            if entry.kind == "join":
-                rels = {
-                    b.edge: distribute_relation(self._bound(b), group)
-                    for b in entry.parsed.bindings
-                }
-            else:
-                rels = {}
-                for b in entry.parsed.bindings:
-                    rel = self._bound(b)
-                    if not rel.annotated:
-                        rel = rel.with_annotations(entry.parsed.semiring)
-                    rels[b.edge] = distribute_relation(rel, group, annotate=True)
+            rels = self._scratch_rels(entry, group)
             rec = TraceRecorder()
             scratch.recorder = rec
-            try:
-                if entry.kind == "join":
-                    run_join_algorithm(
-                        group, entry.parsed.query, rels,
-                        entry.algorithm, plan=entry.plan,
-                    )
-                else:
-                    run_aggregate_algorithm(
-                        group, entry.parsed.query,
-                        entry.parsed.output_attrs or (), rels,
-                        entry.parsed.semiring, algorithm=entry.algorithm,
-                    )
-            finally:
-                scratch.recorder = None
-            return rec.finish(
-                query=entry.parsed.text,
-                kind=entry.kind,
-                algorithm=entry.algorithm,
-                p=self.p,
-                backend=self.backend_name,
-                relation_versions=versions,
-            )
+            _run_algorithm(entry, group, rels)
+            return self._finish_trace(rec, entry, versions)
 
     def explain(
         self,
         query: str | ParsedQuery,
         algorithm: str = "auto",
-        fusion: bool = True,
         timings: bool = False,
     ) -> str:
-        """Render :meth:`trace_plan` — ops, fusion groups, ledger units.
+        """Render :meth:`trace_plan` — ops, ledger units, replay cost.
 
         With ``timings=True`` the plan is additionally *measured*: the
         query executes once (warming worker memos and distributed caches
@@ -1679,8 +1471,8 @@ class Engine:
         """
         if timings:
             trace, op_timings = self.timed_replay(query, algorithm)
-            return trace.explain(fusion=fusion, timings=op_timings)
-        return self.trace_plan(query, algorithm).explain(fusion=fusion)
+            return trace.explain(timings=op_timings)
+        return self.trace_plan(query, algorithm).explain()
 
     def timed_replay(
         self, query: str | ParsedQuery, algorithm: str = "auto"
@@ -1689,8 +1481,8 @@ class Engine:
 
         Executes the query once first — recording a trace and warming the
         backend exactly the way serving would — then replays that trace
-        unfused and unpipelined on a scratch ledger over the *serving*
-        backend with per-op wall/wire measurement
+        one round per op on a scratch ledger over the *serving* backend
+        with per-op wall/wire measurement
         (``Executor.replay(timed=True)``).  The scratch ledger is
         discarded; the serving ledger and session stats see only the
         warming execution.  Returns ``(plan, op_timings)`` with
@@ -1699,18 +1491,11 @@ class Engine:
         """
         parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
         self.execute(parsed, algorithm)
-        with self._lock:
-            entry, _status = self._resolve(parsed, algorithm)
-            versions = self._current_versions(parsed)
-            trace = entry.trace
-        if trace is None or trace.relation_versions != versions:
-            # plan_replay is off (or the trace was evicted with its
-            # recording): trace on a scratch cluster instead.
-            trace = self.trace_plan(parsed, algorithm)
+        # The entry's own trace — or, when its recording was over budget
+        # and took the trace with it, a scratch re-trace.
+        trace = self.trace_plan(parsed, algorithm)
         scratch = Cluster(self.p, backend=self._cluster.backend)
-        stats = Executor(scratch, fusion=False, pipeline=False).replay(
-            trace, timed=True
-        )
+        stats = Executor(scratch).replay(trace, timed=True)
         return trace, stats["op_timings"]
 
     # ------------------------------------------------------------------
@@ -1982,9 +1767,9 @@ class Engine:
                 serialize on the shared serving cluster (per-query
                 ledgers need exclusive access), but *warm replays* run
                 on per-query scratch ledgers outside the engine lock —
-                with >1 threads many queries' fused op chains flow
-                through the one shared backend concurrently, overlapping
-                at round granularity on its dispatcher.
+                with >1 threads many queries' replays flow through the
+                one shared backend concurrently, interleaving at round
+                granularity behind its I/O lock.
             budget: Wall-clock seconds for the *whole batch* (``None`` =
                 unbounded).  Each query executes under the remaining
                 budget as its deadline; once the budget is spent, the
@@ -2073,13 +1858,8 @@ class Engine:
 
         ``path`` labels the serving path that handled the query:
         ``cold`` | ``replay`` | ``cached`` | ``degraded`` | ``failed``.
-        Registry updates are skipped entirely with ``observe=False`` (the
-        bare baseline of the overhead benchmark); :class:`EngineStats`
-        always records.
         """
         self._stats.record(metrics)
-        if not self.observe:
-            return
         reg = self.registry
         reg.counter(
             "repro_queries_total",

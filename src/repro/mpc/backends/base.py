@@ -28,10 +28,7 @@ shared, auditable code no backend can get subtly wrong.
 
 from __future__ import annotations
 
-import queue
-import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import Future
 from typing import Any, Callable, Iterable, Sequence
 
 __all__ = ["Backend", "deliver_local"]
@@ -80,8 +77,8 @@ class Backend(ABC):
     #: Cumulative backend *request rounds* issued by the coordinator —
     #: one ``map_parts``/``run_ops`` dispatch for in-process backends,
     #: one synchronized send/receive across the worker pool for
-    #: process-backed ones.  Callers (engine metrics, the plan-fusion
-    #: benchmark) read deltas of this counter; it never resets.
+    #: process-backed ones.  Callers (engine metrics) read deltas of
+    #: this counter; it never resets.
     requests: int = 0
 
     @abstractmethod
@@ -139,7 +136,7 @@ class Backend(ABC):
         one ``map_parts`` request per op.
 
         Args:
-            ops: The fused chain of worker-local steps.
+            ops: The chain of worker-local steps.
             collect: When False, the caller will discard the results (a
                 plan replay: the query's outputs are pinned by a
                 recording, and re-execution exists to keep worker-side
@@ -169,70 +166,6 @@ class Backend(ABC):
             out.append(res if collect else None)
         return out
 
-    # ------------------------------------------------------------------
-    # Asynchronous dispatch (the pipelined executor's seam)
-    # ------------------------------------------------------------------
-    _dispatcher: "threading.Thread | None" = None
-    _dispatch_queue: "queue.SimpleQueue | None" = None
-    #: Guards lazy dispatcher creation only (class-level: init is rare).
-    _dispatch_init_lock = threading.Lock()
-
-    def submit_ops(
-        self,
-        ops: Sequence[tuple[Callable, Sequence[list], Any, Any]],
-        collect: bool = True,
-        meter: Any = None,
-        span: Any = None,
-    ) -> "Future[list[Any]]":
-        """Dispatch a :meth:`run_ops` batch asynchronously.
-
-        Returns a :class:`~concurrent.futures.Future` resolving to the
-        batch's results (or its exception).  Batches are executed by a
-        single backend-owned daemon thread in submission order, so
-        callers get the same sequential round semantics as :meth:`run_ops`
-        — the point is *overlap*: while a round is in flight on the
-        worker pool, the caller can post ledger charges or build the next
-        batch.  Thread-safe; multiple threads may submit concurrently and
-        their batches interleave at round granularity (backends guard
-        their transport with their own I/O lock for the cold path that
-        still calls :meth:`run_ops` directly).
-
-        The dispatcher thread is started lazily on first use and is a
-        daemon — it holds no resources of its own and dies with the
-        process; :meth:`close` does not need to join it.
-
-        ``meter``/``span`` travel with the batch (not with the thread):
-        pipelined rounds execute on the dispatcher thread, so per-query
-        attribution must ride the queue entry rather than thread-local
-        state.  Semantics match :meth:`run_ops`.
-        """
-        fut: Future = Future()
-        q = self._dispatch_queue
-        if q is None:
-            with Backend._dispatch_init_lock:
-                q = self._dispatch_queue
-                if q is None:
-                    q = self._dispatch_queue = queue.SimpleQueue()
-                    self._dispatcher = threading.Thread(
-                        target=self._dispatch_loop,
-                        name=f"{self.name}-dispatch", daemon=True,
-                    )
-                    self._dispatcher.start()
-        q.put((fut, ops, collect, meter, span))
-        return fut
-
-    def _dispatch_loop(self) -> None:
-        q = self._dispatch_queue
-        assert q is not None
-        while True:
-            fut, ops, collect, meter, span = q.get()
-            if not fut.set_running_or_notify_cancel():
-                continue  # pragma: no cover - cancelled before dispatch
-            try:
-                fut.set_result(self.run_ops(ops, collect, meter=meter, span=span))
-            except BaseException as exc:  # noqa: BLE001 - routed to caller
-                fut.set_exception(exc)
-
     def close(self) -> None:
         """Release any resources (worker processes, pools).  Idempotent."""
 
@@ -241,8 +174,8 @@ class Backend(ABC):
 
         In-process backends ship nothing and return ``{}``.  Backends that
         serialize parts report at least ``parts_shipped`` and
-        ``bytes_shipped`` so callers (the engine's per-query metrics, the
-        columnar benchmark) can observe the wire cost of a computation.
+        ``bytes_shipped`` so callers (the engine's per-query metrics)
+        can observe the wire cost of a computation.
         """
         return {}
 

@@ -12,7 +12,7 @@ Design points:
   reference by construction.
 * **Batched op rounds.**  One request carries a whole *chain* of
   map-parts-shaped steps (``("ops", collect, [(fn_ref, common_bytes,
-  jobs), ...], trace_ctx)``), so a fused physical-plan group executes in a single
+  jobs), ...], trace_ctx)``), so a replayed physical plan executes in a single
   IPC round-trip instead of one per primitive step; a plain
   ``map_parts`` call is the one-step special case of the same protocol.
   The cumulative round count is observable as :attr:`Backend.requests`.
@@ -59,9 +59,7 @@ Design points:
   fallback inside the blob for rows the columnar form cannot represent.
   Decoding is an exact round-trip, so workers compute on *identical* row
   lists and results cannot differ from the serial reference.  The
-  cumulative cost of shipped parts is observable via :meth:`wire_stats`
-  (set ``REPRO_WIRE_BASELINE=1`` to also track what pickled tuple lists
-  would have cost — benchmarks use this for the compression gate).
+  cumulative cost of shipped parts is observable via :meth:`wire_stats`.
 * **Message delivery stays in the coordinator.**  ``exchange`` outboxes
   are built by coordinator-side algorithm code against coordinator-held
   parts; routing them through workers would serialize every payload twice
@@ -94,10 +92,6 @@ _PROTO = pickle.HIGHEST_PROTOCOL
 
 #: Max memoized results per worker (LRU).  Mirrored by the coordinator.
 _CACHE_ENTRIES = 256
-
-#: Environment overrides for the supervision knobs (constructor wins).
-ROUND_TIMEOUT_ENV = "REPRO_ROUND_TIMEOUT"
-RETRY_BUDGET_ENV = "REPRO_RETRY_BUDGET"
 
 
 def _resolve_fn(ref: str) -> Callable:
@@ -154,10 +148,10 @@ def _worker_main(conn, sys_path: list[str], cache_entries: int) -> None:
     resolved unless some job in the step actually computes.  With
     ``collect`` False the caller discards results: hits and computed
     misses alike are answered with a tiny ``"ack"`` (the computation is
-    still cached), which keeps fused plan-replay rounds cheap on the
-    wire.  A key-only job that misses the cache (the coordinator's mirror
-    is best-effort) is answered with a ``"miss"`` reply, never an error;
-    the coordinator re-sends the part.
+    still cached), which keeps plan-replay rounds cheap on the wire.  A
+    key-only job that misses the cache (the coordinator's mirror is
+    best-effort) is answered with a ``"miss"`` reply, never an error; the
+    coordinator re-sends the part.
 
     ``ctx`` is the coordinator's trace context — ``(trace_id, span_id)``
     when the calling query is being traced, else ``None``.  The worker
@@ -282,11 +276,10 @@ class MultiprocessBackend(Backend):
             via :meth:`close` (also registered with :mod:`atexit`).
         round_timeout: Seconds the coordinator waits on a worker's round
             replies before declaring it hung (killed + respawned, slice
-            resubmitted).  ``None`` disables the watchdog.  Defaults to
-            the ``REPRO_ROUND_TIMEOUT`` env var, else 60s.
+            resubmitted).  ``None`` (or a non-positive value) disables
+            the watchdog.
         retry_budget: Resubmission rounds allowed after worker faults
-            before the remaining slice degrades.  Defaults to the
-            ``REPRO_RETRY_BUDGET`` env var, else 3.
+            before the remaining slice degrades.
         backoff_base: First-retry backoff in seconds; doubles per fault
             round (capped at 2s).  0 disables sleeping.
         degrade_to_inline: After the retry budget is spent, run the
@@ -301,19 +294,17 @@ class MultiprocessBackend(Backend):
     def __init__(
         self,
         workers: int | None = None,
-        round_timeout: float | None = None,
-        retry_budget: int | None = None,
+        round_timeout: float | None = 60.0,
+        retry_budget: int = 3,
         backoff_base: float = 0.05,
         degrade_to_inline: bool = True,
     ) -> None:
         if workers is not None and workers < 1:
             raise MPCError(f"need at least one worker, got {workers}")
         self.workers = workers or max(1, min(os.cpu_count() or 1, 8))
-        if round_timeout is None:
-            round_timeout = float(os.environ.get(ROUND_TIMEOUT_ENV, 60.0))
-        self.round_timeout = round_timeout if round_timeout > 0 else None
-        if retry_budget is None:
-            retry_budget = int(os.environ.get(RETRY_BUDGET_ENV, 3))
+        self.round_timeout = (
+            round_timeout if round_timeout and round_timeout > 0 else None
+        )
         self.retry_budget = max(0, retry_budget)
         self.backoff_base = backoff_base
         self.degrade_to_inline = degrade_to_inline
@@ -321,9 +312,9 @@ class MultiprocessBackend(Backend):
         self._procs: list[Any] = []
         self._ctx: Any = None
         self._src_paths: list[str] = []
-        # Serializes whole rounds: the pipelined executor dispatches
-        # run_ops from a backend-owned thread while callers may still hit
-        # the cold path directly, and the worker pipes + mirrors are not
+        # Serializes whole rounds: warm replays run outside the engine
+        # lock, so concurrent submitters (and a cold-path caller) can
+        # reach run_ops together, and the worker pipes + mirrors are not
         # otherwise thread-safe.  Reentrant so subclasses can nest.
         self._io_lock = threading.RLock()
         # Guards the cumulative wire/fault counters and their snapshot
@@ -336,8 +327,6 @@ class MultiprocessBackend(Backend):
         # Cumulative wire counters (see wire_stats()).
         self._wire_parts = 0
         self._wire_bytes = 0
-        self._wire_baseline = 0
-        self._track_baseline = bool(os.environ.get("REPRO_WIRE_BASELINE"))
         self.requests = 0
         # Cumulative recovery counters (see fault_stats()).
         self._fault_stats = {
@@ -355,13 +344,10 @@ class MultiprocessBackend(Backend):
 
         ``parts_shipped`` / ``bytes_shipped`` count every part blob that
         crossed the process boundary (cache-hit key-only jobs ship no
-        part).  ``baseline_bytes`` is what ``pickle.dumps`` of the same
-        row lists would have cost — tracked only under
-        ``REPRO_WIRE_BASELINE=1`` because it performs the pickling being
-        avoided.
+        part).
 
-        The returned dict is one lock-protected copy: all three counters
-        are read under the stats lock that also guards their increments,
+        The returned dict is one lock-protected copy: both counters are
+        read under the stats lock that also guards their increments,
         so a snapshot taken mid-round is internally consistent rather
         than a field-by-field read of a mutating dict.
         """
@@ -369,7 +355,6 @@ class MultiprocessBackend(Backend):
             return {
                 "parts_shipped": self._wire_parts,
                 "bytes_shipped": self._wire_bytes,
-                "baseline_bytes": self._wire_baseline,
             }
 
     def fault_stats(self) -> dict:
@@ -544,16 +529,9 @@ class MultiprocessBackend(Backend):
                 blob = wire(idx)
             else:
                 blob = pack_blob(parts[idx])
-            baseline = 0
-            if self._track_baseline:
-                try:
-                    baseline = len(pickle.dumps(parts[idx], _PROTO))
-                except Exception:  # noqa: BLE001 - baseline is best-effort
-                    pass
             with self._stats_lock:
                 self._wire_parts += 1
                 self._wire_bytes += len(blob)
-                self._wire_baseline += baseline
             if meter is not None:
                 meter.add(len(blob))
             return blob
@@ -598,8 +576,8 @@ class MultiprocessBackend(Backend):
         Worker deaths and hung rounds are recovered per the supervision
         policy (respawn → resubmit → inline; see the class docstring).
         Rounds are serialized under the backend's I/O lock, so one
-        backend instance may be driven from several threads (the
-        pipelined executor and cold-path callers) concurrently.
+        backend instance may be driven from several threads (concurrent
+        replays and cold-path callers).
 
         When ``span`` is a recording span, one ``backend.round`` child
         covers this whole call — lock wait, dispatch, recovery retries —

@@ -337,16 +337,9 @@ class SharedMemoryBackend(MultiprocessBackend):
                 # The content crossed a process boundary exactly once;
                 # charge it like a ship so bytes_shipped stays comparable
                 # across backends.
-                baseline = 0
-                if self._track_baseline:
-                    try:
-                        baseline = len(pickle.dumps(parts[idx], _PROTO))
-                    except Exception:  # noqa: BLE001 - best-effort
-                        pass
                 with self._stats_lock:
                     self._wire_parts += 1
                     self._wire_bytes += len(payload)
-                    self._wire_baseline += baseline
                 if meter is not None:
                     meter.add(len(payload))
             else:

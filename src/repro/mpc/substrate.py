@@ -55,9 +55,7 @@ __all__ = [
     "set_caching",
     "cache_disabled",
     "column_kind",
-    "projection_encoder",
     "projection_encoder_from_tags",
-    "scalar_encoder",
     "scalar_encoder_from_tag",
     "key_encoder",
     "projected_keys",
@@ -277,47 +275,11 @@ def projection_encoder_from_tags(
     return lambda row: (5, tuple(orderable(row[i]) for i in pos))
 
 
-def projection_encoder(
-    rel: DistRelation, pos: Sequence[int]
-) -> Callable[[Row], tuple]:
-    """``row -> orderable(project_row(row, pos))``, specialized when possible.
-
-    The fast paths produce *identical* tuples to the generic recursion, so
-    anything downstream (splitters, run equality, routing) is unchanged.
-    Heterogeneous columns of a columnar-backed relation resolve through
-    their dictionary LUTs (:func:`_column_lut`) instead of re-running the
-    :func:`orderable` recursion per row.
-    """
-    pos = tuple(pos)
-    tags = [column_kind(rel, i) for i in pos]
-    if all(t is not None for t in tags):
-        return projection_encoder_from_tags(pos, tags)
-    encs = [
-        (i, _value_encoder(t, _column_lut(rel, i) if t is None else None))
-        for i, t in zip(pos, tags)
-    ]
-    if len(encs) == 1:
-        i0, e0 = encs[0]
-        return lambda row: (5, (e0(row[i0]),))
-    return lambda row: (5, tuple(e(row[i]) for i, e in encs))
-
-
 def scalar_encoder_from_tag(col: int, tag: int | None) -> Callable[[Row], tuple]:
-    """Picklable-descriptor form of :func:`scalar_encoder`."""
+    """``row -> orderable(row[col])`` from a :func:`column_kind` tag."""
     if tag is not None:
         return lambda row: (tag, row[col])
     return lambda row: orderable(row[col])
-
-
-def scalar_encoder(rel: DistRelation, col: int) -> Callable[[Row], tuple]:
-    """``row -> orderable(row[col])``, specialized when the column allows."""
-    tag = column_kind(rel, col)
-    if tag is None:
-        lut = _column_lut(rel, col)
-        if lut is not None:
-            enc = _value_encoder(None, lut)
-            return lambda row: enc(row[col])
-    return scalar_encoder_from_tag(col, tag)
 
 
 def key_encoder(rel: DistRelation, pos: Sequence[int]) -> Callable[[Row], tuple]:

@@ -91,9 +91,9 @@ class WireMeter:
     crosses the process boundary, so its totals are per-query by
     construction, whatever else the backend is serving concurrently.
 
-    Not locked: one query's rounds execute sequentially (the backend's
-    dispatcher runs submitted batches in order), so a single meter is
-    only ever bumped by one thread at a time.
+    Not locked: one query's rounds execute sequentially on the calling
+    thread, so a single meter is only ever bumped by one thread at a
+    time.
     """
 
     __slots__ = ("parts", "bytes")

@@ -6,7 +6,7 @@ span tree for one traced query looks like::
 
     query                           (engine, Engine.execute)
       cold_execute | replay         (engine path taken)
-        backend.round               (one Backend.run_ops/submit_ops call)
+        backend.round               (one Backend.run_ops call)
           worker.round              (one worker's slice of that round;
                                      carries worker-reported decode/compute
                                      seconds shipped back over the IPC pipe)
@@ -24,8 +24,7 @@ parenting, not of any worker-side state.
 Disabled tracing is the default and must stay near-free: ``NULL_TRACER``
 returns the singleton ``NULL_SPAN`` whose every method is a no-op and
 whose ``recording`` flag is ``False`` — hot paths check ``span.recording``
-once and skip all attribute assembly (``benchmarks/bench_obs.py`` gates
-the overhead at <= 3%).
+once and skip all attribute assembly.
 
 JSONL record schema (one object per line, validated by
 ``repro.obs.check``)::

@@ -1,4 +1,4 @@
-"""The physical plan layer: trace, fuse, and replay op schedules.
+"""The physical plan layer: trace and replay op schedules.
 
 The paper's algorithms (Theorems 3/7/9, Section 4.2) are compositions of
 a small vocabulary of O(1)-round linear-load primitives.  The drivers in
@@ -14,8 +14,6 @@ first-class object:
   sequences them.
 * :mod:`repro.plan.trace` — a `TraceRecorder` that captures the op
   sequence as a driver executes (installed as ``Cluster.recorder``).
-* :mod:`repro.plan.fuse` — the fusion pass grouping adjacent
-  worker-local ops into batched backend requests.
 * :mod:`repro.plan.executor` — the `Executor` replaying a recorded plan
   against a cluster/backend with a bit-identical ledger.
 * :mod:`repro.plan.ship` — the versioned wire format that turns a traced
@@ -26,7 +24,6 @@ See DESIGN.md section 7 for the trace/replay contract.
 """
 
 from repro.plan.executor import Executor
-from repro.plan.fuse import fusion_groups
 from repro.plan.ship import (
     SHIP_VERSION,
     decode_plan,
@@ -76,7 +73,6 @@ __all__ = [
     "TraceRecorder",
     "decode_plan",
     "encode_plan",
-    "fusion_groups",
     "plan_digest",
     "prim_span",
     "register_shippable",

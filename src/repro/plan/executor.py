@@ -1,32 +1,23 @@
 """The plan executor: replay a recorded op schedule against a cluster.
 
-Replay walks the plan's ops in order:
+A replay does two things, in this order:
 
-* a :class:`~repro.plan.ir.Charge` re-posts its recorded member/count
+* every :class:`~repro.plan.ir.Charge` re-posts its recorded member/count
   vectors through :meth:`Cluster.tally_members` — the *same* entry point
   the traced execution used — so the replayed
   :class:`~repro.mpc.cluster.LoadReport` matches the traced one bit for
   bit (load, step max, step count, totals, by-label);
-* :class:`~repro.plan.ir.MapParts` runs are dispatched through
-  :meth:`Backend.run_ops` in the groups the fusion pass computed, with
-  ``collect=False`` — the results are already pinned by the recording,
-  so the backend only has to guarantee the worker-side effects (memo
-  population) and may skip shipping result payloads back;
-* structural ops are no-ops.
+* every bound :class:`~repro.plan.ir.MapParts` goes to the backend in ONE
+  :meth:`Backend.run_ops` request with ``collect=False`` — the results
+  are already pinned by the recording, so the backend only has to
+  guarantee the worker-side effects (memo population) and may skip
+  shipping result payloads back.  At replay no op reads another op's
+  result (charges are replay-pure, outputs come from the recording), so
+  plan order is the only constraint and one batch satisfies it.
 
-With ``pipeline=True`` (the default) fused groups are dispatched
-asynchronously through :meth:`Backend.submit_ops`: while a round is in
-flight on the worker pool, the replay loop keeps walking the plan —
-posting the next stretch of ledger charges and building the next group's
-op batch — so coordinator-side bookkeeping overlaps backend I/O instead
-of alternating with it.  This is safe precisely because of the replay
-contract: with ``collect=False`` nothing downstream in the *plan* reads a
-round's results, charges are replay-pure, and the backend executes
-submitted batches in order, so the observable outcome (ledger, worker
-memo state, outputs from the recording) is identical to the sequential
-walk.  All in-flight rounds are drained before :meth:`Executor.replay`
-returns — errors propagate, a deadline can still cancel between rounds,
-and the caller's snapshot/metrics read a quiescent backend.
+Structural ops are no-ops.  The round is awaited before
+:meth:`Executor.replay` returns: errors propagate from this replay, and
+the caller's snapshot/metrics read a quiescent backend.
 
 The replay contract (what a replay may and may not change) is stated in
 DESIGN.md section 7; its validity condition — unchanged registered
@@ -39,7 +30,6 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.plan.fuse import fusion_groups
 from repro.plan.ir import Charge, MapParts, PhysicalPlan
 
 __all__ = ["Executor"]
@@ -50,32 +40,17 @@ class Executor:
 
     Args:
         cluster: The (already reset, recorder-free) cluster to charge.
-        fusion: Batch worker-local runs into single ``run_ops`` requests;
-            when False, each worker-local op is its own request (the
-            unfused baseline the benchmarks gate against).
-        pipeline: Overlap charge posting with in-flight backend rounds
-            via :meth:`Backend.submit_ops` (see module docstring).  When
-            False, every round is dispatched and awaited synchronously —
-            the PR-5 behaviour, kept as the benchmark baseline.
         meter: Optional :class:`~repro.obs.metrics.WireMeter` passed into
-            every backend round, attributing this replay's shipped bytes
-            to its query (pipelined rounds run on the backend's
-            dispatcher thread, so attribution must travel with the batch,
-            never via thread-local state).
+            the backend round, attributing this replay's shipped bytes
+            to its query.
         span: Optional :class:`~repro.obs.tracing.Span` the backend
-            parents its ``backend.round`` spans under.  The span tree
-            stays well-nested even pipelined, because the finally-drain
-            below awaits every in-flight round before the caller can end
-            this span.
+            parents its ``backend.round`` span under.
     """
 
     def __init__(
-        self, cluster: Any, fusion: bool = True, pipeline: bool = True,
-        meter: Any = None, span: Any = None,
+        self, cluster: Any, meter: Any = None, span: Any = None,
     ) -> None:
         self.cluster = cluster
-        self.fusion = fusion
-        self.pipeline = pipeline
         self.meter = meter
         self.span = span
 
@@ -97,84 +72,44 @@ class Executor:
             return self._replay_timed(plan)
         cluster = self.cluster
         backend = cluster.backend
-        tally = cluster.tally_members
         requests_before = backend.requests
-        groups = fusion_groups(plan.ops, fuse=self.fusion)
-        flush_after = {group[-1]: group for group in groups}
-        ops = plan.ops
-        n_map = 0
-        pending: list[Any] = []  # in-flight Futures, submission order
-        try:
-            for i, op in enumerate(ops):
-                if isinstance(op, Charge):
-                    tally(op.members, op.counts, op.label)
-                elif isinstance(op, MapParts):
-                    n_map += 1
-                group = flush_after.get(i)
-                if group is not None:
-                    # Shipped plans may carry *unbound* worker-local ops
-                    # (fn=None): mid-execution intermediates whose parts
-                    # only existed in the tracing engine.  They charge
-                    # nothing and serve nothing — outputs come from the
-                    # recording — so skipping them costs worker memo
-                    # warmth only, never ledger or output fidelity.
-                    batch = [
-                        (ops[j].fn, ops[j].parts, ops[j].common, ops[j].owner)
-                        for j in group
-                        if ops[j].fn is not None
-                    ]
-                    if not batch:
-                        cluster.check_deadline()
-                    elif self.pipeline:
-                        pending.append(backend.submit_ops(
-                            batch, collect=False,
-                            meter=self.meter, span=self.span,
-                        ))
-                    else:
-                        backend.run_ops(
-                            batch, collect=False,
-                            meter=self.meter, span=self.span,
-                        )
-                    # Charge ops check the deadline inside tally_members;
-                    # this covers replays whose remaining ops are all
-                    # backend rounds, so a deadline cancels between rounds
-                    # either way.  (Pipelined, "between rounds" means
-                    # between *submissions* — in-flight rounds are bounded
-                    # by the backend's own round timeout.)
-                    cluster.check_deadline()
-        finally:
-            # Drain every in-flight round before control returns: the
-            # caller reads metrics and may mutate relations next, and a
-            # backend fault must surface from *this* replay, not a later
-            # one.  Even when the loop above raised, all submitted rounds
-            # are awaited (their faults are suppressed in favour of the
-            # original error).
-            drain_error: BaseException | None = None
-            for fut in pending:
-                try:
-                    fut.result()
-                except BaseException as exc:  # noqa: BLE001 - first wins
-                    if drain_error is None:
-                        drain_error = exc
-        if drain_error is not None:
-            raise drain_error
+        # Charges check the deadline inside tally_members, so an expired
+        # deadline cancels between simulated rounds.
+        for op in plan.charges():
+            cluster.tally_members(op.members, op.counts, op.label)
+        map_ops = plan.map_ops()
+        # Shipped plans may carry *unbound* worker-local ops (fn=None):
+        # mid-execution intermediates whose parts only existed in the
+        # tracing engine.  They charge nothing and serve nothing —
+        # outputs come from the recording — so skipping them costs
+        # worker memo warmth only, never ledger or output fidelity.
+        batch = [
+            (op.fn, op.parts, op.common, op.owner)
+            for op in map_ops
+            if op.fn is not None
+        ]
+        if batch:
+            backend.run_ops(
+                batch, collect=False, meter=self.meter, span=self.span
+            )
+        # Covers plans with no charges at all.
+        cluster.check_deadline()
         return {
-            "ops": len(ops),
-            "map_ops": n_map,
-            "groups": len(groups),
+            "ops": len(plan.ops),
+            "map_ops": len(map_ops),
+            "groups": 1 if map_ops else 0,
             "backend_requests": backend.requests - requests_before,
         }
 
     def _replay_timed(self, plan: PhysicalPlan) -> dict[str, Any]:
         """Measuring replay: one awaited round per op, wall/wire per op.
 
-        Deliberately unfused and unpipelined — fusing would smear several
-        ops' time into one round, and pipelining would bill a round's
-        in-flight time to whichever op happened to await it.  Runs with
-        ``collect=True`` so the compute actually executes everywhere
-        (serial's ``collect=False`` fast path skips execution entirely,
-        which would time nothing) and warm worker memo hits still pay
-        their real request/result-shipping cost.  Ledger charges replay
+        Deliberately one round per op — a shared round would smear
+        several ops' time together.  Runs with ``collect=True`` so the
+        compute actually executes everywhere (serial's ``collect=False``
+        fast path skips execution entirely, which would time nothing)
+        and warm worker memo hits still pay their real
+        request/result-shipping cost.  Ledger charges replay
         identically to the fast path — charging is collect-independent —
         so a timed replay still satisfies the replay contract.
 

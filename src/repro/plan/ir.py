@@ -18,8 +18,8 @@ from one execution of a core driver.  Three op families exist:
   resident in the engine's caches) but do pin any mid-execution
   intermediate a driver sorted, which is why the engine bounds trace
   lifetime by recording lifetime under its LRU.  Holding them is what
-  lets a replay re-issue the compute through
-  :meth:`~repro.mpc.backends.Backend.run_ops` in fused batches.
+  lets a replay re-issue the compute through one
+  :meth:`~repro.mpc.backends.Backend.run_ops` batch.
 * **Structure** (:class:`SampleSort`, :class:`FoldByKey`,
   :class:`SearchRows`, :class:`NumberRows`, :class:`SemiJoin`,
   :class:`AttachDegrees` spans; :class:`Subgroup` / :class:`GridLines`
@@ -113,8 +113,8 @@ class MapParts(Op):
     contract), so a replay under unchanged data versions recomputes the
     exact traced results.  Local compute is free in the MPC model — the
     op charges nothing; it exists so a replay keeps backend worker state
-    (content-addressed memos) warm, and it is the unit the fusion pass
-    batches into single `run_ops` round-trips.
+    (content-addressed memos) warm, all of a plan's MapParts riding one
+    `run_ops` round-trip.
     """
 
     fn_ref: str = ""
@@ -242,10 +242,9 @@ class PhysicalPlan:
 
     # ------------------------------------------------------------------
     def explain(
-        self, fusion: bool = True,
-        timings: "dict[int, dict[str, float]] | None" = None,
+        self, timings: "dict[int, dict[str, float]] | None" = None,
     ) -> str:
-        """Human-readable plan: ops, fusion groups, per-op ledger units.
+        """Human-readable plan: ops, per-op ledger units, replay cost.
 
         ``timings`` (from a timed replay — ``Executor.replay(plan,
         timed=True)["op_timings"]``, keyed by op index) appends measured
@@ -254,13 +253,6 @@ class PhysicalPlan:
         :class:`PrimSpan` line aggregates the timings of the ops it
         covers, same as its units column.
         """
-        from repro.plan.fuse import fusion_groups
-
-        groups = fusion_groups(self.ops, fuse=fusion)
-        group_of: dict[int, int] = {}
-        for gi, group in enumerate(groups):
-            for i in group:
-                group_of[i] = gi
         n_map = len(self.map_ops())
         counts = self.op_counts()
         lines = [
@@ -278,20 +270,18 @@ class PhysicalPlan:
                 f"{len(self.charges())} charge steps (replayed bit-exactly)"
             ),
         ]
-        if n_map:
-            ratio = n_map / len(groups) if groups else 1.0
-            lines.append(
-                f"  fusion: {n_map} worker-local ops -> {len(groups)} "
-                f"backend request(s) ({ratio:.1f}x round-trip reduction)"
-                + ("" if fusion else "  [fusion disabled]")
-            )
+        n_req = 1 if n_map else 0
+        lines.append(
+            f"  replay: {n_req} backend request{'' if n_req == 1 else 's'} "
+            f"({n_map} worker-local op{'' if n_map == 1 else 's'}, one round)"
+        )
         if timings is not None:
             total_wall = sum(t["wall"] for t in timings.values())
             total_wire = sum(t["wire"] for t in timings.values())
             lines.append(
                 f"  timings: {_fmt_seconds(total_wall)} measured wall, "
                 f"{_fmt_bytes(int(total_wire))} shipped "
-                f"(timed per-op replay, unfused)"
+                f"(timed replay, one round per op)"
             )
 
         def cols(i: int, end: int | None = None) -> str:
@@ -334,10 +324,7 @@ class PhysicalPlan:
                     + cols(i)
                 )
             elif isinstance(op, MapParts):
-                lines.append(
-                    f"{pad}MapParts {op.fn_ref}  (fusion group "
-                    f"{group_of.get(i, '?')})" + cols(i)
-                )
+                lines.append(f"{pad}MapParts {op.fn_ref}" + cols(i))
             else:
                 lines.append(f"{pad}{op.kind} {getattr(op, 'detail', '')}")
         return "\n".join(lines)

@@ -152,7 +152,7 @@ class Frontdoor:
             deterministic setup for admission tests (fill to
             ``shed_after``, observe the shed) and staged deployments.
         **engine_kwargs: Forwarded to every :class:`Engine` (e.g.
-            ``result_cache=False``, ``plan_replay``, ``fusion``).
+            ``result_cache=False``, ``degrade_to_serial=False``).
     """
 
     def __init__(

@@ -350,38 +350,3 @@ class TestLifecycle:
             p.join(timeout=5)
         assert not any(p.is_alive() for p in procs)
         backend.close()  # idempotent
-
-
-class TestSubmitOps:
-    def test_results_match_run_ops_in_submission_order(self, mp_backend):
-        batches = [
-            [(_sort_part, [[3, 1], [2]], None, None)],
-            [(_len_part, [[1, 2, 3], []], None, None)],
-            [(_sort_part, [[9, 8, 7]], None, None)],
-        ]
-        futures = [mp_backend.submit_ops(b) for b in batches]
-        got = [f.result(timeout=30) for f in futures]
-        assert got == [
-            [[[1, 3], [2]]],
-            [[3, 0]],
-            [[[7, 8, 9]]],
-        ]
-
-    def test_collect_false_returns_none_entries(self, mp_backend):
-        fut = mp_backend.submit_ops(
-            [(_sort_part, [[2, 1]], None, None)], collect=False
-        )
-        res = fut.result(timeout=30)
-        assert len(res) == 1 and res[0] in (None, [None])
-
-    def test_errors_surface_on_the_future(self, mp_backend):
-        fut = mp_backend.submit_ops([(_boom, [[1]], None, None)])
-        with pytest.raises(MPCError, match="intentional failure"):
-            fut.result(timeout=30)
-        # The dispatcher thread survives a failed batch.
-        ok = mp_backend.submit_ops([(_sort_part, [[5, 4]], None, None)])
-        assert ok.result(timeout=30) == [[[4, 5]]]
-
-    def test_serial_backend_supports_submit_ops(self):
-        fut = SerialBackend().submit_ops([(_len_part, [[1], []], None, None)])
-        assert fut.result(timeout=30) == [[1, 0]]

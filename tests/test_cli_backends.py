@@ -121,23 +121,3 @@ class TestBackendPrecedence:
         with pytest.raises(SystemExit):
             cli.main(["query", QUERY, data_dir, "--backend", "bogus"])
         assert "invalid choice" in capsys.readouterr().err
-
-
-class TestServePipelineFlag:
-    def test_pipeline_defaults_on(self, data_dir, queries_file, capture_engine):
-        _run("serve", data_dir, queries_file=queries_file)
-        assert capture_engine["engine"].pipeline is True
-
-    def test_no_pipeline_flag(self, data_dir, queries_file, capture_engine):
-        _run(
-            "serve", data_dir,
-            extra=["--no-pipeline"],
-            queries_file=queries_file,
-        )
-        assert capture_engine["engine"].pipeline is False
-
-    def test_query_and_explain_default_to_pipelined(
-        self, data_dir, capture_engine
-    ):
-        _run("query", data_dir)
-        assert capture_engine["engine"].pipeline is True

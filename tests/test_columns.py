@@ -316,8 +316,22 @@ class TestWireFormat:
         assert unpack_blob(pack_blob([])) == []
 
     def test_multiprocess_wire_stats_and_parity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_BASELINE", "1")
         backend = MultiprocessBackend(workers=2)
+        # Every part that ships, so the row-pickle baseline is computed
+        # over exactly what crossed the wire.
+        shipped = []
+        blob_getter = backend._blob_getter
+
+        def spy(parts, owner, blobs, meter=None):
+            get = blob_getter(parts, owner, blobs, meter)
+
+            def get_and_note(idx):
+                shipped.append(parts[idx])
+                return get(idx)
+
+            return get_and_note
+
+        monkeypatch.setattr(backend, "_blob_getter", spy)
         try:
             rel_ram = Relation(
                 "R", ("A", "B"),
@@ -337,8 +351,12 @@ class TestWireFormat:
             assert cl.snapshot().as_dict() == cl_ref.snapshot().as_dict()
 
             stats = backend.wire_stats()
-            assert stats["parts_shipped"] > 0
-            assert 0 < stats["bytes_shipped"] < stats["baseline_bytes"]
+            assert stats["parts_shipped"] == len(shipped) > 0
+            baseline = sum(
+                len(pickle.dumps(part, pickle.HIGHEST_PROTOCOL))
+                for part in shipped
+            )
+            assert 0 < stats["bytes_shipped"] < baseline
         finally:
             backend.close()
 

@@ -211,10 +211,6 @@ def test_catalog_queries_execute_by_name():
 def test_is_line3_public_and_deprecated_alias():
     assert is_line3(catalog.line3()) == ("R1", "R2", "R3")
     assert is_line3(catalog.triangle()) is None
-    from repro.core import line3 as line3_module
-
-    with pytest.warns(DeprecationWarning):
-        assert line3_module._is_line3(catalog.line3()) == ("R1", "R2", "R3")
     from repro.core import is_line3 as exported
 
     assert exported is is_line3

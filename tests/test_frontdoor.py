@@ -240,3 +240,12 @@ def test_constructor_validation():
         Frontdoor(replicas=0)
     with pytest.raises(EngineError, match="shed_after"):
         Frontdoor(replicas=1, shed_after=0)
+
+
+def test_removed_engine_options_fail_loudly():
+    """The warm path has one value per former option; a stale caller
+    must get a TypeError, not a silently ignored keyword."""
+    with pytest.raises(TypeError, match="plan_replay"):
+        Engine(p=P, backend="serial", plan_replay=False)
+    with pytest.raises(TypeError, match="fusion"):
+        Frontdoor(p=P, replicas=1, backend="serial", fusion=False)

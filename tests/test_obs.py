@@ -3,7 +3,7 @@
 The observability contract under test is DESIGN.md section 10: telemetry
 is a read-only side channel.  It never touches the LoadReport ledger
 (parity is asserted wherever traced and untraced runs are compared), it
-is near-free when disabled (``NULL_SPAN``/``observe=False``), and span
+is near-free when disabled (``NULL_SPAN``), and span
 trees stay well-formed across every backend — including chaos-injected
 worker deaths, where a respawned worker's retry round appears as a fresh
 ``worker.round`` child under the same ``backend.round`` parent.
@@ -240,12 +240,10 @@ class TestEngineTracing:
         rels = _binary_relations()
         plain = _engine("serial", rels)
         traced = _engine("serial", rels, tracer=Tracer(SpanSink()))
-        bare = _engine("serial", rels, observe=False)
         want = plain.execute(BINARY)
-        for eng in (traced, bare):
-            got = eng.execute(BINARY)
-            assert sorted(got.rows()) == sorted(want.rows())
-            assert got.report.as_dict() == want.report.as_dict()
+        got = traced.execute(BINARY)
+        assert sorted(got.rows()) == sorted(want.rows())
+        assert got.report.as_dict() == want.report.as_dict()
 
     def test_registry_counts_serving_paths(self):
         eng = Engine(p=4, backend="serial")
@@ -259,13 +257,6 @@ class TestEngineTracing:
         assert validate_prometheus_text(text) == []
         assert 'repro_queries_total{path="cold"} 1' in text
         assert 'repro_queries_total{path="cached"} 1' in text
-
-    def test_observe_false_records_nothing(self):
-        eng = _engine("serial", _binary_relations(), observe=False)
-        eng.execute(BINARY)
-        assert "repro_queries_total" not in eng.metrics_text()
-        # per-query stats still work: the ledger view is independent
-        assert eng.stats().queries == 1
 
 
 class TestWireAttribution:
@@ -389,6 +380,8 @@ class TestBackendSpans:
 
     @pytest.mark.skipif(not shm_supported(), reason="no shared memory")
     def test_pipelined_shm_batches_stay_well_nested(self):
+        """Replay rounds are synchronous (the name predates that), so the
+        nesting holds on one thread — it must still hold."""
         from repro.mpc.backends.shm import SharedMemoryBackend
 
         backend = SharedMemoryBackend(workers=2)
@@ -396,7 +389,7 @@ class TestBackendSpans:
         try:
             eng = _engine(backend, _line3_relations(), tracer=Tracer(sink))
             eng.execute(LINE3)          # cold
-            eng.execute(LINE3)          # warm replay -> pipelined submit_ops
+            eng.execute(LINE3)          # warm replay -> one run_ops round
             recs = _spans(sink)
             assert validate_trace_lines(
                 [json.dumps(r) for r in recs]

@@ -1,4 +1,4 @@
-"""Unit tests for the physical plan layer (IR, trace, fuse, replay, LRU)."""
+"""Unit tests for the physical plan layer (IR, trace, replay, LRU)."""
 
 from __future__ import annotations
 
@@ -14,9 +14,7 @@ from repro.plan import (
     Charge,
     Exchange,
     Executor,
-    MapParts,
     TraceRecorder,
-    fusion_groups,
 )
 
 
@@ -86,55 +84,56 @@ class TestTrace:
         assert traced_cluster.snapshot().as_dict() == ref_cluster.snapshot().as_dict()
 
 
-class TestFusion:
-    def test_unfused_is_one_group_per_map_op(self):
-        plan, _, _ = _traced_primitives()
-        groups = fusion_groups(plan.ops, fuse=False)
-        n_map = len(plan.map_ops())
-        assert len(groups) == n_map and all(len(g) == 1 for g in groups)
+class _SpyBackend(SerialBackend):
+    """Serial backend recording every ``run_ops`` batch it is handed."""
 
+    def __init__(self):
+        self.batches = []
+
+    def run_ops(self, ops, collect=True, meter=None, span=None):
+        self.batches.append((list(ops), collect))
+        return super().run_ops(ops, collect, meter=meter, span=span)
+
+
+class TestFusion:
     def test_fused_merges_across_replay_pure_charges(self):
         plan, _, _ = _traced_primitives()
-        groups = fusion_groups(plan.ops, fuse=True)
-        assert len(groups) == 1
-        assert sum(len(g) for g in groups) == len(plan.map_ops())
-
-    def test_exchange_barriers_split_groups(self):
-        plan, _, _ = _traced_primitives()
-        conservative = fusion_groups(plan.ops, fuse=True, exchange_barriers=True)
-        assert len(conservative) >= len(fusion_groups(plan.ops, fuse=True))
-        assert sum(len(g) for g in conservative) == len(plan.map_ops())
+        backend = _SpyBackend()
+        Executor(Cluster(plan.p, backend=backend)).replay(plan)
+        [(batch, collect)] = backend.batches  # one round, charges or not
+        assert len(batch) == len(plan.map_ops()) > 1
+        assert collect is False
 
     def test_groups_are_map_ops_in_plan_order(self):
         plan, _, _ = _traced_primitives()
-        flat = [i for g in fusion_groups(plan.ops, fuse=True) for i in g]
-        assert flat == sorted(flat)
-        assert all(isinstance(plan.ops[i], MapParts) for i in flat)
+        backend = _SpyBackend()
+        Executor(Cluster(plan.p, backend=backend)).replay(plan)
+        [(batch, _collect)] = backend.batches
+        assert batch == [
+            (op.fn, op.parts, op.common, op.owner) for op in plan.map_ops()
+        ]
 
 
 class TestExecutor:
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_replay_ledger_is_bit_identical(self, fusion):
+    @pytest.mark.parametrize("timed", [True, False])
+    def test_replay_ledger_is_bit_identical(self, timed):
         plan, report, _ = _traced_primitives()
         fresh = Cluster(plan.p, backend="serial")
-        stats = Executor(fresh, fusion=fusion).replay(plan)
+        stats = Executor(fresh).replay(plan, timed=timed)
         assert fresh.snapshot().as_dict() == report.as_dict()
         assert stats["map_ops"] == len(plan.map_ops())
-        assert stats["groups"] == (1 if fusion else stats["map_ops"])
+        assert stats["groups"] == (stats["map_ops"] if timed else 1)
 
     def test_fused_replay_issues_fewer_backend_requests(self):
         plan, _, _ = _traced_primitives()
-        backend = SerialBackend()
-        fused = Executor(Cluster(plan.p, backend=backend), fusion=True).replay(plan)
-        unfused = Executor(Cluster(plan.p, backend=backend), fusion=False).replay(plan)
-        assert fused["backend_requests"] < unfused["backend_requests"]
-        assert fused["backend_requests"] == 1
+        stats = Executor(Cluster(plan.p, backend=SerialBackend())).replay(plan)
+        assert stats["backend_requests"] == 1 < stats["map_ops"]
 
     def test_explain_mentions_ops_and_fusion(self):
         plan, _, _ = _traced_primitives()
         text = plan.explain()
         assert "SampleSort" in text and "MapParts" in text
-        assert "round-trip reduction" in text
+        assert "replay: 1 backend request (" in text
         assert "units" in text
 
 
@@ -213,17 +212,10 @@ class TestEngineReplay:
         assert not cold.metrics.plan_replayed and warm.metrics.plan_replayed
         assert warm.metrics.plan_ops == cold.metrics.plan_ops > 0
         assert warm.metrics.fused_groups == 1
-        assert warm.metrics.fusion_ratio == warm.metrics.map_ops
+        assert warm.metrics.backend_requests == 1
         assert warm.report.as_dict() == cold.report.as_dict()
         assert warm.rows() == cold.rows()
         assert eng.stats().plan_replays == 1
-
-    def test_plan_replay_can_be_disabled(self):
-        eng = self._engine(result_cache=False, plan_replay=False)
-        eng.execute(self.Q)
-        warm = eng.execute(self.Q)
-        assert not warm.metrics.plan_replayed
-        assert warm.metrics.plan_ops == 0
 
     def test_register_invalidates_the_trace(self):
         eng = self._engine(result_cache=False)
@@ -373,9 +365,4 @@ def test_cli_explain_smoke(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "physical plan" in out
-    assert "fusion" in out and "units" in out
-    rc = main([
-        "explain", "Q(A,B,C) :- R1(A,B), R2(B,C)", str(tmp_path), "-p", "4",
-        "--no-fuse",
-    ])
-    assert rc == 0
+    assert "1 backend request" in out and "units" in out

@@ -311,6 +311,13 @@ class TestSharedMemoryTransport:
             assert all(r.metrics.plan_replayed for r in warm.results)
             for r_cold, r_warm in zip(cold.results * 2, warm.results):
                 assert r_warm.report.as_dict() == r_cold.report.as_dict()
+            # The transport's claim: once the arena holds the workload,
+            # warm passes ship descriptors only — zero part bytes.
+            before_wire = backend.wire_stats()
+            again = eng.submit_batch(queries * 2, threads=3)
+            assert all(r.metrics.plan_replayed for r in again.results)
+            wire = backend.wire_stats()
+            assert wire["bytes_shipped"] == before_wire["bytes_shipped"]
         finally:
             backend.close()
         assert set(_leaked_segments()) <= before
