@@ -20,7 +20,7 @@ import pytest
 
 from _common import print_table
 from repro.core.binary_join import binary_join
-from repro.core.planner import best_yannakakis_plan
+from repro.core.planner import price_fold_orders
 from repro.core.runner import mpc_join
 from repro.core.yannakakis import yannakakis_mpc
 from repro.data.generators import line_trap_instance
@@ -94,16 +94,12 @@ def _skew_ablation():
 
 def _planner_ablation():
     inst = line_trap_instance(3, 2000, 30000, doubled=True)
+    choice, _quality = price_fold_orders(inst.query, inst)
+
     cl = Cluster(P)
     g = cl.root_group()
-    rels = distribute_instance(inst, g)
-    choice = best_yannakakis_plan(g, inst.query, rels)
-
-    cl2 = Cluster(P)
-    g2 = cl2.root_group()
-    rels2 = distribute_instance(inst, g2)
-    yannakakis_mpc(g2, inst.query, rels2, plan=choice.plan)
-    planned = cl2.snapshot().load
+    yannakakis_mpc(g, inst.query, distribute_instance(inst, g), plan=choice.plan)
+    planned = cl.snapshot().load
 
     res = mpc_join(inst.query, inst, p=P, algorithm="line3")
     return [

@@ -73,7 +73,9 @@ print(
 )
 
 # ----------------------------------------------------------------------
-# 4. Data evolves: updates invalidate exactly what they must.
+# 4. Data evolves: updates invalidate exactly what they must.  The
+#    recording goes (recomputed on fresh rows); the plan is re-priced in
+#    RAM and kept, since the same fold order still wins on the new data.
 # ----------------------------------------------------------------------
 engine.register(
     Relation("Likes", ("user", "post"), [(u, p) for u in range(50) for p in range(u % 6)])
@@ -82,6 +84,7 @@ res = engine.execute(POPULARITY)
 print(f"\nafter update: {res.output_size} groups "
       f"(plan reused: {res.metrics.plan_reused}, "
       f"recomputed: {not res.metrics.result_cached}, {wire(res)})")
+assert res.metrics.plan_reused and not res.metrics.invalidated
 
 print("\nsession totals:")
 print(engine.stats().summary())

@@ -23,11 +23,11 @@ from repro.core import (
     AggregateResult,
     JoinResult,
     auto_algorithm,
-    best_yannakakis_plan,
     mpc_join,
     mpc_join_aggregate,
     mpc_join_project,
     mpc_output_size,
+    price_fold_orders,
 )
 from repro.data import Instance, Relation
 from repro.engine import Engine, EngineStats, ExecutionResult, parse_query
@@ -52,7 +52,7 @@ __all__ = [
     "mpc_join_aggregate",
     "mpc_join_project",
     "mpc_output_size",
-    "best_yannakakis_plan",
+    "price_fold_orders",
     "auto_algorithm",
     "Engine",
     "EngineStats",

@@ -415,16 +415,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "plan":
-        from repro.core.planner import best_yannakakis_plan, plan_quality
-        from repro.mpc import Cluster, distribute_instance
+        from repro.core.planner import price_fold_orders
 
-        cluster = Cluster(args.servers, backend=args.backend)
-        group = cluster.root_group()
-        rels = distribute_instance(instance, group)
-        choice = best_yannakakis_plan(group, query, rels)
-        quality = plan_quality(group, query, rels)
+        choice, quality = price_fold_orders(query, instance)
         print(f"orders considered: {quality['orders']}")
         print(f"best order:  {' -> '.join(choice.order)}")
+        for k, size in enumerate(choice.intermediates, 2):
+            print(f"  |{' * '.join(choice.order[:k])}| = {size}")
         print(f"max intermediate: best={quality['best']} worst={quality['worst']}")
         if quality["best"] > 0 and quality["worst"] / max(1, quality["best"]) < 2:
             print("note: all orders are similar — if the best is still "

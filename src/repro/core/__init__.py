@@ -29,9 +29,7 @@ from repro.core.hypercube import (
 from repro.core.line3 import is_line3, line3_join
 from repro.core.planner import (
     PlanChoice,
-    best_yannakakis_plan,
     enumerate_fold_orders,
-    plan_quality,
     price_fold_orders,
 )
 from repro.core.rhierarchical import rhierarchical_join
@@ -82,8 +80,6 @@ __all__ = [
     "aggregate_total",
     "annotated_reduce",
     "PlanChoice",
-    "best_yannakakis_plan",
     "enumerate_fold_orders",
-    "plan_quality",
     "price_fold_orders",
 ]

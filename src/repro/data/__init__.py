@@ -31,7 +31,6 @@ from repro.data.stats import (
     InstanceReport,
     degree_summary,
     instance_report,
-    stats_fingerprint,
 )
 from repro.data.relation import Relation
 
@@ -61,5 +60,4 @@ __all__ = [
     "InstanceReport",
     "degree_summary",
     "instance_report",
-    "stats_fingerprint",
 ]

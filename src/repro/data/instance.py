@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from repro.data.relation import Relation, Row, project_row
+from repro.data.relation import Relation, Row
 from repro.errors import InstanceError
 from repro.query.hypergraph import Hypergraph, join_tree
 
@@ -96,16 +96,14 @@ class Instance:
             shared = tuple(
                 sorted(self.query.attrs_of(target) & self.query.attrs_of(source))
             )
-            if not shared:
-                # Disconnected tree edge: only emptiness propagates.
-                if len(rels[source]) == 0:
-                    rels[target] = Relation(target, rels[target].attrs, [])
-                return
-            keys = {
-                project_row(r, rels[source].positions(shared))
-                for r in rels[source].rows
-            }
-            rels[target] = rels[target].restrict(keys, shared)
+            # Across a disconnected tree edge every key is ``()``, so only
+            # the source's emptiness propagates.
+            src, tgt = rels[source], rels[target]
+            keys = set(map(src.key_of(shared), src.rows))
+            key = tgt.key_of(shared)
+            keep = [i for i, row in enumerate(tgt.rows) if key(row) in keys]
+            if len(keep) < len(tgt):
+                rels[target] = tgt.take(keep)
 
         for node in tree.bottom_up():
             par = tree.parent[node]

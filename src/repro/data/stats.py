@@ -8,7 +8,6 @@ thresholds, and the IN/OUT-derived bound values.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +19,6 @@ __all__ = [
     "InstanceReport",
     "degree_summary",
     "instance_report",
-    "stats_fingerprint",
 ]
 
 
@@ -98,38 +96,6 @@ class InstanceReport:
                 f"max_deg={d.max_degree} skew={d.skew:.1f} heavy@tau={heavy}"
             )
         return "\n".join(lines)
-
-
-def stats_fingerprint(instance: Instance) -> str:
-    """A stable digest of the statistics that drive planning decisions.
-
-    Hashes, per relation: its size and the degree profile (distinct count,
-    max degree, mean degree) of every *join* attribute — exactly the
-    quantities Section 4.1 join-order pricing and the heavy/light
-    thresholds depend on.  The serving engine keys its prepared-plan cache
-    on the query's canonical form plus this fingerprint: when a registered
-    relation changes but its fingerprint does not, the compiled plan is
-    still valid and is revalidated instead of recompiled.
-
-    This is a planning fingerprint, not a content hash: two datasets with
-    identical degree profiles share a fingerprint on purpose (their optimal
-    plans coincide).  Result freshness is guaranteed separately by the
-    engine's version-keyed data caches.
-    """
-    h = hashlib.sha256()
-    query = instance.query
-    for name in sorted(instance.relations):
-        rel = instance.relations[name]
-        h.update(f"{name}|{len(rel)}".encode())
-        for attr in sorted(rel.attrs):
-            if attr not in query.attributes or len(query.edges_with(attr)) < 2:
-                continue
-            d = degree_summary(instance, name, attr)
-            h.update(
-                f"|{attr}:{d.distinct}:{d.max_degree}:{d.mean_degree:.8f}".encode()
-            )
-        h.update(b";")
-    return h.hexdigest()[:16]
 
 
 def instance_report(instance: Instance) -> InstanceReport:

@@ -6,7 +6,7 @@ The serving layer over the one-shot entry points of :mod:`repro.core`:
   catalog name) to a :class:`~repro.engine.parser.ParsedQuery`.
 * :class:`~repro.engine.session.Engine` — a long-lived session holding
   registered base relations, one warm cluster/backend, and a prepared-plan
-  cache keyed by canonical query form + data-stats fingerprint.
+  cache keyed by canonical query form + bindings, re-priced when data moves.
 * :meth:`~repro.engine.session.Engine.submit_batch` — the concurrent
   submission front, aggregating per-query metrics into
   :class:`~repro.engine.session.EngineStats`.

@@ -14,13 +14,12 @@ queries.  :class:`Engine` is the serving-side answer:
   content-addressed memos keep paying off query after query.
 * **``prepare()``** — parse, classify, resolve the algorithm
   (:func:`~repro.core.runner.auto_algorithm`), price the Yannakakis fold
-  orders (:func:`~repro.core.planner.price_fold_orders`, Section 4.1)
-  once, and cache
-  the compiled plan keyed by the query's canonical form + bindings.  The
-  entry records a data-stats fingerprint
-  (:func:`~repro.data.stats.stats_fingerprint`); when a registered
-  relation changes, the plan is revalidated (same stats) or recompiled
-  (stats drifted) — a stale plan never serves, and stale *data* never
+  orders (:func:`~repro.core.planner.price_fold_orders`, Section 4.1 —
+  exact, in RAM, no backend round) once, and cache
+  the compiled plan keyed by the query's canonical form + bindings.  When
+  a registered relation changes, the orders are re-priced on the new data
+  and the plan is revalidated (the same order wins) or recompiled (another
+  does) — a stale plan never serves, and stale *data* never
   serves because the distributed-relation caches are version-keyed.
 * **``execute()``** — cold executions drive the resolved algorithm
   through the same :func:`~repro.core.runner.run_join_algorithm` /
@@ -52,7 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Any, Sequence
 
-from repro.core.planner import price_fold_orders
+from repro.core.planner import PlanChoice, price_fold_orders
 from repro.data.columns import ColumnBlock, pack_blob, unpack_blob
 from repro.core.runner import (
     ALGORITHMS,
@@ -63,7 +62,6 @@ from repro.core.runner import (
 from repro.core.yannakakis import Plan
 from repro.data.instance import Instance
 from repro.data.relation import Relation, Row
-from repro.data.stats import stats_fingerprint
 from repro.engine.parser import Binding, ParsedQuery, parse_query
 from repro.errors import (
     DeadlineExceeded,
@@ -75,7 +73,7 @@ from repro.errors import (
 )
 from repro.mpc.backends import Backend
 from repro.mpc.cluster import Cluster, LoadReport
-from repro.mpc.distrel import DistRelation, distribute_instance, distribute_relation
+from repro.mpc.distrel import DistRelation, distribute_relation
 from repro.obs import MetricsRegistry, NULL_TRACER, WireMeter, percentiles
 from repro.plan import Executor, PhysicalPlan, TraceRecorder
 from repro.plan.ship import (
@@ -188,9 +186,11 @@ class PreparedQuery:
             ``algorithm == "yannakakis"``.
         plan_order: The fold order the plan encodes.
         plan_quality: Section 4.1 best/worst max-intermediate sizes — the
-            Figure-3 planned-vs-decomposition gap, observable per query.
-        fingerprint: Data-stats fingerprint the plan was compiled against.
-        relation_versions: Registered-relation versions at compile time.
+            Figure-3 planned-vs-decomposition gap, observable per query;
+            exact for the data at ``relation_versions`` (refreshed on
+            every revalidation).
+        relation_versions: Registered-relation versions the entry was
+            compiled or last revalidated against.
         prepare_seconds: Wall time spent compiling.
         uses: Number of executions served by this entry.
         trace: The traced :class:`~repro.plan.ir.PhysicalPlan` of this
@@ -209,7 +209,6 @@ class PreparedQuery:
     plan: Plan | None
     plan_order: tuple[str, ...] | None
     plan_quality: dict[str, int] | None
-    fingerprint: str
     relation_versions: dict[str, int]
     prepare_seconds: float
     uses: int = 0
@@ -221,12 +220,14 @@ class PreparedQuery:
 class QueryMetrics:
     """Per-execution serving metrics.
 
-    ``cache_hit`` — the plan cache served this query without touching data
-    statistics.  ``plan_reused`` — the compiled plan was not recompiled
-    (includes fingerprint revalidation after a data update).
-    ``invalidated`` — a cached plan existed but was recompiled because the
-    data stats drifted.  ``result_cached`` — the recorded execution was
-    replayed instead of re-simulated (identical outputs and ledger).
+    ``cache_hit`` — the plan cache served this query without looking at
+    the data.  ``plan_reused`` — the compiled plan was not recompiled
+    (includes revalidation after a data update: re-priced, same fold order
+    wins).  ``invalidated`` — a cached plan existed but was recompiled
+    because another fold order wins on the new data.  ``plan_quality`` is
+    the pricing of the data this execution ran on.  ``result_cached`` —
+    the recorded execution was replayed instead of re-simulated (identical
+    outputs and ledger).
     ``plan_replayed`` — the traced physical plan was replayed through the
     op executor (one backend request, ledger re-charged bit-exactly)
     instead of re-driving Python control flow.
@@ -603,7 +604,7 @@ class Engine:
 
         Updating bumps the version: cached distributed variants of the old
         version are dropped, and prepared plans that touch the relation are
-        revalidated against fresh statistics on their next use.
+        re-priced on the new data on their next use.
         """
         name = name or relation.name
         with self._lock:
@@ -804,6 +805,11 @@ class Engine:
     ) -> PreparedQuery:
         """Compile (or fetch from cache) the plan for a query.
 
+        Pricing an acyclic query's fold orders happens here, in RAM on the
+        registered relations: ``prepare`` issues no backend round on any
+        backend (so it cannot fault), and the entry's ``plan_quality`` is
+        exact for the current data.
+
         Args:
             query: Datalog-style text, a catalog name, or a parsed query.
             algorithm: ``"auto"`` resolves via
@@ -839,37 +845,52 @@ class Engine:
     ) -> tuple[PreparedQuery, str]:
         """Fetch/compile the plan; returns the entry and its cache status.
 
-        Status is ``"hit"`` (versions unchanged — served without touching
-        data statistics), ``"revalidated"`` (data changed but its stats
-        fingerprint did not, so the compiled plan is kept), ``"invalidated"``
-        (stats drifted — recompiled), or ``"miss"`` (first compile).
+        Status is ``"hit"`` (versions unchanged — served without looking
+        at the data), ``"revalidated"`` (data changed but the decision the
+        entry holds did not: the fold orders were re-priced in RAM, the
+        same one wins, and ``plan_quality`` now describes the new data;
+        a cyclic query has no such decision and is never re-priced),
+        ``"invalidated"`` (another order wins on the new data —
+        recompiled), or ``"miss"`` (first compile).
         """
         key = self._plan_key(parsed, algorithm)
         entry = self._plans.get(key)
+        status, priced = "miss", None
         if entry is not None:
             versions = self._current_versions(parsed)
             if versions == entry.relation_versions:
                 return entry, "hit"
             # Data changed since compile: a stale plan must never serve.
-            fingerprint = stats_fingerprint(self.instance_for(parsed))
-            if fingerprint == entry.fingerprint:
-                # Same planning statistics: the compiled plan is still
-                # optimal; revalidate it against the new versions.  Fresh
-                # data is picked up regardless via the version-keyed
-                # distributed-relation caches.
+            # All the entry decided from the data is which fold order wins
+            # (nothing, for a cyclic query), so that is what is re-checked;
+            # fresh data is picked up regardless via the version-keyed
+            # distributed-relation caches.
+            still_wins = True
+            if entry.plan_quality is not None:
+                priced = choice, quality = price_fold_orders(
+                    parsed.query, self.instance_for(parsed)
+                )
+                still_wins = entry.plan_order in (None, choice.order)
+                if still_wins:
+                    entry.plan_quality = quality
+            if still_wins:
                 entry.relation_versions = versions
                 return entry, "revalidated"
-            entry = self._compile(parsed, algorithm, key)
-            self._plans[key] = entry
+            status = "invalidated"
             self._drop_recording(key)
-            return entry, "invalidated"
-        entry = self._compile(parsed, algorithm, key)
+        entry = self._compile(parsed, algorithm, key, priced)
         self._plans[key] = entry
-        return entry, "miss"
+        return entry, status
 
     def _compile(
-        self, parsed: ParsedQuery, algorithm: str, key: tuple
+        self,
+        parsed: ParsedQuery,
+        algorithm: str,
+        key: tuple,
+        priced: tuple[PlanChoice, dict[str, int]] | None = None,
     ) -> PreparedQuery:
+        """Build the plan entry; ``priced`` is the current data's pricing
+        when the caller already holds it."""
         t0 = time.perf_counter()
         kind = parsed.kind
         if kind == "join":
@@ -888,20 +909,12 @@ class Engine:
                 )
             resolved = algorithm
 
-        instance = self.instance_for(parsed)
-        fingerprint = stats_fingerprint(instance)
-
+        instance = self.instance_for(parsed)  # also validates the bindings
+        if priced is None and parsed.query.is_acyclic():
+            priced = price_fold_orders(parsed.query, instance)
         plan = plan_order = quality = None
-        if parsed.query.is_acyclic():
-            # Planning runs on a scratch cluster (same backend) so pricing
-            # load never leaks into any per-query serving ledger; one pass
-            # prices the best plan and the best/worst spread together.
-            scratch = Cluster(self.p, backend=self._cluster.backend)
-            scratch_group = scratch.root_group()
-            scratch_rels = distribute_instance(instance, scratch_group)
-            choice, quality = price_fold_orders(
-                scratch_group, parsed.query, scratch_rels
-            )
+        if priced is not None:
+            choice, quality = priced
             if kind == "join":
                 plan, plan_order = choice.plan, choice.order
 
@@ -914,7 +927,6 @@ class Engine:
             plan=plan,
             plan_order=plan_order,
             plan_quality=quality,
-            fingerprint=fingerprint,
             relation_versions=self._current_versions(parsed),
             prepare_seconds=time.perf_counter() - t0,
         )
@@ -1507,8 +1519,8 @@ class Engine:
         """Encode this engine's warm state for a query into portable bytes.
 
         The blob (wire format: :mod:`repro.plan.ship`) carries the traced
-        op schedule, the recorded outputs + ledger, the planning-stats
-        fingerprint, and per-relation content digests.  Another engine
+        op schedule, the recorded outputs + ledger, and per-relation
+        content digests.  Another engine
         over the same data :meth:`install_plan`\\ s it and serves the
         query warm — zero re-traces — exactly as if it had executed the
         query itself.
@@ -1583,7 +1595,6 @@ class Engine:
                 "algorithm_request": algorithm,
                 "p": self.p,
                 "backend": self.backend_name,
-                "fingerprint": entry.fingerprint,
                 "relation_digests": digests,
                 "ops": encode_ops(trace.ops, source_of),
                 "result": result,
@@ -1606,9 +1617,9 @@ class Engine:
 
         Revalidates before touching anything: envelope digest, cluster
         size, per-relation *content* digests (the recorded outputs are
-        only the truth over byte-identical data), and the planning-stats
-        fingerprint against this engine's own compile of the same query
-        (the existing revalidation mechanism).  On success the entry
+        only the truth over byte-identical data — on which this engine's
+        own compile of the query prices the same plan), and the resolved
+        algorithm.  On success the entry
         holds a rebuilt trace + recording under this engine's relation
         versions, so its next execution replays warm — zero re-traces.
         Any mismatch raises and leaves the engine as it was: the next
@@ -1616,8 +1627,8 @@ class Engine:
 
         Raises:
             PlanShipError: Corrupt blob, incompatible cluster size,
-                missing/mismatched relations, stats-fingerprint drift, or
-                an fn reference outside the allowlisted registry.
+                missing/mismatched relations, or an fn reference outside
+                the allowlisted registry.
         """
         payload = decode_plan(blob)
         try:
@@ -1625,7 +1636,6 @@ class Engine:
             algorithm_request = payload["algorithm_request"]
             ship_p = payload["p"]
             ship_digests = payload["relation_digests"]
-            ship_fingerprint = payload["fingerprint"]
             ship_algorithm = payload["algorithm"]
             ship_kind = payload["kind"]
             op_records = payload["ops"]
@@ -1653,12 +1663,6 @@ class Engine:
                         f"engine's"
                     )
             entry, _status = self._resolve(parsed, algorithm_request)
-            if ship_fingerprint != entry.fingerprint:
-                raise PlanShipError(
-                    "stats fingerprint mismatch: the plan was compiled "
-                    "against different data statistics — falling back to "
-                    "a cold trace"
-                )
             if ship_algorithm != entry.algorithm or ship_kind != entry.kind:
                 raise PlanShipError(
                     f"plan resolved to {ship_kind}/{ship_algorithm} on the "

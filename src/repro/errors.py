@@ -125,7 +125,7 @@ class PlanShipError(EngineError):
 
     Raised on a corrupt or version-incompatible wire blob, an fn
     reference outside the allowlisted registry, or a receiving engine
-    whose catalog/statistics do not match the plan's fingerprints.  An
+    whose catalog does not match the plan's content digests.  An
     installation rejected with this error leaves the receiver untouched:
     its next execution of the query simply traces cold, exactly as if
     nothing had been shipped.

@@ -17,13 +17,10 @@ over the body, so truncation or bit-rot is rejected before anything is
 interpreted.  The body is a plain dict (see ``Engine.export_plan`` for
 the producer): plan metadata, the op schedule with live references
 replaced by *descriptors*, the recorded outputs in packed columnar form,
-the traced :class:`~repro.mpc.cluster.LoadReport` fields, and two layers
-of fingerprints — the planning-statistics fingerprint
-(:func:`~repro.data.stats.stats_fingerprint`, which gates whether the
-*plan* is still optimal) and per-relation content digests
-(:func:`relation_digest`, which gate whether the recorded *outputs* are
-still the truth).  Install rejects on either mismatch and the receiver
-falls back to a cold trace.
+the traced :class:`~repro.mpc.cluster.LoadReport` fields, and per-relation
+content digests (:func:`relation_digest`), which gate whether the recorded
+*outputs* are still the truth.  Install rejects on a mismatch and the
+receiver falls back to a cold trace.
 
 Code references never travel as code.  A ``MapParts`` op ships its
 ``module:qualname`` string and the receiver resolves it through
@@ -81,7 +78,7 @@ __all__ = [
 #: Wire-format version; bump on any body-schema change.  A receiver only
 #: accepts its own version — plans are cheap to re-trace, so there is no
 #: cross-version compatibility shim.
-SHIP_VERSION = 1
+SHIP_VERSION = 2
 
 _MAGIC = b"RPLN"
 _DIGEST_LEN = 20
@@ -153,12 +150,9 @@ def resolve_fn(ref: str) -> Callable:
 def relation_digest(rel: Any) -> str:
     """Content digest of a registered relation (rows + annotations).
 
-    The planning fingerprint (:func:`~repro.data.stats.stats_fingerprint`)
-    deliberately summarizes only sizes and degree profiles — two
-    different instances can share it, and the *plan* would still be
-    optimal.  Shipped *outputs* need more: they are only the truth when
-    the receiver's relation content is byte-for-byte the sender's, which
-    is what this digest pins down.
+    Shipped *outputs* are only the truth when the receiver's relation
+    content is byte-for-byte the sender's, which is what this digest pins
+    down (and equal content prices to the same plan on both sides).
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(

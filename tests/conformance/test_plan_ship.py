@@ -8,7 +8,7 @@ contract has two halves:
   LoadReport field — to the sender's cold execution, on every registered
   backend, with **zero re-traces** on the receiver (its first execution
   is already a plan replay);
-* a corrupted envelope or a stale fingerprint is rejected *atomically*
+* a corrupted envelope or a content-digest mismatch is rejected *atomically*
   (typed :class:`~repro.errors.PlanShipError`, no half-installed state),
   after which the receiver falls back to a cold trace that is itself
   bit-identical to a never-shipped engine's.
@@ -129,17 +129,17 @@ def test_corrupted_ship_rejected_then_cold_trace(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_stale_fingerprint_ship_rejected_then_cold_trace(backend):
+def test_different_data_ship_rejected_then_cold_trace(backend):
     relations, text = _binary()
     sender = _engine(relations, backend)
     sender.execute(text)
     blob = sender.export_plan(text)
 
-    # Same schema, different data: content digests (and stats) disagree.
+    # Same schema, different data: the content digests disagree.
     q = catalog.binary_join()
     other = dict(random_instance(q, 90, 9, seed=99).relations)
     receiver = _engine(other, backend)
-    with pytest.raises(PlanShipError):
+    with pytest.raises(PlanShipError, match="content digest mismatch"):
         receiver.install_plan(blob)
     assert receiver.stats().plans_installed == 0
 

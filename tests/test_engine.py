@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import planner
 from repro.core.line3 import is_line3
+from repro.core.runner import mpc_join
+from repro.data.generators import line_trap_instance, random_instance
 from repro.data.relation import Relation
-from repro.data.stats import stats_fingerprint
 from repro.engine import Engine, parse_query
+from repro.engine import session as session_module
 from repro.errors import EngineError
+from repro.mpc.backends import get_backend
 from repro.query import catalog
 from repro.ram.yannakakis import yannakakis as ram_yannakakis
 
@@ -60,16 +64,106 @@ def test_same_structure_different_binding_is_a_distinct_plan():
     assert set(fwd.rows()) != set(rev.rows())
 
 
-def test_invalidation_on_stats_drift():
+# ----------------------------------------------------------------------
+# Plan validity across version moves, as a state machine: an entry stays
+# valid exactly while the fold order it holds still wins on the data.
+# ----------------------------------------------------------------------
+def test_version_move_keeping_the_order_revalidates():
     eng = _basic_engine()
-    eng.execute(LINE3)
+    first = eng.execute(LINE3)
     eng.register(Relation("R2", ("B", "C"), [(i % 3, i % 11) for i in range(80)]))
     res = eng.execute(LINE3)
+    assert res.prepared is first.prepared
     assert not res.metrics.cache_hit
-    assert res.metrics.invalidated
-    expected = set(ram_yannakakis(eng.instance_for(parse_query(LINE3))).rows)
-    assert set(res.rows()) == expected
-    assert eng.stats().invalidations == 1
+    assert res.metrics.plan_reused and not res.metrics.invalidated
+    instance = eng.instance_for(parse_query(LINE3))
+    assert set(res.rows()) == set(ram_yannakakis(instance).rows)
+    # The kept entry describes the *new* data, exactly.
+    choice, quality = planner.price_fold_orders(instance.query, instance)
+    assert res.prepared.plan_order == choice.order
+    assert res.metrics.plan_quality == res.prepared.plan_quality == quality
+    assert quality != first.metrics.plan_quality
+    assert eng.stats().invalidations == 0 and eng.stats().prepares == 1
+
+
+def test_version_move_that_flips_the_order_invalidates():
+    forward = line_trap_instance(3, 300, 3000, direction="forward")
+    backward = line_trap_instance(3, 300, 3000, direction="backward")
+    text = "Q(X0,X1,X2,X3) :- R1(X0,X1), R2(X1,X2), R3(X2,X3)"
+    eng = Engine(p=4, result_cache=False)
+    for rel in forward.relations.values():
+        eng.register(rel)
+    first = eng.execute(text, algorithm="yannakakis")
+    assert first.prepared.plan_order == ("R2", "R3", "R1")
+    for rel in backward.relations.values():
+        eng.register(rel)
+    res = eng.execute(text, algorithm="yannakakis")
+    assert res.metrics.invalidated and not res.metrics.plan_reused
+    assert res.prepared is not first.prepared
+    assert res.prepared.plan_order == ("R1", "R2", "R3")
+    assert eng.stats().invalidations == 1 and eng.stats().prepares == 2
+    # The re-planned execution is the one-shot run under the new plan.
+    instance = eng.instance_for(res.prepared.parsed)
+    assert set(res.rows()) == set(ram_yannakakis(instance).rows)
+    one_shot = mpc_join(
+        instance.query, instance, p=4, algorithm="yannakakis",
+        plan=res.prepared.plan,
+    )
+    assert res.report.as_dict() == one_shot.report.as_dict()
+    assert res.relation.parts == one_shot.relation.parts
+    # Settled: the next execution is a plain hit on the new entry.
+    again = eng.execute(text, algorithm="yannakakis")
+    assert again.metrics.cache_hit and again.prepared is res.prepared
+
+
+def test_cyclic_query_is_never_repriced(monkeypatch):
+    inst = random_instance(catalog.triangle(), 30, 6, seed=5)
+    eng = Engine(p=4)
+    for rel in inst.relations.values():
+        eng.register(rel)
+    calls = []
+    real = planner.price_fold_orders
+    monkeypatch.setattr(
+        session_module, "price_fold_orders",
+        lambda *a, **k: calls.append(a) or real(*a, **k),
+    )
+    text = "Q(A,B,C) :- R1(B,C), R2(A,C), R3(A,B)"
+    first = eng.execute(text)
+    assert first.prepared.plan_quality is None
+    other = random_instance(catalog.triangle(), 50, 5, seed=6)
+    eng.register(other.relations["R2"])
+    res = eng.execute(text)
+    assert res.metrics.plan_reused and not res.metrics.cache_hit
+    assert res.prepared is first.prepared
+    fresh = eng.instance_for(res.prepared.parsed)
+    assert set(res.rows()) == mpc_join(fresh.query, fresh, p=4).row_set()
+    assert calls == []
+    # The wrapper does see acyclic pricing (the monkeypatch is live).
+    eng.prepare(LINE3.replace("R3(C,D)", "R3(A,D)"))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("backend", ["serial", "multiprocess"])
+def test_pricing_issues_no_backend_round(backend):
+    """``prepare`` and a re-pricing ``execute`` price in RAM: neither sends
+    the backend a request for it."""
+    backend_obj = get_backend(backend)
+    eng = Engine(p=4, backend=backend_obj)
+    eng.register(Relation("R1", ("A", "B"), [(i, i % 5) for i in range(40)]))
+    eng.register(Relation("R2", ("B", "C"), [(i % 5, i % 7) for i in range(40)]))
+    eng.register(Relation("R3", ("C", "D"), [(i % 7, i) for i in range(40)]))
+    before = backend_obj.requests
+    entry = eng.prepare(LINE3, algorithm="yannakakis")
+    assert entry.plan_quality is not None
+    assert backend_obj.requests == before
+    cold = eng.execute(LINE3, algorithm="yannakakis")
+    eng.register(Relation("R2", ("B", "C"), [(i % 3, i % 11) for i in range(80)]))
+    before = backend_obj.requests
+    res = eng.execute(LINE3, algorithm="yannakakis")
+    assert res.metrics.plan_reused and not res.metrics.cache_hit
+    # Every request since the swap belongs to the execution itself.
+    assert backend_obj.requests - before == res.metrics.backend_requests
+    assert res.metrics.backend_requests == cold.metrics.backend_requests
 
 
 def test_result_cache_replays_and_invalidates():
@@ -99,7 +193,7 @@ def test_result_cache_can_be_disabled():
 
 
 def test_stale_plan_never_serves_stale_data():
-    """Same-stats update: plan revalidates, but the *data* must be fresh."""
+    """The same order still wins: plan revalidates, but the *data* must be fresh."""
     eng = Engine(p=3)
     eng.register(Relation("R", ("A", "B"), [(0, 1), (1, 2)]))
     eng.register(Relation("S", ("B", "C"), [(1, 7), (2, 8)]))
@@ -109,7 +203,7 @@ def test_stale_plan_never_serves_stale_data():
     # Shifted values: identical sizes and degree profiles, different rows.
     eng.register(Relation("S", ("B", "C"), [(1, 70), (2, 80)]))
     second = eng.execute(text)
-    assert second.metrics.plan_reused  # fingerprint unchanged
+    assert second.metrics.plan_reused
     assert set(second.rows()) == {(0, 1, 70), (1, 2, 80)}
 
 
@@ -206,7 +300,7 @@ def test_catalog_queries_execute_by_name():
 
 
 # ----------------------------------------------------------------------
-# Satellites: public is_line3 + stats fingerprint
+# Satellites: public is_line3
 # ----------------------------------------------------------------------
 def test_is_line3_public_and_deprecated_alias():
     assert is_line3(catalog.line3()) == ("R1", "R2", "R3")
@@ -214,19 +308,6 @@ def test_is_line3_public_and_deprecated_alias():
     from repro.core import is_line3 as exported
 
     assert exported is is_line3
-
-
-def test_stats_fingerprint_tracks_planning_stats():
-    eng = _basic_engine()
-    parsed = parse_query(LINE3)
-    base = stats_fingerprint(eng.instance_for(parsed))
-    assert stats_fingerprint(eng.instance_for(parsed)) == base
-    # Value-shifted same-stats data keeps the fingerprint...
-    eng.register(Relation("R3", ("C", "D"), [(i % 7, i + 1000) for i in range(40)]))
-    assert stats_fingerprint(eng.instance_for(parsed)) == base
-    # ...while a degree-profile change moves it.
-    eng.register(Relation("R3", ("C", "D"), [(0, i) for i in range(40)]))
-    assert stats_fingerprint(eng.instance_for(parsed)) != base
 
 
 def test_cold_wall_seconds_includes_the_recording(monkeypatch):

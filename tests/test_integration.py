@@ -16,11 +16,10 @@ from repro import (
     mpc_join_project,
     mpc_output_size,
 )
-from repro.core.planner import best_yannakakis_plan
+from repro.core.planner import price_fold_orders
 from repro.data.generators import line_trap_instance, random_instance
 from repro.data.stats import instance_report
 from repro.io import read_instance_dir, write_instance_dir
-from repro.mpc import Cluster, distribute_instance
 from repro.query import catalog
 from repro.ram.yannakakis import group_by_count, join_size, yannakakis
 
@@ -47,10 +46,7 @@ class TestCsvToJoinPipeline:
 class TestPlanThenExecute:
     def test_planner_feeds_yannakakis(self):
         inst = line_trap_instance(3, 1200, 12000)
-        cl = Cluster(8)
-        g = cl.root_group()
-        rels = distribute_instance(inst, g)
-        choice = best_yannakakis_plan(g, inst.query, rels)
+        choice, _quality = price_fold_orders(inst.query, inst)
         res = mpc_join(
             inst.query, inst, p=8, algorithm="yannakakis", plan=choice.plan
         )

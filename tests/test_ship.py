@@ -69,6 +69,14 @@ def test_envelope_rejects_truncation_magic_and_version():
         decode_plan(b"XXXX" + blob[4:])
     with pytest.raises(PlanShipError, match="version"):
         decode_plan(blob[:4] + bytes([SHIP_VERSION + 1]) + blob[5:])
+    # Version 1 bodies carried a statistics fingerprint; they are refused
+    # at the header, at install too, and the payload no longer has one.
+    assert SHIP_VERSION == 2
+    v1 = _blob(_engine())
+    assert "fingerprint" not in decode_plan(v1)
+    v1 = v1[:4] + bytes([1]) + v1[5:]
+    with pytest.raises(PlanShipError, match="version 1"):
+        _engine().install_plan(v1)
 
 
 def test_envelope_rejects_non_dict_body():
