@@ -127,8 +127,8 @@ class _CachedResult:
     The simulation is deterministic: re-running an unchanged plan over
     unchanged registered relations reproduces the same outputs and the
     same ledger bit for bit, so serving the recording *is* the execution
-    (the same argument behind the substrate's ledger-replaying sorted-run
-    cache).  Version mismatch ⇒ the recording is unservable.
+    (the same argument by which a sorted run is billed from its recorded
+    counts).  Version mismatch ⇒ the recording is unservable.
     Distributed results are held as a :class:`_ColumnarPayload`.
     """
 

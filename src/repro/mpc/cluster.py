@@ -23,14 +23,31 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from itertools import count
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import DeadlineExceeded, MPCError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpc.backends import Backend
 
-__all__ = ["Cluster", "LoadReport"]
+__all__ = ["Cluster", "LoadReport", "kind_split"]
+
+# One process-wide source of ledger epochs: a value is never handed out
+# twice, so an epoch names one execution on one cluster (ids get recycled).
+_EPOCHS = count(1)
+
+
+def kind_split(units_by_label: Iterable[tuple[str, int]]) -> str:
+    """Where the load went, by what a step moved: a label's last component,
+    with the stitch/carry gather+reply trips as ``boundary``."""
+    split = dict.fromkeys(("sample", "splitters", "shuffle", "boundary", "other"), 0)
+    for label, units in units_by_label:
+        *_, prev, kind = ("", "", *label.split("/"))
+        if kind in ("gather", "reply") and prev in ("stitch", "carry"):
+            kind = "boundary"
+        split[kind if kind in split else "other"] += units
+    return " ".join(f"{k}={v}" for k, v in split.items())
 
 
 @dataclass
@@ -68,7 +85,8 @@ class LoadReport:
         labels = ", ".join(f"{k}={v}" for k, v in top)
         return (
             f"load={self.load} (avg {self.average:.1f}, step-max "
-            f"{self.max_step_load}, {self.steps} steps) [{labels}]"
+            f"{self.max_step_load}, {self.steps} steps; "
+            f"{kind_split(self.by_label.items())}) [{labels}]"
         )
 
     def as_dict(self) -> dict:
@@ -139,6 +157,10 @@ class Cluster:
         #: Optional :class:`~repro.obs.tracing.Span` under which backend
         #: rounds of this execution parent their spans (None = untraced).
         self.obs_span = None
+        #: The execution this ledger is recording: advanced by :meth:`reset`,
+        #: unique across clusters.  A sorted arrangement paid for in this
+        #: epoch is not paid for again (:func:`~repro.mpc.substrate.sorted_run`).
+        self.epoch = next(_EPOCHS)
         self._totals: list[int] = [0] * p
         self._step_max: int = 0
         self._steps: int = 0
@@ -236,7 +258,9 @@ class Cluster:
         )
 
     def reset(self) -> None:
-        """Clear the ledger (data placement is unaffected)."""
+        """Clear the ledger and start a new epoch: the next execution pays
+        for its own sorts (data placement is unaffected)."""
+        self.epoch = next(_EPOCHS)
         self._totals = [0] * self.p
         self._step_max = 0
         self._steps = 0

@@ -6,10 +6,11 @@ equal keys are contiguous *across* servers, then per-key logic scans each
 server's sorted index arrays — fetching ``parts[src][j]`` only to emit —
 with an O(p) boundary round-trip through a coordinator to stitch runs
 that span server boundaries.  The coordinator traffic is O(p) units per
-primitive, which is within the linear-load budget whenever ``IN >= p^2``
-(documented in DESIGN.md; the paper assumes ``IN >= p^{1+eps}`` and uses
-aggregation trees instead — same interface, same asymptotics for our
-experiment range).
+primitive plus at most ``n/p + p`` samples per sort, never more than the
+data share the sort balances; partitions stay within
+``n/p + max(n/p, p^2)`` (DESIGN.md section 2; the paper assumes
+``IN >= p^{1+eps}`` and uses aggregation trees instead — same interface,
+same asymptotics for our experiment range).
 
 Two layers of primitives, one kernel underneath:
 
@@ -20,9 +21,11 @@ Two layers of primitives, one kernel underneath:
 * :func:`multi_numbering` — consecutive numbering 1,2,3,... per key.
 * :func:`multi_search` — predecessor search of X elements in Y.
 
-*Relation-aware* (on a cached sorted run of the relation — see
+*Relation-aware* (on the relation's sorted run — see
 :func:`repro.mpc.substrate.sorted_run`; identical semantics, one PSRS
-pass shared across primitives on the same ``(relation, key)``):
+pass shared by, and paid for once per execution across, all primitives
+on the same ``(relation, key)``: the second one posts only its own
+boundary steps):
 
 * :func:`count_by_key` / :func:`fold_by_key` — per-key aggregation of a
   relation's rows.
@@ -270,8 +273,8 @@ def fold_by_key(
     """Per-key aggregation of a relation's rows, fused onto its sorted run.
 
     Equivalent to ``sum_by_key`` over ``(project_row(row, pos), value)``
-    pairs — same outputs, same ledger — but the PSRS pass is shared with
-    (and cached for) every other primitive keyed the same way.
+    pairs — same outputs — but the PSRS pass is shared with, and paid once
+    per execution for, every other primitive keyed the same way.
 
     Args:
         values: ``values[i][j]`` is row ``j`` of part ``i``'s value

@@ -5,10 +5,13 @@ semi-join to one linear-load sort; :func:`psrs` is that sort, once.  It
 takes per-source lists of comparable *sort keys* and returns, per
 destination, index arrays — sort key and origin ``(src, j)`` in global
 ``(key, uid)`` order — so callers allocate nothing per item until they
-emit.  Local sorts are stable index sorts, routing is ``p - 1`` bisects
-per sorted source, the destination merge is a stable index sort of the
-received slices, and all three communication steps are charged to the
-ledger by their per-server counts (:func:`charge_pass`).
+emit.  Local sorts are stable index sorts, routing is one bisect per
+splitter and sorted source, the destination merge is a stable index sort
+of the received slices, and all three communication steps are charged to
+the ledger by their per-server counts (:func:`charge_pass`).  Sample and
+splitter traffic scales with the data: ``min(p, ceil(n_i / p))`` samples
+per source (:func:`sample_indices`), ``min(p, #samples)`` ranges
+(:func:`pick_splitters`).
 
 * **Raw keys where they order like** :func:`orderable`.  A column that is
   statically homogeneous (int/float-only or str-only; :func:`column_kind`,
@@ -17,20 +20,21 @@ ledger by their per-server counts (:func:`charge_pass`).
   encodings and are sorted as they are (:class:`TagStamp`).  Any other
   key list is encoded first — same kernel, different key list,
   bit-identical arrangement and ledger.
-* **Sorted-run cache.**  :func:`sorted_run` runs the pass for a
-  ``(relation, key)`` pair once and caches it on the relation.  A repeat
-  call charges the original pass's exact counts again, so the ledger —
-  loads, step-max, step count — is billed in full; only the Python-side
-  projecting and sorting are skipped.  The cache can never go stale:
-  :class:`~repro.mpc.distrel.DistRelation` parts are immutable after
-  construction, every relation-producing operation returns a fresh
-  object, and entries are keyed by the owning cluster/group identity.
+* **Sorted runs, paid once per execution.**  :func:`sorted_run` runs the
+  pass for a ``(relation, key)`` pair once and caches it on the relation.
+  The ledger is charged for it once per execution (ledger epoch,
+  :attr:`Cluster.epoch`): rows already range-partitioned on the key do not
+  move again, so a repeat call in the same epoch posts nothing, and the
+  first call in a later epoch posts the recorded pass in full.  The cache
+  can never go stale: :class:`~repro.mpc.distrel.DistRelation` parts are
+  immutable after construction and every relation-producing operation
+  returns a fresh object.
 
 ``set_caching(False)`` / :func:`cache_disabled` bypass every cache *and*
 the homogeneity tags: the bypass path re-sorts :func:`orderable`
-encodings each time and is the reference the correctness tests compare
-against (identical outputs *and* identical ledgers).  See DESIGN.md
-section 3 for the full argument.
+encodings each time — charged by the same once-per-epoch rule — and is
+the reference the correctness tests compare against (identical outputs
+*and* identical ledgers).  See DESIGN.md section 3 for the full argument.
 """
 
 from __future__ import annotations
@@ -408,16 +412,29 @@ def coordinator_for(group: Group, label: str) -> int:
 # ----------------------------------------------------------------------
 
 def sample_indices(n: int, p: int) -> list[int]:
-    """The ``p`` evenly spaced local sample positions of a part of size n."""
-    return sorted({min(n - 1, (k * n) // p) for k in range(p)})
+    """The ``s = min(p, ceil(n / p))`` evenly spaced sample positions of a
+    sorted part of ``n`` items: one sample per ``g = ceil(n / s)`` items.
+
+    Samples in proportion to data: the gather of ``S`` samples is at most
+    ``n_total / p + p`` units, never more than the data share it balances,
+    and a sample stands for the same number of items on every source.  With
+    per-source spacings ``g_i`` and ``q = min(p, S)`` ranges
+    (:func:`pick_splitters`), a range holds at most ``ceil(S / q) + 1``
+    sample gaps plus one partial gap per source, so no partition exceeds
+    ``(ceil(S / q) + 1) * max(g_i) + sum(g_i)`` items — for even parts
+    ``n/p + max(n/p, p^2)``, times at most ``1 + 1/2p``, plus ``O(p)``.
+    """
+    s = min(p, -(-n // p))
+    return [(k * n) // s for k in range(s)]
 
 
 def pick_splitters(flat: Sequence, p: int) -> list:
-    """The ``p - 1`` range splitters from the gathered, sorted samples."""
-    if not flat:
-        return []
+    """The ``min(p, S) - 1`` range splitters from the ``S`` gathered, sorted
+    samples: ranges in proportion to samples, so a two-item sort broadcasts
+    one splitter, not ``p - 1`` copies of it."""
     m = len(flat)
-    return [flat[min(m - 1, (k * m) // p)] for k in range(1, p)]
+    q = min(p, m)
+    return [flat[(k * m) // q] for k in range(1, q)]
 
 
 def index_sort(keys: list) -> list[int]:
@@ -478,14 +495,23 @@ def psrs(
     Returns ``(parts, splitters, charges)``: ``parts[d] = (ks, srcs, js)``
     lists destination ``d``'s items in global order as parallel arrays —
     sort key and origin, so callers fetch ``source[src][j]`` only when they
-    emit; ``splitters`` are the ``p - 1`` ``(key, uid)`` range bounds;
-    ``charges`` is what :func:`charge_pass` needs besides them to bill the
-    same pass again (``None`` on a single server, where nothing moves).
+    emit; ``splitters`` are the at most ``p - 1`` ``(key, uid)`` range
+    bounds; ``charges`` is what :func:`charge_pass` needs besides them to
+    bill the pass (``None`` on a single server, where nothing moves).
 
-    Load: ~``n/p`` per server (PSRS guarantees < 2n/p) plus O(p) sampling
-    traffic at the coordinator.
+    Load: the partition bound of :func:`sample_indices` per server, plus at
+    most ``n/p + p`` sample units at the coordinator.
     """
-    p = group.size
+    parts, splitters, charges = _arrange(group.size, keys, orders)
+    charge_pass(group, label, splitters, charges)
+    return parts, splitters, charges
+
+
+def _arrange(
+    p: int, keys: Sequence[list], orders: Sequence[list[int]] | None
+) -> tuple[list[tuple[list, list[int], list[int]]], list[tuple], tuple | None]:
+    """:func:`psrs` without the ledger: where every item lands, and the
+    per-server counts that moving it there costs."""
     if len(keys) != p:
         raise MPCError(f"expected {p} parts, got {len(keys)}")
     if orders is None:
@@ -494,19 +520,19 @@ def psrs(
     if p == 1:
         return [(sorted_keys[0], [0] * len(orders[0]), orders[0])], [], None
 
-    # Regular sampling: p evenly spaced (key, uid) pivots per server, each
+    # Regular sampling: evenly spaced (key, uid) pivots per server, each
     # counted as one unit of communication at the coordinator.
     samples: list[tuple] = []
     sample_sizes = []
     for src, (sk, o) in enumerate(zip(sorted_keys, orders)):
-        idxs = sample_indices(len(sk), p) if sk else []
+        idxs = sample_indices(len(sk), p)
         samples += [(sk[i], (src, o[i])) for i in idxs]
         sample_sizes.append(len(idxs))
     samples.sort()
     splitters = pick_splitters(samples, p)
 
     # An item lands on the server numbered by how many splitters are <=
-    # its (key, uid): p - 1 bisects per sorted source, not one per item.
+    # its (key, uid): one pair of bisects per splitter and sorted source.
     cuts = []
     for src, (sk, o) in enumerate(zip(sorted_keys, orders)):
         row = [0]
@@ -516,12 +542,10 @@ def psrs(
                 hi = bisect_right(sk, key, lo)
                 lo = hi if src < s else bisect_left(o, j, lo, hi)
             row.append(lo)
-        # No splitters means no items anywhere: every bound is 0.
+        # Ranges past the last splitter (all of them, with no items) are empty.
         cuts.append(row + [len(sk)] * (p - len(splitters)))
     parts, received = merge_slices(sorted_keys, orders, cuts)
-    charges = (sample_sizes, received)
-    charge_pass(group, label, splitters, charges)
-    return parts, splitters, charges
+    return parts, splitters, (sample_sizes, received)
 
 
 def charge_pass(
@@ -532,8 +556,10 @@ def charge_pass(
 
     Every backend's ``exchange`` is the in-process ``deliver_local`` and
     only its counts reach :meth:`Cluster.tally_members`, so charging the
-    counts is ledger-exact on every backend; a fresh pass and a cache hit
-    go through this one function and cannot drift apart.
+    counts is ledger-exact on every backend.  This is the only function
+    that posts a pass: a fresh sort, a cached run first used in a later
+    epoch and the cache-bypassed reference all go through it and cannot
+    drift apart.
     """
     if charges is None:
         return
@@ -560,7 +586,8 @@ class SortedRun:
             run is then sorted on the raw keys — else ``None`` (sorted on
             :func:`orderable` encodings).
         keys: ``keys[src][j]`` is the projected key of ``rel.parts[src][j]``.
-        splitters: The ``p - 1`` global ``(sort_key, uid)`` range splitters.
+        splitters: The global ``(sort_key, uid)`` range splitters (at most
+            ``p - 1``, :func:`pick_splitters`).
         parts: ``parts[d] = (sort_keys, srcs, js)``, destination ``d``'s
             items in global sorted order as parallel arrays; the origin
             ``(src, j)`` ties equal keys apart (heavy keys spread over
@@ -568,7 +595,7 @@ class SortedRun:
             caller-side payloads.
 
     ``_charges`` is the pass's communication profile (:func:`charge_pass`),
-    so a cache hit can re-charge the ledger exactly without re-sorting.
+    so the first use in a later epoch can bill it without re-sorting.
     """
 
     scalar: bool
@@ -614,41 +641,49 @@ def sorted_run(
     label: str,
     scalar: bool = False,
 ) -> SortedRun:
-    """Sort ``rel``'s rows globally by their key projection (cached).
+    """Sort ``rel``'s rows globally by their key projection, paid once per
+    execution.
 
-    On a cache hit the exact communication of the original pass is
-    *replayed* — sample gather, splitter broadcast and shuffle are charged
-    again with identical per-server counts (:func:`charge_pass`) — so the
-    ledger never under-charges; only local projecting/sorting is skipped.
+    The relation remembers, per ``(group members, key positions, scalar)``,
+    the ledger epoch (:attr:`Cluster.epoch`) in which the arrangement was
+    last paid for.  In that epoch the rows are already range-partitioned on
+    the key and do not move again: a later call posts nothing.  The first
+    call in any other epoch — the next query on an engine that kept the
+    relation, or another cluster — posts the whole pass under its own label
+    (:func:`charge_pass`), so a query's ledger never depends on what ran
+    before it.  The rule is the execution's, not the cache's: with caching
+    disabled the pass is re-sorted every time and charged just the same.
     """
     with prim_span(
         group.cluster, "SampleSort",
         f"run {rel.name}[{','.join(key_attrs)}] {label}",
     ):
         pos = rel.positions(key_attrs)
+        cache_key = (group.members, pos, bool(scalar))
         runs: dict[tuple, SortedRun] = (
             rel._substrate.setdefault("runs", {}) if _ENABLED else {}
         )
-        cache_key = (id(group.cluster), group.members, pos, bool(scalar))
         run = runs.get(cache_key)
-        if run is not None:
+        if run is None:
+            tags = tuple(column_kind(rel, i) for i in pos)
+            # With caching disabled this is the reference path: pass no owner
+            # so backends also skip their worker-local memoization.
+            local = group.map_parts(
+                _sort_part,
+                rel.parts,
+                (pos, tags, bool(scalar)),
+                owner=rel if _ENABLED else None,
+            )
+            keys, skeys, orders = zip(*local)
+            parts, splitters, charges = _arrange(group.size, skeys, orders)
+            run = runs[cache_key] = SortedRun(
+                scalar, None if None in tags else tags, list(keys),
+                splitters, parts, charges,
+            )
+        paid: dict[tuple, int] = rel._substrate.setdefault("paid", {})
+        if paid.get(cache_key) != group.cluster.epoch:
             charge_pass(group, label, run.splitters, run._charges)
-            return run
-        tags = tuple(column_kind(rel, i) for i in pos)
-        # With caching disabled this is the reference path: pass no owner so
-        # backends also skip their worker-local memoization and recompute.
-        local = group.map_parts(
-            _sort_part,
-            rel.parts,
-            (pos, tags, bool(scalar)),
-            owner=rel if _ENABLED else None,
-        )
-        keys, skeys, orders = zip(*local)
-        parts, splitters, charges = psrs(group, skeys, label, orders)
-        run = runs[cache_key] = SortedRun(
-            scalar, None if None in tags else tags, list(keys),
-            splitters, parts, charges,
-        )
+            paid[cache_key] = group.cluster.epoch
         return run
 
 

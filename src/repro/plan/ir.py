@@ -8,8 +8,8 @@ from one execution of a core driver.  Three op families exist:
   :meth:`~repro.mpc.cluster.Cluster.tally_members` call.  Replaying a
   charge re-posts exactly those counts under exactly that label, so the
   replayed :class:`~repro.mpc.cluster.LoadReport` is bit-identical to the
-  traced one by construction (the same argument as the substrate's
-  sorted-run ledger replay, DESIGN.md 3.2/3.4).
+  traced one by construction (the same argument as a sorted run billed
+  from its recorded counts in a later epoch, DESIGN.md 3.3/3.4).
 * **Worker-local compute** (:class:`MapParts`) — one
   :meth:`~repro.mpc.group.Group.map_parts` dispatch: a module-level pure
   function, its picklable ``common`` descriptor, and *references* to the
@@ -253,6 +253,8 @@ class PhysicalPlan:
         :class:`PrimSpan` line aggregates the timings of the ops it
         covers, same as its units column.
         """
+        from repro.mpc.cluster import kind_split  # mpc imports plan, not back
+
         n_map = len(self.map_ops())
         counts = self.op_counts()
         lines = [
@@ -267,7 +269,8 @@ class PhysicalPlan:
             ),
             (
                 f"  ledger: {self.charged_units()} units over "
-                f"{len(self.charges())} charge steps (replayed bit-exactly)"
+                f"{len(self.charges())} charge steps (replayed bit-exactly): "
+                + kind_split((c.label, c.units) for c in self.charges())
             ),
         ]
         n_req = 1 if n_map else 0
@@ -308,13 +311,18 @@ class PhysicalPlan:
         for i, op in enumerate(self.ops):
             pad = "  " * (len(op.path) + 1)
             if isinstance(op, PrimSpan):
-                units = sum(
-                    c.units
-                    for c in self.ops[op.start : op.end]
-                    if isinstance(c, Charge)
+                posted = [
+                    c for c in self.ops[op.start : op.end] if isinstance(c, Charge)
+                ]
+                units = sum(c.units for c in posted)
+                # A sorted run paid for earlier in this execution moves nothing.
+                reused = (
+                    not posted and self.p > 1
+                    and isinstance(op, SampleSort) and op.detail.startswith("run ")
                 )
                 lines.append(
-                    f"{pad}[{op.kind}] {op.detail}  units={units}"
+                    f"{pad}[{op.kind}] {op.detail}  "
+                    + ("reused" if reused else f"units={units}")
                     + cols(op.start, op.end)
                 )
             elif isinstance(op, Charge):

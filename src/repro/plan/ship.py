@@ -77,8 +77,9 @@ __all__ = [
 
 #: Wire-format version; bump on any body-schema change.  A receiver only
 #: accepts its own version — plans are cheap to re-trace, so there is no
-#: cross-version compatibility shim.
-SHIP_VERSION = 2
+#: cross-version compatibility shim.  Version 3: recorded charges follow
+#: the paid-once-per-execution ledger, so a v2 blob would replay the old one.
+SHIP_VERSION = 3
 
 _MAGIC = b"RPLN"
 _DIGEST_LEN = 20

@@ -44,9 +44,12 @@ class TestTally:
     def test_reset(self):
         cl = Cluster(2)
         cl.tally([0, 1], [3, 4], "x")
+        before = cl.epoch
         cl.reset()
         rep = cl.snapshot()
         assert rep.load == 0 and rep.steps == 0
+        # A reset ledger is a new execution; no two ever share an epoch.
+        assert len({before, cl.epoch, Cluster(2).epoch}) == 3
 
     def test_invalid_p(self):
         with pytest.raises(MPCError):

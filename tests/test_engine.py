@@ -6,15 +6,17 @@ import pytest
 
 from repro.core import planner
 from repro.core.line3 import is_line3
-from repro.core.runner import mpc_join
+from repro.core.runner import mpc_join, mpc_join_aggregate
 from repro.data.generators import line_trap_instance, random_instance
 from repro.data.relation import Relation
 from repro.engine import Engine, parse_query
 from repro.engine import session as session_module
-from repro.errors import EngineError
-from repro.mpc.backends import get_backend
+from repro.errors import DeadlineExceeded, EngineError, FaultError
+from repro.mpc import Cluster
+from repro.mpc.backends import SerialBackend, get_backend
 from repro.query import catalog
 from repro.ram.yannakakis import yannakakis as ram_yannakakis
+from repro.semiring import COUNT
 
 
 def _basic_engine(p: int = 4) -> Engine:
@@ -114,6 +116,125 @@ def test_version_move_that_flips_the_order_invalidates():
     # Settled: the next execution is a plain hit on the new entry.
     again = eng.execute(text, algorithm="yannakakis")
     assert again.metrics.cache_hit and again.prepared is res.prepared
+
+
+# ----------------------------------------------------------------------
+# A sort is paid once per *execution*.  The engine keeps distributed
+# relations — and the sorted runs on them — across queries, so which
+# queries ran before, in which order, and how they ended must never show
+# in a query's ledger: every cold LoadReport equals the one-shot run's.
+# ----------------------------------------------------------------------
+BINARY = "Q(A,B,C) :- R1(A,B), R2(B,C)"
+SHARING = (  # serve_churn's shapes, so each base relation serves several;
+    (LINE3, "auto"),  # ``binhc`` sorts its inputs as they are, the others
+    (BINARY, "auto"),  # reduce them first and sort the survivors.
+    ("Q(B,C,D) :- R2(B,C), R3(C,D)", "binhc"),
+    ("Q(A; count) :- R1(A,B), R2(B,C)", "auto"),
+    (LINE3, "binhc"),
+    ("Q(; count) :- R1(A,B), R2(B,C), R3(C,D)", "auto"),
+    (BINARY, "binhc"),
+)
+
+
+def _sharing_engine(backend="serial", **kwargs) -> Engine:
+    eng = Engine(p=4, backend=backend, result_cache=False, **kwargs)
+    eng.register(Relation("R1", ("A", "B"), [(i, i * i % 11) for i in range(160)]))
+    eng.register(Relation("R2", ("B", "C"), [(i % 11, i % 7) for i in range(120)]))
+    eng.register(Relation("R3", ("C", "D"), [(i * i % 7, i) for i in range(90)]))
+    return eng
+
+
+def _one_shot_ledger(eng: Engine, res, backend="serial") -> dict:
+    parsed, entry = res.prepared.parsed, res.prepared
+    instance = eng.instance_for(parsed)
+    if parsed.kind == "join":
+        return mpc_join(
+            parsed.query, instance, p=eng.p, algorithm=entry.algorithm,
+            plan=entry.plan, backend=backend,
+        ).report.as_dict()
+    return mpc_join_aggregate(
+        parsed.query, parsed.output_attrs, instance.with_uniform_annotations(COUNT),
+        COUNT, p=eng.p, algorithm=entry.algorithm, backend=backend,
+    ).report.as_dict()
+
+
+def _forget_plans(eng: Engine) -> None:
+    """``clear_caches`` minus the distributed relations: the next execution
+    is cold again, on relations that still carry their sorted runs."""
+    eng._plans.clear()
+    eng._recordings.clear()
+    eng._recording_bytes = 0
+
+
+def _carried_runs(eng: Engine) -> int:
+    """Arrangements the cached base relations hold from earlier executions."""
+    return sum(len(d._substrate.get("paid", ())) for d in eng._dist_cache.values())
+
+
+@pytest.mark.parametrize("backend", ["serial", "multiprocess"])
+def test_a_query_ledger_does_not_depend_on_what_ran_before(backend):
+    want: dict[tuple, dict] = {}
+    for order in (SHARING, SHARING[::-1]):
+        eng = _sharing_engine(backend)
+        for round_ in range(2):
+            for query in order:
+                res = eng.execute(query[0], algorithm=query[1])
+                assert not res.metrics.cache_hit
+                if query not in want:
+                    want[query] = _one_shot_ledger(eng, res, backend)
+                assert res.report.as_dict() == want[query], (query, order[0], round_)
+            # R1[B], R2[B], R2[C], R3[C]: sorted by one query, read by the next.
+            assert _carried_runs(eng) == 4
+            _forget_plans(eng)
+
+
+class _FaultAtRound(SerialBackend):
+    """Serial backend whose ``fail_at``-th compute round raises a fault."""
+
+    fail_at = 0
+
+    def run_ops(self, ops, collect=True, meter=None, span=None):
+        self.fail_at -= 1
+        if self.fail_at == 0:
+            raise FaultError("injected")
+        return super().run_ops(ops, collect, meter=meter, span=span)
+
+
+def test_a_miss_or_a_fault_mid_execution_leaves_no_sort_half_paid(monkeypatch):
+    clean = _sharing_engine()
+    want = {q: clean.execute(q[0], algorithm=q[1]).report.as_dict() for q in SHARING}
+    victim = (LINE3, "binhc")
+
+    # A deadline that fires halfway down the line-3's ledger, after it has
+    # paid for runs on the base relations ...
+    real = Cluster.check_deadline
+
+    def miss_halfway(self):
+        if self.deadline is not None and self._steps >= want[victim]["steps"] // 2:
+            raise DeadlineExceeded("injected")
+        real(self)
+
+    eng = _sharing_engine()
+    monkeypatch.setattr(Cluster, "check_deadline", miss_halfway)
+    with pytest.raises(DeadlineExceeded):
+        eng.execute(victim[0], algorithm=victim[1], deadline=3600.0)
+    monkeypatch.setattr(Cluster, "check_deadline", real)
+    assert _carried_runs(eng) >= 2
+    # ... and the retry, on the same relations, is the fault-free run.
+    assert eng.execute(victim[0], algorithm=victim[1]).report.as_dict() == want[victim]
+
+    # The same for a backend fault in its third sort: the query is
+    # quarantined, the others read the relations it had sorted and paid for.
+    backend = _FaultAtRound()
+    backend.fail_at = 3
+    eng = _sharing_engine(backend, degrade_to_serial=False)
+    with pytest.raises(FaultError):
+        eng.execute(victim[0], algorithm=victim[1])
+    assert _carried_runs(eng) >= 2
+    for query in SHARING:
+        if query != victim:
+            res = eng.execute(query[0], algorithm=query[1])
+            assert res.report.as_dict() == want[query], query
 
 
 def test_cyclic_query_is_never_repriced(monkeypatch):

@@ -8,6 +8,7 @@ from repro.data.relation import Relation
 from repro.engine import Engine, parse_query
 from repro.mpc import Cluster, distribute_relation
 from repro.mpc.backends import SerialBackend, get_backend
+from repro.mpc.cluster import kind_split
 from repro.mpc.primitives import attach_degrees, count_by_key, semi_join
 from repro.plan import (
     Broadcast,
@@ -135,6 +136,28 @@ class TestExecutor:
         assert "SampleSort" in text and "MapParts" in text
         assert "replay: 1 backend request (" in text
         assert "units" in text
+
+    def test_explain_says_where_the_load_went(self):
+        """The ledger line and ``LoadReport.summary`` carry one five-way
+        split; a run already paid for in the execution reads ``reused``."""
+        cluster = Cluster(6, backend="serial")
+        group = cluster.root_group()
+        rel = distribute_relation(
+            Relation("R", ("A", "B"), [(i % 13, i % 5) for i in range(150)]), group
+        )
+        cluster.recorder = rec = TraceRecorder()
+        attach_degrees(group, rel, ("B",), "deg")
+        count_by_key(group, rel, ("B",), "cnt")
+        cluster.recorder = None
+        report = cluster.snapshot()
+        text = rec.finish("prims", "join", "none", 6, "serial", {}).explain()
+        split = kind_split(report.by_label.items())
+        assert f"charge steps (replayed bit-exactly): {split}" in text
+        assert split in report.summary()
+        assert split.split()[3] == "boundary=20"  # two stitch trips of p - 1 each way
+        assert sum(int(kv.split("=")[1]) for kv in split.split()) == report.total
+        assert "[SampleSort] run R[B] deg/count  units=" in text
+        assert "[SampleSort] run R[B] cnt  reused" in text and "units=0" not in text
 
 
 class TestRunOps:

@@ -71,12 +71,16 @@ def test_envelope_rejects_truncation_magic_and_version():
         decode_plan(blob[:4] + bytes([SHIP_VERSION + 1]) + blob[5:])
     # Version 1 bodies carried a statistics fingerprint; they are refused
     # at the header, at install too, and the payload no longer has one.
-    assert SHIP_VERSION == 2
-    v1 = _blob(_engine())
-    assert "fingerprint" not in decode_plan(v1)
-    v1 = v1[:4] + bytes([1]) + v1[5:]
-    with pytest.raises(PlanShipError, match="version 1"):
-        _engine().install_plan(v1)
+    # Version 2 bodies carry charges recorded before sorts were paid once
+    # per execution: replayed next to locally traced plans they would post
+    # the old ledger, so they are refused at the header as well.
+    assert SHIP_VERSION == 3
+    blob = _blob(_engine())
+    assert "fingerprint" not in decode_plan(blob)
+    for old in (1, 2):
+        stale = blob[:4] + bytes([old]) + blob[5:]
+        with pytest.raises(PlanShipError, match=f"version {old}"):
+            _engine().install_plan(stale)
 
 
 def test_envelope_rejects_non_dict_body():
