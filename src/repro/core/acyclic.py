@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 from repro.core.aggregates import mpc_count
 from repro.core.binary_join import binary_join
-from repro.core.common import align_to_schema, canonical_attrs, concat_distrels
+from repro.core.common import canonical_attrs, concat_distrels
 from repro.core.rhierarchical import rhierarchical_join
 from repro.data.relation import Row, project_row
 from repro.errors import QueryError
@@ -74,7 +74,7 @@ def acyclic_join(
         out_size = mpc_count(group, wq, working, f"{label}/out")
     schema = canonical_attrs([working[n].attrs for n in wq.edge_names])
     if out_size == 0:
-        return DistRelation("result", schema, [[] for _ in range(group.size)])
+        return DistRelation.empty("result", schema, group.size)
     return _solve(group, wq, working, out_size, label, depth=0)
 
 
@@ -90,15 +90,12 @@ def _solve(
     schema = canonical_attrs([rels[n].attrs for n in query.edge_names])
     names = list(query.edge_names)
     if len(names) == 1:
-        only = rels[names[0]]
-        parts = [align_to_schema(p, only.attrs, schema) for p in only.parts]
-        return DistRelation("result", schema, parts)
+        return rels[names[0]].aligned(schema, "result")
     if len(names) == 2:
         joined = binary_join(
             group, rels[names[0]], rels[names[1]], f"{label}/d{depth}/bin"
         )
-        parts = [align_to_schema(p, joined.attrs, schema) for p in joined.parts]
-        return DistRelation("result", schema, parts)
+        return joined.aligned(schema, "result")
 
     tree = join_tree(query)
     candidates = tree.internal_nodes_with_leaf_children()
@@ -170,7 +167,7 @@ def _solve(
         for nb in fold_order:
             acc = binary_join(group, acc, rels[nb], f"{plabel}/bar-{nb}")
         final = binary_join(group, acc, chosen[istar], f"{plabel}/final")
-        pieces.append(_align(final, schema))
+        pieces.append(final)
 
     # ---- Step 3: the all-light pattern. ---------------------------------
     # Split R(e0) by the product of its children's light degrees.  The
@@ -232,7 +229,7 @@ def _solve(
             tf_result = rhierarchical_join(
                 group, tf_query, tf_rels, f"{plabel}/tf"
             )
-            pieces.append(_align(tf_result, schema))
+            pieces.append(tf_result)
 
     # (3.2) Light e0 tuples: fold the light wings, recurse on the rest.
     if rl0.total_size() > 0:
@@ -242,7 +239,7 @@ def _solve(
             acc = binary_join(group, acc, light[ei], f"{plabel}/fold-{ei}")
         if acc.total_size() > 0:
             if not e_bar:
-                pieces.append(_align(acc, schema))
+                pieces.append(acc)
             else:
                 res_edges = {
                     n: query.attrs_of(n) for n in e_bar
@@ -260,16 +257,11 @@ def _solve(
                     group, res_query, res_rels, out_size,
                     f"{plabel}/rec", depth + 1,
                 )
-                pieces.append(_align(sub, schema))
+                pieces.append(sub)
 
     if not pieces:
-        return DistRelation("result", schema, [[] for _ in range(group.size)])
-    return concat_distrels("result", group, pieces)
-
-
-def _align(rel: DistRelation, schema: tuple[str, ...]) -> DistRelation:
-    parts = [align_to_schema(p, rel.attrs, schema) for p in rel.parts]
-    return DistRelation("result", schema, parts)
+        return DistRelation.empty("result", schema, group.size)
+    return concat_distrels("result", group, pieces).aligned(schema)
 
 
 def _fold_order(tree, e0: str, e_bar: Sequence[str]) -> list[str]:

@@ -21,9 +21,12 @@ Each result pair is produced on exactly one server (no duplicate emission).
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Any
 
-from repro.data.relation import Row, project_row
+from repro.core.common import gather_join
+from repro.data.columns import ColumnBlock
+from repro.data.relation import Row
 from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.mpc.primitives import (
@@ -90,7 +93,7 @@ def binary_join(
     )
     in_total = r1.total_size() + r2.total_size()
     if out_total == 0:
-        return DistRelation(out_name, out_attrs, [[] for _ in range(p)])
+        return DistRelation.empty(out_name, out_attrs, p)
 
     l_in = max(1.0, 2.0 * in_total / p)
     l_out = max(1.0, out_total / p)
@@ -183,23 +186,29 @@ def binary_join(
     inboxes = group.exchange(outboxes, f"{label}/shuffle")
 
     # --- Step 4: local cell joins (emission is free). --------------------
-    parts: list[list[Row]] = []
+    # Each inbox side is encoded once and joined on ``(cell number, key)``:
+    # cells in first-arrival order, side 1 in arrival order within a cell.
+    arity1, arity2 = len(r1.attrs), len(r2.attrs)
+    key1, key2 = itemgetter(*pos1), itemgetter(*pos2)
+    blocks: list[ColumnBlock] = []
     for inbox in inboxes:
         cells: dict[Any, tuple[list[Row], list[Row]]] = {}
         for cell_id, side, row in inbox:
             sides = cells.setdefault(cell_id, ([], []))
             sides[side - 1].append(row)
-        out: list[Row] = []
-        for rows1, rows2 in cells.values():
-            if not rows1 or not rows2:
-                continue
-            index: dict[Row, list[Row]] = {}
-            for row2 in rows2:
-                index.setdefault(project_row(row2, pos2), []).append(
-                    project_row(row2, pos2_extra)
-                )
-            for row1 in rows1:
-                for extra in index.get(project_row(row1, pos1), ()):
-                    out.append(row1 + extra)
-        parts.append(out)
-    return DistRelation(out_name, out_attrs, parts, owned=True)
+        rows1: list[Row] = []
+        rows2: list[Row] = []
+        cell_of1, cell_of2 = [], []
+        for n, (cell1, cell2) in enumerate(cells.values()):
+            if cell1 and cell2:
+                rows1 += cell1
+                rows2 += cell2
+                cell_of1 += [n] * len(cell1)
+                cell_of2 += [n] * len(cell2)
+        blocks.append(gather_join(
+            ColumnBlock.from_rows(rows1, arity1),
+            list(zip(cell_of1, map(key1, rows1))),
+            ColumnBlock.from_rows(rows2, arity2).select(pos2_extra),
+            list(zip(cell_of2, map(key2, rows2))),
+        ))
+    return DistRelation.from_column_parts(out_name, out_attrs, blocks)

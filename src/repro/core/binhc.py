@@ -22,7 +22,7 @@ import math
 from itertools import product as iter_product
 from typing import Any
 
-from repro.core.common import align_to_schema, canonical_attrs, concat_distrels
+from repro.core.common import canonical_attrs, concat_distrels
 from repro.core.hypercube import hypercube_join, optimal_join_shares
 from repro.data.relation import Row
 from repro.mpc.dangling import remove_dangling as run_full_reducer
@@ -76,7 +76,7 @@ def binhc_join(
 
         ordered = [working[n] for n in query.edge_names]
         res = hypercube_cartesian(group, ordered, f"{label}/cart")
-        return _align(res, schema)
+        return res.aligned(schema, "result")
 
     # --- Degree classes per join-attribute value. ------------------------
     # md(x=a) = max over edges containing x of |sigma_{x=a} R(e)|;
@@ -188,13 +188,8 @@ def binhc_join(
             group, query, sub_rels, shares,
             label=f"{label}/hc{combo_idx}", salt=combo_idx * 7919,
         )
-        pieces.append(_align(piece, schema))
+        pieces.append(piece)
 
     if not pieces:
-        return DistRelation("result", schema, [[] for _ in range(group.size)])
-    return concat_distrels("result", group, pieces)
-
-
-def _align(rel: DistRelation, schema: tuple[str, ...]) -> DistRelation:
-    parts = [align_to_schema(p, rel.attrs, schema) for p in rel.parts]
-    return DistRelation("result", schema, parts)
+        return DistRelation.empty("result", schema, group.size)
+    return concat_distrels("result", group, pieces).aligned(schema)

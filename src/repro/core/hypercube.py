@@ -30,7 +30,13 @@ from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.mpc.hashing import stable_hash
 from repro.mpc.primitives import multi_numbering
-from repro.core.common import canonical_attrs, local_tree_join
+from repro.core.common import (
+    align_to_schema,
+    canonical_attrs,
+    local_hash_join,
+    local_tree_join,
+)
+from repro.data.columns import ColumnBlock
 from repro.query.hypergraph import Hypergraph
 
 __all__ = [
@@ -145,7 +151,7 @@ def hypercube_cartesian(
     p = group.size
     sizes = [r.total_size() for r in rels]
     if any(s == 0 for s in sizes):
-        return DistRelation(name, tuple(attrs_all), [[] for _ in range(p)])
+        return DistRelation.empty(name, attrs_all, p)
     shares = optimal_cartesian_shares(sizes, p)
     strides = _grid_strides(shares)
     k = len(rels)
@@ -182,19 +188,19 @@ def hypercube_cartesian(
                     outboxes[src].append((cell % p, (i, row)))
     inboxes = group.exchange(outboxes, f"{label}/shuffle")
 
-    parts: list[list[Row]] = []
+    blocks: list[ColumnBlock] = []
     for inbox in inboxes:
         by_rel: list[list[Row]] = [[] for _ in range(k)]
         for i, row in inbox:
             by_rel[i].append(row)
-        out: list[Row] = []
-        if all(by_rel):
-            acc: list[Row] = [()]
-            for rows in by_rel:
-                acc = [base + r for base in acc for r in rows]
-            out = acc
-        parts.append(out)
-    return DistRelation(name, tuple(attrs_all), parts, owned=True)
+        attrs: tuple[str, ...] = ()
+        acc = ColumnBlock(1, ())
+        for rel, rows in zip(rels, by_rel):
+            attrs, acc = local_hash_join(
+                attrs, acc, rel.attrs, ColumnBlock.from_rows(rows, len(rel.attrs))
+            )
+        blocks.append(acc)
+    return DistRelation.from_column_parts(name, attrs_all, blocks)
 
 
 def hypercube_join(
@@ -259,37 +265,31 @@ def hypercube_join(
     inboxes = group.exchange(outboxes, f"{label}/shuffle")
 
     out_schema = canonical_attrs([rels[n].attrs for n in query.edge_names])
-    parts: list[list[Row]] = []
+    schemas = {n: rels[n].attrs for n in query.edge_names}
+    local_join = local_tree_join if query.is_acyclic() else _local_generic_join
+    blocks: list[ColumnBlock] = []
     for inbox in inboxes:
         by_rel: dict[str, list[Row]] = {n: [] for n in query.edge_names}
         for rel_name, row in inbox:
             by_rel[rel_name].append(row)
-        if any(not v for v in by_rel.values()):
-            parts.append([])
-            continue
-        schemas = {n: rels[n].attrs for n in query.edge_names}
-        if query.is_acyclic():
-            _attrs, joined = local_tree_join(query, schemas, by_rel)
-        else:
-            _attrs, joined = _local_generic_join(query, schemas, by_rel, out_schema)
-        parts.append(joined)
-    return DistRelation(name, out_schema, parts, owned=True)
+        _attrs, joined = local_join(query, schemas, by_rel)
+        blocks.append(joined)
+    return DistRelation.from_column_parts(name, out_schema, blocks)
 
 
 def _local_generic_join(
     query: Hypergraph,
     schemas: dict[str, tuple[str, ...]],
     rows: dict[str, list[Row]],
-    out_schema: tuple[str, ...],
-) -> tuple[tuple[str, ...], list[Row]]:
+) -> tuple[tuple[str, ...], ColumnBlock]:
     """Local join for cyclic queries: fold relations smallest-first."""
-    from repro.core.common import align_to_schema, local_hash_join
-
     order = sorted(query.edge_names, key=lambda n: len(rows[n]))
-    cur_attrs: tuple[str, ...] = tuple(schemas[order[0]])
-    cur_rows = list(rows[order[0]])
-    for n in order[1:]:
-        cur_attrs, cur_rows = local_hash_join(
-            cur_attrs, cur_rows, schemas[n], rows[n]
+    cur_attrs: tuple[str, ...] = ()
+    cur = ColumnBlock(1, ())
+    for n in order:
+        cur_attrs, cur = local_hash_join(
+            cur_attrs, cur, schemas[n],
+            ColumnBlock.from_rows(rows[n], len(schemas[n])),
         )
-    return out_schema, align_to_schema(cur_rows, cur_attrs, out_schema)
+    target = canonical_attrs(list(schemas.values()))
+    return target, align_to_schema(cur, cur_attrs, target)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from repro.core.aggregates import mpc_count
 from repro.core.binary_join import binary_join
-from repro.core.common import align_to_schema, canonical_attrs, concat_distrels
+from repro.core.common import canonical_attrs, concat_distrels
 from repro.errors import QueryError
 from repro.mpc.dangling import remove_dangling
 from repro.mpc.distrel import DistRelation
@@ -84,7 +84,7 @@ def line3_join(
     if out_size is None:
         out_size = mpc_count(group, query, working, f"{label}/out")
     if out_size == 0:
-        return DistRelation("result", schema, [[] for _ in range(group.size)])
+        return DistRelation.empty("result", schema, group.size)
     in_size = max(1, sum(working[n].total_size() for n in query.edge_names))
     tau = max(1.0, math.sqrt(out_size / in_size))
 
@@ -133,12 +133,5 @@ def line3_join(
         pieces.append(q2)
 
     if not pieces:
-        return DistRelation("result", schema, [[] for _ in range(group.size)])
-    aligned = [
-        DistRelation(
-            "result", schema,
-            [align_to_schema(p, piece.attrs, schema) for p in piece.parts],
-        )
-        for piece in pieces
-    ]
-    return concat_distrels("result", group, aligned)
+        return DistRelation.empty("result", schema, group.size)
+    return concat_distrels("result", group, pieces).aligned(schema)

@@ -32,8 +32,10 @@ from repro.core.aggregates import mpc_group_by_count, mpc_subset_sizes
 from repro.core.common import (
     align_to_schema,
     canonical_attrs,
+    local_hash_join,
     local_tree_join,
 )
+from repro.data.columns import ColumnBlock
 from repro.data.relation import Row
 from repro.errors import QueryError
 from repro.mpc.dangling import reduce_instance, remove_dangling
@@ -124,9 +126,7 @@ def _solve(
 ) -> DistRelation:
     schema = canonical_attrs([rels[n].attrs for n in query.edge_names])
     if len(query.edge_names) == 1:
-        only = rels[query.edge_names[0]]
-        parts = [align_to_schema(p, only.attrs, schema) for p in only.parts]
-        return DistRelation("result", schema, parts)
+        return rels[query.edge_names[0]].aligned(schema, "result")
     forest = attribute_forest(query)
     if len(forest.roots) == 1:
         return _case_tree(group, query, rels, forest, budget, label, depth, schema)
@@ -241,7 +241,10 @@ def _case_tree(
                 # present in the (dangling-free) instance has IN_a >= 1.
     inboxes = group.exchange(outboxes, f"{label}/d{depth}/shuffle")
 
-    result_parts: list[list[Row]] = [[] for _ in range(g)]
+    # Every server's result pieces, behind an empty one that fixes the arity.
+    pieces: list[list[ColumnBlock]] = [
+        [ColumnBlock.from_rows([], len(schema))] for _ in range(g)
+    ]
 
     # Light sub-instances: solve locally on each pack server.
     schemas = {n: rels[n].attrs for n in names}
@@ -255,7 +258,7 @@ def _case_tree(
             if any(not rows[n] for n in names):
                 continue
             _attrs, joined = local_tree_join(query, schemas, rows)
-            result_parts[server].extend(align_to_schema(joined, _attrs, schema))
+            pieces[server].append(align_to_schema(joined, _attrs, schema))
 
     # Heavy values: recurse on the residual query with allocated servers.
     if heavy_desc:
@@ -281,14 +284,13 @@ def _case_tree(
                 subgroup, residual_query, sub_rels, budget,
                 f"{label}/d{depth}/h", depth + 1,
             )
-            aligned = [
-                align_to_schema(p, sub_result.attrs, schema)
-                for p in sub_result.parts
-            ]
-            for i, rows in enumerate(aligned):
-                result_parts[indices[i]].extend(rows)
+            aligned = sub_result.aligned(schema).column_parts
+            for i, block in enumerate(aligned):
+                pieces[indices[i]].append(block)
 
-    return DistRelation("result", schema, result_parts, owned=True)
+    return DistRelation.from_column_parts(
+        "result", schema, [ColumnBlock.concat(blocks) for blocks in pieces]
+    )
 
 
 def _case_forest(
@@ -399,21 +401,16 @@ def _case_forest(
         )
 
     # Each grid cell emits the product of its line results.
-    result_parts: list[list[Row]] = [[] for _ in range(g)]
+    blocks = [ColumnBlock.from_rows([], len(schema))] * g
     for cell in range(total):
-        coords = []
         rem = cell
+        attrs: tuple[str, ...] = ()
+        acc = ColumnBlock(1, ())
         for i in range(k):
-            coords.append(rem // strides[i])
+            attrs, acc = local_hash_join(
+                attrs, acc,
+                results[i].attrs, results[i].column_parts[rem // strides[i]],
+            )
             rem %= strides[i]
-        pieces = [results[i].parts[coords[i]] for i in range(k)]
-        if any(not piece for piece in pieces):
-            continue
-        acc_rows: list[Row] = [()]
-        for i, piece in enumerate(pieces):
-            acc_rows = [base + r for base in acc_rows for r in piece]
-        joined_attrs = tuple(
-            a for i in range(k) for a in results[i].attrs
-        )
-        result_parts[cell].extend(align_to_schema(acc_rows, joined_attrs, schema))
-    return DistRelation("result", schema, result_parts)
+        blocks[cell] = align_to_schema(acc, attrs, schema)
+    return DistRelation.from_column_parts("result", schema, blocks)

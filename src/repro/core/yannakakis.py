@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from repro.core.binary_join import binary_join
-from repro.core.common import canonical_attrs, align_to_schema
+from repro.core.common import canonical_attrs
 from repro.errors import QueryError
 from repro.mpc.dangling import remove_dangling
 from repro.mpc.distrel import DistRelation
@@ -104,6 +104,4 @@ def yannakakis_mpc(
         )
 
     result = run(plan)
-    target = canonical_attrs([result.attrs])
-    parts = [align_to_schema(p, result.attrs, target) for p in result.parts]
-    return DistRelation(name, target, parts)
+    return result.aligned(canonical_attrs([result.attrs]), name)

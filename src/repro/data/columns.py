@@ -1,17 +1,17 @@
 """Columnar relation storage: typed columns, dictionary encoding, wire packing.
 
-Every layer of the data plane historically held rows as lists of Python
-tuples, paying per-row object overhead on exactly the paths the substrate
-and backends made hot (sorted-run caching, worker memoization, warm
-replay).  This module is the shared columnar representation those layers
-now build on:
+The shared representation of the data plane — base relations, every join
+result, recordings, wire parts — in place of lists of Python tuples:
 
 * :class:`Column` — one attribute's values in typed storage with a *kind
   tag*: ``"i"`` (homogeneous ints in an ``array('q')``), ``"d"``
   (dictionary-encoded: integer codes into a list of distinct values), or
   ``"o"`` (raw object list, the escape hatch for unhashable values).
 * :class:`ColumnBlock` — a fixed-arity bundle of equal-length columns, the
-  columnar twin of a list of row tuples.
+  columnar twin of a list of row tuples, with the three kernels results
+  are built from: ``take`` (gather rows by an index list), ``select``
+  (permute column references) and ``concat`` (extend typed arrays, merge
+  dictionaries) — each equal to its row-list oracle, values and types.
 * :func:`pack_blob` / :func:`unpack_blob` — the compact wire format the
   multiprocess backend ships instead of pickled tuple lists: per-column
   minimal-width integer arrays, shared dictionaries, and optional zlib,
@@ -32,9 +32,12 @@ encoding changes bytes on a wire, never the number of logical tuples.
 from __future__ import annotations
 
 import pickle
+import sys
 import zlib
 from array import array
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Column",
@@ -42,7 +45,6 @@ __all__ = [
     "encode_column",
     "pack_blob",
     "unpack_blob",
-    "packed_size",
     "pack_frame",
     "unpack_frame_block",
     "unpack_frame",
@@ -167,10 +169,7 @@ class Column:
         Dictionary columns share the dictionary object with the parent;
         codes unused by the slice simply never occur in it.
         """
-        if self.kind == "o":
-            return Column("o", self.data[start::step])
-        col = Column(self.kind, self.data[start::step], self.dictionary)
-        return col
+        return Column(self.kind, self.data[start::step], self.dictionary)
 
     def approx_nbytes(self) -> int:
         """Approximate resident size (cache-accounting, not wire size).
@@ -180,14 +179,12 @@ class Column:
         dictionaries are counted once per referencing column — an
         overcount, i.e. conservative for the cache bounds built on this.
         """
-        import sys as _sys
-
         if self.kind == "i":
             return self.data.itemsize * len(self.data)
         if self.kind == "d":
             base = self.data.itemsize * len(self.data)
-            return base + sum(_sys.getsizeof(v) for v in self.dictionary or ())
-        return sum(_sys.getsizeof(v) for v in self.data)
+            return base + sum(map(sys.getsizeof, self.dictionary or ()))
+        return sum(map(sys.getsizeof, self.data))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         extra = f", |dict|={len(self.dictionary)}" if self.kind == "d" else ""
@@ -253,14 +250,11 @@ class ColumnBlock:
                 otherwise silently truncate to the shortest row and a
                 later decode would serve corrupted rows.
         """
-        n = len(rows)
-        if not n or not arity:
-            if any(len(r) != arity for r in rows):
-                raise ValueError(f"rows are not uniformly arity {arity}")
-            return cls(n, [encode_column([]) for _ in range(arity)])
-        if any(len(r) != arity for r in rows):
+        if set(map(len, rows)) - {arity}:
             raise ValueError(f"rows are not uniformly arity {arity}")
-        return cls(n, [encode_column(col) for col in zip(*rows)])
+        if not rows or not arity:
+            return cls(len(rows), [encode_column([]) for _ in range(arity)])
+        return cls(len(rows), [encode_column(col) for col in zip(*rows)])
 
     def __len__(self) -> int:
         return self.n
@@ -280,10 +274,44 @@ class ColumnBlock:
 
     def take_stride(self, start: int, step: int) -> "ColumnBlock":
         """Rows ``start, start+step, ...`` as a new block (shared dicts)."""
-        if not self.columns:
-            return ColumnBlock(len(range(start, self.n, step)), ())
-        cols = [c.take_stride(start, step) for c in self.columns]
-        return ColumnBlock(len(cols[0]) if cols else 0, cols)
+        return ColumnBlock(
+            len(range(start, self.n, step)),
+            [c.take_stride(start, step) for c in self.columns],
+        )
+
+    def take(self, idx: Sequence[int]) -> "ColumnBlock":
+        """Rows ``idx[0], idx[1], ...`` as a new block (shared dicts).
+
+        Equals ``[rows[i] for i in idx]`` on the row view; repeats and any
+        order are allowed, which is what makes it the emit kernel of every
+        local join (gather each side by its list of matching positions).
+        Typed buffers are gathered at C speed; only codes move.
+        """
+        at = np.fromiter(idx, np.int64, len(idx))
+        return ColumnBlock(len(idx), [
+            Column("o", [c.data[i] for i in idx]) if c.kind == "o"
+            else Column(c.kind, _gather(c.data, at), c.dictionary)
+            for c in self.columns
+        ])
+
+    def select(self, positions: Sequence[int]) -> "ColumnBlock":
+        """Columns ``positions``, in that order: references, no copy."""
+        return ColumnBlock(self.n, [self.columns[i] for i in positions])
+
+    @staticmethod
+    def concat(blocks: Sequence["ColumnBlock"]) -> "ColumnBlock":
+        """The blocks' rows in sequence, as one block (equal arities).
+
+        Empty blocks contribute nothing (not even their column kinds);
+        a single non-empty block is returned as is.
+        """
+        full = [b for b in blocks if b.n]
+        if len(full) < 2:
+            return full[0] if full else blocks[0]
+        return ColumnBlock(
+            sum(b.n for b in full),
+            [_concat_columns(cols) for cols in zip(*[b.columns for b in full])],
+        )
 
     def approx_nbytes(self) -> int:
         """Approximate resident size of all columns (see ``Column``)."""
@@ -291,6 +319,40 @@ class ColumnBlock:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnBlock<{self.n} rows x {self.arity} cols>"
+
+
+def _gather(source: Any, idx: Any) -> array:
+    """``array('q', [source[i] for i in idx])`` at C speed: numpy indexes,
+    the result is an ``array`` like every other column buffer."""
+    picked = np.asarray(source, dtype=np.int64)[np.asarray(idx, dtype=np.int64)]
+    return array("q", picked.tobytes())
+
+
+def _concat_columns(cols: Sequence[Column]) -> Column:
+    """One column holding ``cols``' values in sequence (exact round-trip)."""
+    kinds = {c.kind for c in cols}
+    if kinds == {"i"}:
+        data = array("q")
+        for c in cols:
+            data.extend(c.data)
+        return Column("i", data)
+    if kinds != {"d"}:
+        # Kinds disagree (or an object column is involved): re-encode.
+        return encode_column([v for c in cols for v in c.values()])
+    # Merge dictionaries on encode_column's own ``(type, value)`` keys; the
+    # codes of every later dictionary are remapped in one C-speed gather.
+    dictionary = list(cols[0].dictionary)
+    index = {(v.__class__, v): i for i, v in enumerate(dictionary)}
+    data = array("q", cols[0].data)
+    for c in cols[1:]:
+        remap = []
+        for v in c.dictionary:
+            code = index.setdefault((v.__class__, v), len(dictionary))
+            if code == len(dictionary):
+                dictionary.append(v)
+            remap.append(code)
+        data.extend(_gather(remap, c.data))
+    return Column("d", data, dictionary)
 
 
 # ----------------------------------------------------------------------
@@ -406,24 +468,7 @@ def unpack_blob(blob: bytes) -> list[tuple]:
     if not flag & _F_COLS:
         return data
     n, specs = data
-    if not specs:
-        return [()] * n
-    value_lists = []
-    for spec in specs:
-        tag = spec[0]
-        if tag == "i":
-            value_lists.append(spec[1].tolist())
-        elif tag == "d":
-            d = spec[2]
-            value_lists.append([d[c] for c in spec[1]])
-        else:
-            value_lists.append(spec[1])
-    return list(zip(*value_lists))
-
-
-def packed_size(part: Sequence, block: ColumnBlock | None = None) -> int:
-    """Wire bytes :func:`pack_blob` would ship for ``part`` (bench helper)."""
-    return len(pack_blob(part, block))
+    return ColumnBlock(n, [Column(*spec) for spec in specs]).rows()
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Sequence
 
 from repro.core.planner import PlanChoice, price_fold_orders
-from repro.data.columns import ColumnBlock, pack_blob, unpack_blob
+from repro.data.columns import pack_blob, unpack_blob
 from repro.core.runner import (
     ALGORITHMS,
     auto_algorithm,
@@ -101,23 +101,9 @@ __all__ = [
 _AGG_ALGORITHMS = ("auto", "rhierarchical", "acyclic", "yannakakis")
 
 
-@dataclass
-class _ColumnarPayload:
-    """A distributed result recorded as shared, immutable column blocks.
-
-    Serving constructs a *fresh* lazy :class:`DistRelation` over the same
-    blocks per replay, so the resident cache stays columnar forever: a
-    caller that materializes rows does so on its own copy, which dies
-    with the caller instead of pinning a row view (and its per-row tuple
-    objects — pure GC ballast) inside the cache.
-    """
-
-    name: str
-    attrs: tuple[str, ...]
-    blocks: list
-
-    def to_relation(self) -> DistRelation:
-        return DistRelation.from_column_parts(self.name, self.attrs, self.blocks)
+def _lazy_copy(rel: Any) -> Any:
+    """A fresh lazy relation over a distributed result's (shared) blocks."""
+    return rel.aligned(rel.attrs) if isinstance(rel, DistRelation) else rel
 
 
 @dataclass
@@ -129,7 +115,12 @@ class _CachedResult:
     same ledger bit for bit, so serving the recording *is* the execution
     (the same argument by which a sorted run is billed from its recorded
     counts).  Version mismatch ⇒ the recording is unservable.
-    Distributed results are held as a :class:`_ColumnarPayload`.
+
+    A distributed result is held as a column-backed :class:`DistRelation`
+    nobody reads rows from: every serve hands out a *fresh* lazy relation
+    over the same immutable blocks, so a caller that materializes rows
+    does so on its own copy, which dies with the caller instead of
+    pinning a row view (per-row tuples, pure GC ballast) in the cache.
     """
 
     relation_versions: dict[str, int]
@@ -138,15 +129,9 @@ class _CachedResult:
     report: LoadReport
     meta: dict[str, Any]
     out_size: int
-    #: Resident bytes (packed columnar blob sizes, byte-exact) — the unit
-    #: the engine's recording LRU budgets against.
+    #: Resident bytes (:meth:`Engine._recording_nbytes`) — the unit the
+    #: engine's recording LRU budgets against.
     stored_bytes: int = 0
-
-    def served_relation(self) -> Any:
-        rel = self.relation
-        if isinstance(rel, _ColumnarPayload):
-            return rel.to_relation()
-        return rel
 
 
 @dataclass(slots=True)
@@ -517,8 +502,9 @@ class Engine:
             result cache and plan replay; evicting one falls the next
             warm execution back to a (re-recording) full drive.
         result_cache_bytes: Byte bound on the same LRU, measured as the
-            exact packed-blob size of each recording's column blocks
-            (``None`` = unbounded).
+            resident size of each recording's column blocks: typed arrays
+            plus the dictionary values they reference (``None`` =
+            unbounded).
         degrade_to_serial: When the warm backend faults past its own
             recovery (a :class:`~repro.errors.FaultError` escapes), re-run
             the query to completion on a scratch serial cluster — the
@@ -721,37 +707,28 @@ class Engine:
     # Recording LRU (backs the result cache AND plan replay)
     # ------------------------------------------------------------------
     def _recording_nbytes(self, stored: Any) -> int:
-        """Resident bytes of a recording's payload, byte-exact.
+        """Resident bytes of a recording's payload, from block metadata.
 
-        Sizes are the *packed blob* lengths of the stored column blocks —
-        the canonical resident encoding — not ``approx_nbytes()``
-        estimates: the estimate priced dictionary columns by their code
-        arrays alone, undercounting dictionary-heavy blocks (wide string
-        dictionaries can dwarf their uint8 codes) badly enough for the
-        ``result_cache_bytes`` cap to be blown in practice.  Blocks whose
-        object columns resist pickling fall back to the estimate — better
-        an approximate charge than an unrecordable execution.
+        ``ColumnBlock.approx_nbytes``: typed arrays at itemsize x length
+        plus the dictionary values each column references — O(dictionary),
+        no pass over the rows, no encode.  Wire size is the wrong unit for
+        a bound on residency: a compressed narrow blob can be two orders
+        of magnitude under the 8-byte code arrays the LRU actually keeps.
         """
-        def block_bytes(block: ColumnBlock) -> int:
-            try:
-                return len(pack_blob((), block))
-            except Exception:  # noqa: BLE001 - unpicklable values
-                return block.approx_nbytes()
-
-        if isinstance(stored, _ColumnarPayload):
-            return 256 + sum(block_bytes(b) for b in stored.blocks)
+        if isinstance(stored, DistRelation):
+            return 256 + sum(b.approx_nbytes() for b in stored.column_parts)
         if isinstance(stored, Relation):
-            return 256 + block_bytes(stored.columns)
+            return 256 + stored.columns.approx_nbytes()
         return 256
 
     def _store_recording(self, entry: PreparedQuery, recording: _CachedResult) -> None:
         """Attach a recording to its plan entry under the LRU bounds.
 
-        The LRU is keyed by plan-cache key and budgets byte-exact
-        resident sizes (packed columnar blob lengths) alongside an entry
-        count, so a long serving session cannot grow recording memory
-        without limit.  Evicting a recording drops both the result-cache serve
-        and the plan-replay fast path for that entry; the next execution
+        The LRU is keyed by plan-cache key and budgets resident sizes
+        (:meth:`_recording_nbytes`) alongside an entry count, so a long
+        serving session cannot grow recording memory without limit.
+        Evicting a recording drops both the result-cache serve and the
+        plan-replay fast path for that entry; the next execution
         re-drives and re-records.
         """
         key = entry.key
@@ -1046,7 +1023,7 @@ class Engine:
                 )
                 return ExecutionResult(
                     prepared=entry,
-                    relation=cached.served_relation(),
+                    relation=_lazy_copy(cached.relation),
                     scalar=cached.scalar,
                     report=cached.report,
                     metrics=metrics,
@@ -1139,7 +1116,7 @@ class Engine:
         with rspan:
             Executor(scratch, meter=call.meter, span=rspan).replay(trace)
         report = scratch.snapshot()
-        relation = cached.served_relation()
+        relation = _lazy_copy(cached.relation)
         meta: dict[str, Any] = dict(cached.meta)
         meta["plan_replayed"] = True
         self._stamp_meta(meta, entry, call.meter.bytes)
@@ -1197,25 +1174,15 @@ class Engine:
         entry.trace = self._finish_trace(rec, entry, call.versions)
         entry.uses += 1
         self._stamp_meta(meta, entry, call.meter.bytes)
-        # Record the execution in columnar form: distributed results are
-        # encoded once into shared column blocks, and the caller keeps
-        # its row-backed relation untouched — storing the compacted
-        # object itself would leave callers holding BOTH representations
-        # after their first row access, pure GC ballast for the rest of
-        # the session.  The recording backs the result cache (serve
-        # without executing) AND the plan-replay path (outputs while the
-        # Executor re-charges the ledger); the LRU bounds both.
-        stored: Any = relation
-        if isinstance(relation, DistRelation):
-            blocks = relation.column_parts
-            if blocks is None:
-                arity = len(relation.attrs)
-                blocks = [
-                    ColumnBlock.from_rows(p, arity) for p in relation.parts
-                ]
-            stored = _ColumnarPayload(
-                relation.name, relation.attrs, list(blocks)
-            )
+        # Record the execution in columnar form.  Every join algorithm
+        # emits column blocks, so the recording is a second lazy relation
+        # over the result's own blocks: nothing is encoded here, and the
+        # caller's row view stays on the caller's object.  (Aggregates
+        # return a ``Relation``, recorded as is.)  The recording backs
+        # the result cache (serve without executing) AND the plan-replay
+        # path (outputs while the Executor re-charges the ledger); the
+        # LRU bounds both.
+        stored = _lazy_copy(relation)
         self._store_recording(
             entry,
             _CachedResult(
@@ -1228,8 +1195,8 @@ class Engine:
                 stored_bytes=self._recording_nbytes(stored),
             ),
         )
-        # The clock stops after the recording: encoding and sizing the
-        # result blocks is part of what a cold request costs its caller.
+        # The clock stops after the recording: sizing the result blocks
+        # is part of what a cold request costs its caller.
         # (An over-budget recording took its trace with it — then the
         # metrics report no plan, as nothing can replay.)
         metrics = self._finish(
@@ -1566,10 +1533,10 @@ class Engine:
                 return None
 
             stored = cached.relation
-            if isinstance(stored, _ColumnarPayload):
+            if isinstance(stored, DistRelation):
                 result: tuple = (
                     "dist", stored.name, stored.attrs,
-                    [pack_blob((), b) for b in stored.blocks],
+                    [pack_blob((), b) for b in stored.column_parts],
                 )
             elif isinstance(stored, Relation):
                 result = (
@@ -1737,11 +1704,8 @@ class Engine:
             return None
         if tag == "dist":
             _tag, name, attrs, blobs = desc
-            arity = len(attrs)
-            blocks = [
-                ColumnBlock.from_rows(unpack_blob(b), arity) for b in blobs
-            ]
-            return _ColumnarPayload(name, tuple(attrs), blocks)
+            parts = [unpack_blob(b) for b in blobs]
+            return DistRelation(name, attrs, parts, owned=True).aligned(attrs)
         if tag == "rel":
             _tag, name, attrs, rows, annotations, semiring_name = desc
             semiring = next(

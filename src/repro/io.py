@@ -64,20 +64,19 @@ def read_relation_csv(
     header = [h.strip() for h in header]
     w_idx = header.index(WEIGHT_COLUMN) if WEIGHT_COLUMN in header else None
     attrs = [h for h in header if h != WEIGHT_COLUMN]
-    data = []
-    weights = []
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}:{i + 2}: expected {len(header)} cells, got {len(row)}"
-            )
-        values = tuple(cell for j, cell in enumerate(row) if j != w_idx)
-        data.append(values)
-        if w_idx is not None:
-            weights.append(weight_parser(row[w_idx]))
-    if semiring is not None and w_idx is not None:
-        return Relation(rel_name, attrs, data, weights, semiring)
-    return Relation(rel_name, attrs, data)
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        i, row = next((i, r) for i, r in enumerate(rows) if len(r) != width)
+        raise SchemaError(
+            f"{path}:{i + 2}: expected {width} cells, got {len(row)}"
+        )
+    if w_idx is None:
+        return Relation(rel_name, attrs, rows)
+    data = [row[:w_idx] + row[w_idx + 1:] for row in rows]
+    weights = [weight_parser(row[w_idx]) for row in rows]
+    if semiring is None:
+        return Relation(rel_name, attrs, data)
+    return Relation(rel_name, attrs, data, weights, semiring)
 
 
 def write_relation_csv(rel: Relation, path: str | Path) -> None:

@@ -9,17 +9,23 @@ oblivious to them.
 
 Parts exist in up to two interchangeable representations:
 
-* **row parts** — ``parts[i]`` is local server ``i``'s rows as a list of
-  tuples (what every ``core/`` algorithm iterates), and
-* **column parts** — ``column_parts[i]`` is the same data as a typed,
-  dictionary-encoded :class:`~repro.data.columns.ColumnBlock`.
+* **column parts** — ``column_parts[i]`` is local server ``i``'s data as a
+  typed, dictionary-encoded :class:`~repro.data.columns.ColumnBlock`: the
+  form base relations are distributed in and the form every join *result*
+  is emitted in (index gathers over encoded inbox sides, see
+  :mod:`repro.core.common`), and
+* **row parts** — ``parts[i]`` is the same data as a list of tuples: what
+  the primitives route and what relations built from routed rows hold.
 
-A relation born from :func:`distribute_relation` starts columnar (sliced
-straight from the base relation's column backing, no row pass); its row
-view materializes lazily on first ``.parts`` access and is then cached.
-Either view converts to the other exactly — decoding is a guaranteed
-round-trip — so algorithms, primitives, and the ledger observe identical
-tuples regardless of which representation a relation currently holds.
+Rows exist only at the edge.  A column-backed relation builds its row view
+on the first ``.parts`` access and caches it; the callers of ``.parts`` on
+a join result are the next operator's routing loops (primitives that ship
+rows), :meth:`all_rows` (``ExecutionResult.rows()``, ``JoinResult.rows()``)
+and the aggregate runner's final annotation pass.  :meth:`aligned` — the
+one schema-permutation point of ``core/`` — never touches a row of a
+column-backed relation.  Either view converts to the other exactly, so
+algorithms, primitives, and the ledger observe identical tuples whichever
+representation a relation currently holds.
 """
 
 from __future__ import annotations
@@ -76,13 +82,8 @@ class DistRelation:
         cls, name: str, attrs: Sequence[str], blocks: Sequence[ColumnBlock]
     ) -> "DistRelation":
         """Construct columnar-first; the row view materializes lazily."""
-        rel = cls.__new__(cls)
-        rel.name = name
-        rel.attrs = tuple(attrs)
-        rel._parts = None
-        rel._cols = list(blocks)
-        rel._substrate = {}
-        rel._attr_pos = None
+        rel = cls(name, attrs, ())
+        rel._parts, rel._cols = None, list(blocks)
         arity = len(rel.attrs)
         for b in rel._cols:
             if b.arity != arity:
@@ -90,6 +91,14 @@ class DistRelation:
                     f"column part arity {b.arity} != {arity} attrs in {name!r}"
                 )
         return rel
+
+    @classmethod
+    def empty(
+        cls, name: str, attrs: Sequence[str], num_parts: int
+    ) -> "DistRelation":
+        """A column-backed relation with no rows on any of its parts."""
+        block = ColumnBlock.from_rows([], len(attrs))
+        return cls.from_column_parts(name, attrs, [block] * num_parts)
 
     # ------------------------------------------------------------------
     @property
@@ -109,23 +118,37 @@ class DistRelation:
 
     def column_values(self, part_idx: int, col: int) -> list:
         """One part's values in one column (no row materialization needed)."""
-        cols = self._cols
-        if cols is not None:
-            return cols[part_idx].column_values(col)
+        if self._cols is not None:
+            return self._cols[part_idx].column_values(col)
         return [row[col] for row in self.parts[part_idx]]
+
+    def aligned(
+        self, schema: Sequence[str], name: str | None = None
+    ) -> "DistRelation":
+        """The same rows with columns in ``schema`` order, column-backed.
+
+        An O(arity) permutation of column *references* per part.  A
+        row-backed relation (a base relation that reached the result
+        untouched, or rows a primitive routed) is encoded here, once.
+        """
+        blocks = self._cols
+        if blocks is None:
+            arity = len(self.attrs)
+            blocks = [ColumnBlock.from_rows(p, arity) for p in self.parts]
+        schema = tuple(schema)
+        if schema != self.attrs:
+            pos = self.positions(schema)
+            blocks = [b.select(pos) for b in blocks]
+        return DistRelation.from_column_parts(name or self.name, schema, blocks)
 
     def compact(self) -> "DistRelation":
         """Switch to columnar-only storage (drops the cached row view).
 
-        Used by result caches: the columnar form is the compact resident
-        representation; ``.parts`` re-materializes rows on demand.  Content
-        is unchanged, so identity-keyed substrate caches stay valid.
+        ``.parts`` re-materializes rows on demand.  Content is unchanged,
+        so identity-keyed substrate caches stay valid.
         """
         if self._cols is None:
-            arity = len(self.attrs)
-            self._cols = [
-                ColumnBlock.from_rows(p, arity) for p in self.parts
-            ]
+            self._cols = self.aligned(self.attrs)._cols
         self._parts = None
         return self
 
@@ -134,24 +157,18 @@ class DistRelation:
         cache: dict[int, bytes] = self._substrate.setdefault("wire", {})
         blob = cache.get(i)
         if blob is None:
-            cols = self._cols
-            block = cols[i] if cols is not None else None
-            blob = pack_blob(self.parts[i] if block is None else (), block)
-            cache[i] = blob
+            block = self._cols[i] if self._cols is not None else None
+            blob = cache[i] = pack_blob(self.parts[i] if block is None else (), block)
         return blob
 
     @property
     def num_parts(self) -> int:
-        cols = self._cols
-        if self._parts is None and cols is not None:
-            return len(cols)
-        return len(self.parts)
+        return len(self._cols if self._parts is None else self._parts)
 
     def total_size(self) -> int:
-        cols = self._cols
-        if self._parts is None and cols is not None:
-            return sum(b.n for b in cols)
-        return sum(len(p) for p in self.parts)
+        if self._parts is None:
+            return sum(b.n for b in self._cols)
+        return sum(map(len, self._parts))
 
     def positions(self, attrs: Sequence[str]) -> tuple[int, ...]:
         index = self._attr_pos
@@ -213,9 +230,7 @@ class DistRelation:
 
     def empty_like(self, num_parts: int | None = None) -> "DistRelation":
         n = num_parts if num_parts is not None else self.num_parts
-        return DistRelation(
-            self.name, self.attrs, [[] for _ in range(n)], owned=True
-        )
+        return DistRelation.empty(self.name, self.attrs, n)
 
     def __repr__(self) -> str:
         return (

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.data.instance import Instance
+from repro.data.relation import Relation
 from repro.mpc import Cluster, distribute_instance
 from repro.query import catalog
 from repro.ram.yannakakis import yannakakis
@@ -52,3 +55,26 @@ def assert_matches_oracle(instance: Instance, algorithm_fn, p: int = 8, **kwargs
         f"missing={sorted(expected - got)[:3]} extra={sorted(got - expected)[:3]}"
     )
     return report
+
+
+def deck_strings(instance: Instance) -> Instance:
+    """The instance as the benchmark decks hold it: every value a ``str``
+    (what a CSV read yields), so columns are dictionary-encoded."""
+    return Instance(instance.query, {
+        name: Relation(name, rel.attrs, [tuple(map(str, r)) for r in rel.rows])
+        for name, rel in instance.relations.items()
+    })
+
+
+def part_digest(instance: Instance, algorithm_fn, p: int = 8, **kwargs) -> str:
+    """Digest of an algorithm's output *per part, in emission order*.
+
+    Row lists, not sets: pinned against the digests of the last
+    row-emitting commit, this is the emission-order contract of
+    ``repro.core.common`` (and what keeps ``golden_ledgers.json`` still).
+    """
+    cluster = Cluster(p)
+    group = cluster.root_group()
+    rels = distribute_instance(instance, group)
+    result = algorithm_fn(group, instance.query, rels, **kwargs)
+    return hashlib.sha256(repr((result.attrs, result.parts)).encode()).hexdigest()[:16]

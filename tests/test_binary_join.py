@@ -8,9 +8,12 @@ from repro.data.generators import binary_out_controlled, matching_instance, rand
 from repro.data.instance import Instance
 from repro.data.relation import Relation
 from repro.mpc import Cluster, distribute_instance
+from repro.mpc.group import Group
 from repro.core.binary_join import binary_join
+from repro.core.common import local_hash_join
+from repro.data.columns import ColumnBlock
 from repro.query import catalog
-from tests.conftest import oracle_rows
+from tests.conftest import deck_strings, oracle_rows, part_digest
 
 
 def run_binary(inst, p=8):
@@ -124,3 +127,94 @@ class TestLoadBounds:
         res = binary_join(g, rels["R1"], rels["R2"])
         rows = res.all_rows()
         assert len(rows) == len(set(rows))
+
+
+def rows_hash_join(attrs1, rows1, attrs2, rows2):
+    """The row-emitting ``local_hash_join`` of the last row-based commit,
+    kept as the oracle of the emission order: side-1 rows in order, each
+    followed by its side-2 matches in arrival order."""
+    shared = [a for a in attrs1 if a in attrs2]
+    extra2 = [a for a in attrs2 if a not in attrs1]
+    index = {}
+    for r in rows2:
+        key = tuple(r[attrs2.index(a)] for a in shared)
+        index.setdefault(key, []).append(tuple(r[attrs2.index(a)] for a in extra2))
+    out = [
+        r + extra
+        for r in rows1
+        for extra in index.get(tuple(r[attrs1.index(a)] for a in shared), ())
+    ]
+    return tuple(attrs1) + tuple(extra2), out
+
+
+def emit_deck_instance(n=120):
+    """``cold_emit``'s binary join at test size: string cells, OUT >> IN."""
+    return deck_strings(random_instance(
+        catalog.binary_join(), n, {"A": 600, "B": 6, "C": 600}, seed=7
+    ))
+
+
+class TestEmissionOrder:
+    """Per-part output as row *lists*: what the gather kernel must keep."""
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_block_kernel_equals_the_row_oracle(self, mixed):
+        inst = emit_deck_instance()
+        rows1, rows2 = list(inst["R1"].rows), list(inst["R2"].rows)
+        if mixed:  # 1 / True / 1.0 are one join key, three distinct cells
+            rows1 += [("a", 1), ("b", True), ("c", 1.0)]
+            rows2 += [(1.0, "x"), (True, "y")]
+        attrs, block = local_hash_join(
+            ("A", "B"), ColumnBlock.from_rows(rows1, 2),
+            ("B", "C"), ColumnBlock.from_rows(rows2, 2),
+        )
+        want_attrs, want = rows_hash_join(("A", "B"), rows1, ("B", "C"), rows2)
+        assert attrs == want_attrs
+        got = block.rows()
+        assert got == want and len(got) > 10 * len(rows1)
+        assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in want]
+
+    def test_cartesian_product_is_side_one_major(self):
+        _attrs, block = local_hash_join(
+            ("A",), ColumnBlock.from_rows([(1,), (2,)], 1),
+            ("B",), ColumnBlock.from_rows([("x",), ("y",), ("z",)], 1),
+        )
+        assert block.rows() == rows_hash_join(
+            ("A",), [(1,), (2,)], ("B",), [("x",), ("y",), ("z",)]
+        )[1]
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_cell_joins_equal_the_row_loops(self, p, monkeypatch):
+        """Replay the shuffle's inboxes through the old per-cell row loops."""
+        inboxes = {}
+        exchange = Group.exchange
+
+        def recording(self, outboxes, label, *args, **kwargs):
+            got = exchange(self, outboxes, label, *args, **kwargs)
+            inboxes[label] = got
+            return got
+
+        monkeypatch.setattr(Group, "exchange", recording)
+        inst = emit_deck_instance()
+        cl = Cluster(p)
+        g = cl.root_group()
+        rels = distribute_instance(inst, g)
+        res = binary_join(g, rels["R1"], rels["R2"])
+        want_parts = []
+        for inbox in inboxes["binjoin/shuffle"]:
+            cells = {}
+            for cell_id, side, row in inbox:
+                cells.setdefault(cell_id, ([], []))[side - 1].append(row)
+            want_parts.append([
+                row
+                for rows1, rows2 in cells.values()
+                for row in rows_hash_join(rels["R1"].attrs, rows1, rels["R2"].attrs, rows2)[1]
+            ])
+        assert res.parts == want_parts
+        assert res.total_size() > 10 * inst.input_size
+
+    def test_per_part_output_equals_the_row_emitting_commit(self):
+        def binary(group, query, rels):
+            return binary_join(group, rels["R1"], rels["R2"])
+
+        assert part_digest(emit_deck_instance(), binary) == "e1fb21a06abe5bfd"

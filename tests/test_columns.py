@@ -108,6 +108,98 @@ class TestColumnRoundTrip:
         assert block.take_stride(1, 2).rows() == [()]
 
 
+def same_rows(got, want):
+    """Row lists equal with exact types per cell (see ``same_values``)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        same_values(list(g), list(w))
+
+
+# Cells that stress the kernels: the dict-equal triple 1 / True / 1.0 in
+# one column, NaN, and unhashable values (which force an "o" column).
+NAN = float("nan")
+kernel_value = st.one_of(
+    mixed_value,
+    st.sampled_from([1, True, 1.0, 0, False, 0.0, NAN]),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+int_rows = st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=12)
+any_rows = st.lists(st.tuples(kernel_value, kernel_value), max_size=12)
+
+
+@st.composite
+def rows_and_indices(draw):
+    rows = draw(any_rows)
+    idx = draw(st.lists(st.integers(0, len(rows) - 1), max_size=30)) if rows else []
+    return rows, idx
+
+
+class TestKernels:
+    """``take`` / ``select`` / ``concat`` against the row-list oracle."""
+
+    @given(rows_and_indices())
+    @settings(max_examples=150, deadline=None)
+    def test_take_equals_row_gather(self, case):
+        rows, idx = case
+        got = ColumnBlock.from_rows(rows, 2).take(idx)
+        assert got.n == len(idx)
+        same_rows(got.rows(), [rows[i] for i in idx])
+
+    def test_take_shares_the_source_dictionary(self):
+        block = ColumnBlock.from_rows([("a", [1]), ("b", [2]), ("a", [3])], 2)
+        got = block.take([2, 2, 0])
+        assert got.columns[0].dictionary is block.columns[0].dictionary
+        assert got.columns[1].kind == "o"
+        assert got.rows()[0][1] is block.rows()[2][1]  # objects, not copies
+
+    @given(any_rows, st.lists(st.integers(0, 1), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_select_equals_column_permutation(self, rows, positions):
+        block = ColumnBlock.from_rows(rows, 2)
+        got = block.select(positions)
+        assert got.n == len(rows) and got.arity == len(positions)
+        assert all(g is block.columns[i] for g, i in zip(got.columns, positions))
+        same_rows(got.rows(), [tuple(r[i] for i in positions) for r in rows])
+
+    @given(st.lists(st.one_of(any_rows, int_rows), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_concat_equals_list_concatenation(self, pieces):
+        # Pieces mix all-int ("i"), dictionary and object columns, so the
+        # columns of one position disagree in kind across the concat.
+        got = ColumnBlock.concat([ColumnBlock.from_rows(p, 2) for p in pieces])
+        same_rows(got.rows(), [r for p in pieces for r in p])
+
+    def test_concat_merges_dictionaries_on_type_and_value(self):
+        a = ColumnBlock.from_rows([(1,), (True,), ("x",)], 1)
+        b = ColumnBlock.from_rows([(1.0,), ("x",), (1,), (NAN,)], 1)
+        got = ColumnBlock.concat([a, b])
+        col = got.columns[0]
+        assert col.kind == "d"
+        same_values(col.values(), [1, True, "x", 1.0, "x", 1, NAN])
+        same_values(col.dictionary, [1, True, "x", 1.0, NAN])  # 1 and "x" once
+
+    def test_concat_of_strided_slices_shares_the_parent_dictionary(self):
+        rows = [(str(i % 5), i) for i in range(23)]
+        parent = ColumnBlock.from_rows(rows, 2)
+        slices = [parent.take_stride(i, 3) for i in range(3)]
+        got = ColumnBlock.concat(slices)
+        assert got.columns[0].dictionary == parent.columns[0].dictionary
+        assert got.rows() == rows[0::3] + rows[1::3] + rows[2::3]
+        again = ColumnBlock.concat([got.take([4, 0]), slices[1]])
+        assert again.rows() == [got.rows()[4], got.rows()[0]] + rows[1::3]
+
+    def test_empty_and_zero_arity_blocks(self):
+        empty = ColumnBlock.from_rows([], 2)
+        full = ColumnBlock.from_rows([("a", 1)], 2)
+        assert empty.take([]).rows() == []
+        assert ColumnBlock.concat([empty, empty]).rows() == []
+        assert ColumnBlock.concat([empty, full, empty]) is full
+        unit = ColumnBlock.from_rows([(), (), ()], 0)
+        assert unit.take([2, 0]).n == 2 and unit.take([2, 0]).rows() == [(), ()]
+        assert unit.select([]).n == 3
+        assert ColumnBlock.concat([unit, unit.take([1])]).rows() == [()] * 4
+
+
 class TestBoolIntRegression:
     """The dictionary encoder must never identify 1 / True / 1.0.
 

@@ -8,8 +8,8 @@ from repro.core.common import (
     concat_distrels,
     local_hash_join,
     local_tree_join,
-    merge_result_parts,
 )
+from repro.data.columns import ColumnBlock
 from repro.data.generators import matching_instance, random_instance
 from repro.data.relation import Relation
 from repro.errors import MPCError, SchemaError
@@ -80,16 +80,17 @@ class TestCommonHelpers:
         assert got == ("A", "B", "#w:R1", "#w:R2")
 
     def test_align_to_schema(self):
-        rows = [(1, 2)]
-        assert align_to_schema(rows, ("A", "B"), ("B", "A")) == [(2, 1)]
-        assert align_to_schema(rows, ("A", "B"), ("A", "B")) is rows
+        block = ColumnBlock.from_rows([(1, 2)], 2)
+        assert align_to_schema(block, ("A", "B"), ("B", "A")).rows() == [(2, 1)]
+        assert align_to_schema(block, ("A", "B"), ("A", "B")) is block
 
     def test_local_hash_join(self):
-        attrs, rows = local_hash_join(
-            ("A", "B"), [(1, 2), (3, 4)], ("B", "C"), [(2, 9)]
+        attrs, joined = local_hash_join(
+            ("A", "B"), ColumnBlock.from_rows([(1, 2), (3, 4)], 2),
+            ("B", "C"), ColumnBlock.from_rows([(2, 9)], 2),
         )
         assert attrs == ("A", "B", "C")
-        assert rows == [(1, 2, 9)]
+        assert joined.rows() == [(1, 2, 9)]
 
     def test_local_tree_join_matches_oracle(self):
         inst = random_instance(catalog.fork_join(), 25, 4, seed=111)
@@ -100,15 +101,7 @@ class TestCommonHelpers:
         attrs, joined = local_tree_join(inst.query, schemas, rows)
         expected = yannakakis(inst)
         assert attrs == expected.attrs
-        assert set(joined) == set(expected.rows)
-
-    def test_merge_result_parts(self):
-        parts = merge_result_parts(3, [(0, [(1,)]), (2, [(2,), (3,)])])
-        assert parts == [[(1,)], [], [(2,), (3,)]]
-
-    def test_merge_out_of_range(self):
-        with pytest.raises(MPCError):
-            merge_result_parts(2, [(5, [])])
+        assert set(joined.rows()) == set(expected.rows)
 
     def test_concat_distrels_aligns_schemas(self):
         cl = Cluster(2)

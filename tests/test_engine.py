@@ -450,3 +450,66 @@ def test_cold_wall_seconds_includes_the_recording(monkeypatch):
     assert not (res.metrics.result_cached or res.metrics.plan_replayed)
     assert res.metrics.wall_seconds >= delay
     assert eng.stats().latency_percentiles()["p50"] >= delay
+
+
+# ----------------------------------------------------------------------
+# The column fence: what may and may not encode columns
+# ----------------------------------------------------------------------
+def _count_encodes(monkeypatch) -> list[int]:
+    """Record ``len(values)`` of every ``encode_column`` call from here on."""
+    from repro.data import columns
+    from repro.mpc import distrel
+
+    seen: list[int] = []
+    encode = columns.encode_column
+
+    def counting(values):
+        seen.append(len(values))
+        return encode(values)
+
+    monkeypatch.setattr(columns, "encode_column", counting)
+    monkeypatch.setattr(distrel, "encode_column", counting)
+    return seen
+
+
+def test_set_up_path_encodes_no_column(monkeypatch):
+    """Read, register, prepare: the path ``setup_s`` times builds no typed
+    column (relations encode lazily, on their first cold use)."""
+    from pathlib import Path
+
+    from repro.io import read_relation_csv
+
+    seen = _count_encodes(monkeypatch)
+    workload = Path(__file__).resolve().parents[1] / "examples" / "serve_workload"
+    eng = Engine(8, "serial")
+    for path in sorted(workload.glob("R*.csv")):
+        eng.register(read_relation_csv(path, name=path.stem))
+    queries = [
+        line for line in (workload / "queries.txt").read_text().splitlines()
+        if line.startswith("Q(")
+    ]
+    assert len(queries) == 5
+    for text in queries:
+        eng.prepare(text)
+    assert seen == []
+
+
+def test_cold_join_encodes_inbox_sides_never_the_result(monkeypatch):
+    """One cold OUT >> IN binary join encodes O(p x arity) columns, each no
+    longer than what one server received; nothing of result size."""
+    inst = random_instance(catalog.binary_join(), 150, {"A": 900, "B": 4, "C": 900}, seed=7)
+    p = 8
+    eng = Engine(p, "serial")
+    for name, rel in inst.relations.items():
+        eng.register(Relation(name, rel.attrs, [tuple(map(str, r)) for r in rel.rows]))
+    seen = _count_encodes(monkeypatch)
+    res = eng.execute("Q(A,B,C) :- R1(A,B), R2(B,C)", algorithm="yannakakis")
+    assert not res.metrics.result_cached
+    assert res.output_size > 10 * inst.input_size
+    base = max(len(rel) for rel in inst.relations.values())
+    assert seen and max(seen) <= max(base, res.report.max_step_load)
+    assert max(seen) * 10 < res.output_size
+    # Two base relations (2 columns each) + two inbox sides per server.
+    assert len(seen) <= 4 + p * 4
+    assert len(res.rows()) == res.output_size
+    assert len(seen) <= 4 + p * 4           # reading rows encodes nothing

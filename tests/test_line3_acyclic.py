@@ -12,11 +12,17 @@ from repro.data.generators import (
     matching_instance,
     random_instance,
 )
-from repro.data.hard_instances import embed_line3, line3_random_hard
+from repro.data.hard_instances import (
+    embed_line3,
+    line3_random_hard,
+    yannakakis_trap_doubled,
+)
+from repro.data.instance import Instance
 from repro.errors import QueryError
 from repro.query import catalog
+from repro.query.hypergraph import Hypergraph
 from repro.theory.bounds import theorem5_bound, theorem7_bound
-from tests.conftest import assert_matches_oracle
+from tests.conftest import assert_matches_oracle, deck_strings, part_digest
 
 
 class TestLine3Correctness:
@@ -185,3 +191,39 @@ class TestAcyclicLoad:
         out = inst.output_size()
         bound = theorem7_bound(inst.input_size, out, p)
         assert rep.load <= 30 * bound + 30 * p
+
+
+def _fork(names=slice(None)):
+    """``cold_emit``'s fork join (or a sub-join of it) at test size."""
+    fork = random_instance(
+        catalog.fork_join(), 60, {"A": 600, "B": 5, "C": 5, "D": 600, "E": 600}, seed=17
+    )
+    keep = sorted(fork.relations)[names]
+    query = Hypergraph({n: fork.query.attrs_of(n) for n in keep}, name="fork")
+    return Instance(query, {n: fork.relations[n] for n in keep})
+
+
+class TestEmissionOrder:
+    """Per-part output (row lists, in order) on the decks' generators equals
+    the last row-emitting commit's: every piece a gather over encoded inbox
+    sides, pieces concatenated as blocks, one alignment at the end."""
+
+    CASES = {
+        "line3/random": (lambda: add_dangling(
+            random_instance(catalog.line3(), 80, 40, seed=3), 160, seed=5),
+            line3_join, 8, "9c7cabc52d02de43"),
+        "line3/hard": (lambda: line3_random_hard(72, 576, seed=1), line3_join, 16,
+                       "41e99405a664568c"),
+        "line3/trap": (lambda: yannakakis_trap_doubled(72, 288), line3_join, 16,
+                       "d0c01ec7a72b8a38"),
+        "line3/fork-prefix": (lambda: _fork(slice(0, 3)), line3_join, 8,
+                              "7688290505bb0793"),
+        "acyclic/fork": (_fork, acyclic_join, 8, "f98a4fe1fb19ff00"),
+        "acyclic/broom": (lambda: embed_line3(catalog.broom_join(), 72, 288, seed=2),
+                          acyclic_join, 16, "76cbdbfee6ce481f"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_per_part_output_equals_the_row_emitting_commit(self, case):
+        build, algorithm, p, digest = self.CASES[case]
+        assert part_digest(deck_strings(build()), algorithm, p) == digest

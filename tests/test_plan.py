@@ -301,14 +301,14 @@ class TestRecordingLRU:
         warm = eng.execute(q)
         assert not warm.metrics.result_cached and not warm.metrics.plan_replayed
 
-    def test_dictionary_heavy_recordings_are_priced_byte_exact(self):
-        """Regression: the old `256 + approx_nbytes()` accounting priced a
-        dictionary column by its narrow code array alone, so a recording
-        whose dictionary held a few large values (KBs of string/bytes per
-        distinct value over 1-byte codes) was admitted at a tiny fraction
-        of its resident size and blew the result_cache_bytes cap.  The
-        accounting now measures the packed blob, so the cap must reject
-        such a recording outright."""
+    def test_dictionary_values_count_toward_the_recording_charge(self):
+        """Regression: pricing a dictionary column by its code array alone
+        admitted a recording whose dictionary held a few large values
+        (KBs of string/bytes per distinct value) at a tiny fraction of
+        its resident size and blew the result_cache_bytes cap.  The
+        charge is resident bytes -- code arrays plus the dictionary
+        values the columns reference -- so the cap must reject such a
+        recording outright."""
         import random
 
         rng = random.Random(11)
@@ -319,8 +319,8 @@ class TestRecordingLRU:
         capped = Engine(p=3, result_cache_bytes=20_000)
         capped.register(Relation("R", ("A", "B"), rows))
         capped.execute(q)
-        # Resident size is ~40 KB of dictionary values; the code arrays
-        # the old estimate priced are ~100 bytes.  The cap must hold.
+        # Resident size is ~40 KB of dictionary values over ~800 bytes of
+        # code arrays.  The cap must hold.
         assert len(capped._recordings) == 0
         assert capped._recording_bytes == 0
 
@@ -328,6 +328,52 @@ class TestRecordingLRU:
         unbounded.register(Relation("R", ("A", "B"), rows))
         unbounded.execute(q)
         assert unbounded._recording_bytes > 30_000  # dictionaries counted
+
+    def test_charge_is_the_resident_size_of_emit_heavy_results(self):
+        """For OUT >> IN results (the ``cold_emit`` shapes: string cells,
+        small join domains) the charge is within [1.0x, 1.25x] of what
+        the recording holds: itemsize x length of every typed array plus
+        ``sys.getsizeof`` of the dictionary values it references."""
+        import sys
+
+        from repro.data.generators import random_instance
+        from repro.query import catalog
+
+        wide = 900
+        fork = random_instance(
+            catalog.fork_join(), 90,
+            {"A": wide, "B": 6, "C": 6, "D": wide, "E": wide}, seed=17,
+        )
+        pair = random_instance(
+            catalog.binary_join(), 150, {"A": wide, "B": 5, "C": wide}, seed=7
+        )
+        eng = Engine(p=8, result_cache_bytes=None)
+        for prefix, inst in (("F", fork), ("S", pair)):
+            for i, name in enumerate(sorted(inst.relations), 1):
+                rel = inst.relations[name]
+                eng.register(Relation(
+                    f"{prefix}{i}", rel.attrs, [tuple(map(str, r)) for r in rel.rows]
+                ))
+        queries = (
+            "Q(A,B,C,D,E) :- F1(A,B), F2(B,C), F3(C,D), F4(C,E)",
+            "Q(A,B,C) :- S1(A,B), S2(B,C)",
+            "Q(A,B,C,D) :- F1(A,B), F2(B,C), F3(C,D)",
+            "Q(B,C,D,E) :- F2(B,C), F3(C,D), F4(C,E)",
+        )
+        for text in queries:
+            res = eng.execute(text)
+            assert res.output_size > 1000
+            recording = res.prepared.cached_result
+            arrays, dictionaries = {}, {}
+            for block in recording.relation.column_parts:
+                for col in block.columns:
+                    assert col.kind == "d" or not len(col)  # an empty part
+                    arrays[id(col.data)] = col.data.itemsize * len(col.data)
+                    dictionaries[id(col.dictionary)] = sum(
+                        map(sys.getsizeof, col.dictionary or ())
+                    )
+            resident = sum(arrays.values()) + sum(dictionaries.values())
+            assert resident <= recording.stored_bytes <= 1.25 * resident, text
 
     def test_unbounded_when_none(self):
         eng = self._engine(result_cache_entries=None, result_cache_bytes=None)

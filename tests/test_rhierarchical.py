@@ -11,10 +11,13 @@ from repro.data.generators import (
     random_instance,
     star_instance,
 )
+from repro.data.hard_instances import rhier_extremal
+from repro.data.instance import Instance
 from repro.errors import QueryError
 from repro.query import catalog
+from repro.query.hypergraph import Hypergraph
 from repro.theory.bounds import l_instance
-from tests.conftest import assert_matches_oracle
+from tests.conftest import assert_matches_oracle, deck_strings, part_digest
 
 
 class TestCorrectness:
@@ -118,3 +121,39 @@ class TestInstanceOptimality:
         )
         # A huge budget means everything is light: still correct.
         assert rep.load > 0
+
+
+def _fork_star():
+    """``cold_emit``'s ``F2, F3, F4`` sub-join of the fork, at test size."""
+    fork = random_instance(
+        catalog.fork_join(), 60, {"A": 600, "B": 5, "C": 5, "D": 600, "E": 600}, seed=17
+    )
+    names = sorted(fork.relations)[1:]
+    query = Hypergraph({n: fork.query.attrs_of(n) for n in names}, name="star")
+    return Instance(query, {n: fork.relations[n] for n in names})
+
+
+class TestEmissionOrder:
+    """Per-part output (row lists, in order) on the decks' generators equals
+    the last row-emitting commit's: light packs through ``local_tree_join``,
+    heavy values through the recursion, grid cells through block products."""
+
+    CASES = {
+        "binary": (lambda: random_instance(
+            catalog.binary_join(), 120, {"A": 600, "B": 6, "C": 600}, seed=7), 8,
+            "950129e6ad7c9204"),
+        "fork-star": (_fork_star, 8, "7ae131c623585c62"),
+        "q2": (lambda: random_instance(
+            catalog.q2_r_hierarchical(), 80,
+            {"x1": 27, "x2": 800, "x3": 6, "x4": 800, "x5": 6}, seed=11), 8,
+            "d526a2bad4f162c4"),
+        "matching": (lambda: matching_instance(catalog.star_join(3), 60), 8,
+                     "6eb7d1187b0ebaa8"),
+        "extremal": (lambda: rhier_extremal(catalog.star_join(3), 24, 432), 16,
+                     "bd47b859cfb01890"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_per_part_output_equals_the_row_emitting_commit(self, case):
+        build, p, digest = self.CASES[case]
+        assert part_digest(deck_strings(build()), rhierarchical_join, p) == digest
