@@ -37,6 +37,7 @@ from repro.mpc.primitives import (
     number_rows,
     search_rows,
 )
+from repro.mpc.substrate import pair_key_encoder
 
 __all__ = ["binary_join"]
 
@@ -76,11 +77,14 @@ def binary_join(
     # here, the light lookup, and the heavy numbering below.
     d1 = count_by_key(group, r1, shared, f"{label}/deg1")
     d2 = count_by_key(group, r2, shared, f"{label}/deg2")
+    # Both degree tables hold projected keys of one relation each, so a
+    # pair whose homogeneity tags agree sorts them raw (a TagStamp).
     merged = multi_search(
         group,
         [[(k, c) for k, c in part] for part in d1],
         [[(k, c) for k, c in part] for part in d2],
         f"{label}/degmerge",
+        encoder=pair_key_encoder(r1, pos1, r2, pos2),
     )
     # Keys present in both sides: (key, d1, d2).
     stats_parts: list[list[tuple[Any, int, int]]] = [

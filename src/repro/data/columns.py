@@ -1,7 +1,8 @@
 """Columnar relation storage: typed columns, dictionary encoding, wire packing.
 
-The shared representation of the data plane — base relations, every join
-result, recordings, wire parts — in place of lists of Python tuples:
+The shared representation of the data plane — every join result,
+recordings, wire parts — in place of lists of Python tuples (base
+relations enter the cluster as rows and are encoded at their first emit):
 
 * :class:`Column` — one attribute's values in typed storage with a *kind
   tag*: ``"i"`` (homogeneous ints in an ``array('q')``), ``"d"``
@@ -57,9 +58,6 @@ _PROTO = pickle.HIGHEST_PROTOCOL
 TAG_NUM = 2
 TAG_STR = 3
 
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-
 # Signed/unsigned array typecodes by width, verified at import time (the C
 # sizes of 'i'/'l' are platform-defined; we only use codes whose itemsize
 # matches the width we narrowed for).
@@ -90,22 +88,15 @@ def _order_tag_of(values: Iterable[Any]) -> int | None:
     ``TAG_NUM`` when every value's type is exactly ``int`` or ``float``
     (``bool`` disqualifies — it is an ``int`` subclass with a different
     orderable tag), ``TAG_STR`` when every type is exactly ``str``, else
-    ``None``.  An empty iterable yields ``None``.
+    ``None``.  An empty iterable yields ``None``.  One C-speed type-set scan.
     """
-    state = 0
-    for v in values:
-        tv = type(v)
-        if tv is int or tv is float:
-            t = TAG_NUM
-        elif tv is str:
-            t = TAG_STR
-        else:
-            return None
-        if state == 0:
-            state = t
-        elif state != t:
-            return None
-    return state if state in (TAG_NUM, TAG_STR) else None
+    types = set(map(type, values))
+    if types == {str}:
+        return TAG_STR
+    return TAG_NUM if types and types <= {int, float} else None
+
+
+_UNSET = object()
 
 
 class Column:
@@ -119,15 +110,19 @@ class Column:
             values).
         data: The typed storage (see ``kind``).
         dictionary: Distinct original value objects (``"d"`` only).
+        tag: The :attr:`order_tag` when the builder already knows it (the
+            one-type encoder, ``take``, ``concat``); computed lazily if not.
     """
 
     __slots__ = ("kind", "data", "dictionary", "_order_tag")
 
-    def __init__(self, kind: str, data: Any, dictionary: list | None = None) -> None:
+    def __init__(
+        self, kind: str, data: Any, dictionary: list | None = None, tag: Any = _UNSET
+    ) -> None:
         self.kind = kind
         self.data = data
         self.dictionary = dictionary
-        self._order_tag: Any = _UNSET
+        self._order_tag = tag
 
     def __len__(self) -> int:
         return len(self.data)
@@ -146,30 +141,20 @@ class Column:
     def order_tag(self) -> int | None:
         """Homogeneity tag for the substrate's key-encoding fast paths.
 
-        Computed from the *dictionary* (the distinct values) for ``"d"``
-        columns — type homogeneity over distinct values equals homogeneity
-        over all values — and cached; an empty column reports ``None``.
+        Known at encode time for one-type columns and carried through
+        ``take``/``concat``; otherwise (columns decoded from the wire or a
+        frame, mixed-type columns) computed from the *dictionary* (the
+        distinct values) for ``"d"`` columns — type homogeneity over
+        distinct values equals homogeneity over all values — and cached.
+        An empty column reports ``None``.
         """
         tag = self._order_tag
         if tag is _UNSET:
-            if self.kind == "i":
-                tag = TAG_NUM if len(self.data) else None
-            elif self.kind == "d":
-                tag = _order_tag_of(self.dictionary or ())
-                if not len(self.data):
-                    tag = None
-            else:
-                tag = _order_tag_of(self.data)
-            self._order_tag = tag
+            tag = self._order_tag = (
+                None if not len(self.data) else TAG_NUM if self.kind == "i"
+                else _order_tag_of(self.dictionary if self.kind == "d" else self.data)
+            )
         return tag
-
-    def take_stride(self, start: int, step: int) -> "Column":
-        """The sub-column of positions ``start, start+step, ...`` (C-speed).
-
-        Dictionary columns share the dictionary object with the parent;
-        codes unused by the slice simply never occur in it.
-        """
-        return Column(self.kind, self.data[start::step], self.dictionary)
 
     def approx_nbytes(self) -> int:
         """Approximate resident size (cache-accounting, not wire size).
@@ -191,9 +176,6 @@ class Column:
         return f"Column<{self.kind}, {len(self)} values{extra}>"
 
 
-_UNSET = object()
-
-
 def encode_column(values: Sequence[Any]) -> Column:
     """Encode one column of values, preserving exact round-trip.
 
@@ -202,15 +184,30 @@ def encode_column(values: Sequence[Any]) -> Column:
     ``(type, value)`` keys — the type in the key is what keeps ``True``,
     ``1``, and ``1.0`` apart even though ``dict`` equality identifies them.
     Unhashable values fall back to a plain object list.
+
+    A column whose values all have one exact type other than ``int`` —
+    every base column of the decks — is encoded in one C-speed pass: with
+    the type fixed, plain value keys are the ``(type, value)`` keys, so
+    ``dict.fromkeys`` builds the dictionary (first objects, first-seen
+    order) and one ``map`` over it writes the codes.  Its order tag is
+    known there and then (``str`` is ``TAG_STR``, ``float`` ``TAG_NUM``).
     """
     vals = values if isinstance(values, list) else list(values)
-    all_int = True
-    for v in vals:
-        if type(v) is not int or not (_I64_MIN <= v <= _I64_MAX):
-            all_int = False
-            break
-    if all_int:
-        return Column("i", array("q", vals))
+    types = set(map(type, vals))
+    if types <= {int}:
+        try:
+            return Column("i", array("q", vals))
+        except OverflowError:  # past int64: dictionary-encode below
+            pass
+    elif len(types) == 1:
+        try:
+            dictionary = list(dict.fromkeys(vals))
+        except TypeError:  # unhashable values: store objects as-is
+            return Column("o", list(vals))
+        index = dict(zip(dictionary, range(len(dictionary))))
+        t = types.pop()
+        return Column("d", array("q", map(index.__getitem__, vals)), dictionary,
+                      TAG_STR if t is str else TAG_NUM if t is float else None)
     index: dict[tuple, int] = {}
     dictionary: list = []
     codes = array("q", bytes(0))
@@ -272,25 +269,22 @@ class ColumnBlock:
     def column_values(self, i: int) -> list:
         return self.columns[i].values()
 
-    def take_stride(self, start: int, step: int) -> "ColumnBlock":
-        """Rows ``start, start+step, ...`` as a new block (shared dicts)."""
-        return ColumnBlock(
-            len(range(start, self.n, step)),
-            [c.take_stride(start, step) for c in self.columns],
-        )
-
     def take(self, idx: Sequence[int]) -> "ColumnBlock":
         """Rows ``idx[0], idx[1], ...`` as a new block (shared dicts).
 
         Equals ``[rows[i] for i in idx]`` on the row view; repeats and any
         order are allowed, which is what makes it the emit kernel of every
         local join (gather each side by its list of matching positions).
-        Typed buffers are gathered at C speed; only codes move.
+        Typed buffers are gathered at C speed; only codes move, and a
+        shared dictionary keeps its source's order tag.
         """
         at = np.fromiter(idx, np.int64, len(idx))
         return ColumnBlock(len(idx), [
             Column("o", [c.data[i] for i in idx]) if c.kind == "o"
-            else Column(c.kind, _gather(c.data, at), c.dictionary)
+            else Column(
+                c.kind, _gather(c.data, at), c.dictionary,
+                c._order_tag if len(idx) else None,
+            )
             for c in self.columns
         ])
 
@@ -352,7 +346,10 @@ def _concat_columns(cols: Sequence[Column]) -> Column:
                 dictionary.append(v)
             remap.append(code)
         data.extend(_gather(remap, c.data))
-    return Column("d", data, dictionary)
+    # Dictionaries that agree on their homogeneity tag merge into one that
+    # carries it.
+    tags = {c._order_tag for c in cols}
+    return Column("d", data, dictionary, tags.pop() if len(tags) == 1 else _UNSET)
 
 
 # ----------------------------------------------------------------------
@@ -391,11 +388,11 @@ def _pack_spec(col: Column) -> tuple:
         return ("i", _narrow_signed(col.data))
     if col.kind == "d":
         d = col.dictionary or []
-        # Remap codes to the values this column actually uses: strided
-        # slices share the parent relation's full dictionary, and shipping
-        # it verbatim would send every part all distinct values of the
-        # whole relation (inflating the wire past the row-pickle baseline
-        # on high-cardinality columns).  First-occurrence order keeps the
+        # Remap codes to the values this column actually uses: a ``take``
+        # shares its source's full dictionary, and shipping it verbatim
+        # would send every part all distinct values of the whole source
+        # (inflating the wire past the row-pickle baseline on
+        # high-cardinality columns).  First-occurrence order keeps the
         # blob deterministic.
         remap: dict[int, int] = {}
         used: list = []

@@ -44,11 +44,13 @@ correct and metrics are per-query, but they do not overlap in time.
 from __future__ import annotations
 
 import difflib
+import sys
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Any, Sequence
 
 from repro.core.planner import PlanChoice, price_fold_orders
@@ -707,18 +709,24 @@ class Engine:
     # Recording LRU (backs the result cache AND plan replay)
     # ------------------------------------------------------------------
     def _recording_nbytes(self, stored: Any) -> int:
-        """Resident bytes of a recording's payload, from block metadata.
+        """Resident bytes of a recording's payload, never by encoding it.
 
+        A join result is priced from block metadata,
         ``ColumnBlock.approx_nbytes``: typed arrays at itemsize x length
         plus the dictionary values each column references — O(dictionary),
-        no pass over the rows, no encode.  Wire size is the wrong unit for
-        a bound on residency: a compressed narrow blob can be two orders
-        of magnitude under the 8-byte code arrays the LRU actually keeps.
+        no pass over the rows.  An aggregate result is a row-backed
+        ``Relation`` and is priced as held: the row container, each row
+        tuple, every cell value (shared values once per reference, an
+        overcount) and the annotations.  Wire size is the wrong unit for a
+        bound on residency: a compressed narrow blob can be two orders of
+        magnitude under what the LRU actually keeps.
         """
         if isinstance(stored, DistRelation):
             return 256 + sum(b.approx_nbytes() for b in stored.column_parts)
         if isinstance(stored, Relation):
-            return 256 + stored.columns.approx_nbytes()
+            rows, anns = stored.rows, stored.annotations or ()
+            held = chain((rows, anns), rows, chain.from_iterable(rows), anns)
+            return 256 + sum(map(sys.getsizeof, held))
         return 256
 
     def _store_recording(self, entry: PreparedQuery, recording: _CachedResult) -> None:

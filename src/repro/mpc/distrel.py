@@ -9,13 +9,14 @@ oblivious to them.
 
 Parts exist in up to two interchangeable representations:
 
-* **column parts** — ``column_parts[i]`` is local server ``i``'s data as a
-  typed, dictionary-encoded :class:`~repro.data.columns.ColumnBlock`: the
-  form base relations are distributed in and the form every join *result*
-  is emitted in (index gathers over encoded inbox sides, see
-  :mod:`repro.core.common`), and
-* **row parts** — ``parts[i]`` is the same data as a list of tuples: what
-  the primitives route and what relations built from routed rows hold.
+* **row parts** — ``parts[i]`` is local server ``i``'s data as a list of
+  tuples: the form base relations are dealt in (the base relation's own
+  tuple objects, :func:`distribute_relation`), what the primitives route
+  and what relations built from routed rows hold, and
+* **column parts** — ``column_parts[i]`` is the same data as a typed,
+  dictionary-encoded :class:`~repro.data.columns.ColumnBlock`: the form
+  every join *result* is emitted in (index gathers over encoded inbox
+  sides, see :mod:`repro.core.common`).
 
 Rows exist only at the edge.  A column-backed relation builds its row view
 on the first ``.parts`` access and caches it; the callers of ``.parts`` on
@@ -32,7 +33,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.data.columns import ColumnBlock, encode_column, pack_blob
+# ``encode_column`` stays importable from here: the column-fence tests
+# patch it under this module's name too.
+from repro.data.columns import ColumnBlock, encode_column, pack_blob  # noqa: F401
 from repro.data.relation import Relation, Row, project_row
 from repro.errors import MPCError, SchemaError
 from repro.mpc.group import Group
@@ -242,10 +245,10 @@ class DistRelation:
 def distribute_relation(rel: Relation, group: Group, annotate: bool = False) -> DistRelation:
     """Spread a relation evenly over a group (initial placement is free).
 
-    Slices the base relation's columnar backing directly — part ``i``
-    takes rows ``i, i+p, i+2p, ...`` (the model's "evenly distributed"
-    initial state, identical to the historical round-robin deal) — so no
-    row tuples are built until an algorithm first reads ``.parts``.
+    Deals row slices: part ``i`` holds rows ``i, i+p, i+2p, ...`` (the
+    model's "evenly distributed" initial state, the historical round-robin
+    deal) — the base relation's own tuple objects, nothing encoded.  Column
+    form starts at the first emit, where a local join encodes its inbox.
 
     Args:
         rel: The RAM relation.
@@ -253,18 +256,14 @@ def distribute_relation(rel: Relation, group: Group, annotate: bool = False) -> 
         annotate: If True and ``rel`` is annotated, append the annotation as
             a trailing pseudo-attribute column named ``#w:<name>``.
     """
+    rows, attrs = rel.rows, rel.attrs
     if annotate and rel.annotated:
-        attrs = rel.attrs + (f"#w:{rel.name}",)
-        block = ColumnBlock(
-            len(rel),
-            rel.columns.columns + (encode_column(list(rel.annotations or ())),),
-        )
-    else:
-        attrs = rel.attrs
-        block = rel.columns
+        attrs += (f"#w:{rel.name}",)
+        rows = tuple(map(tuple.__add__, rows, zip(rel.annotations)))
     p = group.size
-    blocks = [block.take_stride(i, p) for i in range(p)]
-    return DistRelation.from_column_parts(rel.name, attrs, blocks)
+    return DistRelation(
+        rel.name, attrs, [list(rows[i::p]) for i in range(p)], owned=True
+    )
 
 
 def distribute_instance(instance, group: Group, annotate: bool = False) -> dict[str, DistRelation]:

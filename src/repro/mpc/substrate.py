@@ -43,8 +43,11 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.data.columns import _order_tag_of
 from repro.data.relation import Row
 from repro.errors import MPCError
 from repro.mpc.distrel import DistRelation
@@ -155,11 +158,12 @@ def column_kind(rel: DistRelation, col: int) -> int | None:
     else ``None``.  With caching disabled no scan happens and ``None`` is
     returned, which routes every encoder through plain :func:`orderable`.
 
-    Columnar-backed relations answer from the encoding's per-column kind
-    tags in O(parts) instead of scanning every row.  Dictionary columns
-    report homogeneity of their *dictionary* — a superset of the part's
-    values after slicing — so the tag can only be conservative (``None``
-    where a scan might find homogeneity), never falsely homogeneous; every
+    A row-backed relation (every base relation) answers with one C-speed
+    type-set scan of the column.  A column-backed one reads the columns'
+    order tags, known since they were encoded; a dictionary column reports
+    homogeneity of its *dictionary* — a superset of the part's values
+    after a ``take`` — so the tag can only be conservative (``None`` where
+    a scan might find homogeneity), never falsely homogeneous; every
     encoder fast path emits bit-identical keys either way.
     """
     if not _ENABLED:
@@ -168,41 +172,11 @@ def column_kind(rel: DistRelation, col: int) -> int | None:
     if col in kinds:
         return kinds[col]
     blocks = rel.column_parts
-    state = 0  # 0 = unseen, _TAG_NUM / _TAG_STR, -1 = heterogeneous
-    if blocks is not None:
-        for block in blocks:
-            c = block.columns[col]
-            if not len(c):
-                continue
-            t = c.order_tag
-            if t is None:
-                state = -1
-                break
-            if state == 0:
-                state = t
-            elif state != t:
-                state = -1
-                break
+    if blocks is None:
+        kind = _order_tag_of(map(itemgetter(col), chain.from_iterable(rel.parts)))
     else:
-        for part in rel.parts:
-            for row in part:
-                v = row[col]
-                tv = type(v)
-                if tv is int or tv is float:
-                    t = _TAG_NUM
-                elif tv is str:
-                    t = _TAG_STR
-                else:
-                    state = -1
-                    break
-                if state == 0:
-                    state = t
-                elif state != t:
-                    state = -1
-                    break
-            if state == -1:
-                break
-    kind = state if state in (_TAG_NUM, _TAG_STR) else None
+        tags = {b.columns[col].order_tag for b in blocks if b.n}
+        kind = tags.pop() if len(tags) == 1 else None
     kinds[col] = kind
     return kind
 
@@ -215,9 +189,10 @@ def _column_lut(rel: DistRelation, col: int) -> dict | None:
     encoding becomes a lookup — the recursion never re-runs per row.  The
     ``(type, value)`` key mirrors the dictionary encoder's own key, so
     ``1``/``True``/``1.0`` resolve to their distinct orderable forms.
-    Returns ``None`` when the relation is row-backed, the column has no
-    dictionary, or a dictionary value defies :func:`orderable` (the
-    per-row fallback then raises at the same site the reference would).
+    Returns ``None`` when the relation is row-backed (a base relation: its
+    heterogeneous columns encode per value), the column has no dictionary,
+    or a dictionary value defies :func:`orderable` (the per-row fallback
+    then raises at the same site the reference would).
     """
     if not _ENABLED:
         return None

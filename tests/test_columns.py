@@ -16,14 +16,18 @@ encoders, and the multiprocess backend's wire format:
 """
 
 import pickle
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.columns import (
+    TAG_NUM,
+    TAG_STR,
     Column,
     ColumnBlock,
+    _order_tag_of,
     encode_column,
     pack_blob,
     unpack_blob,
@@ -85,13 +89,6 @@ class TestColumnRoundTrip:
         assert col.data.typecode == "q"
         assert col.order_tag == 2
 
-    def test_dictionary_shared_by_stride_slices(self):
-        col = encode_column(["a", "b", "a", "c"] * 5)
-        assert col.kind == "d"
-        part = col.take_stride(1, 3)
-        assert part.dictionary is col.dictionary
-        assert part.values() == (["a", "b", "a", "c"] * 5)[1::3]
-
     @given(st.lists(st.tuples(mixed_value, mixed_value), max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_block_rows_round_trip(self, rows):
@@ -105,7 +102,7 @@ class TestColumnRoundTrip:
         block = ColumnBlock.from_rows([(), (), ()], 0)
         assert block.n == 3
         assert block.rows() == [(), (), ()]
-        assert block.take_stride(1, 2).rows() == [()]
+        assert block.take([1]).rows() == [()]
 
 
 def same_rows(got, want):
@@ -181,7 +178,7 @@ class TestKernels:
     def test_concat_of_strided_slices_shares_the_parent_dictionary(self):
         rows = [(str(i % 5), i) for i in range(23)]
         parent = ColumnBlock.from_rows(rows, 2)
-        slices = [parent.take_stride(i, 3) for i in range(3)]
+        slices = [parent.take(range(i, 23, 3)) for i in range(3)]
         got = ColumnBlock.concat(slices)
         assert got.columns[0].dictionary == parent.columns[0].dictionary
         assert got.rows() == rows[0::3] + rows[1::3] + rows[2::3]
@@ -198,6 +195,108 @@ class TestKernels:
         assert unit.take([2, 0]).n == 2 and unit.take([2, 0]).rows() == [(), ()]
         assert unit.select([]).n == 3
         assert ColumnBlock.concat([unit, unit.take([1])]).rows() == [()] * 4
+
+
+def loop_encode(values):
+    """The per-value encoder the one-pass codec replaced, kept as its oracle."""
+    vals = list(values)
+    if all(type(v) is int and -(1 << 63) <= v < (1 << 63) for v in vals):
+        return Column("i", array("q", vals))
+    index, dictionary, codes = {}, [], array("q")
+    try:
+        for v in vals:
+            k = (v.__class__, v)
+            c = index.get(k)
+            if c is None:
+                c = index[k] = len(dictionary)
+                dictionary.append(v)
+            codes.append(c)
+    except TypeError:
+        return Column("o", list(vals))
+    return Column("d", codes, dictionary)
+
+
+class Text(str):
+    """A ``str`` subclass: its own exact type, so never ``TAG_STR``."""
+
+
+NAN_B = float("nan")  # a second NaN object: equal to nothing, itself included
+one_type_column = st.one_of(
+    st.lists(st.text(max_size=3), max_size=40),
+    st.lists(st.floats(), max_size=40),
+    st.lists(st.sampled_from([0.0, -0.0, NAN, NAN_B, 1.5]), max_size=40),
+    st.lists(st.builds(Text, st.text(max_size=2)), max_size=20),
+    st.lists(st.none(), max_size=5),
+    st.lists(st.booleans(), max_size=20),
+    st.lists(st.binary(max_size=2), max_size=20),
+    st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(["a", 1.0])), max_size=20),
+    st.lists(st.tuples(st.lists(st.integers(0, 1), max_size=1)), max_size=5),
+    st.lists(st.integers(-(2**65), 2**65), max_size=20),
+)
+codec_column = st.one_of(
+    one_type_column,
+    st.lists(kernel_value, max_size=30),
+    st.lists(st.sampled_from(["a", Text("a"), None, 1, 1.0, True]), max_size=20),
+)
+
+
+def lazy_tag(col):
+    """The tag a column with the same storage computes from scratch."""
+    return Column(col.kind, col.data, col.dictionary).order_tag
+
+
+class TestOnePassCodec:
+    """``encode_column`` against :func:`loop_encode`: kind, codes, the very
+    dictionary objects, wire bytes and order tag, on every column shape."""
+
+    @given(codec_column)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_value_loop(self, vals):
+        got, want = encode_column(vals), loop_encode(vals)
+        assert got.kind == want.kind
+        if got.kind == "o":
+            assert all(g is w for g, w in zip(got.data, want.data))
+        else:
+            assert list(got.data) == list(want.data)
+        if got.kind == "d":
+            assert len(got.dictionary) == len(want.dictionary)
+            assert all(g is w for g, w in zip(got.dictionary, want.dictionary))
+        block = ColumnBlock(len(vals), [got])
+        assert pack_blob((), block) == pack_blob((), ColumnBlock(len(vals), [want]))
+        assert got.order_tag == _order_tag_of(vals)
+        assert got.order_tag == lazy_tag(got)
+
+    def test_edge_cases_by_name(self):
+        for vals in ([], [NAN, NAN, NAN_B], [0.0, -0.0], [Text("a"), Text("a")],
+                     [None], [(1,), (True,)], [[1], [1]], [2**63, 1]):
+            got = encode_column(vals)
+            want = loop_encode(vals)
+            assert (got.kind, list(got.data)) == (want.kind, list(want.data)), vals
+            assert got.order_tag == _order_tag_of(vals), vals
+        col = encode_column([0.0, -0.0, NAN, NAN])
+        assert str(col.dictionary[0]) == "0.0"  # the first of an equal pair
+        assert list(col.data) == [0, 0, 1, 1]  # the same NaN object: one code
+        assert encode_column([Text("a")]).order_tag is None
+        assert encode_column(["a"]).order_tag == TAG_STR
+        assert encode_column([2**64]).order_tag == TAG_NUM
+
+    @given(st.lists(st.tuples(codec_column, codec_column), min_size=1, max_size=4),
+           st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_kernels_keep_a_tag_a_recomputation_agrees_with(self, pairs, data):
+        blocks = []
+        for a, b in pairs:
+            n = min(len(a), len(b))
+            blocks.append(ColumnBlock(n, [encode_column(a[:n]), encode_column(b[:n])]))
+        for block in blocks:
+            idx = data.draw(st.lists(st.integers(0, block.n - 1), max_size=8)
+                            if block.n else st.just([]))
+            derived = (block.take(idx), block.select([1, 0, 1]))
+            for d in derived:
+                for c in d.columns:
+                    assert c.order_tag == lazy_tag(c)
+        for c in ColumnBlock.concat(blocks).columns:
+            assert c.order_tag == lazy_tag(c)
 
 
 class TestBoolIntRegression:
@@ -225,12 +324,18 @@ class TestBoolIntRegression:
             assert type(g[0]) is type(r[0])
 
     def test_bool_disqualifies_column_kind_via_columns(self):
-        rel_ram = Relation("R", ("A", "B"), [(1, "x"), (True, "y"), (2, "z")])
+        rows = [(1, "x"), (True, "y"), (2, "z")]
         cl = Cluster(2)
-        rel = distribute_relation(rel_ram, cl.root_group())
-        assert rel.column_parts is not None
-        assert column_kind(rel, 0) is None  # bool present -> no fast tag
-        assert column_kind(rel, 1) == 3
+        by_rows = distribute_relation(Relation("R", ("A", "B"), rows), cl.root_group())
+        assert by_rows.column_parts is None  # base relations are row slices
+        # A column-backed result whose bool sits alone in a part: that part's
+        # column is one-type (bool), and its encode-time tag must say None.
+        by_cols = DistRelation("R", ("A", "B"), [[rows[0], rows[2]], [rows[1]]])
+        by_cols = by_cols.aligned(by_cols.attrs)
+        assert by_cols.column_parts[1].columns[0].order_tag is None
+        for rel in (by_rows, by_cols):
+            assert column_kind(rel, 0) is None  # bool present -> no fast tag
+            assert column_kind(rel, 1) == 3
 
     def test_orderable_distinguishes_after_decode(self):
         col = encode_column([1, True, 1.0])
@@ -311,16 +416,22 @@ class TestRelationParity:
 
 
 class TestDistRelationColumnar:
-    def test_distribute_is_columnar_and_lazy(self):
+    def test_distribute_deals_row_slices(self):
         rel_ram = Relation("R", ("A",), [(i,) for i in range(20)])
         cl = Cluster(4)
         d = distribute_relation(rel_ram, cl.root_group())
-        assert d.column_parts is not None
-        assert d._parts is None  # rows not yet materialized
-        assert d.total_size() == 20  # size answered from columns
-        # Materialized rows match the historical round-robin deal.
-        expected = [[(i,) for i in range(j, 20, 4)] for j in range(4)]
-        assert d.parts == expected
+        assert d.column_parts is None  # nothing encoded
+        assert d.total_size() == 20
+        # The historical round-robin deal, of the base relation's own tuples.
+        assert d.parts == [[(i,) for i in range(j, 20, 4)] for j in range(4)]
+        for j, part in enumerate(d.parts):
+            assert type(part) is list
+            assert all(a is b for a, b in zip(part, rel_ram.rows[j::4]))
+        # Annotated relations deal ``row + (w,)``.
+        counted = Relation("R", ("A",), [(i,) for i in range(5)], range(5), COUNT)
+        a = distribute_relation(counted, cl.root_group(), annotate=True)
+        assert a.attrs == ("A", "#w:R")
+        assert a.parts == [[(i, i) for i in range(j, 5, 4)] for j in range(4)]
 
     def test_column_values_both_backings(self):
         rows = [[(1, "a"), (2, "b")], [(3, "c")]]
@@ -385,13 +496,14 @@ class TestWireFormat:
         assert len(blob) * 2 <= len(baseline)
 
     def test_strided_parts_ship_only_their_own_dictionary(self):
-        # take_stride shares the parent's full dictionary in memory; the
-        # wire must remap codes to the slice's used values or every part
-        # would ship all distinct values of the whole relation.
+        # A take shares its source's full dictionary in memory; the wire
+        # must remap codes to the part's used values or every part would
+        # ship all distinct values of the whole source.
         rows = [(f"unique-string-value-{i}", i) for i in range(4000)]
-        rel_ram = Relation("R", ("A", "B"), rows)
-        cl = Cluster(8)
-        d = distribute_relation(rel_ram, cl.root_group())
+        parent = ColumnBlock.from_rows(rows, 2)
+        d = DistRelation.from_column_parts(
+            "R", ("A", "B"), [parent.take(range(i, 4000, 8)) for i in range(8)]
+        )
         encoded = sum(len(d.wire_blob(i)) for i in range(8))
         baseline = sum(
             len(pickle.dumps(p, pickle.HIGHEST_PROTOCOL)) for p in d.parts

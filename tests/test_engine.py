@@ -7,7 +7,12 @@ import pytest
 from repro.core import planner
 from repro.core.line3 import is_line3
 from repro.core.runner import mpc_join, mpc_join_aggregate
-from repro.data.generators import line_trap_instance, random_instance
+from repro.data.generators import (
+    add_dangling,
+    line_trap_instance,
+    matching_instance,
+    random_instance,
+)
 from repro.data.relation import Relation
 from repro.engine import Engine, parse_query
 from repro.engine import session as session_module
@@ -15,6 +20,7 @@ from repro.errors import DeadlineExceeded, EngineError, FaultError
 from repro.mpc import Cluster
 from repro.mpc.backends import SerialBackend, get_backend
 from repro.query import catalog
+from repro.ram import group_by_count, join_size
 from repro.ram.yannakakis import yannakakis as ram_yannakakis
 from repro.semiring import COUNT
 
@@ -513,3 +519,83 @@ def test_cold_join_encodes_inbox_sides_never_the_result(monkeypatch):
     assert len(seen) <= 4 + p * 4
     assert len(res.rows()) == res.output_size
     assert len(seen) <= 4 + p * 4           # reading rows encodes nothing
+
+
+def _deck_shaped(instance) -> tuple[list[Relation], str]:
+    """An instance's relations with string cells, as the harness decks
+    register them, and the full join over all of them."""
+    rels = [
+        Relation(name, rel.attrs, [tuple(map(str, r)) for r in rel.rows])
+        for name, rel in sorted(instance.relations.items())
+    ]
+    head = ",".join(sorted({a for r in rels for a in r.attrs}))
+    body = ", ".join(f"{r.name}({','.join(r.attrs)})" for r in rels)
+    return rels, f"Q({head}) :- {body}"
+
+
+_LINE = add_dangling(random_instance(catalog.line3(), 40, 14, seed=3), 30, seed=5)
+_FORK = random_instance(
+    catalog.fork_join(), 40, {"A": 400, "B": 6, "C": 6, "D": 400, "E": 400}, seed=17
+)
+_HIER = random_instance(
+    catalog.q2_r_hierarchical(), 40,
+    {"x1": 14, "x2": 400, "x3": 6, "x4": 400, "x5": 6}, seed=11,
+)
+
+
+@pytest.mark.parametrize("instance, algorithm, aggregate", [
+    (_LINE, "yannakakis", ""),
+    (_LINE, "line3", ""),
+    (_LINE, "acyclic", ""),
+    (_FORK, "acyclic", ""),
+    (_HIER, "rhierarchical", ""),
+    (matching_instance(catalog.star_join(3), 40), "binhc", ""),
+    (_LINE, "auto", "B; count"),
+    (_LINE, "auto", "; count"),
+], ids=[
+    "line-yannakakis", "line-line3", "line-acyclic", "fork-acyclic",
+    "hier-rhierarchical", "star-binhc", "line-groupby-count", "line-count",
+])
+def test_cold_path_never_reads_relation_columns(monkeypatch, instance, algorithm, aggregate):
+    """Base relations enter the cluster as row slices: a cold execute of
+    every algorithm, aggregates included, never encodes one."""
+    rels, text = _deck_shaped(instance)
+    if aggregate:
+        text = f"Q({aggregate}) :- {text.split(' :- ')[1]}"
+    eng = Engine(8, "serial")
+    for rel in rels:
+        eng.register(rel)
+
+    def refuse(self):
+        raise AssertionError(f"{self.name}.columns read on the cold path")
+
+    monkeypatch.setattr(Relation, "columns", property(refuse))
+    res = eng.execute(text, algorithm=algorithm)
+    monkeypatch.undo()
+    assert not res.metrics.result_cached
+    assert all(dist.column_parts is None for dist in eng._dist_cache.values())
+    inst = eng.instance_for(parse_query(text))
+    if aggregate == "; count":
+        assert res.scalar == join_size(inst)
+    elif aggregate:
+        assert dict(zip(res.relation.rows, res.relation.annotations)) == (
+            group_by_count(inst, ("B",))
+        )
+    else:
+        assert sorted(res.rows()) == sorted(ram_yannakakis(inst).rows)
+
+
+def test_aggregate_recording_is_charged_as_the_rows_it_holds():
+    """Sizing an aggregate recording encodes nothing: the recorded
+    relation keeps no columnar copy, and its charge covers its rows."""
+    import sys
+
+    eng = _basic_engine()
+    res = eng.execute("Q(B; count) :- R1(A,B), R2(B,C)")
+    recording = res.prepared.cached_result
+    rel = recording.relation
+    assert isinstance(rel, Relation) and len(rel) == 5
+    assert rel._cols is None
+    assert recording.stored_bytes >= sys.getsizeof(rel.rows) + sum(
+        map(sys.getsizeof, rel.rows)
+    )
