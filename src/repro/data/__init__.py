@@ -26,12 +26,6 @@ from repro.data.hard_instances import (
     yannakakis_trap_doubled,
 )
 from repro.data.instance import Instance
-from repro.data.stats import (
-    DegreeSummary,
-    InstanceReport,
-    degree_summary,
-    instance_report,
-)
 from repro.data.relation import Relation
 
 __all__ = [
@@ -56,8 +50,4 @@ __all__ = [
     "triangle_random_hard",
     "rhier_extremal",
     "embed_line3",
-    "DegreeSummary",
-    "InstanceReport",
-    "degree_summary",
-    "instance_report",
 ]

@@ -46,9 +46,6 @@ __all__ = [
     "encode_column",
     "pack_blob",
     "unpack_blob",
-    "pack_frame",
-    "unpack_frame_block",
-    "unpack_frame",
 ]
 
 _PROTO = pickle.HIGHEST_PROTOCOL
@@ -142,8 +139,8 @@ class Column:
         """Homogeneity tag for the substrate's key-encoding fast paths.
 
         Known at encode time for one-type columns and carried through
-        ``take``/``concat``; otherwise (columns decoded from the wire or a
-        frame, mixed-type columns) computed from the *dictionary* (the
+        ``take``/``concat``; otherwise (columns decoded from the wire,
+        mixed-type columns) computed from the *dictionary* (the
         distinct values) for ``"d"`` columns — type homogeneity over
         distinct values equals homogeneity over all values — and cached.
         An empty column reports ``None``.
@@ -466,142 +463,3 @@ def unpack_blob(blob: bytes) -> list[tuple]:
         return data
     n, specs = data
     return ColumnBlock(n, [Column(*spec) for spec in specs]).rows()
-
-
-# ----------------------------------------------------------------------
-# Frame format (shared-memory transport)
-# ----------------------------------------------------------------------
-#
-# A *frame* is the shared-memory sibling of the blob wire format: instead
-# of one pickled payload the receiver must copy while decoding, a frame
-# splits each column into a tiny pickled header and *raw typed sections*
-# laid out at aligned offsets, so a receiver holding the frame in a
-# shared-memory segment reconstructs every numeric column as a
-# ``memoryview.cast`` over the segment — zero bytes copied.  Layout::
-#
-#     u32 header_len | pickled header | padded raw sections ...
-#
-# The header is ``(n, specs)`` with per-column specs
-#
-#     ("i", typecode, offset, count)              int column (raw section)
-#     ("d", typecode, offset, count, values)      dict codes (raw section)
-#     ("o", values)                               object column (in header)
-#
-# or ``(n, None, rows)`` as the pickled-row fallback for parts the
-# columnar form cannot represent.  Offsets are frame-relative and aligned
-# to the section's itemsize, which is what makes the cast legal.  Frames
-# are deliberately uncompressed: they live in shared memory, written once
-# and mapped by every worker, so decode latency beats resident bytes.
-
-def _aligned(offset: int, itemsize: int) -> int:
-    return (offset + itemsize - 1) // itemsize * itemsize
-
-
-def pack_frame(part: Sequence, block: ColumnBlock | None = None) -> bytes:
-    """Serialize one part as a zero-copy-decodable frame.
-
-    Mirrors :func:`pack_blob`'s inputs: ``block`` skips re-encoding when
-    the owner is columnar-backed.  May raise whatever :mod:`pickle`
-    raises on unpicklable values (callers treat that as "run inline").
-    """
-    if block is not None:
-        n, specs = block.n, [_pack_spec(c) for c in block.columns]
-    else:
-        packed = _pack_rows(part)
-        if packed is None:
-            header = pickle.dumps((len(part), None, list(part)), _PROTO)
-            return len(header).to_bytes(4, "little") + header
-        n, raw_specs = packed
-        specs = list(raw_specs)
-    sections: list[array] = []
-    header_specs: list[tuple] = []
-    # Two passes: the header's pickled size depends on the offsets, and
-    # the offsets depend on the header size.  Pickle once with zero
-    # offsets to learn the size, then patch real offsets in — the pickle
-    # of an int is not width-stable, so pad the header to a fixed slot.
-    for spec in specs:
-        if spec[0] == "i":
-            header_specs.append(("i", spec[1].typecode, 0, len(spec[1])))
-            sections.append(spec[1])
-        elif spec[0] == "d":
-            header_specs.append(("d", spec[1].typecode, 0, len(spec[1]), spec[2]))
-            sections.append(spec[1])
-        else:
-            header_specs.append(spec)
-    probe = pickle.dumps((n, header_specs), _PROTO)
-    header_len = len(probe) + 16 * len(sections)  # room for real offsets
-    offset = 4 + header_len
-    si = 0
-    final_specs: list[tuple] = []
-    for spec in header_specs:
-        if spec[0] in ("i", "d"):
-            arr = sections[si]
-            si += 1
-            offset = _aligned(offset, arr.itemsize or 1)
-            final_specs.append((*spec[:2], offset, *spec[3:]))
-            offset += arr.itemsize * len(arr)
-        else:
-            final_specs.append(spec)
-    header = pickle.dumps((n, final_specs), _PROTO)
-    if len(header) > header_len:  # pragma: no cover - padding invariant
-        raise ValueError("frame header grew past its padded slot")
-    out = bytearray(offset)
-    out[0:4] = header_len.to_bytes(4, "little")
-    out[4:4 + len(header)] = header
-    si = 0
-    for spec in final_specs:
-        if spec[0] in ("i", "d"):
-            arr = sections[si]
-            si += 1
-            start = spec[2]
-            out[start:start + arr.itemsize * len(arr)] = arr.tobytes()
-    return bytes(out)
-
-
-def unpack_frame_block(view: "memoryview | bytes") -> ColumnBlock:
-    """Reconstruct a :class:`ColumnBlock` over a frame **without copying**.
-
-    Numeric columns (``"i"`` data, ``"d"`` codes) become ``memoryview``
-    casts straight into ``view`` — no bytes move; only dictionaries and
-    object columns (Python objects, necessarily pickled) are materialized.
-    The returned block therefore *borrows* ``view``: it must not outlive
-    the buffer (the shared-memory segment) it was built over.
-
-    A pickled-row fallback frame decodes with a copy, exactly like the
-    blob format.
-    """
-    if not isinstance(view, memoryview):
-        view = memoryview(view)
-    header_len = int.from_bytes(view[0:4], "little")
-    decoded = pickle.loads(view[4:4 + header_len])
-    if decoded[1] is None:
-        n, _none, rows = decoded
-        arity = len(rows[0]) if rows else 0
-        return ColumnBlock.from_rows(rows, arity)
-    n, specs = decoded
-    cols: list[Column] = []
-    for spec in specs:
-        if spec[0] == "i":
-            _tag, tc, off, count = spec
-            itemsize = array(tc).itemsize
-            data = view[off:off + itemsize * count].cast(tc)
-            cols.append(Column("i", data))
-        elif spec[0] == "d":
-            _tag, tc, off, count, values = spec
-            itemsize = array(tc).itemsize
-            codes = view[off:off + itemsize * count].cast(tc)
-            cols.append(Column("d", codes, values))
-        else:
-            cols.append(Column("o", spec[1]))
-    return ColumnBlock(n, cols)
-
-
-def unpack_frame(view: "memoryview | bytes") -> list[tuple]:
-    """Invert :func:`pack_frame`: the exact original row list."""
-    if not isinstance(view, memoryview):
-        view = memoryview(view)
-    header_len = int.from_bytes(view[0:4], "little")
-    decoded = pickle.loads(view[4:4 + header_len])
-    if decoded[1] is None:
-        return decoded[2]
-    return unpack_frame_block(view).rows()

@@ -1486,7 +1486,7 @@ class Engine:
         return trace, stats["op_timings"]
 
     # ------------------------------------------------------------------
-    # Plan shipping (DESIGN.md section 11): export/install warm state
+    # Plan shipping (DESIGN.md section 10): export/install warm state
     # ------------------------------------------------------------------
     def export_plan(
         self, query: str | ParsedQuery, algorithm: str = "auto"

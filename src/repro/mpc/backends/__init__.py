@@ -25,15 +25,12 @@ from repro.mpc.backends.base import Backend, deliver_local
 from repro.mpc.backends.chaos import FaultInjectingBackend
 from repro.mpc.backends.multiprocess import MultiprocessBackend
 from repro.mpc.backends.serial import SerialBackend
-from repro.mpc.backends.shm import SharedMemoryBackend, shm_supported
 
 __all__ = [
     "Backend",
     "SerialBackend",
     "MultiprocessBackend",
-    "SharedMemoryBackend",
     "FaultInjectingBackend",
-    "shm_supported",
     "deliver_local",
     "register_backend",
     "available_backends",
@@ -122,8 +119,3 @@ def shutdown_backends() -> None:
 register_backend("serial", SerialBackend)
 register_backend("multiprocess", MultiprocessBackend)
 register_backend("chaos", FaultInjectingBackend)
-if shm_supported():
-    # Platforms without a usable shared-memory facility (no /dev/shm or
-    # equivalent) simply never expose the name — CLI choices, conformance
-    # enrollment, and CI matrix cells all skip cleanly.
-    register_backend("shm", SharedMemoryBackend)

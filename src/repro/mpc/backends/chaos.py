@@ -122,16 +122,6 @@ class FaultInjectingBackend(Backend):
                 raise MPCError("chaos cannot wrap itself")
             if inner == "multiprocess":
                 inner = _default_inner()
-            elif inner == "shm":
-                # Like "multiprocess": a *private* pool, never the
-                # registry's shared instance — injected kills (and the
-                # arena they could orphan mid-write) must not perturb
-                # other sessions using the shared shm backend.
-                from repro.mpc.backends.shm import SharedMemoryBackend
-
-                inner = SharedMemoryBackend(
-                    round_timeout=1.0, retry_budget=3, backoff_base=0.01
-                )
             else:
                 from repro.mpc.backends import get_backend
 

@@ -111,24 +111,6 @@ def _resolve_fn(ref: str) -> Callable:
 _UNSET = object()
 
 
-def _decode_common(spec: Any) -> Any:
-    """Decode a step's ``common``: pickled bytes, or a shm descriptor."""
-    if isinstance(spec, tuple):
-        from repro.mpc.backends.shm import read_descriptor
-
-        return pickle.loads(read_descriptor(spec))
-    return pickle.loads(spec)
-
-
-def _decode_part(blob: Any) -> list:
-    """Decode a job's part: a wire blob, or a shm descriptor (zero-copy)."""
-    if isinstance(blob, tuple):
-        from repro.mpc.backends.shm import read_descriptor_part
-
-        return read_descriptor_part(blob)
-    return unpack_blob(blob)
-
-
 def _worker_main(conn, sys_path: list[str], cache_entries: int) -> None:
     """Worker loop: batched op requests in, per-job pickled replies out.
 
@@ -137,15 +119,11 @@ def _worker_main(conn, sys_path: list[str], cache_entries: int) -> None:
     where ``part_blob`` is the part's wire blob
     (:func:`repro.data.columns.pack_blob` — columnar when possible,
     pickled rows otherwise; ``None`` for a key-only job the coordinator
-    believes is cached).  ``common_spec`` is the pickled ``common`` —
-    either the bytes themselves or, under the shared-memory backend, a
-    descriptor tuple naming where the bytes live in a mapped segment
-    (same for ``part_blob``, which then decodes zero-copy via
-    :func:`repro.data.columns.unpack_frame_block`).  The cache maps
-    ``(fn_ref, common_spec, fingerprint, idx)`` to the *pickled* reply,
-    so a warm hit performs no (de)serialization at all — the cached
-    bytes are sent as-is, and neither ``fn`` nor ``common`` is even
-    resolved unless some job in the step actually computes.  With
+    believes is cached).  ``common_spec`` is the pickled ``common``.  The
+    cache maps ``(fn_ref, common_spec, fingerprint, idx)`` to the
+    *pickled* reply, so a warm hit performs no (de)serialization at all —
+    the cached bytes are sent as-is, and neither ``fn`` nor ``common`` is
+    even resolved unless some job in the step actually computes.  With
     ``collect`` False the caller discards results: hits and computed
     misses alike are answered with a tiny ``"ack"`` (the computation is
     still cached), which keeps plan-replay rounds cheap on the wire.  A
@@ -226,8 +204,8 @@ def _worker_main(conn, sys_path: list[str], cache_entries: int) -> None:
                             fn = fns[fn_ref] = _resolve_fn(fn_ref)
                     t0 = time.perf_counter()
                     if common is _UNSET:
-                        common = _decode_common(common_spec)
-                    part = _decode_part(part_blob)
+                        common = pickle.loads(common_spec)
+                    part = unpack_blob(part_blob)
                     t1 = time.perf_counter()
                     value = fn(part, common, idx)
                     t2 = time.perf_counter()
@@ -538,19 +516,6 @@ class MultiprocessBackend(Backend):
 
         return get
 
-    def _pack_common(self, common_bytes: bytes) -> Any:
-        """Hook: transform a step's pickled ``common`` before it ships.
-
-        The base backend sends the bytes verbatim in every round's
-        request.  The shared-memory subclass interns large payloads in
-        the arena and returns a small descriptor tuple instead, so a
-        common re-used across rounds and workers crosses the pipe once as
-        bytes and thereafter as a few dozen descriptor bytes.  Whatever
-        this returns becomes part of the worker cache key, so it must be
-        stable per content.
-        """
-        return common_bytes
-
     # ------------------------------------------------------------------
     def map_parts(
         self,
@@ -622,7 +587,7 @@ class MultiprocessBackend(Backend):
                     f"map_parts functions must be module-level, got {fn_ref}"
                 )
             try:
-                common_spec = self._pack_common(pickle.dumps(common, _PROTO))
+                common_spec = pickle.dumps(common, _PROTO)
             except Exception:  # noqa: BLE001 - unpicklable common: run inline
                 results[k] = [fn(part, common, i) for i, part in enumerate(parts)]
                 continue

@@ -1,6 +1,6 @@
 """Unified telemetry: metrics registry, span tracing, schema checkers.
 
-See DESIGN.md section 10.  The package is dependency-free (stdlib only)
+See DESIGN.md section 9.  The package is dependency-free (stdlib only)
 and import-cheap: every other layer (engine, plan, backends, CLI,
 benchmarks) imports from here, never the other way around.
 """

@@ -26,7 +26,7 @@ cumulative counters are wrong under concurrency).
 
 None of this ever touches the :class:`~repro.mpc.cluster.LoadReport`
 ledger — telemetry observes wall-clock and bytes; the ledger stays the
-bit-identical correctness oracle (DESIGN.md section 10).
+bit-identical correctness oracle (DESIGN.md section 9).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ first-class object:
   against a cluster/backend with a bit-identical ledger.
 * :mod:`repro.plan.ship` — the versioned wire format that turns a traced
   plan into portable bytes one engine can export and another install
-  (the serving tier's plan-shipping substrate, DESIGN.md section 11).
+  (the serving tier's plan-shipping substrate, DESIGN.md section 10).
 
 See DESIGN.md section 7 for the trace/replay contract.
 """

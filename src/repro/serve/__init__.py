@@ -19,7 +19,7 @@ it the three serving-tier mechanisms:
   replica that holds the touched relations, so one cold trace warms the
   whole tier (zero re-traces on the receivers).
 
-See DESIGN.md section 11 for the contracts.
+See DESIGN.md section 10 for the contracts.
 """
 
 from repro.serve.frontdoor import Frontdoor, FrontdoorStats

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.data.relation import Relation
@@ -9,6 +13,7 @@ from repro.errors import MPCError
 from repro.mpc import Cluster, distribute_relation
 from repro.mpc.backends import (
     Backend,
+    FaultInjectingBackend,
     MultiprocessBackend,
     SerialBackend,
     available_backends,
@@ -101,6 +106,43 @@ class TestRegistry:
 
         assert Cluster(2, backend="serial").backend.name == "serial"
         assert Cluster(2).backend.name == default_backend_name()
+
+    def test_shm_name_is_unknown_everywhere(self, monkeypatch):
+        registered = str(available_backends())
+        with pytest.raises(MPCError, match="unknown backend 'shm'") as exc:
+            get_backend("shm")
+        assert registered in str(exc.value)
+        with pytest.raises(MPCError, match="unknown backend 'shm'") as exc:
+            FaultInjectingBackend(inner="shm")
+        assert registered in str(exc.value)
+        monkeypatch.setenv("REPRO_BACKEND", "shm")
+        with pytest.raises(MPCError, match="unknown backend 'shm'") as exc:
+            get_backend(None)
+        assert registered in str(exc.value)
+
+    def test_import_and_a_serial_query_start_no_helper_process(self):
+        """``import repro`` plus one serial query creates no shared-memory
+        segment, so multiprocessing's resource tracker never starts."""
+        script = (
+            "import repro\n"
+            "from multiprocessing import resource_tracker\n"
+            "from repro.data.relation import Relation\n"
+            "from repro.engine import Engine\n"
+            "from repro.mpc.backends import available_backends\n"
+            "eng = Engine(p=2, backend='serial')\n"
+            "eng.register(Relation('R1', ('A', 'B'), [(1, 2), (3, 4)]))\n"
+            "eng.register(Relation('R2', ('B', 'C'), [(2, 5), (4, 6)]))\n"
+            "assert len(eng.execute('Q(A,B,C) :- R1(A,B), R2(B,C)').rows()) == 2\n"
+            "assert resource_tracker._resource_tracker._pid is None\n"
+            "assert 'shm' not in available_backends()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        env.pop("REPRO_BACKEND", None)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 import repro.cli as cli
 from repro.data.generators import random_instance
 from repro.io import write_instance_dir
-from repro.mpc.backends import shm_supported, shutdown_backends
+from repro.mpc.backends import shutdown_backends
 from repro.query import catalog
 
 QUERY = "Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)"
@@ -94,30 +94,12 @@ class TestBackendPrecedence:
         assert capture_engine["backend_arg"] == "serial"
         assert capture_engine["engine"].backend_name == "serial"
 
-    @pytest.mark.skipif(not shm_supported(), reason="no shared memory here")
-    @pytest.mark.parametrize("command", ENGINE_COMMANDS)
-    def test_shm_backend_via_flag(
-        self, command, data_dir, queries_file, capture_engine, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        _run(
-            command, data_dir,
-            extra=["--backend", "shm"],
-            queries_file=queries_file,
-        )
-        assert capture_engine["backend_arg"] == "shm"
-        assert capture_engine["engine"].backend_name == "shm"
-
-    @pytest.mark.skipif(not shm_supported(), reason="no shared memory here")
-    def test_shm_backend_via_env(
-        self, data_dir, queries_file, capture_engine, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_BACKEND", "shm")
-        _run("serve", data_dir, queries_file=queries_file)
-        assert capture_engine["backend_arg"] == "shm"
-        assert capture_engine["engine"].backend_name == "shm"
-
     def test_unknown_backend_flag_is_rejected(self, data_dir, capsys):
         with pytest.raises(SystemExit):
             cli.main(["query", QUERY, data_dir, "--backend", "bogus"])
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_shm_is_not_a_backend_choice(self, data_dir, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["query", QUERY, data_dir, "--backend", "shm"])
+        assert "invalid choice: 'shm'" in capsys.readouterr().err

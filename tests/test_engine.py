@@ -18,7 +18,7 @@ from repro.engine import Engine, parse_query
 from repro.engine import session as session_module
 from repro.errors import DeadlineExceeded, EngineError, FaultError
 from repro.mpc import Cluster
-from repro.mpc.backends import SerialBackend, get_backend
+from repro.mpc.backends import MultiprocessBackend, SerialBackend, get_backend
 from repro.query import catalog
 from repro.ram import group_by_count, join_size
 from repro.ram.yannakakis import yannakakis as ram_yannakakis
@@ -386,6 +386,27 @@ def test_submit_batch_serial_and_threaded_agree():
     # Second batch is fully warm.
     assert threaded.stats.cache_hits == 4
     assert all(r.metrics.plan_reused for r in threaded.results)
+
+
+def test_threaded_warm_replays_on_a_pool_match_their_cold_reports():
+    backend = MultiprocessBackend(workers=2)
+    try:
+        eng = Engine(p=4, backend=backend, result_cache=False)
+        eng.register(Relation("R1", ("A", "B"), [(i, i % 5) for i in range(60)]))
+        eng.register(Relation("R2", ("B", "C"), [(i % 5, i % 7) for i in range(60)]))
+        queries = [
+            "Q(A,B,C) :- R1(A,B), R2(B,C)",
+            "Q(A,B) :- R1(A,B), R2(B,C)",
+            "Q(B,C) :- R1(A,B), R2(B,C)",
+        ]
+        cold = eng.submit_batch(queries)
+        warm = eng.submit_batch(queries * 2, threads=3)
+        assert all(r.ok for r in warm.results)
+        assert all(r.metrics.plan_replayed for r in warm.results)
+        for r_cold, r_warm in zip(cold.results * 2, warm.results):
+            assert r_warm.report.as_dict() == r_cold.report.as_dict()
+    finally:
+        backend.close()
 
 
 def test_submit_batch_empty_rejected():

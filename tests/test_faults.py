@@ -34,11 +34,7 @@ from repro.errors import (
     RoundTimeout,
     WorkerDied,
 )
-from repro.mpc.backends import (
-    FaultInjectingBackend,
-    MultiprocessBackend,
-    available_backends,
-)
+from repro.mpc.backends import FaultInjectingBackend, MultiprocessBackend
 from repro.mpc.cluster import Cluster
 from repro.query import catalog
 
@@ -374,35 +370,6 @@ class TestChaosBackend:
             assert fs["injected_kill"] > 0 and fs["worker_deaths"] > 0
         finally:
             chaos.close()
-
-    @pytest.mark.skipif(
-        "shm" not in available_backends(), reason="no shared memory here"
-    )
-    def test_chaos_wraps_a_private_shm_inner(self):
-        """inner="shm" builds a private SharedMemoryBackend (never the
-        registry's shared instance) and stays bit-identical; closing the
-        wrapper unlinks the private arena."""
-        from repro.mpc.backends import get_backend
-        from repro.mpc.backends.shm import SharedMemoryBackend
-
-        chaos = FaultInjectingBackend(inner="shm", seed=4, rate=0.5)
-        assert isinstance(chaos.inner, SharedMemoryBackend)
-        assert chaos.inner is not get_backend("shm")
-        ref = Engine(p=4, backend="serial", result_cache=False)
-        eng = Engine(p=4, backend=chaos, result_cache=False)
-        try:
-            for name, rel in _binary_relations().items():
-                ref.register(rel, name=name)
-                eng.register(rel, name=name)
-            for _ in range(3):
-                want = ref.execute(BINARY)
-                got = eng.execute(BINARY)
-                assert sorted(got.rows()) == sorted(want.rows())
-                assert got.report.as_dict() == want.report.as_dict()
-        finally:
-            chaos.close()
-        # close() destroyed the private arena: nothing left to unlink.
-        assert chaos.inner.wire_stats()["shm_segments"] == 0
 
     def test_drop_re_drives_the_round(self):
         backend = FaultInjectingBackend(

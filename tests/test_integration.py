@@ -18,7 +18,6 @@ from repro import (
 )
 from repro.core.planner import price_fold_orders
 from repro.data.generators import line_trap_instance, random_instance
-from repro.data.stats import instance_report
 from repro.io import read_instance_dir, write_instance_dir
 from repro.query import catalog
 from repro.ram.yannakakis import group_by_count, join_size, yannakakis
@@ -53,11 +52,10 @@ class TestPlanThenExecute:
         assert res.row_set() == set(yannakakis(inst).rows)
 
     def test_diagnose_then_choose_algorithm(self):
-        """The stats report drives the same decision the dispatcher makes."""
+        """The instance's class and regime drive the dispatcher's decision."""
         inst = line_trap_instance(3, 900, 18000)
-        report = instance_report(inst)
-        assert report.query_class == "ACYCLIC"
-        assert report.out_size > report.in_size  # output-sensitive regime
+        assert classify(inst.query).name == "ACYCLIC"
+        assert inst.output_size() > inst.input_size  # output-sensitive regime
         res = mpc_join(inst.query, inst, p=8)
         assert res.meta["algorithm"] == "line3"
 

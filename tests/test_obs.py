@@ -1,6 +1,6 @@
 """Unified telemetry layer: registry, spans, wire attribution, timings.
 
-The observability contract under test is DESIGN.md section 10: telemetry
+The observability contract under test is DESIGN.md section 9: telemetry
 is a read-only side channel.  It never touches the LoadReport ledger
 (parity is asserted wherever traced and untraced runs are compared), it
 is near-free when disabled (``NULL_SPAN``), and span
@@ -19,11 +19,7 @@ from repro.cli import main as cli_main
 from repro.data.generators import random_instance
 from repro.data.relation import Relation
 from repro.engine import Engine
-from repro.mpc.backends import (
-    FaultInjectingBackend,
-    MultiprocessBackend,
-    shm_supported,
-)
+from repro.mpc.backends import FaultInjectingBackend, MultiprocessBackend
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
@@ -378,13 +374,10 @@ class TestBackendSpans:
         finally:
             backend.close()
 
-    @pytest.mark.skipif(not shm_supported(), reason="no shared memory")
-    def test_pipelined_shm_batches_stay_well_nested(self):
-        """Replay rounds are synchronous (the name predates that), so the
-        nesting holds on one thread — it must still hold."""
-        from repro.mpc.backends.shm import SharedMemoryBackend
-
-        backend = SharedMemoryBackend(workers=2)
+    def test_warm_replay_spans_stay_well_nested(self):
+        """A warm replay is one synchronous ``run_ops`` round on a worker
+        pool; its spans must close inside their parents."""
+        backend = MultiprocessBackend(workers=2)
         sink = SpanSink()
         try:
             eng = _engine(backend, _line3_relations(), tracer=Tracer(sink))
@@ -421,11 +414,6 @@ class TestExplainTimings:
         assert "wall=" in text
         plain = eng.explain(BINARY)
         assert "wall=" not in plain
-
-    @pytest.mark.skipif(not shm_supported(), reason="no shared memory")
-    def test_explain_timings_on_shm(self):
-        eng = _engine("shm", _binary_relations())
-        assert "wall=" in eng.explain(BINARY, timings=True)
 
     def test_timed_replay_parity_with_untimed(self):
         eng = _engine("serial", _binary_relations())
