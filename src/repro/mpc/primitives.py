@@ -1,20 +1,23 @@
 """The paper's Section 2 MPC primitives, all with linear load, O(1) rounds.
 
 Implemented sort-first (the [14, 18] recipe): the regular-sampling sort
-kernel :func:`repro.mpc.substrate.psrs` range-partitions items so that
-equal keys are contiguous *across* servers, then per-key logic scans each
-server's sorted index arrays — fetching ``parts[src][j]`` only to emit —
-with an O(p) boundary round-trip through a coordinator to stitch runs
-that span server boundaries.  The coordinator traffic is O(p) units per
-primitive plus at most ``n/p + p`` samples per sort, never more than the
-data share the sort balances; partitions stay within
-``n/p + max(n/p, p^2)`` (DESIGN.md section 2; the paper assumes
+kernel :func:`repro.mpc.substrate.arrange` range-partitions items so that
+equal keys are contiguous *across* servers, then per-key logic scans the
+:class:`~repro.mpc.substrate.Arrangement` — int64 ranks and flat item
+positions in global order, one contiguous slice per server — as arrays,
+fetching items by flat position only to emit, with an O(p) boundary
+round-trip through a coordinator to stitch runs that span server
+boundaries.  Runs of equal keys are runs of equal ranks.  The coordinator
+traffic is O(p) units per primitive plus at most ``n/p + p`` samples per
+sort, never more than the data share the sort balances; partitions stay
+within ``n/p + max(n/p, p^2)`` (DESIGN.md section 2; the paper assumes
 ``IN >= p^{1+eps}`` and uses aggregation trees instead — same interface,
 same asymptotics for our experiment range).
 
 Two layers of primitives, one kernel underneath:
 
-*Generic* (item-level, as in the paper's exposition):
+*Generic* (item-level, as in the paper's exposition; keys ranked per
+call, :func:`repro.mpc.substrate.sort_keys` deciding raw or encoded):
 
 * :func:`sample_sort` — global sort.
 * :func:`sum_by_key` — per-key aggregation with any associative operator.
@@ -40,10 +43,12 @@ boundary steps):
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import groupby, islice
-from operator import itemgetter
+from functools import reduce
+from itertools import chain
+from operator import add, itemgetter
 from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.data.relation import Row
 from repro.errors import MPCError
@@ -51,14 +56,14 @@ from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.plan.trace import prim_span
 from repro.mpc.substrate import (
-    TagStamp,
+    Arrangement,
+    arrange,
     coordinator_for,
-    index_sort,
-    merge_slices,
     orderable,
     pair_key_encoder,
     projected_keys,
-    psrs,
+    rank_keys,
+    sort_keys,
     sorted_run,
 )
 
@@ -105,10 +110,16 @@ def _coordinator_roundtrip(
     return [box[0] for box in inboxes2]
 
 
-def _sort(group: Group, keys: Sequence[list], label: str) -> list[tuple]:
-    """A generic primitive's PSRS pass, under its ``SampleSort`` span."""
+def _sort(group: Group, keys: Sequence[list], label: str) -> tuple[list, Arrangement]:
+    """A generic primitive's PSRS pass over per-source sort keys, under its
+    ``SampleSort`` span: the flat keys and their arrangement."""
+    flat, ranks = rank_keys(keys)
     with prim_span(group.cluster, "SampleSort", label):
-        return psrs(group, keys, label)[0]
+        return flat, arrange(group, [len(k) for k in keys], ranks, label)
+
+
+def _flat(parts: Iterable[Iterable[Any]]) -> list:
+    return list(chain.from_iterable(parts))
 
 
 def sample_sort(
@@ -135,67 +146,82 @@ def sample_sort(
     enc = encoder or orderable
     items = [list(part) for part in parts]
     keys = [[enc(key_fn(item)) for item in part] for part in items]
+    flat, arr = _sort(group, keys, label)
     return [
         [(k, (s, j), items[s][j]) for k, s, j in zip(ks, srcs, js)]
-        for ks, srcs, js in _sort(group, keys, label)
+        for ks, srcs, js in arr.parts(flat)
     ]
 
 
 # ----------------------------------------------------------------------
-# Per-key folds over sorted index arrays, stitched across server boundaries
+# Per-key scans over an arrangement, stitched across server boundaries
 # ----------------------------------------------------------------------
+
+def _runs(arr: Arrangement) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Runs of equal ranks as each server sees them: the positions in
+    ``arr.order`` where one starts (a rank change, or a server's first
+    item), their lengths, and the ``p + 1`` server boundaries in these."""
+    ranks, n = arr.ranks, len(arr.order)
+    start = np.ones(n, bool)
+    np.not_equal(ranks[1:], ranks[:-1], out=start[1:])
+    start[[c for c in arr.cuts[:-1] if c < n]] = True
+    heads = np.flatnonzero(start)
+    lengths = np.diff(np.append(heads, n))
+    return heads, lengths, np.searchsorted(heads, arr.cuts).tolist()
+
+
+def _edge_runs(ranks: list, accs: list, bounds: list[int]) -> list:
+    """Per server, ``(rank, acc)`` of its first and last run and how many
+    runs it has (``None`` without any): what boundary stitching sends."""
+    return [
+        ((ranks[a], accs[a]), (ranks[b - 1], accs[b - 1]), b - a) if a < b else None
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
 
 def _fold_sorted(
-    group: Group,
-    routed: Sequence[tuple[list, list[int], list[int]]],
-    keys: Sequence[list],
-    values: Sequence[Sequence[Any]] | None,
-    plus: Callable[[Any, Any], Any],
-    label: str,
+    group: Group, arr: Arrangement, keys: list, values: list | None,
+    plus: Callable[[Any, Any], Any] | None, label: str,
 ) -> list[list[tuple[Any, Any]]]:
-    """Fold ``values[src][j]`` (1 each when ``None``) per run of equal
-    sort keys, then stitch the runs that span servers.
+    """Fold ``values[f]`` (1 each when ``None``) per run of equal ranks,
+    then stitch the runs that span servers.
 
-    Emits ``(keys[src][j], total)`` once per key globally, on the first
-    server of its sorted span.
+    ``keys`` and ``values`` are flat (by the pass's flat position);
+    ``plus=None`` is addition, which counts without a per-item loop when
+    there are no values.  Emits ``(keys[f], total)`` once per key globally,
+    on the first server of its sorted span.
     """
-    folded: list[tuple[list, list, list]] = []
-    for ks, srcs, js in routed:
-        run_keys, heads, accs = [], [], []
-        prev: Any = _SENTINEL
-        for k, s, j in zip(ks, srcs, js):
-            v = 1 if values is None else values[s][j]
-            if k == prev:
-                accs[-1] = plus(accs[-1], v)
-            else:
-                run_keys.append(k)
-                heads.append(keys[s][j])
-                accs.append(v)
-                prev = k
-        folded.append((run_keys, heads, accs))
+    heads, lengths, bounds = _runs(arr)
+    plus = plus or add
+    if values is None and plus is add:
+        accs = lengths.tolist()
+    else:
+        order = arr.order.tolist()
+        vals = list(map(values.__getitem__, order)) if values else [1] * len(order)
+        firsts, sizes = heads.tolist(), lengths.tolist()
+        accs = list(map(vals.__getitem__, firsts))  # a run of one is its value
+        for r in np.flatnonzero(lengths > 1).tolist():
+            accs[r] = reduce(plus, vals[firsts[r]:firsts[r] + sizes[r]])
+    head_keys = list(map(keys.__getitem__, arr.order[heads].tolist()))
 
     # Boundary stitching: only each server's first and last run can span.
-    summaries = [
-        ((rk[0], accs[0]), (rk[-1], accs[-1]), len(rk)) if rk else None
-        for rk, _heads, accs in folded
-    ]
+    summaries = _edge_runs(arr.ranks[heads].tolist(), accs, bounds)
     replies = _coordinator_roundtrip(
         group, summaries, _stitch_fn(plus), f"{label}/stitch"
     )
     out_parts: list[list[tuple[Any, Any]]] = []
-    for (_rk, heads, accs), (first, last) in zip(folded, replies):
-        lo, hi = 0, len(accs)
-        if hi > 1 and last is not None:
+    for lo, hi, (first, last) in zip(bounds, bounds[1:], replies):
+        if hi - lo > 1 and last is not None:
             if last[0] == "emit":
-                accs[-1] = last[1]
+                accs[hi - 1] = last[1]
             else:
                 hi -= 1
         if first is not None:
             if first[0] == "emit":
-                accs[0] = first[1]
+                accs[lo] = first[1]
             else:  # drop: owned upstream
-                lo = 1
-        out_parts.append(list(zip(heads[lo:hi], accs[lo:hi])))
+                lo += 1
+        out_parts.append(list(zip(head_keys[lo:hi], accs[lo:hi])))
     return out_parts
 
 
@@ -209,12 +235,12 @@ def _stitch_fn(plus: Callable[[Any, Any], Any]) -> Callable[[list[Any]], list[An
 
     def stitch(summaries_list: list[Any]) -> list[Any]:
         replies: list[list[Any]] = [[None, None] for _ in summaries_list]
-        chain: tuple[int, int, tuple, Any] | None = None  # (server, slot, okey, acc)
+        chain: tuple[int, int, Any, Any] | None = None  # (server, slot, rank, acc)
 
         def flush() -> None:
             nonlocal chain
             if chain is not None:
-                srv, slot, _okey, acc = chain
+                srv, slot, _rank, acc = chain
                 replies[srv][slot] = ("emit", acc)
                 chain = None
 
@@ -252,13 +278,10 @@ def sum_by_key(
     once globally (on the first server of its sorted span).
     """
     pairs = [list(part) for part in parts]
-    keys = [[kv[0] for kv in part] for part in pairs]
-    values = [[kv[1] for kv in part] for part in pairs]
-    # Tag-stamped keys order like their encodings: sort them as they are.
-    skeys = keys if isinstance(encoder, TagStamp) else [
-        list(map(encoder or orderable, k)) for k in keys
-    ]
-    return _fold_sorted(group, _sort(group, skeys, label), keys, values, plus, label)
+    keys = [list(map(_key0, part)) for part in pairs]
+    _sk, arr = _sort(group, sort_keys(keys, encoder), label)
+    values = list(map(itemgetter(1), chain.from_iterable(pairs)))
+    return _fold_sorted(group, arr, _flat(keys), values, plus, label)
 
 
 def fold_by_key(
@@ -285,8 +308,8 @@ def fold_by_key(
         group.cluster, "FoldByKey", f"{rel.name}[{','.join(key_attrs)}] {label}"
     ):
         run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
-        add = plus if plus is not None else lambda a, b: a + b
-        return _fold_sorted(group, run.parts, run.keys, values, add, label)
+        flat_values = None if values is None else _flat(values)
+        return _fold_sorted(group, run.arr, run.keys, flat_values, plus, label)
 
 
 def count_by_key(
@@ -301,48 +324,39 @@ def count_by_key(
 
 
 def _number_sorted(
-    group: Group,
-    routed: Sequence[tuple[list, list[int], list[int]]],
-    label: str,
-    counted: Sequence[Sequence[bool]] | None = None,
-) -> list[list[int]]:
-    """Consecutive numbers 1, 2, ... per run of equal sort keys, continued
+    group: Group, arr: Arrangement, label: str, counted: np.ndarray | None = None
+) -> list[int]:
+    """Consecutive numbers 1, 2, ... per run of equal ranks, continued
     across server boundaries.
 
-    Returns one number per item, aligned with ``routed``'s arrays; items
-    whose ``counted[src][j]`` is false are skipped and get 0.
+    Returns one number per item along ``arr.order``; items whose flag in
+    ``counted`` (a flat boolean array) is false are skipped and get 0.
     """
-    numbered, first_lens, summaries = [], [], []
-    for ks, srcs, js in routed:
-        nums: list[int] = []
-        pos = 0
-        first_len = first_count = -1  # the first run's length / counted items
-        prev: Any = _SENTINEL
-        for i, k in enumerate(ks):
-            if k != prev:
-                if first_len < 0 and i:
-                    first_len, first_count = i, pos
-                pos = 0
-                prev = k
-            if counted is None or counted[srcs[i]][js[i]]:
-                pos += 1
-                nums.append(pos)
-            else:
-                nums.append(0)
-        if first_len < 0:
-            first_len, first_count = len(ks), pos
-        numbered.append(nums)
-        first_lens.append(first_len)
-        summaries.append((ks[0], first_count, ks[-1], pos) if ks else None)
+    heads, lengths, bounds = _runs(arr)
+    flags = (
+        np.ones(len(arr.order), np.int64) if counted is None
+        else counted[arr.order].astype(np.int64)
+    )
+    seen = np.cumsum(flags)  # counted items up to and including each position
+    before = seen[heads] - flags[heads]  # ... and before each run
+    nums = (seen - np.repeat(before, lengths)) * flags
+    ends = (heads + lengths).tolist()
 
+    # (first rank, counted in the first run, last rank, counted in the last)
+    summaries = [
+        (int(arr.ranks[lo]), int(nums[lo:ends[a]].max()),
+         int(arr.ranks[hi - 1]), int(nums[heads[b - 1]:hi].max()))
+        if lo < hi else None
+        for lo, hi, a, b in zip(arr.cuts, arr.cuts[1:], bounds, bounds[1:])
+    ]
     replies = _coordinator_roundtrip(
         group, summaries, _numbering_offsets, f"{label}/stitch"
     )
-    # Only a part's very first run continues an upstream span.
-    for nums, first_len, offset in zip(numbered, first_lens, replies):
+    # Only a server's very first run continues an upstream span.
+    for lo, a, offset in zip(arr.cuts, bounds, replies):
         if offset:
-            nums[:first_len] = [n and n + offset for n in nums[:first_len]]
-    return numbered
+            nums[lo:ends[a]] += offset * flags[lo:ends[a]]
+    return nums.tolist()
 
 
 def multi_numbering(
@@ -355,21 +369,20 @@ def multi_numbering(
     Returns per-server lists of ``(key, payload, number)``.
     """
     pairs = [list(part) for part in parts]
-    routed = _sort(
-        group, [[orderable(kv[0]) for kv in part] for part in pairs], label
-    )
+    keys = sort_keys([list(map(_key0, part)) for part in pairs], None)
+    _sk, arr = _sort(group, keys, label)
+    flat, order = _flat(pairs), arr.order.tolist()
+    nums = _number_sorted(group, arr, label)
     return [
-        [(*pairs[s][j], n) for s, j, n in zip(srcs, js, nums)]
-        for (_ks, srcs, js), nums in zip(
-            routed, _number_sorted(group, routed, label)
-        )
+        [(*flat[f], n) for f, n in zip(order[lo:hi], nums[lo:hi])]
+        for lo, hi in arr.slices()
     ]
 
 
 def _numbering_offsets(summaries_list: list[Any]) -> list[Any]:
     """Per-server offset for its first run (count of that key upstream)."""
     replies = [0] * len(summaries_list)
-    acc_key: tuple | None = None
+    acc_key: Any = None
     acc = 0
     for i, s in enumerate(summaries_list):
         if s is None:
@@ -408,19 +421,15 @@ def number_rows(
         group.cluster, "NumberRows", f"{rel.name}[{','.join(key_attrs)}] {label}"
     ):
         run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
-        keys, rows = run.keys, rel.parts
+        keys, rows, order = run.keys, _flat(rel.parts), run.arr.order.tolist()
         counted = None
         if only_keys is not None:
-            counted = [list(map(only_keys.__contains__, part)) for part in keys]
+            counted = np.fromiter(map(only_keys.__contains__, keys), bool, len(keys))
+        nums = _number_sorted(group, run.arr, label, counted)
         return [
-            [(keys[s][j], rows[s][j], n) for s, j, n in zip(srcs, js, nums) if n]
-            for (_ks, srcs, js), nums in zip(
-                run.parts, _number_sorted(group, run.parts, label, counted)
-            )
+            [(keys[f], rows[f], n) for f, n in zip(order[lo:hi], nums[lo:hi]) if n]
+            for lo, hi in run.arr.slices()
         ]
-
-
-_SENTINEL = object()
 
 
 def multi_search(
@@ -438,85 +447,64 @@ def multi_search(
             (tags are handled internally).
 
     Returns:
-        Per-server lists of ``(x_key, x_payload, pred_key, pred_payload)``;
+        Per-server lists of ``(x_key, x_payload, pred_key, pred_value)``;
         the predecessor fields are ``None`` when no Y key <= x exists.
         Ties (equal keys) resolve to the Y element, enabling equality tests.
     """
     xs = [list(part) for part in x_parts]
     ys = [list(part) for part in y_parts]
-    found = _search(
-        group,
-        [[kv[0] for kv in part] for part in xs],
-        [[kv[0] for kv in part] for part in ys],
-        ys, label, encoder,
-    )
-    return [
-        [
-            (*xs[s][j], None, None) if pred is None else (*xs[s][j], pred[0], pred[1])
-            for s, j, pred in zip(srcs, js, preds)
-        ]
-        for srcs, js, preds in found
-    ]
-
-
-# Tag suffixes of the union sort: at equal keys a Y (0) precedes an X (1).
-# Raw tuple keys take the flat suffix; encodings the orderable((key, tag)) shape.
-_Y, _X = (0,), (1,)
-_ENC_Y, _ENC_X = (2, 0), (2, 1)
+    keys = [list(map(_key0, part)) for pair in zip(ys, xs) for part in pair]
+    fx, fy = _flat(xs), _flat(ys)
+    x_at, pred, _same, x_cuts = _search(group, sort_keys(keys, encoder), fy, label)
+    fy.append((None, None))  # pred -1: no predecessor
+    pairs = zip(map(fx.__getitem__, x_at.tolist()), map(fy.__getitem__, pred.tolist()))
+    found = [(*x, y[0], y[1]) for x, y in pairs]
+    return [found[lo:hi] for lo, hi in zip(x_cuts, x_cuts[1:])]
 
 
 def _search(
-    group: Group,
-    x_keys: Sequence[list],
-    y_keys: Sequence[list],
-    y_items: Sequence[list],
-    label: str,
-    encoder: Callable[[Any], tuple] | None,
-) -> list[tuple[list[int], list[int], list[Any]]]:
-    """Predecessor search over key lists: one union sort, one carry trip.
+    group: Group, keys: Sequence[list], y_items: list, label: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Predecessor search over sort keys: one union sort, one carry trip.
 
-    Returns, per server, parallel arrays over the X elements it holds in
-    sorted order: origin ``(src, j)`` into ``x_keys`` and the predecessor
-    ``y_items[src'][j']`` (``None`` when no Y key <= the X key exists).
+    ``keys[2 * s]`` and ``keys[2 * s + 1]`` are source ``s``'s Y and X sort
+    keys; ``y_items`` are the Y elements, flat.  Both sides are ranked
+    together and sorted on ``2 * rank + tag``: at equal keys a Y (0)
+    precedes an X (1).  Returns, over the X elements in global order, their
+    flat positions, their predecessors' flat positions in Y (``-1`` when no
+    Y key <= the X key exists), whether the predecessor's sort key equals
+    theirs, and the ``p + 1`` server boundaries in these arrays.
     """
-    if isinstance(encoder, TagStamp):
-        union = [
-            [k + _Y for k in yk] + [k + _X for k in xk]
-            for xk, yk in zip(x_keys, y_keys)
-        ]
-    else:
-        enc = encoder or orderable
-        union = [
-            [(5, (enc(k), _ENC_Y)) for k in yk] + [(5, (enc(k), _ENC_X)) for k in xk]
-            for xk, yk in zip(x_keys, y_keys)
-        ]
-    n_y = [len(yk) for yk in y_keys]
+    sizes = [len(k) for k in keys]
+    union = 2 * rank_keys(keys)[1] + np.repeat(np.arange(len(keys)) & 1, sizes)
+    with prim_span(group.cluster, "SampleSort", label):
+        arr = arrange(group, list(map(add, sizes[::2], sizes[1::2])), union, label)
+    # Flat union position -> index among the Ys, or among the Xs.
+    tag = union & 1
+    n_x = np.cumsum(tag)
+    index = np.where(tag, n_x - 1, np.arange(len(tag)) - n_x)[arr.order]
+    is_y = (arr.ranks & 1) == 0
 
-    found: list[tuple[list[int], list[int], list[Any]]] = []
-    leading: list[int] = []  # X elements ahead of the server's first Y
-    trailing: list[Any] = []  # the server's last Y element
-    for _ks, srcs, js in _sort(group, union, label):
-        x_srcs, x_js, preds = [], [], []
-        carry = None
-        lead = -1
-        for s, j in zip(srcs, js):
-            if j < n_y[s]:
-                if lead < 0:
-                    lead = len(preds)
-                carry = y_items[s][j]
-            else:
-                x_srcs.append(s)
-                x_js.append(j - n_y[s])
-                preds.append(carry)
-        found.append((x_srcs, x_js, preds))
-        leading.append(len(preds) if lead < 0 else lead)
-        trailing.append(carry)
+    # Each element's predecessor is the last Y at or before it in global
+    # order.  One prefix maximum over every server's slice equals each
+    # server's own scan continued by the coordinator's carry — every Y left
+    # of a server's slice precedes all its elements — and the carry
+    # round-trip is posted as the servers would send it.
+    last = np.maximum.accumulate(np.where(is_y, np.arange(len(is_y)), -1))
+    tails = np.append(last, -1)[[hi - 1 for hi in arr.cuts[1:]]]  # -1: none
+    tail_ys = np.append(index, -1)[tails].tolist()
+    trailing = [
+        y_items[i] if t >= lo else None
+        for lo, t, i in zip(arr.cuts, tails.tolist(), tail_ys)
+    ]
+    _coordinator_roundtrip(group, trailing, _carries, f"{label}/carry")
 
-    incoming = _coordinator_roundtrip(group, trailing, _carries, f"{label}/carry")
-    for (_s, _j, preds), lead, carry_in in zip(found, leading, incoming):
-        if carry_in is not None:
-            preds[:lead] = [carry_in] * lead
-    return found
+    is_x = ~is_y
+    x_last = last[is_x]
+    pred = np.where(x_last >= 0, index[x_last], -1)
+    same = (x_last >= 0) & (arr.ranks[x_last] >> 1 == arr.ranks[is_x] >> 1)
+    x_cuts = np.concatenate(([0], np.cumsum(is_x)))[arr.cuts].tolist()
+    return index[is_x], pred, same, x_cuts
 
 
 def _carries(summaries_list: list[Any]) -> list[Any]:
@@ -543,9 +531,9 @@ def search_rows(
 
     The relation side rides its (cached) sorted run; table entries are
     routed to the run's range partitions by the already-broadcast
-    splitters and merged locally, with the usual O(p) carry round-trip for
-    partitions whose predecessor lives to their left.  Semantics match
-    :func:`multi_search` (ties resolve to the table).
+    splitters, with the usual O(p) carry round-trip for partitions whose
+    predecessor lives to their left.  Semantics match :func:`multi_search`
+    (ties resolve to the table).
 
     Load precondition: the table must be *globally distinct per key* with
     keys (essentially) drawn from ``rel``'s own key values — the degree
@@ -567,49 +555,46 @@ def search_rows(
         group.cluster, "SearchRows", f"{rel.name}[{','.join(key_attrs)}] {label}"
     ):
         run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
-        p = group.size
+        arr, p = run.arr, group.size
         tables = [list(part) for part in table_parts]
-        table_keys, splitters, run_keys = run.table_keys(
-            [[kv[0] for kv in part] for part in tables]
-        )
+        t_ranks, run_ranks = run.union_ranks([list(map(_key0, t)) for t in tables])
 
         # A table entry lands where a row with its key and the lowest uid
         # would: on the server numbered by how many splitter keys are < its
-        # key.  Sorted slices are routed and merged as in the kernel, and the
-        # shuffle is charged by its per-destination counts.
-        orders = [index_sort(k) for k in table_keys]
-        sorted_keys = [list(map(k.__getitem__, o)) for k, o in zip(table_keys, orders)]
-        cuts = [
-            [0] + [bisect_right(sk, key) for key, _uid in splitters]
-            + [len(sk)] * (p - len(splitters))
-            for sk in sorted_keys
-        ]
-        routed, received = merge_slices(sorted_keys, orders, cuts)
+        # key.  In (key, uid) order those servers do not decrease, so each
+        # receives one slice, charged by its per-destination counts.
+        t_order = np.argsort(t_ranks, kind="stable")
+        t_sorted = t_ranks[t_order]
+        spl = np.searchsorted(t_sorted, run_ranks[arr.spl], "right").tolist()
+        t_cuts = [0, *spl] + [len(t_ranks)] * (p - len(spl))
         if p > 1:
+            counts = np.diff(t_cuts)
+            t_src = np.repeat(np.arange(p), [len(t) for t in tables])[t_order]
+            dest = np.repeat(np.arange(p), counts)
+            received = (counts - np.bincount(dest[t_src == dest], minlength=p)).tolist()
             group.cluster.tally_members(group.members, received, f"{label}/table")
 
+        entries = _flat(tables) + [(None, None)]  # index -1: no predecessor
         summaries = [
-            (tables[srcs[-1]][js[-1]] if js else None) for _ks, srcs, js in routed
+            entries[t_order[hi - 1]] if lo < hi else None
+            for lo, hi in zip(t_cuts, t_cuts[1:])
         ]
-        incoming = _coordinator_roundtrip(group, summaries, _carries, f"{label}/carry")
+        _coordinator_roundtrip(group, summaries, _carries, f"{label}/carry")
+        # A row's predecessor is the last entry at or below its rank.  Over
+        # all entries at once that is its server's own, else the carry:
+        # every entry left of a server's slice is <= all of its rows.
+        pred = np.append(t_order, -1)[np.searchsorted(t_sorted, run_ranks, "right") - 1]
+        pred = pred.tolist()
 
-        keys = run.keys
-        payloads = rel.parts if payloads is None else payloads
-        out_parts: list[list[tuple[Any, Any, Any, Any]]] = []
-        for rks, (_k, srcs, js), (tks, t_srcs, t_js), carry in zip(
-            run_keys, run.parts, routed, incoming
-        ):
-            pred = (None, None) if carry is None else carry
-            ti = 0
-            n_t = len(tks)
-            out: list[tuple[Any, Any, Any, Any]] = []
-            for k, s, j in zip(rks, srcs, js):
-                while ti < n_t and tks[ti] <= k:
-                    pred = tables[t_srcs[ti]][t_js[ti]]
-                    ti += 1
-                out.append((keys[s][j], payloads[s][j], pred[0], pred[1]))
-            out_parts.append(out)
-        return out_parts
+        keys, order = run.keys, arr.order.tolist()
+        flat_payloads = _flat(rel.parts if payloads is None else payloads)
+        return [
+            [
+                (keys[f], flat_payloads[f], entries[t][0], entries[t][1])
+                for f, t in zip(order[lo:hi], pred[lo:hi])
+            ]
+            for lo, hi in arr.slices()
+        ]
 
 
 def semi_join(
@@ -640,15 +625,19 @@ def semi_join(
         pos_f = filter_rel.positions(shared)
         rel_keys = projected_keys(rel, pos_r)
         filter_keys = projected_keys(filter_rel, pos_f)
-        found = _search(
-            group, rel_keys, filter_keys, filter_keys, label,
-            pair_key_encoder(rel, pos_r, filter_rel, pos_f),
-        )
-        rows = rel.parts
-        parts = [
-            [rows[s][j] for s, j, pk in zip(srcs, js, preds) if pk == rel_keys[s][j]]
-            for srcs, js, preds in found
-        ]
+        keys = [part for pair in zip(filter_keys, rel_keys) for part in pair]
+        skeys = sort_keys(keys, pair_key_encoder(rel, pos_r, filter_rel, pos_f))
+        fy = _flat(filter_keys)
+        x_at, pred, same, x_cuts = _search(group, skeys, fy, label)
+        if skeys is not keys:
+            # Encodings tell ``1`` from ``True``; the predecessor test is
+            # value equality, as the raw keys' was.
+            fx = _flat(rel_keys)
+            for i in np.flatnonzero((pred >= 0) & ~same).tolist():
+                same[i] = fy[pred[i]] == fx[x_at[i]]
+        kept = np.concatenate(([0], np.cumsum(same)))[x_cuts].tolist()
+        rows, x_at = _flat(rel.parts), x_at[same].tolist()
+        parts = [list(map(rows.__getitem__, x_at[a:b])) for a, b in zip(kept, kept[1:])]
         return DistRelation(rel.name, rel.attrs, parts, owned=True)
 
 
@@ -689,39 +678,33 @@ def attach_degrees(
             ]
 
         run = sorted_run(group, rel, key_attrs, f"{label}/count", scalar=scalar)
+        arr = run.arr
 
-        # Local run-length counts per server: [(sort_key, count)].
-        counted = [
-            [(k, sum(1 for _ in g)) for k, g in groupby(ks)]
-            for ks, _srcs, _js in run.parts
-        ]
-        summaries = [
-            (runs[0], runs[-1], len(runs)) if runs else None for runs in counted
-        ]
+        # Local run-length counts per server, as (rank, count) summaries.
+        heads, lengths, bounds = _runs(arr)
+        degrees = lengths.tolist()
         replies = _coordinator_roundtrip(
-            group, summaries, _span_totals, f"{label}/stitch"
+            group, _edge_runs(arr.ranks[heads].tolist(), degrees, bounds),
+            _span_totals, f"{label}/stitch",
         )
-
-        rows = rel.parts
-        out_parts: list[list[tuple[Row, int]]] = []
-        for (_ks, srcs, js), runs, (first, last) in zip(run.parts, counted, replies):
-            degrees = [n for _k, n in runs]
+        for a, b, (first, last) in zip(bounds, bounds[1:], replies):
             if last is not None:
-                degrees[-1] = last
+                degrees[b - 1] = last
             if first is not None:
-                degrees[0] = first
-            origins = zip(srcs, js)
-            out: list[tuple[Row, int]] = []
-            for (_k, n), deg in zip(runs, degrees):
-                out += [(rows[s][j], deg) for s, j in islice(origins, n)]
-            out_parts.append(out)
-        return out_parts
+                degrees[a] = first
+
+        rows, order = _flat(rel.parts), arr.order.tolist()
+        per_row = np.repeat(degrees, lengths).tolist()
+        return [
+            list(zip(map(rows.__getitem__, order[lo:hi]), per_row[lo:hi]))
+            for lo, hi in arr.slices()
+        ]
 
 
 def _span_totals(summaries_list: list[Any]) -> list[Any]:
     """Global totals for each server's first and last (possibly spanning) run."""
     replies: list[list[Any]] = [[None, None] for _ in summaries_list]
-    chain: list[Any] | None = None  # [okey, acc, [(server, slot), ...]]
+    chain: list[Any] | None = None  # [rank, acc, [(server, slot), ...]]
 
     def flush() -> None:
         nonlocal chain

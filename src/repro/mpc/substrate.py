@@ -1,25 +1,27 @@
 """The PSRS kernel every Section-2 primitive sorts with, and its caches.
 
 Paper Section 2 reduces sum-by-key, multi-numbering, multi-search and
-semi-join to one linear-load sort; :func:`psrs` is that sort, once.  It
-takes per-source lists of comparable *sort keys* and returns, per
-destination, index arrays — sort key and origin ``(src, j)`` in global
-``(key, uid)`` order — so callers allocate nothing per item until they
-emit.  Local sorts are stable index sorts, routing is one bisect per
-splitter and sorted source, the destination merge is a stable index sort
-of the received slices, and all three communication steps are charged to
-the ledger by their per-server counts (:func:`charge_pass`).  Sample and
-splitter traffic scales with the data: ``min(p, ceil(n_i / p))`` samples
-per source (:func:`sample_indices`), ``min(p, #samples)`` ranges
-(:func:`pick_splitters`).
+semi-join to one linear-load sort; :func:`psrs` is that sort, once.  The
+comparable *sort keys* of one pass are ranked against their sorted
+distinct values (:func:`rank_keys`), and the pass runs on int64 ranks
+(:func:`arrange`): one stable ``argsort`` of the items, concatenated in
+``(src, j)`` order, *is* the global ``(key, uid)`` order, every
+destination is a contiguous slice of it between two splitters, and all
+three communication steps are charged to the ledger by their per-server
+counts (:func:`charge_pass`).  Callers scan the resulting
+:class:`Arrangement` as arrays and fetch items only when they emit.
+Sample and splitter traffic scales with the data: ``min(p, ceil(n_i /
+p))`` samples per source (:func:`sample_indices`), ``min(p, #samples)``
+ranges (:func:`pick_splitters`).
 
 * **Raw keys where they order like** :func:`orderable`.  A column that is
   statically homogeneous (int/float-only or str-only; :func:`column_kind`,
   detected once per relation) stamps one constant type tag on every value,
   so projected keys over such columns compare exactly like their
-  encodings and are sorted as they are (:class:`TagStamp`).  Any other
-  key list is encoded first — same kernel, different key list,
-  bit-identical arrangement and ledger.
+  encodings and are ranked as they are (:class:`TagStamp`; for keys with
+  no relation behind them, :func:`sort_keys` scans the type tags).  Any
+  other key list is encoded first — same ranks, bit-identical arrangement
+  and ledger.
 * **Sorted runs, paid once per execution.**  :func:`sorted_run` runs the
   pass for a ``(relation, key)`` pair once and caches it on the relation.
   The ledger is charged for it once per execution (ledger epoch,
@@ -39,13 +41,14 @@ the reference the correctness tests compare against (identical outputs
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from repro.data.columns import _order_tag_of
 from repro.data.relation import Row
@@ -62,15 +65,16 @@ __all__ = [
     "set_caching",
     "cache_disabled",
     "column_kind",
-    "projection_encoder_from_tags",
-    "scalar_encoder_from_tag",
     "key_encoder",
+    "key_tags",
+    "sort_keys",
     "projected_keys",
     "TagStamp",
+    "rank_keys",
     "sample_indices",
     "pick_splitters",
-    "index_sort",
-    "merge_slices",
+    "Arrangement",
+    "arrange",
     "psrs",
     "charge_pass",
     "SortedRun",
@@ -122,13 +126,6 @@ def orderable(value: Any) -> tuple:
     if isinstance(value, tuple):
         return (5, tuple(orderable(v) for v in value))
     raise TypeError(f"cannot order value of type {type(value).__name__}")
-
-
-# The orderable() type tags of the two homogeneity fast paths, and the
-# exact Python types each admits (``bool`` carries its own tag).
-_TAG_NUM = 2
-_TAG_STR = 3
-_TAG_TYPES = {_TAG_NUM: (int, float), _TAG_STR: (str,)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,33 +231,6 @@ def _value_encoder(tag: int | None, lut: dict | None) -> Callable[[Any], tuple]:
     return orderable
 
 
-def projection_encoder_from_tags(
-    pos: tuple[int, ...], tags: Sequence[int | None]
-) -> Callable[[Row], tuple]:
-    """Build the row encoder from a plain ``(positions, tags)`` descriptor.
-
-    The descriptor is picklable, so execution backends can rebuild the
-    exact encoder inside a worker process (:func:`_sort_part`).
-    """
-    if all(t is not None for t in tags):
-        if len(pos) == 1:
-            i0, t0 = pos[0], tags[0]
-            return lambda row: (5, ((t0, row[i0]),))
-        if len(pos) == 2:
-            (i0, i1), (t0, t1) = pos, tags
-            return lambda row: (5, ((t0, row[i0]), (t1, row[i1])))
-        pairs = tuple(zip(pos, tags))
-        return lambda row: (5, tuple((t, row[i]) for i, t in pairs))
-    return lambda row: (5, tuple(orderable(row[i]) for i in pos))
-
-
-def scalar_encoder_from_tag(col: int, tag: int | None) -> Callable[[Row], tuple]:
-    """``row -> orderable(row[col])`` from a :func:`column_kind` tag."""
-    if tag is not None:
-        return lambda row: (tag, row[col])
-    return lambda row: orderable(row[col])
-
-
 def key_encoder(rel: DistRelation, pos: Sequence[int]) -> Callable[[Row], tuple]:
     """``key -> orderable(key)`` for keys projected from ``rel`` at ``pos``.
 
@@ -328,6 +298,43 @@ def pair_key_encoder(
     return lambda key: (5, tuple(e(v) for e, v in zip(encs, key)))
 
 
+def key_tags(flat: list) -> int | tuple[int, ...] | None:
+    """The :func:`orderable` type tag every key shares, by C-speed scans.
+
+    Scalar keys: :func:`_order_tag_of` of them all.  Tuple keys of one
+    width: the tuple of the tags of each position.  ``None`` when some
+    position mixes tags (or widths, or scalars with tuples) or ``flat`` is
+    empty.  Keys with shared tags compare exactly like their encodings.
+    """
+    if not flat or type(flat[0]) is not tuple:
+        return _order_tag_of(flat)
+    if set(map(type, flat)) != {tuple} or len(set(map(len, flat))) != 1:
+        return None
+    tags = tuple(_order_tag_of(map(itemgetter(i), flat)) for i in range(len(flat[0])))
+    return None if None in tags else tags
+
+
+def sort_keys(
+    keys: Sequence[list], encoder: Callable[[Any], tuple] | None
+) -> Sequence[list]:
+    """What a generic primitive ranks per-source ``keys`` on.
+
+    The keys themselves when they order exactly like their
+    :func:`orderable` encodings: a :class:`TagStamp` says so for keys
+    projected from homogeneous columns, and without an encoder one
+    :func:`key_tags` scan over every source decides (the cache-bypassed
+    reference never scans).  Otherwise their encodings under ``encoder``
+    (an ``orderable`` equivalent) or :func:`orderable` itself.
+    """
+    if isinstance(encoder, TagStamp) or (
+        encoder is None and _ENABLED
+        and key_tags(list(chain.from_iterable(keys))) is not None
+    ):
+        return keys
+    enc = encoder or orderable
+    return [list(map(enc, part)) for part in keys]
+
+
 def projected_keys(rel: DistRelation, pos: Sequence[int]) -> list[list[Row]]:
     """Per-part projected key tuples, cached per ``(relation, positions)``.
 
@@ -342,20 +349,9 @@ def projected_keys(rel: DistRelation, pos: Sequence[int]) -> list[list[Row]]:
             return got
     blocks = rel.column_parts
     if blocks is not None:
-        if len(pos) == 1:
-            i0 = pos[0]
-            keys = [[(v,) for v in b.column_values(i0)] for b in blocks]
-        else:
-            keys = [
-                list(zip(*[b.column_values(i) for i in pos])) for b in blocks
-            ]
-    elif len(pos) == 1:
-        i0 = pos[0]
-        keys = [[(row[i0],) for row in part] for part in rel.parts]
+        keys = [list(zip(*[b.column_values(i) for i in pos])) for b in blocks]
     else:
-        keys = [
-            [tuple(row[i] for i in pos) for row in part] for part in rel.parts
-        ]
+        keys = [_sort_part(part, (pos, False), 0) for part in rel.parts]
     if _ENABLED:
         cache[pos] = keys
     return keys
@@ -412,120 +408,141 @@ def pick_splitters(flat: Sequence, p: int) -> list:
     return [flat[(k * m) // q] for k in range(1, q)]
 
 
-def index_sort(keys: list) -> list[int]:
-    """Stable index sort: positions of ``keys`` in key order, ties in index
-    order — which for one source's items *is* uid order."""
-    return sorted(range(len(keys)), key=keys.__getitem__)
+def rank_keys(keys: Sequence[Sequence]) -> tuple[list, np.ndarray]:
+    """Rank per-source sort keys against their sorted distinct values.
 
-
-def merge_slices(
-    sorted_keys: Sequence[list], orders: Sequence[list[int]],
-    cuts: Sequence[Sequence[int]],
-) -> tuple[list[tuple[list, list[int], list[int]]], list[int]]:
-    """Route sorted sources by cut points and merge at each destination.
-
-    Source ``s`` sends ``sorted_keys[s][cuts[s][d]:cuts[s][d + 1]]`` to
-    destination ``d``, which stable-sorts the slices concatenated in
-    source order — equal keys stay in ``(src, j)`` order.  Returns the
-    per-destination ``(keys, srcs, js)`` index arrays and the units each
-    destination received from *other* servers (the exchange's ledger
-    counts; a server's own slice never crosses the network).
+    Returns ``(flat, ranks)``: the keys concatenated in source order, and
+    the int64 index of each in ``sorted(set(flat))``, in the same order.
+    Equal keys share a rank (``1``/``1.0``, ``0.0``/``-0.0``) exactly where
+    ``sorted`` ties them, so a stable sort on ranks is a stable sort on
+    keys.  NaN keys are outside the contract.
     """
-    p = len(sorted_keys)
-    parts, received = [], []
-    for d in range(p):
-        ks, srcs, js = [], [], []
-        for s in range(p):
-            lo, hi = cuts[s][d], cuts[s][d + 1]
-            if lo < hi:
-                ks += sorted_keys[s][lo:hi]
-                srcs += [s] * (hi - lo)
-                js += orders[s][lo:hi]
-        received.append(len(ks) - (cuts[d][d + 1] - cuts[d][d]))
-        perm = index_sort(ks)
-        parts.append((
-            list(map(ks.__getitem__, perm)),
-            list(map(srcs.__getitem__, perm)),
-            list(map(js.__getitem__, perm)),
-        ))
-    return parts, received
+    flat = list(chain.from_iterable(keys))
+    values = flat
+    if flat and type(flat[0]) is tuple and set(map(len, flat)) == {1}:
+        # Comparable with a tuple, all are tuples: 1-tuples rank as their
+        # one value, which hashes and compares faster.
+        values = list(map(itemgetter(0), flat))
+    distinct = sorted(set(values))
+    index = dict(zip(distinct, range(len(distinct))))
+    return flat, np.fromiter(map(index.__getitem__, values), np.int64, len(flat))
+
+
+@dataclass(slots=True, eq=False)
+class Arrangement:
+    """Where one PSRS pass puts every item, by *flat position*: the
+    sources' items concatenated in source order, so flat order is uid order.
+
+    ``order`` lists flat positions in global ``(key, uid)`` order, and
+    ``ranks`` / ``srcs`` the items' ranks and sources along it; destination
+    ``d`` holds ``order[cuts[d]:cuts[d + 1]]``; ``spl`` are the splitters'
+    positions in ``order``; ``starts[s]`` is source ``s``'s first flat
+    position; ``charges`` is what :func:`charge_pass` bills (``None`` on
+    one server, where nothing moves).
+    """
+
+    order: np.ndarray
+    ranks: np.ndarray
+    srcs: np.ndarray
+    starts: np.ndarray
+    cuts: list[int]
+    spl: list[int]
+    charges: tuple | None
+
+    def slices(self) -> Iterator[tuple[int, int]]:
+        """Each destination's ``(lo, hi)`` bounds in ``order``."""
+        return zip(self.cuts, self.cuts[1:])
+
+    def parts(self, keys: list) -> list[tuple[list, list[int], list[int]]]:
+        """Per destination, ``(sort_keys, srcs, js)`` lists in global order,
+        ``keys`` being the pass's flat sort keys."""
+        order, srcs = self.order.tolist(), self.srcs.tolist()
+        js = (self.order - self.starts[self.srcs]).tolist()
+        return [
+            (list(map(keys.__getitem__, order[lo:hi])), srcs[lo:hi], js[lo:hi])
+            for lo, hi in self.slices()
+        ]
+
+    def splitters(self, keys: list) -> list[tuple]:
+        """The at most ``p - 1`` ``(sort_key, uid)`` range splitters."""
+        starts = self.starts.tolist()
+        return [
+            (keys[f], (s, f - starts[s]))
+            for f, s in zip(self.order[self.spl].tolist(), self.srcs[self.spl].tolist())
+        ]
+
+
+def _arrange(sizes: Sequence[int], ranks: np.ndarray) -> Arrangement:
+    """:func:`arrange` without the ledger: where every item lands, and the
+    per-server counts that moving it there costs."""
+    p = len(sizes)
+    offsets = [0, *accumulate(sizes)]
+    starts = np.array(offsets)
+    # Flat order is uid order: a stable sort on rank is the (key, uid) order.
+    order = np.argsort(ranks, kind="stable")
+    # The narrowest dtype: a stable sort of 8/16-bit ids is a radix sort.
+    srcs = np.repeat(np.arange(p, dtype=np.min_scalar_type(p)), sizes)[order]
+    n = len(order)
+    if p == 1:
+        return Arrangement(order, ranks[order], srcs, starts, [0, n], [], None)
+
+    # Regular sampling: evenly spaced pivots of each source's sorted items
+    # (a stable sort of the source ids along the global order lists them),
+    # each counted as one unit of communication at the coordinator.
+    by_src = np.argsort(srcs, kind="stable")
+    picks: list[int] = []
+    sample_sizes = []
+    for s, n_s in enumerate(sizes):
+        idxs = sample_indices(n_s, p)
+        picks += [offsets[s] + i for i in idxs]
+        sample_sizes.append(len(idxs))
+    # Positions in the global order sort the samples by (key, uid).
+    spl = pick_splitters(np.sort(by_src[np.array(picks, np.intp)]).tolist(), p)
+
+    # An item lands on the server numbered by how many splitters are <= its
+    # (key, uid): in global order, the slice between two splitters.  Ranges
+    # past the last splitter (all of them, with no items) are empty.
+    cuts = [0, *spl] + [n] * (p - len(spl))
+    counts = np.diff(cuts)
+    dest = np.repeat(np.arange(p), counts)
+    received = (counts - np.bincount(dest[srcs == dest], minlength=p)).tolist()
+    charges = (sample_sizes, received)
+    return Arrangement(order, ranks[order], srcs, starts, cuts, spl, charges)
+
+
+def arrange(
+    group: Group, sizes: Sequence[int], ranks: np.ndarray, label: str
+) -> Arrangement:
+    """One regular-sampling sort pass over flat int64 ``ranks``, source
+    ``s`` holding ``sizes[s]`` of them, charged.  The global order is
+    ``(rank, uid)``, so a key heavier than ``n/p`` spreads over servers.
+    Load: the partition bound of :func:`sample_indices` per server, plus at
+    most ``n/p + p`` sample units at the coordinator."""
+    if len(sizes) != group.size:
+        raise MPCError(f"expected {group.size} parts, got {len(sizes)}")
+    arr = _arrange(sizes, ranks)
+    charge_pass(group, label, arr)
+    return arr
 
 
 def psrs(
-    group: Group,
-    keys: Sequence[list],
-    label: str,
-    orders: Sequence[list[int]] | None = None,
+    group: Group, keys: Sequence[list], label: str
 ) -> tuple[list[tuple[list, list[int], list[int]]], list[tuple], tuple | None]:
     """One regular-sampling sort pass over per-source sort-key lists.
 
-    ``keys[src][j]`` is the sort key of source ``src``'s item ``j``; any
-    mutually comparable values (raw projected keys or :func:`orderable`
-    encodings — the kernel never looks inside).  The global order is
-    ``(key, uid)`` with ``uid = (src, j)``, so a key heavier than ``n/p``
-    spreads over servers.  ``orders`` are the per-source
-    :func:`index_sort` results when the caller already ran them (through
-    :meth:`Group.map_parts`).
-
-    Returns ``(parts, splitters, charges)``: ``parts[d] = (ks, srcs, js)``
-    lists destination ``d``'s items in global order as parallel arrays —
-    sort key and origin, so callers fetch ``source[src][j]`` only when they
-    emit; ``splitters`` are the at most ``p - 1`` ``(key, uid)`` range
-    bounds; ``charges`` is what :func:`charge_pass` needs besides them to
-    bill the pass (``None`` on a single server, where nothing moves).
-
-    Load: the partition bound of :func:`sample_indices` per server, plus at
-    most ``n/p + p`` sample units at the coordinator.
+    ``keys[src][j]`` is the sort key of source ``src``'s item ``j``: any
+    mutually comparable, hashable values, ranked by :func:`rank_keys` and
+    arranged by :func:`arrange`.  Returns ``(parts, splitters, charges)``:
+    ``parts[d] = (ks, srcs, js)``, destination ``d``'s sort keys and
+    origins in global order; the at most ``p - 1`` ``(key, uid)`` range
+    splitters; what :func:`charge_pass` billed.
     """
-    parts, splitters, charges = _arrange(group.size, keys, orders)
-    charge_pass(group, label, splitters, charges)
-    return parts, splitters, charges
+    flat, ranks = rank_keys(keys)
+    arr = arrange(group, [len(k) for k in keys], ranks, label)
+    return arr.parts(flat), arr.splitters(flat), arr.charges
 
 
-def _arrange(
-    p: int, keys: Sequence[list], orders: Sequence[list[int]] | None
-) -> tuple[list[tuple[list, list[int], list[int]]], list[tuple], tuple | None]:
-    """:func:`psrs` without the ledger: where every item lands, and the
-    per-server counts that moving it there costs."""
-    if len(keys) != p:
-        raise MPCError(f"expected {p} parts, got {len(keys)}")
-    if orders is None:
-        orders = [index_sort(k) for k in keys]
-    sorted_keys = [list(map(k.__getitem__, o)) for k, o in zip(keys, orders)]
-    if p == 1:
-        return [(sorted_keys[0], [0] * len(orders[0]), orders[0])], [], None
-
-    # Regular sampling: evenly spaced (key, uid) pivots per server, each
-    # counted as one unit of communication at the coordinator.
-    samples: list[tuple] = []
-    sample_sizes = []
-    for src, (sk, o) in enumerate(zip(sorted_keys, orders)):
-        idxs = sample_indices(len(sk), p)
-        samples += [(sk[i], (src, o[i])) for i in idxs]
-        sample_sizes.append(len(idxs))
-    samples.sort()
-    splitters = pick_splitters(samples, p)
-
-    # An item lands on the server numbered by how many splitters are <=
-    # its (key, uid): one pair of bisects per splitter and sorted source.
-    cuts = []
-    for src, (sk, o) in enumerate(zip(sorted_keys, orders)):
-        row = [0]
-        for key, (s, j) in splitters:
-            lo = bisect_left(sk, key)
-            if src <= s:
-                hi = bisect_right(sk, key, lo)
-                lo = hi if src < s else bisect_left(o, j, lo, hi)
-            row.append(lo)
-        # Ranges past the last splitter (all of them, with no items) are empty.
-        cuts.append(row + [len(sk)] * (p - len(splitters)))
-    parts, received = merge_slices(sorted_keys, orders, cuts)
-    return parts, splitters, (sample_sizes, received)
-
-
-def charge_pass(
-    group: Group, label: str, splitters: list[tuple], charges: tuple | None
-) -> None:
+def charge_pass(group: Group, label: str, arr: Arrangement) -> None:
     """Post one PSRS pass's three steps — sample gather, splitter
     broadcast, shuffle — to the ledger by their per-server counts.
 
@@ -536,14 +553,14 @@ def charge_pass(
     epoch and the cache-bypassed reference all go through it and cannot
     drift apart.
     """
-    if charges is None:
+    if arr.charges is None:
         return
-    sample_sizes, received = charges
+    sample_sizes, received = arr.charges
     coord = coordinator_for(group, label)
     counts = [0] * group.size
     counts[coord] = sum(sample_sizes) - sample_sizes[coord]
     group.cluster.tally_members(group.members, counts, f"{label}/sample")
-    group.broadcast(splitters, f"{label}/splitters", src=coord)
+    group.broadcast(arr.spl, f"{label}/splitters", src=coord)
     group.cluster.tally_members(group.members, received, f"{label}/shuffle")
 
 
@@ -555,58 +572,58 @@ def charge_pass(
 class SortedRun:
     """One PSRS pass over a relation's rows, keyed by one projection.
 
+    Items are numbered by flat position over ``rel.parts`` (parts
+    concatenated in order), which also indexes caller-side payloads.
+
     Attributes:
         scalar: Whether keys are bare column values (True) or 1+-tuples.
         tags: The columns' homogeneity tags when every one is set — the
-            run is then sorted on the raw keys — else ``None`` (sorted on
+            run is then ranked on the raw keys — else ``None`` (ranked on
             :func:`orderable` encodings).
-        keys: ``keys[src][j]`` is the projected key of ``rel.parts[src][j]``.
-        splitters: The global ``(sort_key, uid)`` range splitters (at most
-            ``p - 1``, :func:`pick_splitters`).
-        parts: ``parts[d] = (sort_keys, srcs, js)``, destination ``d``'s
-            items in global sorted order as parallel arrays; the origin
-            ``(src, j)`` ties equal keys apart (heavy keys spread over
-            servers) and indexes ``keys``, the relation's rows and
-            caller-side payloads.
-
-    ``_charges`` is the pass's communication profile (:func:`charge_pass`),
-    so the first use in a later epoch can bill it without re-sorting.
+        keys: ``keys[f]`` is the projected key of flat row ``f``.
+        sort_keys: What the pass ranked: ``keys`` itself when raw, else
+            their encodings.
+        arr: The :class:`Arrangement`; the origin ``(src, j)`` ties equal
+            keys apart, so heavy keys spread over servers.  Its charges let
+            the first use in a later epoch bill the pass without re-sorting.
     """
 
     scalar: bool
     tags: tuple[int, ...] | None
-    keys: list[list]
-    splitters: list[tuple]
-    parts: list[tuple[list, list[int], list[int]]]
-    _charges: tuple | None
+    keys: list
+    sort_keys: list
+    arr: Arrangement
 
-    def table_keys(
-        self, keys: Sequence[list]
-    ) -> tuple[list[list], list[tuple], list[list]]:
-        """Outside per-source ``keys`` and this run, in one key space.
+    @property
+    def parts(self) -> list[tuple[list, list[int], list[int]]]:
+        """Per destination, ``(sort_keys, srcs, js)`` in global order."""
+        return self.arr.parts(self.sort_keys)
 
-        Returns ``(sort_keys, splitters, run_sort_keys_per_destination)``.
-        A raw run stays raw only while every outside key carries the run's
-        type tags; otherwise both sides become :func:`orderable` encodings,
-        which order the run's own keys exactly as they already are.
+    @property
+    def splitters(self) -> list[tuple]:
+        """The global ``(sort_key, uid)`` range splitters."""
+        return self.arr.splitters(self.sort_keys)
+
+    def union_ranks(self, keys: Sequence[list]) -> tuple[np.ndarray, np.ndarray]:
+        """Rank outside per-source ``keys`` in one space with this run's.
+
+        Returns the outside keys' ranks (flat, in source order) and the
+        run's ranks along its order.  A raw run stays raw only while every
+        outside key carries the run's type tags (:func:`key_tags`);
+        otherwise both sides are ranked as :func:`orderable` encodings — of
+        the run, only its distinct keys (one per rank), whose order the
+        encoding keeps.
         """
-        run_keys = [part[0] for part in self.parts]
-        splitters = self.splitters
-        if self.tags is not None:
-            kinds = [_TAG_TYPES[t] for t in self.tags]
-            if self.scalar:
-                fits = all(type(k) in kinds[0] for part in keys for k in part)
-            else:
-                fits = all(
-                    type(k) is tuple and len(k) == len(kinds)
-                    and all(type(v) in ts for v, ts in zip(k, kinds))
-                    for part in keys for k in part
-                )
-            if fits:
-                return keys, splitters, run_keys
-            run_keys = [list(map(orderable, ks)) for ks in run_keys]
-            splitters = [(orderable(k), uid) for k, uid in splitters]
-        return [list(map(orderable, part)) for part in keys], splitters, run_keys
+        arr = self.arr
+        firsts = np.flatnonzero(np.diff(arr.ranks, prepend=-1))
+        distinct = list(map(self.sort_keys.__getitem__, arr.order[firsts].tolist()))
+        flat = list(chain.from_iterable(keys))
+        tags = self.tags[0] if self.scalar and self.tags else self.tags
+        if tags is None or flat and key_tags(flat) != tags:
+            keys = [list(map(orderable, part)) for part in keys]
+            distinct = distinct if tags is None else list(map(orderable, distinct))
+        ranks = rank_keys([distinct, *keys])[1]
+        return ranks[len(distinct):], ranks[:len(distinct)][arr.ranks]
 
 
 def sorted_run(
@@ -646,42 +663,34 @@ def sorted_run(
             local = group.map_parts(
                 _sort_part,
                 rel.parts,
-                (pos, tags, bool(scalar)),
+                (pos, bool(scalar)),
                 owner=rel if _ENABLED else None,
             )
-            keys, skeys, orders = zip(*local)
-            parts, splitters, charges = _arrange(group.size, skeys, orders)
+            raw = None not in tags
+            skeys = local if raw else [list(map(orderable, k)) for k in local]
+            flat, ranks = rank_keys(skeys)
             run = runs[cache_key] = SortedRun(
-                scalar, None if None in tags else tags, list(keys),
-                splitters, parts, charges,
+                scalar, tags if raw else None,
+                flat if raw else list(chain.from_iterable(local)),
+                flat, _arrange([len(k) for k in local], ranks),
             )
         paid: dict[tuple, int] = rel._substrate.setdefault("paid", {})
         if paid.get(cache_key) != group.cluster.epoch:
-            charge_pass(group, label, run.splitters, run._charges)
+            charge_pass(group, label, run.arr)
             paid[cache_key] = group.cluster.epoch
         return run
 
 
-def _sort_part(part: list, common: tuple, idx: int) -> tuple[list, list, list[int]]:
-    """Per-server key projection + local index sort (backend-shippable).
+def _sort_part(part: list, common: tuple, idx: int) -> list:
+    """Per-server key projection (backend-shippable).
 
-    ``common = (pos, tags, scalar)`` is a pure-data descriptor, so any
+    ``common = (pos, scalar)`` is a pure-data descriptor, so any
     :class:`~repro.mpc.backends.Backend` can run this in a worker process.
-    Returns ``(keys, sort_keys, order)``: the projected keys, what they are
-    sorted on — the same list when every column is tagged homogeneous,
-    their :func:`orderable` encodings otherwise — and the stable sorted
-    positions.  Rows are never compared.
+    Returns the projected keys: bare values when ``scalar``, else tuples.
+    Rows are never compared.
     """
-    pos, tags, scalar = common
+    pos, scalar = common
     if scalar or len(pos) == 1:
-        i0 = pos[0]
-        keys = [row[i0] for row in part] if scalar else [(row[i0],) for row in part]
-    else:
-        keys = [tuple(row[i] for i in pos) for row in part]
-    if None not in tags:
-        skeys = keys
-    elif scalar:
-        skeys = list(map(scalar_encoder_from_tag(pos[0], tags[0]), part))
-    else:
-        skeys = list(map(projection_encoder_from_tags(pos, tags), part))
-    return keys, skeys, index_sort(skeys)
+        values = map(itemgetter(pos[0]), part)
+        return list(values) if scalar else list(zip(values))
+    return list(map(itemgetter(*pos), part)) if pos else [()] * len(part)

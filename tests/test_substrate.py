@@ -32,10 +32,9 @@ from repro.mpc.primitives import (
 )
 from repro.mpc.substrate import (
     column_kind,
+    key_encoder,
     pair_key_encoder,
-    projection_encoder_from_tags,
     psrs,
-    scalar_encoder_from_tag,
     sorted_run,
 )
 
@@ -48,15 +47,6 @@ def dist(rel, p):
     cl = Cluster(p)
     g = cl.root_group()
     return cl, g, distribute_relation(rel, g)
-
-
-def row_encoder(rel, pos):
-    """The row encoder a sort over ``pos`` ships to its workers."""
-    return projection_encoder_from_tags(pos, [column_kind(rel, i) for i in pos])
-
-
-def value_encoder(rel, col):
-    return scalar_encoder_from_tag(col, column_kind(rel, col))
 
 
 def ledger_key(report):
@@ -81,30 +71,11 @@ MIXED_ROWS = [
 
 
 class TestEncoders:
-    def test_projection_encoder_matches_orderable(self):
-        rng = random.Random(3)
-        rows = [(rng.randrange(50), f"s{rng.randrange(9)}") for _ in range(200)]
-        _cl, _g, rel = dist(make_rel(rows), 4)
-        for pos in [(0,), (1,), (0, 1), (1, 0)]:
-            enc = row_encoder(rel, pos)
-            for part in rel.parts:
-                for row in part:
-                    assert enc(row) == orderable(project_row(row, pos))
-
-    def test_scalar_encoder_matches_orderable(self):
-        rows = [(i, f"s{i}") for i in range(40)]
-        _cl, _g, rel = dist(make_rel(rows), 3)
-        for col in (0, 1):
-            enc = value_encoder(rel, col)
-            for part in rel.parts:
-                for row in part:
-                    assert enc(row) == orderable(row[col])
-
     def test_mixed_columns_fall_back(self):
         _cl, _g, rel = dist(make_rel(MIXED_ROWS), 2)
         assert column_kind(rel, 0) is None  # None/bool/tuple disqualify
         assert column_kind(rel, 1) == 3  # all str
-        enc = row_encoder(rel, (0, 1))
+        enc = key_encoder(rel, (0, 1))
         for part in rel.parts:
             for row in part:
                 assert enc(row) == orderable(row)
@@ -113,8 +84,8 @@ class TestEncoders:
         rows = [(1, "a"), (True, "b")]
         _cl, _g, rel = dist(make_rel(rows), 1)
         assert column_kind(rel, 0) is None
-        enc = value_encoder(rel, 0)
-        assert enc((True, "b")) == orderable(True) == (1, 1)
+        enc = key_encoder(rel, (0,))
+        assert enc((True,)) == orderable((True,)) == (5, ((1, 1),))
 
     def test_pair_encoder_matches_orderable_on_both_sides(self):
         _cl, g, rel1 = dist(make_rel([(1, "a"), (2, "b")]), 2)
