@@ -61,15 +61,15 @@ print(batch.stats.summary())
 assert all(r.metrics.plan_reused for r in batch.results)
 
 # ----------------------------------------------------------------------
-# 3b. The traced physical plan behind a warm execution (repro explain).
+# 3b. The physical plan a cold execution runs (repro explain), traced on
+#     a scratch cluster: the serving path itself records no trace.
 # ----------------------------------------------------------------------
 plan = engine.trace_plan(TWO_HOP)
 counts = plan.op_counts()
 print(
     f"\nphysical plan for two-hop: {len(plan.ops)} ops "
     f"({counts.get('MapParts', 0)} worker-local, "
-    f"{len(plan.charges())} charges, {plan.charged_units()} units); "
-    f"warm replays fuse them into single backend requests"
+    f"{len(plan.charges())} charges, {plan.charged_units()} units)"
 )
 
 # ----------------------------------------------------------------------

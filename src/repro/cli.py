@@ -97,15 +97,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser(
         "explain",
-        help="print the traced physical plan (ops, per-op ledger units, "
-        "replay cost) without executing on the serving cluster",
+        help="print the traced physical plan (ops, per-op ledger units) "
+        "without executing on the serving cluster",
     )
     x.add_argument("text", help="e.g. 'Q(A,B) :- R1(A,B), R2(B,C)'")
     add_common(x)
     x.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     x.add_argument("--timings", action="store_true",
-                   help="execute once to warm the backend, then time a "
-                        "per-op replay: wall=/wire= columns per op")
+                   help="execute once to warm the backend, then replay the "
+                        "trace one timed round per op: wall=/wire= columns")
 
     s = sub.add_parser("serve", help="serve a query workload (engine session)")
     add_common(s)
@@ -127,14 +127,15 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--replicas", type=int, default=1,
                    help="serve through the sharded front door with this "
                         "many engine replicas (routing, admission, "
-                        "micro-batching, plan shipping); --threads/--budget "
-                        "apply to single-replica mode only")
+                        "micro-batching, shipping prepared statements); "
+                        "--threads/--budget apply to single-replica mode "
+                        "only")
     s.add_argument("--shed-after", type=int, default=64,
                    help="per-replica backlog bound before admission sheds "
                         "(front-door mode only)")
     s.add_argument("--trace", metavar="JSONL",
                    help="write the session's span records (engine -> "
-                        "executor -> backend -> worker rounds) to this "
+                        "backend -> worker rounds) to this "
                         "JSONL file")
     s.add_argument("--metrics-out", metavar="PROM",
                    help="write the final metrics registry in Prometheus "

@@ -158,10 +158,10 @@ def run_join_algorithm(
     algorithm: str,
     plan: Plan | None = None,
 ) -> "DistRelation":
-    """Plan-replay seam: run a *resolved* algorithm on distributed relations.
+    """Engine seam: run a *resolved* algorithm on distributed relations.
 
     This is the execution body of :func:`mpc_join` factored out so that a
-    long-lived session (:class:`repro.engine.Engine`) can replay a prepared
+    long-lived session (:class:`repro.engine.Engine`) can run a prepared
     plan against an existing cluster and already-distributed relations.
     ``algorithm`` must be a concrete name (``"auto"`` is resolved by the
     callers); ``plan`` is consulted by Yannakakis only.
@@ -302,10 +302,10 @@ def run_aggregate_algorithm(
     semiring: Semiring,
     algorithm: str = "auto",
 ) -> tuple[Relation | None, Any, dict[str, Any]]:
-    """Plan-replay seam for join-aggregates: run on distributed relations.
+    """Engine seam for join-aggregates: run on distributed relations.
 
     The execution body of :func:`mpc_join_aggregate`, factored out so a
-    long-lived session can replay a prepared aggregate against an existing
+    long-lived session can run a prepared aggregate against an existing
     cluster.  ``rels`` must already be distributed *with annotation columns*
     (``distribute_instance(..., annotate=True)``).
 

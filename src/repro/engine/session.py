@@ -21,16 +21,20 @@ queries.  :class:`Engine` is the serving-side answer:
   and the plan is revalidated (the same order wins) or recompiled (another
   does) — a stale plan never serves, and stale *data* never
   serves because the distributed-relation caches are version-keyed.
-* **``execute()``** — cold executions drive the resolved algorithm
-  through the same :func:`~repro.core.runner.run_join_algorithm` /
-  :func:`~repro.core.runner.run_aggregate_algorithm` seams the one-shot
-  entry points use, *tracing the physical op schedule as they go*
-  (:mod:`repro.plan`); warm executions replay that schedule through the
-  :class:`~repro.plan.executor.Executor` — ledger re-charged bit-exactly,
-  worker-local compute re-issued in one ``run_ops`` round — instead of
-  re-driving Python control flow.  Either way, outputs and the
+* **``execute()``** — a request takes one of two paths: a result-cache
+  hit (the recorded outputs and ledger of an earlier execution over the
+  same relation versions), or a cold execution that drives the resolved
+  algorithm through the same :func:`~repro.core.runner.run_join_algorithm`
+  / :func:`~repro.core.runner.run_aggregate_algorithm` seams the one-shot
+  entry points use, and records it.  Either way, outputs and the
   per-query :class:`~repro.mpc.cluster.LoadReport` are bit-identical to
   ``mpc_join`` / ``mpc_join_aggregate`` (see ``tests/test_engine_parity``).
+  The serving path records no physical plan: :meth:`Engine.explain`
+  traces one on a scratch serial cluster when asked.
+* **``export_plan()`` / ``install_plan()``** — a plan travels between
+  engines as a *prepared statement*: the query text plus the algorithm
+  request as a JSON record, which the receiver prepares (prices) on its
+  own data.
 * **``submit_batch()``** — run many queries against the shared backend,
   optionally from multiple submitter threads, aggregating per-query
   metrics into an :class:`EngineStats` report.
@@ -44,6 +48,7 @@ correct and metrics are per-query, but they do not overlap in time.
 from __future__ import annotations
 
 import difflib
+import json
 import sys
 import threading
 import time
@@ -54,7 +59,6 @@ from itertools import chain
 from typing import Any, Sequence
 
 from repro.core.planner import PlanChoice, price_fold_orders
-from repro.data.columns import pack_blob, unpack_blob
 from repro.core.runner import (
     ALGORITHMS,
     auto_algorithm,
@@ -78,17 +82,7 @@ from repro.mpc.cluster import Cluster, LoadReport
 from repro.mpc.distrel import DistRelation, distribute_relation
 from repro.obs import MetricsRegistry, NULL_TRACER, WireMeter, percentiles
 from repro.plan import Executor, PhysicalPlan, TraceRecorder
-from repro.plan.ship import (
-    decode_ops,
-    decode_plan,
-    encode_ops,
-    encode_plan,
-    plan_digest,
-    relation_digest,
-    resolve_fn,
-)
 from repro.query.classify import classify
-from repro.semiring.semirings import ALL_SEMIRINGS
 
 __all__ = [
     "BatchReport",
@@ -110,7 +104,7 @@ def _lazy_copy(rel: Any) -> Any:
 
 @dataclass
 class _CachedResult:
-    """A recorded execution, replayable while its data versions hold.
+    """A recorded execution, servable while its data versions hold.
 
     The simulation is deterministic: re-running an unchanged plan over
     unchanged registered relations reproduces the same outputs and the
@@ -180,12 +174,6 @@ class PreparedQuery:
             compiled or last revalidated against.
         prepare_seconds: Wall time spent compiling.
         uses: Number of executions served by this entry.
-        trace: The traced :class:`~repro.plan.ir.PhysicalPlan` of this
-            entry's last cold execution — the op schedule warm executions
-            replay through the :class:`~repro.plan.executor.Executor`
-            instead of re-driving the algorithm's Python control flow.
-            ``None`` until first executed; refreshed whenever versions
-            move.
     """
 
     parsed: ParsedQuery
@@ -200,7 +188,6 @@ class PreparedQuery:
     prepare_seconds: float
     uses: int = 0
     cached_result: _CachedResult | None = None
-    trace: PhysicalPlan | None = None
 
 
 @dataclass(frozen=True)
@@ -213,11 +200,8 @@ class QueryMetrics:
     wins).  ``invalidated`` — a cached plan existed but was recompiled
     because another fold order wins on the new data.  ``plan_quality`` is
     the pricing of the data this execution ran on.  ``result_cached`` —
-    the recorded execution was replayed instead of re-simulated (identical
+    the recorded execution was served instead of re-simulated (identical
     outputs and ledger).
-    ``plan_replayed`` — the traced physical plan was replayed through the
-    op executor (one backend request, ledger re-charged bit-exactly)
-    instead of re-driving Python control flow.
     """
 
     text: str
@@ -234,21 +218,11 @@ class QueryMetrics:
     wall_seconds: float
     plan_quality: dict[str, int] | None
     #: Physical bytes the backend shipped across processes for this query
-    #: (0 for in-process backends and replayed recordings).  Observational
+    #: (0 for in-process backends and served recordings).  Observational
     #: only — the load fields above count logical tuples, never bytes.
     wire_bytes: int = 0
-    #: The traced physical plan was replayed through the Executor.
-    plan_replayed: bool = False
-    #: Ops in the physical plan that served (or was traced by) this query.
-    plan_ops: int = 0
-    #: Worker-local (MapParts) ops among them.
-    map_ops: int = 0
-    #: ``run_ops`` batches the replay dispatched: 1 when the plan has
-    #: worker-local ops, else 0 (always 0 off-replay).
-    fused_groups: int = 0
     #: Backend request rounds this execution issued (map dispatches on the
-    #: cold path; the run_ops round on the replay path; 0 for result
-    #: serves).
+    #: cold path; 0 for result serves).
     backend_requests: int = 0
     #: The execution failed (its :class:`ExecutionResult`, if any, carries
     #: the error); the load fields above are zero.
@@ -266,6 +240,13 @@ class QueryMetrics:
     #: Root trace id of this execution's span tree (``None`` when tracing
     #: is disabled — the engine's default ``NULL_TRACER``).
     trace_id: str | None = None
+
+    # Read by benchmarks/harness/measure.py (warm-or-cold test).
+    plan_replayed = property(lambda self: False)
+    # Read by benchmarks/harness/probes.py (the plan.ops probe).
+    plan_ops = property(lambda self: 0)
+    # Read by benchmarks/harness/probes.py (the plan.fused_groups probe).
+    fused_groups = property(lambda self: 0)
 
     def as_dict(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -288,10 +269,9 @@ class EngineStats:
     cache_misses: int = 0
     invalidations: int = 0
     result_hits: int = 0
-    plan_replays: int = 0
-    #: Shipped plans installed into this engine's plan cache (the serving
-    #: tier's cross-replica plan index feeds this; a local cold trace does
-    #: not count).
+    #: Shipped statements installed into this engine's plan cache (the
+    #: serving tier's cross-replica plan index feeds this; a local prepare
+    #: does not count).
     plans_installed: int = 0
     total_load: int = 0
     max_load: int = 0
@@ -326,8 +306,6 @@ class EngineStats:
             self.invalidations += 1
         if metrics.result_cached:
             self.result_hits += 1
-        if metrics.plan_replayed:
-            self.plan_replays += 1
         self.total_load += metrics.load
         self.max_load = max(self.max_load, metrics.load)
         self.total_wall_seconds += metrics.wall_seconds
@@ -370,7 +348,7 @@ class EngineStats:
             f"{self.queries} queries on backend={self.backend} p={self.p}: "
             f"{self.cache_hits} plan hits / {self.cache_misses} misses / "
             f"{self.invalidations} invalidations / {self.result_hits} "
-            f"result replays / {self.plan_replays} op replays, total load "
+            f"result hits, total load "
             f"{self.total_load} (max {self.max_load}), "
             f"{self.total_wire_bytes} wire bytes, "
             f"{self.total_backend_requests} backend requests, "
@@ -492,17 +470,12 @@ class Engine:
             for the process default) — held warm for the session lifetime.
         result_cache: Serve recorded executions while the touched
             relations' versions are unchanged (default).  The simulation
-            is deterministic, so a replayed recording is bit-identical to
-            a re-run — outputs and ledger alike; pass ``False`` to force
-            every warm execution back onto the backend: the traced
-            physical plan replays (ledger re-charged bit-exactly, the
-            worker-local compute re-issued in one
-            :meth:`~repro.mpc.backends.Backend.run_ops` round) instead of
-            re-driving the algorithm's Python control flow.
+            is deterministic, so a served recording is bit-identical to
+            a re-run — outputs and ledger alike; pass ``False`` to
+            re-drive every execution cold on the warm cluster.
         result_cache_entries: LRU bound on recorded executions held by
-            the session (``None`` = unbounded).  Recordings back both the
-            result cache and plan replay; evicting one falls the next
-            warm execution back to a (re-recording) full drive.
+            the session (``None`` = unbounded).  Evicting a recording
+            falls the next execution back to a (re-recording) cold drive.
         result_cache_bytes: Byte bound on the same LRU, measured as the
             resident size of each recording's column blocks: typed arrays
             plus the dictionary values they reference (``None`` =
@@ -523,8 +496,8 @@ class Engine:
             counters, so one scrape (:meth:`metrics_text`) shows the
             whole session.
         tracer: :class:`~repro.obs.Tracer` minting one root ``query``
-            span per execution, threaded engine → executor → backend →
-            worker rounds.  ``None`` (default) installs the no-op
+            span per execution, threaded engine → backend → worker
+            rounds.  ``None`` (default) installs the no-op
             ``NULL_TRACER``: spans cost one attribute read on the hot
             path.
 
@@ -603,15 +576,11 @@ class Engine:
                 stale = [k for k in cache if k[0] == name and k[1] != version]
                 for k in stale:
                     del cache[k]
-            # A trace or recording touching the updated relation can never
-            # serve again (its versions no longer match) — drop both now
-            # rather than on next execution, so traces stop pinning the
-            # old-version distributed parts and dead recordings stop
-            # occupying (and evicting from) the recording LRU.
+            # A recording touching the updated relation can never serve
+            # again (its versions no longer match) — drop it now rather
+            # than on next execution, so dead recordings stop occupying
+            # (and evicting from) the recording LRU.
             for entry in self._plans.values():
-                trace = entry.trace
-                if trace is not None and name in trace.relation_versions:
-                    entry.trace = None
                 cached = entry.cached_result
                 if cached is not None and name in cached.relation_versions:
                     entry.cached_result = None
@@ -706,7 +675,7 @@ class Engine:
         return rels
 
     # ------------------------------------------------------------------
-    # Recording LRU (backs the result cache AND plan replay)
+    # Recording LRU (backs the result cache)
     # ------------------------------------------------------------------
     def _recording_nbytes(self, stored: Any) -> int:
         """Resident bytes of a recording's payload, never by encoding it.
@@ -735,9 +704,8 @@ class Engine:
         The LRU is keyed by plan-cache key and budgets resident sizes
         (:meth:`_recording_nbytes`) alongside an entry count, so a long
         serving session cannot grow recording memory without limit.
-        Evicting a recording drops both the result-cache serve and the
-        plan-replay fast path for that entry; the next execution
-        re-drives and re-records.
+        Evicting a recording drops the result-cache serve for that entry;
+        the next execution re-drives and re-records.
         """
         key = entry.key
         old = self._recordings.pop(key, None)
@@ -749,10 +717,7 @@ class Engine:
             # The recording alone exceeds the byte budget: it is not
             # retained (every execution of this query re-drives) — and it
             # must not flush everyone else's recordings on its way out.
-            # The trace goes with it (trace lifetime == recording
-            # lifetime): unreplayable, it would only pin its inputs.
             entry.cached_result = None
-            entry.trace = None
             return
         entry.cached_result = recording
         self._recordings[key] = recording.stored_bytes
@@ -766,12 +731,6 @@ class Engine:
             ventry = self._plans.get(victim)
             if ventry is not None:
                 ventry.cached_result = None
-                # A trace without its recording can never replay (the
-                # replay path serves outputs from the recording), so it
-                # would only pin its MapParts input parts — drop it too:
-                # trace lifetime is bounded by recording lifetime, and
-                # the LRU's entry cap therefore bounds both.
-                ventry.trace = None
 
     def _touch_recording(self, key: tuple) -> None:
         if key in self._recordings:
@@ -800,7 +759,7 @@ class Engine:
             algorithm: ``"auto"`` resolves via
                 :func:`~repro.core.runner.auto_algorithm` for joins and the
                 residual-query classification for aggregates; a concrete
-                name pins the algorithm (``"yannakakis"`` replays the
+                name pins the algorithm (``"yannakakis"`` follows the
                 priced Section 4.1 plan).
         """
         parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
@@ -919,7 +878,7 @@ class Engine:
         return entry
 
     # ------------------------------------------------------------------
-    # Execute: replay the prepared plan on the warm cluster
+    # Execute: serve the recording, or run the prepared plan cold
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -966,7 +925,6 @@ class Engine:
             span.set(
                 path=(
                     "cached" if m.result_cached
-                    else "replay" if m.plan_replayed
                     else "degraded" if m.degraded_serial
                     else "cold"
                 ),
@@ -986,7 +944,7 @@ class Engine:
         """The :meth:`execute` body under one root span.
 
         ``span`` parents the path-level child spans (``cold_execute`` /
-        ``replay`` / ``degrade_serial``).  Past the result cache the call
+        ``degrade_serial``).  Past the result cache the call
         gets its own :class:`~repro.obs.WireMeter`, which travels into
         every backend round this query issues, so ``wire_bytes`` is
         per-query by construction — deltas of the backend's *shared*
@@ -1021,9 +979,11 @@ class Engine:
                 self._finish(call, "failed", error=exc)
                 raise exc
             cached = entry.cached_result
-            if cached is not None and cached.relation_versions != versions:
-                cached = None
-            if self.result_cache and cached is not None:
+            if (
+                self.result_cache
+                and cached is not None
+                and cached.relation_versions == versions
+            ):
                 entry.uses += 1
                 self._touch_recording(entry.key)
                 metrics = self._finish(
@@ -1042,45 +1002,23 @@ class Engine:
             call.faults_before = self._fault_level()
             call.requests_before = self._cluster.backend.requests
             call.meter = WireMeter()
-            trace = entry.trace
-            if (
-                cached is None
-                or trace is None
-                or trace.relation_versions != versions
-            ):
-                # Cold path: owns the serving cluster and its recorder,
-                # so it runs under the engine lock end to end.
-                self._cluster.deadline = call.deadline_at
-                try:
-                    return self._execute_on_cluster(call)
-                except DeadlineExceeded as exc:
-                    # Cooperative cancellation fired between rounds; the
-                    # partial ledger is discarded.  A miss never
-                    # quarantines — the same query with a looser deadline
-                    # is fine.
-                    self._cluster.reset()
-                    self._finish(call, "failed", error=exc)
-                    raise
-                except FaultError as exc:
-                    self._cluster.reset()
-                    return self._handle_fault(call, exc)
-                finally:
-                    self._cluster.deadline = None
-        # Warm path: replay the traced schedule on a scratch ledger over
-        # the shared backend, OUTSIDE the engine lock.  Charges are
-        # replay-pure and outputs come from the recording, so nothing
-        # per-query touches the serving cluster — concurrent submitters
-        # overlap whole replays, and the backend serializes its rounds
-        # internally (I/O lock).
-        try:
-            return self._replay_warm(call, trace, cached)
-        except DeadlineExceeded as exc:
-            with self._lock:
+            # Cold path: owns the serving cluster, so it runs under the
+            # engine lock end to end.
+            self._cluster.deadline = call.deadline_at
+            try:
+                return self._execute_on_cluster(call)
+            except DeadlineExceeded as exc:
+                # Cooperative cancellation fired between rounds; the
+                # partial ledger is discarded.  A miss never quarantines —
+                # the same query with a looser deadline is fine.
+                self._cluster.reset()
                 self._finish(call, "failed", error=exc)
-            raise
-        except FaultError as exc:
-            with self._lock:
+                raise
+            except FaultError as exc:
+                self._cluster.reset()
                 return self._handle_fault(call, exc)
+            finally:
+                self._cluster.deadline = None
 
     def _handle_fault(self, call: _Call, exc: Exception) -> ExecutionResult:
         """The backend faulted past its own recovery: next rungs of the
@@ -1101,58 +1039,15 @@ class Engine:
         self._finish(call, "failed", error=exc)
         raise exc
 
-    def _replay_warm(
-        self, call: _Call, trace: PhysicalPlan, cached: _CachedResult
-    ) -> ExecutionResult:
-        """One warm execution: replay the traced op schedule, serve the
-        recording.
-
-        Charges re-post the recorded count vectors (ledger bit-identical
-        by construction) onto a per-call scratch ledger over the shared
-        backend, worker-local ops re-issue in one ``run_ops`` round, and
-        the outputs are served from the recording — no Python control
-        flow of the algorithm re-runs and the engine lock is NOT held.
-        Wire bytes are attributed exactly per query (the meter travels
-        with the round); the request/fault deltas still read shared
-        monotone counters, so under concurrent submitters those two stay
-        approximate.
-        """
-        entry = call.entry
-        scratch = Cluster(self.p, backend=self._cluster.backend)
-        scratch.deadline = call.deadline_at
-        rspan = call.span.child("replay", ops=len(trace.ops))
-        with rspan:
-            Executor(scratch, meter=call.meter, span=rspan).replay(trace)
-        report = scratch.snapshot()
-        relation = _lazy_copy(cached.relation)
-        meta: dict[str, Any] = dict(cached.meta)
-        meta["plan_replayed"] = True
-        self._stamp_meta(meta, entry, call.meter.bytes)
-        with self._lock:
-            entry.uses += 1
-            self._touch_recording(entry.key)
-            metrics = self._finish(
-                call, "replay", report, cached.out_size, plan=trace
-            )
-        return ExecutionResult(
-            prepared=entry,
-            relation=relation,
-            scalar=cached.scalar,
-            report=report,
-            metrics=metrics,
-            meta=meta,
-        )
-
     def _execute_on_cluster(self, call: _Call) -> ExecutionResult:
         """One cold execution on the warm serving cluster.
 
         The fault/deadline/degradation policy lives in
-        :meth:`_execute_traced`; this method only runs, records a trace +
-        recording, and reports.  Caller holds the lock and has already
+        :meth:`_execute_traced`; this method only runs, records the
+        result, and reports.  Caller holds the lock and has already
         armed ``self._cluster.deadline``.
         """
         entry = call.entry
-        rec = TraceRecorder()
         aggregate = (
             None if entry.kind == "join"
             else (entry.parsed.aggregate or "bool")
@@ -1168,18 +1063,13 @@ class Engine:
             with cspan:
                 rels = self._dist_rels(entry.parsed, aggregate=aggregate)
                 self._cluster.reset()
-                self._cluster.recorder = rec
-                try:
-                    relation, scalar, meta, out_size = _run_algorithm(
-                        entry, self._group, rels
-                    )
-                finally:
-                    self._cluster.recorder = None
+                relation, scalar, meta, out_size = _run_algorithm(
+                    entry, self._group, rels
+                )
         finally:
             self._cluster.wire_meter = None
             self._cluster.obs_span = None
         report = self._cluster.snapshot()
-        entry.trace = self._finish_trace(rec, entry, call.versions)
         entry.uses += 1
         self._stamp_meta(meta, entry, call.meter.bytes)
         # Record the execution in columnar form.  Every join algorithm
@@ -1187,9 +1077,7 @@ class Engine:
         # over the result's own blocks: nothing is encoded here, and the
         # caller's row view stays on the caller's object.  (Aggregates
         # return a ``Relation``, recorded as is.)  The recording backs
-        # the result cache (serve without executing) AND the plan-replay
-        # path (outputs while the Executor re-charges the ledger); the
-        # LRU bounds both.
+        # the result cache (serve without executing) under the LRU.
         stored = _lazy_copy(relation)
         self._store_recording(
             entry,
@@ -1205,11 +1093,7 @@ class Engine:
         )
         # The clock stops after the recording: sizing the result blocks
         # is part of what a cold request costs its caller.
-        # (An over-budget recording took its trace with it — then the
-        # metrics report no plan, as nothing can replay.)
-        metrics = self._finish(
-            call, "cold", report, out_size, plan=entry.trace
-        )
+        metrics = self._finish(call, "cold", report, out_size)
         return ExecutionResult(
             prepared=entry,
             relation=relation,
@@ -1229,18 +1113,6 @@ class Engine:
             backend=self.backend_name,
             query_class=entry.query_class,
             wire_bytes=wire_bytes,
-        )
-
-    def _finish_trace(
-        self, rec: TraceRecorder, entry: PreparedQuery, versions: dict[str, int]
-    ) -> PhysicalPlan:
-        return rec.finish(
-            query=entry.parsed.text,
-            kind=entry.kind,
-            algorithm=entry.algorithm,
-            p=self.p,
-            backend=self.backend_name,
-            relation_versions=versions,
         )
 
     def _scratch_rels(
@@ -1271,19 +1143,16 @@ class Engine:
         path: str,
         report: LoadReport | None = None,
         out_size: int = 0,
-        plan: PhysicalPlan | None = None,
         error: Exception | None = None,
     ) -> QueryMetrics:
         """Build and record one call's :class:`QueryMetrics`.
 
         Every serving path reports through here.  ``path`` is the
-        registry label — ``cold`` | ``replay`` | ``cached`` |
-        ``degraded`` | ``failed`` — and decides which counters apply:
-        only ``cold``/``replay`` touched the warm backend (wire bytes,
-        request delta), those two and ``degraded`` report the faults
-        absorbed on the way, and a failure counts as a plan-cache miss
-        (it served nothing from the cache).  ``plan`` is the physical
-        plan that served or was traced by the call, if one is held.
+        registry label — ``cold`` | ``cached`` | ``degraded`` |
+        ``failed`` — and decides which counters apply: only ``cold``
+        touched the warm backend (wire bytes, request delta), it and
+        ``degraded`` report the faults absorbed on the way, and a failure
+        counts as a plan-cache miss (it served nothing from the cache).
         """
         entry = call.entry
         failed = path == "failed"
@@ -1296,22 +1165,16 @@ class Engine:
         # Beyond what every path reports, a field keeps its dataclass
         # default unless the path touched it (a cached hit touches none).
         extra: dict[str, Any] = {}
-        if plan is not None:
-            extra.update(plan_ops=len(plan.ops), map_ops=len(plan.map_ops()))
-        if path in ("cold", "replay"):
+        if path == "cold":
             extra.update(
                 wire_bytes=call.meter.bytes,
                 backend_requests=(
                     self._cluster.backend.requests - call.requests_before
                 ),
             )
-        if path in ("cold", "replay", "degraded"):
+        if path in ("cold", "degraded"):
             extra["fault_events"] = self._fault_level() - call.faults_before
-        if path == "replay":
-            extra.update(
-                plan_replayed=True, fused_groups=1 if extra["map_ops"] else 0
-            )
-        elif path == "degraded":
+        if path == "degraded":
             extra["degraded_serial"] = True
         elif failed:
             extra.update(
@@ -1415,31 +1278,30 @@ class Engine:
     def trace_plan(
         self, query: str | ParsedQuery, algorithm: str = "auto"
     ) -> PhysicalPlan:
-        """The physical plan a warm execution of ``query`` would replay.
+        """The physical op schedule a cold execution of ``query`` runs.
 
-        Reuses the serving entry's trace when one is valid for the
-        current data versions; otherwise performs one traced execution on
-        a *scratch* serial cluster (same ``p``, freshly distributed
-        copies of the bound relations) so neither the serving ledger nor
-        the warm backend is touched.  The op schedule is
-        backend-independent — ledgers are, by the conformance contract —
-        so the scratch trace is exactly what the serving session would
-        record.
+        Performs one traced execution on a *scratch* serial cluster (same
+        ``p``, freshly distributed copies of the bound relations) so
+        neither the serving ledger nor the warm backend is touched.  The
+        op schedule is backend-independent — ledgers are, by the
+        conformance contract — so the scratch trace is exactly what the
+        serving cluster executes.
         """
         parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
         with self._lock:
             entry, _status = self._resolve(parsed, algorithm)
-            versions = self._current_versions(parsed)
-            trace = entry.trace
-            if trace is not None and trace.relation_versions == versions:
-                return trace
             scratch = Cluster(self.p, backend="serial")
             group = scratch.root_group()
             rels = self._scratch_rels(entry, group)
-            rec = TraceRecorder()
-            scratch.recorder = rec
+            rec = scratch.recorder = TraceRecorder()
             _run_algorithm(entry, group, rels)
-            return self._finish_trace(rec, entry, versions)
+            return rec.finish(
+                query=entry.parsed.text,
+                kind=entry.kind,
+                algorithm=entry.algorithm,
+                p=self.p,
+                backend=self.backend_name,
+            )
 
     def explain(
         self,
@@ -1447,7 +1309,7 @@ class Engine:
         algorithm: str = "auto",
         timings: bool = False,
     ) -> str:
-        """Render :meth:`trace_plan` — ops, ledger units, replay cost.
+        """Render :meth:`trace_plan` — ops and per-op ledger units.
 
         With ``timings=True`` the plan is additionally *measured*: the
         query executes once (warming worker memos and distributed caches
@@ -1466,264 +1328,87 @@ class Engine:
     ) -> tuple[PhysicalPlan, dict[int, dict[str, float]]]:
         """Measure one per-op replay of the query's physical plan.
 
-        Executes the query once first — recording a trace and warming the
-        backend exactly the way serving would — then replays that trace
-        one round per op on a scratch ledger over the *serving* backend
-        with per-op wall/wire measurement
-        (``Executor.replay(timed=True)``).  The scratch ledger is
-        discarded; the serving ledger and session stats see only the
-        warming execution.  Returns ``(plan, op_timings)`` with
-        ``op_timings`` keyed by op index (the shape
+        Executes the query once first — warming the backend exactly the
+        way serving would — then traces it (:meth:`trace_plan`) and
+        replays the trace one round per op on a scratch ledger over the
+        *serving* backend with per-op wall/wire measurement
+        (:meth:`Executor.replay <repro.plan.executor.Executor.replay>`).
+        The scratch ledger is discarded; the serving ledger and session
+        stats see only the warming execution.  Returns ``(plan,
+        op_timings)`` with ``op_timings`` keyed by op index (the shape
         :meth:`PhysicalPlan.explain` accepts).
         """
         parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
         self.execute(parsed, algorithm)
-        # The entry's own trace — or, when its recording was over budget
-        # and took the trace with it, a scratch re-trace.
         trace = self.trace_plan(parsed, algorithm)
         scratch = Cluster(self.p, backend=self._cluster.backend)
-        stats = Executor(scratch).replay(trace, timed=True)
+        stats = Executor(scratch).replay(trace)
         return trace, stats["op_timings"]
 
     # ------------------------------------------------------------------
-    # Plan shipping (DESIGN.md section 10): export/install warm state
+    # Plan shipping (DESIGN.md section 10): prepared statements
     # ------------------------------------------------------------------
     def export_plan(
         self, query: str | ParsedQuery, algorithm: str = "auto"
     ) -> bytes:
-        """Encode this engine's warm state for a query into portable bytes.
+        """This engine's plan for a query, as a portable prepared statement.
 
-        The blob (wire format: :mod:`repro.plan.ship`) carries the traced
-        op schedule, the recorded outputs + ledger, and per-relation
-        content digests.  Another engine
-        over the same data :meth:`install_plan`\\ s it and serves the
-        query warm — zero re-traces — exactly as if it had executed the
-        query itself.
+        The statement is the query text plus the algorithm request, one
+        JSON object: ``{"algorithm": ..., "query": ...}``.  Another
+        engine :meth:`install_plan`\\ s it, pricing the query on its own
+        data, so its first execution is a plan-cache hit.
 
         Raises:
-            PlanShipError: The query has no current trace + recording on
-                this engine (execute it first), or a payload value
-                resists serialization.
+            PlanShipError: This engine has no plan-cache entry for the
+                query (prepare or execute it first).
         """
         parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
         with self._lock:
             entry = self._plans.get(self._plan_key(parsed, algorithm))
-            versions = self._current_versions(parsed)
-            trace = entry.trace if entry is not None else None
-            cached = entry.cached_result if entry is not None else None
-            if (
-                entry is None
-                or trace is None
-                or cached is None
-                or trace.relation_versions != versions
-                or cached.relation_versions != versions
-            ):
-                raise PlanShipError(
-                    f"nothing to export for {parsed.text!r}: a shippable "
-                    f"plan needs a current trace and recording — execute "
-                    f"the query on this engine first"
-                )
-            digests = {
-                b.relation: relation_digest(self._relations[b.relation])
-                for b in parsed.bindings
-            }
+        if entry is None:
+            raise PlanShipError(
+                f"nothing to export for {parsed.text!r}: prepare or execute "
+                f"the query on this engine first"
+            )
+        return json.dumps(
+            {"algorithm": algorithm, "query": entry.parsed.text},
+            sort_keys=True,
+        ).encode()
 
-            # Identity-match each MapParts op back to the distributed
-            # relation it ran over; mid-execution intermediates (parts
-            # born inside the driver) find no match and ship unbound.
-            dist_items = list(self._dist_cache.items())
+    def install_plan(self, blob: bytes) -> PreparedQuery:
+        """Prepare a shipped statement (:meth:`export_plan`) on this engine.
 
-            def source_of(op: Any) -> "tuple | None":
-                for k, dist in dist_items:
-                    if op.owner is dist and op.parts is dist.parts:
-                        name, _version, edge, variables, aggregate = k
-                        return ("base", name, edge, variables, aggregate)
-                return None
-
-            stored = cached.relation
-            if isinstance(stored, DistRelation):
-                result: tuple = (
-                    "dist", stored.name, stored.attrs,
-                    [pack_blob((), b) for b in stored.column_parts],
-                )
-            elif isinstance(stored, Relation):
-                result = (
-                    "rel", stored.name, stored.attrs, list(stored.rows),
-                    (
-                        list(stored.annotations)
-                        if stored.annotations is not None else None
-                    ),
-                    getattr(stored.semiring, "name", None),
-                )
-            elif stored is None:
-                result = ("none",)
-            else:  # pragma: no cover - no other recording payloads exist
-                raise PlanShipError(
-                    f"recording payload {type(stored).__name__} is not "
-                    f"shippable"
-                )
-            rep = cached.report
-            payload = {
-                "query": entry.parsed.text,
-                "kind": entry.kind,
-                "algorithm": entry.algorithm,
-                "algorithm_request": algorithm,
-                "p": self.p,
-                "backend": self.backend_name,
-                "relation_digests": digests,
-                "ops": encode_ops(trace.ops, source_of),
-                "result": result,
-                "report": {
-                    "p": rep.p,
-                    "totals": tuple(rep.totals),
-                    "load": rep.load,
-                    "max_step_load": rep.max_step_load,
-                    "steps": rep.steps,
-                    "by_label": dict(rep.by_label),
-                },
-                "meta": dict(cached.meta),
-                "out_size": cached.out_size,
-                "scalar": cached.scalar,
-            }
-            return encode_plan(payload)
-
-    def install_plan(self, blob: bytes) -> str:
-        """Install a shipped plan into this engine's caches; returns its digest.
-
-        Revalidates before touching anything: envelope digest, cluster
-        size, per-relation *content* digests (the recorded outputs are
-        only the truth over byte-identical data — on which this engine's
-        own compile of the query prices the same plan), and the resolved
-        algorithm.  On success the entry
-        holds a rebuilt trace + recording under this engine's relation
-        versions, so its next execution replays warm — zero re-traces.
-        Any mismatch raises and leaves the engine as it was: the next
-        execution simply traces cold.
+        The blob comes from another process and is read as untrusted
+        data: it must decode as a JSON object with exactly the string
+        fields ``algorithm`` and ``query``, and the query is then
+        prepared here — parsed, bound to this engine's registered
+        relations and priced on its data — exactly as :meth:`prepare`
+        would.  Nothing else in the blob is believed.
 
         Raises:
-            PlanShipError: Corrupt blob, incompatible cluster size,
-                missing/mismatched relations, or an fn reference outside
-                the allowlisted registry.
+            PlanShipError: The blob is not such a record, or its query
+                cannot be prepared here (parse error, unknown relation,
+                unknown algorithm).  The plan cache is left as it was.
         """
-        payload = decode_plan(blob)
         try:
-            parsed = parse_query(payload["query"])
-            algorithm_request = payload["algorithm_request"]
-            ship_p = payload["p"]
-            ship_digests = payload["relation_digests"]
-            ship_algorithm = payload["algorithm"]
-            ship_kind = payload["kind"]
-            op_records = payload["ops"]
-            result_desc = payload["result"]
-            rep = payload["report"]
-        except KeyError as exc:
-            raise PlanShipError(f"plan payload missing field {exc}") from exc
+            record = json.loads(blob)
+            entry = (
+                self.prepare(record["query"], record["algorithm"])
+                if isinstance(record, dict)
+                and record.keys() == {"algorithm", "query"}
+                and all(isinstance(v, str) for v in record.values())
+                else None
+            )
+        except (ValueError, RecursionError, ReproError) as exc:
+            raise PlanShipError(f"cannot install shipped plan: {exc}") from exc
+        if entry is None:
+            raise PlanShipError(
+                "a shipped plan is a JSON object with exactly the string "
+                "fields 'algorithm' and 'query'"
+            )
         with self._lock:
-            if ship_p != self.p:
-                raise PlanShipError(
-                    f"plan was traced at p={ship_p}; this engine serves "
-                    f"p={self.p}"
-                )
-            for name, digest in ship_digests.items():
-                rel = self._relations.get(name)
-                if rel is None:
-                    raise PlanShipError(
-                        f"plan touches relation {name!r}, not registered "
-                        f"on this engine"
-                    )
-                if relation_digest(rel) != digest:
-                    raise PlanShipError(
-                        f"content digest mismatch for relation {name!r}: "
-                        f"this engine's data differs from the tracing "
-                        f"engine's"
-                    )
-            entry, _status = self._resolve(parsed, algorithm_request)
-            if ship_algorithm != entry.algorithm or ship_kind != entry.kind:
-                raise PlanShipError(
-                    f"plan resolved to {ship_kind}/{ship_algorithm} on the "
-                    f"tracing engine but {entry.kind}/{entry.algorithm} "
-                    f"here"
-                )
-            versions = self._current_versions(parsed)
-            aggregate = (
-                None if entry.kind == "join"
-                else (parsed.aggregate or "bool")
-            )
-            bindings = {b.edge: b for b in parsed.bindings}
-            # Deterministic and coordinator-side only (stride partition of
-            # the registered rows, no backend rounds), so the receiver's
-            # parts match the tracing engine's by construction.
-            dists = self._dist_rels(parsed, aggregate=aggregate)
-
-            def bind(fn_ref: str, source: tuple) -> "tuple | None":
-                tag, name, edge, variables, src_aggregate = source
-                if tag != "base":
-                    raise PlanShipError(
-                        f"unknown MapParts source kind {tag!r}"
-                    )
-                binding = bindings.get(edge)
-                if (
-                    binding is None
-                    or binding.relation != name
-                    or binding.variables != variables
-                    or src_aggregate != aggregate
-                ):
-                    raise PlanShipError(
-                        f"MapParts source {edge!r} does not match this "
-                        f"engine's binding of the same query"
-                    )
-                dist = dists[edge]
-                return (resolve_fn(fn_ref), dist.parts, dist)
-
-            ops = decode_ops(op_records, bind)
-            stored = self._decode_shipped_result(result_desc)
-            report = LoadReport(
-                p=rep["p"], totals=tuple(rep["totals"]), load=rep["load"],
-                max_step_load=rep["max_step_load"], steps=rep["steps"],
-                by_label=dict(rep["by_label"]),
-            )
-            recording = _CachedResult(
-                relation_versions=dict(versions),
-                relation=stored,
-                scalar=payload["scalar"],
-                report=report,
-                meta=dict(payload["meta"]),
-                out_size=payload["out_size"],
-                stored_bytes=self._recording_nbytes(stored),
-            )
-            plan = PhysicalPlan(
-                query=entry.parsed.text,
-                kind=entry.kind,
-                algorithm=ship_algorithm,
-                p=self.p,
-                backend=self.backend_name,
-                relation_versions=dict(versions),
-                ops=ops,
-            )
-            entry.trace = plan
-            self._store_recording(entry, recording)
             self._stats.plans_installed += 1
-            return plan_digest(blob)
-
-    def _decode_shipped_result(self, desc: tuple) -> Any:
-        """A shipped result descriptor back to a recording payload."""
-        tag = desc[0]
-        if tag == "none":
-            return None
-        if tag == "dist":
-            _tag, name, attrs, blobs = desc
-            parts = [unpack_blob(b) for b in blobs]
-            return DistRelation(name, attrs, parts, owned=True).aligned(attrs)
-        if tag == "rel":
-            _tag, name, attrs, rows, annotations, semiring_name = desc
-            semiring = next(
-                (s for s in ALL_SEMIRINGS if s.name == semiring_name), None
-            )
-            return Relation(
-                name, tuple(attrs), rows,
-                annotations=annotations, semiring=semiring,
-            )
-        raise PlanShipError(f"unknown result descriptor kind {tag!r}")
+        return entry
 
     # ------------------------------------------------------------------
     # Batch submission front
@@ -1739,13 +1424,10 @@ class Engine:
         Args:
             queries: Query texts / parsed / prepared queries, executed in
                 submission order (results align with the input).
-            threads: Number of submitter threads.  Cold executions
-                serialize on the shared serving cluster (per-query
-                ledgers need exclusive access), but *warm replays* run
-                on per-query scratch ledgers outside the engine lock —
-                with >1 threads many queries' replays flow through the
-                one shared backend concurrently, interleaving at round
-                granularity behind its I/O lock.
+            threads: Number of submitter threads.  Executions serialize
+                on the engine lock (per-query ledgers need exclusive
+                access to the shared serving cluster), so threads overlap
+                only the work outside it, such as parsing.
             budget: Wall-clock seconds for the *whole batch* (``None`` =
                 unbounded).  Each query executes under the remaining
                 budget as its deadline; once the budget is spent, the
@@ -1833,7 +1515,7 @@ class Engine:
         """Record one execution into the session stats and the registry.
 
         ``path`` labels the serving path that handled the query:
-        ``cold`` | ``replay`` | ``cached`` | ``degraded`` | ``failed``.
+        ``cold`` | ``cached`` | ``degraded`` | ``failed``.
         """
         self._stats.record(metrics)
         reg = self.registry
@@ -1859,7 +1541,6 @@ class Engine:
             "repro_engine_cache_misses": s.cache_misses,
             "repro_engine_invalidations": s.invalidations,
             "repro_engine_result_hits": s.result_hits,
-            "repro_engine_plan_replays": s.plan_replays,
             "repro_engine_plans_installed": s.plans_installed,
             "repro_engine_total_load": s.total_load,
             "repro_engine_wire_bytes": s.total_wire_bytes,

@@ -121,13 +121,15 @@ class QueryQuarantined(EngineError):
 
 
 class PlanShipError(EngineError):
-    """A shipped physical plan could not be encoded, decoded, or installed.
+    """A plan could not be exported or installed as a prepared statement.
 
-    Raised on a corrupt or version-incompatible wire blob, an fn
-    reference outside the allowlisted registry, or a receiving engine
-    whose catalog does not match the plan's content digests.  An
-    installation rejected with this error leaves the receiver untouched:
-    its next execution of the query simply traces cold, exactly as if
+    Raised on export when the engine holds no plan-cache entry for the
+    query, and on install when the bytes are not a JSON object with
+    exactly the string fields ``algorithm`` and ``query``, or when that
+    query cannot be prepared on the receiver (parse error, unknown
+    relation or algorithm; the underlying error is chained).  An install
+    rejected with this error leaves the receiver's plan cache untouched:
+    its next execution of the query simply prepares it, exactly as if
     nothing had been shipped.
     """
 

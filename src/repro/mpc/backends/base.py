@@ -17,7 +17,7 @@ query and instance, every backend must produce
 1. bit-identical outputs,
 2. a bit-identical load ledger — ``load``, ``max_step_load``, ``steps``,
    per-server ``totals``, and the ``by_label`` breakdown, and
-3. the same results when replayed (determinism: no wall-clock, PID, or
+3. the same results when re-run (determinism: no wall-clock, PID, or
    scheduling dependence may leak into routing, ordering, or contents).
 
 The ledger itself (:class:`~repro.mpc.cluster.Cluster`) never moves into a
@@ -122,28 +122,20 @@ class Backend(ABC):
     def run_ops(
         self,
         ops: Sequence[tuple[Callable, Sequence[list], Any, Any]],
-        collect: bool = True,
         meter: Any = None,
         span: Any = None,
     ) -> list[Any]:
-        """Execute a batch of worker-local steps (the plan executor's seam).
+        """Execute a batch of worker-local steps.
 
         Each op is the argument tuple of one :meth:`map_parts` call —
-        ``(fn, parts, common, owner)`` — and the batch executes in plan
-        order.  A backend should dispatch the whole batch in as few
-        request round-trips as its transport allows (the multiprocess
-        backend uses one); the base implementation is the trivial loop,
-        one ``map_parts`` request per op.
+        ``(fn, parts, common, owner)`` — and the batch executes in order.
+        A backend should dispatch the whole batch in as few request
+        round-trips as its transport allows (the multiprocess backend
+        uses one); the base implementation is the trivial loop, one
+        ``map_parts`` request per op.
 
         Args:
             ops: The chain of worker-local steps.
-            collect: When False, the caller will discard the results (a
-                plan replay: the query's outputs are pinned by a
-                recording, and re-execution exists to keep worker-side
-                state warm).  A backend may then skip shipping result
-                payloads — or skip execution entirely when it holds no
-                worker-side state — as long as the ops' observable
-                effects on *future* calls are preserved.
             meter: Optional :class:`~repro.obs.metrics.WireMeter` bumped
                 for every payload this batch actually ships, attributing
                 wire traffic to the calling query (the backend's
@@ -157,14 +149,12 @@ class Backend(ABC):
                 nothing".
 
         Returns:
-            Per-op results (``map_parts`` return values); entries may be
-            ``None`` when ``collect`` is False.
+            Per-op results (``map_parts`` return values).
         """
-        out: list[Any] = []
-        for fn, parts, common, owner in ops:
-            res = self.map_parts(fn, parts, common, owner)
-            out.append(res if collect else None)
-        return out
+        return [
+            self.map_parts(fn, parts, common, owner)
+            for fn, parts, common, owner in ops
+        ]
 
     def close(self) -> None:
         """Release any resources (worker processes, pools).  Idempotent."""

@@ -251,12 +251,11 @@ class FaultInjectingBackend(Backend):
         common: Any = None,
         owner: Any = None,
     ) -> list[Any]:
-        return self.run_ops([(fn, parts, common, owner)], collect=True)[0]
+        return self.run_ops([(fn, parts, common, owner)])[0]
 
     def run_ops(
         self,
         ops: Sequence[tuple[Callable, Sequence[list], Any, Any]],
-        collect: bool = True,
         meter: Any = None,
         span: Any = None,
     ) -> list[Any]:
@@ -288,10 +287,6 @@ class FaultInjectingBackend(Backend):
                 continue
             if fault is not None:
                 self._sabotage(fault)
-            result = self.inner.run_ops(ops, collect, meter=meter, span=span)
-            if fault == "kill_after":
-                # The round itself succeeded; the *next* dispatch finds
-                # the corpse.  (_sabotage already logged the kill; logged
-                # kind distinguishes the detection path under test.)
-                pass
-            return result
+            # After a "kill_after" the round itself succeeds; the *next*
+            # dispatch finds the corpse.
+            return self.inner.run_ops(ops, meter=meter, span=span)

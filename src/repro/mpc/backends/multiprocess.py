@@ -11,10 +11,10 @@ Design points:
   ledger and every routing decision are byte-identical to the serial
   reference by construction.
 * **Batched op rounds.**  One request carries a whole *chain* of
-  map-parts-shaped steps (``("ops", collect, [(fn_ref, common_bytes,
-  jobs), ...], trace_ctx)``), so a replayed physical plan executes in a single
-  IPC round-trip instead of one per primitive step; a plain
-  ``map_parts`` call is the one-step special case of the same protocol.
+  map-parts-shaped steps (``("ops", [(fn_ref, common_bytes, jobs), ...],
+  trace_ctx)``), so a chain executes in a single IPC round-trip instead
+  of one per step; a plain ``map_parts`` call is the one-step special
+  case of the same protocol.
   The cumulative round count is observable as :attr:`Backend.requests`.
 * **Worker supervision.**  Every round is bounded by a configurable
   ``round_timeout``: the coordinator polls worker pipes instead of
@@ -46,10 +46,6 @@ Design points:
   bookkeeping, so cache handshakes never need an extra round trip; a
   respawned worker's mirror is cleared, so its memo re-seeds lazily as
   parts are next used.
-  With ``collect=False`` (plan replay: the caller's outputs are pinned by
-  a recording) cached hits are answered with a tiny ack instead of the
-  result bytes, and misses recompute-and-cache without shipping the
-  result back — the round refreshes worker state at near-zero wire cost.
 * **Columnar wire format.**  Parts cross the process boundary as the
   compact blobs of :func:`repro.data.columns.pack_blob` — per-column
   minimal-width arrays with shared dictionaries and optional zlib —
@@ -106,15 +102,15 @@ def _resolve_fn(ref: str) -> Callable:
 
 
 #: Sentinel for "this step's common has not been decoded yet" — decoding
-#: is deferred until a job actually computes, so an all-hit (ack) round
-#: never unpickles the common at all.
+#: is deferred until a job actually computes, so an all-hit round never
+#: unpickles the common at all.
 _UNSET = object()
 
 
 def _worker_main(conn, sys_path: list[str], cache_entries: int) -> None:
     """Worker loop: batched op requests in, per-job pickled replies out.
 
-    A request is ``("ops", collect, steps, ctx)``; each step is ``(fn_ref,
+    A request is ``("ops", steps, ctx)``; each step is ``(fn_ref,
     common_spec, jobs)`` and each job ``(idx, fingerprint, part_blob)``
     where ``part_blob`` is the part's wire blob
     (:func:`repro.data.columns.pack_blob` — columnar when possible,
@@ -123,10 +119,7 @@ def _worker_main(conn, sys_path: list[str], cache_entries: int) -> None:
     cache maps ``(fn_ref, common_spec, fingerprint, idx)`` to the
     *pickled* reply, so a warm hit performs no (de)serialization at all —
     the cached bytes are sent as-is, and neither ``fn`` nor ``common`` is
-    even resolved unless some job in the step actually computes.  With
-    ``collect`` False the caller discards results: hits and computed
-    misses alike are answered with a tiny ``"ack"`` (the computation is
-    still cached), which keeps plan-replay rounds cheap on the wire.  A
+    even resolved unless some job in the step actually computes.  A
     key-only job that misses the cache (the coordinator's mirror is
     best-effort) is answered with a ``"miss"`` reply, never an error; the
     coordinator re-sends the part.
@@ -171,7 +164,7 @@ def _worker_main(conn, sys_path: list[str], cache_entries: int) -> None:
         if req[0] == "sleep":
             time.sleep(req[1])
             continue
-        _kind, collect, steps, ctx = req
+        _kind, steps, ctx = req
         replies: list[bytes] = []
         step_timings: list[tuple[float, float, int, int]] = []
         try:
@@ -188,10 +181,7 @@ def _worker_main(conn, sys_path: list[str], cache_entries: int) -> None:
                         if hit is not None:
                             cache.move_to_end(key)
                             hits += 1
-                            replies.append(
-                                hit if collect
-                                else pickle.dumps((idx, "ack", None), _PROTO)
-                            )
+                            replies.append(hit)
                             continue
                         if part_blob is None:
                             replies.append(
@@ -217,10 +207,7 @@ def _worker_main(conn, sys_path: list[str], cache_entries: int) -> None:
                         cache[key] = blob
                         if len(cache) > cache_entries:
                             cache.popitem(last=False)
-                    replies.append(
-                        blob if collect
-                        else pickle.dumps((idx, "ack", None), _PROTO)
-                    )
+                    replies.append(blob)
                 step_timings.append((decode_s, compute_s, computed, hits))
         except BaseException as exc:  # noqa: BLE001 - forwarded to coordinator
             try:
@@ -290,9 +277,9 @@ class MultiprocessBackend(Backend):
         self._procs: list[Any] = []
         self._ctx: Any = None
         self._src_paths: list[str] = []
-        # Serializes whole rounds: warm replays run outside the engine
-        # lock, so concurrent submitters (and a cold-path caller) can
-        # reach run_ops together, and the worker pipes + mirrors are not
+        # Serializes whole rounds: one instance may be driven from several
+        # threads (front-door replicas sharing a backend, explain timings
+        # beside serving), and the worker pipes + mirrors are not
         # otherwise thread-safe.  Reentrant so subclasses can nest.
         self._io_lock = threading.RLock()
         # Guards the cumulative wire/fault counters and their snapshot
@@ -524,12 +511,11 @@ class MultiprocessBackend(Backend):
         common: Any = None,
         owner: Any = None,
     ) -> list[Any]:
-        return self.run_ops([(fn, parts, common, owner)], collect=True)[0]
+        return self.run_ops([(fn, parts, common, owner)])[0]
 
     def run_ops(
         self,
         ops: Sequence[tuple[Callable, Sequence[list], Any, Any]],
-        collect: bool = True,
         meter: Any = None,
         span: Any = None,
     ) -> list[Any]:
@@ -541,8 +527,7 @@ class MultiprocessBackend(Backend):
         Worker deaths and hung rounds are recovered per the supervision
         policy (respawn → resubmit → inline; see the class docstring).
         Rounds are serialized under the backend's I/O lock, so one
-        backend instance may be driven from several threads (concurrent
-        replays and cold-path callers).
+        backend instance may be driven from several threads.
 
         When ``span`` is a recording span, one ``backend.round`` child
         covers this whole call — lock wait, dispatch, recovery retries —
@@ -555,12 +540,11 @@ class MultiprocessBackend(Backend):
         rspan = None
         if span is not None and getattr(span, "recording", False):
             rspan = span.child(
-                "backend.round", backend=self.name,
-                ops=len(ops), collect=collect,
+                "backend.round", backend=self.name, ops=len(ops),
             )
         try:
             with self._io_lock:
-                return self._run_ops(ops, collect, meter, rspan)
+                return self._run_ops(ops, meter, rspan)
         except BaseException as exc:
             if rspan is not None:
                 rspan.set(error=type(exc).__name__)
@@ -572,7 +556,6 @@ class MultiprocessBackend(Backend):
     def _run_ops(
         self,
         ops: Sequence[tuple[Callable, Sequence[list], Any, Any]],
-        collect: bool,
         meter: Any = None,
         span: Any = None,
     ) -> list[Any]:
@@ -645,7 +628,7 @@ class MultiprocessBackend(Backend):
                     order[wi].extend((k, job[0]) for job in jobs[wi])
 
         missed, failed = self._ops_round(
-            steps_by_worker, order, collect, results, span=span
+            steps_by_worker, order, results, span=span
         )
         fault_rounds = 0
         miss_rounds = 0
@@ -683,7 +666,7 @@ class MultiprocessBackend(Backend):
                 steps2[wi].append((fn_ref, common_spec, jobs2))
                 order2[wi].extend((k, idx) for idx in idxs)
             missed, failed = self._ops_round(
-                steps2, order2, collect, results, span=span, retry=True
+                steps2, order2, results, span=span, retry=True
             )
         return results
 
@@ -735,7 +718,6 @@ class MultiprocessBackend(Backend):
         self,
         steps_by_worker: Sequence[list],
         order: Sequence[list[tuple[int, int]]],
-        collect: bool,
         results: list[Any],
         span: Any = None,
         retry: bool = False,
@@ -774,7 +756,7 @@ class MultiprocessBackend(Backend):
                 continue
             try:
                 conns[wi].send_bytes(
-                    pickle.dumps(("ops", collect, steps, ctx), _PROTO)
+                    pickle.dumps(("ops", steps, ctx), _PROTO)
                 )
                 sent.append(wi)
                 if tracing:
@@ -823,9 +805,8 @@ class MultiprocessBackend(Backend):
                     k = expected[j][0]
                     if status == "miss":
                         missed.append((k, idx))
-                    elif status == "ok":
+                    else:
                         results[k][idx] = value
-                    # "ack": worker-side cache refreshed; nothing to store.
                     done = j + 1
                 if wspan is not None:
                     timings = header[2] if len(header) > 2 else []

@@ -40,23 +40,16 @@ class SerialBackend(Backend):
     def run_ops(
         self,
         ops: Sequence[tuple[Callable, Sequence[list], Any, Any]],
-        collect: bool = True,
         meter: Any = None,
         span: Any = None,
     ) -> list[Any]:
         """The trivial loop, counted as one request round.
 
-        With ``collect=False`` nothing executes: serial holds no
-        worker-side state (memos live on the relations' substrate, not
-        here), so a discarded re-execution would have no observable
-        effect on any future call.  ``meter``/``span`` are accepted for
-        interface parity and ignored: nothing crosses a process boundary,
-        so there is no wire traffic to attribute and no worker round to
-        trace.
+        ``meter``/``span`` are accepted for interface parity and ignored:
+        nothing crosses a process boundary, so there is no wire traffic
+        to attribute and no worker round to trace.
         """
         self.requests += 1
-        if not collect:
-            return [None] * len(ops)
         return [
             [fn(part, common, i) for i, part in enumerate(parts)]
             for fn, parts, common, _owner in ops

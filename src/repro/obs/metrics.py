@@ -47,7 +47,7 @@ __all__ = [
 
 #: Default histogram bucket upper bounds (seconds): 100us .. 10s, roughly
 #: logarithmic — wide enough for cold multiprocess queries, fine enough
-#: to resolve warm sub-millisecond replays.
+#: to resolve sub-millisecond result-cache hits.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
@@ -85,10 +85,9 @@ class WireMeter:
     query flowing through it, so concurrent callers computing
     before/after deltas double-count each other's bytes (the
     ``submit_batch(threads=N)`` bug).  A meter instead travels *with* the
-    call — ``Cluster.wire_meter`` on the cold path,
-    ``Executor(meter=...)`` on replays, the ``meter=`` argument of
-    :meth:`Backend.run_ops` — and is bumped exactly where a payload
-    crosses the process boundary, so its totals are per-query by
+    call — ``Cluster.wire_meter`` on the cold path, the ``meter=``
+    argument of :meth:`Backend.run_ops` — and is bumped exactly where a
+    payload crosses the process boundary, so its totals are per-query by
     construction, whatever else the backend is serving concurrently.
 
     Not locked: one query's rounds execute sequentially on the calling

@@ -5,7 +5,7 @@ and emits a flat JSONL record into a :class:`SpanSink` when ended.  The
 span tree for one traced query looks like::
 
     query                           (engine, Engine.execute)
-      cold_execute | replay         (engine path taken)
+      cold_execute                  (past the result cache)
         backend.round               (one Backend.run_ops call)
           worker.round              (one worker's slice of that round;
                                      carries worker-reported decode/compute

@@ -1,4 +1,4 @@
-"""The physical plan layer: trace and replay op schedules.
+"""The physical plan layer: trace op schedules for ``explain``.
 
 The paper's algorithms (Theorems 3/7/9, Section 4.2) are compositions of
 a small vocabulary of O(1)-round linear-load primitives.  The drivers in
@@ -15,24 +15,14 @@ first-class object:
 * :mod:`repro.plan.trace` — a `TraceRecorder` that captures the op
   sequence as a driver executes (installed as ``Cluster.recorder``).
 * :mod:`repro.plan.executor` — the `Executor` replaying a recorded plan
-  against a cluster/backend with a bit-identical ledger.
-* :mod:`repro.plan.ship` — the versioned wire format that turns a traced
-  plan into portable bytes one engine can export and another install
-  (the serving tier's plan-shipping substrate, DESIGN.md section 10).
+  one measured round per op against a cluster/backend, with a
+  bit-identical ledger (``explain --timings``).
 
-See DESIGN.md section 7 for the trace/replay contract.
+The serving path records no plan: ``Engine.explain`` traces one on a
+scratch serial cluster when asked.  See DESIGN.md section 7.
 """
 
 from repro.plan.executor import Executor
-from repro.plan.ship import (
-    SHIP_VERSION,
-    decode_plan,
-    encode_plan,
-    plan_digest,
-    register_shippable,
-    relation_digest,
-    resolve_fn,
-)
 from repro.plan.ir import (
     AttachDegrees,
     Broadcast,
@@ -65,17 +55,10 @@ __all__ = [
     "Op",
     "PhysicalPlan",
     "PrimSpan",
-    "SHIP_VERSION",
     "SampleSort",
     "SearchRows",
     "SemiJoin",
     "Subgroup",
     "TraceRecorder",
-    "decode_plan",
-    "encode_plan",
-    "plan_digest",
     "prim_span",
-    "register_shippable",
-    "relation_digest",
-    "resolve_fn",
 ]

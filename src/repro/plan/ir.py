@@ -13,13 +13,8 @@ from one execution of a core driver.  Three op families exist:
 * **Worker-local compute** (:class:`MapParts`) — one
   :meth:`~repro.mpc.group.Group.map_parts` dispatch: a module-level pure
   function, its picklable ``common`` descriptor, and *references* to the
-  immutable input parts and their owning relation.  References are cheap
-  for base inputs (the version-pinned distributed relations already
-  resident in the engine's caches) but do pin any mid-execution
-  intermediate a driver sorted, which is why the engine bounds trace
-  lifetime by recording lifetime under its LRU.  Holding them is what
-  lets a replay re-issue the compute through one
-  :meth:`~repro.mpc.backends.Backend.run_ops` batch.
+  immutable input parts and their owning relation.  Holding them is what
+  lets a timed replay re-issue the compute and measure it.
 * **Structure** (:class:`SampleSort`, :class:`FoldByKey`,
   :class:`SearchRows`, :class:`NumberRows`, :class:`SemiJoin`,
   :class:`AttachDegrees` spans; :class:`Subgroup` / :class:`GridLines`
@@ -29,7 +24,8 @@ from one execution of a core driver.  Three op families exist:
   attribution; they charge nothing and replay as no-ops.
 
 Ops are recorded with the :class:`~repro.plan.trace.TraceRecorder` and
-replayed by the :class:`~repro.plan.executor.Executor`.
+replayed, one measured round per op, by the
+:class:`~repro.plan.executor.Executor`.
 """
 
 from __future__ import annotations
@@ -110,11 +106,9 @@ class MapParts(Op):
 
     ``fn``/``parts``/``owner`` are live references captured at trace
     time; ``parts`` are immutable after construction (the `DistRelation`
-    contract), so a replay under unchanged data versions recomputes the
-    exact traced results.  Local compute is free in the MPC model — the
-    op charges nothing; it exists so a replay keeps backend worker state
-    (content-addressed memos) warm, all of a plan's MapParts riding one
-    `run_ops` round-trip.
+    contract), so a replay recomputes the exact traced results.  Local
+    compute is free in the MPC model — the op charges nothing; it exists
+    so ``explain --timings`` can time the compute as its own round.
     """
 
     fn_ref: str = ""
@@ -202,7 +196,7 @@ def _fmt_bytes(n: int) -> str:
 
 @dataclass(eq=False)
 class PhysicalPlan:
-    """A replayable recording of one query execution's op schedule.
+    """A recording of one query execution's op schedule.
 
     Attributes:
         query: The query text (or a short description) the trace served.
@@ -211,9 +205,6 @@ class PhysicalPlan:
         p: Cluster size the trace was recorded on.
         backend: Backend name of the recording session (the schedule
             itself is backend-independent — ledgers are).
-        relation_versions: Registered-relation versions the trace is
-            valid for; a replay under any other versions is forbidden
-            (the section-3.4-style contract, see DESIGN.md 7).
         ops: The flat op sequence in execution order.
     """
 
@@ -222,15 +213,11 @@ class PhysicalPlan:
     algorithm: str = ""
     p: int = 0
     backend: str = ""
-    relation_versions: dict[str, int] = field(default_factory=dict)
     ops: list[Op] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     def charges(self) -> list[Charge]:
         return [op for op in self.ops if isinstance(op, Charge)]
-
-    def map_ops(self) -> list[MapParts]:
-        return [op for op in self.ops if isinstance(op, MapParts)]
 
     def charged_units(self) -> int:
         """Total ledger units a replay posts (== the traced report total)."""
@@ -244,10 +231,10 @@ class PhysicalPlan:
     def explain(
         self, timings: "dict[int, dict[str, float]] | None" = None,
     ) -> str:
-        """Human-readable plan: ops, per-op ledger units, replay cost.
+        """Human-readable plan: ops and per-op ledger units.
 
-        ``timings`` (from a timed replay — ``Executor.replay(plan,
-        timed=True)["op_timings"]``, keyed by op index) appends measured
+        ``timings`` (from a timed replay — ``Executor.replay(plan)
+        ["op_timings"]``, keyed by op index) appends measured
         ``wall=``/``wire=`` columns per op, so the ledger's *load* story
         and the measured *time/bytes* story line up row by row.  A
         :class:`PrimSpan` line aggregates the timings of the ops it
@@ -255,7 +242,6 @@ class PhysicalPlan:
         """
         from repro.mpc.cluster import kind_split  # mpc imports plan, not back
 
-        n_map = len(self.map_ops())
         counts = self.op_counts()
         lines = [
             f"physical plan: {self.query}",
@@ -269,15 +255,10 @@ class PhysicalPlan:
             ),
             (
                 f"  ledger: {self.charged_units()} units over "
-                f"{len(self.charges())} charge steps (replayed bit-exactly): "
+                f"{len(self.charges())} charge steps: "
                 + kind_split((c.label, c.units) for c in self.charges())
             ),
         ]
-        n_req = 1 if n_map else 0
-        lines.append(
-            f"  replay: {n_req} backend request{'' if n_req == 1 else 's'} "
-            f"({n_map} worker-local op{'' if n_map == 1 else 's'}, one round)"
-        )
         if timings is not None:
             total_wall = sum(t["wall"] for t in timings.values())
             total_wire = sum(t["wire"] for t in timings.values())

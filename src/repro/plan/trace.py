@@ -139,7 +139,6 @@ class TraceRecorder:
         algorithm: str,
         p: int,
         backend: str,
-        relation_versions: dict[str, int],
     ) -> PhysicalPlan:
         return PhysicalPlan(
             query=query,
@@ -147,6 +146,5 @@ class TraceRecorder:
             algorithm=algorithm,
             p=p,
             backend=backend,
-            relation_versions=dict(relation_versions),
             ops=self.ops,
         )

@@ -14,10 +14,13 @@ it the three serving-tier mechanisms:
   least-loaded spill on hot keys;
 * **micro-batching** — a small gather window per replica coalescing
   queued requests into one :meth:`Engine.submit_batch` call;
-* **plan shipping** — when a replica traces a plan cold, the front door
-  exports it (:mod:`repro.plan.ship`) and installs it into every other
-  replica that holds the touched relations, so one cold trace warms the
-  whole tier (zero re-traces on the receivers).
+* **plan shipping** — when a replica executes a query cold, the front
+  door exports its plan as a prepared statement
+  (:meth:`Engine.export_plan <repro.engine.session.Engine.export_plan>`:
+  query text + algorithm request, a JSON record) and installs it into
+  every other replica that holds the touched relations; each receiver
+  prices it on its own data, so one prepare warms the whole tier's plan
+  caches.
 
 See DESIGN.md section 10 for the contracts.
 """

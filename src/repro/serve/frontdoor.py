@@ -29,14 +29,15 @@ Life of a request (:meth:`Frontdoor.submit`):
    ``batch_window`` seconds (up to ``batch_max``) and executes them as
    one :meth:`Engine.submit_batch` — per-query failures stay embedded in
    their results, so one poisoned request cannot fail its batch-mates.
-5. **Plan shipping.**  After a batch, any query that executed *cold*
-   (traced a fresh plan) is exported once and installed into every other
-   eligible replica that does not already hold the current digest.  A
-   replica whose data differs (partitioned shards) rejects the install
-   via the content-digest check and simply traces its own plan cold —
-   shipping is an optimization with a correctness gate, not a trust
-   relationship.  The plan index drops a query's entry whenever one of
-   its relations is re-registered, so a stale plan is never re-shipped.
+5. **Plan shipping.**  After a batch, any query that executed *cold* is
+   exported once as a prepared statement (query text + algorithm
+   request) and installed into every other eligible replica that does
+   not hold it yet.  The receiver prepares the statement — prices it on
+   its *own* data — so a replica holding a different shard simply gets
+   the plan its own data calls for, and its first request for the query
+   is a plan-cache hit.  The plan index drops a query's entry whenever
+   one of its relations is re-registered, so every data generation is
+   shipped afresh.
 
 Thread-safety: one front-door lock guards admission state (pending
 counts, placement, plan index, stats); engine locks are only ever taken
@@ -65,7 +66,6 @@ from repro.errors import (
 )
 from repro.mpc.backends import Backend, create_backend
 from repro.obs import MetricsRegistry
-from repro.plan.ship import plan_digest
 
 __all__ = ["Frontdoor", "FrontdoorStats"]
 
@@ -122,8 +122,7 @@ class Frontdoor:
     """N engine replicas behind one admission/routing/batching door.
 
     Args:
-        p: Simulated cluster size of every replica (plans only ship
-            between equal-``p`` engines).
+        p: Simulated cluster size of every replica.
         replicas: Number of engine replicas.
         backend: Backend *name* (or ``None`` for the process default) —
             each replica gets a fresh instance, closed with the front
@@ -138,9 +137,9 @@ class Frontdoor:
         batch_window: Seconds a replica worker waits to coalesce queued
             requests after the first (0 dispatches singles immediately).
         batch_max: Max requests per coalesced ``submit_batch`` call.
-        ship_plans: Ship cold-traced plans to the other eligible
-            replicas (the cross-replica plan index).  Off, every replica
-            traces every query cold once.
+        ship_plans: Ship the plans of cold-executed queries to the other
+            eligible replicas (the cross-replica plan index).  Off, every
+            replica prepares every query on its own first request.
         registry: Shared :class:`~repro.obs.MetricsRegistry` (``None``
             creates one).  All replicas instrument into it — its view
             merge sums their EngineStats/backend counters — and the
@@ -203,7 +202,7 @@ class Frontdoor:
         self._pending = [0] * replicas
         #: relation name -> replica indices whose catalog holds it.
         self._placement: dict[str, set[int]] = {}
-        #: (route key, algorithm) -> {digest, relations, installed set}.
+        #: (route key, algorithm) -> {relations, installed set}.
         self._plan_index: dict[tuple, dict[str, Any]] = {}
         self._parse_cache: dict[str, ParsedQuery] = {}
         self._stats = FrontdoorStats(replicas=replicas)
@@ -524,23 +523,20 @@ class Frontdoor:
         ready: "list[_Request]",
         results: "list[ExecutionResult]",
     ) -> None:
-        """Export each cold-traced plan of the batch to its peers.
+        """Export the plan of each cold-executed query of the batch to its
+        peers.
 
         Runs after the batch's futures resolve (shipping never adds
         request latency) on the replica worker, so installs into peer
         engines take one engine lock at a time — no nesting, no
-        deadlock.  The index dedups by digest: a plan is installed at
-        most once per (query, algorithm, data-version) generation.
+        deadlock.  The statement for one (query, algorithm) never
+        changes, so a plan is installed at most once per replica per
+        data generation (``register`` drops the index entry).
         """
         shipped: set[tuple] = set()
         for req, res in zip(ready, results):
             m = res.metrics
-            if not (
-                res.ok
-                and not m.result_cached
-                and not m.plan_replayed
-                and not m.degraded_serial
-            ):
+            if not res.ok or m.result_cached or m.degraded_serial:
                 continue
             index_key = (req.key, req.algorithm)
             if index_key in shipped:
@@ -549,21 +545,16 @@ class Frontdoor:
             try:
                 blob = engine.export_plan(req.parsed, req.algorithm)
             except ReproError:
-                # Unservable for shipping (recording evicted, oversized,
-                # unpicklable payload): peers trace cold — correct,
-                # just not warmed.
+                # The plan entry is already gone (caches cleared): peers
+                # prepare on their own first request — correct, just not
+                # warmed.
                 continue
-            digest = plan_digest(blob)
             relations = frozenset(b.relation for b in req.parsed.bindings)
             with self._lock:
                 eligible = self._eligible_locked(req.parsed)
-                entry = self._plan_index.get(index_key)
-                if entry is None or entry["digest"] != digest:
-                    entry = self._plan_index[index_key] = {
-                        "digest": digest,
-                        "relations": relations,
-                        "installed": {i},
-                    }
+                entry = self._plan_index.setdefault(
+                    index_key, {"relations": relations, "installed": set()}
+                )
                 entry["installed"].add(i)
                 targets = [
                     j for j in eligible
@@ -573,9 +564,9 @@ class Frontdoor:
                 try:
                     self.engines[j].install_plan(blob)
                 except PlanShipError:
-                    # Fingerprint/digest mismatch (partitioned shard) or
-                    # an unresolvable fn: the peer stays cold, which is
-                    # always safe.
+                    # The peer cannot prepare the query (e.g. a shard with
+                    # another arity): it stays unprepared, which is always
+                    # safe.
                     with self._lock:
                         self._stats.plans_rejected += 1
                 else:

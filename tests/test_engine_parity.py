@@ -1,6 +1,6 @@
 """Engine vs one-shot parity on the conformance grid, under every backend.
 
-The engine's central invariant: replaying a prepared plan on the warm
+The engine's central invariant: running a prepared plan on the warm
 cluster (reused distributed relations, warm substrate caches, ledger
 reset per query) must be observationally identical to the one-shot entry
 points — **bit-identical outputs** (same rows, same order, same per-server
@@ -173,8 +173,9 @@ def test_engine_matches_one_shot(cell, backend):
     assert _engine_payload(cold) == ref_payload, f"cold outputs differ: {cell}"
     assert cold.report.as_dict() == ref_ledger, f"cold ledger differs: {cell}"
 
-    # Warm replay (result cache off): the algorithms re-run over the warm
-    # substrate caches and must reproduce outputs and ledger exactly.
+    # Cold re-drive (result cache off): the algorithms re-run over warm
+    # plan, distribution and substrate caches and must reproduce outputs
+    # and ledger exactly.
     warm = engine.execute(text)
     assert warm.metrics.cache_hit and not warm.metrics.result_cached
     assert _engine_payload(warm) == ref_payload, f"warm outputs differ: {cell}"

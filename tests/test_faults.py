@@ -451,13 +451,16 @@ class TestEngineResilience:
         res = engine.execute(BINARY)
         assert res.ok and res.metrics.load > 0
 
-    def test_deadline_checked_between_replay_rounds(self):
+    def test_deadline_cancels_a_warm_redrive(self):
         engine = Engine(p=6, backend="serial", result_cache=False)
         for name, rel in _binary_relations().items():
             engine.register(rel, name=name)
-        engine.execute(BINARY)  # cold: record the trace
+        want = engine.execute(BINARY)  # cold: warms the plan and dist caches
         with pytest.raises(DeadlineExceeded):
-            engine.execute(BINARY, deadline=1e-9)  # warm: replay path
+            engine.execute(BINARY, deadline=1e-9)  # re-driven cold, cancelled
+        assert engine.stats().deadline_misses == 1
+        # The partial ledger was discarded: the next re-drive is exact.
+        assert engine.execute(BINARY).report.as_dict() == want.report.as_dict()
 
     def test_degrade_to_serial_serves_identical_results(self, serial_ref):
         engine, chaos = _faulty_engine(degrade_to_serial=True)

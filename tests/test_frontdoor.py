@@ -1,8 +1,8 @@
 """Front-door tests: admission, routing, batching, plan shipping.
 
-The serving tier's correctness story is in the conformance cells
-(shipped replay bit-identical, tests/conformance/test_plan_ship.py);
-these tests pin the door's *mechanisms*: canonical-form routing
+Every replica serves bit-identical results (the engine's conformance
+story; the statement format is tests/test_ship.py); these tests pin the
+door's *mechanisms*: canonical-form routing
 affinity, deterministic load-shed, hot-key spill, partitioned-catalog
 eligibility, the cross-replica plan index, and lifecycle semantics.
 """
@@ -187,24 +187,39 @@ def test_results_match_single_engine_reference():
             assert res.report.as_dict() == want.report.as_dict()
 
 
-def test_one_cold_trace_warms_the_whole_tier():
+def test_one_prepare_warms_the_whole_tier():
+    ref = Engine(p=P, backend="serial")
+    for name, rel in _relations().items():
+        ref.register(rel, name=name)
     with _door(batch_window=0.0) as door:
         first = [f.result() for f in door.submit_many(QUERIES)]
-        assert all(r.ok for r in first)
-        # Every distinct query traced cold exactly once, tier-wide.
-        assert not any(r.metrics.plan_replayed for r in first)
+        # Every distinct query is prepared exactly once, tier-wide ...
+        assert all(r.ok and not r.metrics.plan_reused for r in first)
 
-        # Each cold plan ships to the 2 peer replicas.
+        # ... and its statement ships to the 2 peer replicas.
         want = len(QUERIES) * (door.replicas - 1)
         assert _wait_for(lambda: door.stats().plans_shipped >= want)
         s = door.stats()
         assert (s.plans_shipped, s.plans_rejected) == (want, 0)
         assert sum(e.stats().plans_installed for e in door.engines) == want
+        for engine in door.engines:
+            assert {e.parsed.text for e in engine.prepared_queries()} == set(QUERIES)
 
-        # Zero re-traces: the warm tier replays everywhere, including on
-        # replicas that never executed the query themselves.
+        # A peer that never served the query answers its first request
+        # from the plan cache: the pricing happened off the request path.
+        for q in QUERIES:
+            peer = next(
+                e for e in door.engines
+                if all(x.uses == 0 for x in e.prepared_queries() if x.parsed.text == q)
+            )
+            res, want_res = peer.execute(q), ref.execute(q)
+            assert res.metrics.plan_reused and res.metrics.cache_hit
+            assert res.scalar == want_res.scalar
+            assert res.rows() == want_res.rows()
+            assert res.report.as_dict() == want_res.report.as_dict()
+
         second = [f.result() for f in door.submit_many(QUERIES * 2)]
-        assert all(r.ok and r.metrics.plan_replayed for r in second)
+        assert all(r.ok and r.metrics.plan_reused for r in second)
         assert door.stats().plans_shipped == want  # nothing re-shipped
 
 
@@ -215,11 +230,11 @@ def test_reregister_invalidates_plan_index():
         want = door.replicas - 1
         assert _wait_for(lambda: door.stats().plans_shipped >= want)
 
-        # New data generation: the index entry drops, the next cold
-        # trace ships a fresh digest instead of being deduped away.
+        # New data generation: the index entry drops, so the next cold
+        # execution ships the statement again instead of being deduped.
         door.register(relations["R1"], name="R1")
         res = door.execute(QUERIES[0])
-        assert res.ok and not res.metrics.plan_replayed
+        assert res.ok
         assert _wait_for(lambda: door.stats().plans_shipped >= 2 * want)
 
 

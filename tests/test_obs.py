@@ -180,15 +180,15 @@ class TestTracing:
         sink = SpanSink(path=str(path))
         tracer = Tracer(sink)
         with tracer.span("query", query="Q") as root:
-            with root.child("replay", ops=3) as child:
+            with root.child("cold_execute", algorithm="acyclic") as child:
                 child.child("backend.round", backend="serial").end()
         tracer.close()
         lines = path.read_text().splitlines()
         assert validate_trace_lines(lines) == []
         recs = [json.loads(line) for line in lines]
         by_name = {r["name"]: r for r in recs}
-        assert by_name["backend.round"]["parent"] == by_name["replay"]["span"]
-        assert by_name["replay"]["parent"] == by_name["query"]["span"]
+        assert by_name["backend.round"]["parent"] == by_name["cold_execute"]["span"]
+        assert by_name["cold_execute"]["parent"] == by_name["query"]["span"]
         assert by_name["query"]["parent"] is None
         assert len({r["trace"] for r in recs}) == 1
 
@@ -374,15 +374,16 @@ class TestBackendSpans:
         finally:
             backend.close()
 
-    def test_warm_replay_spans_stay_well_nested(self):
-        """A warm replay is one synchronous ``run_ops`` round on a worker
-        pool; its spans must close inside their parents."""
+    def test_redrive_spans_stay_well_nested(self):
+        """A cold re-drive over warm caches (``result_cache=False``) runs
+        synchronous ``run_ops`` rounds on a worker pool; its spans must
+        close inside their parents."""
         backend = MultiprocessBackend(workers=2)
         sink = SpanSink()
         try:
             eng = _engine(backend, _line3_relations(), tracer=Tracer(sink))
             eng.execute(LINE3)          # cold
-            eng.execute(LINE3)          # warm replay -> one run_ops round
+            eng.execute(LINE3)          # re-driven over the warm caches
             recs = _spans(sink)
             assert validate_trace_lines(
                 [json.dumps(r) for r in recs]

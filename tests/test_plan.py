@@ -1,22 +1,17 @@
-"""Unit tests for the physical plan layer (IR, trace, replay, LRU)."""
+"""Unit tests for the physical plan layer (IR, trace, timed replay), the
+recording LRU, and the fence that keeps tracing off the serving path."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.data.relation import Relation
-from repro.engine import Engine, parse_query
+from repro.engine import Engine
 from repro.mpc import Cluster, distribute_relation
-from repro.mpc.backends import SerialBackend, get_backend
+from repro.mpc.backends import get_backend
 from repro.mpc.cluster import kind_split
 from repro.mpc.primitives import attach_degrees, count_by_key, semi_join
-from repro.plan import (
-    Broadcast,
-    Charge,
-    Exchange,
-    Executor,
-    TraceRecorder,
-)
+from repro.plan import Broadcast, Charge, Executor, TraceRecorder
 
 
 def _traced_primitives(p: int = 6):
@@ -35,7 +30,7 @@ def _traced_primitives(p: int = 6):
         semi_join(group, rel, flt, "sj").parts,
     )
     cluster.recorder = None
-    plan = rec.finish("prims", "join", "none", p, "serial", {})
+    plan = rec.finish("prims", "join", "none", p, "serial")
     return plan, cluster.snapshot(), outs
 
 
@@ -85,57 +80,25 @@ class TestTrace:
         assert traced_cluster.snapshot().as_dict() == ref_cluster.snapshot().as_dict()
 
 
-class _SpyBackend(SerialBackend):
-    """Serial backend recording every ``run_ops`` batch it is handed."""
-
-    def __init__(self):
-        self.batches = []
-
-    def run_ops(self, ops, collect=True, meter=None, span=None):
-        self.batches.append((list(ops), collect))
-        return super().run_ops(ops, collect, meter=meter, span=span)
-
-
-class TestFusion:
-    def test_fused_merges_across_replay_pure_charges(self):
-        plan, _, _ = _traced_primitives()
-        backend = _SpyBackend()
-        Executor(Cluster(plan.p, backend=backend)).replay(plan)
-        [(batch, collect)] = backend.batches  # one round, charges or not
-        assert len(batch) == len(plan.map_ops()) > 1
-        assert collect is False
-
-    def test_groups_are_map_ops_in_plan_order(self):
-        plan, _, _ = _traced_primitives()
-        backend = _SpyBackend()
-        Executor(Cluster(plan.p, backend=backend)).replay(plan)
-        [(batch, _collect)] = backend.batches
-        assert batch == [
-            (op.fn, op.parts, op.common, op.owner) for op in plan.map_ops()
-        ]
-
-
 class TestExecutor:
-    @pytest.mark.parametrize("timed", [True, False])
-    def test_replay_ledger_is_bit_identical(self, timed):
+    def test_replay_ledger_is_bit_identical(self):
         plan, report, _ = _traced_primitives()
         fresh = Cluster(plan.p, backend="serial")
-        stats = Executor(fresh).replay(plan, timed=timed)
+        stats = Executor(fresh).replay(plan)
         assert fresh.snapshot().as_dict() == report.as_dict()
-        assert stats["map_ops"] == len(plan.map_ops())
-        assert stats["groups"] == (stats["map_ops"] if timed else 1)
+        # One timed round per worker-local op, and a timing per op.
+        n_map = plan.op_counts()["MapParts"]
+        assert stats["map_ops"] == stats["backend_requests"] == n_map > 1
+        timed = {i for i, op in enumerate(plan.ops) if op.kind == "MapParts"}
+        timed |= {i for i, op in enumerate(plan.ops) if isinstance(op, Charge)}
+        assert set(stats["op_timings"]) == timed
 
-    def test_fused_replay_issues_fewer_backend_requests(self):
-        plan, _, _ = _traced_primitives()
-        stats = Executor(Cluster(plan.p, backend=SerialBackend())).replay(plan)
-        assert stats["backend_requests"] == 1 < stats["map_ops"]
-
-    def test_explain_mentions_ops_and_fusion(self):
+    def test_explain_mentions_ops_and_units(self):
         plan, _, _ = _traced_primitives()
         text = plan.explain()
         assert "SampleSort" in text and "MapParts" in text
-        assert "replay: 1 backend request (" in text
         assert "units" in text
+        assert "replay" not in text
 
     def test_explain_says_where_the_load_went(self):
         """The ledger line and ``LoadReport.summary`` carry one five-way
@@ -150,9 +113,9 @@ class TestExecutor:
         count_by_key(group, rel, ("B",), "cnt")
         cluster.recorder = None
         report = cluster.snapshot()
-        text = rec.finish("prims", "join", "none", 6, "serial", {}).explain()
+        text = rec.finish("prims", "join", "none", 6, "serial").explain()
         split = kind_split(report.by_label.items())
-        assert f"charge steps (replayed bit-exactly): {split}" in text
+        assert f"charge steps: {split}" in text
         assert split in report.summary()
         assert split.split()[3] == "boundary=20"  # two stitch trips of p - 1 each way
         assert sum(int(kv.split("=")[1]) for kv in split.split()) == report.total
@@ -184,42 +147,7 @@ class TestRunOps:
             backend.run_ops([(_sort_part, parts, None, None)] * 3)
             assert backend.requests == before + 1, name
 
-    def test_serial_collect_false_skips_execution(self):
-        calls = []
-
-        def probe(part, common, idx):  # pragma: no cover - must not run
-            calls.append(idx)
-
-        backend = SerialBackend()
-        out = backend.run_ops([(probe, [[1], [2]], None, None)], collect=False)
-        assert out == [None] and calls == []
-
-    def test_multiprocess_collect_false_still_warms_the_memo(self):
-        from tests.test_backends import _sort_part
-
-        class Owner:
-            def __init__(self):
-                self._substrate = {}
-
-        from repro.mpc.backends import MultiprocessBackend
-
-        backend = MultiprocessBackend(workers=2)
-        try:
-            parts = [[(4, 1)], [(2, 9)], [(7, 7)]]
-            backend.run_ops([(_sort_part, parts, None, Owner())], collect=False)
-            shipped = backend.wire_stats()["parts_shipped"]
-            # Same content, fresh owner: every part is already cached
-            # worker-side — nothing re-ships.
-            got = backend.run_ops(
-                [(_sort_part, [list(p) for p in parts], None, Owner())]
-            )[0]
-            assert got == [sorted(p) for p in parts]
-            assert backend.wire_stats()["parts_shipped"] == shipped
-        finally:
-            backend.close()
-
-
-class TestEngineReplay:
+class TestEngineExplain:
     def _engine(self, **kwargs) -> Engine:
         eng = Engine(p=4, **kwargs)
         eng.register(Relation("R1", ("A", "B"), [(i, i % 5) for i in range(60)]))
@@ -228,28 +156,6 @@ class TestEngineReplay:
 
     Q = "Q(A,B,C) :- R1(A,B), R2(B,C)"
 
-    def test_warm_execution_replays_the_traced_plan(self):
-        eng = self._engine(result_cache=False)
-        cold = eng.execute(self.Q)
-        warm = eng.execute(self.Q)
-        assert not cold.metrics.plan_replayed and warm.metrics.plan_replayed
-        assert warm.metrics.plan_ops == cold.metrics.plan_ops > 0
-        assert warm.metrics.fused_groups == 1
-        assert warm.metrics.backend_requests == 1
-        assert warm.report.as_dict() == cold.report.as_dict()
-        assert warm.rows() == cold.rows()
-        assert eng.stats().plan_replays == 1
-
-    def test_register_invalidates_the_trace(self):
-        eng = self._engine(result_cache=False)
-        eng.execute(self.Q)
-        eng.register(Relation("R2", ("B", "C"), [(i % 5, i % 3) for i in range(80)]))
-        fresh = eng.execute(self.Q)
-        assert not fresh.metrics.plan_replayed  # stale schedule never replays
-        warm = eng.execute(self.Q)
-        assert warm.metrics.plan_replayed  # re-traced on the fresh versions
-        assert warm.report.as_dict() == fresh.report.as_dict()
-
     def test_trace_plan_and_explain(self):
         eng = self._engine()
         plan = eng.trace_plan(self.Q)
@@ -257,18 +163,11 @@ class TestEngineReplay:
         assert plan.op_counts().get("MapParts", 0) >= 1
         text = eng.explain(self.Q)
         assert "physical plan" in text and "SampleSort" in text
-        # A served entry's own trace is reused once warm.
+        # The trace is taken on a scratch cluster: it charges what a cold
+        # execution charges and leaves the serving session untouched.
+        assert eng.stats().queries == 0
         res = eng.execute(self.Q)
-        assert eng.trace_plan(self.Q) is res.prepared.trace
-
-    def test_scalar_aggregate_replays(self):
-        eng = self._engine(result_cache=False)
-        q = "Q(; count) :- R1(A,B), R2(B,C)"
-        cold = eng.execute(q)
-        warm = eng.execute(q)
-        assert warm.metrics.plan_replayed
-        assert warm.scalar == cold.scalar
-        assert warm.report.as_dict() == cold.report.as_dict()
+        assert plan.charged_units() == res.report.total
 
 
 class TestRecordingLRU:
@@ -285,8 +184,8 @@ class TestRecordingLRU:
         first = eng.execute(q1)
         eng.execute(q2)  # evicts q1's recording
         assert len(eng._recordings) == 1
-        again = eng.execute(q1)  # falls back to a full (re-recording) drive
-        assert not again.metrics.result_cached and not again.metrics.plan_replayed
+        again = eng.execute(q1)  # falls back to a cold (re-recording) drive
+        assert not again.metrics.result_cached
         assert again.report.as_dict() == first.report.as_dict()
         assert eng.execute(q1).metrics.result_cached  # re-recorded
 
@@ -295,11 +194,8 @@ class TestRecordingLRU:
         q = "Q(A,B,C) :- R(A,B), S(B,C)"
         eng.execute(q)
         assert len(eng._recordings) == 0
-        # The unretained recording's trace dies with it (it could never
-        # replay and would only pin its recorded inputs).
-        assert all(e.trace is None for e in eng.prepared_queries())
-        warm = eng.execute(q)
-        assert not warm.metrics.result_cached and not warm.metrics.plan_replayed
+        again = eng.execute(q)
+        assert not again.metrics.result_cached
 
     def test_dictionary_values_count_toward_the_recording_charge(self):
         """Regression: pricing a dictionary column by its code array alone
@@ -397,23 +293,14 @@ class TestRecordingLRU:
         assert small in kept
         assert "Q(A,B,C) :- R(A,B), S(B,C)" not in kept
 
-    def test_eviction_drops_the_trace_with_the_recording(self):
-        eng = self._engine(result_cache_entries=1)
-        q1 = "Q(A,B) :- R(A,B)"
-        eng.execute(q1)
-        entry = next(e for e in eng.prepared_queries() if e.parsed.text == q1)
-        assert entry.trace is not None
-        eng.execute("Q(B,C) :- S(B,C)")  # evicts q1's recording
-        assert entry.cached_result is None and entry.trace is None
-
-    def test_register_drops_stale_traces_and_recordings(self):
+    def test_register_drops_stale_recordings(self):
         eng = self._engine()
         q = "Q(A,B) :- R(A,B)"
         eng.execute(q)
         entry = next(e for e in eng.prepared_queries() if e.parsed.text == q)
-        assert entry.trace is not None and entry.cached_result is not None
+        assert entry.cached_result is not None
         eng.register(Relation("R", ("A", "B"), [(i, i % 3) for i in range(50)]))
-        assert entry.trace is None and entry.cached_result is None
+        assert entry.cached_result is None
         assert entry.key not in eng._recordings
 
     def test_clear_caches_resets_the_lru(self):
@@ -434,4 +321,70 @@ def test_cli_explain_smoke(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "physical plan" in out
-    assert "1 backend request" in out and "units" in out
+    assert "MapParts" in out and "units" in out
+
+
+# ----------------------------------------------------------------------
+# The serving fence: no path that serves a request records a trace
+# ----------------------------------------------------------------------
+
+def _refuse_tracing(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a trace was recorded")
+
+    monkeypatch.setattr(TraceRecorder, "__init__", refuse)
+
+
+@pytest.mark.parametrize(
+    "workload", ["cold_emit", "cold_reduce", "paper_hard", "serve_churn"]
+)
+def test_serving_path_never_records_a_trace(monkeypatch, workload):
+    """register, prepare, a cold execute, a cached hit and a
+    ``result_cache=False`` re-drive on every harness deck stay off the
+    trace recorder; ``explain`` still traces once the fence is down."""
+    from tests.conformance.test_golden_plans import _decks_module
+
+    deck = _decks_module().build_deck(workload, small=True)
+    _refuse_tracing(monkeypatch)
+    engine = Engine(deck.p, "serial")
+    for name, (attrs, variants) in deck.relations.items():
+        engine.register(Relation(name, attrs, variants[0]), name=name)
+    for query in deck.queries:
+        engine.prepare(query)
+    cold = {q: engine.execute(q).report.as_dict() for q in deck.queries}
+    for query in deck.queries:
+        hit = engine.execute(query)
+        assert hit.metrics.result_cached and hit.report.as_dict() == cold[query]
+    engine.result_cache = False
+    for query in deck.queries:
+        redrive = engine.execute(query)
+        assert not redrive.metrics.result_cached
+        assert redrive.report.as_dict() == cold[query]
+    # The fence is live: explain does reach it ...
+    with pytest.raises(AssertionError, match="trace was recorded"):
+        engine.explain(deck.queries[0])
+    # ... and renders once it is down.
+    monkeypatch.undo()
+    assert "physical plan" in engine.explain(deck.queries[0])
+    assert "wall=" in engine.explain(deck.queries[0], timings=True)
+
+
+def test_a_degraded_execute_never_records_a_trace(monkeypatch):
+    """The serial rerun after a chaos-injected fault serves untraced."""
+    from repro.mpc.backends import FaultInjectingBackend, MultiprocessBackend
+
+    _refuse_tracing(monkeypatch)
+    chaos = FaultInjectingBackend(
+        inner=MultiprocessBackend(
+            workers=1, retry_budget=0, backoff_base=0.0, degrade_to_inline=False,
+        ),
+        seed=3, rate=1.0, kinds=("kill",),
+    )
+    try:
+        engine = Engine(p=4, backend=chaos)
+        engine.register(Relation("R1", ("A", "B"), [(i, i % 5) for i in range(60)]))
+        engine.register(Relation("R2", ("B", "C"), [(i % 5, i % 7) for i in range(60)]))
+        res = engine.execute("Q(A,B,C) :- R1(A,B), R2(B,C)")
+        assert res.metrics.degraded_serial
+    finally:
+        chaos.close()

@@ -1,28 +1,24 @@
-"""Unit tests for the plan-shipping wire format (:mod:`repro.plan.ship`).
+"""Plans ship as prepared statements, and shipped bytes are hostile.
 
-The conformance cell (tests/conformance/test_plan_ship.py) holds the
-end-to-end contract — shipped replay bit-identical per backend.  These
-tests pin the envelope itself (magic, version, digest, truncation), the
-fn-reference allowlist, and the typed install-time rejections.
+``Engine.export_plan`` writes one JSON object, ``{"algorithm": ...,
+"query": ...}``; ``Engine.install_plan`` accepts exactly that shape and
+prepares the query on the receiver's own data.  Whatever bytes arrive,
+install either returns a :class:`PreparedQuery` or raises
+:class:`PlanShipError` — never anything else, and nothing is unpickled.
 """
 
 from __future__ import annotations
 
+import json
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.generators import random_instance
-from repro.data.relation import Relation
-from repro.engine import Engine
+from repro.engine import Engine, PreparedQuery
 from repro.errors import PlanShipError
-from repro.plan.ship import (
-    SHIP_VERSION,
-    decode_plan,
-    encode_plan,
-    plan_digest,
-    register_shippable,
-    relation_digest,
-    resolve_fn,
-)
 from repro.query import catalog
 
 TEXT = "Q(A,B,C) :- R1(A,B), R2(B,C)"
@@ -30,163 +26,156 @@ TEXT = "Q(A,B,C) :- R1(A,B), R2(B,C)"
 
 def _engine(p=6, **kwargs):
     inst = random_instance(catalog.binary_join(), 120, 12, seed=11)
-    engine = Engine(p=p, backend="serial", result_cache=False, **kwargs)
+    engine = Engine(p=p, backend="serial", **kwargs)
     for name, rel in inst.relations.items():
         engine.register(rel, name=name)
     return engine
 
 
-def _blob(engine):
-    engine.execute(TEXT)
-    return engine.export_plan(TEXT)
+def _blob(engine=None, algorithm="auto"):
+    engine = engine or _engine()
+    engine.prepare(TEXT, algorithm)
+    return engine.export_plan(TEXT, algorithm)
+
+
+#: One receiver for the fuzz tests: every install either prepares one of
+#: a handful of queries (cached after the first) or raises.
+_RECEIVER = _engine()
+_VALID = _blob()
+
+
+def _install_or_reject(blob: bytes) -> None:
+    try:
+        entry = _RECEIVER.install_plan(blob)
+    except PlanShipError:
+        return
+    assert isinstance(entry, PreparedQuery)
 
 
 # ----------------------------------------------------------------------
-# Envelope
+# The record
 # ----------------------------------------------------------------------
 
-def test_envelope_roundtrip_and_digest():
-    payload = {"query": TEXT, "p": 6, "ops": []}
-    blob = encode_plan(payload)
-    assert blob[:4] == b"RPLN"
-    assert blob[4] == SHIP_VERSION
-    assert decode_plan(blob) == payload
-    assert plan_digest(blob) == blob[5:25].hex()
+def test_export_is_the_statement_record():
+    engine = _engine()
+    blob = _blob(engine, algorithm="yannakakis")
+    assert json.loads(blob) == {"algorithm": "yannakakis", "query": TEXT}
+    assert blob == json.dumps(
+        {"algorithm": "yannakakis", "query": TEXT}, sort_keys=True
+    ).encode()
 
 
-def test_envelope_rejects_corruption():
-    blob = encode_plan({"query": TEXT})
-    flipped = blob[:-1] + bytes([blob[-1] ^ 0xFF])
-    with pytest.raises(PlanShipError, match="digest"):
-        decode_plan(flipped)
+def test_install_prepares_on_the_receiver_and_its_first_execute_hits():
+    sender = _engine()
+    cold = sender.execute(TEXT)
+    receiver = _engine()
+    entry = receiver.install_plan(sender.export_plan(TEXT))
+    assert entry.algorithm == cold.prepared.algorithm
+    assert entry.plan_order == cold.prepared.plan_order
+    assert receiver.stats().plans_installed == 1
+    first = receiver.execute(TEXT)
+    assert first.metrics.cache_hit and not first.metrics.result_cached
+    assert first.rows() == cold.rows()
+    assert first.report.as_dict() == cold.report.as_dict()
 
 
-def test_envelope_rejects_truncation_magic_and_version():
-    blob = encode_plan({"query": TEXT})
-    with pytest.raises(PlanShipError):
-        decode_plan(blob[:10])
-    with pytest.raises(PlanShipError, match="magic"):
-        decode_plan(b"XXXX" + blob[4:])
-    with pytest.raises(PlanShipError, match="version"):
-        decode_plan(blob[:4] + bytes([SHIP_VERSION + 1]) + blob[5:])
-    # Version 1 bodies carried a statistics fingerprint; they are refused
-    # at the header, at install too, and the payload no longer has one.
-    # Version 2 bodies carry charges recorded before sorts were paid once
-    # per execution: replayed next to locally traced plans they would post
-    # the old ledger, so they are refused at the header as well.
-    assert SHIP_VERSION == 3
-    blob = _blob(_engine())
-    assert "fingerprint" not in decode_plan(blob)
-    for old in (1, 2):
-        stale = blob[:4] + bytes([old]) + blob[5:]
-        with pytest.raises(PlanShipError, match=f"version {old}"):
-            _engine().install_plan(stale)
+def test_install_prices_on_the_receivers_own_data():
+    """A statement carries no data: a receiver holding other rows under
+    the same names prices and answers on its own rows."""
+    other = random_instance(catalog.binary_join(), 90, 9, seed=99)
+    receiver = Engine(p=6, backend="serial")
+    for name, rel in other.relations.items():
+        receiver.register(rel, name=name)
+    receiver.install_plan(_blob())
+    res = receiver.execute(TEXT)
+    ref = Engine(p=6, backend="serial")
+    for name, rel in other.relations.items():
+        ref.register(rel, name=name)
+    want = ref.execute(TEXT)
+    assert res.rows() == want.rows()
+    assert res.report.as_dict() == want.report.as_dict()
 
 
-def test_envelope_rejects_non_dict_body():
-    with pytest.raises(PlanShipError):
-        decode_plan(encode_plan(["not", "a", "dict"]))
+def test_valid_record_installs_with_pickle_disabled(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("pickle.loads on shipped bytes")
 
-
-# ----------------------------------------------------------------------
-# fn-reference allowlist
-# ----------------------------------------------------------------------
-
-def test_resolve_fn_roundtrips_repro_function():
-    fn = resolve_fn("repro.plan.ship:relation_digest")
-    assert fn is relation_digest
-
-
-@pytest.mark.parametrize("ref", [
-    "no-colon-here",
-    ":qualname",
-    "module:",
-    "repro.plan.ship:outer.<locals>.inner",
-    "os:system",                       # outside the allowlist
-    "repro.nonexistent_module:fn",
-    "repro.plan.ship:does_not_exist",
-    "repro.plan.ship:SHIP_VERSION",    # not callable
-])
-def test_resolve_fn_rejects(ref):
-    with pytest.raises(PlanShipError):
-        resolve_fn(ref)
-
-
-def test_register_shippable_escape_hatch():
-    # Aliased import path would fail the round-trip check; explicit
-    # registration is the documented way around the prefix allowlist.
-    def local_fn():
-        return 42
-
-    ref = f"{local_fn.__module__}:{local_fn.__qualname__}"
-    with pytest.raises(PlanShipError):
-        resolve_fn(ref)
-    register_shippable(local_fn)
-    assert resolve_fn(ref) is local_fn
-
-
-# ----------------------------------------------------------------------
-# relation_digest
-# ----------------------------------------------------------------------
-
-def test_relation_digest_tracks_content():
-    a = Relation("R", ("A", "B"), [(1, 2), (3, 4)])
-    b = Relation("R", ("A", "B"), [(1, 2), (3, 4)])
-    c = Relation("R", ("A", "B"), [(1, 2), (3, 5)])
-    assert relation_digest(a) == relation_digest(b)
-    assert relation_digest(a) != relation_digest(c)
+    monkeypatch.setattr(pickle, "loads", refuse)
+    assert isinstance(_engine().install_plan(_VALID), PreparedQuery)
 
 
 # ----------------------------------------------------------------------
 # Export / install rejections
 # ----------------------------------------------------------------------
 
-def test_export_before_execute_raises():
+def test_export_before_prepare_raises():
     engine = _engine()
     with pytest.raises(PlanShipError, match="nothing to export"):
         engine.export_plan(TEXT)
 
 
-def test_install_rejects_cluster_size_mismatch():
-    blob = _blob(_engine(p=6))
-    with pytest.raises(PlanShipError, match="p="):
-        _engine(p=8).install_plan(blob)
-
-
 def test_install_rejects_missing_relation():
-    blob = _blob(_engine())
-    receiver = Engine(p=6, backend="serial", result_cache=False)
-    with pytest.raises(PlanShipError):
-        receiver.install_plan(blob)
+    receiver = Engine(p=6, backend="serial")
+    with pytest.raises(PlanShipError) as info:
+        receiver.install_plan(_VALID)
+    assert info.value.__cause__ is not None
+    assert receiver.stats().plans_installed == 0
+    assert receiver.prepared_queries() == []
 
 
-def test_install_rejects_content_drift():
-    sender = _engine()
-    blob = _blob(sender)
+def _record(**fields) -> bytes:
+    return json.dumps(fields).encode()
+
+
+@pytest.mark.parametrize("blob", [
+    pytest.param(b"[" * 100_000, id="deep-nesting"),
+    pytest.param(b"\xff\xfe\x00\xd8garbage\x80", id="not-utf8"),
+    pytest.param(b"", id="empty"),
+    pytest.param(_record(), id="empty-object"),
+    pytest.param(json.dumps([TEXT, "auto"]).encode(), id="json-list"),
+    pytest.param(_record(algorithm="auto", query=TEXT, p=6), id="extra-key"),
+    pytest.param(_record(query=TEXT), id="missing-key"),
+    pytest.param(_record(algorithm="auto", query=7), id="non-string-query"),
+    pytest.param(_record(algorithm=None, query=TEXT), id="non-string-algorithm"),
+    pytest.param(_record(algorithm="auto", query="Q(A :- R1(A"), id="unparsable-query"),
+    pytest.param(
+        _record(algorithm="auto", query="Q(A,B) :- Nope(A,B)"), id="unknown-relation"
+    ),
+    pytest.param(_record(algorithm="quantum", query=TEXT), id="unknown-algorithm"),
+])
+def test_install_rejects(blob):
     receiver = _engine()
-    receiver.register(
-        Relation("R1", ("A", "B"), [(0, 0)]), name="R1"
-    )
     with pytest.raises(PlanShipError):
         receiver.install_plan(blob)
     assert receiver.stats().plans_installed == 0
+    assert receiver.prepared_queries() == []
 
 
-def test_install_rejects_missing_payload_field():
-    blob = _blob(_engine())
-    payload = decode_plan(blob)
-    del payload["ops"]
-    with pytest.raises(PlanShipError, match="missing"):
-        _engine().install_plan(encode_plan(payload))
+# ----------------------------------------------------------------------
+# Fuzz: any bytes -> PreparedQuery or PlanShipError
+# ----------------------------------------------------------------------
+
+def test_every_truncation_installs_or_is_rejected():
+    for n in range(len(_VALID) + 1):
+        _install_or_reject(_VALID[:n])
 
 
-def test_install_then_warm_replay_zero_retrace():
-    sender = _engine()
-    cold = sender.execute(TEXT)
-    blob = sender.export_plan(TEXT)
-    receiver = _engine()
-    receiver.install_plan(blob)
-    assert receiver.stats().plans_installed == 1
-    warm = receiver.execute(TEXT)
-    assert warm.metrics.plan_replayed
-    assert warm.report.as_dict() == cold.report.as_dict()
+def test_every_one_byte_flip_installs_or_is_rejected():
+    for i in range(len(_VALID)):
+        for mask in (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF):
+            flipped = bytearray(_VALID)
+            flipped[i] ^= mask
+            _install_or_reject(bytes(flipped))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=256))
+def test_arbitrary_bytes_install_or_are_rejected(blob):
+    _install_or_reject(blob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=64), st.text(max_size=16))
+def test_arbitrary_records_install_or_are_rejected(query, algorithm):
+    _install_or_reject(_record(algorithm=algorithm, query=query))
+
