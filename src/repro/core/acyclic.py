@@ -42,7 +42,7 @@ from repro.mpc.primitives import (
     search_rows,
     semi_join,
 )
-from repro.mpc.substrate import key_encoder
+from repro.mpc.substrate import column_tags
 from repro.query.hypergraph import Hypergraph, join_tree
 
 __all__ = ["acyclic_join"]
@@ -173,7 +173,7 @@ def _solve(
     # Split R(e0) by the product of its children's light degrees.  The
     # first lookup rides r0's cached sorted run; the later ones thread the
     # rearranged intermediates through the generic multi-search (with r0's
-    # fast key encoder — the keys are still r0 projections).
+    # column tags — the keys are still r0 projections).
     r0 = rels[e0]
     prod_parts: list[list[tuple[Row, float]]] = [
         [(row, 1.0) for row in part] for part in r0.parts
@@ -193,7 +193,7 @@ def _solve(
             found = multi_search(
                 group, x_parts, light_deg_tables[ei],
                 f"{label}/d{depth}/prod-{ei}",
-                encoder=key_encoder(r0, pos_sep),
+                tags=column_tags((r0, pos_sep)),
             )
         prod_parts = [
             [

@@ -33,7 +33,7 @@ from repro.mpc.primitives import (
     multi_search,
     sum_by_key,
 )
-from repro.mpc.substrate import key_encoder, pair_key_encoder
+from repro.mpc.substrate import column_tags
 from repro.query.ghd import OUTPUT_EDGE, OutputJoinTree
 from repro.query.hypergraph import Hypergraph, join_tree
 from repro.semiring import Semiring
@@ -104,7 +104,7 @@ def _fold_to_root(
                     ],
                     plus=plus,
                     label=f"{label}/agg-{node}",
-                    encoder=key_encoder(child_rel, pos_c),
+                    tags=column_tags((child_rel, pos_c)),
                 )
             par_rel = rels[par]
             pos_p = par_rel.positions(shared)
@@ -116,7 +116,7 @@ def _fold_to_root(
                 ],
                 agg,
                 f"{label}/fold-{node}",
-                encoder=pair_key_encoder(par_rel, pos_p, child_rel, pos_c),
+                tags=column_tags((par_rel, pos_p), (child_rel, pos_c)),
             )
             working[par] = [
                 [
@@ -319,7 +319,7 @@ def annotated_reduce(
         ]
         found = multi_search(
             group, x_parts, y_parts, f"{label}/{removed}",
-            encoder=pair_key_encoder(parent, p_pos, child, c_pos),
+            tags=column_tags((parent, p_pos), (child, c_pos)),
         )
         new_parts = []
         for part in found:
@@ -411,7 +411,7 @@ def aggregate_out(
                     ],
                     agg,
                     f"{label}/fold-{node}",
-                    encoder=pair_key_encoder(prel, p_pos, rel, keep_pos),
+                    tags=column_tags((prel, p_pos), (rel, keep_pos)),
                 )
                 new_parts = []
                 for part in found:

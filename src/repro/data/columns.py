@@ -136,7 +136,8 @@ class Column:
 
     @property
     def order_tag(self) -> int | None:
-        """Homogeneity tag for the substrate's key-encoding fast paths.
+        """The column's type tag for the substrate's ``column_kind``: keys
+        over tagged columns are ranked raw, not as ``orderable`` encodings.
 
         Known at encode time for one-type columns and carried through
         ``take``/``concat``; otherwise (columns decoded from the wire,

@@ -28,12 +28,7 @@ from repro.mpc.primitives import (
     semi_join,
     sum_by_key,
 )
-from repro.mpc.substrate import (
-    cache_disabled,
-    caching_enabled,
-    set_caching,
-    sorted_run,
-)
+from repro.mpc.substrate import cache_disabled, sorted_run
 
 __all__ = [
     "Cluster",
@@ -66,7 +61,5 @@ __all__ = [
     "remove_dangling",
     "reduce_instance",
     "sorted_run",
-    "caching_enabled",
-    "set_caching",
     "cache_disabled",
 ]

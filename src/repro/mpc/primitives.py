@@ -59,8 +59,8 @@ from repro.mpc.substrate import (
     Arrangement,
     arrange,
     coordinator_for,
+    column_tags,
     orderable,
-    pair_key_encoder,
     projected_keys,
     rank_keys,
     sort_keys,
@@ -127,7 +127,6 @@ def sample_sort(
     parts: Sequence[Iterable[Any]],
     key_fn: Callable[[Any], Any],
     label: str,
-    encoder: Callable[[Any], tuple] | None = None,
 ) -> list[list[tuple[tuple, tuple[int, int], Any]]]:
     """Globally sort items by ``(key, origin-uid)`` via regular sampling.
 
@@ -136,16 +135,11 @@ def sample_sort(
     keys are tie-broken by uid, so heavy keys spread across servers — the
     property that makes the downstream primitives skew-proof.
 
-    ``encoder`` maps ``key_fn``'s output to its orderable form; it must
-    agree with :func:`orderable` bit-for-bit (the substrate's specialized
-    encoders do) and exists purely to skip the recursive dispatch.
-
     Load: ~``n/p`` per server (PSRS guarantees < 2n/p) plus O(p) sampling
     traffic at the coordinator.
     """
-    enc = encoder or orderable
     items = [list(part) for part in parts]
-    keys = [[enc(key_fn(item)) for item in part] for part in items]
+    keys = [[orderable(key_fn(item)) for item in part] for part in items]
     flat, arr = _sort(group, keys, label)
     return [
         [(k, (s, j), items[s][j]) for k, s, j in zip(ks, srcs, js)]
@@ -270,16 +264,18 @@ def sum_by_key(
     parts: Sequence[Iterable[tuple[Any, Any]]],
     plus: Callable[[Any, Any], Any] = lambda a, b: a + b,
     label: str = "sum_by_key",
-    encoder: Callable[[Any], tuple] | None = None,
+    tags: tuple[int, ...] | None = None,
 ) -> list[list[tuple[Any, Any]]]:
     """Aggregate ``(key, value)`` pairs per key with an associative operator.
 
     Returns per-server lists of ``(key, total)``; each key appears exactly
-    once globally (on the first server of its sorted span).
+    once globally (on the first server of its sorted span).  ``tags``, the
+    keys' :func:`~repro.mpc.substrate.column_tags`, lets them be ranked raw
+    without a scan.
     """
     pairs = [list(part) for part in parts]
     keys = [list(map(_key0, part)) for part in pairs]
-    _sk, arr = _sort(group, sort_keys(keys, encoder), label)
+    _sk, arr = _sort(group, sort_keys(keys, tags), label)
     values = list(map(itemgetter(1), chain.from_iterable(pairs)))
     return _fold_sorted(group, arr, _flat(keys), values, plus, label)
 
@@ -437,14 +433,15 @@ def multi_search(
     x_parts: Sequence[Iterable[tuple[Any, Any]]],
     y_parts: Sequence[Iterable[tuple[Any, Any]]],
     label: str = "multi_search",
-    encoder: Callable[[Any], tuple] | None = None,
+    tags: tuple[int, ...] | None = None,
 ) -> list[list[tuple[Any, Any, Any, Any]]]:
     """For each X element, find its predecessor in Y (largest key <= x's key).
 
     Args:
         x_parts / y_parts: Per-server ``(key, payload)`` pairs.
-        encoder: Optional orderable-equivalent encoder for the *keys*
-            (tags are handled internally).
+        tags: The :func:`~repro.mpc.substrate.column_tags` that X and Y
+            keys share, when known: the keys are then ranked raw without a
+            scan.
 
     Returns:
         Per-server lists of ``(x_key, x_payload, pred_key, pred_value)``;
@@ -455,7 +452,7 @@ def multi_search(
     ys = [list(part) for part in y_parts]
     keys = [list(map(_key0, part)) for pair in zip(ys, xs) for part in pair]
     fx, fy = _flat(xs), _flat(ys)
-    x_at, pred, _same, x_cuts = _search(group, sort_keys(keys, encoder), fy, label)
+    x_at, pred, _same, x_cuts = _search(group, sort_keys(keys, tags), fy, label)
     fy.append((None, None))  # pred -1: no predecessor
     pairs = zip(map(fx.__getitem__, x_at.tolist()), map(fy.__getitem__, pred.tolist()))
     found = [(*x, y[0], y[1]) for x, y in pairs]
@@ -610,7 +607,7 @@ def semi_join(
     union sort is kept (rather than :func:`search_rows`) because the filter
     side is arbitrary — duplicated, possibly disjoint from ``rel``'s keys —
     and only union sampling keeps it balanced; the substrate still supplies
-    cached projected keys and a specialized encoder.
+    cached projected keys and the two sides' shared column tags.
     """
     with prim_span(
         group.cluster, "SemiJoin", f"{rel.name} ⋉ {filter_rel.name} {label}"
@@ -626,7 +623,7 @@ def semi_join(
         rel_keys = projected_keys(rel, pos_r)
         filter_keys = projected_keys(filter_rel, pos_f)
         keys = [part for pair in zip(filter_keys, rel_keys) for part in pair]
-        skeys = sort_keys(keys, pair_key_encoder(rel, pos_r, filter_rel, pos_f))
+        skeys = sort_keys(keys, column_tags((rel, pos_r), (filter_rel, pos_f)))
         fy = _flat(filter_keys)
         x_at, pred, same, x_cuts = _search(group, skeys, fy, label)
         if skeys is not keys:

@@ -18,10 +18,11 @@ ranges (:func:`pick_splitters`).
   statically homogeneous (int/float-only or str-only; :func:`column_kind`,
   detected once per relation) stamps one constant type tag on every value,
   so projected keys over such columns compare exactly like their
-  encodings and are ranked as they are (:class:`TagStamp`; for keys with
-  no relation behind them, :func:`sort_keys` scans the type tags).  Any
-  other key list is encoded first — same ranks, bit-identical arrangement
-  and ledger.
+  encodings and are ranked as they are.  Column type tags are the one
+  statement of this: :func:`column_tags` reads them for the sides a key
+  comes from, and :func:`sort_keys` takes them (for keys with no relation
+  behind them, it scans the keys' own tags).  Any other key list is
+  encoded first — same ranks, bit-identical arrangement and ledger.
 * **Sorted runs, paid once per execution.**  :func:`sorted_run` runs the
   pass for a ``(relation, key)`` pair once and caches it on the relation.
   The ledger is charged for it once per execution (ledger epoch,
@@ -32,11 +33,11 @@ ranges (:func:`pick_splitters`).
   immutable after construction and every relation-producing operation
   returns a fresh object.
 
-``set_caching(False)`` / :func:`cache_disabled` bypass every cache *and*
-the homogeneity tags: the bypass path re-sorts :func:`orderable`
-encodings each time — charged by the same once-per-epoch rule — and is
-the reference the correctness tests compare against (identical outputs
-*and* identical ledgers).  See DESIGN.md section 3 for the full argument.
+:func:`cache_disabled` bypasses every cache *and* the homogeneity tags:
+the bypass path re-sorts :func:`orderable` encodings each time — charged
+by the same once-per-epoch rule — and is the reference the correctness
+tests compare against (identical outputs *and* identical ledgers).  See
+DESIGN.md section 3 for the full argument.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -61,15 +62,12 @@ from repro.plan.trace import prim_span
 __all__ = [
     "orderable",
     "coordinator_for",
-    "caching_enabled",
-    "set_caching",
     "cache_disabled",
     "column_kind",
-    "key_encoder",
+    "column_tags",
     "key_tags",
     "sort_keys",
     "projected_keys",
-    "TagStamp",
     "rank_keys",
     "sample_indices",
     "pick_splitters",
@@ -82,17 +80,6 @@ __all__ = [
 ]
 
 _ENABLED = True
-
-
-def caching_enabled() -> bool:
-    """Whether the substrate caches (encoders + sorted runs) are active."""
-    return _ENABLED
-
-
-def set_caching(enabled: bool) -> None:
-    """Globally enable/disable the substrate caches (used by tests/benches)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
 
 
 @contextmanager
@@ -128,24 +115,6 @@ def orderable(value: Any) -> tuple:
     raise TypeError(f"cannot order value of type {type(value).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
-class TagStamp:
-    """``key -> orderable(key)`` for tuple keys whose position ``i`` always
-    holds values of the one type tag ``tags[i]``.
-
-    The encoding stamps a constant onto every component, so such keys
-    compare *exactly* like their encodings — ``(5, ((t0, a), (t1, b)))``
-    orders as ``(a, b)`` does once ``t0``/``t1`` are fixed — and a sort may
-    use them raw.  Returned by :func:`key_encoder` and
-    :func:`pair_key_encoder` when the homogeneity tags agree.
-    """
-
-    tags: tuple[int, ...]
-
-    def __call__(self, key: tuple) -> tuple:
-        return (5, tuple(zip(self.tags, key)))
-
-
 def column_kind(rel: DistRelation, col: int) -> int | None:
     """Statically detect a homogeneous column; cached once per relation.
 
@@ -153,15 +122,15 @@ def column_kind(rel: DistRelation, col: int) -> int | None:
     str) when *every* value in the column has exactly that Python type
     (``bool`` — an ``int`` subclass with a different tag — disqualifies),
     else ``None``.  With caching disabled no scan happens and ``None`` is
-    returned, which routes every encoder through plain :func:`orderable`.
+    returned, which ranks every key on its :func:`orderable` encoding.
 
     A row-backed relation (every base relation) answers with one C-speed
     type-set scan of the column.  A column-backed one reads the columns'
     order tags, known since they were encoded; a dictionary column reports
     homogeneity of its *dictionary* — a superset of the part's values
     after a ``take`` — so the tag can only be conservative (``None`` where
-    a scan might find homogeneity), never falsely homogeneous; every
-    encoder fast path emits bit-identical keys either way.
+    a scan might find homogeneity), never falsely homogeneous; ranks are
+    bit-identical either way.
     """
     if not _ENABLED:
         return None
@@ -176,126 +145,6 @@ def column_kind(rel: DistRelation, col: int) -> int | None:
         kind = tags.pop() if len(tags) == 1 else None
     kinds[col] = kind
     return kind
-
-
-def _column_lut(rel: DistRelation, col: int) -> dict | None:
-    """``(type, value) -> orderable(value)`` read from column dictionaries.
-
-    For a dictionary-encoded column the :func:`orderable` form of each
-    *distinct* value is computed once (per relation, cached) and key
-    encoding becomes a lookup — the recursion never re-runs per row.  The
-    ``(type, value)`` key mirrors the dictionary encoder's own key, so
-    ``1``/``True``/``1.0`` resolve to their distinct orderable forms.
-    Returns ``None`` when the relation is row-backed (a base relation: its
-    heterogeneous columns encode per value), the column has no dictionary,
-    or a dictionary value defies :func:`orderable` (the per-row fallback
-    then raises at the same site the reference would).
-    """
-    if not _ENABLED:
-        return None
-    blocks = rel.column_parts
-    if blocks is None:
-        return None
-    store: dict[int, dict | None] = rel._substrate.setdefault("luts", {})
-    if col in store:
-        return store[col]
-    lut: dict | None = {}
-    for block in blocks:
-        c = block.columns[col]
-        if c.kind != "d":
-            continue
-        try:
-            for v in c.dictionary or ():
-                lut[(v.__class__, v)] = orderable(v)  # type: ignore[index]
-        except TypeError:
-            lut = None
-            break
-    if not lut:
-        lut = None
-    store[col] = lut
-    return lut
-
-
-def _value_encoder(tag: int | None, lut: dict | None) -> Callable[[Any], tuple]:
-    """Single-value ``orderable`` equivalent: tag fast path, LUT, recursion."""
-    if tag is not None:
-        return lambda v: (tag, v)
-    if lut is not None:
-        get = lut.get
-
-        def enc(v: Any) -> tuple:
-            ok = get((v.__class__, v))
-            return orderable(v) if ok is None else ok
-
-        return enc
-    return orderable
-
-
-def key_encoder(rel: DistRelation, pos: Sequence[int]) -> Callable[[Row], tuple]:
-    """``key -> orderable(key)`` for keys projected from ``rel`` at ``pos``.
-
-    For callers that already hold projected key tuples (the generic
-    primitives) but know which relation/columns they came from.  Columns
-    without a homogeneity tag resolve through their dictionary LUTs.
-    """
-    pos = tuple(pos)
-    tags = [column_kind(rel, i) for i in pos]
-    if None not in tags:
-        return TagStamp(tuple(tags))
-    luts = [_column_lut(rel, i) if t is None else None for i, t in zip(pos, tags)]
-    if not any(luts):
-        return orderable
-    encs = [_value_encoder(t, lut) for t, lut in zip(tags, luts)]
-    if len(encs) == 1:
-        e0 = encs[0]
-        return lambda key: (5, (e0(key[0]),))
-    return lambda key: (5, tuple(e(v) for e, v in zip(encs, key)))
-
-
-def pair_key_encoder(
-    rel1: DistRelation,
-    pos1: Sequence[int],
-    rel2: DistRelation,
-    pos2: Sequence[int],
-) -> Callable[[Row], tuple] | None:
-    """A shared fast key encoder for keys projected from *two* relations.
-
-    When both projections are homogeneous with matching type tags, one
-    tag-stamping encoder serves keys from either side.  Otherwise each
-    position merges the two relations' dictionary LUTs — an encoder built
-    from them is valid for values of *either* side (values absent from
-    both dictionaries fall back to :func:`orderable`, bit-identically).
-    Returns ``None`` only when no fast path exists at any position, so
-    callers can use plain :func:`orderable` without wrapper overhead.
-    """
-    pos1 = tuple(pos1)
-    pos2 = tuple(pos2)
-    tags1 = [column_kind(rel1, i) for i in pos1]
-    tags2 = [column_kind(rel2, i) for i in pos2]
-    if tags1 == tags2 and None not in tags1:
-        return TagStamp(tuple(tags1))
-    encs: list[Callable[[Any], tuple]] = []
-    useful = False
-    for j in range(len(pos1)):
-        t1, t2 = tags1[j], tags2[j]
-        if t1 is not None and t1 == t2:
-            encs.append(_value_encoder(t1, None))
-            useful = True
-            continue
-        lut1 = _column_lut(rel1, pos1[j]) if t1 is None else None
-        lut2 = _column_lut(rel2, pos2[j]) if t2 is None else None
-        merged: dict | None = None
-        if lut1 or lut2:
-            merged = dict(lut1 or ())
-            merged.update(lut2 or ())
-            useful = True
-        encs.append(_value_encoder(None, merged))
-    if not useful:
-        return None
-    if len(encs) == 1:
-        e0 = encs[0]
-        return lambda key: (5, (e0(key[0]),))
-    return lambda key: (5, tuple(e(v) for e, v in zip(encs, key)))
 
 
 def key_tags(flat: list) -> int | tuple[int, ...] | None:
@@ -314,25 +163,39 @@ def key_tags(flat: list) -> int | tuple[int, ...] | None:
     return None if None in tags else tags
 
 
-def sort_keys(
-    keys: Sequence[list], encoder: Callable[[Any], tuple] | None
-) -> Sequence[list]:
+def column_tags(
+    *sides: tuple[DistRelation, Sequence[int]],
+) -> tuple[int, ...] | None:
+    """The :func:`column_kind` tags that keys projected from every
+    ``(rel, pos)`` side share, position by position.
+
+    Keys with one constant type tag per position compare exactly like
+    their :func:`orderable` encodings — ``(5, ((t0, a), (t1, b)))`` orders
+    as ``(a, b)`` once ``t0``/``t1`` are fixed — so a sort may rank keys
+    from any side raw.  ``None`` when some position has no tag (always,
+    with caching disabled) or two sides disagree.
+    """
+    shared = {tuple(column_kind(rel, i) for i in pos) for rel, pos in sides}
+    if len(shared) != 1:
+        return None
+    tags = shared.pop()
+    return None if None in tags else tags
+
+
+def sort_keys(keys: Sequence[list], tags: tuple[int, ...] | None) -> Sequence[list]:
     """What a generic primitive ranks per-source ``keys`` on.
 
     The keys themselves when they order exactly like their
-    :func:`orderable` encodings: a :class:`TagStamp` says so for keys
-    projected from homogeneous columns, and without an encoder one
+    :func:`orderable` encodings: ``tags`` (:func:`column_tags`) says so for
+    keys projected from homogeneous columns, and without tags one
     :func:`key_tags` scan over every source decides (the cache-bypassed
-    reference never scans).  Otherwise their encodings under ``encoder``
-    (an ``orderable`` equivalent) or :func:`orderable` itself.
+    reference never scans).  Otherwise their :func:`orderable` encodings.
     """
-    if isinstance(encoder, TagStamp) or (
-        encoder is None and _ENABLED
-        and key_tags(list(chain.from_iterable(keys))) is not None
+    if tags is not None or (
+        _ENABLED and key_tags(list(chain.from_iterable(keys))) is not None
     ):
         return keys
-    enc = encoder or orderable
-    return [list(map(enc, part)) for part in keys]
+    return [list(map(orderable, part)) for part in keys]
 
 
 def projected_keys(rel: DistRelation, pos: Sequence[int]) -> list[list[Row]]:
@@ -657,7 +520,7 @@ def sorted_run(
         )
         run = runs.get(cache_key)
         if run is None:
-            tags = tuple(column_kind(rel, i) for i in pos)
+            tags = column_tags((rel, pos))
             # With caching disabled this is the reference path: pass no owner
             # so backends also skip their worker-local memoization.
             local = group.map_parts(
@@ -666,11 +529,11 @@ def sorted_run(
                 (pos, bool(scalar)),
                 owner=rel if _ENABLED else None,
             )
-            raw = None not in tags
+            raw = tags is not None
             skeys = local if raw else [list(map(orderable, k)) for k in local]
             flat, ranks = rank_keys(skeys)
             run = runs[cache_key] = SortedRun(
-                scalar, tags if raw else None,
+                scalar, tags,
                 flat if raw else list(chain.from_iterable(local)),
                 flat, _arrange([len(k) for k in local], ranks),
             )

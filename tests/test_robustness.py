@@ -6,17 +6,31 @@ mis-answer — on empty relations, singleton domains, unicode values,
 mixed-type columns, and p larger than the data.
 """
 
+import random
+
 import pytest
 
 from repro.core.runner import ALGORITHMS, mpc_join, mpc_join_aggregate
 from repro.data.generators import matching_instance, random_instance
 from repro.data.instance import Instance
 from repro.data.relation import Relation
+from repro.mpc import cache_disabled
 from repro.query import catalog
-from repro.ram.yannakakis import yannakakis
+from repro.ram.yannakakis import group_by_count, join_size, yannakakis
 from repro.semiring import COUNT
 
 JOIN_ALGOS = ["yannakakis", "line3", "acyclic", "binhc-multiround", "wc-line3"]
+
+
+def mixed_type_instance(query, n=40, seed=5):
+    """Every attribute drawn from ints, their string twins and ``None``."""
+    rnd = random.Random(seed)
+    domain = [0, 1, 2, 3, "0", "1", "x", None]
+    rels = {}
+    for name, attrs in query.edges.items():
+        rows = {tuple(rnd.choice(domain) for _ in attrs) for _ in range(n)}
+        rels[name] = Relation(name, attrs, sorted(rows, key=repr))
+    return Instance(query, rels)
 
 
 def expect_oracle(inst, algorithm, p=4):
@@ -104,6 +118,46 @@ class TestAdversarialValues:
         )
         expect_oracle(inst, "yannakakis")
         expect_oracle(inst, "acyclic")
+
+    @pytest.mark.parametrize(
+        "query, algorithm",
+        [("line3", a) for a in (*JOIN_ALGOS, "binhc", "hypercube")]
+        + [("star3", a) for a in (
+            "yannakakis", "acyclic", "rhierarchical", "binhc",
+            "binhc-multiround", "hypercube",
+        )],
+    )
+    def test_mixed_type_join_column_through_intermediates(self, query, algorithm):
+        """A join attribute mixing ints, strings and ``None`` reaches the
+        later joins inside column-backed intermediates, whose columns carry
+        no type tag: keys are ranked on their ``orderable`` encodings there.
+        Outputs match the oracle and the ledger the cache-bypassed run's."""
+        inst = mixed_type_instance(catalog.CATALOG[query])
+        res = mpc_join(inst.query, inst, p=4, algorithm=algorithm)
+        assert res.row_set() == set(yannakakis(inst).rows)
+        with cache_disabled():
+            ref = mpc_join(inst.query, inst, p=4, algorithm=algorithm)
+        assert res.report.as_dict() == ref.report.as_dict()
+
+    @pytest.mark.parametrize(
+        "query, outputs",
+        [("line3", ()), ("line3", ("B",)), ("star3", ()), ("star3", ("Z",))],
+        ids=["line3-count", "line3-by-B", "star3-count", "star3-by-Z"],
+    )
+    def test_mixed_type_join_column_aggregate(self, query, outputs):
+        """Count and group-by count over a mixed int/str/``None`` join
+        attribute: oracle outputs, and the cache-bypassed run's ledger."""
+        inst = mixed_type_instance(catalog.CATALOG[query])
+        ann = inst.with_uniform_annotations(COUNT)
+        res = mpc_join_aggregate(inst.query, set(outputs), ann, COUNT, p=4)
+        if outputs:
+            got = dict(zip(res.relation.rows, res.relation.annotations))
+            assert got == group_by_count(inst, outputs)
+        else:
+            assert res.scalar == join_size(inst)
+        with cache_disabled():
+            ref = mpc_join_aggregate(inst.query, set(outputs), ann, COUNT, p=4)
+        assert res.report.as_dict() == ref.report.as_dict()
 
     def test_negative_and_large_numbers(self):
         q = catalog.binary_join()

@@ -1,4 +1,4 @@
-"""Tests for the performance substrate: key encoding + sorted-run caching.
+"""Tests for the performance substrate: column type tags + sorted-run caching.
 
 The contract under test (see DESIGN.md): the caches may only change
 wall-clock time.  Outputs, loads, step-max, step counts, and per-label
@@ -31,10 +31,11 @@ from repro.mpc.primitives import (
     semi_join,
 )
 from repro.mpc.substrate import (
-    column_kind,
-    key_encoder,
-    pair_key_encoder,
+    column_tags,
+    projected_keys,
     psrs,
+    rank_keys,
+    sort_keys,
     sorted_run,
 )
 
@@ -65,49 +66,59 @@ def delta(before, after):
     return (totals, after.steps - before.steps, labels)
 
 
-MIXED_ROWS = [
-    (1, "x"), (2, "y"), (None, "y"), (True, "z"), ((1, 2), "x"), (2.5, "w"),
-]
+INT = [(1, "a"), (2, "b"), (2, "c")]
+NUM = [(1.5, "a"), (2, "b"), (-0.0, "c"), (0, "d")]
+STR = [("x", "a"), ("b", "c")]
+BOOL_INT = [(1, "a"), (True, "b")]
+NONE = [(None, "a"), (1, "b")]
+TUPLE = [((1, 2), "a"), ((0,), "b")]
 
 
-class TestEncoders:
-    def test_mixed_columns_fall_back(self):
-        _cl, _g, rel = dist(make_rel(MIXED_ROWS), 2)
-        assert column_kind(rel, 0) is None  # None/bool/tuple disqualify
-        assert column_kind(rel, 1) == 3  # all str
-        enc = key_encoder(rel, (0, 1))
-        for part in rel.parts:
-            for row in part:
-                assert enc(row) == orderable(row)
-
-    def test_bool_disqualifies_int_column(self):
-        rows = [(1, "a"), (True, "b")]
-        _cl, _g, rel = dist(make_rel(rows), 1)
-        assert column_kind(rel, 0) is None
-        enc = key_encoder(rel, (0,))
-        assert enc((True,)) == orderable((True,)) == (5, ((1, 1),))
-
-    def test_pair_encoder_matches_orderable_on_both_sides(self):
-        _cl, g, rel1 = dist(make_rel([(1, "a"), (2, "b")]), 2)
-        rel2 = distribute_relation(make_rel([("x", 1)], attrs=("B", "C")), g)
-        # Mismatched kinds: the dictionary-LUT fallback must still encode
-        # keys from either side bit-identically to plain orderable().
-        enc = pair_key_encoder(rel1, (0,), rel2, (0,))
-        if enc is not None:
-            for key in [(1,), (2,), ("x",), (3.5,), (None,)]:
-                assert enc(key) == orderable(key)
-        enc = pair_key_encoder(rel1, (0,), rel2, (1,))
-        assert enc is not None
-        assert enc((7,)) == orderable((7,))
-
-    def test_pair_encoder_none_without_fast_path(self):
-        # Row-backed relations with mismatched kinds have no dictionaries
-        # to read; the caller's plain-orderable fallback is then cheapest.
-        from repro.mpc.distrel import DistRelation
-
-        r1 = DistRelation("R", ("A",), [[(1,)], [(2,)]])
-        r2 = DistRelation("S", ("B",), [[("x",)], [("y",)]])
-        assert pair_key_encoder(r1, (0,), r2, (0,)) is None
+@pytest.mark.parametrize("backing", ["rows", "columns"])
+@pytest.mark.parametrize(
+    "sides, expected",
+    [
+        ([(INT, (0,))], (2,)),
+        ([(NUM, (0,))], (2,)),
+        ([(STR, (0,))], (3,)),
+        ([(INT, (0, 1))], (2, 3)),
+        ([(BOOL_INT, (0,))], None),
+        ([(NONE, (0,))], None),
+        ([(TUPLE, (0,))], None),
+        ([(BOOL_INT, (1, 0))], None),
+        ([(INT, (0,)), (NUM, (0,))], (2,)),
+        ([(STR, (1, 0)), (INT, (1, 1))], (3, 3)),
+        ([(INT, (0,)), (STR, (0,))], None),
+        ([(INT, (0,)), (NONE, (0,))], None),
+        ([(INT, (0,)), (INT, (0, 1))], None),
+    ],
+    ids=[
+        "int", "int-float", "str", "int-str", "bool-int", "none", "tuple",
+        "str-bool-int", "pair-agree", "pair-agree-wide", "pair-disagree",
+        "pair-one-untagged", "pair-widths-differ",
+    ],
+)
+def test_column_tags_rank_like_orderable(sides, expected, backing):
+    """Column tags are the one statement that keys may be ranked raw:
+    whenever :func:`column_tags` returns them, raw keys from every side
+    rank exactly like their :func:`orderable` encodings.  Row-backed
+    relations scan their rows, column-backed ones read column order tags;
+    the cache-bypassed reference never has tags."""
+    g = Cluster(2).root_group()
+    rels = []
+    for rows, pos in sides:
+        rel = distribute_relation(make_rel(rows), g)
+        rels.append((rel.aligned(rel.attrs) if backing == "columns" else rel, pos))
+    assert (rels[0][0].column_parts is None) == (backing == "rows")
+    tags = column_tags(*rels)
+    assert tags == expected
+    keys = [part for rel, pos in rels for part in projected_keys(rel, pos)]
+    if tags is not None:
+        assert sort_keys(keys, tags) is keys
+        encoded = [list(map(orderable, part)) for part in keys]
+        assert rank_keys(keys)[1].tolist() == rank_keys(encoded)[1].tolist()
+    with cache_disabled():
+        assert column_tags(*rels) is None
 
 
 def charges_of(cl, call):
@@ -377,7 +388,7 @@ class TestCachedEqualsBypassed:
                     semi_join(g, rel, flt, "sj").parts,
                     multi_search(
                         g, xs, ys, "ms",
-                        encoder=pair_key_encoder(rel, pos_r, flt, pos_f),
+                        tags=column_tags((rel, pos_r), (flt, pos_f)),
                     ),
                 ]
             return out, cl.snapshot()
