@@ -84,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--semiring", choices=sorted(SEMIRINGS), default="count")
     a.add_argument("--out", help="write results to this CSV file")
 
-    pl = sub.add_parser("plan", help="price Yannakakis join orders (Sec 4.1)")
+    pl = sub.add_parser(
+        "plan", help="price Yannakakis join orders (Sec 4.1) and every candidate"
+    )
     add_common(pl)
 
     sub.add_parser("catalog", help="list named catalog queries (Figure 1)")
@@ -416,17 +418,19 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "plan":
-        from repro.core.planner import price_fold_orders
+        from repro.core.planner import choose
 
-        choice, quality = price_fold_orders(query, instance)
+        choice = choose(query, instance, args.servers)
+        plan, quality = choice.plan, choice.quality
         print(f"orders considered: {quality['orders']}")
-        print(f"best order:  {' -> '.join(choice.order)}")
-        for k, size in enumerate(choice.intermediates, 2):
-            print(f"  |{' * '.join(choice.order[:k])}| = {size}")
+        print(f"best order:  {' -> '.join(plan.order)}")
+        for k, size in enumerate(plan.intermediates, 2):
+            print(f"  |{' * '.join(plan.order[:k])}| = {size}")
         print(f"max intermediate: best={quality['best']} worst={quality['worst']}")
-        if quality["best"] > 0 and quality["worst"] / max(1, quality["best"]) < 2:
-            print("note: all orders are similar — if the best is still "
-                  "OUT-sized, prefer the heavy/light algorithms (Sec 4.2/5.1)")
+        print(f"predicted units on p={args.servers}:")
+        for name, units in choice.units.items():
+            print(f"  {name}: {units}")
+        print(f"chosen: {choice.algorithm}")
         return 0
 
     return 1  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Public entry points: classification-driven algorithm dispatch.
+"""Public entry points: algorithm dispatch.
 
 * :func:`mpc_join` — run one of the paper's join algorithms on a fresh
   simulated cluster and return results + the load ledger.
@@ -6,11 +6,14 @@
   (Theorems 9/10), including ``COUNT GROUP BY`` and total aggregates.
 * :func:`mpc_output_size` — ``|Q(R)|`` with linear load (Corollary 4).
 
-``algorithm="auto"`` picks the strongest guarantee available:
-r-hierarchical queries get the instance-optimal algorithm (Theorem 3),
-other acyclic queries the output-optimal one (Theorem 7, specialized to
-Section 4.2 for line-3 shapes), cyclic queries fall back to
-worst-case-optimal HyperCube shares.
+``algorithm="auto"`` runs, for an acyclic join, the applicable candidate
+with the least predicted load on this data and ``p``
+(:func:`repro.core.planner.choose`): Yannakakis along its priced fold
+order, or the paper's Section 5.1, 4.2 or 3.2 algorithm where the shape
+admits it.  The paper's algorithms win asymptotically, once ``IN >= p^2``
+or ``p^3``; below that a priced Yannakakis often moves less.  Cyclic
+queries fall back to worst-case-optimal HyperCube shares
+(:func:`auto_algorithm`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.core.binhc import binhc_join
 from repro.core.common import JoinResult
 from repro.core.hypercube import hypercube_join
 from repro.core.line3 import is_line3, line3_join
+from repro.core.planner import choose
 from repro.core.rhierarchical import rhierarchical_join
 from repro.core.wcoj import line3_worst_case, triangle_worst_case
 from repro.core.yannakakis import Plan, yannakakis_mpc
@@ -72,7 +76,11 @@ ALGORITHMS = (
 
 
 def auto_algorithm(query: Hypergraph) -> str:
-    """The strongest-guarantee algorithm for a query's class."""
+    """The class's paper algorithm: the strongest guarantee by shape alone.
+
+    For a cyclic query this is what ``auto`` runs.  For an acyclic one it
+    is one of the candidates :func:`repro.core.planner.choose` prices.
+    """
     cls = classify(query)
     if cls <= JoinClass.R_HIERARCHICAL:
         return "rhierarchical"
@@ -98,7 +106,8 @@ def mpc_join(
         query: The join hypergraph.
         instance: Relations matching the query.
         p: Number of servers.
-        algorithm: One of :data:`ALGORITHMS`.
+        algorithm: One of :data:`ALGORITHMS`; ``"auto"`` (see the module
+            docstring) runs the chosen candidate with the chosen plan.
         plan: Pairwise join order (Yannakakis only).
         validate: Cross-check the emitted results against the RAM oracle
             (raises on mismatch).
@@ -112,7 +121,11 @@ def mpc_join(
     """
     if algorithm not in ALGORITHMS:
         raise QueryError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    if algorithm == "auto":
+    if algorithm == "auto" and query.is_acyclic():
+        choice = choose(query, instance, p)
+        algorithm = choice.algorithm
+        plan = choice.plan.plan if plan is None else plan
+    elif algorithm == "auto":
         algorithm = auto_algorithm(query)
     cluster = Cluster(p, backend=backend)
     group = cluster.root_group()

@@ -20,6 +20,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.data.columns import ColumnBlock
 from repro.errors import SchemaError
 from repro.semiring import Semiring
@@ -100,10 +102,12 @@ class Relation:
             self.semiring = semiring
         # Lazy caches (the relation is immutable): membership set for
         # __contains__/__eq__, attribute index for positions(), columnar
-        # backing for the data plane (encoded once, shared by renames).
+        # backing for the data plane and per-column counting codes for the
+        # planner (each built once, shared by renames).
         self._row_set: frozenset | None = None
         self._attr_pos: dict[str, int] | None = None
         self._cols: ColumnBlock | None = None
+        self._codes: dict[int, tuple[list, np.ndarray]] = {}
 
     @classmethod
     def from_columns(
@@ -166,6 +170,7 @@ class Relation:
         clone._row_set = self._row_set
         clone._attr_pos = None
         clone._cols = self._cols
+        clone._codes = self._codes
         return clone
 
     @property
@@ -297,6 +302,21 @@ class Relation:
                 semiring=self.semiring,
             )
         return Relation(self.name, attrs, (project_row(r, pos) for r in self._rows))
+
+    def column_codes(self, i: int) -> tuple[list, np.ndarray]:
+        """Column ``i``'s distinct values (first-seen order, ``==``-equal
+        values once) and, per row, the index of its value among them as an
+        int64 array — the counting form of the column (cached; shared by
+        renames)."""
+        got = self._codes.get(i)
+        if got is None:
+            values = list(map(itemgetter(i), self._rows))
+            distinct = list(dict.fromkeys(values))
+            index = dict(zip(distinct, range(len(distinct))))
+            got = self._codes[i] = (
+                distinct, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+            )
+        return got
 
     def degrees(self, key_attrs: Sequence[str]) -> dict[Row, int]:
         """Degree of each distinct key: ``|sigma_{key=v} R|`` per value ``v``."""

@@ -12,15 +12,17 @@ queries.  :class:`Engine` is the serving-side answer:
   ``(name, version, binding)``, so the per-relation substrate caches
   (sorted runs, key encodings) and the multiprocess workers'
   content-addressed memos keep paying off query after query.
-* **``prepare()``** — parse, classify, resolve the algorithm
-  (:func:`~repro.core.runner.auto_algorithm`), price the Yannakakis fold
-  orders (:func:`~repro.core.planner.price_fold_orders`, Section 4.1 —
-  exact, in RAM, no backend round) once, and cache
-  the compiled plan keyed by the query's canonical form + bindings.  When
-  a registered relation changes, the orders are re-priced on the new data
-  and the plan is revalidated (the same order wins) or recompiled (another
-  does) — a stale plan never serves, and stale *data* never
-  serves because the distributed-relation caches are version-keyed.
+* **``prepare()``** — parse, classify, price the Yannakakis fold orders
+  (:func:`~repro.core.planner.price_fold_orders`, Section 4.1 — exact, in
+  RAM, no backend round), and cache the compiled plan keyed by the
+  query's canonical form + bindings.  Under ``auto`` an acyclic join runs
+  the candidate with the least predicted load
+  (:func:`~repro.core.planner.choose`), priced on the entry's first
+  execution.  When a registered relation changes, the entry is re-priced
+  on the new data and revalidated (the same algorithm and fold order win)
+  or recompiled (another does) — a stale plan never serves, and stale
+  *data* never serves because the distributed-relation caches are
+  version-keyed.
 * **``execute()``** — a request takes one of two paths: a result-cache
   hit (the recorded outputs and ledger of an earlier execution over the
   same relation versions), or a cold execution that drives the resolved
@@ -56,9 +58,9 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.core.planner import PlanChoice, price_fold_orders
+from repro.core.planner import Choice, Statistics, choose, price_fold_orders
 from repro.core.runner import (
     ALGORITHMS,
     auto_algorithm,
@@ -162,14 +164,18 @@ class PreparedQuery:
         kind: ``"join"`` | ``"project"`` | ``"aggregate"``.
         query_class: Figure-1 class name of the body hypergraph.
         algorithm: Resolved join algorithm (joins) or downstream algorithm
-            (aggregates; ``"auto"`` resolves per the residual query).
-        plan: Priced Yannakakis fold plan (acyclic joins), consulted when
-            ``algorithm == "yannakakis"``.
+            (aggregates; ``"auto"`` resolves per the residual query).  For
+            an ``auto`` acyclic join it is :func:`~repro.core.planner.choose`'s
+            pick, priced on first read (normally the first execution).
+        plan: Priced Yannakakis fold plan (acyclic joins under ``auto`` or
+            ``yannakakis``), consulted when ``algorithm == "yannakakis"``.
         plan_order: The fold order the plan encodes.
         plan_quality: Section 4.1 best/worst max-intermediate sizes — the
             Figure-3 planned-vs-decomposition gap, observable per query;
             exact for the data at ``relation_versions`` (refreshed on
-            every revalidation).
+            every revalidation).  ``None`` where no execution reads a fold
+            order: an aggregate, or a pinned algorithm other than
+            ``yannakakis``.
         relation_versions: Registered-relation versions the entry was
             compiled or last revalidated against.
         prepare_seconds: Wall time spent compiling.
@@ -180,7 +186,7 @@ class PreparedQuery:
     key: tuple
     kind: str
     query_class: str
-    algorithm: str
+    resolved: str | None
     plan: Plan | None
     plan_order: tuple[str, ...] | None
     plan_quality: dict[str, int] | None
@@ -188,6 +194,23 @@ class PreparedQuery:
     prepare_seconds: float
     uses: int = 0
     cached_result: _CachedResult | None = None
+    #: The chooser's pricing once taken; ``pending`` takes it.
+    choice: Choice | None = None
+    pending: Callable[[], Choice] | None = field(default=None, repr=False)
+
+    @property
+    def algorithm(self) -> str:
+        if self.resolved is None:
+            self.choice = self.pending()
+            self.resolved, self.pending = self.choice.algorithm, None
+        return self.resolved
+
+    @property
+    def units(self) -> dict[str, int] | None:
+        """Every candidate's predicted ``LoadReport.total`` (``auto``
+        acyclic joins; ``None`` otherwise)."""
+        self.algorithm  # settle a pending choice
+        return None if self.choice is None else self.choice.units
 
 
 @dataclass(frozen=True)
@@ -742,25 +765,29 @@ class Engine:
             self._recording_bytes -= size
 
     # ------------------------------------------------------------------
-    # Prepare: classify -> auto_algorithm -> priced plan, cached
+    # Prepare: classify -> price fold orders -> choose the algorithm, cached
     # ------------------------------------------------------------------
     def prepare(
         self, query: str | ParsedQuery, algorithm: str = "auto"
     ) -> PreparedQuery:
         """Compile (or fetch from cache) the plan for a query.
 
-        Pricing an acyclic query's fold orders happens here, in RAM on the
-        registered relations: ``prepare`` issues no backend round on any
-        backend (so it cannot fault), and the entry's ``plan_quality`` is
-        exact for the current data.
+        Compiling prices an acyclic join's Yannakakis fold orders in RAM
+        when the request can run one (``auto`` or ``yannakakis``).  Under
+        ``auto`` an acyclic join runs the applicable candidate with the
+        least predicted load (:func:`~repro.core.planner.choose`); that
+        pricing is taken when the entry's ``algorithm`` is first read —
+        normally by its first execution — so preparing costs no more than
+        the fold orders.  Neither issues a backend round on any backend
+        (so neither can fault), and both are exact for the current data.
 
         Args:
             query: Datalog-style text, a catalog name, or a parsed query.
-            algorithm: ``"auto"`` resolves via
-                :func:`~repro.core.runner.auto_algorithm` for joins and the
-                residual-query classification for aggregates; a concrete
-                name pins the algorithm (``"yannakakis"`` follows the
-                priced Section 4.1 plan).
+            algorithm: ``"auto"`` resolves as above for acyclic joins, by
+                :func:`~repro.core.runner.auto_algorithm` for cyclic ones
+                and by the residual-query classification for aggregates; a
+                concrete name pins the algorithm (``"yannakakis"`` follows
+                the priced Section 4.1 plan, any other skips pricing).
         """
         parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
         with self._lock:
@@ -784,6 +811,32 @@ class Engine:
             for b in parsed.bindings
         }
 
+    def _price(self, parsed: ParsedQuery, algorithm: str) -> tuple | None:
+        """What an entry decides from the data, on the current data: the
+        fold pricing and a thunk taking the chooser's pricing (``None``
+        unless the request is ``auto``).  ``None`` when no execution reads
+        a fold order: a cyclic query, an aggregate (its downstream join
+        folds its residual query's own way) or a pinned algorithm other
+        than ``yannakakis``.  Also validates the bindings."""
+        query = parsed.query
+        instance = self.instance_for(parsed)
+        if (
+            parsed.kind != "join"
+            or algorithm not in ("auto", "yannakakis")
+            or not query.is_acyclic()
+        ):
+            return None
+        stats = Statistics(query, instance)
+        priced = price_fold_orders(query, instance, stats=stats)
+        pending = None
+        if algorithm == "auto":
+            p = self.p
+
+            def pending() -> Choice:
+                return choose(query, instance, p, stats=stats, priced=priced)
+
+        return priced, pending
+
     def _resolve(
         self, parsed: ParsedQuery, algorithm: str
     ) -> tuple[PreparedQuery, str]:
@@ -791,11 +844,12 @@ class Engine:
 
         Status is ``"hit"`` (versions unchanged — served without looking
         at the data), ``"revalidated"`` (data changed but the decision the
-        entry holds did not: the fold orders were re-priced in RAM, the
-        same one wins, and ``plan_quality`` now describes the new data;
-        a cyclic query has no such decision and is never re-priced),
-        ``"invalidated"`` (another order wins on the new data —
-        recompiled), or ``"miss"`` (first compile).
+        entry holds did not: re-priced in RAM, the same fold order — and
+        under ``auto``, the same algorithm — wins, and ``plan_quality`` now
+        describes the new data; a cyclic query or a pinned algorithm holds
+        no such decision and is never re-priced), ``"invalidated"``
+        (another decision wins on the new data — recompiled from that
+        pricing), or ``"miss"`` (first compile).
         """
         key = self._plan_key(parsed, algorithm)
         entry = self._plans.get(key)
@@ -805,16 +859,23 @@ class Engine:
             if versions == entry.relation_versions:
                 return entry, "hit"
             # Data changed since compile: a stale plan must never serve.
-            # All the entry decided from the data is which fold order wins
-            # (nothing, for a cyclic query), so that is what is re-checked;
-            # fresh data is picked up regardless via the version-keyed
+            # What the entry decided from the data is re-checked; fresh
+            # data is picked up regardless via the version-keyed
             # distributed-relation caches.
+            priced = self._price(parsed, algorithm)
             still_wins = True
-            if entry.plan_quality is not None:
-                priced = choice, quality = price_fold_orders(
-                    parsed.query, self.instance_for(parsed)
-                )
+            if priced is not None:
+                (choice, quality), pending = priced
                 still_wins = entry.plan_order in (None, choice.order)
+                if entry.choice is not None:
+                    # A taken choice is retaken: (algorithm, order) must hold.
+                    taken = pending()
+                    priced = (choice, quality), lambda: taken
+                    still_wins = still_wins and taken.algorithm == entry.resolved
+                    if still_wins:
+                        entry.choice = taken
+                elif still_wins:
+                    entry.pending = pending
                 if still_wins:
                     entry.plan_quality = quality
             if still_wins:
@@ -831,10 +892,10 @@ class Engine:
         parsed: ParsedQuery,
         algorithm: str,
         key: tuple,
-        priced: tuple[PlanChoice, dict[str, int]] | None = None,
+        priced: tuple | None = None,
     ) -> PreparedQuery:
-        """Build the plan entry; ``priced`` is the current data's pricing
-        when the caller already holds it."""
+        """Build the plan entry; ``priced`` is the current data's
+        :meth:`_price` when the caller already holds it."""
         t0 = time.perf_counter()
         kind = parsed.kind
         if kind == "join":
@@ -842,37 +903,33 @@ class Engine:
                 raise EngineError(
                     f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}"
                 )
-            resolved = (
-                auto_algorithm(parsed.query) if algorithm == "auto" else algorithm
+        elif algorithm not in _AGG_ALGORITHMS:
+            raise EngineError(
+                f"unknown downstream algorithm {algorithm!r}; pick from "
+                f"{_AGG_ALGORITHMS}"
             )
-        else:
-            if algorithm not in _AGG_ALGORITHMS:
-                raise EngineError(
-                    f"unknown downstream algorithm {algorithm!r}; pick from "
-                    f"{_AGG_ALGORITHMS}"
-                )
-            resolved = algorithm
-
-        instance = self.instance_for(parsed)  # also validates the bindings
-        if priced is None and parsed.query.is_acyclic():
-            priced = price_fold_orders(parsed.query, instance)
-        plan = plan_order = quality = None
+        if priced is None:
+            priced = self._price(parsed, algorithm)
+        plan = plan_order = quality = pending = None
         if priced is not None:
-            choice, quality = priced
-            if kind == "join":
-                plan, plan_order = choice.plan, choice.order
+            (choice, quality), pending = priced
+            plan, plan_order = choice.plan, choice.order
+        resolved: str | None = algorithm
+        if kind == "join" and algorithm == "auto":
+            resolved = None if pending is not None else auto_algorithm(parsed.query)
 
         entry = PreparedQuery(
             parsed=parsed,
             key=key,
             kind=kind,
             query_class=classify(parsed.query).name,
-            algorithm=resolved,
+            resolved=resolved,
             plan=plan,
             plan_order=plan_order,
             plan_quality=quality,
             relation_versions=self._current_versions(parsed),
             prepare_seconds=time.perf_counter() - t0,
+            pending=pending,
         )
         self._stats.prepares += 1
         return entry
@@ -1316,12 +1373,20 @@ class Engine:
         into their serving state), then the trace replays per-op on the
         serving backend (:meth:`timed_replay`), and every Charge/MapParts
         row gains measured ``wall=``/``wire=`` columns — the ledger's
-        load story and the wall-clock/bytes story, row by row.
+        load story and the wall-clock/bytes story, row by row.  Under
+        ``auto`` an acyclic join's last line names the algorithm with
+        every candidate's predicted units.
         """
         if timings:
             trace, op_timings = self.timed_replay(query, algorithm)
-            return trace.explain(timings=op_timings)
-        return self.trace_plan(query, algorithm).explain()
+            text = trace.explain(timings=op_timings)
+        else:
+            text = self.trace_plan(query, algorithm).explain()
+        entry = self.prepare(query, algorithm)
+        if entry.units:
+            priced = ", ".join(f"{a}={u}" for a, u in entry.units.items())
+            text += f"\nalgorithm: {entry.algorithm} (priced: {priced})"
+        return text
 
     def timed_replay(
         self, query: str | ParsedQuery, algorithm: str = "auto"

@@ -27,6 +27,7 @@ from repro.data.columns import (
     TAG_STR,
     Column,
     ColumnBlock,
+    _narrow_codes,
     _order_tag_of,
     encode_column,
     pack_blob,
@@ -297,6 +298,39 @@ class TestOnePassCodec:
                     assert c.order_tag == lazy_tag(c)
         for c in ColumnBlock.concat(blocks).columns:
             assert c.order_tag == lazy_tag(c)
+
+
+class TestDictionaryDecode:
+    """``values()`` of a dictionary column hands back the dictionary's own
+    objects, by identity, whatever the values and the code width."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [(1, "a"), (2, "b"), (1, "a"), ()],
+            [None, "x", None],
+            [True, 1, 1.0, False, 0, True],
+            [],
+        ],
+        ids=["tuples", "none", "bool-int-mixed", "empty"],
+    )
+    def test_values_are_the_dictionary_objects(self, values):
+        col = encode_column(values)
+        if not values:
+            col = Column("d", array("q"), [])
+        assert col.kind == "d"
+        got = col.values()
+        assert got == values
+        assert all(v is col.dictionary[c] for v, c in zip(got, col.data))
+
+    @pytest.mark.parametrize("n_values", [3, 300, 70_000])
+    def test_every_narrow_code_width(self, n_values):
+        dictionary = [(i, str(i)) for i in range(n_values)]
+        codes = array("q", [n_values - 1, 0, n_values // 2, 0])
+        col = Column("d", _narrow_codes(codes, n_values), dictionary)
+        assert col.data.itemsize == {3: 1, 300: 2, 70_000: 4}[n_values]
+        got = col.values()
+        assert all(v is dictionary[c] for v, c in zip(got, codes))
 
 
 class TestBoolIntRegression:

@@ -42,8 +42,18 @@ def test_execute_matches_ram_oracle():
     parsed = parse_query(LINE3)
     expected = set(ram_yannakakis(eng.instance_for(parsed)).rows)
     assert set(res.rows()) == expected
-    assert res.metrics.algorithm == "line3"
     assert res.prepared.query_class == "ACYCLIC"
+    # ``auto`` ran the chooser's pick, which moves no more than the class's
+    # paper algorithm (line3 here) on this data.
+    instance = eng.instance_for(parsed)
+    choice = planner.choose(parsed.query, instance, 4)
+    assert res.metrics.algorithm == res.prepared.algorithm == choice.algorithm
+    assert set(res.prepared.units) == set(planner.candidates(parsed.query))
+    loads = {
+        name: mpc_join(parsed.query, instance, 4, name, plan=choice.plan.plan).report.load
+        for name in choice.units
+    }
+    assert res.report.load == loads[choice.algorithm] <= loads["line3"]
 
 
 def test_plan_cache_hit_on_second_execution():

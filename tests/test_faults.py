@@ -267,8 +267,9 @@ class TestInlineFallbackParity:
         )
         r2 = Relation("R2", ("B", "C"), [(i % 7, i % 3) for i in range(30)])
         inst = Instance(q, {"R1": r1, "R2": r2})
-        ref = mpc_join(q, inst, p=4, backend="serial")
-        got = mpc_join(q, inst, p=4, backend=supervised)
+        # Pinned: no relation-aware sort of the picklable side ships it.
+        ref = mpc_join(q, inst, p=4, algorithm="rhierarchical", backend="serial")
+        got = mpc_join(q, inst, p=4, algorithm="rhierarchical", backend=supervised)
         assert sorted(got.relation.all_rows()) == sorted(
             ref.relation.all_rows()
         )

@@ -16,7 +16,7 @@ from repro import (
     mpc_join_project,
     mpc_output_size,
 )
-from repro.core.planner import price_fold_orders
+from repro.core.planner import choose, price_fold_orders
 from repro.data.generators import line_trap_instance, random_instance
 from repro.io import read_instance_dir, write_instance_dir
 from repro.query import catalog
@@ -52,12 +52,17 @@ class TestPlanThenExecute:
         assert res.row_set() == set(yannakakis(inst).rows)
 
     def test_diagnose_then_choose_algorithm(self):
-        """The instance's class and regime drive the dispatcher's decision."""
+        """Predicted load drives the dispatcher's decision: ``auto`` runs
+        the priced candidate, never one that moves more than the class's
+        paper algorithm."""
         inst = line_trap_instance(3, 900, 18000)
         assert classify(inst.query).name == "ACYCLIC"
         assert inst.output_size() > inst.input_size  # output-sensitive regime
         res = mpc_join(inst.query, inst, p=8)
-        assert res.meta["algorithm"] == "line3"
+        choice = choose(inst.query, inst, 8)
+        assert res.meta["algorithm"] == choice.algorithm
+        class_pick = mpc_join(inst.query, inst, p=8, algorithm="line3")
+        assert res.report.load <= class_pick.report.load
 
 
 class TestConsistencyMatrix:

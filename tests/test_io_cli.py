@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.planner import choose
 from repro.data.generators import matching_instance, random_instance
 from repro.data.relation import Relation
 from repro.errors import SchemaError
@@ -95,7 +96,8 @@ class TestCli:
         out_file = str(tmp_path / "results.csv")
         assert main(["join", data_dir, "-p", "4", "--validate", "--out", out_file]) == 0
         out = capsys.readouterr().out
-        assert "algorithm: line3" in out
+        inst = read_instance_dir(data_dir)
+        assert f"algorithm: {choose(inst.query, inst, 4).algorithm} " in out
         back = read_relation_csv(out_file)
         assert len(back) > 0
 

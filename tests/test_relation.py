@@ -91,6 +91,13 @@ class TestOperations:
         r = Relation("R", ("A", "B"), [(1, 2), (1, 3), (4, 5)])
         assert r.degrees(("A",)) == {(1,): 2, (4,): 1}
 
+    def test_column_codes_index_distinct_values_and_are_shared_by_renames(self):
+        r = Relation("R", ("A", "B"), [("x", 2), ("y", 3), ("x", 5), (None, 6)])
+        distinct, codes = r.column_codes(0)
+        assert distinct == ["x", "y", None]
+        assert [distinct[c] for c in codes] == [row[0] for row in r.rows]
+        assert r.renamed("S", ("C", "D")).column_codes(0) is r.column_codes(0)
+
     def test_with_annotations_uniform(self):
         r = Relation("R", ("A",), [(1,), (2,)]).with_annotations(COUNT)
         assert r.annotated

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.planner import choose
 from repro.core.runner import ALGORITHMS, auto_algorithm, mpc_join
 from repro.data.generators import (
     line_trap_instance,
@@ -50,7 +51,10 @@ class TestMpcJoin:
         res = mpc_join(inst.query, inst, p=8)
         assert res.meta["p"] == 8
         assert res.meta["in_size"] == inst.input_size
-        assert res.meta["algorithm"] == "rhierarchical"
+        # The chooser's pick, measured against the class's paper algorithm.
+        assert res.meta["algorithm"] == choose(inst.query, inst, 8).algorithm
+        class_pick = mpc_join(inst.query, inst, p=8, algorithm="rhierarchical")
+        assert res.report.load <= class_pick.report.load
 
     def test_validate_catches_mismatch(self):
         """The validation hook runs the oracle (sanity-check the checker)."""
