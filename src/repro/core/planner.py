@@ -377,12 +377,11 @@ def _side(tree: _Tree, nodes: dict, v: str, u: str) -> list[str]:
     return out
 
 
-def _prefix_sizer(query: Hypergraph, instance: Instance, stats: Statistics | None = None):
+def _prefix_sizer(stats: Statistics):
     """``size(prefix)``: the join size of the dangling-free relations in a
     connected set of join-tree nodes, from memoised messages (a message
     depends only on the nodes on its sender's side, so prefixes that agree
     there share it)."""
-    stats = stats or Statistics(query, instance)
     reduced = stats.reduced()
     memo = stats.messages
 
@@ -395,8 +394,7 @@ def _prefix_sizer(query: Hypergraph, instance: Instance, stats: Statistics | Non
 
 
 def price_fold_orders(
-    query: Hypergraph, instance: Instance, limit: int = 64,
-    stats: Statistics | None = None,
+    query: Hypergraph, instance: Instance, limit: int = 64
 ) -> tuple[PlanChoice, dict[str, int]]:
     """The fold order minimizing the largest intermediate join, and the
     best/worst spread over all orders, from one pricing pass.
@@ -410,10 +408,16 @@ def price_fold_orders(
     Raises:
         CyclicQueryError: If the query is cyclic (a :class:`QueryError`).
     """
+    return _price_orders(
+        query, Statistics(query, instance) if len(query) > 2 else None, limit
+    )
+
+
+def _price_orders(
+    query: Hypergraph, stats: Statistics | None, limit: int = 64
+) -> tuple[PlanChoice, dict[str, int]]:
     orders = enumerate_fold_orders(query, limit=limit)
-    size = None
-    if len(query) > 2:
-        size = _prefix_sizer(query, instance, stats)
+    size = _prefix_sizer(stats) if len(query) > 2 else None
     best: PlanChoice | None = None
     worsts: list[int] = []
     for order in orders:
@@ -533,16 +537,11 @@ class _Pricer:
         raise ValueError("relations are not adjacent in the join tree")
 
     @staticmethod
-    def share(U: _Units, arranged, key: tuple[str, ...], deg: np.ndarray,
-              runs: bool = True) -> float:
+    def share(U: _Units, arranged, key: tuple[str, ...], deg: np.ndarray) -> float:
         """The share of rows with per-key counts ``deg`` a pass on ``key``
         moves, given how their parts are ``arranged``."""
         if arranged is None or arranged[0] != key:
             return 1.0
-        # Every part a source of p samples: the splitters are the parts'
-        # first rows, and a run moves nothing.
-        if runs and deg.sum() > U.p * U.p * (U.p - 1):
-            return 0.0
         return _drift(deg, arranged[1], U.p)
 
     def run(self, U: _Units, rel: _Rel, key: tuple[str, ...], deg: np.ndarray) -> None:
@@ -619,7 +618,7 @@ class _Pricer:
         local = not (light & (weight >= 0.5)).any()
         routed = sum(
             float(d[light].sum())
-            * (self.share(U, rel.arranged, key, d, runs=False) if local else 1.0)
+            * (self.share(U, rel.arranged, key, d) if local else 1.0)
             for rel, d in ((r1, d1), (r2, d2))
         )
         for c1, c2 in zip(d1[heavy].tolist(), d2[heavy].tolist()):
@@ -1004,25 +1003,16 @@ def candidates(query: Hypergraph) -> tuple[str, ...]:
     return tuple(names)
 
 
-def choose(
-    query: Hypergraph,
-    instance: Instance,
-    p: int,
-    stats: Statistics | None = None,
-    priced: tuple[PlanChoice, dict[str, int]] | None = None,
-) -> Choice:
+def choose(query: Hypergraph, instance: Instance, p: int) -> Choice:
     """The applicable candidate with the least predicted load on ``p``
     servers: a pure function of (query, data, p).
-
-    ``stats`` and ``priced`` (:func:`price_fold_orders` over the same
-    statistics) are reused when the caller already holds them.
 
     Raises:
         CyclicQueryError: If the query is cyclic (cyclic queries are not
             priced; see :func:`repro.core.runner.auto_algorithm`).
     """
-    stats = stats or Statistics(query, instance)
-    plan, quality = priced or price_fold_orders(query, instance, stats=stats)
+    stats = Statistics(query, instance)
+    plan, quality = _price_orders(query, stats)
     units: dict[str, int] = {}
     for name in candidates(query):
         pricer = _Pricer(stats, p)

@@ -256,6 +256,7 @@ class Relation:
         if self._annotations is not None:
             clone._annotations = tuple(map(self._annotations.__getitem__, indices))
         clone._row_set = clone._cols = None
+        clone._codes = {}
         return clone
 
     def project(self, attrs: Sequence[str], name: str | None = None) -> "Relation":

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Any, Callable, Sequence
 
-from repro.core.planner import Choice, Statistics, choose, price_fold_orders
+from repro.core.planner import Choice, PlanChoice, choose, price_fold_orders
 from repro.core.runner import (
     ALGORITHMS,
     auto_algorithm,
@@ -165,8 +165,7 @@ class PreparedQuery:
         query_class: Figure-1 class name of the body hypergraph.
         algorithm: Resolved join algorithm (joins) or downstream algorithm
             (aggregates; ``"auto"`` resolves per the residual query).  For
-            an ``auto`` acyclic join it is :func:`~repro.core.planner.choose`'s
-            pick, priced on first read (normally the first execution).
+            an ``auto`` acyclic join it is :attr:`choice`'s pick.
         plan: Priced Yannakakis fold plan (acyclic joins under ``auto`` or
             ``yannakakis``), consulted when ``algorithm == "yannakakis"``.
         plan_order: The fold order the plan encodes.
@@ -179,6 +178,11 @@ class PreparedQuery:
         relation_versions: Registered-relation versions the entry was
             compiled or last revalidated against.
         prepare_seconds: Wall time spent compiling.
+        choice: :func:`~repro.core.planner.choose`'s pricing of an ``auto``
+            acyclic join on the data at ``relation_versions`` (``None``
+            otherwise).
+        units: Every candidate's predicted ``LoadReport.total``, from
+            ``choice``.
         uses: Number of executions served by this entry.
     """
 
@@ -186,7 +190,7 @@ class PreparedQuery:
     key: tuple
     kind: str
     query_class: str
-    resolved: str | None
+    _algorithm: str
     plan: Plan | None
     plan_order: tuple[str, ...] | None
     plan_quality: dict[str, int] | None
@@ -194,23 +198,34 @@ class PreparedQuery:
     prepare_seconds: float
     uses: int = 0
     cached_result: _CachedResult | None = None
-    #: The chooser's pricing once taken; ``pending`` takes it.
-    choice: Choice | None = None
-    pending: Callable[[], Choice] | None = field(default=None, repr=False)
+    # The chooser's pricing, or until first read a thunk that takes it on
+    # the entry's data: preparing prices the fold orders only, and the
+    # first execution pays for the candidates.  Until then (or until a
+    # revalidation replaces it) the thunk holds that data.
+    _choice: Choice | Callable[[], Choice] | None = field(default=None, repr=False)
+
+    @property
+    def choice(self) -> Choice | None:
+        if callable(self._choice):
+            with _SETTLING:
+                if callable(self._choice):
+                    self._choice = self._choice()
+        return self._choice
 
     @property
     def algorithm(self) -> str:
-        if self.resolved is None:
-            self.choice = self.pending()
-            self.resolved, self.pending = self.choice.algorithm, None
-        return self.resolved
+        choice = self.choice
+        return self._algorithm if choice is None else choice.algorithm
 
     @property
     def units(self) -> dict[str, int] | None:
-        """Every candidate's predicted ``LoadReport.total`` (``auto``
-        acyclic joins; ``None`` otherwise)."""
-        self.algorithm  # settle a pending choice
-        return None if self.choice is None else self.choice.units
+        choice = self.choice
+        return None if choice is None else choice.units
+
+
+#: Serialises taking a pending choice and replacing it on revalidation
+#: (readers of ``choice`` need not hold the engine lock).
+_SETTLING = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -774,12 +789,12 @@ class Engine:
 
         Compiling prices an acyclic join's Yannakakis fold orders in RAM
         when the request can run one (``auto`` or ``yannakakis``).  Under
-        ``auto`` an acyclic join runs the applicable candidate with the
-        least predicted load (:func:`~repro.core.planner.choose`); that
-        pricing is taken when the entry's ``algorithm`` is first read —
-        normally by its first execution — so preparing costs no more than
-        the fold orders.  Neither issues a backend round on any backend
-        (so neither can fault), and both are exact for the current data.
+        ``auto`` the entry runs the applicable candidate with the least
+        predicted load (:func:`~repro.core.planner.choose`), priced on the
+        same data when the entry's ``choice`` is first read — normally by
+        its first execution — so preparing costs the fold orders only.
+        Pricing issues no backend round on any backend (so it cannot
+        fault) and is exact for the entry's data.
 
         Args:
             query: Datalog-style text, a catalog name, or a parsed query.
@@ -811,13 +826,16 @@ class Engine:
             for b in parsed.bindings
         }
 
-    def _price(self, parsed: ParsedQuery, algorithm: str) -> tuple | None:
-        """What an entry decides from the data, on the current data: the
-        fold pricing and a thunk taking the chooser's pricing (``None``
-        unless the request is ``auto``).  ``None`` when no execution reads
-        a fold order: a cyclic query, an aggregate (its downstream join
-        folds its residual query's own way) or a pinned algorithm other
-        than ``yannakakis``.  Also validates the bindings."""
+    def _price(
+        self, parsed: ParsedQuery, algorithm: str, settle: bool = False
+    ) -> tuple[PlanChoice, dict[str, int], Choice | Callable[[], Choice] | None] | None:
+        """What an entry decides from the data, priced on the current
+        data: the fold order, its quality spread and, under ``auto``, the
+        chooser's pick (a thunk that takes it on this data, unless
+        ``settle``).  ``None`` when no execution reads a fold order: a
+        cyclic query, an aggregate (its downstream join folds its residual
+        query's own way) or a pinned algorithm other than ``yannakakis``.
+        Also validates the bindings."""
         query = parsed.query
         instance = self.instance_for(parsed)
         if (
@@ -826,16 +844,14 @@ class Engine:
             or not query.is_acyclic()
         ):
             return None
-        stats = Statistics(query, instance)
-        priced = price_fold_orders(query, instance, stats=stats)
-        pending = None
-        if algorithm == "auto":
-            p = self.p
-
-            def pending() -> Choice:
-                return choose(query, instance, p, stats=stats, priced=priced)
-
-        return priced, pending
+        p = self.p
+        if algorithm == "auto" and settle:
+            choice = choose(query, instance, p)
+            return choice.plan, choice.quality, choice
+        fold, quality = price_fold_orders(query, instance)
+        if algorithm == "yannakakis":
+            return fold, quality, None
+        return fold, quality, lambda: choose(query, instance, p)
 
     def _resolve(
         self, parsed: ParsedQuery, algorithm: str
@@ -859,25 +875,21 @@ class Engine:
             if versions == entry.relation_versions:
                 return entry, "hit"
             # Data changed since compile: a stale plan must never serve.
-            # What the entry decided from the data is re-checked; fresh
-            # data is picked up regardless via the version-keyed
-            # distributed-relation caches.
-            priced = self._price(parsed, algorithm)
+            # What the entry decided from the data is re-checked (a pick
+            # already taken is retaken and must hold; one not yet taken is
+            # left to the new data); fresh data is picked up regardless via
+            # the version-keyed distributed-relation caches.
+            taken = isinstance(entry._choice, Choice)
+            priced = self._price(parsed, algorithm, settle=taken)
             still_wins = True
             if priced is not None:
-                (choice, quality), pending = priced
-                still_wins = entry.plan_order in (None, choice.order)
-                if entry.choice is not None:
-                    # A taken choice is retaken: (algorithm, order) must hold.
-                    taken = pending()
-                    priced = (choice, quality), lambda: taken
-                    still_wins = still_wins and taken.algorithm == entry.resolved
-                    if still_wins:
-                        entry.choice = taken
-                elif still_wins:
-                    entry.pending = pending
+                fold, quality, choice = priced
+                still_wins = entry.plan_order == fold.order and (
+                    not taken or choice.algorithm == entry.algorithm
+                )
                 if still_wins:
-                    entry.plan_quality = quality
+                    with _SETTLING:
+                        entry.plan_quality, entry._choice = quality, choice
             if still_wins:
                 entry.relation_versions = versions
                 return entry, "revalidated"
@@ -910,26 +922,26 @@ class Engine:
             )
         if priced is None:
             priced = self._price(parsed, algorithm)
-        plan = plan_order = quality = pending = None
+        plan = plan_order = quality = choice = None
+        resolved = algorithm
         if priced is not None:
-            (choice, quality), pending = priced
-            plan, plan_order = choice.plan, choice.order
-        resolved: str | None = algorithm
-        if kind == "join" and algorithm == "auto":
-            resolved = None if pending is not None else auto_algorithm(parsed.query)
+            fold, quality, choice = priced
+            plan, plan_order = fold.plan, fold.order
+        elif kind == "join" and algorithm == "auto":
+            resolved = auto_algorithm(parsed.query)
 
         entry = PreparedQuery(
             parsed=parsed,
             key=key,
             kind=kind,
             query_class=classify(parsed.query).name,
-            resolved=resolved,
+            _algorithm=resolved,
             plan=plan,
             plan_order=plan_order,
             plan_quality=quality,
             relation_versions=self._current_versions(parsed),
             prepare_seconds=time.perf_counter() - t0,
-            pending=pending,
+            _choice=choice,
         )
         self._stats.prepares += 1
         return entry

@@ -259,11 +259,12 @@ def test_cyclic_query_is_never_repriced(monkeypatch):
     for rel in inst.relations.values():
         eng.register(rel)
     calls = []
-    real = planner.price_fold_orders
-    monkeypatch.setattr(
-        session_module, "price_fold_orders",
-        lambda *a, **k: calls.append(a) or real(*a, **k),
-    )
+    for name in ("price_fold_orders", "choose"):
+        real = getattr(planner, name)
+        monkeypatch.setattr(
+            session_module, name,
+            lambda *a, real=real, **k: calls.append(a) or real(*a, **k),
+        )
     text = "Q(A,B,C) :- R1(B,C), R2(A,C), R3(A,B)"
     first = eng.execute(text)
     assert first.prepared.plan_quality is None

@@ -5,7 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.aggregates import mpc_count
-from repro.core.planner import _prefix_sizer, enumerate_fold_orders, price_fold_orders
+from repro.core.planner import (
+    Statistics,
+    _prefix_sizer,
+    enumerate_fold_orders,
+    price_fold_orders,
+)
 from repro.core.yannakakis import yannakakis_mpc
 from repro.data.generators import (
     add_dangling,
@@ -134,7 +139,7 @@ def _assert_prefix_sizes_match_corollary4(inst, limit=64, p=4):
     ``mpc_count`` over the ``remove_dangling``-reduced prefix (what pricing
     used to run on a scratch cluster) and RAM ``join_size``."""
     query = inst.query
-    size = _prefix_sizer(query, inst)
+    size = _prefix_sizer(Statistics(query, inst))
     g = Cluster(p).root_group()
     reduced = remove_dangling(g, query, distribute_instance(inst, g), "oracle/reduce")
     reduced_ram = inst.without_dangling()

@@ -98,6 +98,19 @@ class TestOperations:
         assert [distinct[c] for c in codes] == [row[0] for row in r.rows]
         assert r.renamed("S", ("C", "D")).column_codes(0) is r.column_codes(0)
 
+    def test_take_codes_its_own_rows_and_leaves_the_parent_cache(self):
+        r = Relation("R", ("A", "B"), [("x", 2), ("y", 3), ("x", 5), (None, 6)])
+        parent = r.column_codes(0)
+        sub = r.take([1, 3])
+        distinct, codes = sub.column_codes(0)
+        assert len(codes) == len(sub) == 2
+        assert [distinct[c] for c in codes] == ["y", None]
+        assert r.column_codes(0) is parent and len(parent[1]) == 4
+        # Coding the subset first must not leak into the parent either.
+        fresh = Relation("R", r.attrs, r.rows)
+        assert len(fresh.take([0]).column_codes(1)[1]) == 1
+        assert len(fresh.column_codes(1)[1]) == 4
+
     def test_with_annotations_uniform(self):
         r = Relation("R", ("A",), [(1,), (2,)]).with_annotations(COUNT)
         assert r.annotated
