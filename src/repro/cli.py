@@ -225,6 +225,20 @@ def _serve_frontdoor(args, workload, tracer=None) -> int:
     return 0
 
 
+def _print_contained(query) -> None:
+    """``contained: R2 in R0, ...``: the relations Yannakakis drops after
+    its full reducer, each with the relation that contains it."""
+    _reduced, witness = query.reduce()
+    if witness:
+        print("contained: " + ", ".join(f"{n} in {w}" for n, w in sorted(witness.items())))
+
+
+def _print_plan_order(prepared) -> None:
+    if prepared.plan_order:
+        print(f"plan order: {' -> '.join(prepared.plan_order)}")
+        _print_contained(prepared.parsed.query)
+
+
 def _print_execution(res) -> None:
     m = res.metrics
     print(
@@ -233,8 +247,7 @@ def _print_execution(res) -> None:
         f"{'hit' if m.cache_hit else 'miss'}"
         f"{' (invalidated)' if m.invalidated else ''}"
     )
-    if res.prepared.plan_order:
-        print(f"plan order: {' -> '.join(res.prepared.plan_order)}")
+    _print_plan_order(res.prepared)
     if res.prepared.plan_quality:
         q = res.prepared.plan_quality
         print(
@@ -282,6 +295,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.text, algorithm=args.algorithm, timings=args.timings
             )
         )
+        _print_plan_order(engine.prepare(args.text, algorithm=args.algorithm))
         return 0
 
     if args.command == "serve":
@@ -422,6 +436,7 @@ def main(argv: list[str] | None = None) -> int:
 
         choice = choose(query, instance, args.servers)
         plan, quality = choice.plan, choice.quality
+        _print_contained(query)
         print(f"orders considered: {quality['orders']}")
         print(f"best order:  {' -> '.join(plan.order)}")
         for k, size in enumerate(plan.intermediates, 2):

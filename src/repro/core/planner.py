@@ -5,7 +5,10 @@ Yannakakis join order never matters asymptotically, but in MPC a plan that
 shuffles a large intermediate result pays its size divided by p.
 :func:`price_fold_orders` enumerates the join-tree-consistent fold orders,
 *prices* each one by its maximum intermediate join size, and returns the
-best plan together with the best/worst spread.
+best plan together with the best/worst spread.  The orders are those of
+the *reduced* query: after the full reducer a contained relation is a
+projection of its container, and Yannakakis drops it instead of joining
+it (:func:`repro.core.yannakakis.yannakakis_mpc`).
 
 The paper's output-optimal algorithms (Theorems 3, 5, 7) beat that planned
 Yannakakis run only asymptotically, once ``IN >= p^2`` or ``p^3``; below
@@ -105,13 +108,15 @@ class Choice:
 
 
 def enumerate_fold_orders(query: Hypergraph, limit: int = 64) -> list[tuple[str, ...]]:
-    """Join-tree-consistent left-deep orders (connected prefixes).
+    """Join-tree-consistent left-deep orders (connected prefixes) of the
+    relations Yannakakis joins: those of ``query.reduce()``.
 
-    Every prefix of a returned order induces a connected subtree of a join
-    tree, so each pairwise join shares a separator (no accidental
-    Cartesian blowups).  Enumeration is capped at ``limit`` orders —
-    plenty for the constant-size queries the paper considers.
+    Every prefix of a returned order induces a connected subtree of the
+    reduced query's join tree, so each pairwise join shares a separator (no
+    accidental Cartesian blowups).  Enumeration is capped at ``limit``
+    orders — plenty for the constant-size queries the paper considers.
     """
+    query, _witness = query.reduce()
     tree = join_tree(query)
     names = set(query.edge_names)
     neighbors: dict[str, set[str]] = {n: set() for n in names}
@@ -275,6 +280,11 @@ class Statistics:
             got = self._trees[key] = _Tree(join_tree(query, root=root))
         return got
 
+    def fold_tree(self) -> _Tree:
+        """The join tree Yannakakis folds along: the reduced query's, whose
+        nodes are the relations left once contained ones are dropped."""
+        return self.tree_of(self.query.reduce()[0])
+
     # -- views ----------------------------------------------------------
     def rows(self, view: _View) -> int:
         return self._sizes[view.base] if view.idx is None else len(view.idx)
@@ -379,16 +389,17 @@ def _side(tree: _Tree, nodes: dict, v: str, u: str) -> list[str]:
 
 def _prefix_sizer(stats: Statistics):
     """``size(prefix)``: the join size of the dangling-free relations in a
-    connected set of join-tree nodes, from memoised messages (a message
-    depends only on the nodes on its sender's side, so prefixes that agree
-    there share it)."""
+    connected set of the reduced query's join-tree nodes, from memoised
+    messages (a message depends only on the nodes on its sender's side, so
+    prefixes that agree there share it)."""
     reduced = stats.reduced()
+    tree = stats.fold_tree()
     memo = stats.messages
 
     @cache
     def size(prefix: frozenset[str]) -> int:
         nodes = {n: reduced[n] for n in sorted(prefix)}
-        return int(round(stats.join_size(stats.tree, nodes, memo)))
+        return int(round(stats.join_size(tree, nodes, memo)))
 
     return size
 
@@ -399,17 +410,18 @@ def price_fold_orders(
     """The fold order minimizing the largest intermediate join, and the
     best/worst spread over all orders, from one pricing pass.
 
-    Every connected prefix of every enumerated order is sized exactly
-    (see :func:`_prefix_sizer`); the first order attaining the minimum
-    wins.  The gap between ``best`` and ``worst`` is Section 4.1's
-    join-order sensitivity.  A query of at most two relations has no
-    intermediate, so nothing is reduced or counted for it.
+    Every connected prefix of every enumerated order (over the reduced
+    query, see :func:`enumerate_fold_orders`) is sized exactly on the full
+    reducer's survivors (see :func:`_prefix_sizer`); the first order
+    attaining the minimum wins.  The gap between ``best`` and ``worst`` is
+    Section 4.1's join-order sensitivity.  A reduced query of at most two
+    relations has no intermediate, so nothing is reduced or counted for it.
 
     Raises:
         CyclicQueryError: If the query is cyclic (a :class:`QueryError`).
     """
     return _price_orders(
-        query, Statistics(query, instance) if len(query) > 2 else None, limit
+        query, Statistics(query, instance) if len(query.reduce()[0]) > 2 else None, limit
     )
 
 
@@ -417,7 +429,7 @@ def _price_orders(
     query: Hypergraph, stats: Statistics | None, limit: int = 64
 ) -> tuple[PlanChoice, dict[str, int]]:
     orders = enumerate_fold_orders(query, limit=limit)
-    size = _prefix_sizer(stats) if len(query) > 2 else None
+    size = _prefix_sizer(stats) if len(orders[0]) > 2 else None
     best: PlanChoice | None = None
     worsts: list[int] = []
     for order in orders:
@@ -679,7 +691,9 @@ class _Pricer:
 
     # -- candidates -----------------------------------------------------
     def yannakakis(self, order: Sequence[str]) -> None:
-        tree, rels = self.s.tree, self.start()
+        """:func:`repro.core.yannakakis.yannakakis_mpc` along ``order`` (the
+        reduced query's relations): the full reducer, then the folds."""
+        tree, rels = self.s.fold_tree(), self.start()
         acc = rels[order[0]]
         for name in order[1:]:
             acc = self.binary_join(self.root, tree, acc, rels[name])
@@ -747,7 +761,7 @@ class _Pricer:
         s, U = self.s, self.root
         rels = self.start()
         wq = self.reduce(U, rels)
-        tree = s.tree if len(wq) == len(s.query) else _Tree(join_tree(wq))
+        tree = s.fold_tree()
         self.count(U, wq, rels)
         out = s.join_size(tree, {n: r.view() for n, r in rels.items()})
         if out:

@@ -1,10 +1,21 @@
 """The MPC Yannakakis algorithm: load O(IN/p + OUT/p) (paper Section 4.1).
 
-Full reducer (dangling-tuple removal) followed by pairwise output-optimal
-binary joins.  In the RAM model the join order is irrelevant; in MPC it is
-not — intermediate results are *shuffled* into the next join, so an
-OUT-sized intermediate costs OUT/p load.  The plan parameter exposes that
-choice, which the Figure 3 experiment exploits.
+Full reducer (dangling-tuple removal), then the reduce step (Section 3.2,
+footnote 7): a relation whose attributes another relation contains is, once
+dangling tuples are gone, a projection of its container — it adds no column
+and removes no result — so it is dropped, not joined.  The survivors are
+folded by pairwise output-optimal binary joins.  In the RAM model the join
+order is irrelevant; in MPC it is not — intermediate results are
+*shuffled* into the next join, so an OUT-sized intermediate costs OUT/p
+load.  The plan parameter exposes that choice, which the Figure 3
+experiment exploits.
+
+The plan contract: a plan names every relation that is joined, once; it
+may also name the contained relations, which are skipped after the
+reducer (so :func:`default_plan` of the full query still works).  Without
+the reducer (``reduce_first=False``) nothing is dropped and a plan names
+every relation.  A relation carrying payload (``#...``) columns is never
+dropped: its payload is not a projection of anything.
 """
 
 from __future__ import annotations
@@ -55,6 +66,18 @@ def _plan_leaves(plan: Plan) -> list[str]:
     return _plan_leaves(left) + _plan_leaves(right)
 
 
+def _without(plan: Plan, dropped: set[str]) -> Plan | None:
+    """``plan`` with the leaves in ``dropped`` removed (``None``: all were)."""
+    if isinstance(plan, str):
+        return None if plan in dropped else plan
+    left, right = (_without(side, dropped) for side in plan)
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return (left, right)
+
+
 def yannakakis_mpc(
     group: Group,
     query: Hypergraph,
@@ -66,25 +89,43 @@ def yannakakis_mpc(
 ) -> DistRelation:
     """Compute an acyclic join with the Yannakakis strategy.
 
+    After the full reducer, every relation ``query.reduce()`` reports as
+    contained is dropped (it is then a projection of its container, so no
+    semi-join runs for it either), and only the survivors are folded.
+
     Args:
         group: Server group to run on.
         query: An acyclic hypergraph.
         rels: Distributed relations (may carry payload columns).
-        plan: Pairwise join order; defaults to a join-tree fold.  The plan
-            must mention every relation exactly once.
+        plan: Pairwise join order; defaults to a join-tree fold of the
+            relations that are joined.  The plan must name each of them
+            exactly once, and may name the dropped contained relations.
         reduce_first: Run the full reducer first (the paper's algorithm
             always does; disable only to demonstrate its necessity).
+            Without it every relation is joined.
 
     Returns:
         The join results in canonical schema order.
     """
+    dropped: set[str] = set()
+    if reduce_first:
+        dropped = {
+            n for n in query.reduce()[1]
+            if not any(a.startswith("#") for a in rels[n].attrs)
+        }
+    joined = query if not dropped else Hypergraph(
+        {n: query.attrs_of(n) for n in query.edge_names if n not in dropped},
+        name=query.name,
+    )
     if plan is None:
-        plan = default_plan(query)
+        plan = default_plan(joined)
     leaves = _plan_leaves(plan)
-    if sorted(leaves) != sorted(query.edge_names):
+    kept = sorted(n for n in leaves if n not in dropped)
+    if len(set(leaves)) != len(leaves) or kept != sorted(joined.edge_names):
         raise QueryError(
-            f"plan relations {sorted(leaves)} != query relations "
-            f"{sorted(query.edge_names)}"
+            f"plan relations {sorted(leaves)} must name each of "
+            f"{sorted(joined.edge_names)} once (and may name the contained "
+            f"{sorted(dropped)})"
         )
     working = dict(rels)
     if reduce_first:
@@ -103,5 +144,5 @@ def yannakakis_mpc(
             group, lrel, rrel, label=f"{label}/join{counter[0]}"
         )
 
-    result = run(plan)
+    result = run(_without(plan, dropped))
     return result.aligned(canonical_attrs([result.attrs]), name)

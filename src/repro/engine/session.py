@@ -168,7 +168,8 @@ class PreparedQuery:
             an ``auto`` acyclic join it is :attr:`choice`'s pick.
         plan: Priced Yannakakis fold plan (acyclic joins under ``auto`` or
             ``yannakakis``), consulted when ``algorithm == "yannakakis"``.
-        plan_order: The fold order the plan encodes.
+        plan_order: The fold order the plan encodes: the reduced query's
+            relations (contained ones are dropped after the full reducer).
         plan_quality: Section 4.1 best/worst max-intermediate sizes — the
             Figure-3 planned-vs-decomposition gap, observable per query;
             exact for the data at ``relation_versions`` (refreshed on

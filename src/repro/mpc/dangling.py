@@ -58,6 +58,8 @@ def reduce_instance(
     projections of the containing relation), so it can be dropped — paper
     Section 3.2, footnote 7.  A defensive semi-join keeps the containing
     relation consistent even if the caller skipped dangling removal.
+    :func:`repro.core.yannakakis.yannakakis_mpc` applies the same step
+    right after its own full reducer, where it needs no semi-join.
 
     Returns:
         ``(reduced_query, reduced_relations)``.

@@ -117,6 +117,27 @@ class TestCli:
         assert main(["plan", data_dir, "-p", "4"]) == 0
         out = capsys.readouterr().out
         assert "best order" in out
+        assert "contained:" not in out
+
+    def test_plan_query_and_explain_name_the_contained_relations(self, tmp_path, capsys):
+        """Q2's R4(x3,x5) and R5(x5) sit inside R3(x1,x3,x5): Yannakakis
+        drops them, and only the reduced query's 4 orders are priced."""
+        inst = random_instance(catalog.q2_r_hierarchical(), 60, 6, seed=1)
+        write_instance_dir(inst, tmp_path / "q2")
+        data = str(tmp_path / "q2")
+        contained = "contained: R4 in R3, R5 in R3"
+        assert main(["plan", data, "-p", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [contained, "orders considered: 4"]
+        text = (
+            "Q(x1,x2,x3,x4,x5) :- R1(x1,x2), R2(x1,x3,x4), R3(x1,x3,x5), "
+            "R4(x3,x5), R5(x5)"
+        )
+        for command in ("query", "explain"):
+            assert main([command, text, data, "-p", "8", "--algorithm", "yannakakis"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            at = next(i for i, line in enumerate(lines) if line.startswith("plan order: "))
+            assert lines[at + 1] == contained, command
 
     def test_cli_agreement_with_oracle(self, tmp_path, capsys):
         """count via CLI == RAM oracle on a fresh instance."""

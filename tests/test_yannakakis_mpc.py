@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.runner import mpc_join
 from repro.core.yannakakis import default_plan, left_deep_plan, yannakakis_mpc
 from repro.data.generators import (
     add_dangling,
@@ -9,9 +10,14 @@ from repro.data.generators import (
     matching_instance,
     random_instance,
 )
+from repro.engine import Engine, parse_query
 from repro.errors import QueryError
+from repro.mpc import Cluster, distribute_instance
+from repro.mpc.dangling import remove_dangling
 from repro.query import catalog
-from tests.conftest import assert_matches_oracle
+from repro.query.hypergraph import Hypergraph
+from repro.semiring import COUNT
+from tests.conftest import assert_matches_oracle, oracle_rows, run_mpc
 
 
 class TestCorrectness:
@@ -97,3 +103,111 @@ class TestReduceFirst:
     def test_skipping_reducer_still_correct_on_clean_input(self):
         inst = matching_instance(catalog.line3(), 30)
         assert_matches_oracle(inst, yannakakis_mpc, reduce_first=False)
+
+
+#: Queries with contained relations (``query.reduce()`` drops some).
+CONTAINED = {
+    "equal": Hypergraph({"R": ("A", "B"), "S": ("A", "B")}, name="equal"),
+    # R1 is the full join tree's hub (R0 - R1 - R2) and is dropped.
+    "hub": Hypergraph({"R0": ("x0",), "R1": ("x0",), "R2": ("x1",)}, name="hub"),
+    "chain": Hypergraph(
+        {"A": ("A", "B", "C"), "B": ("A", "B"), "C": ("A",)}, name="chain"
+    ),
+    "broom": catalog.broom_join(),
+    "q2": catalog.q2_r_hierarchical(),
+}
+
+
+def _contained_instance(name: str):
+    return add_dangling(random_instance(CONTAINED[name], 40, 5, seed=3), 8, seed=5)
+
+
+class TestContainedRelations:
+    """After the full reducer a contained relation is a projection of its
+    container: Yannakakis drops it and joins only the survivors."""
+
+    @pytest.mark.parametrize("name", sorted(CONTAINED))
+    def test_matches_oracle(self, name):
+        inst = _contained_instance(name)
+        assert inst.query.reduce()[1]
+        assert_matches_oracle(inst, yannakakis_mpc, p=4)
+
+    @pytest.mark.parametrize("name", sorted(CONTAINED))
+    def test_engine_and_one_shot_auto_agree(self, name):
+        inst = _contained_instance(name)
+        query = inst.query
+        text = f"Q({','.join(sorted(query.attributes))}) :- " + ", ".join(
+            f"{n}({','.join(inst.relations[n].attrs)})" for n in query.edge_names
+        )
+        engine = Engine(p=4)
+        for rel in inst.relations.values():
+            engine.register(rel)
+        served = engine.execute(text)
+        parsed = parse_query(text)
+        one_shot = mpc_join(parsed.query, engine.instance_for(parsed), 4, "auto")
+        assert served.prepared.algorithm == one_shot.meta["algorithm"]
+        assert served.report.as_dict() == one_shot.report.as_dict()
+        assert set(served.rows()) == one_shot.row_set() == oracle_rows(inst)
+
+    @pytest.mark.parametrize("name", sorted(CONTAINED))
+    def test_a_plan_naming_contained_relations_equals_one_omitting_them(self, name):
+        inst = _contained_instance(name)
+        query = inst.query
+        order = list(query.edge_names)
+        dropped = query.reduce()[1]
+        with_all = run_mpc(inst, yannakakis_mpc, p=4, plan=left_deep_plan(order))
+        survivors = left_deep_plan([n for n in order if n not in dropped])
+        without = run_mpc(inst, yannakakis_mpc, p=4, plan=survivors)
+        assert with_all[0] == without[0] == oracle_rows(inst)
+        assert with_all[1].as_dict() == without[1].as_dict()
+
+    def test_a_plan_must_still_name_every_survivor(self):
+        inst = _contained_instance("q2")
+        g = Cluster(2).root_group()
+        with pytest.raises(QueryError):
+            yannakakis_mpc(
+                g, inst.query, distribute_instance(inst, g), plan=("R2", "R3")
+            )
+
+    def test_a_relation_with_payload_is_never_dropped(self):
+        inst = _contained_instance("q2").with_uniform_annotations(COUNT)
+        g = Cluster(4).root_group()
+        res = yannakakis_mpc(g, inst.query, distribute_instance(inst, g, annotate=True))
+        width = len(inst.query.attributes)
+        assert res.attrs[width:] == tuple(sorted(f"#w:{n}" for n in inst.query.edge_names))
+        assert {row[:width] for row in res.all_rows()} == oracle_rows(inst)
+
+    @pytest.mark.parametrize("name", sorted(CONTAINED))
+    def test_without_the_reducer_every_relation_is_joined(self, name):
+        inst = _contained_instance(name).without_dangling()
+        query = inst.query
+        survivors = [n for n in query.edge_names if n not in query.reduce()[1]]
+        g = Cluster(2).root_group()
+        with pytest.raises(QueryError):
+            yannakakis_mpc(
+                g, query, distribute_instance(inst, g),
+                plan=left_deep_plan(survivors), reduce_first=False,
+            )
+        _rows, report = run_mpc(inst, yannakakis_mpc, p=4, reduce_first=False)
+        joins = {label.split("/")[1] for label in report.by_label if "/join" in label}
+        assert len(joins) == len(query) - 1
+        assert_matches_oracle(inst, yannakakis_mpc, p=4, reduce_first=False)
+
+    def test_the_broom_ledger_shrinks(self):
+        """The broom's R2(B,D) and R3(B) sit inside R0(A,B,D,G).  Pinned:
+        dropping them after the reducer takes fewer steps and less load
+        than the same reducer followed by folding them in."""
+        inst = random_instance(catalog.broom_join(), 120, 6, seed=11)
+        query = inst.query
+        order = ["R0", "R2", "R3", "R1", "R4", "R5", "R6"]
+        _rows, report = run_mpc(inst, yannakakis_mpc, p=8, plan=left_deep_plan(order))
+
+        g = Cluster(8).root_group()
+        reduced = remove_dangling(g, query, distribute_instance(inst, g), "yannakakis/reduce")
+        joined = yannakakis_mpc(
+            g, query, reduced, plan=left_deep_plan(order), reduce_first=False
+        )
+        assert set(joined.all_rows()) == oracle_rows(inst)
+        folded = g.cluster.snapshot()
+        assert (folded.steps, folded.load, folded.total) == (221, 1525, 10551)
+        assert (report.steps, report.load, report.total) == (157, 1341, 9384)
