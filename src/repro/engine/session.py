@@ -32,7 +32,10 @@ queries.  :class:`Engine` is the serving-side answer:
   per-query :class:`~repro.mpc.cluster.LoadReport` are bit-identical to
   ``mpc_join`` / ``mpc_join_aggregate`` (see ``tests/test_engine_parity``).
   The serving path records no physical plan: :meth:`Engine.explain`
-  traces one on a scratch serial cluster when asked.
+  traces one on a scratch serial cluster when asked.  A cold execution
+  that raises is recorded once as failed and re-raised unchanged: fault
+  recovery belongs to the backend (DESIGN.md section 8), and the next
+  call drives it afresh.
 * **``export_plan()`` / ``install_plan()``** — a plan travels between
   engines as a *prepared statement*: the query text plus the algorithm
   request as a JSON record, which the receiver prepares (prices) on its
@@ -71,14 +74,7 @@ from repro.core.yannakakis import Plan
 from repro.data.instance import Instance
 from repro.data.relation import Relation, Row
 from repro.engine.parser import Binding, ParsedQuery, parse_query
-from repro.errors import (
-    DeadlineExceeded,
-    EngineError,
-    FaultError,
-    PlanShipError,
-    QueryQuarantined,
-    ReproError,
-)
+from repro.errors import DeadlineExceeded, EngineError, PlanShipError, ReproError
 from repro.mpc.backends import Backend
 from repro.mpc.cluster import Cluster, LoadReport
 from repro.mpc.distrel import DistRelation, distribute_relation
@@ -270,9 +266,6 @@ class QueryMetrics:
     error: str | None = None
     #: The failure was a missed per-query deadline (or batch budget).
     deadline_exceeded: bool = False
-    #: The query was re-run to completion on the serial backend after the
-    #: warm backend faulted (degradation ladder, second-to-last rung).
-    degraded_serial: bool = False
     #: Worker faults (deaths + round timeouts) the backend absorbed while
     #: serving this query — recovered, not failures.
     fault_events: int = 0
@@ -319,11 +312,6 @@ class EngineStats:
     total_backend_requests: int = 0
     failures: int = 0
     deadline_misses: int = 0
-    #: Quarantine events (a query entered quarantine) and subsequent
-    #: fast-fails served from it.
-    quarantined: int = 0
-    quarantine_fast_fails: int = 0
-    degraded_serial: int = 0
     fault_events: int = 0
     per_query: list[QueryMetrics] = field(default_factory=list)
     max_per_query: int | None = None
@@ -334,8 +322,6 @@ class EngineStats:
             self.failures += 1
         if metrics.deadline_exceeded:
             self.deadline_misses += 1
-        if metrics.degraded_serial:
-            self.degraded_serial += 1
         self.fault_events += metrics.fault_events
         if metrics.plan_reused:
             self.cache_hits += 1
@@ -399,16 +385,10 @@ class EngineStats:
                 f"  latency: p50={lat['p50'] * 1e3:.2f}ms "
                 f"p95={lat['p95'] * 1e3:.2f}ms p99={lat['p99'] * 1e3:.2f}ms"
             )
-        if (
-            self.failures or self.fault_events or self.quarantined
-            or self.quarantine_fast_fails or self.degraded_serial
-        ):
+        if self.failures or self.fault_events:
             lines.append(
                 f"  faults: {self.fault_events} absorbed, {self.failures} "
-                f"failures ({self.deadline_misses} deadline), "
-                f"{self.degraded_serial} serial degradations, "
-                f"{self.quarantined} quarantined "
-                f"(+{self.quarantine_fast_fails} fast-fails)"
+                f"failures ({self.deadline_misses} deadline)"
             )
         for text, gap in self.plan_gaps().items():
             lines.append(
@@ -482,9 +462,8 @@ def _run_algorithm(
 ) -> tuple[DistRelation | Relation | None, Any, dict[str, Any], int]:
     """Drive the entry's resolved algorithm over ``rels`` on ``group``.
 
-    The one join/aggregate dispatch behind cold executions, serial
-    degradation and scratch traces; returns ``(relation, scalar, meta,
-    out_size)``.
+    The one join/aggregate dispatch behind cold executions and scratch
+    traces; returns ``(relation, scalar, meta, out_size)``.
     """
     parsed = entry.parsed
     if entry.kind == "join":
@@ -519,15 +498,6 @@ class Engine:
             resident size of each recording's column blocks: typed arrays
             plus the dictionary values they reference (``None`` =
             unbounded).
-        degrade_to_serial: When the warm backend faults past its own
-            recovery (a :class:`~repro.errors.FaultError` escapes), re-run
-            the query to completion on a scratch serial cluster — the
-            second-to-last rung of the degradation ladder — verifying the
-            result against any valid cached recording (determinism is the
-            oracle).  ``False`` skips straight to quarantine: the failure
-            is recorded and subsequent submissions of the same query
-            fast-fail with :class:`~repro.errors.QueryQuarantined` until
-            its input relations change version.
         registry: :class:`~repro.obs.MetricsRegistry` to instrument into
             (``None`` = a private registry per engine).  The engine
             registers its query counters/latency histograms plus *views*
@@ -556,7 +526,6 @@ class Engine:
         result_cache: bool = True,
         result_cache_entries: int | None = 256,
         result_cache_bytes: int | None = 128 * 1024 * 1024,
-        degrade_to_serial: bool = True,
         registry: MetricsRegistry | None = None,
         tracer: Any = None,
     ) -> None:
@@ -564,7 +533,6 @@ class Engine:
         self.result_cache = result_cache
         self.result_cache_entries = result_cache_entries
         self.result_cache_bytes = result_cache_bytes
-        self.degrade_to_serial = degrade_to_serial
         self._cluster = Cluster(p, backend=backend)
         self._group = self._cluster.root_group()
         self._lock = threading.RLock()
@@ -578,9 +546,6 @@ class Engine:
         # Recording LRU: plan key -> approx bytes, least recent first.
         self._recordings: OrderedDict[tuple, int] = OrderedDict()
         self._recording_bytes = 0
-        # plan key -> {"versions", "error"}: queries that exhausted the
-        # degradation ladder; paroled when their input versions move.
-        self._quarantine: dict[tuple, dict[str, Any]] = {}
         self._stats = EngineStats(
             p=p, backend=self._cluster.backend.name, max_per_query=1024
         )
@@ -968,15 +933,15 @@ class Engine:
                 so an expired deadline cancels the query *between
                 simulated communication rounds* and raises
                 :class:`~repro.errors.DeadlineExceeded`; partial ledger
-                state is discarded.  A deadline miss is a failure of this
-                call only — it never quarantines the query.
+                state is discarded.
 
         Raises:
-            QueryQuarantined: The query previously exhausted the
-                degradation ladder and its input relations are unchanged.
             DeadlineExceeded: The deadline expired mid-execution.
-            FaultError: The backend faulted past recovery and
-                ``degrade_to_serial`` is off (quarantines the query).
+            Exception: Whatever else a cold execution raised (a
+                :class:`~repro.errors.FaultError` the backend could not
+                recover, an :class:`~repro.errors.MPCError` from a worker,
+                ...), unchanged, after recording the call as failed.  The
+                next call drives the backend again.
         """
         if isinstance(query, PreparedQuery):
             parsed, algorithm = query.parsed, query.key[2]
@@ -993,11 +958,7 @@ class Engine:
         if span.recording:
             m = result.metrics
             span.set(
-                path=(
-                    "cached" if m.result_cached
-                    else "degraded" if m.degraded_serial
-                    else "cold"
-                ),
+                path="cached" if m.result_cached else "cold",
                 wire_bytes=m.wire_bytes,
                 load=m.load,
             )
@@ -1013,12 +974,12 @@ class Engine:
     ) -> ExecutionResult:
         """The :meth:`execute` body under one root span.
 
-        ``span`` parents the path-level child spans (``cold_execute`` /
-        ``degrade_serial``).  Past the result cache the call
-        gets its own :class:`~repro.obs.WireMeter`, which travels into
-        every backend round this query issues, so ``wire_bytes`` is
-        per-query by construction — deltas of the backend's *shared*
-        cumulative counters would double-count concurrent submitters.
+        ``span`` parents the ``cold_execute`` child span.  Past the
+        result cache the call gets its own :class:`~repro.obs.WireMeter`,
+        which travels into every backend round this query issues, so
+        ``wire_bytes`` is per-query by construction — deltas of the
+        backend's *shared* cumulative counters would double-count
+        concurrent submitters.
         """
         with self._lock:
             entry, status = self._resolve(parsed, algorithm)
@@ -1029,19 +990,6 @@ class Engine:
                 versions=self._current_versions(parsed),
                 span=span,
             )
-            versions = call.versions
-            held = self._quarantine.get(entry.key)
-            if held is not None:
-                if held["versions"] == versions:
-                    self._stats.quarantine_fast_fails += 1
-                    exc: ReproError = QueryQuarantined(
-                        "query is quarantined until its relations change: "
-                        + held["error"]
-                    )
-                    self._finish(call, "failed", error=exc)
-                    raise exc
-                # Data moved since the failure: parole and retry for real.
-                del self._quarantine[entry.key]
             if deadline is not None and deadline <= 0:
                 exc = DeadlineExceeded(
                     "deadline expired before execution began"
@@ -1052,7 +1000,7 @@ class Engine:
             if (
                 self.result_cache
                 and cached is not None
-                and cached.relation_versions == versions
+                and cached.relation_versions == call.versions
             ):
                 entry.uses += 1
                 self._touch_recording(entry.key)
@@ -1077,45 +1025,23 @@ class Engine:
             self._cluster.deadline = call.deadline_at
             try:
                 return self._execute_on_cluster(call)
-            except DeadlineExceeded as exc:
-                # Cooperative cancellation fired between rounds; the
-                # partial ledger is discarded.  A miss never quarantines —
-                # the same query with a looser deadline is fine.
+            except Exception as exc:
+                # A deadline miss, a fault the backend could not recover,
+                # a worker's error: the partial ledger is discarded, the
+                # call is recorded failed, and the next call on the same
+                # data drives the backend afresh.
                 self._cluster.reset()
                 self._finish(call, "failed", error=exc)
                 raise
-            except FaultError as exc:
-                self._cluster.reset()
-                return self._handle_fault(call, exc)
             finally:
                 self._cluster.deadline = None
-
-    def _handle_fault(self, call: _Call, exc: Exception) -> ExecutionResult:
-        """The backend faulted past its own recovery: next rungs of the
-        ladder — re-run on a scratch serial cluster; if that is off (or
-        itself fails), quarantine the query.  Caller holds the lock.
-        """
-        if self.degrade_to_serial:
-            try:
-                return self._serial_degrade(call, exc)
-            except DeadlineExceeded as exc2:
-                self._finish(call, "failed", error=exc2)
-                raise
-            except ReproError as exc2:
-                self._quarantine_entry(call, exc2)
-                self._finish(call, "failed", error=exc2)
-                raise
-        self._quarantine_entry(call, exc)
-        self._finish(call, "failed", error=exc)
-        raise exc
 
     def _execute_on_cluster(self, call: _Call) -> ExecutionResult:
         """One cold execution on the warm serving cluster.
 
-        The fault/deadline/degradation policy lives in
-        :meth:`_execute_traced`; this method only runs, records the
-        result, and reports.  Caller holds the lock and has already
-        armed ``self._cluster.deadline``.
+        The failure path lives in :meth:`_execute_traced`; this method
+        only runs, records the result, and reports.  Caller holds the
+        lock and has already armed ``self._cluster.deadline``.
         """
         entry = call.entry
         aggregate = (
@@ -1200,7 +1126,7 @@ class Engine:
         return rels
 
     # ------------------------------------------------------------------
-    # Failure policy: record, quarantine, degrade (DESIGN.md section 8)
+    # Reporting: every serving path records through _finish
     # ------------------------------------------------------------------
     def _fault_level(self) -> int:
         """Cumulative faults the backend has absorbed (deltas per query)."""
@@ -1218,11 +1144,11 @@ class Engine:
         """Build and record one call's :class:`QueryMetrics`.
 
         Every serving path reports through here.  ``path`` is the
-        registry label — ``cold`` | ``cached`` | ``degraded`` |
-        ``failed`` — and decides which counters apply: only ``cold``
-        touched the warm backend (wire bytes, request delta), it and
-        ``degraded`` report the faults absorbed on the way, and a failure
-        counts as a plan-cache miss (it served nothing from the cache).
+        registry label — ``cold`` | ``cached`` | ``failed`` — and
+        decides which counters apply: only ``cold`` touched the warm
+        backend (wire bytes, request delta, faults absorbed on the way),
+        and a failure counts as a plan-cache miss (it served nothing
+        from the cache).
         """
         entry = call.entry
         failed = path == "failed"
@@ -1241,11 +1167,8 @@ class Engine:
                 backend_requests=(
                     self._cluster.backend.requests - call.requests_before
                 ),
+                fault_events=self._fault_level() - call.faults_before,
             )
-        if path in ("cold", "degraded"):
-            extra["fault_events"] = self._fault_level() - call.faults_before
-        if path == "degraded":
-            extra["degraded_serial"] = True
         elif failed:
             extra.update(
                 failed=True,
@@ -1271,76 +1194,6 @@ class Engine:
         )
         self._record(metrics, path)
         return metrics
-
-    def _quarantine_entry(self, call: _Call, exc: Exception) -> None:
-        """Mark the query unservable until its input versions move.
-
-        The original failure text is kept so fast-fails carry it; the
-        version snapshot is the parole condition (new data genuinely
-        changes the execution, so it deserves a fresh attempt).
-        """
-        self._quarantine[call.entry.key] = {
-            "versions": dict(call.versions),
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        self._stats.quarantined += 1
-
-    def quarantined_queries(self) -> dict[str, str]:
-        """Currently quarantined query texts and their original errors."""
-        with self._lock:
-            out: dict[str, str] = {}
-            for key, held in self._quarantine.items():
-                entry = self._plans.get(key)
-                text = entry.parsed.text if entry is not None else str(key[0])
-                out[text] = held["error"]
-            return out
-
-    def _serial_degrade(self, call: _Call, fault: Exception) -> ExecutionResult:
-        """Re-run a faulted query to completion on a scratch serial cluster.
-
-        The scratch cluster inherits the remaining deadline and gets
-        freshly distributed copies of the bound relations.  Because
-        ledgers and outputs are backend-independent (the conformance
-        contract), the rerun is *the same execution* — and when a
-        recording of this query is still valid, that is checked, not
-        assumed: a ledger or size mismatch means a determinism violation,
-        which must surface, never serve.
-        """
-        entry = call.entry
-        scratch = Cluster(self.p, backend="serial")
-        scratch.deadline = call.deadline_at
-        group = scratch.root_group()
-        with call.span.child("degrade_serial", fault=type(fault).__name__):
-            relation, scalar, meta, out_size = _run_algorithm(
-                entry, group, self._scratch_rels(entry, group)
-            )
-        report = scratch.snapshot()
-        cached = entry.cached_result
-        if (
-            cached is not None
-            and cached.relation_versions == call.versions
-            and (
-                report.as_dict() != cached.report.as_dict()
-                or out_size != cached.out_size
-            )
-        ):
-            raise EngineError(
-                "serial degradation diverged from the cached recording "
-                "(determinism violation); refusing to serve"
-            )
-        entry.uses += 1
-        self._stamp_meta(meta, entry, 0)
-        meta["degraded_serial"] = True
-        meta["degraded_from"] = f"{type(fault).__name__}: {fault}"
-        metrics = self._finish(call, "degraded", report, out_size)
-        return ExecutionResult(
-            prepared=entry,
-            relation=relation,
-            scalar=scalar,
-            report=report,
-            metrics=metrics,
-            meta=meta,
-        )
 
     # ------------------------------------------------------------------
     # Explain: trace a plan without executing on the serving cluster
@@ -1593,7 +1446,7 @@ class Engine:
         """Record one execution into the session stats and the registry.
 
         ``path`` labels the serving path that handled the query:
-        ``cold`` | ``cached`` | ``degraded`` | ``failed``.
+        ``cold`` | ``cached`` | ``failed``.
         """
         self._stats.record(metrics)
         reg = self.registry
@@ -1625,8 +1478,6 @@ class Engine:
             "repro_engine_backend_requests": s.total_backend_requests,
             "repro_engine_failures": s.failures,
             "repro_engine_deadline_misses": s.deadline_misses,
-            "repro_engine_quarantined": s.quarantined,
-            "repro_engine_degraded_serial": s.degraded_serial,
             "repro_engine_fault_events": s.fault_events,
         }
 
@@ -1668,14 +1519,13 @@ class Engine:
             return list(self._plans.values())
 
     def clear_caches(self) -> None:
-        """Drop prepared plans, cached relations, recordings, quarantine."""
+        """Drop prepared plans, cached relations and recordings."""
         with self._lock:
             self._plans.clear()
             self._bound_cache.clear()
             self._dist_cache.clear()
             self._recordings.clear()
             self._recording_bytes = 0
-            self._quarantine.clear()
 
     def __repr__(self) -> str:
         return (

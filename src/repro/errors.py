@@ -56,19 +56,19 @@ class AllocationError(MPCError):
 # hanging past its timeout — as opposed to the deterministic errors above
 # (bad queries, bad data, simulator misuse).  The distinction matters
 # because faults are retryable: re-executing the same pure computation on
-# a respawned worker, inline, or on the serial backend yields the exact
-# same result (the simulation is deterministic), so every layer from the
-# backend up owns a rung of the degradation ladder
-# (respawn -> resubmit -> inline -> serial -> quarantine).
+# a respawned worker or inline in the coordinator yields the exact same
+# result (the simulation is deterministic), so the multiprocess backend
+# owns the whole recovery ladder (respawn -> resubmit -> inline) and the
+# engine only reports what escapes it.
 # ----------------------------------------------------------------------
 
 
 class FaultError(MPCError):
     """Base class for recoverable environmental faults.
 
-    Catching this type is how the engine separates "retry/degrade"
-    failures from deterministic errors that would fail identically on
-    any backend.
+    Catching this type is how a caller separates retryable failures
+    from deterministic errors that would fail identically on any
+    backend.
     """
 
 
@@ -83,22 +83,14 @@ class WorkerDied(FaultError):
 class RoundTimeout(FaultError):
     """A backend round did not complete within its configured timeout.
 
-    Raised internally when a worker is declared hung; surfaces to callers
-    only wrapped in :class:`RetryExhausted` (the supervisor kills and
-    respawns hung workers rather than propagating).
+    Raised internally when a worker is declared hung; never surfaces to
+    callers (the supervisor kills and respawns hung workers and
+    resubmits their slice rather than propagating).
     """
 
     def __init__(self, message: str, worker: int | None = None) -> None:
         super().__init__(message)
         self.worker = worker
-
-
-class RetryExhausted(FaultError):
-    """Recovery gave up: the retry budget is spent and degradation is off.
-
-    ``__cause__`` carries the last underlying fault (:class:`WorkerDied`
-    or :class:`RoundTimeout`).
-    """
 
 
 class DeadlineExceeded(FaultError):
@@ -107,16 +99,6 @@ class DeadlineExceeded(FaultError):
     Checked cooperatively at every ledger post — i.e. between simulated
     communication rounds — so a deadline cancels a query mid-execution,
     not just before it starts.
-    """
-
-
-class QueryQuarantined(EngineError):
-    """The engine fast-failed a query previously marked unservable.
-
-    A query that exhausts the whole degradation ladder is quarantined:
-    until its input relations change version, further submissions raise
-    this error immediately (carrying the original failure text) instead
-    of burning the retry budget again.
     """
 
 

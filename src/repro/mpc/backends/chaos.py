@@ -2,10 +2,9 @@
 
 :class:`FaultInjectingBackend` wraps a real backend and sabotages it with
 seed-driven faults so the recovery machinery — the multiprocess backend's
-worker supervision (respawn/resubmit/inline), the engine's degradation
-ladder — runs under test on every conformance cell instead of living in
-``pragma: no cover`` branches.  The wrapper is a *pure* perturbation of
-the execution environment:
+worker supervision (respawn/resubmit/inline) — runs under test on every
+conformance cell instead of living in ``pragma: no cover`` branches.
+The wrapper is a *pure* perturbation of the execution environment:
 
 * **Delivery and the ledger are never touched.**  ``exchange`` passes
   straight through, and all tallying stays in the coordinator, so a
@@ -30,8 +29,8 @@ the execution environment:
     (transient pickle corruption: the worker dies decoding and is
     respawned);
   - ``drop``         — lose the whole round before dispatch and re-drive
-    it (the wrapper's own retry rung; bounded, then the round is forced
-    through).
+    it (the wrapper's own retry rung; after ``_MAX_DROPS`` drops the
+    round is forced through to the inner backend with no sabotage).
 
   Process-level faults need a process-backed inner backend; against an
   in-process inner (serial) they are recorded as ``skipped`` and the
@@ -55,7 +54,7 @@ import signal
 import threading
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.errors import MPCError, RetryExhausted
+from repro.errors import MPCError
 from repro.mpc.backends.base import Backend
 from repro.mpc.backends.multiprocess import MultiprocessBackend
 
@@ -75,7 +74,7 @@ _WEIGHTED_KINDS = (
     ("drop", 0.15),
 )
 
-#: Consecutive dropped rounds before the drop rung gives up.
+#: Consecutive dropped rounds before the round is forced through.
 _MAX_DROPS = 3
 
 
@@ -264,8 +263,9 @@ class FaultInjectingBackend(Backend):
         At most one fault is drawn per dispatched round.  ``drop`` loses
         the round before dispatch and re-drives it (re-execution of pure
         ops on immutable parts is idempotent — worker memos make it
-        nearly free); the other kinds sabotage worker processes and let
-        the inner backend's supervision recover mid-round.
+        nearly free), at most ``_MAX_DROPS`` times before the round goes
+        through unsabotaged; the other kinds sabotage worker processes
+        and let the inner backend's supervision recover mid-round.
 
         ``meter``/``span`` pass straight through to the inner backend:
         the inner pool emits the ``backend.round``/``worker.round`` spans
@@ -273,20 +273,14 @@ class FaultInjectingBackend(Backend):
         and charges the meter, so a traced query looks the same whether
         or not chaos sits in the middle.
         """
-        drops = 0
-        while True:
+        for _ in range(_MAX_DROPS):
             fault = self._draw()
-            if fault == "drop":
-                self._count_injected("drop")
-                self.fault_log.append(("drop", None))
-                drops += 1
-                if drops > _MAX_DROPS:  # pragma: no cover - needs rate=1
-                    raise RetryExhausted(
-                        f"chaos: {drops} consecutive rounds dropped"
-                    )
-                continue
-            if fault is not None:
-                self._sabotage(fault)
-            # After a "kill_after" the round itself succeeds; the *next*
-            # dispatch finds the corpse.
-            return self.inner.run_ops(ops, meter=meter, span=span)
+            if fault != "drop":
+                if fault is not None:
+                    self._sabotage(fault)
+                break
+            self._count_injected("drop")
+            self.fault_log.append(("drop", None))
+        # After a "kill_after" the round itself succeeds; the *next*
+        # dispatch finds the corpse.
+        return self.inner.run_ops(ops, meter=meter, span=span)

@@ -24,11 +24,12 @@ Design points:
   received in the failed round are kept; only the failed worker's
   unacknowledged slice is resubmitted, bounded by ``retry_budget``
   resubmission rounds with exponential backoff.  When the budget is
-  spent the remaining slice degrades to inline (serial) execution in
-  the coordinator rather than failing the query — every step of the
-  ladder recomputes the same pure function on the same immutable parts,
-  so outputs and ledgers are bit-identical to the fault-free run (the
-  conformance grid enforces this under the ``chaos`` backend).
+  spent the remaining slice always runs inline in the coordinator
+  rather than failing the query.  This respawn -> resubmit -> inline
+  ladder is the only place a fault is recovered: each rung recomputes
+  the same pure function on the same immutable parts, so outputs and
+  ledgers are bit-identical to the fault-free run (the conformance
+  grid enforces this under the ``chaos`` backend).
   Recovery events are observable via :meth:`fault_stats`.
 * **Deterministic part affinity.**  Part ``i`` always goes to worker
   ``i mod W``, so repeated computations over the same immutable parts hit
@@ -79,7 +80,7 @@ from hashlib import blake2b
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.data.columns import pack_blob, unpack_blob
-from repro.errors import MPCError, RetryExhausted, RoundTimeout, WorkerDied
+from repro.errors import MPCError, RoundTimeout, WorkerDied
 from repro.mpc.backends.base import Backend, deliver_local
 
 __all__ = ["MultiprocessBackend"]
@@ -244,14 +245,10 @@ class MultiprocessBackend(Backend):
             resubmitted).  ``None`` (or a non-positive value) disables
             the watchdog.
         retry_budget: Resubmission rounds allowed after worker faults
-            before the remaining slice degrades.
+            before the remaining slice runs inline in the coordinator
+            (a degraded round, never a failed query).
         backoff_base: First-retry backoff in seconds; doubles per fault
             round (capped at 2s).  0 disables sleeping.
-        degrade_to_inline: After the retry budget is spent, run the
-            unrecovered slice inline in the coordinator (the default —
-            a degraded round, never a failed query).  ``False`` raises
-            :class:`~repro.errors.RetryExhausted` instead, for callers
-            that own a higher rung of the degradation ladder.
     """
 
     name = "multiprocess"
@@ -262,7 +259,6 @@ class MultiprocessBackend(Backend):
         round_timeout: float | None = 60.0,
         retry_budget: int = 3,
         backoff_base: float = 0.05,
-        degrade_to_inline: bool = True,
     ) -> None:
         if workers is not None and workers < 1:
             raise MPCError(f"need at least one worker, got {workers}")
@@ -272,7 +268,6 @@ class MultiprocessBackend(Backend):
         )
         self.retry_budget = max(0, retry_budget)
         self.backoff_base = backoff_base
-        self.degrade_to_inline = degrade_to_inline
         self._conns: list[Any] | None = None
         self._procs: list[Any] = []
         self._ctx: Any = None
@@ -301,7 +296,6 @@ class MultiprocessBackend(Backend):
             "resubmitted_jobs": 0,
             "inline_degradations": 0,
         }
-        self._last_fault: WorkerDied | RoundTimeout | None = None
 
     # ------------------------------------------------------------------
     def wire_stats(self) -> dict:
@@ -680,15 +674,8 @@ class MultiprocessBackend(Backend):
 
         The functions are pure and the parts immutable, so the inline
         results are identical to what a healthy worker would have
-        returned — a degraded round, never a wrong one.  With
-        ``degrade_to_inline=False`` the caller owns the next rung and
-        gets :class:`~repro.errors.RetryExhausted` instead.
+        returned — a degraded round, never a wrong one.
         """
-        if not self.degrade_to_inline:
-            raise RetryExhausted(
-                f"{len(jobs)} jobs unrecovered after {self.retry_budget} "
-                f"resubmission rounds"
-            ) from self._last_fault
         self._count_fault("inline_degradations", len(jobs))
         for k, idx in jobs:
             fn, parts, common = shipped[k][4:]
@@ -700,19 +687,17 @@ class MultiprocessBackend(Backend):
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not conn.poll(remaining):
-                fault = RoundTimeout(
-                    f"worker reply not received within {self.round_timeout}s"
-                )
-                self._last_fault = fault
                 self._count_fault("round_timeouts")
-                raise _WorkerGone(fault)
+                raise _WorkerGone(RoundTimeout(
+                    f"worker reply not received within {self.round_timeout}s"
+                ))
         try:
             return pickle.loads(conn.recv_bytes())
         except (EOFError, OSError) as exc:
-            fault = WorkerDied(f"worker pipe broke mid-round: {exc!r}")
-            self._last_fault = fault
             self._count_fault("worker_deaths")
-            raise _WorkerGone(fault) from exc
+            raise _WorkerGone(
+                WorkerDied(f"worker pipe broke mid-round: {exc!r}")
+            ) from exc
 
     def _ops_round(
         self,
@@ -764,13 +749,10 @@ class MultiprocessBackend(Backend):
                         "worker.round", worker=wi,
                         steps=len(steps), jobs=len(order[wi]), retry=retry,
                     )
-            except OSError as exc:
+            except OSError:
                 # Dead before dispatch: this round's whole slice is lost
                 # (nothing was acknowledged), but the pool and every other
                 # worker's round proceed untouched.
-                self._last_fault = WorkerDied(
-                    f"worker {wi} dead at dispatch: {exc!r}", worker=wi
-                )
                 self._count_fault("worker_deaths")
                 if tracing:
                     span.child(

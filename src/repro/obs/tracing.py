@@ -10,7 +10,6 @@ span tree for one traced query looks like::
           worker.round              (one worker's slice of that round;
                                      carries worker-reported decode/compute
                                      seconds shipped back over the IPC pipe)
-      degrade_serial                (only if the fault ladder bottomed out)
 
 Worker processes never write spans themselves: the coordinator sends
 ``(trace_id, span_id)`` alongside each ops request, workers measure their

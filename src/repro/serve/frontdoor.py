@@ -151,7 +151,7 @@ class Frontdoor:
             deterministic setup for admission tests (fill to
             ``shed_after``, observe the shed) and staged deployments.
         **engine_kwargs: Forwarded to every :class:`Engine` (e.g.
-            ``result_cache=False``, ``degrade_to_serial=False``).
+            ``result_cache=False``, ``result_cache_entries=64``).
     """
 
     def __init__(
@@ -536,7 +536,7 @@ class Frontdoor:
         shipped: set[tuple] = set()
         for req, res in zip(ready, results):
             m = res.metrics
-            if not res.ok or m.result_cached or m.degraded_serial:
+            if not res.ok or m.result_cached:
                 continue
             index_key = (req.key, req.algorithm)
             if index_key in shipped:

@@ -16,7 +16,7 @@ from repro.data.generators import (
 from repro.data.relation import Relation
 from repro.engine import Engine, parse_query
 from repro.engine import session as session_module
-from repro.errors import DeadlineExceeded, EngineError, FaultError
+from repro.errors import DeadlineExceeded, EngineError, FaultError, MPCError
 from repro.mpc import Cluster
 from repro.mpc.backends import MultiprocessBackend, SerialBackend, get_backend
 from repro.query import catalog
@@ -152,8 +152,8 @@ SHARING = (  # serve_churn's shapes, so each base relation serves several;
 )
 
 
-def _sharing_engine(backend="serial", **kwargs) -> Engine:
-    eng = Engine(p=4, backend=backend, result_cache=False, **kwargs)
+def _sharing_engine(backend="serial") -> Engine:
+    eng = Engine(p=4, backend=backend, result_cache=False)
     eng.register(Relation("R1", ("A", "B"), [(i, i * i % 11) for i in range(160)]))
     eng.register(Relation("R2", ("B", "C"), [(i % 11, i % 7) for i in range(120)]))
     eng.register(Relation("R3", ("C", "D"), [(i * i % 7, i) for i in range(90)]))
@@ -239,11 +239,11 @@ def test_a_miss_or_a_fault_mid_execution_leaves_no_sort_half_paid(monkeypatch):
     # ... and the retry, on the same relations, is the fault-free run.
     assert eng.execute(victim[0], algorithm=victim[1]).report.as_dict() == want[victim]
 
-    # The same for a backend fault in its third sort: the query is
-    # quarantined, the others read the relations it had sorted and paid for.
+    # The same for a backend fault in its third sort: the query fails,
+    # the others read the relations it had sorted and paid for.
     backend = _FaultAtRound()
     backend.fail_at = 3
-    eng = _sharing_engine(backend, degrade_to_serial=False)
+    eng = _sharing_engine(backend)
     with pytest.raises(FaultError):
         eng.execute(victim[0], algorithm=victim[1])
     assert _carried_runs(eng) >= 2
@@ -251,6 +251,22 @@ def test_a_miss_or_a_fault_mid_execution_leaves_no_sort_half_paid(monkeypatch):
         if query != victim:
             res = eng.execute(query[0], algorithm=query[1])
             assert res.report.as_dict() == want[query], query
+
+
+class _WorkerRaises(SerialBackend):
+    """Serial backend whose rounds fail the way a pool's worker error does."""
+
+    def run_ops(self, ops, meter=None, span=None):
+        raise MPCError("map_parts failed in worker 0: ValueError('boom')")
+
+
+def test_a_non_fault_error_from_a_cold_execution_is_recorded_failed():
+    eng = _sharing_engine(_WorkerRaises())
+    with pytest.raises(MPCError, match="worker 0"):
+        eng.execute(LINE3)
+    stats = eng.stats()
+    assert (stats.queries, stats.failures) == (1, 1)
+    assert 'repro_queries_total{path="failed"} 1' in eng.metrics_text()
 
 
 def test_cyclic_query_is_never_repriced(monkeypatch):

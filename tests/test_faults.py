@@ -1,12 +1,12 @@
-"""Fault tolerance: supervision, injection, deadlines, degradation.
+"""Fault tolerance: supervision, injection, deadlines, failure reporting.
 
 The recovery contract under test is DESIGN.md section 8: faults may cost
 wall-clock, retries, and backend round-trips — never correctness.  Every
-recovered (or degraded) execution must produce outputs and LoadReports
-bit-identical to the fault-free serial run, because the simulation is
-deterministic and every rung of the ladder (respawn → resubmit → inline
-→ serial → quarantine) recomputes the same pure functions on the same
-immutable parts.
+recovered execution must produce outputs and LoadReports bit-identical
+to the fault-free serial run, because the simulation is deterministic
+and every rung of the pool's ladder (respawn → resubmit → inline)
+recomputes the same pure functions on the same immutable parts.  What
+escapes the pool, the engine records as failed and re-raises.
 """
 
 from __future__ import annotations
@@ -25,16 +25,18 @@ from repro.data.relation import Relation
 from repro.engine import Engine
 from repro.errors import (
     DeadlineExceeded,
-    EngineError,
     FaultError,
     MPCError,
-    QueryQuarantined,
     ReproError,
-    RetryExhausted,
     RoundTimeout,
     WorkerDied,
 )
-from repro.mpc.backends import FaultInjectingBackend, MultiprocessBackend
+from repro.mpc.backends import (
+    FaultInjectingBackend,
+    MultiprocessBackend,
+    SerialBackend,
+)
+from repro.mpc.backends import chaos as chaos_module
 from repro.mpc.cluster import Cluster
 from repro.query import catalog
 
@@ -95,17 +97,10 @@ def supervised():
 
 class TestTaxonomy:
     def test_faults_are_retryable_mpc_errors(self):
-        for exc_type in (WorkerDied, RoundTimeout, RetryExhausted,
-                         DeadlineExceeded):
+        for exc_type in (WorkerDied, RoundTimeout, DeadlineExceeded):
             assert issubclass(exc_type, FaultError)
             assert issubclass(exc_type, MPCError)
             assert issubclass(exc_type, ReproError)
-
-    def test_quarantine_is_an_engine_error_not_a_fault(self):
-        # Fast-fails are deterministic (same answer every submission), so
-        # callers retrying on FaultError must not catch them.
-        assert issubclass(QueryQuarantined, EngineError)
-        assert not issubclass(QueryQuarantined, FaultError)
 
     def test_worker_faults_carry_the_worker_index(self):
         assert WorkerDied("gone", worker=3).worker == 3
@@ -172,20 +167,6 @@ class TestSupervision:
             os.kill(backend._procs[0].pid, signal.SIGKILL)
             assert backend.map_parts(_sort_part, parts) == [[1, 2], [3, 4]]
             assert backend.fault_stats()["inline_degradations"] == 2
-        finally:
-            backend.close()
-
-    def test_degrade_disabled_raises_retry_exhausted(self):
-        backend = MultiprocessBackend(
-            workers=1, retry_budget=0, backoff_base=0.0,
-            degrade_to_inline=False,
-        )
-        try:
-            backend.map_parts(_len_part, [[1], [2]])
-            os.kill(backend._procs[0].pid, signal.SIGKILL)
-            with pytest.raises(RetryExhausted) as info:
-                backend.map_parts(_sort_part, [[2, 1], [4, 3]])
-            assert isinstance(info.value.__cause__, (WorkerDied, RoundTimeout))
         finally:
             backend.close()
 
@@ -374,17 +355,15 @@ class TestChaosBackend:
 
     def test_drop_re_drives_the_round(self):
         backend = FaultInjectingBackend(
-            inner=MultiprocessBackend(workers=1, backoff_base=0.0),
-            seed=9, rate=1.0, kinds=("drop",),
+            inner="serial", seed=9, rate=1.0, kinds=("drop",)
         )
-        try:
-            with pytest.raises(RetryExhausted, match="dropped"):
-                backend.map_parts(_sort_part, [[2, 1]])
-            backend.rate = 0.5  # some rounds now dispatch
-            assert backend.map_parts(_sort_part, [[2, 1]]) == [[1, 2]]
-            assert backend.fault_stats()["injected_drop"] >= 1
-        finally:
-            backend.close()
+        # Every draw is a drop: the rung gives up after _MAX_DROPS and
+        # forces the round through, unsabotaged, to the inner backend.
+        assert backend.map_parts(_sort_part, [[2, 1]]) == [[1, 2]]
+        assert backend.fault_log == [("drop", None)] * chaos_module._MAX_DROPS
+        assert backend.fault_stats()["injected_drop"] == chaos_module._MAX_DROPS
+        backend.rate = 0.5  # some rounds now dispatch on the first draw
+        assert backend.map_parts(_sort_part, [[2, 1]]) == [[1, 2]]
 
     def test_chaos_refuses_to_wrap_itself(self):
         inner = FaultInjectingBackend(inner=MultiprocessBackend(workers=1))
@@ -413,23 +392,8 @@ class TestChaosBackend:
 
 
 # ----------------------------------------------------------------------
-# Engine resilience: deadlines, quarantine, serial degradation, budgets
+# Engine resilience: deadlines, failure reporting, budgets
 # ----------------------------------------------------------------------
-
-def _faulty_engine(**engine_kwargs):
-    """An engine whose backend always fails its rounds past recovery."""
-    chaos = FaultInjectingBackend(
-        inner=MultiprocessBackend(
-            workers=1, retry_budget=0, backoff_base=0.0,
-            degrade_to_inline=False,
-        ),
-        seed=3, rate=1.0, kinds=("kill",),
-    )
-    engine = Engine(p=6, backend=chaos, **engine_kwargs)
-    for name, rel in _binary_relations().items():
-        engine.register(rel, name=name)
-    return engine, chaos
-
 
 class TestEngineResilience:
     @pytest.fixture
@@ -448,7 +412,7 @@ class TestEngineResilience:
         stats = engine.stats()
         assert stats.deadline_misses == 1
         assert stats.failures == 1
-        # A miss is not a quarantine: the same query serves normally.
+        # A miss fails only this call: the same query serves normally.
         res = engine.execute(BINARY)
         assert res.ok and res.metrics.load > 0
 
@@ -463,40 +427,34 @@ class TestEngineResilience:
         # The partial ledger was discarded: the next re-drive is exact.
         assert engine.execute(BINARY).report.as_dict() == want.report.as_dict()
 
-    def test_degrade_to_serial_serves_identical_results(self, serial_ref):
-        engine, chaos = _faulty_engine(degrade_to_serial=True)
-        try:
-            res = engine.execute(BINARY)
-            assert res.metrics.degraded_serial
-            assert res.meta["degraded_serial"]
-            assert sorted(res.rows()) == sorted(serial_ref.rows())
-            assert res.report.as_dict() == serial_ref.report.as_dict()
-            assert engine.stats().degraded_serial == 1
-            assert not engine.quarantined_queries()
-        finally:
-            chaos.close()
+    def test_an_escaping_fault_fails_the_call_not_the_query(self, serial_ref):
+        class FaultOnce(SerialBackend):
+            faults = 1
 
-    def test_quarantine_fast_fails_until_data_changes(self):
-        engine, chaos = _faulty_engine(degrade_to_serial=False)
-        try:
-            with pytest.raises(FaultError):
-                engine.execute(BINARY)
-            assert BINARY in engine.quarantined_queries()
-            with pytest.raises(QueryQuarantined, match="RetryExhausted"):
-                engine.execute(BINARY)
-            stats = engine.stats()
-            assert stats.quarantined == 1
-            assert stats.quarantine_fast_fails == 1
-            # Parole: new data versions get a fresh attempt (and with the
-            # injection off, it succeeds).
-            relations = _binary_relations()
-            engine.register(relations["R1"], name="R1")
-            chaos.rate = 0.0
-            res = engine.execute(BINARY)
-            assert res.ok
-            assert not engine.quarantined_queries()
-        finally:
-            chaos.close()
+            def run_ops(self, ops, meter=None, span=None):
+                if self.faults:
+                    self.faults -= 1
+                    raise WorkerDied("injected")
+                return super().run_ops(ops, meter=meter, span=span)
+
+        backend = FaultOnce()
+        engine = Engine(p=6, backend=backend)
+        for name, rel in _binary_relations().items():
+            engine.register(rel, name=name)
+        with pytest.raises(WorkerDied, match="injected"):
+            engine.execute(BINARY)
+        stats = engine.stats()
+        assert (stats.queries, stats.failures) == (1, 1)
+        assert stats.per_query[-1].error == "WorkerDied: injected"
+        # No fast-fail: the same query on unchanged data drives the
+        # backend again, and serves the fault-free result.
+        before = backend.requests
+        res = engine.execute(BINARY)
+        assert backend.requests > before
+        assert not res.metrics.result_cached
+        assert sorted(res.rows()) == sorted(serial_ref.rows())
+        assert res.report.as_dict() == serial_ref.report.as_dict()
+        assert (stats.queries, stats.failures) == (2, 1)
 
     def test_batch_embeds_failures_and_keeps_alignment(self):
         engine = Engine(p=6, backend="serial")
