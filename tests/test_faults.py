@@ -456,6 +456,60 @@ class TestEngineResilience:
         assert res.report.as_dict() == serial_ref.report.as_dict()
         assert (stats.queries, stats.failures) == (2, 1)
 
+    def test_an_escaping_fault_is_re_raised_unchanged_on_a_clean_ledger(self):
+        class FaultAtSecondRound(SerialBackend):
+            rounds = 0
+            raised = None
+
+            def run_ops(self, ops, meter=None, span=None):
+                self.rounds += 1
+                if self.rounds == 2:
+                    self.raised = WorkerDied("mid-execution")
+                    raise self.raised
+                return super().run_ops(ops, meter=meter, span=span)
+
+        backend = FaultAtSecondRound()
+        engine = Engine(p=6, backend=backend)
+        for name, rel in _binary_relations().items():
+            engine.register(rel, name=name)
+        with pytest.raises(WorkerDied) as info:
+            engine.execute(BINARY, deadline=60.0)
+        # The very exception the backend raised, not a wrapper around it.
+        assert info.value is backend.raised
+        # The steps already paid for are discarded with the ledger,
+        # and the deadline is disarmed for whoever uses the cluster next.
+        report = engine._cluster.snapshot()
+        assert (report.load, report.steps) == (0, 0)
+        assert engine._cluster.deadline is None
+        stats = engine.stats()
+        assert (stats.failures, stats.deadline_misses) == (1, 0)
+
+    def test_the_pool_absorbs_a_fault_on_every_round(self, serial_ref):
+        """Every round draws a kill and the pool has no retry budget: its
+        inline rung serves each round, so the engine sees no failure."""
+        chaos = FaultInjectingBackend(
+            inner=MultiprocessBackend(
+                workers=1, retry_budget=0, backoff_base=0.0
+            ),
+            seed=3, rate=1.0, kinds=("kill",),
+        )
+        engine = Engine(p=6, backend=chaos)
+        try:
+            for name, rel in _binary_relations().items():
+                engine.register(rel, name=name)
+            res = engine.execute(BINARY)
+            assert sorted(res.rows()) == sorted(serial_ref.rows())
+            assert res.report.as_dict() == serial_ref.report.as_dict()
+            assert chaos.fault_stats()["inline_degradations"] > 0
+            stats = engine.stats()
+            assert stats.failures == 0 and stats.fault_events > 0
+            assert (
+                f"faults: {stats.fault_events} absorbed, 0 failures "
+                "(0 deadline)"
+            ) in stats.summary()
+        finally:
+            chaos.close()
+
     def test_batch_embeds_failures_and_keeps_alignment(self):
         engine = Engine(p=6, backend="serial")
         for name, rel in _binary_relations().items():

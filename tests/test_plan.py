@@ -367,3 +367,23 @@ def test_serving_path_never_records_a_trace(monkeypatch, workload):
     monkeypatch.undo()
     assert "physical plan" in engine.explain(deck.queries[0])
     assert "wall=" in engine.explain(deck.queries[0], timings=True)
+
+
+def test_a_fault_the_pool_absorbs_never_records_a_trace(monkeypatch):
+    """The pool's inline rerun after a chaos-injected kill serves untraced."""
+    from repro.mpc.backends import FaultInjectingBackend, MultiprocessBackend
+
+    _refuse_tracing(monkeypatch)
+    chaos = FaultInjectingBackend(
+        inner=MultiprocessBackend(workers=1, retry_budget=0, backoff_base=0.0),
+        seed=3, rate=1.0, kinds=("kill",),
+    )
+    try:
+        engine = Engine(p=4, backend=chaos)
+        engine.register(Relation("R1", ("A", "B"), [(i, i % 5) for i in range(60)]))
+        engine.register(Relation("R2", ("B", "C"), [(i % 5, i % 7) for i in range(60)]))
+        res = engine.execute("Q(A,B,C) :- R1(A,B), R2(B,C)")
+        assert res.ok and res.metrics.fault_events > 0
+        assert chaos.fault_stats()["inline_degradations"] > 0
+    finally:
+        chaos.close()
