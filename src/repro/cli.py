@@ -178,20 +178,31 @@ def _serve_frontdoor(args, workload, tracer=None) -> int:
     from pathlib import Path
 
     from repro.io import read_relation_csv
+    from repro.mpc.backends.chaos import CHAOS_SEED_ENV
     from repro.serve import Frontdoor
 
     backend = args.backend
+    saved_seed = os.environ.get(CHAOS_SEED_ENV)
     if args.chaos:
         backend = "chaos"
         if args.chaos_seed is not None:
-            os.environ["REPRO_CHAOS_SEED"] = str(args.chaos_seed)
-    with Frontdoor(
-        p=args.servers,
-        replicas=args.replicas,
-        backend=backend,
-        shed_after=args.shed_after,
-        tracer=tracer,
-    ) as door:
+            # Each replica builds its own chaos backend, which reads the
+            # seed from the environment when it is constructed.
+            os.environ[CHAOS_SEED_ENV] = str(args.chaos_seed)
+    try:
+        door = Frontdoor(
+            p=args.servers,
+            replicas=args.replicas,
+            backend=backend,
+            shed_after=args.shed_after,
+            tracer=tracer,
+        )
+    finally:
+        if saved_seed is None:
+            os.environ.pop(CHAOS_SEED_ENV, None)
+        else:
+            os.environ[CHAOS_SEED_ENV] = saved_seed
+    with door:
         for path in sorted(Path(args.data_dir).glob("*.csv")):
             door.register(read_relation_csv(path))
         for rnd in range(max(1, args.repeat)):

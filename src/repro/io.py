@@ -132,7 +132,9 @@ def infer_query(directory: str | Path, name: str | None = None) -> Hypergraph:
     edges = {}
     for p in sorted(directory.glob("*.csv")):
         with open(p, newline="") as fh:
-            header = next(csv.reader(fh))
+            header = next(csv.reader(fh), None)
+        if header is None:
+            raise SchemaError(f"{p} is empty; expected a header row")
         edges[p.stem] = tuple(
             h.strip() for h in header if h.strip() != WEIGHT_COLUMN
         )

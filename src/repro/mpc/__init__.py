@@ -6,7 +6,6 @@ from repro.mpc.backends import (
     SerialBackend,
     available_backends,
     get_backend,
-    register_backend,
     shutdown_backends,
 )
 from repro.mpc.cluster import Cluster, LoadReport
@@ -39,7 +38,6 @@ __all__ = [
     "MultiprocessBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "shutdown_backends",
     "DistRelation",
     "distribute_instance",

@@ -1,18 +1,17 @@
-"""Execution-backend registry.
+"""Execution-backend registry: a fixed serial / multiprocess / chaos table.
 
 Backends resolve in three ways, in priority order:
 
 1. A :class:`Backend` *instance* is used as-is (caller owns its lifetime).
-2. A registered *name* (``"serial"``, ``"multiprocess"``, ...) resolves to
-   a process-wide shared instance, created on first use — worker pools are
-   expensive, so name lookups deliberately share one.
+2. A registered *name* (``"serial"``, ``"multiprocess"``, ``"chaos"``)
+   resolves to a process-wide shared instance, created on first use —
+   worker pools are expensive, so name lookups deliberately share one.
 3. ``None`` falls back to the ``REPRO_BACKEND`` environment variable, then
    to ``"serial"``.  The environment hook is how CI runs the entire tier-1
    suite under a non-default backend without touching a single test.
 
-New backends call :func:`register_backend`; the differential conformance
-harness (``tests/conformance/``) picks up every registered name
-automatically and holds it to the serial reference.
+The differential conformance harness (``tests/conformance/``) replays its
+grid on every name in the table and holds it to the serial reference.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import os
 from typing import Callable
 
 from repro.errors import MPCError
-from repro.mpc.backends.base import Backend, deliver_local
+from repro.mpc.backends.base import Backend
 from repro.mpc.backends.chaos import FaultInjectingBackend
 from repro.mpc.backends.multiprocess import MultiprocessBackend
 from repro.mpc.backends.serial import SerialBackend
@@ -31,8 +30,6 @@ __all__ = [
     "SerialBackend",
     "MultiprocessBackend",
     "FaultInjectingBackend",
-    "deliver_local",
-    "register_backend",
     "available_backends",
     "create_backend",
     "get_backend",
@@ -43,27 +40,27 @@ __all__ = [
 #: Environment variable selecting the default backend for ``backend=None``.
 BACKEND_ENV = "REPRO_BACKEND"
 
-_FACTORIES: dict[str, Callable[[], Backend]] = {}
+#: Every backend by name, serial (the reference) first.
+_FACTORIES: dict[str, Callable[[], Backend]] = {
+    "serial": SerialBackend,
+    "chaos": FaultInjectingBackend,
+    "multiprocess": MultiprocessBackend,
+}
 _SHARED: dict[str, Backend] = {}
 
 
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    """Register a backend factory under ``name`` (overwrites quietly).
-
-    The factory is called at most once per process for name-based lookups;
-    the resulting instance is shared.
-    """
-    _FACTORIES[name] = factory
-    _SHARED.pop(name, None)
-
-
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, serial (the reference) first."""
-    names = sorted(_FACTORIES)
-    if "serial" in names:
-        names.remove("serial")
-        names.insert(0, "serial")
-    return tuple(names)
+    """Backend names, serial (the reference) first."""
+    return tuple(_FACTORIES)
+
+
+def _known_name(spec: str | None) -> str:
+    name = spec if spec is not None else default_backend_name()
+    if name not in _FACTORIES:
+        raise MPCError(
+            f"unknown backend {name!r}; registered: {available_backends()}"
+        )
+    return name
 
 
 def default_backend_name() -> str:
@@ -75,15 +72,10 @@ def get_backend(spec: "Backend | str | None" = None) -> Backend:
     """Resolve a backend instance from an instance, name, or ``None``."""
     if isinstance(spec, Backend):
         return spec
-    name = spec if spec is not None else default_backend_name()
+    name = _known_name(spec)
     inst = _SHARED.get(name)
     if inst is None:
-        factory = _FACTORIES.get(name)
-        if factory is None:
-            raise MPCError(
-                f"unknown backend {name!r}; registered: {available_backends()}"
-            )
-        inst = _SHARED[name] = factory()
+        inst = _SHARED[name] = _FACTORIES[name]()
     return inst
 
 
@@ -100,13 +92,7 @@ def create_backend(spec: "Backend | str | None" = None) -> Backend:
     """
     if isinstance(spec, Backend):
         return spec
-    name = spec if spec is not None else default_backend_name()
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        raise MPCError(
-            f"unknown backend {name!r}; registered: {available_backends()}"
-        )
-    return factory()
+    return _FACTORIES[_known_name(spec)]()
 
 
 def shutdown_backends() -> None:
@@ -115,7 +101,3 @@ def shutdown_backends() -> None:
         inst.close()
     _SHARED.clear()
 
-
-register_backend("serial", SerialBackend)
-register_backend("multiprocess", MultiprocessBackend)
-register_backend("chaos", FaultInjectingBackend)

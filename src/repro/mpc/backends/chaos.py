@@ -6,14 +6,15 @@ worker supervision (respawn/resubmit/inline) — runs under test on every
 conformance cell instead of living in ``pragma: no cover`` branches.
 The wrapper is a *pure* perturbation of the execution environment:
 
-* **Delivery and the ledger are never touched.**  ``exchange`` passes
-  straight through, and all tallying stays in the coordinator, so a
-  fault can change wall-clock, request counts, and worker lifetimes —
-  never outputs or a single :class:`~repro.mpc.cluster.LoadReport`
-  field.  The conformance grid enforces exactly that: every cell run
-  under ``chaos`` must be bit-identical to the fault-free serial
-  reference.  Determinism is what makes the oracle this cheap — the
-  fault-free run *is* the expected output of every faulted run.
+* **Delivery and the ledger are never touched.**  A backend only runs
+  ``run_ops``; delivery and all tallying stay in the coordinator's
+  :class:`~repro.mpc.group.Group`, so a fault can change wall-clock,
+  request counts, and worker lifetimes — never outputs or a single
+  :class:`~repro.mpc.cluster.LoadReport` field.  The conformance grid
+  enforces exactly that: every cell run under ``chaos`` must be
+  bit-identical to the fault-free serial reference.  Determinism is what
+  makes the oracle this cheap — the fault-free run *is* the expected
+  output of every faulted run.
 * **Faults are deterministic.**  An injection is drawn per dispatched
   round from ``random.Random(seed)``, so a given seed and call sequence
   replays the same fault schedule (``fault_log`` records it).  Fault
@@ -52,7 +53,7 @@ import pickle
 import random
 import signal
 import threading
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import MPCError
 from repro.mpc.backends.base import Backend
@@ -156,16 +157,6 @@ class FaultInjectingBackend(Backend):
     def requests(self) -> int:  # type: ignore[override]
         return self.inner.requests
 
-    def exchange(
-        self,
-        outboxes: Sequence[Iterable[tuple[int, Any]]],
-        size: int,
-        count_self: bool,
-    ) -> tuple[list[list[Any]], list[int]]:
-        # Delivery feeds the ledger; a fault here could corrupt what the
-        # conformance oracle checks, so chaos never touches it.
-        return self.inner.exchange(outboxes, size, count_self)
-
     def wire_stats(self) -> dict:
         return self.inner.wire_stats()
 
@@ -243,15 +234,6 @@ class FaultInjectingBackend(Backend):
         return True
 
     # ------------------------------------------------------------------
-    def map_parts(
-        self,
-        fn: Callable[[list, Any, int], Any],
-        parts: Sequence[list],
-        common: Any = None,
-        owner: Any = None,
-    ) -> list[Any]:
-        return self.run_ops([(fn, parts, common, owner)])[0]
-
     def run_ops(
         self,
         ops: Sequence[tuple[Callable, Sequence[list], Any, Any]],

@@ -1,7 +1,7 @@
 """Shared-nothing worker-process backend with worker supervision.
 
-Runs the pluggable per-server compute stages (:meth:`Backend.map_parts`,
-:meth:`Backend.run_ops`) on a pool of long-lived worker processes.
+Runs the per-server compute stages (:meth:`Backend.run_ops`) on a pool
+of long-lived worker processes.
 Design points:
 
 * **Shared-nothing workers.**  Workers receive pure work items as pickled
@@ -57,11 +57,11 @@ Design points:
   Decoding is an exact round-trip, so workers compute on *identical* row
   lists and results cannot differ from the serial reference.  The
   cumulative cost of shipped parts is observable via :meth:`wire_stats`.
-* **Message delivery stays in the coordinator.**  ``exchange`` outboxes
+* **Message delivery stays in the coordinator.**  Exchange outboxes
   are built by coordinator-side algorithm code against coordinator-held
-  parts; routing them through workers would serialize every payload twice
-  for zero compute gain.  The seam still flows through the backend so a
-  future distributed backend can override it.
+  parts and delivered by :meth:`Group.exchange
+  <repro.mpc.group.Group.exchange>`; routing them through workers would
+  serialize every payload twice for zero compute gain.
 
 Anything unpicklable (closures, exotic row values) falls back to inline
 execution, keeping behaviour identical at the cost of the speedup.
@@ -77,11 +77,11 @@ import threading
 import time
 from collections import OrderedDict
 from hashlib import blake2b
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.data.columns import pack_blob, unpack_blob
 from repro.errors import MPCError, RoundTimeout, WorkerDied
-from repro.mpc.backends.base import Backend, deliver_local
+from repro.mpc.backends.base import Backend
 
 __all__ = ["MultiprocessBackend"]
 
@@ -335,15 +335,6 @@ class MultiprocessBackend(Backend):
             self._fault_stats[key] += n
 
     # ------------------------------------------------------------------
-    def exchange(
-        self,
-        outboxes: Sequence[Iterable[tuple[int, Any]]],
-        size: int,
-        count_self: bool,
-    ) -> tuple[list[list[Any]], list[int]]:
-        return deliver_local(outboxes, size, count_self)
-
-    # ------------------------------------------------------------------
     def _spawn_worker(self) -> tuple[Any, Any]:
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
@@ -498,15 +489,6 @@ class MultiprocessBackend(Backend):
         return get
 
     # ------------------------------------------------------------------
-    def map_parts(
-        self,
-        fn: Callable[[list, Any, int], Any],
-        parts: Sequence[list],
-        common: Any = None,
-        owner: Any = None,
-    ) -> list[Any]:
-        return self.run_ops([(fn, parts, common, owner)])[0]
-
     def run_ops(
         self,
         ops: Sequence[tuple[Callable, Sequence[list], Any, Any]],
@@ -516,7 +498,7 @@ class MultiprocessBackend(Backend):
         """Execute a whole op chain in one worker round-trip, plus recovery
         rounds when the cache mirror was stale or a worker faulted.
 
-        Per-op fallbacks mirror ``map_parts``: unpicklable ``common`` or
+        Per-op fallbacks: unpicklable ``common`` or
         parts run that op inline; a non-module-level function is an error.
         Worker deaths and hung rounds are recovered per the supervision
         policy (respawn → resubmit → inline; see the class docstring).

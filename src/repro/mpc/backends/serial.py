@@ -7,9 +7,9 @@ backends are differentially tested against this one.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.mpc.backends.base import Backend, deliver_local
+from repro.mpc.backends.base import Backend
 
 __all__ = ["SerialBackend"]
 
@@ -18,24 +18,6 @@ class SerialBackend(Backend):
     """Single-process execution; the reference for every other backend."""
 
     name = "serial"
-
-    def exchange(
-        self,
-        outboxes: Sequence[Iterable[tuple[int, Any]]],
-        size: int,
-        count_self: bool,
-    ) -> tuple[list[list[Any]], list[int]]:
-        return deliver_local(outboxes, size, count_self)
-
-    def map_parts(
-        self,
-        fn: Callable[[list, Any, int], Any],
-        parts: Sequence[list],
-        common: Any = None,
-        owner: Any = None,
-    ) -> list[Any]:
-        self.requests += 1
-        return [fn(part, common, i) for i, part in enumerate(parts)]
 
     def run_ops(
         self,

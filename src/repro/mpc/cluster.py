@@ -5,9 +5,9 @@ evenly, computation in rounds; the cost of an algorithm is its *load* ``L``,
 the maximum number of tuples received by any server in any round (a tuple
 and an O(log IN)-bit integer both count as one unit).
 
-:class:`Cluster` implements exactly that ledger.  Every communication step
-(:meth:`Cluster.tally`) records how many units each server received.  Two
-load statistics are exposed:
+:class:`Cluster` implements exactly that ledger.  Every communication
+step (:meth:`Cluster.tally_members`) records how many units each server
+received.  Two load statistics are exposed:
 
 * :attr:`LoadReport.load` — the maximum over servers of *total* units
   received across the whole algorithm.  For O(1)-round algorithms this is
@@ -120,8 +120,9 @@ class Cluster:
             instance, a registered name (``"serial"``, ``"multiprocess"``),
             or ``None`` for the process default (``REPRO_BACKEND`` env var,
             else serial).  The backend decides *where* per-server compute
-            and message delivery run; the ledger semantics never change
-            (see ``tests/conformance/``).
+            runs; message delivery (:meth:`Group.exchange
+            <repro.mpc.group.Group.exchange>`) and the ledger never
+            change with it (see ``tests/conformance/``).
 
     The cluster itself holds no data — distributed relations live in
     :class:`~repro.mpc.distrel.DistRelation` parts — it only records who
@@ -167,50 +168,26 @@ class Cluster:
         self._by_label: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def tally(self, server_ids: Sequence[int], counts: Sequence[int], label: str) -> None:
-        """Record one exchange step: ``counts[i]`` units arrive at ``server_ids[i]``.
-
-        Args:
-            server_ids: Global server indices (may repeat across calls but
-                not within one call).
-            counts: Units received per listed server.
-            label: Phase label for the report breakdown.
-        """
-        self.check_deadline()
-        if len(server_ids) != len(counts):
-            raise MPCError("server_ids and counts length mismatch")
-        step_total = 0
-        totals = self._totals
-        p = self.p
-        step_max = self._step_max
-        for sid, c in zip(server_ids, counts):
-            if sid < 0 or sid >= p:
-                raise MPCError(f"server id {sid} out of range [0, {p})")
-            if c < 0:
-                raise MPCError("negative message count")
-            totals[sid] += c
-            step_total += c
-            if c > step_max:
-                step_max = c
-        self._step_max = step_max
-        self._steps += 1
-        self._by_label[label] = self._by_label.get(label, 0) + step_total
-        rec = self.recorder
-        if rec is not None:
-            rec.record_charge((tuple(server_ids),), counts, label)
-
     def tally_members(
         self,
         members: Sequence[Sequence[int]],
         counts: Sequence[int],
         label: str,
     ) -> None:
-        """Tally the same received counts on every member of a group family.
+        """Record one exchange step on every member of a group family:
+        ``counts[i]`` units arrive at ``member[i]`` for each member.
 
-        Equivalent to calling :meth:`tally` once per member (each member is
-        its own ledger step) but hoists the per-step aggregates out of the
-        member loop — the replicas are deterministic copies, so their step
-        total and step max are identical by construction.
+        The only ledger post.  Each member is its own ledger step, but the
+        per-step aggregates are hoisted out of the member loop — the
+        replicas are deterministic copies, so their step total and step
+        max are identical by construction.
+
+        Args:
+            members: Tuples of global server indices, each as long as
+                ``counts`` (ids may repeat across calls but not within one
+                member).
+            counts: Units received per local server.
+            label: Phase label for the report breakdown.
         """
         self.check_deadline()
         step_total = 0

@@ -31,7 +31,7 @@ representation a relation currently holds.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 # ``encode_column`` stays importable from here: the column-fence tests
 # patch it under this module's name too.
@@ -194,21 +194,6 @@ class DistRelation:
     def to_relation(self) -> Relation:
         """Materialize as a (deduplicated) RAM relation."""
         return Relation(self.name, self.attrs, self.all_rows())
-
-    def map_parts(self, fn: Callable[[list[Row]], list[Row]], name: str | None = None) -> "DistRelation":
-        """Apply a local (free) transformation to every part."""
-        return DistRelation(
-            name or self.name, self.attrs, [fn(p) for p in self.parts], owned=True
-        )
-
-    def filter_local(self, predicate: Callable[[Row], bool], name: str | None = None) -> "DistRelation":
-        """Local filter (no communication)."""
-        return DistRelation(
-            name or self.name,
-            self.attrs,
-            [[r for r in p if predicate(r)] for p in self.parts],
-            owned=True,
-        )
 
     def rehash(self, group: Group, key_attrs: Sequence[str], label: str, salt: int = 0) -> "DistRelation":
         """Hash-partition by the given attributes (counts as communication)."""

@@ -9,12 +9,14 @@ charging the identical load to every member keeps the simulation cost at
 ``sum p_i`` instead of ``prod p_i`` while preserving the exact ledger the
 real execution would produce (the replicas are deterministic copies).
 
-All message delivery funnels through :meth:`Group.exchange`; higher-level
-helpers (hash routing, gather) and the Section 2 primitives in
-:mod:`repro.mpc.primitives` build on it.  Steps whose messages nobody
-reads — :meth:`Group.broadcast`, the PSRS kernel's shuffle — post their
-per-server counts straight to the ledger entry point ``exchange`` uses,
-:meth:`Cluster.tally_members <repro.mpc.cluster.Cluster.tally_members>`.
+All message delivery funnels through :meth:`Group.exchange`, which
+delivers in process — the backend only decides where local compute runs
+(:meth:`Group.map_parts`); higher-level helpers (hash routing, gather)
+and the Section 2 primitives in :mod:`repro.mpc.primitives` build on it.
+Steps whose messages nobody reads — :meth:`Group.broadcast`, the PSRS
+kernel's shuffle — post their per-server counts straight to the ledger
+entry point ``exchange`` uses, :meth:`Cluster.tally_members
+<repro.mpc.cluster.Cluster.tally_members>`.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ class Group:
     @property
     def representative(self) -> tuple[int, ...]:
         return self.members[0]
-
-    def empty_parts(self) -> list[list[Any]]:
-        """One empty inbox per local server."""
-        return [[] for _ in range(self.size)]
 
     def subgroup(self, local_indices: Sequence[int]) -> "Group":
         """Group over a subset of local indices (across every member)."""
@@ -153,16 +151,27 @@ class Group:
         Returns:
             ``inboxes[j]``: payloads received by local server ``j``, in
             sender order.
+
+        Raises:
+            MPCError: on an outbox count other than the group size or an
+                out-of-range destination.
         """
         size = self.size
         if len(outboxes) != size:
             raise MPCError(
                 f"expected {size} outboxes, got {len(outboxes)}"
             )
-        # Delivery is the backend's job; counting received units is not —
-        # the backend reports per-destination counts and the shared ledger
-        # tallies them on every member of the family (one batched call).
-        inboxes, counts = self.cluster.backend.exchange(outboxes, size, count_self)
+        inboxes: list[list[Any]] = [[] for _ in range(size)]
+        appends = [box.append for box in inboxes]
+        counts = [0] * size
+        for src, box in enumerate(outboxes):
+            for dst, payload in box:
+                if dst < 0 or dst >= size:
+                    raise MPCError(f"destination {dst} out of range [0, {size})")
+                appends[dst](payload)
+                if dst != src or count_self:
+                    counts[dst] += 1
+        # The replicas of a family receive alike: one batched ledger post.
         self.cluster.tally_members(self.members, counts, label)
         return inboxes
 
@@ -191,9 +200,9 @@ class Group:
         rec = cluster.recorder
         if rec is not None:
             rec.record_map_parts(fn, parts, common, owner)
-        # Routed through run_ops (map_parts is its one-op special case on
-        # every backend) so the cluster's per-query wire meter and trace
-        # span ride along; both are None outside an engine execution.
+        # Routed through run_ops (the backend's only operation) so the
+        # cluster's per-query wire meter and trace span ride along; both
+        # are None outside an engine execution.
         return cluster.backend.run_ops(
             [(fn, parts, common, owner)],
             meter=cluster.wire_meter,
@@ -254,12 +263,6 @@ class Group:
         outboxes = [[(dst, item) for item in part] for part in parts]
         inboxes = self.exchange(outboxes, label)
         return inboxes[dst]
-
-    def scatter_even(self, items: Sequence[Any], label: str, src: int = 0) -> list[list[Any]]:
-        """Deal items from one server round-robin across the group."""
-        outboxes: list[list[tuple[int, Any]]] = [[] for _ in range(self.size)]
-        outboxes[src] = [(i % self.size, item) for i, item in enumerate(items)]
-        return self.exchange(outboxes, label)
 
     def __repr__(self) -> str:
         fam = f" x{len(self.members)}" if len(self.members) > 1 else ""

@@ -409,12 +409,12 @@ def charge_pass(group: Group, label: str, arr: Arrangement) -> None:
     """Post one PSRS pass's three steps — sample gather, splitter
     broadcast, shuffle — to the ledger by their per-server counts.
 
-    Every backend's ``exchange`` is the in-process ``deliver_local`` and
-    only its counts reach :meth:`Cluster.tally_members`, so charging the
-    counts is ledger-exact on every backend.  This is the only function
-    that posts a pass: a fresh sort, a cached run first used in a later
-    epoch and the cache-bypassed reference all go through it and cannot
-    drift apart.
+    Delivery is not a backend's to vary: :meth:`Group.exchange` delivers
+    in process and only its counts reach :meth:`Cluster.tally_members`,
+    so charging the counts is ledger-exact on every backend.  This is the
+    only function that posts a pass: a fresh sort, a cached run first
+    used in a later epoch and the cache-bypassed reference all go through
+    it and cannot drift apart.
     """
     if arr.charges is None:
         return

@@ -1,6 +1,6 @@
 """The differential conformance grid: queries x generators x backends.
 
-Every registered execution backend must replay every grid cell with
+Every execution backend must replay every grid cell with
 
 * **bit-identical outputs** — not just the same row *set*: the same rows
   in the same order in the same per-server parts, and
@@ -8,8 +8,11 @@ Every registered execution backend must replay every grid cell with
   ``steps``, per-server ``totals``, and the full ``by_label`` breakdown.
 
 The serial backend is the reference; its run per cell is computed once and
-cached for the whole session.  Adding a backend via
-:func:`repro.mpc.backends.register_backend` automatically enrolls it here.
+cached for the whole session.  Every name in the fixed backend table
+(:func:`repro.mpc.backends.available_backends`) is enrolled here.  A
+backend only decides where ``run_ops`` executes — delivery and the ledger
+are :class:`~repro.mpc.group.Group`'s — so the grid checks that local
+compute, wherever it runs, returns what serial returns.
 
 Set ``REPRO_CONFORMANCE=quick`` for the CI smoke variant (smaller
 instances, same grid shape).
@@ -39,7 +42,7 @@ from repro.semiring import COUNT
 
 QUICK = os.environ.get("REPRO_CONFORMANCE", "").lower() == "quick"
 
-#: All registered backends; the first is the serial reference.
+#: Every backend in the table; the first is the serial reference.
 BACKENDS = available_backends()
 REFERENCE = "serial"
 CHALLENGERS = tuple(b for b in BACKENDS if b != REFERENCE)

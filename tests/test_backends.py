@@ -11,17 +11,15 @@ import pytest
 from repro.data.relation import Relation
 from repro.errors import MPCError
 from repro.mpc import Cluster, distribute_relation
+import repro.mpc.backends as repro_backends
 from repro.mpc.backends import (
     Backend,
     FaultInjectingBackend,
     MultiprocessBackend,
     SerialBackend,
     available_backends,
-    deliver_local,
     get_backend,
-    register_backend,
 )
-from repro.mpc.backends import _FACTORIES, _SHARED  # type: ignore[attr-defined]
 
 
 # ----------------------------------------------------------------------
@@ -89,17 +87,10 @@ class TestRegistry:
         monkeypatch.delenv("REPRO_BACKEND")
         assert get_backend(None).name == "serial"
 
-    def test_register_custom_backend(self):
-        class Echo(SerialBackend):
-            name = "echo-test"
-
-        register_backend("echo-test", Echo)
-        try:
-            assert "echo-test" in available_backends()
-            assert get_backend("echo-test").name == "echo-test"
-        finally:
-            _FACTORIES.pop("echo-test", None)
-            _SHARED.pop("echo-test", None)
+    def test_the_registry_is_a_fixed_table(self):
+        assert available_backends() == ("serial", "chaos", "multiprocess")
+        assert type(get_backend("serial")) is SerialBackend
+        assert not hasattr(repro_backends, "register_backend")
 
     def test_cluster_resolves_backend_by_name(self):
         from repro.mpc.backends import default_backend_name
@@ -158,25 +149,24 @@ OUTBOXES = [
 
 
 class TestExchange:
+    """Delivery is :meth:`Group.exchange`'s own, on every backend."""
+
     def test_reference_delivery_counts(self):
-        inboxes, counts = deliver_local(OUTBOXES, 4, count_self=False)
+        cluster = Cluster(4)
+        inboxes = cluster.root_group().exchange(OUTBOXES, "x")
         assert inboxes == [["self", "c"], ["a"], ["b", "d", "e"], []]
-        assert counts == [1, 1, 3, 0]  # self-message at 0 is free
+        assert cluster.snapshot().totals == (1, 1, 3, 0)  # self-message at 0 is free
 
     def test_count_self(self):
-        _inboxes, counts = deliver_local(OUTBOXES, 4, count_self=True)
-        assert counts == [2, 1, 3, 0]
-
-    @pytest.mark.parametrize("name", available_backends())
-    def test_backends_agree_with_reference(self, name):
-        backend = get_backend(name)
-        assert backend.exchange(OUTBOXES, 4, False) == deliver_local(
-            OUTBOXES, 4, False
-        )
+        cluster = Cluster(4)
+        cluster.root_group().exchange(OUTBOXES, "x", count_self=True)
+        assert cluster.snapshot().totals == (2, 1, 3, 0)
 
     def test_bad_destination_raises(self):
+        cluster = Cluster(4)
         with pytest.raises(MPCError, match="out of range"):
-            deliver_local([[(7, "x")]], 4, False)
+            cluster.root_group().exchange([[(7, "x")], [], [], []], "x")
+        assert cluster.snapshot().steps == 0  # nothing posted
 
 
 # ----------------------------------------------------------------------
@@ -322,14 +312,75 @@ class TestEndToEnd:
 
 
 # ----------------------------------------------------------------------
+# The seam is one method: where worker-local steps run
+# ----------------------------------------------------------------------
+
+class _RunOpsOnly(Backend):
+    """A backend that defines nothing but ``name`` and ``run_ops``."""
+
+    name = "run-ops-only"
+
+    def __init__(self):
+        self.inner = SerialBackend()
+
+    def run_ops(self, ops, meter=None, span=None):
+        return self.inner.run_ops(ops, meter=meter, span=span)
+
+
+class TestSeam:
+    def test_run_ops_is_the_only_abstract_method(self):
+        assert Backend.__abstractmethods__ == frozenset({"run_ops"})
+
+    def test_map_parts_is_the_one_op_form_of_run_ops(self):
+        backend = _RunOpsOnly()
+        got = backend.map_parts(_sum_part, PARTS, common="c")
+        assert got == SerialBackend().map_parts(_sum_part, PARTS, common="c")
+        assert backend.inner.requests == 1
+
+    def test_run_ops_only_backend_matches_serial(self):
+        from repro.core.runner import mpc_join, mpc_join_aggregate
+        from repro.data.generators import random_instance
+        from repro.engine import Engine
+        from repro.query import catalog
+        from repro.semiring import COUNT
+
+        query = catalog.line3()
+        inst = random_instance(query, 80, 10, seed=11)
+        annotated = inst.with_uniform_annotations(COUNT)
+        text = "Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)"
+
+        def run(backend):
+            joined = mpc_join(query, inst, p=4, backend=backend)
+            agg = mpc_join_aggregate(
+                query, ("B",), annotated, COUNT, p=4, backend=backend
+            )
+            engine = Engine(p=4, backend=backend)
+            for rel in inst.relations.values():
+                engine.register(rel)
+            served = engine.execute(text)
+            return [
+                (sorted(joined.relation.all_rows()), joined.report.as_dict()),
+                (
+                    sorted(zip(agg.relation.rows, agg.relation.annotations)),
+                    agg.report.as_dict(),
+                ),
+                (sorted(served.rows()), served.report.as_dict()),
+            ]
+
+        got = run(_RunOpsOnly())
+        assert got == run(SerialBackend())
+        assert got[0][0] and got[2][0]
+
+
+# ----------------------------------------------------------------------
 # LoadReport ergonomics (conformance failure readability)
 # ----------------------------------------------------------------------
 
 class TestLoadReport:
     def _report(self):
         cluster = Cluster(4)
-        cluster.tally([0, 1, 2], [5, 3, 2], "phase/a")
-        cluster.tally([1, 3], [4, 1], "phase/b")
+        cluster.tally_members([(0, 1, 2)], [5, 3, 2], "phase/a")
+        cluster.tally_members([(1, 3)], [4, 1], "phase/b")
         return cluster.snapshot()
 
     def test_average_is_true_division(self):

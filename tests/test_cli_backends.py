@@ -8,12 +8,15 @@ builds an engine (``query``, ``serve``, ``explain``).
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 import repro.cli as cli
 from repro.data.generators import random_instance
 from repro.io import write_instance_dir
-from repro.mpc.backends import shutdown_backends
+from repro.mpc.backends import FaultInjectingBackend, shutdown_backends
 from repro.query import catalog
 
 QUERY = "Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)"
@@ -103,3 +106,39 @@ class TestBackendPrecedence:
         with pytest.raises(SystemExit):
             cli.main(["query", QUERY, data_dir, "--backend", "shm"])
         assert "invalid choice: 'shm'" in capsys.readouterr().err
+
+
+SERVE_WORKLOAD = Path(__file__).resolve().parents[1] / "examples" / "serve_workload"
+
+
+class TestServeChaosSeed:
+    @pytest.mark.parametrize("before", [None, "7"])
+    def test_replica_chaos_seed_leaves_the_environment_as_it_was(
+        self, before, monkeypatch, capsys
+    ):
+        """``serve --replicas K --chaos --chaos-seed N`` seeds every
+        replica's chaos backend, then restores ``REPRO_CHAOS_SEED`` (or
+        its absence) for the rest of the process."""
+        monkeypatch.setenv("REPRO_CHAOS_INNER", "serial")
+        if before is None:
+            monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CHAOS_SEED", before)
+        seeds = []
+        original = FaultInjectingBackend.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            seeds.append(self.seed)
+
+        monkeypatch.setattr(FaultInjectingBackend, "__init__", spy)
+        env = dict(os.environ)
+        assert cli.main([
+            "serve", str(SERVE_WORKLOAD), "-p", "4",
+            "--queries", str(SERVE_WORKLOAD / "queries.txt"),
+            "--replicas", "2", "--chaos", "--chaos-seed", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out.count("on backend=chaos") == 2 and "FAILED" not in out
+        assert seeds == [3, 3]
+        assert dict(os.environ) == env

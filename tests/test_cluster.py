@@ -9,7 +9,7 @@ from repro.mpc.cluster import Cluster
 class TestTally:
     def test_basic_accounting(self):
         cl = Cluster(4)
-        cl.tally([0, 1, 2, 3], [5, 3, 0, 2], "phase1")
+        cl.tally_members([(0, 1, 2, 3)], [5, 3, 0, 2], "phase1")
         rep = cl.snapshot()
         assert rep.load == 5
         assert rep.totals == (5, 3, 0, 2)
@@ -18,8 +18,8 @@ class TestTally:
 
     def test_accumulation_across_steps(self):
         cl = Cluster(2)
-        cl.tally([0, 1], [4, 1], "a")
-        cl.tally([0, 1], [1, 7], "b")
+        cl.tally_members([(0, 1)], [4, 1], "a")
+        cl.tally_members([(0, 1)], [1, 7], "b")
         rep = cl.snapshot()
         assert rep.totals == (5, 8)
         assert rep.load == 8
@@ -29,21 +29,21 @@ class TestTally:
     def test_out_of_range_server(self):
         cl = Cluster(2)
         with pytest.raises(MPCError):
-            cl.tally([5], [1], "x")
+            cl.tally_members([(5,)], [1], "x")
 
     def test_negative_count(self):
         cl = Cluster(2)
         with pytest.raises(MPCError):
-            cl.tally([0], [-1], "x")
+            cl.tally_members([(0,)], [-1], "x")
 
     def test_length_mismatch(self):
         cl = Cluster(2)
         with pytest.raises(MPCError):
-            cl.tally([0, 1], [1], "x")
+            cl.tally_members([(0, 1)], [1], "x")
 
     def test_reset(self):
         cl = Cluster(2)
-        cl.tally([0, 1], [3, 4], "x")
+        cl.tally_members([(0, 1)], [3, 4], "x")
         before = cl.epoch
         cl.reset()
         rep = cl.snapshot()
@@ -59,12 +59,12 @@ class TestTally:
 class TestReport:
     def test_average(self):
         cl = Cluster(4)
-        cl.tally([0, 1, 2, 3], [4, 4, 4, 4], "x")
+        cl.tally_members([(0, 1, 2, 3)], [4, 4, 4, 4], "x")
         assert cl.snapshot().average == 4.0
 
     def test_summary_mentions_load(self):
         cl = Cluster(2)
-        cl.tally([0, 1], [9, 1], "shuffle")
+        cl.tally_members([(0, 1)], [9, 1], "shuffle")
         s = cl.snapshot().summary()
         assert "load=9" in s
         assert "shuffle" in s

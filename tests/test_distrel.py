@@ -55,13 +55,6 @@ class TestDistRelation:
         with pytest.raises(SchemaError):
             d.positions(("Z",))
 
-    def test_filter_and_map(self):
-        d = DistRelation("R", ("A",), [[(1,), (2,)], [(3,)]])
-        f = d.filter_local(lambda r: r[0] > 1)
-        assert f.total_size() == 2
-        m = d.map_parts(lambda rows: rows[:1])
-        assert m.total_size() == 2
-
     def test_to_relation_dedupes(self):
         d = DistRelation("R", ("A",), [[(1,)], [(1,)]])
         assert len(d.to_relation()) == 1

@@ -554,9 +554,9 @@ class TestEngineResilience:
 
     def test_cluster_deadline_is_cooperative(self):
         cluster = Cluster(2, backend="serial")
-        cluster.tally([0, 1], [1, 1], "warmup")
+        cluster.tally_members([(0, 1)], [1, 1], "warmup")
         cluster.deadline = time.monotonic() - 1.0
         with pytest.raises(DeadlineExceeded):
-            cluster.tally([0, 1], [1, 1], "late")
+            cluster.tally_members([(0, 1)], [1, 1], "late")
         cluster.deadline = None
-        cluster.tally([0, 1], [1, 1], "fine again")
+        cluster.tally_members([(0, 1)], [1, 1], "fine again")

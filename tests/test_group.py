@@ -72,12 +72,6 @@ class TestRoutingHelpers:
         assert sorted(got) == ["a", "b", "c"]
         assert cl.snapshot().totals == (0, 2, 0)
 
-    def test_scatter_even(self):
-        cl = Cluster(3)
-        g = cl.root_group()
-        parts = g.scatter_even(list(range(7)), "x")
-        assert [len(p) for p in parts] == [3, 2, 2]
-
 
 class TestSubgroups:
     def test_subgroup_maps_indices(self):

@@ -51,6 +51,12 @@ class TestRelationCsv:
         with pytest.raises(SchemaError):
             read_relation_csv(path)
 
+    def test_empty_file_in_a_directory_raises_on_inference(self, tmp_path):
+        (tmp_path / "R1.csv").write_text("A,B\n1,2\n")
+        (tmp_path / "R2.csv").write_text("")
+        with pytest.raises(SchemaError, match="R2.csv is empty"):
+            infer_query(tmp_path)
+
     def test_ragged_row_raises(self, tmp_path):
         path = tmp_path / "R.csv"
         path.write_text("A,B\nx\n")
