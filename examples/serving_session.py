@@ -55,7 +55,7 @@ print(f"popularity: {res.output_size} groups, top={top}, {wire(res)}")
 # ----------------------------------------------------------------------
 # 3. Warm serving: the second round is all cache hits (plans + results).
 # ----------------------------------------------------------------------
-batch = engine.submit_batch([TWO_HOP, FEED, POPULARITY], threads=2)
+batch = engine.submit_batch([TWO_HOP, FEED, POPULARITY])
 print("\nwarm batch:")
 print(batch.stats.summary())
 assert all(r.metrics.plan_reused for r in batch.results)

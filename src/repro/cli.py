@@ -115,8 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="file with one query per line ('#' comments)")
     s.add_argument("--repeat", type=int, default=1,
                    help="serve the workload this many times (warm-path demo)")
-    s.add_argument("--threads", type=int, default=1,
-                   help="submitter threads for submit_batch")
     s.add_argument("--budget", type=float, default=None,
                    help="wall-clock seconds per workload round; queries "
                         "past the budget fast-fail (DeadlineExceeded)")
@@ -130,8 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="serve through the sharded front door with this "
                         "many engine replicas (routing, admission, "
                         "micro-batching, shipping prepared statements); "
-                        "--threads/--budget apply to single-replica mode "
-                        "only")
+                        "--budget applies to single-replica mode only")
     s.add_argument("--shed-after", type=int, default=64,
                    help="per-replica backlog bound before admission sheds "
                         "(front-door mode only)")
@@ -153,7 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="file with one query per line ('#' comments)")
     st.add_argument("--repeat", type=int, default=2,
                     help="workload rounds (default 2: cold then warm)")
-    st.add_argument("--threads", type=int, default=1)
     st.add_argument("--format", choices=("json", "prom"), default="json",
                     help="output format (default json)")
     return parser
@@ -335,9 +331,7 @@ def main(argv: list[str] | None = None) -> int:
                 # Per-round percentiles: drop last round's counters and
                 # histograms, keep the registered stat views.
                 engine.registry.reset()
-            report = engine.submit_batch(
-                workload, threads=args.threads, budget=args.budget
-            )
+            report = engine.submit_batch(workload, budget=args.budget)
         assert report is not None
         for res in report.results:
             if not res.ok:
@@ -373,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
             ]
         engine = _load_engine(args)
         for _ in range(max(1, args.repeat)):
-            engine.submit_batch(workload, threads=args.threads)
+            engine.submit_batch(workload)
         if args.format == "prom":
             sys.stdout.write(engine.metrics_text())
         else:

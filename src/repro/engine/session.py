@@ -12,22 +12,25 @@ queries.  :class:`Engine` is the serving-side answer:
   ``(name, version, binding)``, so the per-relation substrate caches
   (sorted runs, key encodings) and the multiprocess workers'
   content-addressed memos keep paying off query after query.
-* **``prepare()``** — parse, classify, price the Yannakakis fold orders
-  (:func:`~repro.core.planner.price_fold_orders`, Section 4.1 — exact, in
-  RAM, no backend round), and cache the compiled plan keyed by the
-  query's canonical form + bindings.  Under ``auto`` an acyclic join runs
-  the candidate with the least predicted load
-  (:func:`~repro.core.planner.choose`), priced on the entry's first
-  execution.  When a registered relation changes, the entry is re-priced
-  on the new data and revalidated (the same algorithm and fold order win)
-  or recompiled (another does) — a stale plan never serves, and stale
-  *data* never serves because the distributed-relation caches are
-  version-keyed.
+* **``prepare()``** — parse, classify, check the bindings and cache the
+  plan entry keyed by the query's canonical form + bindings.  It prices
+  nothing: an entry's one data-dependent decision — which algorithm runs
+  (under ``auto``, :func:`~repro.core.planner.choose`'s least predicted
+  load) along which Section 4.1 fold order
+  (:func:`~repro.core.planner.price_fold_orders`, exact, in RAM, no
+  backend round) — is priced on the entry's data when first read,
+  normally by its first execution.  When a registered relation changes,
+  a decision already read is re-read on the new data and must come out
+  the same (revalidated) or the entry is recompiled from the new pricing
+  (invalidated); one nobody has read yet is re-pointed at the new data.
+  A stale plan never serves, and stale *data* never serves because the
+  distributed-relation caches are version-keyed.
 * **``execute()``** — a request takes one of two paths: a result-cache
-  hit (the recorded outputs and ledger of an earlier execution over the
-  same relation versions), or a cold execution that drives the resolved
-  algorithm through the same :func:`~repro.core.runner.run_join_algorithm`
-  / :func:`~repro.core.runner.run_aggregate_algorithm` seams the one-shot
+  hit (the recorded outputs and ledger of an earlier execution; a
+  ``register`` drops every recording that read the relation), or a cold
+  execution that drives the entry's algorithm through the same
+  :func:`~repro.core.runner.run_join_algorithm` /
+  :func:`~repro.core.runner.run_aggregate_algorithm` seams the one-shot
   entry points use, and records it.  Either way, outputs and the
   per-query :class:`~repro.mpc.cluster.LoadReport` are bit-identical to
   ``mpc_join`` / ``mpc_join_aggregate`` (see ``tests/test_engine_parity``).
@@ -38,11 +41,10 @@ queries.  :class:`Engine` is the serving-side answer:
   call drives it afresh.
 * **``export_plan()`` / ``install_plan()``** — a plan travels between
   engines as a *prepared statement*: the query text plus the algorithm
-  request as a JSON record, which the receiver prepares (prices) on its
-  own data.
-* **``submit_batch()``** — run many queries against the shared backend,
-  optionally from multiple submitter threads, aggregating per-query
-  metrics into an :class:`EngineStats` report.
+  request as a JSON record, which the receiver prepares on its own data.
+* **``submit_batch()``** — run many queries against the shared backend
+  in submission order, aggregating per-query metrics into an
+  :class:`EngineStats` report.
 
 Thread-safety: the engine serializes cluster use behind an internal lock
 (per-query ledgers require exclusive access to the shared ledger), so
@@ -58,12 +60,12 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, Sequence
 
-from repro.core.planner import Choice, PlanChoice, choose, price_fold_orders
+from repro.core.planner import Choice, choose, price_fold_orders
 from repro.core.runner import (
     ALGORITHMS,
     auto_algorithm,
@@ -100,15 +102,24 @@ def _lazy_copy(rel: Any) -> Any:
     return rel.aligned(rel.attrs) if isinstance(rel, DistRelation) else rel
 
 
+#: Bounds on the recordings LRU (``None`` = unbounded): entries, and
+#: resident bytes (:meth:`Engine._recording_nbytes`).  Evicting a
+#: recording falls the next execution of its query back to a
+#: (re-recording) cold drive.
+RESULT_CACHE_ENTRIES: int | None = 256
+RESULT_CACHE_BYTES: int | None = 128 * 1024 * 1024
+
+
 @dataclass
 class _CachedResult:
-    """A recorded execution, servable while its data versions hold.
+    """A recorded execution, servable until a relation it read changes.
 
     The simulation is deterministic: re-running an unchanged plan over
     unchanged registered relations reproduces the same outputs and the
     same ledger bit for bit, so serving the recording *is* the execution
     (the same argument by which a sorted run is billed from its recorded
-    counts).  Version mismatch ⇒ the recording is unservable.
+    counts).  :meth:`Engine.register` drops every recording whose
+    ``relations`` name the updated relation, under the engine lock.
 
     A distributed result is held as a column-backed :class:`DistRelation`
     nobody reads rows from: every serve hands out a *fresh* lazy relation
@@ -117,7 +128,7 @@ class _CachedResult:
     pinning a row view (per-row tuples, pure GC ballast) in the cache.
     """
 
-    relation_versions: dict[str, int]
+    relations: frozenset[str]
     relation: Any
     scalar: Any
     report: LoadReport
@@ -136,13 +147,13 @@ class _Call:
     :meth:`Engine._finish` turns it into the call's
     :class:`QueryMetrics`.  ``status`` is the :meth:`Engine._resolve`
     plan-cache status.  The last four fields are armed only once the
-    call is past the result cache, so a cached hit pays for none of them.
+    call is past the result cache, so a served recording pays for none
+    of them.
     """
 
     entry: "PreparedQuery"
     status: str
     t0: float
-    versions: dict[str, int]
     span: Any
     deadline_at: float | None = None
     faults_before: int = 0
@@ -159,46 +170,29 @@ class PreparedQuery:
         key: Plan-cache key (canonical form + bindings + algorithm request).
         kind: ``"join"`` | ``"project"`` | ``"aggregate"``.
         query_class: Figure-1 class name of the body hypergraph.
-        algorithm: Resolved join algorithm (joins) or downstream algorithm
-            (aggregates; ``"auto"`` resolves per the residual query).  For
-            an ``auto`` acyclic join it is :attr:`choice`'s pick.
-        plan: Priced Yannakakis fold plan (acyclic joins under ``auto`` or
-            ``yannakakis``), consulted when ``algorithm == "yannakakis"``.
-        plan_order: The fold order the plan encodes: the reduced query's
-            relations (contained ones are dropped after the full reducer).
-        plan_quality: Section 4.1 best/worst max-intermediate sizes — the
-            Figure-3 planned-vs-decomposition gap, observable per query;
-            exact for the data at ``relation_versions`` (refreshed on
-            every revalidation).  ``None`` where no execution reads a fold
-            order: an aggregate, or a pinned algorithm other than
-            ``yannakakis``.
         relation_versions: Registered-relation versions the entry was
             compiled or last revalidated against.
-        prepare_seconds: Wall time spent compiling.
-        choice: :func:`~repro.core.planner.choose`'s pricing of an ``auto``
-            acyclic join on the data at ``relation_versions`` (``None``
-            otherwise).
-        units: Every candidate's predicted ``LoadReport.total``, from
-            ``choice``.
         uses: Number of executions served by this entry.
+
+    The entry's one data-dependent decision is :attr:`choice`: which
+    algorithm runs along which Section 4.1 fold order, priced on the data
+    at ``relation_versions`` when first read.  An acyclic join under
+    ``auto`` holds :func:`~repro.core.planner.choose`'s pricing; under
+    ``yannakakis`` the fold orders' (``units`` empty).  Any other request
+    holds no decision (``choice`` is ``None``): a cyclic query, an
+    aggregate (its downstream join folds its residual query its own way)
+    or another pinned algorithm.  ``algorithm``, ``plan``, ``plan_order``,
+    ``plan_quality`` and ``units`` read the decision.
     """
 
     parsed: ParsedQuery
     key: tuple
     kind: str
     query_class: str
-    _algorithm: str
-    plan: Plan | None
-    plan_order: tuple[str, ...] | None
-    plan_quality: dict[str, int] | None
     relation_versions: dict[str, int]
-    prepare_seconds: float
     uses: int = 0
-    cached_result: _CachedResult | None = None
-    # The chooser's pricing, or until first read a thunk that takes it on
-    # the entry's data: preparing prices the fold orders only, and the
-    # first execution pays for the candidates.  Until then (or until a
-    # revalidation replaces it) the thunk holds that data.
+    # The decision, or until first read a thunk that prices it on the
+    # entry's data (``None`` where there is nothing to decide).
     _choice: Choice | Callable[[], Choice] | None = field(default=None, repr=False)
 
     @property
@@ -211,11 +205,43 @@ class PreparedQuery:
 
     @property
     def algorithm(self) -> str:
+        """The algorithm an execution runs: the decision's pick, else the
+        request (a cyclic join's ``auto`` resolved by shape; an
+        aggregate's ``auto`` resolves per the residual query)."""
         choice = self.choice
-        return self._algorithm if choice is None else choice.algorithm
+        return self._requested if choice is None else choice.algorithm
+
+    @cached_property
+    def _requested(self) -> str:
+        request = self.key[2]
+        if self.kind == "join" and request == "auto":
+            return auto_algorithm(self.parsed.query)
+        return request
+
+    @property
+    def plan(self) -> Plan | None:
+        """The priced Yannakakis fold plan, run when ``algorithm`` is
+        ``yannakakis``."""
+        choice = self.choice
+        return None if choice is None else choice.plan.plan
+
+    @property
+    def plan_order(self) -> tuple[str, ...] | None:
+        """The fold order the plan encodes: the reduced query's relations
+        (contained ones are dropped after the full reducer)."""
+        choice = self.choice
+        return None if choice is None else choice.plan.order
+
+    @property
+    def plan_quality(self) -> dict[str, int] | None:
+        """Section 4.1 best/worst max-intermediate sizes — the Figure-3
+        planned-vs-decomposition gap, exact for the entry's data."""
+        choice = self.choice
+        return None if choice is None else choice.quality
 
     @property
     def units(self) -> dict[str, int] | None:
+        """Every ``auto`` candidate's predicted ``LoadReport.total``."""
         choice = self.choice
         return None if choice is None else choice.units
 
@@ -231,12 +257,12 @@ class QueryMetrics:
 
     ``cache_hit`` — the plan cache served this query without looking at
     the data.  ``plan_reused`` — the compiled plan was not recompiled
-    (includes revalidation after a data update: re-priced, same fold order
-    wins).  ``invalidated`` — a cached plan existed but was recompiled
-    because another fold order wins on the new data.  ``plan_quality`` is
-    the pricing of the data this execution ran on.  ``result_cached`` —
-    the recorded execution was served instead of re-simulated (identical
-    outputs and ledger).
+    (includes revalidation after a data update: the entry's decision, if
+    read, comes out the same on the new data).  ``invalidated`` — a
+    cached plan existed but was recompiled because another decision wins
+    on the new data.  ``plan_quality`` is the pricing of the data this
+    execution ran on.  ``result_cached`` — the recorded execution was
+    served instead of re-simulated (identical outputs and ledger).
     """
 
     text: str
@@ -353,10 +379,11 @@ class EngineStats:
         )
 
     def plan_gaps(self) -> dict[str, dict[str, float]]:
-        """Per distinct query text: the Figure-3 planned-vs-worst gap."""
+        """Per distinct query text: the Figure-3 planned-vs-worst gap of
+        its newest retained pricing."""
         gaps: dict[str, dict[str, float]] = {}
         for m in self.per_query:
-            if m.plan_quality is None or m.text in gaps:
+            if m.plan_quality is None:
                 continue
             best = m.plan_quality["best"]
             worst = m.plan_quality["worst"]
@@ -486,18 +513,13 @@ class Engine:
         p: Number of simulated servers for every query.
         backend: Execution backend (instance, registered name, or ``None``
             for the process default) — held warm for the session lifetime.
-        result_cache: Serve recorded executions while the touched
-            relations' versions are unchanged (default).  The simulation
-            is deterministic, so a served recording is bit-identical to
-            a re-run — outputs and ledger alike; pass ``False`` to
-            re-drive every execution cold on the warm cluster.
-        result_cache_entries: LRU bound on recorded executions held by
-            the session (``None`` = unbounded).  Evicting a recording
-            falls the next execution back to a (re-recording) cold drive.
-        result_cache_bytes: Byte bound on the same LRU, measured as the
-            resident size of each recording's column blocks: typed arrays
-            plus the dictionary values they reference (``None`` =
-            unbounded).
+        result_cache: Serve recorded executions until a relation they
+            read is registered again (default).  The simulation is
+            deterministic, so a served recording is bit-identical to a
+            re-run — outputs and ledger alike; pass ``False`` to re-drive
+            every execution cold on the warm cluster.  Recordings are
+            held under an LRU bounded by :data:`RESULT_CACHE_ENTRIES` and
+            :data:`RESULT_CACHE_BYTES`.
         registry: :class:`~repro.obs.MetricsRegistry` to instrument into
             (``None`` = a private registry per engine).  The engine
             registers its query counters/latency histograms plus *views*
@@ -524,15 +546,11 @@ class Engine:
         p: int = 8,
         backend: Backend | str | None = None,
         result_cache: bool = True,
-        result_cache_entries: int | None = 256,
-        result_cache_bytes: int | None = 128 * 1024 * 1024,
         registry: MetricsRegistry | None = None,
         tracer: Any = None,
     ) -> None:
         self.p = p
         self.result_cache = result_cache
-        self.result_cache_entries = result_cache_entries
-        self.result_cache_bytes = result_cache_bytes
         self._cluster = Cluster(p, backend=backend)
         self._group = self._cluster.root_group()
         self._lock = threading.RLock()
@@ -543,8 +561,8 @@ class Engine:
         self._bound_cache: dict[tuple, Relation] = {}
         # (name, version, edge, variables, aggregate|None) -> DistRelation
         self._dist_cache: dict[tuple, DistRelation] = {}
-        # Recording LRU: plan key -> approx bytes, least recent first.
-        self._recordings: OrderedDict[tuple, int] = OrderedDict()
+        # Recording LRU: plan key -> recording, least recent first.
+        self._recordings: OrderedDict[tuple, _CachedResult] = OrderedDict()
         self._recording_bytes = 0
         self._stats = EngineStats(
             p=p, backend=self._cluster.backend.name, max_per_query=1024
@@ -568,8 +586,9 @@ class Engine:
         """Register (or update) a named base relation; returns its version.
 
         Updating bumps the version: cached distributed variants of the old
-        version are dropped, and prepared plans that touch the relation are
-        re-priced on the new data on their next use.
+        version and every recording that read the relation are dropped,
+        and prepared plans that touch the relation are revalidated on the
+        new data on their next use.
         """
         name = name or relation.name
         with self._lock:
@@ -580,15 +599,10 @@ class Engine:
                 stale = [k for k in cache if k[0] == name and k[1] != version]
                 for k in stale:
                     del cache[k]
-            # A recording touching the updated relation can never serve
-            # again (its versions no longer match) — drop it now rather
-            # than on next execution, so dead recordings stop occupying
-            # (and evicting from) the recording LRU.
-            for entry in self._plans.values():
-                cached = entry.cached_result
-                if cached is not None and name in cached.relation_versions:
-                    entry.cached_result = None
-                    self._drop_recording(entry.key)
+            # The one validity rule of the result cache: a recording that
+            # read the relation never serves again.
+            for key in [k for k, r in self._recordings.items() if name in r.relations]:
+                self._drop_recording(key)
             return version
 
     def relation_names(self) -> tuple[str, ...]:
@@ -702,73 +716,57 @@ class Engine:
             return 256 + sum(map(sys.getsizeof, held))
         return 256
 
-    def _store_recording(self, entry: PreparedQuery, recording: _CachedResult) -> None:
-        """Attach a recording to its plan entry under the LRU bounds.
+    def _store_recording(self, key: tuple, recording: _CachedResult) -> None:
+        """Hold a recording under its plan-cache key, within the LRU bounds.
 
-        The LRU is keyed by plan-cache key and budgets resident sizes
-        (:meth:`_recording_nbytes`) alongside an entry count, so a long
-        serving session cannot grow recording memory without limit.
-        Evicting a recording drops the result-cache serve for that entry;
-        the next execution re-drives and re-records.
+        The LRU budgets resident sizes (:meth:`_recording_nbytes`)
+        alongside an entry count, so a long serving session cannot grow
+        recording memory without limit.
         """
-        key = entry.key
-        old = self._recordings.pop(key, None)
-        if old is not None:
-            self._recording_bytes -= old
-        cap_e = self.result_cache_entries
-        cap_b = self.result_cache_bytes
+        self._drop_recording(key)
+        cap_e, cap_b = RESULT_CACHE_ENTRIES, RESULT_CACHE_BYTES
         if cap_b is not None and recording.stored_bytes > cap_b:
             # The recording alone exceeds the byte budget: it is not
             # retained (every execution of this query re-drives) — and it
             # must not flush everyone else's recordings on its way out.
-            entry.cached_result = None
             return
-        entry.cached_result = recording
-        self._recordings[key] = recording.stored_bytes
+        self._recordings[key] = recording
         self._recording_bytes += recording.stored_bytes
-        while self._recordings and (
-            (cap_e is not None and len(self._recordings) > cap_e)
-            or (cap_b is not None and self._recording_bytes > cap_b)
+        while (cap_e is not None and len(self._recordings) > cap_e) or (
+            cap_b is not None and self._recording_bytes > cap_b
         ):
-            victim, size = self._recordings.popitem(last=False)
-            self._recording_bytes -= size
-            ventry = self._plans.get(victim)
-            if ventry is not None:
-                ventry.cached_result = None
-
-    def _touch_recording(self, key: tuple) -> None:
-        if key in self._recordings:
-            self._recordings.move_to_end(key)
+            _key, victim = self._recordings.popitem(last=False)
+            self._recording_bytes -= victim.stored_bytes
 
     def _drop_recording(self, key: tuple) -> None:
-        size = self._recordings.pop(key, None)
-        if size is not None:
-            self._recording_bytes -= size
+        old = self._recordings.pop(key, None)
+        if old is not None:
+            self._recording_bytes -= old.stored_bytes
 
     # ------------------------------------------------------------------
-    # Prepare: classify -> price fold orders -> choose the algorithm, cached
+    # Prepare: classify and cache; the decision is priced on first read
     # ------------------------------------------------------------------
     def prepare(
         self, query: str | ParsedQuery, algorithm: str = "auto"
     ) -> PreparedQuery:
         """Compile (or fetch from cache) the plan for a query.
 
-        Compiling prices an acyclic join's Yannakakis fold orders in RAM
-        when the request can run one (``auto`` or ``yannakakis``).  Under
-        ``auto`` the entry runs the applicable candidate with the least
-        predicted load (:func:`~repro.core.planner.choose`), priced on the
-        same data when the entry's ``choice`` is first read — normally by
-        its first execution — so preparing costs the fold orders only.
-        Pricing issues no backend round on any backend (so it cannot
-        fault) and is exact for the entry's data.
+        Compiling classifies the query and checks its bindings against
+        the registered relations; it prices nothing.  The entry's
+        decision (:class:`PreparedQuery`) is priced on the same data when
+        first read — normally by its first execution.  Pricing issues no
+        backend round on any backend (so it cannot fault) and is exact
+        for the entry's data.
 
         Args:
             query: Datalog-style text, a catalog name, or a parsed query.
-            algorithm: ``"auto"`` resolves as above for acyclic joins, by
-                :func:`~repro.core.runner.auto_algorithm` for cyclic ones
-                and by the residual-query classification for aggregates; a
+            algorithm: ``"auto"`` runs an acyclic join's applicable
+                candidate with the least predicted load
+                (:func:`~repro.core.planner.choose`), a cyclic one's
+                :func:`~repro.core.runner.auto_algorithm` and an
+                aggregate's per the residual-query classification; a
                 concrete name pins the algorithm (``"yannakakis"`` follows
-                the priced Section 4.1 plan, any other skips pricing).
+                the priced Section 4.1 plan).
         """
         parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
         with self._lock:
@@ -792,91 +790,13 @@ class Engine:
             for b in parsed.bindings
         }
 
-    def _price(
-        self, parsed: ParsedQuery, algorithm: str, settle: bool = False
-    ) -> tuple[PlanChoice, dict[str, int], Choice | Callable[[], Choice] | None] | None:
-        """What an entry decides from the data, priced on the current
-        data: the fold order, its quality spread and, under ``auto``, the
-        chooser's pick (a thunk that takes it on this data, unless
-        ``settle``).  ``None`` when no execution reads a fold order: a
-        cyclic query, an aggregate (its downstream join folds its residual
-        query's own way) or a pinned algorithm other than ``yannakakis``.
-        Also validates the bindings."""
-        query = parsed.query
-        instance = self.instance_for(parsed)
-        if (
-            parsed.kind != "join"
-            or algorithm not in ("auto", "yannakakis")
-            or not query.is_acyclic()
-        ):
-            return None
-        p = self.p
-        if algorithm == "auto" and settle:
-            choice = choose(query, instance, p)
-            return choice.plan, choice.quality, choice
-        fold, quality = price_fold_orders(query, instance)
-        if algorithm == "yannakakis":
-            return fold, quality, None
-        return fold, quality, lambda: choose(query, instance, p)
-
-    def _resolve(
+    def _decide(
         self, parsed: ParsedQuery, algorithm: str
-    ) -> tuple[PreparedQuery, str]:
-        """Fetch/compile the plan; returns the entry and its cache status.
-
-        Status is ``"hit"`` (versions unchanged — served without looking
-        at the data), ``"revalidated"`` (data changed but the decision the
-        entry holds did not: re-priced in RAM, the same fold order — and
-        under ``auto``, the same algorithm — wins, and ``plan_quality`` now
-        describes the new data; a cyclic query or a pinned algorithm holds
-        no such decision and is never re-priced), ``"invalidated"``
-        (another decision wins on the new data — recompiled from that
-        pricing), or ``"miss"`` (first compile).
-        """
-        key = self._plan_key(parsed, algorithm)
-        entry = self._plans.get(key)
-        status, priced = "miss", None
-        if entry is not None:
-            versions = self._current_versions(parsed)
-            if versions == entry.relation_versions:
-                return entry, "hit"
-            # Data changed since compile: a stale plan must never serve.
-            # What the entry decided from the data is re-checked (a pick
-            # already taken is retaken and must hold; one not yet taken is
-            # left to the new data); fresh data is picked up regardless via
-            # the version-keyed distributed-relation caches.
-            taken = isinstance(entry._choice, Choice)
-            priced = self._price(parsed, algorithm, settle=taken)
-            still_wins = True
-            if priced is not None:
-                fold, quality, choice = priced
-                still_wins = entry.plan_order == fold.order and (
-                    not taken or choice.algorithm == entry.algorithm
-                )
-                if still_wins:
-                    with _SETTLING:
-                        entry.plan_quality, entry._choice = quality, choice
-            if still_wins:
-                entry.relation_versions = versions
-                return entry, "revalidated"
-            status = "invalidated"
-            self._drop_recording(key)
-        entry = self._compile(parsed, algorithm, key, priced)
-        self._plans[key] = entry
-        return entry, status
-
-    def _compile(
-        self,
-        parsed: ParsedQuery,
-        algorithm: str,
-        key: tuple,
-        priced: tuple | None = None,
-    ) -> PreparedQuery:
-        """Build the plan entry; ``priced`` is the current data's
-        :meth:`_price` when the caller already holds it."""
-        t0 = time.perf_counter()
-        kind = parsed.kind
-        if kind == "join":
+    ) -> Callable[[], Choice] | None:
+        """A thunk that prices an entry's decision on the current data, or
+        ``None`` when no execution reads a fold order (see
+        :class:`PreparedQuery`).  Checks the request and the bindings."""
+        if parsed.kind == "join":
             if algorithm not in ALGORITHMS:
                 raise EngineError(
                     f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}"
@@ -886,28 +806,75 @@ class Engine:
                 f"unknown downstream algorithm {algorithm!r}; pick from "
                 f"{_AGG_ALGORITHMS}"
             )
-        if priced is None:
-            priced = self._price(parsed, algorithm)
-        plan = plan_order = quality = choice = None
-        resolved = algorithm
-        if priced is not None:
-            fold, quality, choice = priced
-            plan, plan_order = fold.plan, fold.order
-        elif kind == "join" and algorithm == "auto":
-            resolved = auto_algorithm(parsed.query)
+        query = parsed.query
+        instance = self.instance_for(parsed)
+        if (
+            parsed.kind != "join"
+            or algorithm not in ("auto", "yannakakis")
+            or not query.is_acyclic()
+        ):
+            return None
+        if algorithm == "yannakakis":
+            return lambda: Choice(
+                "yannakakis", *price_fold_orders(query, instance), units={}
+            )
+        p = self.p
+        return lambda: choose(query, instance, p)
 
+    def _resolve(
+        self, parsed: ParsedQuery, algorithm: str
+    ) -> tuple[PreparedQuery, str]:
+        """Fetch/compile the plan; returns the entry and its cache status.
+
+        Status is ``"hit"`` (versions unchanged — served without looking
+        at the data), ``"revalidated"`` (data changed but the decision did
+        not: one already read is re-read on the new data and comes out
+        with the same algorithm and fold order, one not yet read is
+        re-pointed at the new data), ``"invalidated"`` (a decision already
+        read comes out different — recompiled from that pricing), or
+        ``"miss"`` (first compile).
+        """
+        key = self._plan_key(parsed, algorithm)
+        entry = self._plans.get(key)
+        if entry is None:
+            entry = self._plans[key] = self._compile(
+                parsed, key, self._decide(parsed, algorithm)
+            )
+            return entry, "miss"
+        versions = self._current_versions(parsed)
+        if versions == entry.relation_versions:
+            return entry, "hit"
+        # Data changed since compile: a stale plan must never serve; fresh
+        # data is picked up regardless via the version-keyed
+        # distributed-relation caches.
+        decision = self._decide(parsed, algorithm)
+        held = entry._choice
+        if isinstance(held, Choice):
+            decision = decision()
+            if (decision.algorithm, decision.plan.order) != (
+                held.algorithm, held.plan.order
+            ):
+                entry = self._plans[key] = self._compile(parsed, key, decision)
+                return entry, "invalidated"
+        with _SETTLING:
+            entry._choice = decision
+        entry.relation_versions = versions
+        return entry, "revalidated"
+
+    def _compile(
+        self,
+        parsed: ParsedQuery,
+        key: tuple,
+        decision: Choice | Callable[[], Choice] | None,
+    ) -> PreparedQuery:
+        """A new plan entry holding ``decision`` (see :meth:`_decide`)."""
         entry = PreparedQuery(
             parsed=parsed,
             key=key,
-            kind=kind,
+            kind=parsed.kind,
             query_class=classify(parsed.query).name,
-            _algorithm=resolved,
-            plan=plan,
-            plan_order=plan_order,
-            plan_quality=quality,
             relation_versions=self._current_versions(parsed),
-            prepare_seconds=time.perf_counter() - t0,
-            _choice=choice,
+            _choice=decision,
         )
         self._stats.prepares += 1
         return entry
@@ -984,11 +951,7 @@ class Engine:
         with self._lock:
             entry, status = self._resolve(parsed, algorithm)
             call = _Call(
-                entry=entry,
-                status=status,
-                t0=time.perf_counter(),
-                versions=self._current_versions(parsed),
-                span=span,
+                entry=entry, status=status, t0=time.perf_counter(), span=span
             )
             if deadline is not None and deadline <= 0:
                 exc = DeadlineExceeded(
@@ -996,14 +959,10 @@ class Engine:
                 )
                 self._finish(call, "failed", error=exc)
                 raise exc
-            cached = entry.cached_result
-            if (
-                self.result_cache
-                and cached is not None
-                and cached.relation_versions == call.versions
-            ):
+            cached = self._recordings.get(entry.key) if self.result_cache else None
+            if cached is not None:
                 entry.uses += 1
-                self._touch_recording(entry.key)
+                self._recordings.move_to_end(entry.key)
                 metrics = self._finish(
                     call, "cached", cached.report, cached.out_size
                 )
@@ -1076,9 +1035,9 @@ class Engine:
         # the result cache (serve without executing) under the LRU.
         stored = _lazy_copy(relation)
         self._store_recording(
-            entry,
+            entry.key,
             _CachedResult(
-                relation_versions=call.versions,
+                relations=frozenset(entry.relation_versions),
                 relation=stored,
                 scalar=scalar,
                 report=report,
@@ -1153,6 +1112,12 @@ class Engine:
         entry = call.entry
         failed = path == "failed"
         status = "" if failed else call.status
+        # Reading the decision prices it: a call that failed before its
+        # execution read the decision reports the request instead.
+        if callable(entry._choice):
+            algorithm, quality = entry.key[2], None
+        else:
+            algorithm, quality = entry.algorithm, entry.plan_quality
         load = max_step_load = steps = 0
         if report is not None:
             load = report.load
@@ -1178,7 +1143,7 @@ class Engine:
         metrics = QueryMetrics(
             text=entry.parsed.text,
             kind=entry.kind,
-            algorithm=entry.algorithm,
+            algorithm=algorithm,
             cache_hit=status == "hit",
             plan_reused=status in ("hit", "revalidated"),
             invalidated=status == "invalidated",
@@ -1188,7 +1153,7 @@ class Engine:
             steps=steps,
             out_size=out_size,
             wall_seconds=time.perf_counter() - call.t0,
-            plan_quality=entry.plan_quality,
+            plan_quality=quality,
             trace_id=call.span.trace_id,
             **extra,
         )
@@ -1286,8 +1251,8 @@ class Engine:
 
         The statement is the query text plus the algorithm request, one
         JSON object: ``{"algorithm": ..., "query": ...}``.  Another
-        engine :meth:`install_plan`\\ s it, pricing the query on its own
-        data, so its first execution is a plan-cache hit.
+        engine :meth:`install_plan`\\ s it, preparing the query on its
+        own data, so its first execution is a plan-cache hit.
 
         Raises:
             PlanShipError: This engine has no plan-cache entry for the
@@ -1312,9 +1277,9 @@ class Engine:
         The blob comes from another process and is read as untrusted
         data: it must decode as a JSON object with exactly the string
         fields ``algorithm`` and ``query``, and the query is then
-        prepared here — parsed, bound to this engine's registered
-        relations and priced on its data — exactly as :meth:`prepare`
-        would.  Nothing else in the blob is believed.
+        prepared here — parsed and bound to this engine's registered
+        relations, its decision to be priced on this engine's data —
+        exactly as :meth:`prepare` would.  Nothing else in the blob is believed.
 
         Raises:
             PlanShipError: The blob is not such a record, or its query
@@ -1347,18 +1312,13 @@ class Engine:
     def submit_batch(
         self,
         queries: Sequence[str | ParsedQuery | PreparedQuery],
-        threads: int = 1,
         budget: float | None = None,
     ) -> BatchReport:
-        """Run many queries against the shared backend.
+        """Run many queries against the shared backend, one after another.
 
         Args:
             queries: Query texts / parsed / prepared queries, executed in
                 submission order (results align with the input).
-            threads: Number of submitter threads.  Executions serialize
-                on the engine lock (per-query ledgers need exclusive
-                access to the shared serving cluster), so threads overlap
-                only the work outside it, such as parsing.
             budget: Wall-clock seconds for the *whole batch* (``None`` =
                 unbounded).  Each query executes under the remaining
                 budget as its deadline; once the budget is spent, the
@@ -1376,23 +1336,15 @@ class Engine:
         if not queries:
             raise EngineError("empty batch")
         cutoff = time.monotonic() + budget if budget is not None else None
-
-        def run(q: str | ParsedQuery | PreparedQuery) -> ExecutionResult:
-            try:
-                remaining = (
-                    cutoff - time.monotonic() if cutoff is not None else None
-                )
-                return self.execute(q, deadline=remaining)
-            except ReproError as exc:
-                return self._failed_result(q, exc)
-
-        if threads <= 1:
-            results = [run(q) for q in queries]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, queries))
+        results: list[ExecutionResult] = []
         stats = EngineStats(p=self.p, backend=self.backend_name)
-        for res in results:
+        for q in queries:
+            remaining = cutoff - time.monotonic() if cutoff is not None else None
+            try:
+                res = self.execute(q, deadline=remaining)
+            except ReproError as exc:
+                res = self._failed_result(q, exc)
+            results.append(res)
             stats.record(res.metrics)
         stats.prepares = sum(
             1 for r in results if r.ok and not r.metrics.plan_reused

@@ -151,7 +151,7 @@ class Frontdoor:
             deterministic setup for admission tests (fill to
             ``shed_after``, observe the shed) and staged deployments.
         **engine_kwargs: Forwarded to every :class:`Engine` (e.g.
-            ``result_cache=False``, ``result_cache_entries=64``).
+            ``result_cache=False``).
     """
 
     def __init__(
@@ -491,7 +491,7 @@ class Frontdoor:
             ready.append(req)
         results: list[ExecutionResult] = []
         if entries:
-            report = engine.submit_batch(entries, threads=1)
+            report = engine.submit_batch(entries)
             results = report.results
         hist = self.registry.histogram(
             "repro_frontdoor_replica_seconds",

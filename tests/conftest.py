@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.data.instance import Instance
 from repro.data.relation import Relation
+from repro.engine.session import BatchReport, Engine, EngineStats
 from repro.mpc import Cluster, distribute_instance
 from repro.query import catalog
 from repro.ram.yannakakis import yannakakis
@@ -78,3 +80,14 @@ def part_digest(instance: Instance, algorithm_fn, p: int = 8, **kwargs) -> str:
     rels = distribute_instance(instance, group)
     result = algorithm_fn(group, instance.query, rels, **kwargs)
     return hashlib.sha256(repr((result.attrs, result.parts)).encode()).hexdigest()[:16]
+
+
+def threaded_batch(engine: Engine, queries: list[str], threads: int) -> BatchReport:
+    """The queries as concurrent ``Engine.execute`` calls from ``threads``
+    submitter threads, gathered like a batch (results in query order)."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(engine.execute, queries))
+    stats = EngineStats(p=engine.p, backend=engine.backend_name)
+    for res in results:
+        stats.record(res.metrics)
+    return BatchReport(results=results, stats=stats)

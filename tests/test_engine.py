@@ -23,6 +23,7 @@ from repro.query import catalog
 from repro.ram import group_by_count, join_size
 from repro.ram.yannakakis import yannakakis as ram_yannakakis
 from repro.semiring import COUNT
+from tests.conftest import threaded_batch
 
 
 def _basic_engine(p: int = 4) -> Engine:
@@ -102,6 +103,37 @@ def test_version_move_keeping_the_order_revalidates():
     assert res.metrics.plan_quality == res.prepared.plan_quality == quality
     assert quality != first.metrics.plan_quality
     assert eng.stats().invalidations == 0 and eng.stats().prepares == 1
+
+
+def test_plan_gaps_report_the_newest_pricing_of_a_query():
+    eng = _basic_engine()
+    first = eng.execute(LINE3)
+    eng.register(Relation("R2", ("B", "C"), [(i % 3, i % 11) for i in range(80)]))
+    res = eng.execute(LINE3)
+    assert res.metrics.plan_reused
+    newest = res.metrics.plan_quality
+    assert newest != first.metrics.plan_quality
+    stats = eng.stats()
+    gap = stats.plan_gaps()[LINE3]
+    assert (gap["best"], gap["worst"]) == (newest["best"], newest["worst"])
+    assert f"(best {newest['best']} / worst {newest['worst']} " in stats.summary()
+
+
+def test_a_deadline_missed_before_execution_prices_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        session_module, "choose",
+        lambda *a: calls.append(a) or planner.choose(*a),
+    )
+    eng = _basic_engine()
+    with pytest.raises(DeadlineExceeded):
+        eng.execute(LINE3, deadline=0)
+    assert calls == []
+    failed = eng.stats().per_query[-1]
+    assert failed.failed and failed.algorithm == "auto"
+    assert failed.plan_quality is None
+    eng.execute(LINE3)
+    assert len(calls) == 1
 
 
 def test_version_move_that_flips_the_order_invalidates():
@@ -292,8 +324,11 @@ def test_cyclic_query_is_never_repriced(monkeypatch):
     fresh = eng.instance_for(res.prepared.parsed)
     assert set(res.rows()) == mpc_join(fresh.query, fresh, p=4).row_set()
     assert calls == []
-    # The wrapper does see acyclic pricing (the monkeypatch is live).
-    eng.prepare(LINE3.replace("R3(C,D)", "R3(A,D)"))
+    # The wrapper does see acyclic pricing (the monkeypatch is live): a
+    # prepared entry prices its decision when it is first read.
+    entry = eng.prepare(LINE3.replace("R3(C,D)", "R3(A,D)"))
+    assert calls == []
+    entry.algorithm
     assert len(calls) == 1
 
 
@@ -405,7 +440,7 @@ def test_submit_batch_serial_and_threaded_agree():
         LINE3,
     ]
     serial = eng.submit_batch(workload)
-    threaded = eng.submit_batch(workload, threads=4)
+    threaded = threaded_batch(eng, workload, threads=4)
     assert serial.stats.queries == threaded.stats.queries == 4
     for a, b in zip(serial.results, threaded.results):
         assert set(a.rows()) == set(b.rows())
@@ -429,7 +464,7 @@ def test_threaded_warm_replays_on_a_pool_match_their_cold_reports():
         cold = eng.submit_batch(queries)
         # result_cache=False: every one of these re-drives cold over the
         # warm dist caches and worker memos, three submitters at a time.
-        warm = eng.submit_batch(queries * 2, threads=3)
+        warm = threaded_batch(eng, queries * 2, threads=3)
         assert all(r.ok for r in warm.results)
         assert not any(r.metrics.result_cached for r in warm.results)
         for r_cold, r_warm in zip(cold.results * 2, warm.results):
@@ -642,7 +677,7 @@ def test_aggregate_recording_is_charged_as_the_rows_it_holds():
 
     eng = _basic_engine()
     res = eng.execute("Q(B; count) :- R1(A,B), R2(B,C)")
-    recording = res.prepared.cached_result
+    recording = eng._recordings[res.prepared.key]
     rel = recording.relation
     assert isinstance(rel, Relation) and len(rel) == 5
     assert rel._cols is None

@@ -28,7 +28,7 @@ from repro.core.planner import choose, price_fold_orders
 from repro.core.runner import mpc_join, mpc_join_aggregate
 from repro.data.generators import line_trap_instance, random_instance
 from repro.data.relation import Relation
-from repro.engine import Engine, parse_query
+from repro.engine import Engine, parse_query, session
 from repro.errors import DeadlineExceeded
 from repro.ram import group_by_count
 from repro.ram.yannakakis import yannakakis as ram_yannakakis
@@ -47,6 +47,7 @@ QUERIES = (
     "Q(X1; count) :- R1(X0,X1), R2(X1,X2)",
 )
 ALGORITHMS = ("auto", "yannakakis", "acyclic")
+BOUND = session.RESULT_CACHE_ENTRIES
 READS = {text: {b.relation for b in parse_query(text).bindings} for text in QUERIES}
 
 
@@ -123,10 +124,13 @@ class EngineMachine(RuleBasedStateMachine):
     def clear_caches(self) -> None:
         self.engine.clear_caches()
 
-    @rule(entries=st.sampled_from([1, 256]))
+    @rule(entries=st.sampled_from([1, BOUND]))
     def bound_recordings(self, entries: int) -> None:
         """With one entry, every recording evicts the one before it."""
-        self.engine.result_cache_entries = entries
+        session.RESULT_CACHE_ENTRIES = entries
+
+    def teardown(self) -> None:
+        session.RESULT_CACHE_ENTRIES = BOUND
 
 
 TestEngineState = EngineMachine.TestCase

@@ -32,6 +32,7 @@ from repro.obs import (
 )
 from repro.obs.check import validate_prometheus_text, validate_trace_lines
 from repro.query import catalog
+from tests.conftest import threaded_batch
 
 BINARY = "Q(A,B,C) :- R1(A,B), R2(B,C)"
 LINE3 = "Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)"
@@ -259,12 +260,11 @@ class TestWireAttribution:
     QUERIES = (BINARY, LINE3, "Q(B,C,D) :- R2(B,C), R3(C,D)")
 
     def _batch_wire(self, threads: int):
-        """Per-query wire bytes + backend delta for one cold batch.
+        """Per-query wire bytes + backend delta for one cold batch of
+        concurrent executions from ``threads`` submitter threads.
 
-        Queries are prepared up front so the planner's pricing rounds
-        (which ship on a deliberately meterless scratch cluster — see
-        ``Engine._compile``) fall outside the measured window; the delta
-        then covers exactly the serving ships the meters attribute.
+        Pricing ships nothing, so the delta covers exactly the serving
+        ships the meters attribute.
         """
         backend = MultiprocessBackend(workers=2, backoff_base=0.0)
         try:
@@ -274,7 +274,7 @@ class TestWireAttribution:
             for q in self.QUERIES:
                 eng.prepare(q)
             before = backend.wire_stats()["bytes_shipped"]
-            report = eng.submit_batch(list(self.QUERIES), threads=threads)
+            report = threaded_batch(eng, list(self.QUERIES), threads)
             assert all(r.ok for r in report.results)
             per_query = [r.metrics.wire_bytes for r in report.results]
             delta = backend.wire_stats()["bytes_shipped"] - before
@@ -283,7 +283,7 @@ class TestWireAttribution:
             backend.close()
 
     def test_threaded_batch_wire_bytes_sum_to_backend_delta(self):
-        """Regression: per-query wire_bytes under ``threads=N`` must
+        """Regression: per-query wire_bytes under N submitter threads must
         attribute each shipped blob to exactly one query — the old
         thread-shared counter delta double-counted concurrent ships."""
         per_query, delta = self._batch_wire(threads=3)

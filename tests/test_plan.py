@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.relation import Relation
-from repro.engine import Engine
+from repro.engine import Engine, session
 from repro.mpc import Cluster, distribute_relation
 from repro.mpc.backends import get_backend
 from repro.mpc.cluster import kind_split
@@ -171,14 +171,15 @@ class TestEngineExplain:
 
 
 class TestRecordingLRU:
-    def _engine(self, **kwargs) -> Engine:
-        eng = Engine(p=3, **kwargs)
+    def _engine(self) -> Engine:
+        eng = Engine(p=3)
         eng.register(Relation("R", ("A", "B"), [(i, i % 4) for i in range(40)]))
         eng.register(Relation("S", ("B", "C"), [(i % 4, i) for i in range(40)]))
         return eng
 
-    def test_entry_bound_evicts_least_recent(self):
-        eng = self._engine(result_cache_entries=1)
+    def test_entry_bound_evicts_least_recent(self, monkeypatch):
+        monkeypatch.setattr(session, "RESULT_CACHE_ENTRIES", 1)
+        eng = self._engine()
         q1 = "Q(A,B) :- R(A,B)"
         q2 = "Q(B,C) :- S(B,C)"
         first = eng.execute(q1)
@@ -189,19 +190,20 @@ class TestRecordingLRU:
         assert again.report.as_dict() == first.report.as_dict()
         assert eng.execute(q1).metrics.result_cached  # re-recorded
 
-    def test_byte_bound_is_enforced(self):
-        eng = self._engine(result_cache_bytes=1)  # nothing fits
+    def test_byte_bound_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(session, "RESULT_CACHE_BYTES", 1)  # nothing fits
+        eng = self._engine()
         q = "Q(A,B,C) :- R(A,B), S(B,C)"
         eng.execute(q)
         assert len(eng._recordings) == 0
         again = eng.execute(q)
         assert not again.metrics.result_cached
 
-    def test_dictionary_values_count_toward_the_recording_charge(self):
+    def test_dictionary_values_count_toward_the_recording_charge(self, monkeypatch):
         """Regression: pricing a dictionary column by its code array alone
         admitted a recording whose dictionary held a few large values
         (KBs of string/bytes per distinct value) at a tiny fraction of
-        its resident size and blew the result_cache_bytes cap.  The
+        its resident size and blew the RESULT_CACHE_BYTES cap.  The
         charge is resident bytes -- code arrays plus the dictionary
         values the columns reference -- so the cap must reject such a
         recording outright."""
@@ -212,7 +214,8 @@ class TestRecordingLRU:
         rows = [(i, blobs[i % 4]) for i in range(100)]
         q = "Q(A,B) :- R(A,B)"
 
-        capped = Engine(p=3, result_cache_bytes=20_000)
+        monkeypatch.setattr(session, "RESULT_CACHE_BYTES", 20_000)
+        capped = Engine(p=3)
         capped.register(Relation("R", ("A", "B"), rows))
         capped.execute(q)
         # Resident size is ~40 KB of dictionary values over ~800 bytes of
@@ -220,12 +223,13 @@ class TestRecordingLRU:
         assert len(capped._recordings) == 0
         assert capped._recording_bytes == 0
 
-        unbounded = Engine(p=3, result_cache_bytes=None)
+        monkeypatch.setattr(session, "RESULT_CACHE_BYTES", None)
+        unbounded = Engine(p=3)
         unbounded.register(Relation("R", ("A", "B"), rows))
         unbounded.execute(q)
         assert unbounded._recording_bytes > 30_000  # dictionaries counted
 
-    def test_charge_is_the_resident_size_of_emit_heavy_results(self):
+    def test_charge_is_the_resident_size_of_emit_heavy_results(self, monkeypatch):
         """For OUT >> IN results (the ``cold_emit`` shapes: string cells,
         small join domains) the charge is within [1.0x, 1.25x] of what
         the recording holds: itemsize x length of every typed array plus
@@ -243,7 +247,8 @@ class TestRecordingLRU:
         pair = random_instance(
             catalog.binary_join(), 150, {"A": wide, "B": 5, "C": wide}, seed=7
         )
-        eng = Engine(p=8, result_cache_bytes=None)
+        monkeypatch.setattr(session, "RESULT_CACHE_BYTES", None)
+        eng = Engine(p=8)
         for prefix, inst in (("F", fork), ("S", pair)):
             for i, name in enumerate(sorted(inst.relations), 1):
                 rel = inst.relations[name]
@@ -259,7 +264,7 @@ class TestRecordingLRU:
         for text in queries:
             res = eng.execute(text)
             assert res.output_size > 1000
-            recording = res.prepared.cached_result
+            recording = eng._recordings[res.prepared.key]
             arrays, dictionaries = {}, {}
             for block in recording.relation.column_parts:
                 for col in block.columns:
@@ -271,25 +276,31 @@ class TestRecordingLRU:
             resident = sum(arrays.values()) + sum(dictionaries.values())
             assert resident <= recording.stored_bytes <= 1.25 * resident, text
 
-    def test_unbounded_when_none(self):
-        eng = self._engine(result_cache_entries=None, result_cache_bytes=None)
+    def test_unbounded_when_none(self, monkeypatch):
+        monkeypatch.setattr(session, "RESULT_CACHE_ENTRIES", None)
+        monkeypatch.setattr(session, "RESULT_CACHE_BYTES", None)
+        eng = self._engine()
         for q in ("Q(A,B) :- R(A,B)", "Q(B,C) :- S(B,C)", "Q(A,B,C) :- R(A,B), S(B,C)"):
             eng.execute(q)
         assert len(eng._recordings) == 3
         assert eng._recording_bytes > 0
 
-    def test_oversized_recording_does_not_flush_the_cache(self):
-        eng = self._engine(result_cache_bytes=10_000)
+    def test_oversized_recording_does_not_flush_the_cache(self, monkeypatch):
+        monkeypatch.setattr(session, "RESULT_CACHE_BYTES", 10_000)
+        eng = self._engine()
         small = "Q(A,B) :- R(A,B)"
         eng.execute(small)
-        assert small in {e.parsed.text for e in eng.prepared_queries()
-                         if e.cached_result is not None}
+
+        def recorded() -> set[str]:
+            return {e.parsed.text for e in eng.prepared_queries()
+                    if e.key in eng._recordings}
+
+        assert small in recorded()
         # Shrink the budget so the next (larger) recording alone exceeds
         # it: the small query's recording must survive untouched.
-        eng.result_cache_bytes = 1
+        monkeypatch.setattr(session, "RESULT_CACHE_BYTES", 1)
         eng.execute("Q(A,B,C) :- R(A,B), S(B,C)")
-        kept = {e.parsed.text for e in eng.prepared_queries()
-                if e.cached_result is not None}
+        kept = recorded()
         assert small in kept
         assert "Q(A,B,C) :- R(A,B), S(B,C)" not in kept
 
@@ -298,9 +309,8 @@ class TestRecordingLRU:
         q = "Q(A,B) :- R(A,B)"
         eng.execute(q)
         entry = next(e for e in eng.prepared_queries() if e.parsed.text == q)
-        assert entry.cached_result is not None
+        assert entry.key in eng._recordings
         eng.register(Relation("R", ("A", "B"), [(i, i % 3) for i in range(50)]))
-        assert entry.cached_result is None
         assert entry.key not in eng._recordings
 
     def test_clear_caches_resets_the_lru(self):
