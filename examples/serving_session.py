@@ -58,7 +58,7 @@ print(f"popularity: {res.output_size} groups, top={top}, {wire(res)}")
 batch = engine.submit_batch([TWO_HOP, FEED, POPULARITY])
 print("\nwarm batch:")
 print(batch.stats.summary())
-assert all(r.metrics.plan_reused for r in batch.results)
+assert all(r.metrics.cache_hit for r in batch.results)
 
 # ----------------------------------------------------------------------
 # 3b. The physical plan a cold execution runs (repro explain), traced on
@@ -73,18 +73,21 @@ print(
 )
 
 # ----------------------------------------------------------------------
-# 4. Data evolves: updates invalidate exactly what they must.  The
-#    recording goes (recomputed on fresh rows); the plan is re-priced in
-#    RAM and kept, since the same fold order still wins on the new data.
+# 4. Data evolves: a register drops exactly what read the relation.
+#    POPULARITY reads Likes: its plan entry and recording go, and the
+#    next request compiles a new entry and recomputes on the fresh rows.
+#    TWO_HOP reads only Follows and is still served from its recording.
 # ----------------------------------------------------------------------
 engine.register(
     Relation("Likes", ("user", "post"), [(u, p) for u in range(50) for p in range(u % 6)])
 )
 res = engine.execute(POPULARITY)
 print(f"\nafter update: {res.output_size} groups "
-      f"(plan reused: {res.metrics.plan_reused}, "
+      f"(plan-cache hit: {res.metrics.cache_hit}, "
       f"recomputed: {not res.metrics.result_cached}, {wire(res)})")
-assert res.metrics.plan_reused and not res.metrics.invalidated
+assert not res.metrics.cache_hit and not res.metrics.result_cached
+untouched = engine.execute(TWO_HOP)
+assert untouched.metrics.cache_hit and untouched.metrics.result_cached
 
 print("\nsession totals:")
 print(engine.stats().summary())

@@ -252,7 +252,6 @@ def _print_execution(res) -> None:
         f"kind={m.kind} algorithm={m.algorithm} class="
         f"{res.prepared.query_class} load={m.load} out={m.out_size} "
         f"{'hit' if m.cache_hit else 'miss'}"
-        f"{' (invalidated)' if m.invalidated else ''}"
     )
     _print_plan_order(res.prepared)
     if res.prepared.plan_quality:

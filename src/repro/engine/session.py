@@ -6,12 +6,14 @@ substrate caches attached to distributed relations never amortize across
 queries.  :class:`Engine` is the serving-side answer:
 
 * **Registered base relations** — named :class:`~repro.data.relation.
-  Relation` objects, versioned on every update.
+  Relation` objects.  :meth:`Engine.register` is the engine's one
+  invalidation: it drops every plan entry, recording and distributed
+  relation that read the relation.
 * **One warm cluster/backend** held across queries.  Distributed (and
   annotated) variants of each registered relation are cached keyed by
-  ``(name, version, binding)``, so the per-relation substrate caches
-  (sorted runs, key encodings) and the multiprocess workers'
-  content-addressed memos keep paying off query after query.
+  ``(name, binding)``, so the per-relation substrate caches (sorted
+  runs, key encodings) and the multiprocess workers' content-addressed
+  memos keep paying off query after query.
 * **``prepare()``** — parse, classify, check the bindings and cache the
   plan entry keyed by the query's canonical form + bindings.  It prices
   nothing: an entry's one data-dependent decision — which algorithm runs
@@ -19,15 +21,10 @@ queries.  :class:`Engine` is the serving-side answer:
   load) along which Section 4.1 fold order
   (:func:`~repro.core.planner.price_fold_orders`, exact, in RAM, no
   backend round) — is priced on the entry's data when first read,
-  normally by its first execution.  When a registered relation changes,
-  a decision already read is re-read on the new data and must come out
-  the same (revalidated) or the entry is recompiled from the new pricing
-  (invalidated); one nobody has read yet is re-pointed at the new data.
-  A stale plan never serves, and stale *data* never serves because the
-  distributed-relation caches are version-keyed.
+  normally by its first execution.  An entry lives until a relation it
+  reads is registered again; the next request compiles a new one.
 * **``execute()``** — a request takes one of two paths: a result-cache
-  hit (the recorded outputs and ledger of an earlier execution; a
-  ``register`` drops every recording that read the relation), or a cold
+  hit (the recorded outputs and ledger of an earlier execution), or a cold
   execution that drives the entry's algorithm through the same
   :func:`~repro.core.runner.run_join_algorithm` /
   :func:`~repro.core.runner.run_aggregate_algorithm` seams the one-shot
@@ -118,8 +115,8 @@ class _CachedResult:
     unchanged registered relations reproduces the same outputs and the
     same ledger bit for bit, so serving the recording *is* the execution
     (the same argument by which a sorted run is billed from its recorded
-    counts).  :meth:`Engine.register` drops every recording whose
-    ``relations`` name the updated relation, under the engine lock.
+    counts).  A recording lives under its plan entry's key, and
+    :meth:`Engine.register` drops it with the entry.
 
     A distributed result is held as a column-backed :class:`DistRelation`
     nobody reads rows from: every serve hands out a *fresh* lazy relation
@@ -128,7 +125,6 @@ class _CachedResult:
     pinning a row view (per-row tuples, pure GC ballast) in the cache.
     """
 
-    relations: frozenset[str]
     relation: Any
     scalar: Any
     report: LoadReport
@@ -145,14 +141,14 @@ class _Call:
 
     Handed to every serving path in place of positional flags;
     :meth:`Engine._finish` turns it into the call's
-    :class:`QueryMetrics`.  ``status`` is the :meth:`Engine._resolve`
-    plan-cache status.  The last four fields are armed only once the
+    :class:`QueryMetrics`.  ``hit`` is the :meth:`Engine._resolve`
+    plan-cache outcome.  The last four fields are armed only once the
     call is past the result cache, so a served recording pays for none
     of them.
     """
 
     entry: "PreparedQuery"
-    status: str
+    hit: bool
     t0: float
     span: Any
     deadline_at: float | None = None
@@ -170,13 +166,12 @@ class PreparedQuery:
         key: Plan-cache key (canonical form + bindings + algorithm request).
         kind: ``"join"`` | ``"project"`` | ``"aggregate"``.
         query_class: Figure-1 class name of the body hypergraph.
-        relation_versions: Registered-relation versions the entry was
-            compiled or last revalidated against.
         uses: Number of executions served by this entry.
 
-    The entry's one data-dependent decision is :attr:`choice`: which
-    algorithm runs along which Section 4.1 fold order, priced on the data
-    at ``relation_versions`` when first read.  An acyclic join under
+    An entry belongs to one version of the data it reads:
+    :meth:`Engine.register` drops it.  Its one data-dependent decision is
+    :attr:`choice`: which algorithm runs along which Section 4.1 fold
+    order, priced on that data when first read.  An acyclic join under
     ``auto`` holds :func:`~repro.core.planner.choose`'s pricing; under
     ``yannakakis`` the fold orders' (``units`` empty).  Any other request
     holds no decision (``choice`` is ``None``): a cyclic query, an
@@ -189,7 +184,6 @@ class PreparedQuery:
     key: tuple
     kind: str
     query_class: str
-    relation_versions: dict[str, int]
     uses: int = 0
     # The decision, or until first read a thunk that prices it on the
     # entry's data (``None`` where there is nothing to decide).
@@ -246,8 +240,8 @@ class PreparedQuery:
         return None if choice is None else choice.units
 
 
-#: Serialises taking a pending choice and replacing it on revalidation
-#: (readers of ``choice`` need not hold the engine lock).
+#: Serialises taking a pending choice, so it is priced once (readers of
+#: ``choice`` need not hold the engine lock).
 _SETTLING = threading.Lock()
 
 
@@ -255,12 +249,9 @@ _SETTLING = threading.Lock()
 class QueryMetrics:
     """Per-execution serving metrics.
 
-    ``cache_hit`` — the plan cache served this query without looking at
-    the data.  ``plan_reused`` — the compiled plan was not recompiled
-    (includes revalidation after a data update: the entry's decision, if
-    read, comes out the same on the new data).  ``invalidated`` — a
-    cached plan existed but was recompiled because another decision wins
-    on the new data.  ``plan_quality`` is the pricing of the data this
+    ``cache_hit`` — the plan cache held an entry for this query (a
+    ``register`` of a relation it reads drops the entry, so the next
+    request is a miss).  ``plan_quality`` is the pricing of the data this
     execution ran on.  ``result_cached`` — the recorded execution was
     served instead of re-simulated (identical outputs and ledger).
     """
@@ -269,8 +260,6 @@ class QueryMetrics:
     kind: str
     algorithm: str
     cache_hit: bool
-    plan_reused: bool
-    invalidated: bool
     result_cached: bool
     load: int
     max_step_load: int
@@ -301,6 +290,8 @@ class QueryMetrics:
 
     # Read by benchmarks/harness/measure.py (warm-or-cold test).
     plan_replayed = property(lambda self: False)
+    # Read by benchmarks/harness/measure.py (the engine.repriced count).
+    plan_reused = property(lambda self: self.cache_hit)
     # Read by benchmarks/harness/probes.py (the plan.ops probe).
     plan_ops = property(lambda self: 0)
     # Read by benchmarks/harness/probes.py (the plan.fused_groups probe).
@@ -325,7 +316,6 @@ class EngineStats:
     prepares: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    invalidations: int = 0
     result_hits: int = 0
     #: Shipped statements installed into this engine's plan cache (the
     #: serving tier's cross-replica plan index feeds this; a local prepare
@@ -349,12 +339,10 @@ class EngineStats:
         if metrics.deadline_exceeded:
             self.deadline_misses += 1
         self.fault_events += metrics.fault_events
-        if metrics.plan_reused:
+        if metrics.cache_hit:
             self.cache_hits += 1
         else:
             self.cache_misses += 1
-        if metrics.invalidated:
-            self.invalidations += 1
         if metrics.result_cached:
             self.result_hits += 1
         self.total_load += metrics.load
@@ -399,8 +387,7 @@ class EngineStats:
         lines = [
             f"{self.queries} queries on backend={self.backend} p={self.p}: "
             f"{self.cache_hits} plan hits / {self.cache_misses} misses / "
-            f"{self.invalidations} invalidations / {self.result_hits} "
-            f"result hits, total load "
+            f"{self.result_hits} result hits, total load "
             f"{self.total_load} (max {self.max_load}), "
             f"{self.total_wire_bytes} wire bytes, "
             f"{self.total_backend_requests} backend requests, "
@@ -555,11 +542,8 @@ class Engine:
         self._group = self._cluster.root_group()
         self._lock = threading.RLock()
         self._relations: dict[str, Relation] = {}
-        self._versions: dict[str, int] = {}
         self._plans: dict[tuple, PreparedQuery] = {}
-        # (name, version, edge, variables) -> positionally-renamed Relation
-        self._bound_cache: dict[tuple, Relation] = {}
-        # (name, version, edge, variables, aggregate|None) -> DistRelation
+        # (name, edge, variables, aggregate|None) -> DistRelation
         self._dist_cache: dict[tuple, DistRelation] = {}
         # Recording LRU: plan key -> recording, least recent first.
         self._recordings: OrderedDict[tuple, _CachedResult] = OrderedDict()
@@ -582,36 +566,31 @@ class Engine:
     def backend_name(self) -> str:
         return self._cluster.backend.name
 
-    def register(self, relation: Relation, name: str | None = None) -> int:
-        """Register (or update) a named base relation; returns its version.
+    def register(self, relation: Relation, name: str | None = None) -> None:
+        """Register (or update) a named base relation.
 
-        Updating bumps the version: cached distributed variants of the old
-        version and every recording that read the relation are dropped,
-        and prepared plans that touch the relation are revalidated on the
-        new data on their next use.
+        The engine's one validity rule: every plan entry whose bindings
+        read ``name``, the recording under its key and every distributed
+        variant of ``name`` are dropped, under the engine lock.  The next
+        request for such a query compiles a new entry, priced on the new
+        data when its decision is first read.
         """
         name = name or relation.name
         with self._lock:
-            version = self._versions.get(name, 0) + 1
-            self._versions[name] = version
             self._relations[name] = relation
-            for cache in (self._bound_cache, self._dist_cache):
-                stale = [k for k in cache if k[0] == name and k[1] != version]
-                for k in stale:
-                    del cache[k]
-            # The one validity rule of the result cache: a recording that
-            # read the relation never serves again.
-            for key in [k for k, r in self._recordings.items() if name in r.relations]:
+            stale = [
+                key for key, entry in self._plans.items()
+                if any(b.relation == name for b in entry.parsed.bindings)
+            ]
+            for key in stale:
+                del self._plans[key]
                 self._drop_recording(key)
-            return version
+            for key in [k for k in self._dist_cache if k[0] == name]:
+                del self._dist_cache[key]
 
     def relation_names(self) -> tuple[str, ...]:
         with self._lock:
             return tuple(sorted(self._relations))
-
-    def relation_version(self, name: str) -> int:
-        with self._lock:
-            return self._versions.get(name, 0)
 
     def _base(self, name: str) -> Relation:
         rel = self._relations.get(name)
@@ -633,31 +612,22 @@ class Engine:
         return rel
 
     def _bound(self, binding: Binding) -> Relation:
-        """The base relation renamed to the binding's edge key + variables."""
+        """The base relation renamed to the binding's edge key + variables.
+
+        Binding is a rename: rows are already deduplicated (and
+        annotations combined) in the base relation, so the bound variant
+        shares rows, annotations and the ``column_codes`` memo with it.
+        """
         base = self._base(binding.relation)
-        version = self._versions[binding.relation]
-        key = (binding.relation, version, binding.edge, binding.variables)
-        cached = self._bound_cache.get(key)
-        if cached is None:
-            # Binding is a rename: rows are already deduplicated (and
-            # annotations combined) in the base relation, so the bound
-            # variant shares rows *and* the columnar backing — distributed
-            # variants slice the same encoded columns for every binding.
-            if binding.variables is None:
-                cached = (
-                    base if base.name == binding.edge
-                    else base.renamed(binding.edge)
-                )
-            else:
-                if len(binding.variables) != len(base.attrs):
-                    raise EngineError(
-                        f"atom {binding.edge}({','.join(binding.variables)}) has "
-                        f"arity {len(binding.variables)} but relation "
-                        f"{binding.relation!r} has columns {base.attrs}"
-                    )
-                cached = base.renamed(binding.edge, binding.variables)
-            self._bound_cache[key] = cached
-        return cached
+        if binding.variables is None:
+            return base if base.name == binding.edge else base.renamed(binding.edge)
+        if len(binding.variables) != len(base.attrs):
+            raise EngineError(
+                f"atom {binding.edge}({','.join(binding.variables)}) has "
+                f"arity {len(binding.variables)} but relation "
+                f"{binding.relation!r} has columns {base.attrs}"
+            )
+        return base.renamed(binding.edge, binding.variables)
 
     def instance_for(self, parsed: ParsedQuery) -> Instance:
         """Materialize the query's instance from registered relations.
@@ -671,24 +641,28 @@ class Engine:
             )
 
     def _dist_rels(
-        self, parsed: ParsedQuery, aggregate: str | None = None
+        self, entry: PreparedQuery, group: Any, cache: dict[tuple, DistRelation]
     ) -> dict[str, DistRelation]:
-        """Cached distributed (and possibly annotated) relations per edge."""
+        """The entry's bound relations distributed on ``group`` per edge,
+        annotated in the query's semiring for an aggregate.
+
+        The serving path passes ``_dist_cache``, so a distributed variant
+        (and the substrate caches on it) outlives the query; explain's
+        scratch group passes a fresh dict.
+        """
+        parsed = entry.parsed
+        aggregate = None if entry.kind == "join" else (parsed.aggregate or "bool")
         rels: dict[str, DistRelation] = {}
-        semiring = parsed.semiring
         for b in parsed.bindings:
-            version = self._versions.get(b.relation, 0)
-            key = (b.relation, version, b.edge, b.variables, aggregate)
-            dist = self._dist_cache.get(key)
+            key = (b.relation, b.edge, b.variables, aggregate)
+            dist = cache.get(key)
             if dist is None:
                 rel = self._bound(b)
-                if aggregate is not None:
-                    if not rel.annotated:
-                        rel = rel.with_annotations(semiring)
-                    dist = distribute_relation(rel, self._group, annotate=True)
-                else:
-                    dist = distribute_relation(rel, self._group)
-                self._dist_cache[key] = dist
+                if aggregate is not None and not rel.annotated:
+                    rel = rel.with_annotations(parsed.semiring)
+                dist = cache[key] = distribute_relation(
+                    rel, group, annotate=aggregate is not None
+                )
             rels[b.edge] = dist
         return rels
 
@@ -756,7 +730,8 @@ class Engine:
         decision (:class:`PreparedQuery`) is priced on the same data when
         first read — normally by its first execution.  Pricing issues no
         backend round on any backend (so it cannot fault) and is exact
-        for the entry's data.
+        for the entry's data.  The entry is cached until a ``register``
+        of a relation it reads drops it.
 
         Args:
             query: Datalog-style text, a catalog name, or a parsed query.
@@ -770,7 +745,7 @@ class Engine:
         """
         parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
         with self._lock:
-            entry, _status = self._resolve(parsed, algorithm)
+            entry, _hit = self._resolve(parsed, algorithm)
             return entry
 
     def _plan_key(self, parsed: ParsedQuery, algorithm: str) -> tuple:
@@ -783,12 +758,6 @@ class Engine:
             tuple(sorted(parsed.bindings, key=lambda b: b.edge)),
             algorithm,
         )
-
-    def _current_versions(self, parsed: ParsedQuery) -> dict[str, int]:
-        return {
-            b.relation: self._versions.get(b.relation, 0)
-            for b in parsed.bindings
-        }
 
     def _decide(
         self, parsed: ParsedQuery, algorithm: str
@@ -823,61 +792,27 @@ class Engine:
 
     def _resolve(
         self, parsed: ParsedQuery, algorithm: str
-    ) -> tuple[PreparedQuery, str]:
-        """Fetch/compile the plan; returns the entry and its cache status.
+    ) -> tuple[PreparedQuery, bool]:
+        """Fetch the plan entry, compiling it on a miss; returns the entry
+        and whether the plan cache held it.
 
-        Status is ``"hit"`` (versions unchanged — served without looking
-        at the data), ``"revalidated"`` (data changed but the decision did
-        not: one already read is re-read on the new data and comes out
-        with the same algorithm and fold order, one not yet read is
-        re-pointed at the new data), ``"invalidated"`` (a decision already
-        read comes out different — recompiled from that pricing), or
-        ``"miss"`` (first compile).
+        A held entry is valid by construction: :meth:`register` drops every
+        entry that read the relation it updates.  Compiling classifies the
+        query and checks its bindings; the decision is priced on first read.
         """
         key = self._plan_key(parsed, algorithm)
         entry = self._plans.get(key)
-        if entry is None:
-            entry = self._plans[key] = self._compile(
-                parsed, key, self._decide(parsed, algorithm)
-            )
-            return entry, "miss"
-        versions = self._current_versions(parsed)
-        if versions == entry.relation_versions:
-            return entry, "hit"
-        # Data changed since compile: a stale plan must never serve; fresh
-        # data is picked up regardless via the version-keyed
-        # distributed-relation caches.
-        decision = self._decide(parsed, algorithm)
-        held = entry._choice
-        if isinstance(held, Choice):
-            decision = decision()
-            if (decision.algorithm, decision.plan.order) != (
-                held.algorithm, held.plan.order
-            ):
-                entry = self._plans[key] = self._compile(parsed, key, decision)
-                return entry, "invalidated"
-        with _SETTLING:
-            entry._choice = decision
-        entry.relation_versions = versions
-        return entry, "revalidated"
-
-    def _compile(
-        self,
-        parsed: ParsedQuery,
-        key: tuple,
-        decision: Choice | Callable[[], Choice] | None,
-    ) -> PreparedQuery:
-        """A new plan entry holding ``decision`` (see :meth:`_decide`)."""
-        entry = PreparedQuery(
+        if entry is not None:
+            return entry, True
+        entry = self._plans[key] = PreparedQuery(
             parsed=parsed,
             key=key,
             kind=parsed.kind,
             query_class=classify(parsed.query).name,
-            relation_versions=self._current_versions(parsed),
-            _choice=decision,
+            _choice=self._decide(parsed, algorithm),
         )
         self._stats.prepares += 1
-        return entry
+        return entry, False
 
     # ------------------------------------------------------------------
     # Execute: serve the recording, or run the prepared plan cold
@@ -949,10 +884,8 @@ class Engine:
         concurrent submitters.
         """
         with self._lock:
-            entry, status = self._resolve(parsed, algorithm)
-            call = _Call(
-                entry=entry, status=status, t0=time.perf_counter(), span=span
-            )
+            entry, hit = self._resolve(parsed, algorithm)
+            call = _Call(entry=entry, hit=hit, t0=time.perf_counter(), span=span)
             if deadline is not None and deadline <= 0:
                 exc = DeadlineExceeded(
                     "deadline expired before execution began"
@@ -1003,10 +936,6 @@ class Engine:
         lock and has already armed ``self._cluster.deadline``.
         """
         entry = call.entry
-        aggregate = (
-            None if entry.kind == "join"
-            else (entry.parsed.aggregate or "bool")
-        )
         cspan = call.span.child("cold_execute", algorithm=entry.algorithm)
         # Meter and span ride on the cluster from *before* relation
         # distribution: dist-cache misses ship parts to the workers, and
@@ -1016,7 +945,7 @@ class Engine:
         self._cluster.obs_span = cspan
         try:
             with cspan:
-                rels = self._dist_rels(entry.parsed, aggregate=aggregate)
+                rels = self._dist_rels(entry, self._group, self._dist_cache)
                 self._cluster.reset()
                 relation, scalar, meta, out_size = _run_algorithm(
                     entry, self._group, rels
@@ -1037,7 +966,6 @@ class Engine:
         self._store_recording(
             entry.key,
             _CachedResult(
-                relations=frozenset(entry.relation_versions),
                 relation=stored,
                 scalar=scalar,
                 report=report,
@@ -1070,20 +998,6 @@ class Engine:
             wire_bytes=wire_bytes,
         )
 
-    def _scratch_rels(
-        self, entry: PreparedQuery, group: Any
-    ) -> dict[str, DistRelation]:
-        """Fresh distributed copies of the bound relations on a scratch
-        group (the serving caches stay warm-backend-shaped)."""
-        annotate = entry.kind != "join"
-        rels: dict[str, DistRelation] = {}
-        for b in entry.parsed.bindings:
-            rel = self._bound(b)
-            if annotate and not rel.annotated:
-                rel = rel.with_annotations(entry.parsed.semiring)
-            rels[b.edge] = distribute_relation(rel, group, annotate=annotate)
-        return rels
-
     # ------------------------------------------------------------------
     # Reporting: every serving path records through _finish
     # ------------------------------------------------------------------
@@ -1111,7 +1025,6 @@ class Engine:
         """
         entry = call.entry
         failed = path == "failed"
-        status = "" if failed else call.status
         # Reading the decision prices it: a call that failed before its
         # execution read the decision reports the request instead.
         if callable(entry._choice):
@@ -1144,9 +1057,7 @@ class Engine:
             text=entry.parsed.text,
             kind=entry.kind,
             algorithm=algorithm,
-            cache_hit=status == "hit",
-            plan_reused=status in ("hit", "revalidated"),
-            invalidated=status == "invalidated",
+            cache_hit=call.hit and not failed,
             result_cached=path == "cached",
             load=load,
             max_step_load=max_step_load,
@@ -1177,10 +1088,10 @@ class Engine:
         """
         parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
         with self._lock:
-            entry, _status = self._resolve(parsed, algorithm)
+            entry, _hit = self._resolve(parsed, algorithm)
             scratch = Cluster(self.p, backend="serial")
             group = scratch.root_group()
-            rels = self._scratch_rels(entry, group)
+            rels = self._dist_rels(entry, group, {})
             rec = scratch.recorder = TraceRecorder()
             _run_algorithm(entry, group, rels)
             return rec.finish(
@@ -1347,7 +1258,7 @@ class Engine:
             results.append(res)
             stats.record(res.metrics)
         stats.prepares = sum(
-            1 for r in results if r.ok and not r.metrics.plan_reused
+            1 for r in results if r.ok and not r.metrics.cache_hit
         )
         return BatchReport(results=results, stats=stats)
 
@@ -1366,8 +1277,6 @@ class Engine:
             kind="?",
             algorithm="?",
             cache_hit=False,
-            plan_reused=False,
-            invalidated=False,
             result_cached=False,
             load=0,
             max_step_load=0,
@@ -1422,7 +1331,6 @@ class Engine:
             "repro_engine_prepares": s.prepares,
             "repro_engine_cache_hits": s.cache_hits,
             "repro_engine_cache_misses": s.cache_misses,
-            "repro_engine_invalidations": s.invalidations,
             "repro_engine_result_hits": s.result_hits,
             "repro_engine_plans_installed": s.plans_installed,
             "repro_engine_total_load": s.total_load,
@@ -1474,7 +1382,6 @@ class Engine:
         """Drop prepared plans, cached relations and recordings."""
         with self._lock:
             self._plans.clear()
-            self._bound_cache.clear()
             self._dist_cache.clear()
             self._recordings.clear()
             self._recording_bytes = 0

@@ -288,8 +288,8 @@ class Frontdoor:
         can hold its own shard under the same name, and routing then
         only considers replicas holding *all* of a query's relations.
         Re-registering invalidates the plan index for every query that
-        touches the name — engines already drop their own stale state
-        per their version contract.
+        touches the name — each engine's ``register`` drops its own plan
+        entries, recordings and distributed relations that read it.
         """
         name = name or relation.name
         targets = (

@@ -160,21 +160,20 @@ def test_engine_and_one_shot_run_the_same_choice(build, winner):
     assert served.relation.parts == one_shot.relation.parts
 
 
-def test_a_register_that_flips_the_choice_invalidates():
+def test_a_register_that_flips_the_choice_compiles_a_new_entry():
     engine = _engine_on(_uniform(), p=8)
     first = engine.execute(TEXT)
     assert first.prepared.algorithm == "yannakakis"
     for rel in line_trap_instance(3, 600, 6000, doubled=True).relations.values():
         engine.register(rel)
     res = engine.execute(TEXT)
-    assert res.metrics.invalidated and not res.metrics.plan_reused
-    assert res.prepared is not first.prepared
+    assert not res.metrics.cache_hit and res.prepared is not first.prepared
     assert res.prepared.algorithm == "line3"
-    # A register that keeps the choice revalidates.
+    # A register that keeps the choice is a miss on a new entry too.
     engine.register(line_trap_instance(3, 600, 6000, doubled=True).relations["R2"])
     again = engine.execute(TEXT)
-    assert again.metrics.plan_reused and not again.metrics.invalidated
-    assert again.prepared is res.prepared
+    assert not again.metrics.cache_hit and again.prepared is not res.prepared
+    assert again.prepared.algorithm == "line3"
 
 
 def test_concurrent_readers_take_a_pending_choice_once(monkeypatch):

@@ -62,7 +62,7 @@ def test_plan_cache_hit_on_second_execution():
     first = eng.execute(LINE3)
     second = eng.execute(LINE3)
     assert not first.metrics.cache_hit
-    assert second.metrics.cache_hit and second.metrics.plan_reused
+    assert second.metrics.cache_hit
     # Equivalent text (different attr/edge order) hits the same entry.
     third = eng.execute("Q(D,C,B,A) :- R3(C,D), R2(B,C), R1(A,B)")
     assert third.metrics.cache_hit
@@ -84,25 +84,24 @@ def test_same_structure_different_binding_is_a_distinct_plan():
 
 
 # ----------------------------------------------------------------------
-# Plan validity across version moves, as a state machine: an entry stays
-# valid exactly while the fold order it holds still wins on the data.
+# Plan validity across a register: an entry belongs to one version of the
+# data it reads, so the next request after a register is a miss on a new
+# entry, priced on the new data — whether or not the same order wins.
 # ----------------------------------------------------------------------
-def test_version_move_keeping_the_order_revalidates():
+def test_a_register_that_keeps_the_order_compiles_a_new_entry():
     eng = _basic_engine()
     first = eng.execute(LINE3)
     eng.register(Relation("R2", ("B", "C"), [(i % 3, i % 11) for i in range(80)]))
     res = eng.execute(LINE3)
-    assert res.prepared is first.prepared
-    assert not res.metrics.cache_hit
-    assert res.metrics.plan_reused and not res.metrics.invalidated
+    assert not res.metrics.cache_hit and res.prepared is not first.prepared
     instance = eng.instance_for(parse_query(LINE3))
     assert set(res.rows()) == set(ram_yannakakis(instance).rows)
-    # The kept entry describes the *new* data, exactly.
+    # The new entry describes the *new* data, exactly.
     choice, quality = planner.price_fold_orders(instance.query, instance)
-    assert res.prepared.plan_order == choice.order
+    assert res.prepared.plan_order == choice.order == first.prepared.plan_order
     assert res.metrics.plan_quality == res.prepared.plan_quality == quality
     assert quality != first.metrics.plan_quality
-    assert eng.stats().invalidations == 0 and eng.stats().prepares == 1
+    assert eng.stats().prepares == 2
 
 
 def test_plan_gaps_report_the_newest_pricing_of_a_query():
@@ -110,7 +109,7 @@ def test_plan_gaps_report_the_newest_pricing_of_a_query():
     first = eng.execute(LINE3)
     eng.register(Relation("R2", ("B", "C"), [(i % 3, i % 11) for i in range(80)]))
     res = eng.execute(LINE3)
-    assert res.metrics.plan_reused
+    assert not res.metrics.cache_hit
     newest = res.metrics.plan_quality
     assert newest != first.metrics.plan_quality
     stats = eng.stats()
@@ -136,7 +135,7 @@ def test_a_deadline_missed_before_execution_prices_nothing(monkeypatch):
     assert len(calls) == 1
 
 
-def test_version_move_that_flips_the_order_invalidates():
+def test_a_register_that_flips_the_order_compiles_a_new_entry():
     forward = line_trap_instance(3, 300, 3000, direction="forward")
     backward = line_trap_instance(3, 300, 3000, direction="backward")
     text = "Q(X0,X1,X2,X3) :- R1(X0,X1), R2(X1,X2), R3(X2,X3)"
@@ -148,10 +147,9 @@ def test_version_move_that_flips_the_order_invalidates():
     for rel in backward.relations.values():
         eng.register(rel)
     res = eng.execute(text, algorithm="yannakakis")
-    assert res.metrics.invalidated and not res.metrics.plan_reused
-    assert res.prepared is not first.prepared
+    assert not res.metrics.cache_hit and res.prepared is not first.prepared
     assert res.prepared.plan_order == ("R1", "R2", "R3")
-    assert eng.stats().invalidations == 1 and eng.stats().prepares == 2
+    assert eng.stats().prepares == 2
     # The re-planned execution is the one-shot run under the new plan.
     instance = eng.instance_for(res.prepared.parsed)
     assert set(res.rows()) == set(ram_yannakakis(instance).rows)
@@ -301,11 +299,8 @@ def test_a_non_fault_error_from_a_cold_execution_is_recorded_failed():
     assert 'repro_queries_total{path="failed"} 1' in eng.metrics_text()
 
 
-def test_cyclic_query_is_never_repriced(monkeypatch):
-    inst = random_instance(catalog.triangle(), 30, 6, seed=5)
-    eng = Engine(p=4)
-    for rel in inst.relations.values():
-        eng.register(rel)
+def _count_pricing(monkeypatch) -> list:
+    """Record every pricing call the engine makes."""
     calls = []
     for name in ("price_fold_orders", "choose"):
         real = getattr(planner, name)
@@ -313,14 +308,58 @@ def test_cyclic_query_is_never_repriced(monkeypatch):
             session_module, name,
             lambda *a, real=real, **k: calls.append(a) or real(*a, **k),
         )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, algorithm, pricings",
+    [
+        (LINE3, "auto", 1),
+        (LINE3, "yannakakis", 1),
+        ("Q(A,B,C) :- R1(A,B), R2(B,C), R3(C,A)", "auto", 0),
+        (LINE3, "acyclic", 0),
+        ("Q(B; count) :- R1(A,B), R2(B,C)", "auto", 0),
+    ],
+    ids=["auto", "yannakakis", "cyclic", "acyclic", "grouped-count"],
+)
+def test_the_first_execute_after_a_register_prices_what_it_reads(
+    monkeypatch, text, algorithm, pricings
+):
+    eng = _basic_engine()
+    eng.execute(text, algorithm=algorithm)
+    calls = _count_pricing(monkeypatch)
+    eng.register(Relation("R2", ("B", "C"), [(i % 3, i % 11) for i in range(80)]))
+    res = eng.execute(text, algorithm=algorithm)
+    assert not (res.metrics.cache_hit or res.metrics.result_cached)
+    assert len(calls) == pricings
+    eng.execute(text, algorithm=algorithm)
+    assert len(calls) == pricings
+
+
+def test_a_prepare_after_a_register_prices_nothing(monkeypatch):
+    eng = _basic_engine()
+    eng.execute(LINE3)
+    calls = _count_pricing(monkeypatch)
+    eng.register(Relation("R2", ("B", "C"), [(i % 3, i % 11) for i in range(80)]))
+    entry = eng.prepare(LINE3)
+    assert calls == []
+    assert eng.execute(LINE3).prepared is entry
+    assert len(calls) == 1
+
+
+def test_cyclic_query_is_never_repriced(monkeypatch):
+    inst = random_instance(catalog.triangle(), 30, 6, seed=5)
+    eng = Engine(p=4)
+    for rel in inst.relations.values():
+        eng.register(rel)
+    calls = _count_pricing(monkeypatch)
     text = "Q(A,B,C) :- R1(B,C), R2(A,C), R3(A,B)"
     first = eng.execute(text)
     assert first.prepared.plan_quality is None
     other = random_instance(catalog.triangle(), 50, 5, seed=6)
     eng.register(other.relations["R2"])
     res = eng.execute(text)
-    assert res.metrics.plan_reused and not res.metrics.cache_hit
-    assert res.prepared is first.prepared
+    assert not res.metrics.cache_hit and res.prepared is not first.prepared
     fresh = eng.instance_for(res.prepared.parsed)
     assert set(res.rows()) == mpc_join(fresh.query, fresh, p=4).row_set()
     assert calls == []
@@ -349,7 +388,7 @@ def test_pricing_issues_no_backend_round(backend):
     eng.register(Relation("R2", ("B", "C"), [(i % 3, i % 11) for i in range(80)]))
     before = backend_obj.requests
     res = eng.execute(LINE3, algorithm="yannakakis")
-    assert res.metrics.plan_reused and not res.metrics.cache_hit
+    assert not res.metrics.cache_hit
     # Every request since the swap belongs to the execution itself.
     assert backend_obj.requests - before == res.metrics.backend_requests
     assert res.metrics.backend_requests == cold.metrics.backend_requests
@@ -382,7 +421,7 @@ def test_result_cache_can_be_disabled():
 
 
 def test_stale_plan_never_serves_stale_data():
-    """The same order still wins: plan revalidates, but the *data* must be fresh."""
+    """The same order still wins on the new rows: a new entry, fresh data."""
     eng = Engine(p=3)
     eng.register(Relation("R", ("A", "B"), [(0, 1), (1, 2)]))
     eng.register(Relation("S", ("B", "C"), [(1, 7), (2, 8)]))
@@ -392,7 +431,7 @@ def test_stale_plan_never_serves_stale_data():
     # Shifted values: identical sizes and degree profiles, different rows.
     eng.register(Relation("S", ("B", "C"), [(1, 70), (2, 80)]))
     second = eng.execute(text)
-    assert second.metrics.plan_reused
+    assert not second.metrics.cache_hit and second.prepared is not first.prepared
     assert set(second.rows()) == {(0, 1, 70), (1, 2, 80)}
 
 
@@ -447,7 +486,7 @@ def test_submit_batch_serial_and_threaded_agree():
         assert a.report.as_dict() == b.report.as_dict()
     # Second batch is fully warm.
     assert threaded.stats.cache_hits == 4
-    assert all(r.metrics.plan_reused for r in threaded.results)
+    assert all(r.metrics.cache_hit for r in threaded.results)
 
 
 def test_threaded_warm_replays_on_a_pool_match_their_cold_reports():

@@ -1,12 +1,12 @@
 """The engine as a state machine.
 
-Catalog versions, the plan cache with its undecided picks, the recordings
-LRU and the distributed-relation cache interact; hypothesis walks them
-together.  Steps register data (the rows a relation already holds, new
-rows, or the line trap that flips ``auto``'s pick off ``yannakakis``),
-execute the line-3 join, a two-atom join and a grouped count under three
-algorithm requests, miss a deadline, clear the caches and bound the
-recordings LRU to one entry.  After every execution:
+``register``'s one validity rule, the plan cache with its undecided
+picks, the recordings LRU and the distributed-relation cache interact;
+hypothesis walks them together.  Steps register data (the rows a relation
+already holds, new rows, or the line trap that flips ``auto``'s pick off
+``yannakakis``), execute the line-3 join, a two-atom join and a grouped
+count under three algorithm requests, miss a deadline, clear the caches
+and bound the recordings LRU to one entry.  After every execution:
 
 * the rows equal the RAM oracle on the engine's current data;
 * the ledger equals a one-shot run of the algorithm and plan the entry
@@ -14,7 +14,13 @@ recordings LRU to one entry.  After every execution:
 * the fold order and the pick the entry holds are those the planner
   prices on the current data;
 * a served recording never follows a ``register`` of a relation it read
-  unless a cold run of the same request came in between.
+  unless a cold run of the same request came in between;
+* the first request after a ``register`` of a relation it reads is a
+  plan-cache miss on a new entry.
+
+After every step, every recording lives under a plan entry's key, and
+right after a ``register`` the distributed-relation cache holds nothing
+of the registered relation.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.planner import choose, price_fold_orders
 from repro.core.runner import mpc_join, mpc_join_aggregate
@@ -48,7 +54,8 @@ QUERIES = (
 )
 ALGORITHMS = ("auto", "yannakakis", "acyclic")
 BOUND = session.RESULT_CACHE_ENTRIES
-READS = {text: {b.relation for b in parse_query(text).bindings} for text in QUERIES}
+PARSED = {text: parse_query(text) for text in QUERIES}
+READS = {text: {b.relation for b in PARSED[text].bindings} for text in QUERIES}
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -58,6 +65,9 @@ class EngineMachine(RuleBasedStateMachine):
         #: (text, algorithm) requests whose data moved since their last
         #: cold run: none of them may be served from a recording.
         self.stale: set[tuple[str, str]] = set()
+        #: Requests a ``register`` touched, mapped to the plan entry they
+        #: had before it (or ``None``): the next one must not be served it.
+        self.dropped: dict[tuple[str, str], object] = {}
         self.register(("R1", "R2", "R3"), "uniform")
         self.last = (QUERIES[0], "auto")
 
@@ -68,19 +78,32 @@ class EngineMachine(RuleBasedStateMachine):
     def register(self, names: tuple[str, ...], data: str) -> None:
         """The same rows when ``names`` hold ``data`` already, new rows
         otherwise; all three from ``trap`` flip the pick."""
-        for name in names:
-            rel = DATA[data].relations[name]
-            self.engine.register(Relation(name, rel.attrs, rel.rows))
-        self.stale |= {
+        touched = {
             (text, alg) for text in QUERIES for alg in ALGORITHMS
             if READS[text] & set(names)
         }
+        for request in touched:
+            self.dropped.setdefault(request, self._entry(*request))
+        for name in names:
+            rel = DATA[data].relations[name]
+            self.engine.register(Relation(name, rel.attrs, rel.rows))
+            assert not any(k[0] == name for k in self.engine._dist_cache)
+        self.stale |= touched
+
+    def _entry(self, text: str, algorithm: str):
+        """The plan entry the engine holds for a request, if any."""
+        return self.engine._plans.get(
+            self.engine._plan_key(PARSED[text], algorithm)
+        )
 
     @rule(text=st.sampled_from(QUERIES), algorithm=st.sampled_from(ALGORITHMS))
     def execute(self, text: str, algorithm: str) -> None:
         self.last = (text, algorithm)
         res = self.engine.execute(text, algorithm=algorithm)
         parsed, entry = res.prepared.parsed, res.prepared
+        if (text, algorithm) in self.dropped:
+            old = self.dropped.pop((text, algorithm))
+            assert not res.metrics.cache_hit and entry is not old
         instance = self.engine.instance_for(parsed)
         if parsed.kind == "join":
             assert sorted(res.rows()) == sorted(ram_yannakakis(instance).rows)
@@ -110,7 +133,8 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule()
     def repeat(self) -> None:
-        """The last request again: after a ``register`` it revalidates."""
+        """The last request again: after a ``register`` it compiles a new
+        entry."""
         self.execute(*self.last)
 
     @rule(text=st.sampled_from(QUERIES))
@@ -119,10 +143,17 @@ class EngineMachine(RuleBasedStateMachine):
         with pytest.raises(DeadlineExceeded):
             self.engine.execute(text, deadline=0)
         assert self.engine.stats().failures == failures + 1
+        # The failed call compiled its entry before it missed.
+        if (text, "auto") in self.dropped:
+            assert self._entry(text, "auto") is not self.dropped.pop((text, "auto"))
 
     @rule()
     def clear_caches(self) -> None:
         self.engine.clear_caches()
+
+    @invariant()
+    def recordings_live_under_plan_keys(self) -> None:
+        assert set(self.engine._recordings) <= set(self.engine._plans)
 
     @rule(entries=st.sampled_from([1, BOUND]))
     def bound_recordings(self, entries: int) -> None:
