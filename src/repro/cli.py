@@ -234,10 +234,15 @@ def _serve_frontdoor(args, workload, tracer=None) -> int:
 
 def _print_contained(query) -> None:
     """``contained: R2 in R0, ...``: the relations Yannakakis drops after
-    its full reducer, each with the relation that contains it."""
-    _reduced, witness = query.reduce()
+    its full reducer, each with the relation that contains it; then, for a
+    disconnected query, ``components: R0,R1 x R6``: the reduced query's
+    components, each folded on its own before their one product."""
+    reduced, witness = query.reduce()
     if witness:
         print("contained: " + ", ".join(f"{n} in {w}" for n, w in sorted(witness.items())))
+    components = sorted(map(sorted, reduced.connected_components()))
+    if len(components) > 1:
+        print("components: " + " x ".join(map(",".join, components)))
 
 
 def _print_plan_order(prepared) -> None:
@@ -443,8 +448,8 @@ def main(argv: list[str] | None = None) -> int:
         _print_contained(query)
         print(f"orders considered: {quality['orders']}")
         print(f"best order:  {' -> '.join(plan.order)}")
-        for k, size in enumerate(plan.intermediates, 2):
-            print(f"  |{' * '.join(plan.order[:k])}| = {size}")
+        for prefix, size in zip(plan.prefixes, plan.intermediates):
+            print(f"  |{' * '.join(prefix)}| = {size}")
         print(f"max intermediate: best={quality['best']} worst={quality['worst']}")
         print(f"predicted units on p={args.servers}:")
         for name, units in choice.units.items():

@@ -55,8 +55,10 @@ def binary_join(
     attributes.  Payload (annotation) columns never collide, so they ride
     along untouched.
 
-    Falls back to the two-relation HyperCube when the schemas share no
-    attributes (a Cartesian product).
+    When the schemas share no attributes the join is a Cartesian product,
+    run by :func:`repro.core.hypercube.hypercube_cartesian` on the two
+    sides (``{label}/cart``): a side whose share is 1 is broadcast and the
+    other stays where it is; only two spread sides take the grid.
     """
     out_name = name or f"{r1.name}*{r2.name}"
     shared = tuple(sorted(set(r1.attrs) & set(r2.attrs)))

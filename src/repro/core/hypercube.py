@@ -3,9 +3,10 @@
 Two variants:
 
 * :func:`hypercube_cartesian` — Cartesian products (paper Sections 1.3 and
-  3.2 Case 2).  Relations are chunked with multi-numbering (deterministic,
-  perfectly balanced) and each grid cell receives one chunk combination, so
-  the load matches ``L_Cartesian`` (eq. 1) up to constants — the
+  3.2 Case 2).  Sides with a share above 1 are chunked with multi-numbering
+  (deterministic, perfectly balanced) and each grid cell receives one chunk
+  combination; share-1 sides are replicated, and a lone spread side stays
+  put.  The load matches ``L_Cartesian`` (eq. 1) up to constants — the
   instance-optimality of HyperCube on Cartesian products.
 * :func:`hypercube_join` — general joins with per-attribute shares (the
   worst-case-optimal comparators of [24, 19] and the per-class runs inside
@@ -141,6 +142,21 @@ def hypercube_cartesian(
     """Cartesian product of ``rels`` with instance-optimal load.
 
     Output schema: concatenation of the input schemas (must be disjoint).
+
+    The shares :func:`optimal_cartesian_shares` picks decide the route.  A
+    side whose share is 1 meets every grid cell, so it is replicated to
+    every cell unnumbered: each cell receives the rows of that side it
+    lacks.  When at most one side has a share above 1, every server is a
+    cell: that side stays where it is and each server crosses its own part
+    with the other sides, replicated in one exchange (``{label}/bcast``, no
+    sort).  This meets eq. (1).  A side ``j`` of ``N_j >= 2`` rows keeps
+    share 1 only if the water-filling grew the spread side ``s`` past
+    ``floor(p/2)``, while ``j`` still fit, ahead of ``j``: so
+    ``N_j <= N_s / floor(p/2) <= 3 N_s / p``, and the load ``sum_j N_j``
+    is within a constant of ``L_Cartesian >= N_s / p``.  Only
+    when two or more sides have a share above 1 do those sides take the
+    grid: each is chunked by multi-numbering and every chunk combination
+    meets on one cell (``{label}/shuffle``).
     """
     attrs_all: list[str] = []
     for r in rels:
@@ -153,12 +169,55 @@ def hypercube_cartesian(
     if any(s == 0 for s in sizes):
         return DistRelation.empty(name, attrs_all, p)
     shares = optimal_cartesian_shares(sizes, p)
-    strides = _grid_strides(shares)
-    k = len(rels)
+    spread = [i for i, share in enumerate(shares) if share > 1]
+    if len(spread) > 1:
+        stay, own, inboxes = None, None, _grid_shuffle(group, rels, shares, label)
+    else:
+        stay = spread[0] if spread else max(range(len(rels)), key=sizes.__getitem__)
+        inboxes = _replicate(group, rels, stay, label)
+        # The spread side's own parts, as column blocks.
+        own = rels[stay].aligned(rels[stay].attrs).column_parts
 
-    # Balanced chunking via multi-numbering on a single shared key.
+    blocks: list[ColumnBlock] = []
+    for j, inbox in enumerate(inboxes):
+        by_rel: list[list[Row]] = [[] for _ in rels]
+        for i, row in inbox:
+            by_rel[i].append(row)
+        attrs: tuple[str, ...] = ()
+        acc = ColumnBlock(1, ())
+        for i, (rel, rows) in enumerate(zip(rels, by_rel)):
+            side = own[j] if i == stay else ColumnBlock.from_rows(rows, len(rel.attrs))
+            attrs, acc = local_hash_join(attrs, acc, rel.attrs, side)
+        blocks.append(acc)
+    return DistRelation.from_column_parts(name, attrs_all, blocks)
+
+
+def _replicate(
+    group: Group, rels: Sequence[DistRelation], stay: int, label: str
+) -> list[list[tuple[int, Row]]]:
+    """Every side but ``rels[stay]`` to every server, in one exchange: a
+    copy to the server that sends it is free."""
+    p = group.size
+    outboxes: list[list[tuple[int, Any]]] = [[] for _ in range(p)]
+    for i, rel in enumerate(rels):
+        if i != stay:
+            for src, part in enumerate(rel.parts):
+                outboxes[src].extend((dst, (i, row)) for row in part for dst in range(p))
+    return group.exchange(outboxes, f"{label}/bcast")
+
+
+def _grid_shuffle(
+    group: Group, rels: Sequence[DistRelation], shares: Sequence[int], label: str
+) -> list[list[tuple[int, Row]]]:
+    """Every side's rows to the grid cells they meet: a side with a share
+    above 1 chunked by multi-numbering, a share-1 side whole (chunk 0)."""
+    p = group.size
+    strides = _grid_strides(shares)
     chunk_of: list[list[list[tuple[Row, int]]]] = []
     for idx, rel in enumerate(rels):
+        if shares[idx] == 1:
+            chunk_of.append([[(row, 0) for row in part] for part in rel.parts])
+            continue
         numbered = multi_numbering(
             group,
             [[(0, row) for row in part] for part in rel.parts],
@@ -168,39 +227,22 @@ def hypercube_cartesian(
             [[(row, (num - 1) % shares[idx]) for _k, row, num in part] for part in numbered]
         )
 
-    outboxes: list[list[tuple[int, Any]]] = [[] for _ in range(p)]
-    other_dims: list[list[int]] = []
-    for i in range(k):
-        other_dims.append([d for j, d in enumerate(shares) if j != i])
-
     def combos(dims: Sequence[int]) -> list[list[int]]:
         acc: list[list[int]] = [[]]
         for d in dims:
             acc = [c + [v] for c in acc for v in range(d)]
         return acc
 
-    for i in range(k):
+    outboxes: list[list[tuple[int, Any]]] = [[] for _ in range(p)]
+    for i in range(len(rels)):
+        others = combos([d for j, d in enumerate(shares) if j != i])
         for src in range(p):
             for row, chunk in chunk_of[i][src]:
-                for combo in combos(other_dims[i]):
+                for combo in others:
                     coords = combo[:i] + [chunk] + combo[i:]
                     cell = sum(c * s for c, s in zip(coords, strides))
                     outboxes[src].append((cell % p, (i, row)))
-    inboxes = group.exchange(outboxes, f"{label}/shuffle")
-
-    blocks: list[ColumnBlock] = []
-    for inbox in inboxes:
-        by_rel: list[list[Row]] = [[] for _ in range(k)]
-        for i, row in inbox:
-            by_rel[i].append(row)
-        attrs: tuple[str, ...] = ()
-        acc = ColumnBlock(1, ())
-        for rel, rows in zip(rels, by_rel):
-            attrs, acc = local_hash_join(
-                attrs, acc, rel.attrs, ColumnBlock.from_rows(rows, len(rel.attrs))
-            )
-        blocks.append(acc)
-    return DistRelation.from_column_parts(name, attrs_all, blocks)
+    return group.exchange(outboxes, f"{label}/shuffle")
 
 
 def hypercube_join(

@@ -8,7 +8,9 @@ shuffles a large intermediate result pays its size divided by p.
 best plan together with the best/worst spread.  The orders are those of
 the *reduced* query: after the full reducer a contained relation is a
 projection of its container, and Yannakakis drops it instead of joining
-it (:func:`repro.core.yannakakis.yannakakis_mpc`).
+it (:func:`repro.core.yannakakis.yannakakis_mpc`).  Yannakakis folds each
+connected component on its own and takes one product of the results, so
+an order is one connected order per component.
 
 The paper's output-optimal algorithms (Theorems 3, 5, 7) beat that planned
 Yannakakis run only asymptotically, once ``IN >= p^2`` or ``p^3``; below
@@ -44,11 +46,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, count, product
+from itertools import combinations, count, islice, product
 from typing import Sequence
 
 import numpy as np
 
+from repro.core.hypercube import optimal_cartesian_shares
 from repro.core.line3 import is_line3
 from repro.core.yannakakis import Plan, left_deep_plan
 from repro.data.instance import Instance
@@ -78,14 +81,17 @@ class PlanChoice:
         max_intermediate: The largest intermediate join size along the plan
             (the quantity that drives MPC load).
         intermediates: ``intermediates[i]`` is the join size of
-            ``order[:i + 2]``; the final join (OUT under every order) is
-            not listed.
+            ``prefixes[i]``.
+        prefixes: The priced prefixes: per connected component, in order,
+            every prefix of its fold of at least two relations except the
+            whole component (its join is the same under every order).
     """
 
     plan: Plan
     order: tuple[str, ...]
     max_intermediate: int
     intermediates: tuple[int, ...]
+    prefixes: tuple[tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -108,39 +114,54 @@ class Choice:
 
 
 def enumerate_fold_orders(query: Hypergraph, limit: int = 64) -> list[tuple[str, ...]]:
-    """Join-tree-consistent left-deep orders (connected prefixes) of the
-    relations Yannakakis joins: those of ``query.reduce()``.
+    """Left-deep orders of the relations Yannakakis joins (those of
+    ``query.reduce()``): one connected order per component, components
+    one after another.
 
-    Every prefix of a returned order induces a connected subtree of the
+    Every prefix of a component's order induces a connected subtree of the
     reduced query's join tree, so each pairwise join shares a separator (no
-    accidental Cartesian blowups).  Enumeration is capped at ``limit``
-    orders — plenty for the constant-size queries the paper considers.
+    accidental Cartesian blowups).  No prefix crosses from one component
+    into another: :func:`repro.core.yannakakis.yannakakis_mpc` folds each
+    component on its own and takes one product at the end.  Enumeration is
+    capped at ``limit`` orders — plenty for the constant-size queries the
+    paper considers.
     """
+    return [
+        sum(parts, ())
+        for parts in islice(product(*_component_orders(query, limit)), limit)
+    ]
+
+
+def _component_orders(query: Hypergraph, limit: int) -> list[list[tuple[str, ...]]]:
+    """Per connected component of the reduced query (by least relation
+    name), its connected left-deep orders, at most ``limit`` of them."""
     query, _witness = query.reduce()
     tree = join_tree(query)
-    names = set(query.edge_names)
-    neighbors: dict[str, set[str]] = {n: set() for n in names}
-    for n in names:
-        par = tree.parent[n]
-        if par is not None:
+    neighbors: dict[str, set[str]] = {n: set() for n in query.edge_names}
+    for n, par in tree.parent.items():
+        # A glue edge between components carries an empty separator.
+        if par is not None and tree.separator(n):
             neighbors[n].add(par)
             neighbors[par].add(n)
 
-    orders: list[tuple[str, ...]] = []
+    def connected(names: frozenset[str]) -> list[tuple[str, ...]]:
+        orders: list[tuple[str, ...]] = []
 
-    def grow(prefix: list[str], frontier: set[str]) -> None:
-        if len(orders) >= limit:
-            return
-        if len(prefix) == len(names):
-            orders.append(tuple(prefix))
-            return
-        for nxt in sorted(frontier):
-            new_frontier = (frontier | neighbors[nxt]) - set(prefix) - {nxt}
-            grow(prefix + [nxt], new_frontier)
+        def grow(prefix: list[str], frontier: set[str]) -> None:
+            if len(orders) >= limit:
+                return
+            if len(prefix) == len(names):
+                orders.append(tuple(prefix))
+                return
+            for nxt in sorted(frontier):
+                new_frontier = (frontier | neighbors[nxt]) - set(prefix) - {nxt}
+                grow(prefix + [nxt], new_frontier)
 
-    for start in sorted(names):
-        grow([start], set(neighbors[start]))
-    return orders
+        for start in sorted(names):
+            grow([start], set(neighbors[start]))
+        return orders
+
+    return [connected(c) for c in sorted(query.connected_components(), key=min)]
 
 
 # ----------------------------------------------------------------------
@@ -373,8 +394,15 @@ class Statistics:
         return msg
 
     def join_size(self, tree: _Tree, nodes: dict[str, _View], memo: dict | None = None) -> float:
-        root = next(iter(nodes))
-        return float(self.weights(tree, nodes, root, memo=memo).sum())
+        """The join size of ``nodes``: the product of the join sizes of the
+        pieces the tree connects them in, exact when no two pieces share an
+        attribute (as when each piece lies in its own component)."""
+        size, seen = 1.0, set()
+        for root in nodes:
+            if root not in seen:
+                seen.update(_side(tree, nodes, root, None))
+                size *= float(self.weights(tree, nodes, root, memo=memo).sum())
+        return size
 
 
 def _side(tree: _Tree, nodes: dict, v: str, u: str) -> list[str]:
@@ -389,7 +417,7 @@ def _side(tree: _Tree, nodes: dict, v: str, u: str) -> list[str]:
 
 def _prefix_sizer(stats: Statistics):
     """``size(prefix)``: the join size of the dangling-free relations in a
-    connected set of the reduced query's join-tree nodes, from memoised
+    set of the reduced query's join-tree nodes, from memoised
     messages (a message depends only on the nodes on its sender's side, so
     prefixes that agree there share it)."""
     reduced = stats.reduced()
@@ -414,33 +442,52 @@ def price_fold_orders(
     query, see :func:`enumerate_fold_orders`) is sized exactly on the full
     reducer's survivors (see :func:`_prefix_sizer`); the first order
     attaining the minimum wins.  The gap between ``best`` and ``worst`` is
-    Section 4.1's join-order sensitivity.  A reduced query of at most two
-    relations has no intermediate, so nothing is reduced or counted for it.
+    Section 4.1's join-order sensitivity.  A component of at most two
+    relations has no intermediate; when no component of the reduced query
+    has more, nothing is reduced or counted.
 
     Raises:
         CyclicQueryError: If the query is cyclic (a :class:`QueryError`).
     """
-    return _price_orders(
-        query, Statistics(query, instance) if len(query.reduce()[0]) > 2 else None, limit
-    )
+    components = query.reduce()[0].connected_components()
+    stats = Statistics(query, instance) if max(map(len, components)) > 2 else None
+    return _price_orders(query, stats, limit)
 
 
 def _price_orders(
     query: Hypergraph, stats: Statistics | None, limit: int = 64
 ) -> tuple[PlanChoice, dict[str, int]]:
-    orders = enumerate_fold_orders(query, limit=limit)
-    size = _prefix_sizer(stats) if len(orders[0]) > 2 else None
-    best: PlanChoice | None = None
-    worsts: list[int] = []
-    for order in orders:
-        # The final join's size is OUT for every order: not priced.
-        sizes = tuple(size(frozenset(order[:k])) for k in range(2, len(order)))
-        worst = max(sizes, default=0)
-        worsts.append(worst)
-        if best is None or worst < best.max_intermediate:
-            best = PlanChoice(left_deep_plan(order), order, worst, sizes)
-    assert best is not None
-    return best, {"best": min(worsts), "worst": max(worsts), "orders": len(worsts)}
+    """Each component's best connected order, concatenated.  Components
+    are priced apart (no prefix crosses between them), so the best and
+    worst spread is the worst component's and the orders multiply."""
+    per_component = _component_orders(query, limit)
+    size = _prefix_sizer(stats) if any(len(o[0]) > 2 for o in per_component) else None
+    order: tuple[str, ...] = ()
+    prefixes: tuple[tuple[str, ...], ...] = ()
+    sizes: tuple[int, ...] = ()
+    quality = {"best": 0, "worst": 0, "orders": 1}
+    for orders in per_component:
+        best: tuple | None = None
+        worsts: list[int] = []
+        for cand in orders:
+            # The component's whole join is the same under every order.
+            heads = tuple(cand[:k] for k in range(2, len(cand)))
+            cand_sizes = tuple(size(frozenset(h)) for h in heads)
+            worst = max(cand_sizes, default=0)
+            worsts.append(worst)
+            if best is None or worst < best[0]:
+                best = (worst, cand, heads, cand_sizes)
+        assert best is not None
+        order += best[1]
+        prefixes += best[2]
+        sizes += best[3]
+        quality = {
+            "best": max(quality["best"], best[0]),
+            "worst": max(quality["worst"], max(worsts)),
+            "orders": quality["orders"] * len(worsts),
+        }
+    plan = PlanChoice(left_deep_plan(order), order, max(sizes, default=0), sizes, prefixes)
+    return plan, quality
 
 
 # ----------------------------------------------------------------------
@@ -567,6 +614,9 @@ class _Pricer:
         """:func:`repro.mpc.primitives.semi_join` of single views on ``key``."""
         s = self.s
         v, f = rel.view(), flt.view()
+        if not key:  # no message: an empty filter empties ``rel``
+            empty = np.zeros(s.rows(v), bool)
+            return rel if s.rows(f) else _Rel({next(iter(rel.nodes)): s.filtered(v, empty)})
         dv, df = s.degrees(v, key), s.degrees(f, key)
         U.sort(
             (dv.sum(), self.share(U, rel.arranged, key, dv)),
@@ -604,6 +654,9 @@ class _Pricer:
         key, d1 = self.toward(tree, r1, r2)
         _key, d2 = self.toward(tree, r2, r1)
         n1, n2 = d1.sum(), d2.sum()
+        if not key:
+            self.cartesian(U, [n1, n2])
+            return _Rel({**r1.nodes, **r2.nodes})
         self.run(U, r1, key, d1)
         self.run(U, r2, key, d2)
         U.trip(2)  # degree stitches
@@ -651,6 +704,28 @@ class _Pricer:
         U.move(routed)
         return joined
 
+    @staticmethod
+    def cartesian(U: _Units, sizes: Sequence[float]) -> None:
+        """:func:`repro.core.hypercube.hypercube_cartesian` over counts.
+        With at most one side spread, the others reach every server but
+        the one holding each row: exactly ``(p-1)`` units per row."""
+        sizes = [int(round(n)) for n in sizes]
+        if not all(sizes):
+            return
+        shares = optimal_cartesian_shares(sizes, U.p)
+        spread = [i for i, share in enumerate(shares) if share > 1]
+        if len(spread) <= 1:
+            stay = spread[0] if spread else max(range(len(sizes)), key=sizes.__getitem__)
+            U.bcast(sum(sizes) - sizes[stay])
+            return
+        for i in spread:
+            # Multi-numbering: a pass on one constant key, which leaves
+            # evenly spread rows in place, and a stitch.
+            U.sort((sizes[i], 0.0))
+            U.trip()
+        cells = math.prod(shares)
+        U.move(sum(n * cells // share for n, share in zip(sizes, shares)))
+
     def count(self, U: _Units, query: Hypergraph, rels: dict[str, _Rel],
               root: str | None = None):
         """:func:`repro.core.aggregates._fold_to_root` over counts: each
@@ -692,11 +767,20 @@ class _Pricer:
     # -- candidates -----------------------------------------------------
     def yannakakis(self, order: Sequence[str]) -> None:
         """:func:`repro.core.yannakakis.yannakakis_mpc` along ``order`` (the
-        reduced query's relations): the full reducer, then the folds."""
+        reduced query's relations): the full reducer, each component's
+        fold, then one product of the component results."""
         tree, rels = self.s.fold_tree(), self.start()
-        acc = rels[order[0]]
-        for name in order[1:]:
-            acc = self.binary_join(self.root, tree, acc, rels[name])
+        component = {
+            n: i for i, comp in enumerate(tree.jt.query.connected_components()) for n in comp
+        }
+        folds: dict[int, _Rel] = {}
+        for name in order:
+            acc = folds.get(component[name])
+            folds[component[name]] = rels[name] if acc is None else (
+                self.binary_join(self.root, tree, acc, rels[name])
+            )
+        if len(folds) > 1:
+            self.cartesian(self.root, [self.size(tree, f) for f in folds.values()])
 
     def start(self) -> dict[str, _Rel]:
         """Every algorithm's opening full reducer, priced from the sweep
@@ -708,6 +792,8 @@ class _Pricer:
             arranged: dict[str, tuple | None] = dict.fromkeys(reduced)
             U = _Units(p)
             for target, source, key, d_target, d_source in s.sweep:
+                if not key:  # across components: no message
+                    continue
                 U.sort(
                     (d_target.sum(), self.share(U, arranged[target], key, d_target)),
                     (d_source.sum(), self.share(U, arranged[source], key, d_source)),

@@ -49,6 +49,7 @@ from repro.query.hypergraph import Hypergraph
 from repro.semiring import Semiring
 
 __all__ = [
+    "AGG_ALGORITHMS",
     "ALGORITHMS",
     "AggregateResult",
     "mpc_join",
@@ -59,6 +60,9 @@ __all__ = [
     "run_join_algorithm",
     "run_aggregate_algorithm",
 ]
+
+#: Downstream algorithms accepted by :func:`mpc_join_aggregate`.
+AGG_ALGORITHMS = ("auto", "rhierarchical", "acyclic", "yannakakis")
 
 #: Names accepted by :func:`mpc_join`.
 ALGORITHMS = (
@@ -326,7 +330,16 @@ def run_aggregate_algorithm(
         ``(relation, scalar, meta)`` — the annotated output relation (or
         ``None`` for total aggregation), the total-aggregate scalar (or
         ``None``), and algorithm metadata.
+
+    Raises:
+        QueryError: ``algorithm`` is not in :data:`AGG_ALGORITHMS`; checked
+            before any step runs, also for a total aggregate (which never
+            reads it).
     """
+    if algorithm not in AGG_ALGORITHMS:
+        raise QueryError(
+            f"unknown downstream algorithm {algorithm!r}; pick from {AGG_ALGORITHMS}"
+        )
     y = frozenset(output_attrs)
     rels = remove_dangling(group, query, rels, "agg/dangling")
     reduced_query, rels = annotated_reduce(group, query, rels, semiring, "agg/reduce")
@@ -358,10 +371,8 @@ def run_aggregate_algorithm(
         result = rhierarchical_join(group, residual_query, residual_rels, "agg/join")
     elif algorithm == "acyclic":
         result = acyclic_join(group, residual_query, residual_rels, "agg/join")
-    elif algorithm == "yannakakis":
-        result = yannakakis_mpc(group, residual_query, residual_rels, label="agg/join")
     else:
-        raise QueryError(f"unknown downstream algorithm {algorithm!r}")
+        result = yannakakis_mpc(group, residual_query, residual_rels, label="agg/join")
 
     # Final local pass: multiply the annotation columns of each result row.
     y_sorted = tuple(sorted(y))

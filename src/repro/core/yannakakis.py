@@ -3,16 +3,23 @@
 Full reducer (dangling-tuple removal), then the reduce step (Section 3.2,
 footnote 7): a relation whose attributes another relation contains is, once
 dangling tuples are gone, a projection of its container — it adds no column
-and removes no result — so it is dropped, not joined.  The survivors are
-folded by pairwise output-optimal binary joins.  In the RAM model the join
-order is irrelevant; in MPC it is not — intermediate results are
+and removes no result — so it is dropped, not joined.  The survivors of
+each connected component are folded by pairwise output-optimal binary
+joins, and the component results meet in one Cartesian product at the
+end (:func:`repro.core.hypercube.hypercube_cartesian`): no fold crosses
+the empty separator that links two components in a join tree, so no
+intermediate carries a product it does not need, and a small component
+(the broom's one-row ``R6(H)``) is broadcast once.  In the RAM model the
+join order is irrelevant; in MPC it is not — intermediate results are
 *shuffled* into the next join, so an OUT-sized intermediate costs OUT/p
 load.  The plan parameter exposes that choice, which the Figure 3
 experiment exploits.
 
 The plan contract: a plan names every relation that is joined, once; it
 may also name the contained relations, which are skipped after the
-reducer (so :func:`default_plan` of the full query still works).  Without
+reducer (so :func:`default_plan` of the full query still works).  Each
+component folds along the plan restricted to it, and the components enter
+the product in the order the plan first names them.  Without
 the reducer (``reduce_first=False``) nothing is dropped and a plan names
 every relation.  A relation carrying payload (``#...``) columns is never
 dropped: its payload is not a projection of anything.
@@ -24,6 +31,7 @@ from typing import Sequence, Union
 
 from repro.core.binary_join import binary_join
 from repro.core.common import canonical_attrs
+from repro.core.hypercube import hypercube_cartesian
 from repro.errors import QueryError
 from repro.mpc.dangling import remove_dangling
 from repro.mpc.distrel import DistRelation
@@ -91,7 +99,9 @@ def yannakakis_mpc(
 
     After the full reducer, every relation ``query.reduce()`` reports as
     contained is dropped (it is then a projection of its container, so no
-    semi-join runs for it either), and only the survivors are folded.
+    semi-join runs for it either), and only the survivors are folded: each
+    connected component along the plan restricted to it, then one product
+    of the component results (``{label}/product``).
 
     Args:
         group: Server group to run on.
@@ -144,5 +154,15 @@ def yannakakis_mpc(
             group, lrel, rrel, label=f"{label}/join{counter[0]}"
         )
 
-    result = run(_without(plan, dropped))
+    # Components in the order the plan first names them; no fold crosses
+    # the empty separator between two of them.
+    rank = {n: i for i, n in enumerate(leaves)}
+    components = sorted(joined.connected_components(), key=lambda c: min(map(rank.get, c)))
+    folds = [
+        run(_without(plan, dropped | set(joined.edge_names) - comp))
+        for comp in components
+    ]
+    result = folds[0] if len(folds) == 1 else hypercube_cartesian(
+        group, folds, label=f"{label}/product"
+    )
     return result.aligned(canonical_attrs([result.attrs]), name)

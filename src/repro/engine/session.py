@@ -64,6 +64,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.planner import Choice, choose, price_fold_orders
 from repro.core.runner import (
+    AGG_ALGORITHMS,
     ALGORITHMS,
     auto_algorithm,
     run_aggregate_algorithm,
@@ -89,9 +90,6 @@ __all__ = [
     "PreparedQuery",
     "QueryMetrics",
 ]
-
-#: Downstream algorithms accepted for aggregate/project queries.
-_AGG_ALGORITHMS = ("auto", "rhierarchical", "acyclic", "yannakakis")
 
 
 def _lazy_copy(rel: Any) -> Any:
@@ -770,10 +768,10 @@ class Engine:
                 raise EngineError(
                     f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}"
                 )
-        elif algorithm not in _AGG_ALGORITHMS:
+        elif algorithm not in AGG_ALGORITHMS:
             raise EngineError(
                 f"unknown downstream algorithm {algorithm!r}; pick from "
-                f"{_AGG_ALGORITHMS}"
+                f"{AGG_ALGORITHMS}"
             )
         query = parsed.query
         instance = self.instance_for(parsed)

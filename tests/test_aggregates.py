@@ -178,6 +178,26 @@ class TestJoinAggregate:
         with pytest.raises(QueryError):
             mpc_join_aggregate(q, {"A", "D"}, inst, COUNT, p=4)
 
+    @pytest.mark.parametrize("outputs", [(), ("A",)])
+    def test_an_unknown_algorithm_is_rejected_before_any_step(self, outputs):
+        """A total aggregate never reads the name, and a group-by reads it
+        only after its reducer and folds have posted load: the name is
+        checked first, so neither runs a step."""
+        from repro.core.runner import run_aggregate_algorithm
+        from repro.errors import QueryError
+
+        q = catalog.line3()
+        inst = random_instance(q, 70, 6, seed=76).with_uniform_annotations(COUNT)
+        with pytest.raises(QueryError, match="bogus"):
+            mpc_join_aggregate(q, outputs, inst, COUNT, 4, algorithm="bogus")
+        cluster = Cluster(4)
+        g = cluster.root_group()
+        rels = distribute_instance(inst, g, annotate=True)
+        with pytest.raises(QueryError, match="bogus"):
+            run_aggregate_algorithm(g, q, outputs, rels, COUNT, algorithm="bogus")
+        report = cluster.snapshot()
+        assert (report.steps, report.total, report.by_label) == (0, 0, {})
+
     def test_unannotated_rejected(self):
         from repro.errors import QueryError
 

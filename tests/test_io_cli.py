@@ -5,6 +5,7 @@ import pytest
 from repro.cli import main
 from repro.core.planner import choose
 from repro.data.generators import matching_instance, random_instance
+from repro.data.hard_instances import embed_line3
 from repro.data.relation import Relation
 from repro.errors import SchemaError
 from repro.io import (
@@ -144,6 +145,21 @@ class TestCli:
             lines = capsys.readouterr().out.splitlines()
             at = next(i for i, line in enumerate(lines) if line.startswith("plan order: "))
             assert lines[at + 1] == contained, command
+
+    def test_plan_names_the_components(self, tmp_path, capsys):
+        """The broom's R6(H) is a component of its own: only the orders of
+        R0, R1, R4, R5 are priced, and every priced prefix stays inside it."""
+        inst = embed_line3(catalog.broom_join(), 72, 288, seed=2)
+        write_instance_dir(inst, tmp_path / "broom")
+        assert main(["plan", str(tmp_path / "broom"), "-p", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == [
+            "contained: R2 in R0, R3 in R0",
+            "components: R0,R1,R4,R5 x R6",
+            "orders considered: 8",
+            "best order:  R0 -> R1 -> R4 -> R5 -> R6",
+        ]
+        assert lines[4:6] == ["  |R0 * R1| = 69", "  |R0 * R1 * R4| = 69"]
 
     def test_cli_agreement_with_oracle(self, tmp_path, capsys):
         """count via CLI == RAM oracle on a fresh instance."""

@@ -50,6 +50,19 @@ class TestEnumeration:
         for order in enumerate_fold_orders(q):
             assert sorted(order) == sorted(q.edge_names)
 
+    def test_components_are_ordered_one_after_another(self):
+        """The broom's R6(H) shares no attribute with the rest: it is a
+        component of its own, after the connected orders of R0, R1, R4, R5
+        (R2 and R3 are contained in R0), and no prefix crosses into it."""
+        q = catalog.broom_join()
+        orders = enumerate_fold_orders(q)
+        assert len(orders) == 8
+        for order in orders:
+            assert order[-1] == "R6"
+            for k in range(2, 5):
+                joined = set().union(*(q.attrs_of(n) for n in order[:k - 1]))
+                assert joined & q.attrs_of(order[k - 1]), order
+
     def test_limit_respected(self):
         orders = enumerate_fold_orders(catalog.broom_join(), limit=3)
         assert len(orders) <= 3
