@@ -11,6 +11,13 @@
 * :func:`annotated_reduce` — the reduce procedure that folds a contained
   relation's annotations into its container (Section 6 preprocessing).
 
+All four, and :func:`aggregate_total`, are one annotated bottom-up fold
+(:func:`_fold`) over a relation and its per-part weights: 1 per row for
+the counts, the annotation column for the rest.  At each tree edge the
+child's weights are summed per separator and multiplied into the
+parent's, parent rows with no match dropped; a child sharing no attribute
+with its parent contributes one broadcast scalar.
+
 Annotated distributed relations carry their annotation as a trailing
 payload column named ``#w:<relation>``; all join machinery treats payload
 columns as inert cargo, so Theorem 9 reduces to running the plain
@@ -20,7 +27,8 @@ output-optimal join on the residual query (see
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from functools import reduce
+from typing import Any, Iterable
 
 from repro.data.relation import Row, project_row
 from repro.errors import QueryError
@@ -34,9 +42,9 @@ from repro.mpc.primitives import (
     sum_by_key,
 )
 from repro.mpc.substrate import column_tags
-from repro.query.ghd import OUTPUT_EDGE, OutputJoinTree
+from repro.query.ghd import OutputJoinTree
 from repro.query.hypergraph import Hypergraph, join_tree
-from repro.semiring import Semiring
+from repro.semiring import COUNT, Semiring
 
 __all__ = [
     "mpc_count",
@@ -47,6 +55,9 @@ __all__ = [
     "annotated_reduce",
     "weight_column",
 ]
+
+#: A relation and its weights, ``weights[i][j]`` for row ``parts[i][j]``.
+_Weighted = tuple[DistRelation, list[list[Any]]]
 
 
 def weight_column(rel: DistRelation) -> str:
@@ -59,98 +70,124 @@ def weight_column(rel: DistRelation) -> str:
     return cols[0]
 
 
-def _fold_to_root(
+def _annotations(rel: DistRelation) -> _Weighted:
+    """``rel`` weighted by its own annotation column."""
+    wpos = rel.positions((weight_column(rel),))[0]
+    return rel, [rel.column_values(i, wpos) for i in range(rel.num_parts)]
+
+
+def _ones(rel: DistRelation) -> _Weighted:
+    """``rel`` weighted 1 per row (counting)."""
+    return rel, [[1] * len(part) for part in rel.parts]
+
+
+def _fold(
     group: Group,
     query: Hypergraph,
-    rels: dict[str, DistRelation],
-    weights: dict[str, list[list[tuple[Row, Any]]]],
-    plus: Callable[[Any, Any], Any],
-    times: Callable[[Any, Any], Any],
+    edges: Iterable[tuple[str, str]],
+    state: dict[str, _Weighted],
+    semiring: Semiring,
     label: str,
-    root: str | None = None,
-) -> tuple[str, list[list[tuple[Row, Any]]]]:
-    """Shared bottom-up fold: every tuple accumulates its subtree aggregate.
+    keyed: bool = False,
+) -> tuple[dict[str, list[list[tuple[Row, Any]]]], list[Any]]:
+    """The annotated bottom-up fold: every Section 6 procedure is one.
 
-    ``weights[name]`` holds per-server ``(row, w)`` pairs.  Children are
-    aggregated by their separator key (sum-by-key with ``plus``) and folded
-    into their parent's weights with ``times``; parent rows with no match
-    are dropped (they extend to nothing).  Returns the root's pairs.
+    ``edges`` lists ``(child, parent)`` pairs, each child after all of its
+    own children.  The child's weights are summed per separator (the
+    attributes it shares with its parent) with ``semiring.plus`` — on the
+    child's own sorted run while it is untouched — and multiplied into
+    the parent's weights with ``semiring.times`` by one multi-search.
+    Parent rows with no match are dropped: they extend to nothing below,
+    so the fold keeps exactly the tuples that have a completion in their
+    subtree.
+
+    A child sharing no attribute with its parent contributes one scalar,
+    its total, broadcast to every server; an empty child broadcasts
+    ``None`` and empties its parent.
+
+    ``state`` is updated in place.  A parent outside it (the virtual
+    output edge) takes nothing: its children come back as residual tables
+    (per-server ``(separator key, sum)`` pairs) and their scalars as
+    global factors, in fold order.
+
+    With ``keyed`` every child's separator is its whole schema (a
+    contained relation, whose set-semantics rows are their own keys), so
+    its weights are searched without a sum, under the child's name alone.
     """
-    tree = join_tree(query, root=root)
-    working = {n: weights[n] for n in weights}
-    modified: set[str] = set()
-    for node in tree.bottom_up():
-        par = tree.parent[node]
-        if par is None:
-            continue
-        shared = tuple(sorted(query.attrs_of(node) & query.attrs_of(par)))
-        child_rel = rels[node]
-        if shared:
-            pos_c = child_rel.positions(shared)
-            if node not in modified:
-                # Pristine leaf: its pairs still align with the relation's
-                # parts, so the aggregation fuses onto the (cached) run.
-                agg = fold_by_key(
-                    group, child_rel, shared, plus=plus,
-                    label=f"{label}/agg-{node}",
-                    values=[[w for _row, w in part] for part in working[node]],
+    plus, times = semiring.plus, semiring.times
+    residual: dict[str, list[list[tuple[Row, Any]]]] = {}
+    factors: list[Any] = []
+    for node, par in edges:
+        rel, weights = state[node]
+        sep = tuple(sorted(query.attrs_of(node) & query.attrs_of(par)))
+        if not sep:
+            partials = [reduce(plus, ws) for ws in weights if ws]
+            total = reduce(plus, partials) if partials else None
+            group.broadcast([total], f"{label}/scalar-{node}")
+            if par not in state:
+                factors.append(total)
+                continue
+            prel, pweights = state[par]
+            if total is None:
+                state[par] = (
+                    prel.with_parts([[] for _ in range(group.size)], owned=True),
+                    [[] for _ in range(group.size)],
                 )
             else:
-                agg = sum_by_key(
-                    group,
-                    [
-                        [(project_row(row, pos_c), w) for row, w in part]
-                        for part in working[node]
-                    ],
-                    plus=plus,
-                    label=f"{label}/agg-{node}",
-                    tags=column_tags((child_rel, pos_c)),
-                )
-            par_rel = rels[par]
-            pos_p = par_rel.positions(shared)
-            found = multi_search(
-                group,
-                [
-                    [(project_row(row, pos_p), (row, w)) for row, w in part]
-                    for part in working[par]
-                ],
-                agg,
-                f"{label}/fold-{node}",
-                tags=column_tags((par_rel, pos_p), (child_rel, pos_c)),
-            )
-            working[par] = [
-                [
-                    (row, times(w, total))
-                    for key, (row, w), pk, total in part
-                    if pk == key
-                ]
-                for part in found
+                # Scaling keeps the parent's rows: it stays untouched.
+                state[par] = prel, [[times(w, total) for w in ws] for ws in pweights]
+            continue
+        pos = rel.positions(sep)
+        if keyed:
+            table = [
+                [(project_row(row, pos), w) for row, w in zip(part, ws)]
+                for part, ws in zip(rel.parts, weights)
             ]
-            modified.add(par)
         else:
-            # Disconnected glue edge: the child contributes a scalar factor.
-            partials = []
-            for part in working[node]:
-                acc = None
-                for _row, w in part:
-                    acc = w if acc is None else plus(acc, w)
-                partials.append(acc)
-            non_empty = [w for w in partials if w is not None]
-            if not non_empty:
-                working[par] = [[] for _ in range(group.size)]
-                modified.add(par)
-                continue
-            total = non_empty[0]
-            for w in non_empty[1:]:
-                total = plus(total, w)
-            group.broadcast([total], f"{label}/scalar-{node}")
-            # Scaling in place keeps the pairs aligned with the relation's
-            # parts, so the parent still counts as pristine for fusing.
-            working[par] = [
-                [(row, times(w, total)) for row, w in part]
-                for part in working[par]
-            ]
-    return tree.root, working[tree.root]
+            table = fold_by_key(
+                group, rel, sep, plus=plus, label=f"{label}/agg-{node}",
+                values=weights,
+            )
+        if par not in state:
+            residual[node] = table
+            continue
+        prel, pweights = state[par]
+        ppos = prel.positions(sep)
+        found = multi_search(
+            group,
+            [
+                [(project_row(row, ppos), (row, w)) for row, w in zip(part, ws)]
+                for part, ws in zip(prel.parts, pweights)
+            ],
+            table,
+            f"{label}/{node}" if keyed else f"{label}/fold-{node}",
+            tags=column_tags((prel, ppos), (rel, pos)),
+        )
+        kept = [
+            [(row, times(w, t)) for key, (row, w), pk, t in part if pk == key]
+            for part in found
+        ]
+        state[par] = (
+            prel.with_parts([[row for row, _w in part] for part in kept], owned=True),
+            [[w for _row, w in part] for part in kept],
+        )
+    return residual, factors
+
+
+def _fold_tree(
+    group: Group,
+    query: Hypergraph,
+    state: dict[str, _Weighted],
+    semiring: Semiring,
+    label: str,
+    root: str | None = None,
+) -> _Weighted:
+    """:func:`_fold` over the join tree of ``query``: the root's weights,
+    each its subtree's aggregate."""
+    tree = join_tree(query, root=root)
+    edges = [(n, tree.parent[n]) for n in tree.bottom_up() if n != tree.root]
+    _fold(group, query, edges, state, semiring, label)
+    return state[tree.root]
 
 
 def mpc_count(
@@ -160,17 +197,10 @@ def mpc_count(
     label: str = "count",
 ) -> int:
     """``|Q(R)|`` in O(1) rounds with linear load (paper Corollary 4)."""
-    weights = {
-        n: [[(row, 1) for row in part] for part in rels[n].parts] for n in rels
-    }
-    _root, pairs = _fold_to_root(
-        group, query, rels, weights,
-        plus=lambda a, b: a + b, times=lambda a, b: a * b,
-        label=label,
+    _rel, weights = _fold_tree(
+        group, query, {n: _ones(rels[n]) for n in rels}, COUNT, label
     )
-    return int(
-        global_sum(group, [sum(w for _r, w in part) for part in pairs], f"{label}/total")
-    )
+    return int(global_sum(group, [sum(ws) for ws in weights], f"{label}/total"))
 
 
 def mpc_group_by_count(
@@ -187,29 +217,22 @@ def mpc_group_by_count(
     all edges share).  Returns per-server ``(key, count)`` pairs, each key
     exactly once, counting only keys with a positive count.
     """
-    root = None
-    for n in query.edge_names:
-        if set(group_attrs) <= query.attrs_of(n):
-            root = n
-            break
+    root = next(
+        (n for n in query.edge_names if set(group_attrs) <= query.attrs_of(n)), None
+    )
     if root is None:
         raise QueryError(
             f"no relation contains all group attributes {group_attrs}"
         )
-    weights = {
-        n: [[(row, 1) for row in part] for part in rels[n].parts] for n in rels
-    }
-    _root, pairs = _fold_to_root(
-        group, query, rels, weights,
-        plus=lambda a, b: a + b, times=lambda a, b: a * b,
-        label=label, root=root,
+    rel, weights = _fold_tree(
+        group, query, {n: _ones(rels[n]) for n in rels}, COUNT, label, root=root
     )
-    pos = rels[root].positions(group_attrs)
+    pos = rel.positions(group_attrs)
     return sum_by_key(
         group,
         [
-            [(project_row(row, pos), w) for row, w in part]
-            for part in pairs
+            [(project_row(row, pos), w) for row, w in zip(part, ws)]
+            for part, ws in zip(rel.parts, weights)
         ],
         label=f"{label}/final",
     )
@@ -258,29 +281,13 @@ def aggregate_total(
     label: str = "agg_total",
 ) -> Any:
     """Total aggregation (``y = {}``): the semiring-valued scalar result."""
-    weights = {}
-    for n in rels:
-        wcol = weight_column(rels[n])
-        wpos = rels[n].positions((wcol,))[0]
-        weights[n] = [
-            [(row, row[wpos]) for row in part] for part in rels[n].parts
-        ]
-    _root, pairs = _fold_to_root(
-        group, query, rels, weights,
-        plus=semiring.plus, times=semiring.times, label=label,
+    _rel, weights = _fold_tree(
+        group, query, {n: _annotations(rels[n]) for n in rels}, semiring, label
     )
-    partials = []
-    for part in pairs:
-        acc = semiring.zero
-        for _row, w in part:
-            acc = semiring.plus(acc, w)
-        partials.append(acc)
+    partials = [reduce(semiring.plus, ws, semiring.zero) for ws in weights]
     coord = coordinator_for(group, f"{label}/gather")
     gathered = group.gather([[w] for w in partials], f"{label}/gather", dst=coord)
-    total = semiring.zero
-    for w in gathered:
-        total = semiring.plus(total, w)
-    return total
+    return reduce(semiring.plus, gathered, semiring.zero)
 
 
 def annotated_reduce(
@@ -295,43 +302,23 @@ def annotated_reduce(
     When edge ``e`` is contained in ``e'``, every tuple of ``R(e')`` matches
     exactly one tuple of ``R(e)`` (dangling-free, set semantics); the
     container's annotation is multiplied by the matched annotation and the
-    contained relation is dropped.
+    contained relation is dropped: :func:`_fold` over the removed edges,
+    each a child of its survivor, with no sum.
     """
     reduced_query, witness = query.reduce()
-    out = dict(rels)
-    for removed, survivor in witness.items():
-        child = out[removed]
-        parent = out[survivor]
-        key_attrs = tuple(sorted(query.attrs_of(removed)))
-        c_wcol = weight_column(child)
-        p_wcol = weight_column(parent)
-        c_pos = child.positions(key_attrs)
-        c_wpos = child.positions((c_wcol,))[0]
-        p_pos = parent.positions(key_attrs)
-        p_wpos = parent.positions((p_wcol,))[0]
-        y_parts = [
-            [(project_row(row, c_pos), row[c_wpos]) for row in part]
-            for part in child.parts
-        ]
-        x_parts = [
-            [(project_row(row, p_pos), row) for row in part]
-            for part in parent.parts
-        ]
-        found = multi_search(
-            group, x_parts, y_parts, f"{label}/{removed}",
-            tags=column_tags((parent, p_pos), (child, c_pos)),
+    state = {n: _annotations(rels[n]) for n in rels}
+    _fold(group, query, witness.items(), state, semiring, label, keyed=True)
+    out = {n: rel for n, rel in rels.items() if n not in witness}
+    for n in set(witness.values()):
+        rel, weights = state[n]
+        wpos = rel.positions((weight_column(rel),))[0]
+        out[n] = rel.with_parts(
+            [
+                [row[:wpos] + (w,) + row[wpos + 1:] for row, w in zip(part, ws)]
+                for part, ws in zip(rel.parts, weights)
+            ],
+            owned=True,
         )
-        new_parts = []
-        for part in found:
-            rows = []
-            for key, row, pk, w in part:
-                if pk == key:
-                    row = list(row)
-                    row[p_wpos] = semiring.times(row[p_wpos], w)
-                    rows.append(tuple(row))
-            new_parts.append(rows)
-        out[survivor] = parent.with_parts(new_parts, owned=True)
-        del out[removed]
     return reduced_query, out
 
 
@@ -344,11 +331,13 @@ def aggregate_out(
 ) -> dict[str, DistRelation]:
     """``LinearAggroYannakakis`` (paper Algorithm 1 / Lemma 3).
 
-    Walks the join tree of ``E + {y}`` bottom-up.  At each real node it
-    aggregates away the non-output attributes topping out there
-    (sum-by-key with the semiring's ``plus``) and folds the aggregate into
-    its parent's annotations (multi-search + ``times``).  Nodes whose
-    parent is the virtual output root become the residual relations.
+    :func:`_fold` over the join tree of ``E + {y}``, rooted at the virtual
+    output edge.  A real node's separator with its parent is exactly its
+    attributes that do not top out there, so summing per separator
+    aggregates away the non-output attributes whose ``TOP`` is that node.
+    The virtual root's children become the residual relations; the
+    scalars of components sharing no output attribute multiply into the
+    first of them (an empty component empties it).
 
     Returns:
         Residual relations keyed by edge name, each with schema
@@ -357,134 +346,36 @@ def aggregate_out(
     """
     query = scaffold.query
     y = scaffold.output_attrs
-    tree = scaffold.tree
     if not y:
         raise QueryError("use aggregate_total for y = {}")
-
-    working = dict(rels)
-    schema_attrs: dict[str, tuple[str, ...]] = {
-        n: tuple(sorted(query.attrs_of(n))) for n in query.edge_names
-    }
-    residual: dict[str, DistRelation] = {}
-    # Scalar contributed by components sharing no output attribute
-    # (disconnected children of the virtual root); None means "kills the
-    # whole result" (an empty component), absent key means no factor.
-    scalar_factor: list[Any] = []
-
-    for node in [n for n in tree.bottom_up() if n != OUTPUT_EDGE]:
-        rel = working[node]
-        wcol = weight_column(rel)
-        wpos = rel.positions((wcol,))[0]
-        real_attrs = schema_attrs[node]
-        to_agg = tuple(
-            x for x in real_attrs
-            if x not in y and scaffold.top_attr_node(x) == node
-        )
-        keep = tuple(a for a in real_attrs if a not in to_agg)
-        parent = tree.parent[node]
-
-        if keep:
-            keep_pos = rel.positions(keep)
-            agg = fold_by_key(
-                group, rel, keep, plus=semiring.plus,
-                label=f"{label}/agg-{node}",
-                values=[
-                    rel.column_values(i, wpos) for i in range(rel.num_parts)
-                ],
-            )
-            agg_rel = DistRelation(
-                node, keep + (wcol,), [[k + (w,) for k, w in part] for part in agg],
-                owned=True,
-            )
-            if parent == OUTPUT_EDGE or parent is None:
-                residual[node] = agg_rel
-            else:
-                prel = working[parent]
-                p_wcol = weight_column(prel)
-                p_wpos = prel.positions((p_wcol,))[0]
-                p_pos = prel.positions(keep)
-                found = multi_search(
-                    group,
-                    [
-                        [(project_row(row, p_pos), row) for row in part]
-                        for part in prel.parts
-                    ],
-                    agg,
-                    f"{label}/fold-{node}",
-                    tags=column_tags((prel, p_pos), (rel, keep_pos)),
-                )
-                new_parts = []
-                for part in found:
-                    rows = []
-                    for key, row, pk, w in part:
-                        if pk == key:
-                            row = list(row)
-                            row[p_wpos] = semiring.times(row[p_wpos], w)
-                            rows.append(tuple(row))
-                    new_parts.append(rows)
-                working[parent] = prel.with_parts(new_parts, owned=True)
-        else:
-            # Everything aggregated away: the node contributes a scalar.
-            partials = []
-            for part in rel.parts:
-                acc = None
-                for row in part:
-                    w = row[wpos]
-                    acc = w if acc is None else semiring.plus(acc, w)
-                partials.append(acc)
-            non_empty = [w for w in partials if w is not None]
-            total = None
-            if non_empty:
-                total = non_empty[0]
-                for w in non_empty[1:]:
-                    total = semiring.plus(total, w)
-            group.broadcast([total], f"{label}/scalar-{node}")
-            if parent == OUTPUT_EDGE or parent is None:
-                # Disconnected component with no output attributes: it
-                # contributes a global scalar multiplier to every result.
-                scalar_factor.append(total)
-                continue
-            prel = working[parent]
-            p_wcol = weight_column(prel)
-            p_wpos = prel.positions((p_wcol,))[0]
-            if total is None:
-                working[parent] = prel.with_parts(
-                    [[] for _ in range(group.size)], owned=True
-                )
-            else:
-                new_parts = []
-                for part in prel.parts:
-                    rows = []
-                    for row in part:
-                        row = list(row)
-                        row[p_wpos] = semiring.times(row[p_wpos], total)
-                        rows.append(tuple(row))
-                    new_parts.append(rows)
-                working[parent] = prel.with_parts(new_parts, owned=True)
-    if not residual:
+    tree = scaffold.tree
+    tables, factors = _fold(
+        group,
+        tree.query,
+        [(n, tree.parent[n]) for n in scaffold.real_nodes_bottom_up()],
+        {n: _annotations(rels[n]) for n in query.edge_names},
+        semiring, label,
+    )
+    if not tables:
         raise QueryError("no residual relations produced; is y empty?")
-    if scalar_factor:
-        # Fold global scalars into one residual relation's annotations (an
-        # empty component zeroes everything out).
-        target = sorted(residual)[0]
-        rel = residual[target]
-        wcol = weight_column(rel)
-        wpos = rel.positions((wcol,))[0]
-        if any(w is None for w in scalar_factor):
-            residual[target] = rel.with_parts(
-                [[] for _ in range(group.size)], owned=True
-            )
+    if factors:
+        # Components sharing no output attribute scale every result: their
+        # scalars multiply into one residual table (an empty one empties it).
+        first = min(tables)
+        if any(f is None for f in factors):
+            tables[first] = [[] for _ in tables[first]]
         else:
-            factor = scalar_factor[0]
-            for w in scalar_factor[1:]:
-                factor = semiring.times(factor, w)
-            new_parts = []
-            for part in rel.parts:
-                rows = []
-                for row in part:
-                    row = list(row)
-                    row[wpos] = semiring.times(row[wpos], factor)
-                    rows.append(tuple(row))
-                new_parts.append(rows)
-            residual[target] = rel.with_parts(new_parts, owned=True)
-    return residual
+            factor = reduce(semiring.times, factors)
+            tables[first] = [
+                [(k, semiring.times(w, factor)) for k, w in part]
+                for part in tables[first]
+            ]
+    return {
+        node: DistRelation(
+            node,
+            tuple(sorted(query.attrs_of(node) & y)) + (weight_column(rels[node]),),
+            [[k + (w,) for k, w in part] for part in table],
+            owned=True,
+        )
+        for node, table in tables.items()
+    }

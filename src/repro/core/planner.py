@@ -728,11 +728,12 @@ class _Pricer:
 
     def count(self, U: _Units, query: Hypergraph, rels: dict[str, _Rel],
               root: str | None = None):
-        """:func:`repro.core.aggregates._fold_to_root` over counts: each
-        child's aggregate (on its sorted run while its pairs are pristine,
-        else a fresh sort) searched into its parent's pairs.  Returns the
-        tree, its root and how the root's pairs end up arranged;
-        ``root=None`` adds :func:`~repro.core.aggregates.mpc_count`'s sum."""
+        """:func:`repro.core.aggregates._fold` over counts: each child's
+        sum per separator (on its sorted run while it is untouched, else a
+        fresh sort) searched into its parent, and a separator-free child's
+        one broadcast scalar, empty or not.  Returns the tree, its root
+        and how the root's rows end up arranged; ``root=None`` adds
+        :func:`~repro.core.aggregates.mpc_count`'s sum."""
         s = self.s
         tree = s.tree_of(query, root)
         folded: dict[str, tuple] = {}

@@ -644,6 +644,9 @@ class Engine:
         """The entry's bound relations distributed on ``group`` per edge,
         annotated in the query's semiring for an aggregate.
 
+        A relation's stored annotations are read only when they were stored
+        in that semiring; otherwise every row is annotated with its ``one``.
+
         The serving path passes ``_dist_cache``, so a distributed variant
         (and the substrate caches on it) outlives the query; explain's
         scratch group passes a fresh dict.
@@ -656,7 +659,7 @@ class Engine:
             dist = cache.get(key)
             if dist is None:
                 rel = self._bound(b)
-                if aggregate is not None and not rel.annotated:
+                if aggregate is not None and rel.semiring is not parsed.semiring:
                     rel = rel.with_annotations(parsed.semiring)
                 dist = cache[key] = distribute_relation(
                     rel, group, annotate=aggregate is not None

@@ -1,6 +1,8 @@
 """Tests for Section 6: counting, LinearAggroYannakakis, join-aggregate."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregates import (
     aggregate_out,
@@ -17,9 +19,12 @@ from repro.data.generators import (
     random_instance,
     star_instance,
 )
+from repro.data.instance import Instance
+from repro.data.relation import Relation
 from repro.mpc import Cluster, distribute_instance
 from repro.query import catalog
-from repro.query.ghd import output_join_tree
+from repro.query.ghd import is_free_connex, output_join_tree
+from repro.query.hypergraph import Hypergraph
 from repro.ram.yannakakis import group_by_count, join_size, subset_join_sizes, yannakakis
 from repro.semiring import BOOLEAN, COUNT, MIN_TROPICAL, SUM_PRODUCT
 
@@ -54,6 +59,22 @@ class TestMpcCount:
         cl = Cluster(2)
         g = cl.root_group()
         assert mpc_count(g, q, distribute_instance(inst, g)) == 0
+
+    def test_empty_component_under_a_real_parent(self):
+        """``R`` shares nothing with ``T`` and glues under it: empty, it
+        broadcasts ``None`` and empties ``T``, so the count is 0."""
+        from repro.query.hypergraph import join_tree
+
+        q = Hypergraph({"R": ("A", "B"), "T": ("D",)})
+        assert join_tree(q).parent["R"] == "T"
+        inst = Instance(q, {
+            "R": Relation("R", ("A", "B"), []),
+            "T": Relation("T", ("D",), [(d,) for d in range(5)]),
+        })
+        cl = Cluster(4)
+        g = cl.root_group()
+        assert mpc_count(g, q, distribute_instance(inst, g)) == 0
+        assert cl.snapshot().by_label["count/scalar-R"] == 3
 
     def test_linear_load_corollary4(self):
         """Corollary 4: count load ~ IN/p even when OUT is enormous."""
@@ -342,3 +363,97 @@ class TestOutputSizePrimitive:
         cnt, rep = mpc_output_size(inst.query, inst, 8)
         assert cnt == join_size(inst)
         assert rep.load <= 15 * inst.input_size / 8 + 40 * 8
+
+
+# ----------------------------------------------------------------------
+# mpc_join_aggregate against a brute-force oracle (hypothesis)
+# ----------------------------------------------------------------------
+TWO_COMPONENTS = Hypergraph(
+    {"R1": ("A", "B"), "R2": ("B", "C"), "R3": ("X",)}, name="two-components"
+)
+
+#: Free-connex (query, y) pairs: y = {} is the total aggregate.
+FREE_CONNEX = [
+    (q, frozenset(y))
+    for q, ys in [
+        (catalog.line3(), ["", "A", "B", "AB", "BC", "ABCD"]),
+        (catalog.star_join(3), [[], ["Z"], ["X1"], ["Z", "X1"]]),
+        (catalog.fork_join(), ["", "C", "AB", "BC", "CDE"]),
+        (catalog.q2_r_hierarchical(), [[], ["x1"], ["x5"], ["x1", "x3"], ["x3", "x5"]]),
+        (TWO_COMPONENTS, ["", "A", "X", "AX", "BC"]),
+    ]
+    for y in ys
+]
+
+#: Annotation values per semiring, the semiring's zero first.  Floats are
+#: small integers, so every sum and product is exact in any order.
+ANNOTATIONS = {
+    COUNT: [0, 1, 2, 3],
+    SUM_PRODUCT: [0.0, 1.0, 2.0, 3.0],
+    MIN_TROPICAL: [float("inf"), 0.0, 1.0, 2.0],
+    BOOLEAN: [False, True],
+}
+
+
+def _oracle(inst: Instance, y: frozenset, semiring) -> dict:
+    """Every full-join tuple grouped by ``y``: annotations combine with
+    ``times`` within a tuple and with ``plus`` across tuples, and every
+    group the join reaches is kept, whatever its sum."""
+    tuples = [({}, semiring.one)]
+    for name in inst.query.edge_names:
+        rel = inst[name]
+        tuples = [
+            ({**binding, **dict(zip(rel.attrs, row))}, semiring.times(w, a))
+            for binding, w in tuples
+            for row, a in zip(rel.rows, rel.annotations)
+            if all(binding.get(x, v) == v for x, v in zip(rel.attrs, row))
+        ]
+    groups: dict = {}
+    for binding, w in tuples:
+        key = tuple(binding[x] for x in sorted(y))
+        groups[key] = semiring.plus(groups[key], w) if key in groups else w
+    return groups
+
+
+@st.composite
+def aggregate_cases(draw):
+    """A free-connex aggregate over a small annotated instance: a dangling
+    row on every edge, sometimes an empty component, zeros among the
+    annotations."""
+    query, y = draw(st.sampled_from(FREE_CONNEX))
+    semiring = draw(st.sampled_from(list(ANNOTATIONS)))
+    dom = draw(st.integers(0, 3))
+    rels = {}
+    for i, edge in enumerate(query.edge_names):
+        attrs = tuple(sorted(query.attrs_of(edge)))
+        value = st.integers(0, dom)
+        rows = draw(st.lists(st.tuples(*[value] * len(attrs)), max_size=6))
+        rows.append((-1 - i,) * len(attrs))  # joins no other edge's rows
+        ann = draw(st.lists(
+            st.sampled_from(ANNOTATIONS[semiring]),
+            min_size=len(rows), max_size=len(rows),
+        ))
+        rels[edge] = Relation(edge, attrs, rows, ann, semiring)
+    if query is TWO_COMPONENTS:
+        empty = draw(st.sampled_from([None, "R1", "R3"]))  # either component
+        if empty:
+            rels[empty] = Relation(empty, rels[empty].attrs, [], [], semiring)
+    p = draw(st.sampled_from([1, 3, 4]))
+    return Instance(query, rels), y, semiring, p
+
+
+def test_property_cases_are_free_connex():
+    assert all(is_free_connex(q, y) for q, y in FREE_CONNEX)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(aggregate_cases())
+def test_join_aggregate_matches_brute_force(case):
+    inst, y, semiring, p = case
+    res = mpc_join_aggregate(inst.query, y, inst, semiring, p)
+    want = _oracle(inst, y, semiring)
+    if not y:
+        assert res.relation is None
+        assert res.scalar == want.get((), semiring.zero)
+    else:
+        assert dict(zip(res.relation.rows, res.relation.annotations)) == want

@@ -470,6 +470,34 @@ def test_aggregate_and_scalar_paths():
     )
 
 
+def test_stored_annotations_are_read_only_in_their_own_semiring():
+    """Relations annotated in SUM_PRODUCT keep their weights for a ``sum``
+    query; a projection or a ``count`` over them annotates every row with
+    its own semiring's ``one`` instead."""
+    from repro.semiring import SUM_PRODUCT
+
+    eng = Engine(p=4)
+    eng.register(Relation(
+        "W", ("A", "B"), [(1, 10), (1, 20), (2, 10)],
+        annotations=[2.0, 3.0, 5.0], semiring=SUM_PRODUCT,
+    ))
+    eng.register(Relation(
+        "V", ("B",), [(10,), (20,)], annotations=[4.0, 0.0], semiring=SUM_PRODUCT,
+    ))
+
+    def result(text):
+        res = eng.execute(text)
+        return dict(zip(res.relation.rows, res.relation.annotations))
+
+    project = result("Q(A) :- W(A,B), V(B)")
+    assert project == {(1,): True, (2,): True}
+    assert all(w is True for w in project.values())
+    count = result("Q(A; count) :- W(A,B), V(B)")
+    assert count == {(1,): 2, (2,): 1}
+    assert all(type(w) is int for w in count.values())
+    assert result("Q(A; sum) :- W(A,B), V(B)") == {(1,): 8.0, (2,): 20.0}
+
+
 def test_submit_batch_serial_and_threaded_agree():
     eng = _basic_engine()
     workload = [
