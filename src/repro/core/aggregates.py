@@ -35,13 +35,14 @@ from repro.errors import QueryError
 from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.mpc.primitives import (
+    _flat,
+    _match_keys,
     coordinator_for,
     fold_by_key,
     global_sum,
-    multi_search,
     sum_by_key,
 )
-from repro.mpc.substrate import column_tags
+from repro.mpc.substrate import column_tags, projected_keys
 from repro.query.ghd import OutputJoinTree
 from repro.query.hypergraph import Hypergraph, join_tree
 from repro.semiring import COUNT, Semiring
@@ -96,10 +97,14 @@ def _fold(
     own children.  The child's weights are summed per separator (the
     attributes it shares with its parent) with ``semiring.plus`` — on the
     child's own sorted run while it is untouched — and multiplied into
-    the parent's weights with ``semiring.times`` by one multi-search.
-    Parent rows with no match are dropped: they extend to nothing below,
-    so the fold keeps exactly the tuples that have a completion in their
-    subtree.
+    the parent's weights with ``semiring.times`` through
+    :func:`~repro.mpc.primitives._match_keys`, the equality match
+    :func:`~repro.mpc.primitives.semi_join` uses: the parent's cached key
+    projections against the sums' keys in one predecessor search, the
+    kept rows and their products gathered by index.  Parent rows with no
+    match are dropped: they extend to nothing below, so the fold keeps
+    exactly the tuples that have a completion in their subtree, with no
+    full reducer in front of it.
 
     A child sharing no attribute with its parent contributes one scalar,
     its total, broadcast to every server; an empty child broadcasts
@@ -139,10 +144,8 @@ def _fold(
             continue
         pos = rel.positions(sep)
         if keyed:
-            table = [
-                [(project_row(row, pos), w) for row, w in zip(part, ws)]
-                for part, ws in zip(rel.parts, weights)
-            ]
+            keys = projected_keys(rel, pos)
+            table = [list(zip(ks, ws)) for ks, ws in zip(keys, weights)]
         else:
             table = fold_by_key(
                 group, rel, sep, plus=plus, label=f"{label}/agg-{node}",
@@ -153,23 +156,23 @@ def _fold(
             continue
         prel, pweights = state[par]
         ppos = prel.positions(sep)
-        found = multi_search(
+        x_at, t_at, cuts = _match_keys(
             group,
-            [
-                [(project_row(row, ppos), (row, w)) for row, w in zip(part, ws)]
-                for part, ws in zip(prel.parts, pweights)
-            ],
-            table,
+            projected_keys(prel, ppos),
+            [[key for key, _t in part] for part in table],
+            column_tags((prel, ppos), (rel, pos)),
             f"{label}/{node}" if keyed else f"{label}/fold-{node}",
-            tags=column_tags((prel, ppos), (rel, pos)),
         )
-        kept = [
-            [(row, times(w, t)) for key, (row, w), pk, t in part if pk == key]
-            for part in found
-        ]
+        rows, ws, ts = _flat(prel.parts), _flat(pweights), _flat(table)
+        spans = list(zip(cuts, cuts[1:]))
         state[par] = (
-            prel.with_parts([[row for row, _w in part] for part in kept], owned=True),
-            [[w for _row, w in part] for part in kept],
+            prel.with_parts(
+                [list(map(rows.__getitem__, x_at[a:b])) for a, b in spans], owned=True
+            ),
+            [
+                [times(ws[i], ts[j][1]) for i, j in zip(x_at[a:b], t_at[a:b])]
+                for a, b in spans
+            ],
         )
     return residual, factors
 
@@ -299,11 +302,14 @@ def annotated_reduce(
 ) -> tuple[Hypergraph, dict[str, DistRelation]]:
     """Reduce procedure with annotation folding (Section 6 preprocessing).
 
-    When edge ``e`` is contained in ``e'``, every tuple of ``R(e')`` matches
-    exactly one tuple of ``R(e)`` (dangling-free, set semantics); the
-    container's annotation is multiplied by the matched annotation and the
-    contained relation is dropped: :func:`_fold` over the removed edges,
-    each a child of its survivor, with no sum.
+    When edge ``e`` is contained in ``e'``, every tuple of ``R(e')``
+    matches at most one tuple of ``R(e)`` (set semantics); the container's
+    annotation is multiplied by the matched annotation and the contained
+    relation is dropped: :func:`_fold` over the removed edges, each a
+    child of its survivor, with no sum.  The input need not be
+    dangling-free: a container row with no match extends to nothing and
+    the fold drops it, and a contained row no container matches is
+    dropped with its relation.
     """
     reduced_query, witness = query.reduce()
     state = {n: _annotations(rels[n]) for n in rels}

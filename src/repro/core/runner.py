@@ -326,6 +326,11 @@ def run_aggregate_algorithm(
     cluster.  ``rels`` must already be distributed *with annotation columns*
     (``distribute_instance(..., annotate=True)``).
 
+    Section 6 in one sweep: no full reducer runs first.  A bottom-up fold
+    toward the output root keeps exactly the tuples that have a completion
+    below them; the residual join, through its own reducer, keeps exactly
+    the tuples that have a completion among the residual relations.
+
     Returns:
         ``(relation, scalar, meta)`` — the annotated output relation (or
         ``None`` for total aggregation), the total-aggregate scalar (or
@@ -341,7 +346,6 @@ def run_aggregate_algorithm(
             f"unknown downstream algorithm {algorithm!r}; pick from {AGG_ALGORITHMS}"
         )
     y = frozenset(output_attrs)
-    rels = remove_dangling(group, query, rels, "agg/dangling")
     reduced_query, rels = annotated_reduce(group, query, rels, semiring, "agg/reduce")
 
     if not y:

@@ -329,15 +329,16 @@ class Relation:
         return out
 
     def with_annotations(self, semiring: Semiring, default: Any | None = None) -> "Relation":
-        """Attach a uniform annotation (``semiring.one`` unless given)."""
+        """Attach a uniform annotation (``semiring.one`` unless given).
+
+        The rows are already distinct, so no dedup pass runs: the result
+        shares them (and the columnar backing) with ``self``.
+        """
         w = semiring.one if default is None else default
-        return Relation(
-            self.name,
-            self.attrs,
-            self._rows,
-            annotations=[w] * len(self._rows),
-            semiring=semiring,
-        )
+        clone = self.renamed(self.name)
+        clone._annotations = (w,) * len(self._rows)
+        clone.semiring = semiring
+        return clone
 
     def annotation_map(self) -> dict[Row, Any]:
         """Row -> annotation mapping (requires an annotated relation)."""

@@ -620,22 +620,49 @@ def semi_join(
             return rel
         pos_r = rel.positions(shared)
         pos_f = filter_rel.positions(shared)
-        rel_keys = projected_keys(rel, pos_r)
-        filter_keys = projected_keys(filter_rel, pos_f)
-        keys = [part for pair in zip(filter_keys, rel_keys) for part in pair]
-        skeys = sort_keys(keys, column_tags((rel, pos_r), (filter_rel, pos_f)))
-        fy = _flat(filter_keys)
-        x_at, pred, same, x_cuts = _search(group, skeys, fy, label)
-        if skeys is not keys:
-            # Encodings tell ``1`` from ``True``; the predecessor test is
-            # value equality, as the raw keys' was.
-            fx = _flat(rel_keys)
-            for i in np.flatnonzero((pred >= 0) & ~same).tolist():
-                same[i] = fy[pred[i]] == fx[x_at[i]]
-        kept = np.concatenate(([0], np.cumsum(same)))[x_cuts].tolist()
-        rows, x_at = _flat(rel.parts), x_at[same].tolist()
+        x_at, _pred, kept = _match_keys(
+            group,
+            projected_keys(rel, pos_r),
+            projected_keys(filter_rel, pos_f),
+            column_tags((rel, pos_r), (filter_rel, pos_f)),
+            label,
+        )
+        rows = _flat(rel.parts)
         parts = [list(map(rows.__getitem__, x_at[a:b])) for a, b in zip(kept, kept[1:])]
         return DistRelation(rel.name, rel.attrs, parts, owned=True)
+
+
+def _match_keys(
+    group: Group,
+    x_keys: Sequence[list],
+    y_keys: Sequence[list],
+    tags: tuple[int, ...] | None,
+    label: str,
+) -> tuple[list[int], list[int], list[int]]:
+    """Equality match of per-server X keys against Y keys, by predecessor
+    search (paper Section 2): an X element is kept iff its predecessor
+    among the Y keys equals its own key.
+
+    One :func:`_search` on the keys as :func:`multi_search` ranks them
+    (Y before X per source, ``tags`` as :func:`column_tags` gives them).
+    An encoded match falls back to value equality, as the raw keys' test
+    is: encodings tell ``1`` from ``True``.
+
+    Returns:
+        Over the kept X elements in global order: their flat positions in
+        X, their matches' flat positions in Y, and the ``p + 1`` server
+        boundaries in these lists.
+    """
+    keys = [part for pair in zip(y_keys, x_keys) for part in pair]
+    skeys = sort_keys(keys, tags)
+    fy = _flat(y_keys)
+    x_at, pred, same, x_cuts = _search(group, skeys, fy, label)
+    if skeys is not keys:
+        fx = _flat(x_keys)
+        for i in np.flatnonzero((pred >= 0) & ~same).tolist():
+            same[i] = fy[pred[i]] == fx[x_at[i]]
+    kept = np.concatenate(([0], np.cumsum(same)))[x_cuts].tolist()
+    return x_at[same].tolist(), pred[same].tolist(), kept
 
 
 def attach_degrees(

@@ -35,9 +35,9 @@ STEP_BOUNDS = {
     "acyclic/uniform/yannakakis": 250,
     "rhier/skewed/rhierarchical": 420,
     "star/dangling/binhc-multiround": 100,
-    "aggregate/uniform/groupby-count": 75,
-    "aggregate/uniform/total-count": 35,
-    "project/uniform/line3": 75,
+    "aggregate/uniform/groupby-count": 40,
+    "aggregate/uniform/total-count": 17,
+    "project/uniform/line3": 40,
 }
 
 #: Additive slack for the doubling check (heavy/light thresholds may

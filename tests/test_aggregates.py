@@ -202,8 +202,8 @@ class TestJoinAggregate:
     @pytest.mark.parametrize("outputs", [(), ("A",)])
     def test_an_unknown_algorithm_is_rejected_before_any_step(self, outputs):
         """A total aggregate never reads the name, and a group-by reads it
-        only after its reducer and folds have posted load: the name is
-        checked first, so neither runs a step."""
+        only after its folds have posted load: the name is checked first,
+        so neither runs a step."""
         from repro.core.runner import run_aggregate_algorithm
         from repro.errors import QueryError
 
@@ -457,3 +457,37 @@ def test_join_aggregate_matches_brute_force(case):
         assert res.scalar == want.get((), semiring.zero)
     else:
         assert dict(zip(res.relation.rows, res.relation.annotations)) == want
+
+
+# ----------------------------------------------------------------------
+# One sweep: the fold alone drops what dangles (no full reducer first)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("y", ["", "A", "BC", "ABCD"])
+def test_the_fold_drops_dangling_tuples_without_a_reducer(y):
+    inst = add_dangling(random_instance(catalog.line3(), 40, 5, seed=78), 12, seed=79)
+    ann = Instance(inst.query, {
+        n: Relation(n, r.attrs, r.rows, [1 + i % 3 for i in range(len(r))], COUNT)
+        for n, r in inst.relations.items()
+    })
+    res = mpc_join_aggregate(inst.query, set(y), ann, COUNT, p=4)
+    want = _oracle(ann, frozenset(y), COUNT)
+    if not y:
+        assert res.scalar == want[()]
+    else:
+        assert dict(zip(res.relation.rows, res.relation.annotations)) == want
+    assert not [label for label in res.report.by_label if label.startswith("agg/dangling")]
+
+
+def test_the_fold_matches_a_parent_one_to_a_child_true_by_value():
+    """The key column mixes types, so keys rank on their orderable
+    encodings, which tell ``1`` from ``True``; the parent's ``1`` finds the
+    child's ``True`` as its predecessor and keeps it by value equality."""
+    q = catalog.binary_join()  # R1 is R2's child in the fold
+    inst = Instance(q, {
+        "R1": Relation("R1", ("A", "B"), [(0, True), (1, "x"), (2, 2)]),
+        "R2": Relation("R2", ("B", "C"), [(1, 0), ("x", 1), (5, 2)]),
+    })
+    g = Cluster(3).root_group()
+    assert mpc_count(g, q, distribute_instance(inst, g)) == join_size(inst) == 2
+    res = mpc_join_aggregate(q, (), inst.with_uniform_annotations(COUNT), COUNT, p=3)
+    assert res.scalar == 2

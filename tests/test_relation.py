@@ -116,6 +116,19 @@ class TestOperations:
         assert r.annotated
         assert set(r.annotations) == {1}
 
+    @pytest.mark.parametrize("semiring, default", [(COUNT, None), (MIN_TROPICAL, 4)])
+    def test_with_annotations_equals_the_constructor(self, semiring, default):
+        base = Relation("R", ("A", "B"), [(3, "x"), (1, None), (2, "x"), (True, 0)])
+        for r in (base, base.with_annotations(COUNT, 7)):
+            got = r.with_annotations(semiring, default)
+            w = semiring.one if default is None else default
+            want = Relation(r.name, r.attrs, r.rows, [w] * len(r), semiring)
+            assert (got.name, got.attrs) == (want.name, want.attrs)
+            assert got.rows == want.rows
+            assert got.annotations == want.annotations
+            assert got.semiring is want.semiring
+            assert got == want and got.rows is r.rows
+
     def test_annotation_map_requires_annotations(self):
         with pytest.raises(SchemaError):
             Relation("R", ("A",), [(1,)]).annotation_map()
