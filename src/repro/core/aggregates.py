@@ -36,13 +36,13 @@ from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.mpc.primitives import (
     _flat,
-    _match_keys,
     coordinator_for,
     fold_by_key,
     global_sum,
+    match_keys,
     sum_by_key,
 )
-from repro.mpc.substrate import column_tags, projected_keys
+from repro.mpc.substrate import projected_keys
 from repro.query.ghd import OutputJoinTree
 from repro.query.hypergraph import Hypergraph, join_tree
 from repro.semiring import COUNT, Semiring
@@ -98,7 +98,7 @@ def _fold(
     attributes it shares with its parent) with ``semiring.plus`` — on the
     child's own sorted run while it is untouched — and multiplied into
     the parent's weights with ``semiring.times`` through
-    :func:`~repro.mpc.primitives._match_keys`, the equality match
+    :func:`~repro.mpc.primitives.match_keys`, the equality match
     :func:`~repro.mpc.primitives.semi_join` uses: the parent's cached key
     projections against the sums' keys in one predecessor search, the
     kept rows and their products gathered by index.  Parent rows with no
@@ -156,11 +156,10 @@ def _fold(
             continue
         prel, pweights = state[par]
         ppos = prel.positions(sep)
-        x_at, t_at, cuts = _match_keys(
+        x_at, t_at, cuts = match_keys(
             group,
             projected_keys(prel, ppos),
             [[key for key, _t in part] for part in table],
-            column_tags((prel, ppos), (rel, pos)),
             f"{label}/{node}" if keyed else f"{label}/fold-{node}",
         )
         rows, ws, ts = _flat(prel.parts), _flat(pweights), _flat(table)

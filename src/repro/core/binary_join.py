@@ -37,7 +37,6 @@ from repro.mpc.primitives import (
     number_rows,
     search_rows,
 )
-from repro.mpc.substrate import column_tags
 
 __all__ = ["binary_join"]
 
@@ -79,14 +78,11 @@ def binary_join(
     # here, the light lookup, and the heavy numbering below.
     d1 = count_by_key(group, r1, shared, f"{label}/deg1")
     d2 = count_by_key(group, r2, shared, f"{label}/deg2")
-    # Both degree tables hold projected keys of one relation each, so a
-    # pair whose homogeneity tags agree sorts them raw.
     merged = multi_search(
         group,
         [[(k, c) for k, c in part] for part in d1],
         [[(k, c) for k, c in part] for part in d2],
         f"{label}/degmerge",
-        tags=column_tags((r1, pos1), (r2, pos2)),
     )
     # Keys present in both sides: (key, d1, d2).
     stats_parts: list[list[tuple[Any, int, int]]] = [

@@ -229,7 +229,9 @@ def _case_tree(
         )
         for src, part in enumerate(found):
             for a, row, pk, gid in part:
-                if pk == a:
+                # gid is None without a predecessor, whose key (None) a
+                # None value would otherwise equal.
+                if pk == a and gid is not None:
                     outboxes[src].append((gid % g, (("L", gid), n, row)))
                 elif a in heavy_desc:
                     start, p_a = heavy_desc[a]

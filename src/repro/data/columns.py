@@ -24,9 +24,12 @@ column yields values equal to the originals *with their original types*
 (``True`` stays ``bool``, ``1`` stays ``int``, ``1.0`` stays ``float``).
 Dictionary keys are therefore ``(type, value)`` pairs — plain value keys
 would collapse ``1``/``True``/``1.0``, which Python's ``dict`` considers
-equal, silently rewriting data on the wire.  Non-int values keep their
-*original objects* in the dictionary, so even exotic cases (``NaN``,
-interned strings) survive unchanged.  The ledger never sees any of this:
+equal, silently rewriting data on the wire.  They serve exact decode
+only and do not decide key equality: every primitive ranks the decoded
+values (:func:`repro.mpc.substrate.rank_keys`), where ``1``, ``True`` and
+``1.0`` are one key, as in :class:`~repro.data.relation.Relation`.
+Non-int values keep their *original objects* in the dictionary, so even
+exotic cases (``NaN``, interned strings) survive unchanged.  The ledger never sees any of this:
 encoding changes bytes on a wire, never the number of logical tuples.
 """
 
@@ -36,7 +39,7 @@ import pickle
 import sys
 import zlib
 from array import array
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -49,11 +52,6 @@ __all__ = [
 ]
 
 _PROTO = pickle.HIGHEST_PROTOCOL
-
-#: :func:`repro.mpc.substrate.orderable` type tags mirrored here so the
-#: substrate can read a column's homogeneity in O(1) instead of scanning.
-TAG_NUM = 2
-TAG_STR = 3
 
 # Signed/unsigned array typecodes by width, verified at import time (the C
 # sizes of 'i'/'l' are platform-defined; we only use codes whose itemsize
@@ -79,23 +77,6 @@ def _narrow_unsigned_typecode(hi: int) -> str:
     return "Q"
 
 
-def _order_tag_of(values: Iterable[Any]) -> int | None:
-    """The substrate's homogeneity tag, by the exact ``column_kind`` rule.
-
-    ``TAG_NUM`` when every value's type is exactly ``int`` or ``float``
-    (``bool`` disqualifies — it is an ``int`` subclass with a different
-    orderable tag), ``TAG_STR`` when every type is exactly ``str``, else
-    ``None``.  An empty iterable yields ``None``.  One C-speed type-set scan.
-    """
-    types = set(map(type, values))
-    if types == {str}:
-        return TAG_STR
-    return TAG_NUM if types and types <= {int, float} else None
-
-
-_UNSET = object()
-
-
 class Column:
     """One attribute's values in typed storage.
 
@@ -107,19 +88,14 @@ class Column:
             values).
         data: The typed storage (see ``kind``).
         dictionary: Distinct original value objects (``"d"`` only).
-        tag: The :attr:`order_tag` when the builder already knows it (the
-            one-type encoder, ``take``, ``concat``); computed lazily if not.
     """
 
-    __slots__ = ("kind", "data", "dictionary", "_order_tag")
+    __slots__ = ("kind", "data", "dictionary")
 
-    def __init__(
-        self, kind: str, data: Any, dictionary: list | None = None, tag: Any = _UNSET
-    ) -> None:
+    def __init__(self, kind: str, data: Any, dictionary: list | None = None) -> None:
         self.kind = kind
         self.data = data
         self.dictionary = dictionary
-        self._order_tag = tag
 
     def __len__(self) -> int:
         return len(self.data)
@@ -136,26 +112,6 @@ class Column:
             # (``np.array`` would split them into a second axis).
             return np.fromiter(d, object, len(d))[np.asarray(self.data)].tolist()
         return list(self.data)
-
-    @property
-    def order_tag(self) -> int | None:
-        """The column's type tag for the substrate's ``column_kind``: keys
-        over tagged columns are ranked raw, not as ``orderable`` encodings.
-
-        Known at encode time for one-type columns and carried through
-        ``take``/``concat``; otherwise (columns decoded from the wire,
-        mixed-type columns) computed from the *dictionary* (the
-        distinct values) for ``"d"`` columns — type homogeneity over
-        distinct values equals homogeneity over all values — and cached.
-        An empty column reports ``None``.
-        """
-        tag = self._order_tag
-        if tag is _UNSET:
-            tag = self._order_tag = (
-                None if not len(self.data) else TAG_NUM if self.kind == "i"
-                else _order_tag_of(self.dictionary if self.kind == "d" else self.data)
-            )
-        return tag
 
     def approx_nbytes(self) -> int:
         """Approximate resident size (cache-accounting, not wire size).
@@ -190,8 +146,7 @@ def encode_column(values: Sequence[Any]) -> Column:
     every base column of the decks — is encoded in one C-speed pass: with
     the type fixed, plain value keys are the ``(type, value)`` keys, so
     ``dict.fromkeys`` builds the dictionary (first objects, first-seen
-    order) and one ``map`` over it writes the codes.  Its order tag is
-    known there and then (``str`` is ``TAG_STR``, ``float`` ``TAG_NUM``).
+    order) and one ``map`` over it writes the codes.
     """
     vals = values if isinstance(values, list) else list(values)
     types = set(map(type, vals))
@@ -206,9 +161,7 @@ def encode_column(values: Sequence[Any]) -> Column:
         except TypeError:  # unhashable values: store objects as-is
             return Column("o", list(vals))
         index = dict(zip(dictionary, range(len(dictionary))))
-        t = types.pop()
-        return Column("d", array("q", map(index.__getitem__, vals)), dictionary,
-                      TAG_STR if t is str else TAG_NUM if t is float else None)
+        return Column("d", array("q", map(index.__getitem__, vals)), dictionary)
     index: dict[tuple, int] = {}
     dictionary: list = []
     codes = array("q", bytes(0))
@@ -276,16 +229,12 @@ class ColumnBlock:
         Equals ``[rows[i] for i in idx]`` on the row view; repeats and any
         order are allowed, which is what makes it the emit kernel of every
         local join (gather each side by its list of matching positions).
-        Typed buffers are gathered at C speed; only codes move, and a
-        shared dictionary keeps its source's order tag.
+        Typed buffers are gathered at C speed; only codes move.
         """
         at = np.fromiter(idx, np.int64, len(idx))
         return ColumnBlock(len(idx), [
             Column("o", [c.data[i] for i in idx]) if c.kind == "o"
-            else Column(
-                c.kind, _gather(c.data, at), c.dictionary,
-                c._order_tag if len(idx) else None,
-            )
+            else Column(c.kind, _gather(c.data, at), c.dictionary)
             for c in self.columns
         ])
 
@@ -347,10 +296,7 @@ def _concat_columns(cols: Sequence[Column]) -> Column:
                 dictionary.append(v)
             remap.append(code)
         data.extend(_gather(remap, c.data))
-    # Dictionaries that agree on their homogeneity tag merge into one that
-    # carries it.
-    tags = {c._order_tag for c in cols}
-    return Column("d", data, dictionary, tags.pop() if len(tags) == 1 else _UNSET)
+    return Column("d", data, dictionary)
 
 
 # ----------------------------------------------------------------------

@@ -231,12 +231,8 @@ class Group:
         label: str,
         salt: int = 0,
     ) -> list[list[Any]]:
-        """Route items by a stable hash of their key.
-
-        No per-key memoization: dict equality would collapse keys that
-        ``stable_hash`` deliberately distinguishes (``1``/``True``/``1.0``),
-        making placement depend on arrival order.
-        """
+        """Route items by a stable hash of their key: equal keys
+        (``1``/``True``/``1.0``) land on one server."""
         size = self.size
         return self.route(
             parts, lambda item: stable_hash(key_fn(item), salt) % size, label

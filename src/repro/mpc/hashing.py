@@ -33,6 +33,10 @@ def _salt_state(salt: int) -> int:
 def stable_hash(obj: Any, salt: int = 0) -> int:
     """A process-independent 64-bit hash of ints, strings, and tuples.
 
+    Equal keys hash equally, as under Python ``==``: a ``bool`` hashes as
+    its int and an integral ``float`` as that int, so ``True``, ``1`` and
+    ``1.0`` route to one server.
+
     Args:
         obj: An int, string, bytes, None, bool, float, or (nested) tuple of
             those.
@@ -46,10 +50,10 @@ def stable_hash(obj: Any, salt: int = 0) -> int:
     stack = [obj]
     while stack:
         cur = stack.pop()
+        if isinstance(cur, float) and cur.is_integer():
+            cur = int(cur)
         if cur is None:
             h = _mix(h, 0x5BF03635)
-        elif isinstance(cur, bool):
-            h = _mix(h, 0x9E3779B9 + int(cur))
         elif isinstance(cur, int):
             h = _mix(h, cur & _MASK)
             h = _mix(h, (cur >> 64) & _MASK)

@@ -17,7 +17,7 @@ same asymptotics for our experiment range).
 Two layers of primitives, one kernel underneath:
 
 *Generic* (item-level, as in the paper's exposition; keys ranked per
-call, :func:`repro.mpc.substrate.sort_keys` deciding raw or encoded):
+call by :func:`repro.mpc.substrate.rank_keys`, the one key rule):
 
 * :func:`sample_sort` — global sort.
 * :func:`sum_by_key` — per-key aggregation with any associative operator.
@@ -34,7 +34,8 @@ boundary steps):
   relation's rows.
 * :func:`search_rows` — predecessor search of a relation's rows in a table.
 * :func:`number_rows` — per-key numbering of a relation's rows.
-* :func:`semi_join` — ``R1 semijoin R2`` via predecessor search.
+* :func:`semi_join` — ``R1 semijoin R2`` via predecessor search, on
+  :func:`match_keys`, the equality match the Section 6 fold shares.
 * :func:`attach_degrees` — annotate rows with their key's global degree
   (the sum-by-key + multi-search combo used by every heavy/light split,
   fused into a single sort pass plus one boundary round-trip).
@@ -59,11 +60,9 @@ from repro.mpc.substrate import (
     Arrangement,
     arrange,
     coordinator_for,
-    column_tags,
     orderable,
     projected_keys,
     rank_keys,
-    sort_keys,
     sorted_run,
 )
 
@@ -79,6 +78,7 @@ __all__ = [
     "search_rows",
     "number_rows",
     "semi_join",
+    "match_keys",
     "attach_degrees",
     "distinct_keys",
     "global_sum",
@@ -264,20 +264,16 @@ def sum_by_key(
     parts: Sequence[Iterable[tuple[Any, Any]]],
     plus: Callable[[Any, Any], Any] = lambda a, b: a + b,
     label: str = "sum_by_key",
-    tags: tuple[int, ...] | None = None,
 ) -> list[list[tuple[Any, Any]]]:
     """Aggregate ``(key, value)`` pairs per key with an associative operator.
 
     Returns per-server lists of ``(key, total)``; each key appears exactly
-    once globally (on the first server of its sorted span).  ``tags``, the
-    keys' :func:`~repro.mpc.substrate.column_tags`, lets them be ranked raw
-    without a scan.
+    once globally (on the first server of its sorted span).
     """
     pairs = [list(part) for part in parts]
-    keys = [list(map(_key0, part)) for part in pairs]
-    _sk, arr = _sort(group, sort_keys(keys, tags), label)
+    flat, arr = _sort(group, [list(map(_key0, part)) for part in pairs], label)
     values = list(map(itemgetter(1), chain.from_iterable(pairs)))
-    return _fold_sorted(group, arr, _flat(keys), values, plus, label)
+    return _fold_sorted(group, arr, flat, values, plus, label)
 
 
 def fold_by_key(
@@ -365,8 +361,7 @@ def multi_numbering(
     Returns per-server lists of ``(key, payload, number)``.
     """
     pairs = [list(part) for part in parts]
-    keys = sort_keys([list(map(_key0, part)) for part in pairs], None)
-    _sk, arr = _sort(group, keys, label)
+    _keys, arr = _sort(group, [list(map(_key0, part)) for part in pairs], label)
     flat, order = _flat(pairs), arr.order.tolist()
     nums = _number_sorted(group, arr, label)
     return [
@@ -433,15 +428,11 @@ def multi_search(
     x_parts: Sequence[Iterable[tuple[Any, Any]]],
     y_parts: Sequence[Iterable[tuple[Any, Any]]],
     label: str = "multi_search",
-    tags: tuple[int, ...] | None = None,
 ) -> list[list[tuple[Any, Any, Any, Any]]]:
     """For each X element, find its predecessor in Y (largest key <= x's key).
 
     Args:
         x_parts / y_parts: Per-server ``(key, payload)`` pairs.
-        tags: The :func:`~repro.mpc.substrate.column_tags` that X and Y
-            keys share, when known: the keys are then ranked raw without a
-            scan.
 
     Returns:
         Per-server lists of ``(x_key, x_payload, pred_key, pred_value)``;
@@ -452,7 +443,7 @@ def multi_search(
     ys = [list(part) for part in y_parts]
     keys = [list(map(_key0, part)) for pair in zip(ys, xs) for part in pair]
     fx, fy = _flat(xs), _flat(ys)
-    x_at, pred, _same, x_cuts = _search(group, sort_keys(keys, tags), fy, label)
+    x_at, pred, _same, x_cuts = _search(group, keys, fy, label)
     fy.append((None, None))  # pred -1: no predecessor
     pairs = zip(map(fx.__getitem__, x_at.tolist()), map(fy.__getitem__, pred.tolist()))
     found = [(*x, y[0], y[1]) for x, y in pairs]
@@ -607,7 +598,7 @@ def semi_join(
     union sort is kept (rather than :func:`search_rows`) because the filter
     side is arbitrary — duplicated, possibly disjoint from ``rel``'s keys —
     and only union sampling keeps it balanced; the substrate still supplies
-    cached projected keys and the two sides' shared column tags.
+    cached projected keys.
     """
     with prim_span(
         group.cluster, "SemiJoin", f"{rel.name} ⋉ {filter_rel.name} {label}"
@@ -620,11 +611,10 @@ def semi_join(
             return rel
         pos_r = rel.positions(shared)
         pos_f = filter_rel.positions(shared)
-        x_at, _pred, kept = _match_keys(
+        x_at, _pred, kept = match_keys(
             group,
             projected_keys(rel, pos_r),
             projected_keys(filter_rel, pos_f),
-            column_tags((rel, pos_r), (filter_rel, pos_f)),
             label,
         )
         rows = _flat(rel.parts)
@@ -632,37 +622,31 @@ def semi_join(
         return DistRelation(rel.name, rel.attrs, parts, owned=True)
 
 
-def _match_keys(
+def match_keys(
     group: Group,
     x_keys: Sequence[list],
     y_keys: Sequence[list],
-    tags: tuple[int, ...] | None,
     label: str,
 ) -> tuple[list[int], list[int], list[int]]:
     """Equality match of per-server X keys against Y keys, by predecessor
     search (paper Section 2): an X element is kept iff its predecessor
     among the Y keys equals its own key.
 
-    One :func:`_search` on the keys as :func:`multi_search` ranks them
-    (Y before X per source, ``tags`` as :func:`column_tags` gives them).
-    An encoded match falls back to value equality, as the raw keys' test
-    is: encodings tell ``1`` from ``True``.
+    One :func:`_search` on the keys as :func:`multi_search` ranks them (Y
+    before X per source); equal ranks are equal keys
+    (:func:`~repro.mpc.substrate.rank_keys`).  :func:`semi_join` and the
+    Section 6 fold both match through here.
 
     Returns:
         Over the kept X elements in global order: their flat positions in
         X, their matches' flat positions in Y, and the ``p + 1`` server
         boundaries in these lists.
     """
-    keys = [part for pair in zip(y_keys, x_keys) for part in pair]
-    skeys = sort_keys(keys, tags)
-    fy = _flat(y_keys)
-    x_at, pred, same, x_cuts = _search(group, skeys, fy, label)
-    if skeys is not keys:
-        fx = _flat(x_keys)
-        for i in np.flatnonzero((pred >= 0) & ~same).tolist():
-            same[i] = fy[pred[i]] == fx[x_at[i]]
-    kept = np.concatenate(([0], np.cumsum(same)))[x_cuts].tolist()
-    return x_at[same].tolist(), pred[same].tolist(), kept
+    with prim_span(group.cluster, "MatchKeys", label):
+        keys = [part for pair in zip(y_keys, x_keys) for part in pair]
+        x_at, pred, same, x_cuts = _search(group, keys, _flat(y_keys), label)
+        kept = np.concatenate(([0], np.cumsum(same)))[x_cuts].tolist()
+        return x_at[same].tolist(), pred[same].tolist(), kept
 
 
 def attach_degrees(

@@ -2,27 +2,22 @@
 
 Paper Section 2 reduces sum-by-key, multi-numbering, multi-search and
 semi-join to one linear-load sort; :func:`psrs` is that sort, once.  The
-comparable *sort keys* of one pass are ranked against their sorted
-distinct values (:func:`rank_keys`), and the pass runs on int64 ranks
-(:func:`arrange`): one stable ``argsort`` of the items, concatenated in
-``(src, j)`` order, *is* the global ``(key, uid)`` order, every
-destination is a contiguous slice of it between two splitters, and all
-three communication steps are charged to the ledger by their per-server
-counts (:func:`charge_pass`).  Callers scan the resulting
-:class:`Arrangement` as arrays and fetch items only when they emit.
-Sample and splitter traffic scales with the data: ``min(p, ceil(n_i /
-p))`` samples per source (:func:`sample_indices`), ``min(p, #samples)``
-ranges (:func:`pick_splitters`).
+keys of one pass are ranked against their sorted distinct values
+(:func:`rank_keys`), and the pass runs on int64 ranks (:func:`arrange`):
+one stable ``argsort`` of the items, concatenated in ``(src, j)`` order,
+*is* the global ``(key, uid)`` order, every destination is a contiguous
+slice of it between two splitters, and all three communication steps are
+charged to the ledger by their per-server counts (:func:`charge_pass`).
+Callers scan the resulting :class:`Arrangement` as arrays and fetch items
+only when they emit.  Sample and splitter traffic scales with the data:
+``min(p, ceil(n_i / p))`` samples per source (:func:`sample_indices`),
+``min(p, #samples)`` ranges (:func:`pick_splitters`).
 
-* **Raw keys where they order like** :func:`orderable`.  A column that is
-  statically homogeneous (int/float-only or str-only; :func:`column_kind`,
-  detected once per relation) stamps one constant type tag on every value,
-  so projected keys over such columns compare exactly like their
-  encodings and are ranked as they are.  Column type tags are the one
-  statement of this: :func:`column_tags` reads them for the sides a key
-  comes from, and :func:`sort_keys` takes them (for keys with no relation
-  behind them, it scans the keys' own tags).  Any other key list is
-  encoded first — same ranks, bit-identical arrangement and ledger.
+* **One key rule.**  :func:`rank_keys` alone decides key order and key
+  equality, for every primitive and every algorithm: the distinct raw
+  keys, sorted raw, or by :func:`orderable` when Python cannot compare
+  two of them.  Equal ranks are exactly Python ``==``, the equality
+  :class:`~repro.data.relation.Relation` and the RAM oracle use.
 * **Sorted runs, paid once per execution.**  :func:`sorted_run` runs the
   pass for a ``(relation, key)`` pair once and caches it on the relation.
   The ledger is charged for it once per execution (ledger epoch,
@@ -33,11 +28,11 @@ ranges (:func:`pick_splitters`).
   immutable after construction and every relation-producing operation
   returns a fresh object.
 
-:func:`cache_disabled` bypasses every cache *and* the homogeneity tags:
-the bypass path re-sorts :func:`orderable` encodings each time — charged
-by the same once-per-epoch rule — and is the reference the correctness
-tests compare against (identical outputs *and* identical ledgers).  See
-DESIGN.md section 3 for the full argument.
+:func:`cache_disabled` bypasses every cache: the bypass path re-projects
+and re-sorts the raw keys each time — charged by the same once-per-epoch
+rule — and is the reference the correctness tests compare against
+(identical outputs *and* identical ledgers).  See DESIGN.md section 3 for
+the full argument.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from repro.data.columns import _order_tag_of
 from repro.data.relation import Row
 from repro.errors import MPCError
 from repro.mpc.distrel import DistRelation
@@ -63,10 +57,6 @@ __all__ = [
     "orderable",
     "coordinator_for",
     "cache_disabled",
-    "column_kind",
-    "column_tags",
-    "key_tags",
-    "sort_keys",
     "projected_keys",
     "rank_keys",
     "sample_indices",
@@ -84,7 +74,8 @@ _ENABLED = True
 
 @contextmanager
 def cache_disabled() -> Iterator[None]:
-    """Run a block with every substrate cache bypassed (the reference path)."""
+    """Run a block with every substrate cache bypassed (the reference path):
+    keys are projected and their raw values re-sorted on every pass."""
     global _ENABLED
     prev = _ENABLED
     _ENABLED = False
@@ -99,12 +90,15 @@ def cache_disabled() -> Iterator[None]:
 # ----------------------------------------------------------------------
 
 def orderable(value: Any) -> tuple:
-    """Map a value to a type-tagged key so mixed types sort deterministically."""
+    """Map a value to a type-tagged key so mixed types sort deterministically.
+
+    One class per kind of value, numbers (``bool`` included) in one, so
+    two values tie exactly where Python ``==`` does: :func:`rank_keys`'
+    order for keys Python cannot compare raw.
+    """
     if value is None:
         return (0,)
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)):  # bool too: True ties with 1
         return (2, value)
     if isinstance(value, str):
         return (3, value)
@@ -113,89 +107,6 @@ def orderable(value: Any) -> tuple:
     if isinstance(value, tuple):
         return (5, tuple(orderable(v) for v in value))
     raise TypeError(f"cannot order value of type {type(value).__name__}")
-
-
-def column_kind(rel: DistRelation, col: int) -> int | None:
-    """Statically detect a homogeneous column; cached once per relation.
-
-    Returns the :func:`orderable` type tag (``2`` for int/float, ``3`` for
-    str) when *every* value in the column has exactly that Python type
-    (``bool`` — an ``int`` subclass with a different tag — disqualifies),
-    else ``None``.  With caching disabled no scan happens and ``None`` is
-    returned, which ranks every key on its :func:`orderable` encoding.
-
-    A row-backed relation (every base relation) answers with one C-speed
-    type-set scan of the column.  A column-backed one reads the columns'
-    order tags, known since they were encoded; a dictionary column reports
-    homogeneity of its *dictionary* — a superset of the part's values
-    after a ``take`` — so the tag can only be conservative (``None`` where
-    a scan might find homogeneity), never falsely homogeneous; ranks are
-    bit-identical either way.
-    """
-    if not _ENABLED:
-        return None
-    kinds: dict[int, int | None] = rel._substrate.setdefault("kinds", {})
-    if col in kinds:
-        return kinds[col]
-    blocks = rel.column_parts
-    if blocks is None:
-        kind = _order_tag_of(map(itemgetter(col), chain.from_iterable(rel.parts)))
-    else:
-        tags = {b.columns[col].order_tag for b in blocks if b.n}
-        kind = tags.pop() if len(tags) == 1 else None
-    kinds[col] = kind
-    return kind
-
-
-def key_tags(flat: list) -> int | tuple[int, ...] | None:
-    """The :func:`orderable` type tag every key shares, by C-speed scans.
-
-    Scalar keys: :func:`_order_tag_of` of them all.  Tuple keys of one
-    width: the tuple of the tags of each position.  ``None`` when some
-    position mixes tags (or widths, or scalars with tuples) or ``flat`` is
-    empty.  Keys with shared tags compare exactly like their encodings.
-    """
-    if not flat or type(flat[0]) is not tuple:
-        return _order_tag_of(flat)
-    if set(map(type, flat)) != {tuple} or len(set(map(len, flat))) != 1:
-        return None
-    tags = tuple(_order_tag_of(map(itemgetter(i), flat)) for i in range(len(flat[0])))
-    return None if None in tags else tags
-
-
-def column_tags(
-    *sides: tuple[DistRelation, Sequence[int]],
-) -> tuple[int, ...] | None:
-    """The :func:`column_kind` tags that keys projected from every
-    ``(rel, pos)`` side share, position by position.
-
-    Keys with one constant type tag per position compare exactly like
-    their :func:`orderable` encodings — ``(5, ((t0, a), (t1, b)))`` orders
-    as ``(a, b)`` once ``t0``/``t1`` are fixed — so a sort may rank keys
-    from any side raw.  ``None`` when some position has no tag (always,
-    with caching disabled) or two sides disagree.
-    """
-    shared = {tuple(column_kind(rel, i) for i in pos) for rel, pos in sides}
-    if len(shared) != 1:
-        return None
-    tags = shared.pop()
-    return None if None in tags else tags
-
-
-def sort_keys(keys: Sequence[list], tags: tuple[int, ...] | None) -> Sequence[list]:
-    """What a generic primitive ranks per-source ``keys`` on.
-
-    The keys themselves when they order exactly like their
-    :func:`orderable` encodings: ``tags`` (:func:`column_tags`) says so for
-    keys projected from homogeneous columns, and without tags one
-    :func:`key_tags` scan over every source decides (the cache-bypassed
-    reference never scans).  Otherwise their :func:`orderable` encodings.
-    """
-    if tags is not None or (
-        _ENABLED and key_tags(list(chain.from_iterable(keys))) is not None
-    ):
-        return keys
-    return [list(map(orderable, part)) for part in keys]
 
 
 def projected_keys(rel: DistRelation, pos: Sequence[int]) -> list[list[Row]]:
@@ -272,21 +183,33 @@ def pick_splitters(flat: Sequence, p: int) -> list:
 
 
 def rank_keys(keys: Sequence[Sequence]) -> tuple[list, np.ndarray]:
-    """Rank per-source sort keys against their sorted distinct values.
+    """Rank per-source sort keys against their sorted distinct values: the
+    one rule for key order and key equality.
 
     Returns ``(flat, ranks)``: the keys concatenated in source order, and
-    the int64 index of each in ``sorted(set(flat))``, in the same order.
-    Equal keys share a rank (``1``/``1.0``, ``0.0``/``-0.0``) exactly where
-    ``sorted`` ties them, so a stable sort on ranks is a stable sort on
-    keys.  NaN keys are outside the contract.
+    the int64 index of each in the sorted distinct keys, in the same order.
+    The distinct keys are a ``set``, so ranks tie exactly where Python
+    ``==`` does (``1``/``True``/``1.0``, ``0.0``/``-0.0``), as in
+    :class:`~repro.data.relation.Relation` and the RAM oracle.  They sort
+    raw; only when Python cannot compare two of them (``1`` against
+    ``"x"``) do they sort by :func:`orderable`.  A raw sort that succeeds
+    compared keys within one type class only, where :func:`orderable`
+    orders alike, so the two sorts never disagree.  A stable sort on ranks
+    is a stable sort on keys.  NaN keys are outside the contract.
     """
     flat = list(chain.from_iterable(keys))
     values = flat
-    if flat and type(flat[0]) is tuple and set(map(len, flat)) == {1}:
-        # Comparable with a tuple, all are tuples: 1-tuples rank as their
-        # one value, which hashes and compares faster.
+    if (
+        flat and type(flat[0]) is tuple
+        and set(map(type, flat)) == {tuple} and set(map(len, flat)) == {1}
+    ):
+        # 1-tuples rank as their one value, which hashes and compares faster.
         values = list(map(itemgetter(0), flat))
-    distinct = sorted(set(values))
+    distinct = set(values)
+    try:
+        distinct = sorted(distinct)
+    except TypeError:
+        distinct = sorted(distinct, key=orderable)
     index = dict(zip(distinct, range(len(distinct))))
     return flat, np.fromiter(map(index.__getitem__, values), np.int64, len(flat))
 
@@ -317,8 +240,8 @@ class Arrangement:
         return zip(self.cuts, self.cuts[1:])
 
     def parts(self, keys: list) -> list[tuple[list, list[int], list[int]]]:
-        """Per destination, ``(sort_keys, srcs, js)`` lists in global order,
-        ``keys`` being the pass's flat sort keys."""
+        """Per destination, ``(keys, srcs, js)`` lists in global order,
+        ``keys`` being the pass's flat keys."""
         order, srcs = self.order.tolist(), self.srcs.tolist()
         js = (self.order - self.starts[self.srcs]).tolist()
         return [
@@ -327,7 +250,7 @@ class Arrangement:
         ]
 
     def splitters(self, keys: list) -> list[tuple]:
-        """The at most ``p - 1`` ``(sort_key, uid)`` range splitters."""
+        """The at most ``p - 1`` ``(key, uid)`` range splitters."""
         starts = self.starts.tolist()
         return [
             (keys[f], (s, f - starts[s]))
@@ -394,8 +317,8 @@ def psrs(
     """One regular-sampling sort pass over per-source sort-key lists.
 
     ``keys[src][j]`` is the sort key of source ``src``'s item ``j``: any
-    mutually comparable, hashable values, ranked by :func:`rank_keys` and
-    arranged by :func:`arrange`.  Returns ``(parts, splitters, charges)``:
+    hashable values :func:`orderable` covers, ranked by :func:`rank_keys`
+    and arranged by :func:`arrange`.  Returns ``(parts, splitters, charges)``:
     ``parts[d] = (ks, srcs, js)``, destination ``d``'s sort keys and
     origins in global order; the at most ``p - 1`` ``(key, uid)`` range
     splitters; what :func:`charge_pass` billed.
@@ -440,51 +363,37 @@ class SortedRun:
 
     Attributes:
         scalar: Whether keys are bare column values (True) or 1+-tuples.
-        tags: The columns' homogeneity tags when every one is set — the
-            run is then ranked on the raw keys — else ``None`` (ranked on
-            :func:`orderable` encodings).
-        keys: ``keys[f]`` is the projected key of flat row ``f``.
-        sort_keys: What the pass ranked: ``keys`` itself when raw, else
-            their encodings.
+        keys: ``keys[f]`` is the projected key of flat row ``f``; the pass
+            ranked them (:func:`rank_keys`).
         arr: The :class:`Arrangement`; the origin ``(src, j)`` ties equal
             keys apart, so heavy keys spread over servers.  Its charges let
             the first use in a later epoch bill the pass without re-sorting.
     """
 
     scalar: bool
-    tags: tuple[int, ...] | None
     keys: list
-    sort_keys: list
     arr: Arrangement
 
     @property
     def parts(self) -> list[tuple[list, list[int], list[int]]]:
-        """Per destination, ``(sort_keys, srcs, js)`` in global order."""
-        return self.arr.parts(self.sort_keys)
+        """Per destination, ``(keys, srcs, js)`` in global order."""
+        return self.arr.parts(self.keys)
 
     @property
     def splitters(self) -> list[tuple]:
-        """The global ``(sort_key, uid)`` range splitters."""
-        return self.arr.splitters(self.sort_keys)
+        """The global ``(key, uid)`` range splitters."""
+        return self.arr.splitters(self.keys)
 
     def union_ranks(self, keys: Sequence[list]) -> tuple[np.ndarray, np.ndarray]:
         """Rank outside per-source ``keys`` in one space with this run's.
 
         Returns the outside keys' ranks (flat, in source order) and the
-        run's ranks along its order.  A raw run stays raw only while every
-        outside key carries the run's type tags (:func:`key_tags`);
-        otherwise both sides are ranked as :func:`orderable` encodings — of
-        the run, only its distinct keys (one per rank), whose order the
-        encoding keeps.
+        run's ranks along its order.  Of the run, only its distinct keys
+        (one per rank) are ranked again.
         """
         arr = self.arr
         firsts = np.flatnonzero(np.diff(arr.ranks, prepend=-1))
-        distinct = list(map(self.sort_keys.__getitem__, arr.order[firsts].tolist()))
-        flat = list(chain.from_iterable(keys))
-        tags = self.tags[0] if self.scalar and self.tags else self.tags
-        if tags is None or flat and key_tags(flat) != tags:
-            keys = [list(map(orderable, part)) for part in keys]
-            distinct = distinct if tags is None else list(map(orderable, distinct))
+        distinct = list(map(self.keys.__getitem__, arr.order[firsts].tolist()))
         ranks = rank_keys([distinct, *keys])[1]
         return ranks[len(distinct):], ranks[:len(distinct)][arr.ranks]
 
@@ -520,7 +429,6 @@ def sorted_run(
         )
         run = runs.get(cache_key)
         if run is None:
-            tags = column_tags((rel, pos))
             # With caching disabled this is the reference path: pass no owner
             # so backends also skip their worker-local memoization.
             local = group.map_parts(
@@ -529,13 +437,9 @@ def sorted_run(
                 (pos, bool(scalar)),
                 owner=rel if _ENABLED else None,
             )
-            raw = tags is not None
-            skeys = local if raw else [list(map(orderable, k)) for k in local]
-            flat, ranks = rank_keys(skeys)
+            flat, ranks = rank_keys(local)
             run = runs[cache_key] = SortedRun(
-                scalar, tags,
-                flat if raw else list(chain.from_iterable(local)),
-                flat, _arrange([len(k) for k in local], ranks),
+                scalar, flat, _arrange([len(k) for k in local], ranks)
             )
         paid: dict[tuple, int] = rel._substrate.setdefault("paid", {})
         if paid.get(cache_key) != group.cluster.epoch:

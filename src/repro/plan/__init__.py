@@ -9,9 +9,9 @@ first-class object:
 
 * :mod:`repro.plan.ir` — dataclass ops mirroring the primitive
   vocabulary (`Exchange`, `MapParts`, `SampleSort`, `FoldByKey`,
-  `SearchRows`, `NumberRows`, `SemiJoin`, `AttachDegrees`, `Broadcast`,
-  plus structural `Subgroup`/`GridLines`) and the `PhysicalPlan` that
-  sequences them.
+  `SearchRows`, `NumberRows`, `SemiJoin`, `MatchKeys`, `AttachDegrees`,
+  `Broadcast`, plus structural `Subgroup`/`GridLines`) and the
+  `PhysicalPlan` that sequences them.
 * :mod:`repro.plan.trace` — a `TraceRecorder` that captures the op
   sequence as a driver executes (installed as ``Cluster.recorder``).
 * :mod:`repro.plan.executor` — the `Executor` replaying a recorded plan
@@ -31,6 +31,7 @@ from repro.plan.ir import (
     FoldByKey,
     GridLines,
     MapParts,
+    MatchKeys,
     NumberRows,
     Op,
     PhysicalPlan,
@@ -51,6 +52,7 @@ __all__ = [
     "FoldByKey",
     "GridLines",
     "MapParts",
+    "MatchKeys",
     "NumberRows",
     "Op",
     "PhysicalPlan",

@@ -17,11 +17,11 @@ from one execution of a core driver.  Three op families exist:
   lets a timed replay re-issue the compute and measure it.
 * **Structure** (:class:`SampleSort`, :class:`FoldByKey`,
   :class:`SearchRows`, :class:`NumberRows`, :class:`SemiJoin`,
-  :class:`AttachDegrees` spans; :class:`Subgroup` / :class:`GridLines`
-  markers) — the primitive vocabulary of paper Section 2 and the grid
-  shape of Section 3.2 Case 2.  Spans scope the low-level steps recorded
-  while a primitive ran, giving ``explain`` its per-op ledger
-  attribution; they charge nothing and replay as no-ops.
+  :class:`MatchKeys`, :class:`AttachDegrees` spans; :class:`Subgroup` /
+  :class:`GridLines` markers) — the primitive vocabulary of paper
+  Section 2 and the grid shape of Section 3.2 Case 2.  Spans scope the
+  low-level steps recorded while a primitive ran, giving ``explain`` its
+  per-op ledger attribution; they charge nothing and replay as no-ops.
 
 Ops are recorded with the :class:`~repro.plan.trace.TraceRecorder` and
 replayed, one measured round per op, by the
@@ -48,6 +48,7 @@ __all__ = [
     "SearchRows",
     "NumberRows",
     "SemiJoin",
+    "MatchKeys",
     "AttachDegrees",
     "PhysicalPlan",
 ]
@@ -169,6 +170,11 @@ class NumberRows(PrimSpan):
 @dataclass(eq=False)
 class SemiJoin(PrimSpan):
     """The paper's semi-join-by-multi-search reduction."""
+
+
+@dataclass(eq=False)
+class MatchKeys(PrimSpan):
+    """An equality match of keys by predecessor search (semi-join, fold)."""
 
 
 @dataclass(eq=False)

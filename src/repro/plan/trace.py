@@ -31,6 +31,7 @@ from repro.plan.ir import (
     FoldByKey,
     GridLines,
     MapParts,
+    MatchKeys,
     NumberRows,
     Op,
     PhysicalPlan,
@@ -49,6 +50,7 @@ _SPAN_CLASSES: dict[str, type[PrimSpan]] = {
     "SearchRows": SearchRows,
     "NumberRows": NumberRows,
     "SemiJoin": SemiJoin,
+    "MatchKeys": MatchKeys,
     "AttachDegrees": AttachDegrees,
 }
 

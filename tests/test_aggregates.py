@@ -478,10 +478,10 @@ def test_the_fold_drops_dangling_tuples_without_a_reducer(y):
     assert not [label for label in res.report.by_label if label.startswith("agg/dangling")]
 
 
-def test_the_fold_matches_a_parent_one_to_a_child_true_by_value():
-    """The key column mixes types, so keys rank on their orderable
-    encodings, which tell ``1`` from ``True``; the parent's ``1`` finds the
-    child's ``True`` as its predecessor and keeps it by value equality."""
+def test_the_fold_matches_a_parent_one_to_a_child_true():
+    """The key column mixes types Python cannot compare, so keys rank in
+    ``orderable`` order, where ``1`` and ``True`` are one key: the parent's
+    ``1`` matches the child's ``True``."""
     q = catalog.binary_join()  # R1 is R2's child in the fold
     inst = Instance(q, {
         "R1": Relation("R1", ("A", "B"), [(0, True), (1, "x"), (2, 2)]),

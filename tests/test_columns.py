@@ -2,8 +2,8 @@
 
 Covers the load-bearing invariants of ``repro/data/columns.py`` and its
 integration into :class:`~repro.data.relation.Relation`,
-:class:`~repro.mpc.distrel.DistRelation`, the substrate's column-aware
-encoders, and the multiprocess backend's wire format:
+:class:`~repro.mpc.distrel.DistRelation`, the substrate's key ranking,
+and the multiprocess backend's wire format:
 
 * exact round-trip for mixed-type columns (types and values preserved —
   the bool/int/float distinction especially),
@@ -23,12 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.columns import (
-    TAG_NUM,
-    TAG_STR,
     Column,
     ColumnBlock,
     _narrow_codes,
-    _order_tag_of,
     encode_column,
     pack_blob,
     unpack_blob,
@@ -37,7 +34,7 @@ from repro.data.relation import Relation
 from repro.mpc import Cluster, DistRelation, distribute_relation
 from repro.mpc.backends import MultiprocessBackend
 from repro.mpc.primitives import count_by_key, semi_join
-from repro.mpc.substrate import cache_disabled, column_kind, orderable
+from repro.mpc.substrate import cache_disabled, orderable
 from repro.semiring import COUNT
 
 
@@ -88,7 +85,6 @@ class TestColumnRoundTrip:
         col = encode_column(list(range(100)))
         assert col.kind == "i"
         assert col.data.typecode == "q"
-        assert col.order_tag == 2
 
     @given(st.lists(st.tuples(mixed_value, mixed_value), max_size=40))
     @settings(max_examples=80, deadline=None)
@@ -218,7 +214,7 @@ def loop_encode(values):
 
 
 class Text(str):
-    """A ``str`` subclass: its own exact type, so never ``TAG_STR``."""
+    """A ``str`` subclass: its own exact type, dictionary-keyed apart."""
 
 
 NAN_B = float("nan")  # a second NaN object: equal to nothing, itself included
@@ -241,14 +237,9 @@ codec_column = st.one_of(
 )
 
 
-def lazy_tag(col):
-    """The tag a column with the same storage computes from scratch."""
-    return Column(col.kind, col.data, col.dictionary).order_tag
-
-
 class TestOnePassCodec:
     """``encode_column`` against :func:`loop_encode`: kind, codes, the very
-    dictionary objects, wire bytes and order tag, on every column shape."""
+    dictionary objects and wire bytes, on every column shape."""
 
     @given(codec_column)
     @settings(max_examples=300, deadline=None)
@@ -264,8 +255,6 @@ class TestOnePassCodec:
             assert all(g is w for g, w in zip(got.dictionary, want.dictionary))
         block = ColumnBlock(len(vals), [got])
         assert pack_blob((), block) == pack_blob((), ColumnBlock(len(vals), [want]))
-        assert got.order_tag == _order_tag_of(vals)
-        assert got.order_tag == lazy_tag(got)
 
     def test_edge_cases_by_name(self):
         for vals in ([], [NAN, NAN, NAN_B], [0.0, -0.0], [Text("a"), Text("a")],
@@ -273,31 +262,9 @@ class TestOnePassCodec:
             got = encode_column(vals)
             want = loop_encode(vals)
             assert (got.kind, list(got.data)) == (want.kind, list(want.data)), vals
-            assert got.order_tag == _order_tag_of(vals), vals
         col = encode_column([0.0, -0.0, NAN, NAN])
         assert str(col.dictionary[0]) == "0.0"  # the first of an equal pair
         assert list(col.data) == [0, 0, 1, 1]  # the same NaN object: one code
-        assert encode_column([Text("a")]).order_tag is None
-        assert encode_column(["a"]).order_tag == TAG_STR
-        assert encode_column([2**64]).order_tag == TAG_NUM
-
-    @given(st.lists(st.tuples(codec_column, codec_column), min_size=1, max_size=4),
-           st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_kernels_keep_a_tag_a_recomputation_agrees_with(self, pairs, data):
-        blocks = []
-        for a, b in pairs:
-            n = min(len(a), len(b))
-            blocks.append(ColumnBlock(n, [encode_column(a[:n]), encode_column(b[:n])]))
-        for block in blocks:
-            idx = data.draw(st.lists(st.integers(0, block.n - 1), max_size=8)
-                            if block.n else st.just([]))
-            derived = (block.take(idx), block.select([1, 0, 1]))
-            for d in derived:
-                for c in d.columns:
-                    assert c.order_tag == lazy_tag(c)
-        for c in ColumnBlock.concat(blocks).columns:
-            assert c.order_tag == lazy_tag(c)
 
 
 class TestDictionaryDecode:
@@ -357,25 +324,26 @@ class TestBoolIntRegression:
         for g, r in zip(got, rows):
             assert type(g[0]) is type(r[0])
 
-    def test_bool_disqualifies_column_kind_via_columns(self):
+    def test_bool_and_int_are_one_key_on_both_backings(self):
+        """The dictionary keeps ``1`` and ``True`` apart for decode only:
+        keys rank on the decoded values, where they are one key."""
         rows = [(1, "x"), (True, "y"), (2, "z")]
         cl = Cluster(2)
         by_rows = distribute_relation(Relation("R", ("A", "B"), rows), cl.root_group())
         assert by_rows.column_parts is None  # base relations are row slices
-        # A column-backed result whose bool sits alone in a part: that part's
-        # column is one-type (bool), and its encode-time tag must say None.
+        # A column-backed result whose bool sits alone in a part.
         by_cols = DistRelation("R", ("A", "B"), [[rows[0], rows[2]], [rows[1]]])
         by_cols = by_cols.aligned(by_cols.attrs)
-        assert by_cols.column_parts[1].columns[0].order_tag is None
+        assert by_cols.column_parts is not None
         for rel in (by_rows, by_cols):
-            assert column_kind(rel, 0) is None  # bool present -> no fast tag
-            assert column_kind(rel, 1) == 3
+            counted = count_by_key(cl.root_group(), rel, ("A",), "cnt", scalar=True)
+            assert sorted(c for part in counted for _k, c in part) == [1, 2]
 
-    def test_orderable_distinguishes_after_decode(self):
+    def test_decode_keeps_types_that_orderable_ties(self):
         col = encode_column([1, True, 1.0])
+        assert list(map(type, col.values())) == [int, bool, float]
         oks = [orderable(v) for v in col.values()]
-        assert oks == [(2, 1), (1, 1), (2, 1.0)]
-        assert oks[0] != oks[1]
+        assert oks[0] == oks[1] == oks[2]
 
     def test_sorted_primitive_parity_cached_vs_bypass(self):
         rows = [(v, i % 3) for i, v in enumerate([1, True, 0, False, 1, True])]

@@ -13,8 +13,10 @@ class TestStableHash:
         assert stable_hash("key", salt=0) != stable_hash("key", salt=1)
 
     def test_types_distinguished(self):
+        """Unequal keys of different types hash apart; keys Python calls
+        equal (``True``/``1``/``1.0``) hash alike, so they meet."""
         assert stable_hash(1) != stable_hash("1")
-        assert stable_hash(True) != stable_hash(1)
+        assert stable_hash(True) == stable_hash(1) == stable_hash(1.0)
         assert stable_hash(None) != stable_hash(0)
 
     def test_tuples_order_sensitive(self):

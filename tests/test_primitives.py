@@ -7,8 +7,8 @@ import pytest
 from repro.data.relation import Relation
 from repro.mpc import Cluster, distribute_relation
 from repro.mpc.primitives import (
-    _match_keys,
     global_sum,
+    match_keys,
     multi_numbering,
     multi_search,
     orderable,
@@ -218,15 +218,13 @@ class TestSemiJoin:
 class TestMatchKeys:
     """The equality match that ``semi_join`` and the Section 6 fold share."""
 
-    # Mixed types force orderable encodings, which keep ``True`` and ``1``
-    # apart: ``(1,)`` finds ``(True,)`` as its predecessor and matches it by
-    # value; ``(True,)`` sorts below every number and finds no ``(1,)``.
-    XS = [(1,), ("b",), (True,), (2,), (None,), (0,), (2.5,), ("a",), (1,)]
+    # Mixed types: ``1``, ``True`` and ``1.0`` are one key, as in Python.
+    XS = [(1,), ("b",), (True,), (2,), (None,), (0,), (2.5,), ("a",), (1.0,)]
     YS = [(True,), ("a",), (2,), (7,), (None,)]
 
     @pytest.mark.parametrize("p", [1, 3])
-    @pytest.mark.parametrize("xs, ys, by_value", [(XS, YS, True), (YS, XS, False)])
-    def test_encoded_keys_match_as_multi_search_pk_eq_key(self, p, xs, ys, by_value):
+    @pytest.mark.parametrize("xs, ys", [(XS, YS), (YS, XS)])
+    def test_keys_match_exactly_where_python_equality_does(self, p, xs, ys):
         x_parts, y_parts = spread(xs, p), spread(ys, p)
         found = multi_search(
             Cluster(p).root_group(),
@@ -235,27 +233,25 @@ class TestMatchKeys:
         )
         want = [[(xp, pk) for key, xp, pk, _ in part if pk == key] for part in found]
 
-        x_at, y_at, cuts = _match_keys(Cluster(p).root_group(), x_parts, y_parts, None, "m")
+        x_at, y_at, cuts = match_keys(Cluster(p).root_group(), x_parts, y_parts, "m")
         ids = [(s, j) for s, part in enumerate(x_parts) for j in range(len(part))]
+        flat_x = [k for part in x_parts for k in part]
         flat_y = [k for part in y_parts for k in part]
         got = [
             [(ids[i], flat_y[j]) for i, j in zip(x_at[a:b], y_at[a:b])]
             for a, b in zip(cuts, cuts[1:])
         ]
         assert got == want
-        # Kept across types (``1`` against ``True``) only by value equality.
-        crossed = [
-            (x_parts[s][j], y) for part in got for (s, j), y in part
-            if type(x_parts[s][j][0]) is not type(y[0])
-        ]
-        assert crossed == ([((1,), (True,))] * 2 if by_value else [])
+        assert all(flat_x[i] == flat_y[j] for i, j in zip(x_at, y_at))
+        assert sorted(x_at) == [i for i, x in enumerate(flat_x) if x in ys]
 
-    def test_semi_join_keeps_one_against_true(self):
-        r1 = Relation("R1", ("A", "B"), [(0, 1), (1, "a"), (2, 3), (3, None)])
-        r2 = Relation("R2", ("B", "C"), [(True, 0), ("a", 1), (None, 2)])
+    @pytest.mark.parametrize("one, true", [(1, True), (True, 1), (1, 1.0), (1.0, True)])
+    def test_semi_join_keeps_equal_keys_of_either_type(self, one, true):
+        r1 = Relation("R1", ("A", "B"), [(0, one), (1, "a"), (2, 3), (3, None)])
+        r2 = Relation("R2", ("B", "C"), [(true, 0), ("a", 1), (None, 2)])
         g = Cluster(2).root_group()
         got = semi_join(g, distribute_relation(r1, g), distribute_relation(r2, g))
-        assert sorted(got.all_rows(), key=repr) == [(0, 1), (1, "a"), (3, None)]
+        assert sorted(got.all_rows(), key=repr) == [(0, one), (1, "a"), (3, None)]
 
 
 class TestGlobalSum:

@@ -4,9 +4,10 @@ Every pass ranks its keys against their sorted distinct values and sorts
 the ranks, so the contract under test is that ranking loses nothing a
 comparison sort would keep:
 
-* keys that tie in ``sorted`` share a rank — ``1``/``1.0``, ``0.0``/
-  ``-0.0``, equal strings that are different objects — and keys it tells
-  apart (``1``/``True`` as :func:`orderable` encodings) do not;
+* keys share a rank exactly where Python ``==`` ties them — ``1``/
+  ``True``/``1.0``, ``0.0``/``-0.0``, equal strings that are different
+  objects — whether they sort raw or, mixing types Python cannot compare,
+  by :func:`orderable`;
 * arrangement, splitters and ledger equal the message-per-item oracle of
   ``tests/test_psrs_kernel.py``;
 * ``semi_join``, ``multi_search`` and ``search_rows`` equal a per-item
@@ -95,18 +96,24 @@ def test_scalar_and_one_tuple_keys(inst):
 
 @given(spread(_ANY | st.tuples(_ANY, _ANY)))
 @settings(max_examples=120, deadline=None)
-def test_encodings_keep_one_and_true_apart(inst):
+def test_mixed_raw_keys_rank_like_their_encodings(inst):
+    """Raw keys of every type class, ``True`` beside ``1``: the kernel on
+    the keys themselves equals the oracle on their encodings."""
     p, keys = inst
-    check_pass(p, keys, [[orderable(k) for k in part] for part in keys])
+    check_pass(p, keys, keys)
 
 
-def test_ties_share_a_rank_and_bools_do_not():
+def test_ties_share_a_rank_exactly_where_equality_does():
     def ranks(keys):
         return substrate.rank_keys(keys)[1].tolist()
 
     assert ranks([[(1,), (0.0,), (2,)], [(1.0,), (-0.0,)]]) == [1, 0, 2, 1, 0]
     assert ranks([["ab", "a"], [ab()]]) == [1, 0, 1]
-    assert ranks([[orderable(1), orderable(True), orderable(1.0)]]) == [1, 0, 1]
+    assert ranks([[1, True, 1.0, 2]]) == [0, 0, 0, 1]
+    # Types Python cannot compare raw sort by orderable, bools with numbers.
+    assert ranks([[1, True, "x"], [None, 1.0, False, 0]]) == [2, 2, 3, 0, 2, 1, 1]
+    assert ranks([[(True, "a"), (1.0, "b")], [(1, "a")]]) == [0, 1, 0]
+    assert orderable(True) == orderable(1) == orderable(1.0) != orderable("1")
 
 
 # ----------------------------------------------------------------------

@@ -129,8 +129,8 @@ class TestAdversarialValues:
     )
     def test_mixed_type_join_column_through_intermediates(self, query, algorithm):
         """A join attribute mixing ints, strings and ``None`` reaches the
-        later joins inside column-backed intermediates, whose columns carry
-        no type tag: keys are ranked on their ``orderable`` encodings there.
+        later joins inside column-backed intermediates, where Python cannot
+        compare the keys raw: they rank in ``orderable`` order there.
         Outputs match the oracle and the ledger the cache-bypassed run's."""
         inst = mixed_type_instance(catalog.CATALOG[query])
         res = mpc_join(inst.query, inst, p=4, algorithm=algorithm)

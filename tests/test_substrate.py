@@ -1,4 +1,4 @@
-"""Tests for the performance substrate: column type tags + sorted-run caching.
+"""Tests for the performance substrate: the one key rule + sorted-run caching.
 
 The contract under test (see DESIGN.md): the caches may only change
 wall-clock time.  Outputs, loads, step-max, step counts, and per-label
@@ -31,11 +31,9 @@ from repro.mpc.primitives import (
     semi_join,
 )
 from repro.mpc.substrate import (
-    column_tags,
     projected_keys,
     psrs,
     rank_keys,
-    sort_keys,
     sorted_run,
 )
 
@@ -76,49 +74,48 @@ TUPLE = [((1, 2), "a"), ((0,), "b")]
 
 @pytest.mark.parametrize("backing", ["rows", "columns"])
 @pytest.mark.parametrize(
-    "sides, expected",
+    "sides",
     [
-        ([(INT, (0,))], (2,)),
-        ([(NUM, (0,))], (2,)),
-        ([(STR, (0,))], (3,)),
-        ([(INT, (0, 1))], (2, 3)),
-        ([(BOOL_INT, (0,))], None),
-        ([(NONE, (0,))], None),
-        ([(TUPLE, (0,))], None),
-        ([(BOOL_INT, (1, 0))], None),
-        ([(INT, (0,)), (NUM, (0,))], (2,)),
-        ([(STR, (1, 0)), (INT, (1, 1))], (3, 3)),
-        ([(INT, (0,)), (STR, (0,))], None),
-        ([(INT, (0,)), (NONE, (0,))], None),
-        ([(INT, (0,)), (INT, (0, 1))], None),
+        [(INT, (0,))],
+        [(NUM, (0,))],
+        [(STR, (0,))],
+        [(INT, (0, 1))],
+        [(BOOL_INT, (0,))],
+        [(NONE, (0,))],
+        [(TUPLE, (0,))],
+        [(BOOL_INT, (1, 0))],
+        [(INT, (0,)), (NUM, (0,))],
+        [(STR, (1, 0)), (INT, (1, 1))],
+        [(INT, (0,)), (STR, (0,))],
+        [(INT, (0,)), (NONE, (0,))],
+        [(INT, (0,)), (INT, (0, 1))],
     ],
     ids=[
         "int", "int-float", "str", "int-str", "bool-int", "none", "tuple",
         "str-bool-int", "pair-agree", "pair-agree-wide", "pair-disagree",
-        "pair-one-untagged", "pair-widths-differ",
+        "pair-int-none", "pair-widths-differ",
     ],
 )
-def test_column_tags_rank_like_orderable(sides, expected, backing):
-    """Column tags are the one statement that keys may be ranked raw:
-    whenever :func:`column_tags` returns them, raw keys from every side
-    rank exactly like their :func:`orderable` encodings.  Row-backed
-    relations scan their rows, column-backed ones read column order tags;
-    the cache-bypassed reference never has tags."""
+def test_projected_keys_rank_like_orderable(sides, backing):
+    """Raw keys projected from any sides — one type or mixed, row- or
+    column-backed — rank exactly like their :func:`orderable` encodings,
+    with and without the substrate caches, and tie where ``==`` does."""
     g = Cluster(2).root_group()
     rels = []
     for rows, pos in sides:
         rel = distribute_relation(make_rel(rows), g)
         rels.append((rel.aligned(rel.attrs) if backing == "columns" else rel, pos))
     assert (rels[0][0].column_parts is None) == (backing == "rows")
-    tags = column_tags(*rels)
-    assert tags == expected
-    keys = [part for rel, pos in rels for part in projected_keys(rel, pos)]
-    if tags is not None:
-        assert sort_keys(keys, tags) is keys
+    for ctx in (nullcontext(), cache_disabled()):
+        with ctx:
+            keys = [part for rel, pos in rels for part in projected_keys(rel, pos)]
+            flat, ranks = rank_keys(keys)
         encoded = [list(map(orderable, part)) for part in keys]
-        assert rank_keys(keys)[1].tolist() == rank_keys(encoded)[1].tolist()
-    with cache_disabled():
-        assert column_tags(*rels) is None
+        assert ranks.tolist() == rank_keys(encoded)[1].tolist()
+        assert all(
+            (a == b) == (ra == rb)
+            for a, ra in zip(flat, ranks.tolist()) for b, rb in zip(flat, ranks.tolist())
+        )
 
 
 def charges_of(cl, call):
@@ -211,15 +208,10 @@ class TestRunPaidOncePerExecution:
         with cache_disabled():
             r3 = sorted_run(g, rel, ("B",), "warm")
         assert r3 is not r1
-        # The cached run sorts the raw (all-int) keys, the reference their
-        # orderable encodings: same origins in the same order, and the
-        # sort keys / splitters of one are the encodings of the other.
-        assert r1.tags == (2,) and r3.tags is None
+        # Both sort the raw keys: same keys, origins and splitters.
         assert r3.keys == r1.keys
-        for (ok, s3, j3), (raw, s1, j1) in zip(r3.parts, r1.parts):
-            assert (s3, j3) == (s1, j1)
-            assert ok == [orderable(k) for k in raw]
-        assert r3.splitters == [(orderable(k), uid) for k, uid in r1.splitters]
+        assert r3.parts == r1.parts
+        assert r3.splitters == r1.splitters
 
 
 _SHAPES = ("even", "skewed", "empty", "single", "heavy", "blocked")
@@ -368,9 +360,8 @@ class TestCachedEqualsBypassed:
     @settings(max_examples=40, deadline=None)
     def test_search_primitives_on_a_two_relation_key(self, inst, filter_rows):
         """``semi_join`` / ``multi_search`` across two relations whose shared
-        column may be homogeneous on one side only, on both, or on neither:
-        the cached path (raw keys where both sides' tags agree, encodings
-        otherwise) equals the bypassed reference, outputs and ledger."""
+        column may be one type on one side only, on both, or on neither:
+        the cached path equals the bypassed reference, outputs and ledger."""
         p, rows, _table_keys = inst
 
         def run_all(bypass):
@@ -386,10 +377,7 @@ class TestCachedEqualsBypassed:
             with cache_disabled() if bypass else nullcontext():
                 out = [
                     semi_join(g, rel, flt, "sj").parts,
-                    multi_search(
-                        g, xs, ys, "ms",
-                        tags=column_tags((rel, pos_r), (flt, pos_f)),
-                    ),
+                    multi_search(g, xs, ys, "ms"),
                 ]
             return out, cl.snapshot()
 
