@@ -3,19 +3,24 @@
 The optimal equi-join of [8, 18] that the paper uses as its pairwise-join
 subroutine everywhere (Sections 1.3, 4, 5).  Strategy:
 
-1. Compute per-key degrees on both sides (sum-by-key) and merge them
-   (multi-search), giving ``OUT_v = d1(v) * d2(v)`` per join value.
+1. Sort ``R1 ⊎ R2`` once on the join key, each tuple flagged with its
+   side, and count both sides per key in one fold over that arrangement
+   (sum-by-key), giving ``OUT_v = d1(v) * d2(v)`` per join value.
 2. A key is *light* if it fits one server's budget
    (``d1+d2 <= IN/p`` and ``OUT_v <= OUT/p``): light keys are grouped with
    parallel-packing so each server receives O(IN/p) input and produces
-   O(OUT/p) output.
+   O(OUT/p) output.  A key's group id lands on the first server of its
+   span, beside its tuples; one carry tells the servers after it.
 3. A *heavy* key gets its own rectangle of ``a x b`` servers with
    ``a*b ~ p * OUT_v / OUT``: its R1 tuples split into ``a`` balanced chunks
-   (multi-numbering), its R2 tuples into ``b``, chunk ``i`` of R1 meets
-   chunk ``j`` of R2 on exactly one server, so each server receives
-   ``d1/a + d2/b = O(sqrt(OUT_v / p_v)) = O(sqrt(OUT/p))`` tuples.
+   (multi-numbering on the same arrangement), its R2 tuples into ``b``,
+   chunk ``i`` of R1 meets chunk ``j`` of R2 on exactly one server, so each
+   server receives ``d1/a + d2/b = O(sqrt(OUT_v / p_v)) = O(sqrt(OUT/p))``
+   tuples.
 
-Each result pair is produced on exactly one server (no duplicate emission).
+One PSRS pass in all, before the one shuffle to the cells.  The
+arrangement belongs to neither input, so it is paid on every call.  Each
+result pair is produced on exactly one server (no duplicate emission).
 """
 
 from __future__ import annotations
@@ -24,18 +29,20 @@ import math
 from operator import itemgetter
 from typing import Any
 
+import numpy as np
+
 from repro.core.common import gather_join
 from repro.data.columns import ColumnBlock
 from repro.data.relation import Row
 from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.mpc.primitives import (
+    arrange_sides,
+    carry_left,
     coordinator_for,
-    count_by_key,
     global_sum,
-    multi_search,
-    number_rows,
-    search_rows,
+    number_sorted,
+    side_degrees,
 )
 
 __all__ = ["binary_join"]
@@ -73,27 +80,20 @@ def binary_join(
     pos2 = r2.positions(shared)
     pos2_extra = r2.positions(extra2)
 
-    # --- Step 1: per-key degrees and output statistics. -----------------
-    # One sorted run per relation (cached on it) backs the degree count
-    # here, the light lookup, and the heavy numbering below.
-    d1 = count_by_key(group, r1, shared, f"{label}/deg1")
-    d2 = count_by_key(group, r2, shared, f"{label}/deg2")
-    merged = multi_search(
-        group,
-        [[(k, c) for k, c in part] for part in d1],
-        [[(k, c) for k, c in part] for part in d2],
-        f"{label}/degmerge",
-    )
-    # Keys present in both sides: (key, d1, d2).
-    stats_parts: list[list[tuple[Any, int, int]]] = [
-        [(k, c1, c2) for k, c1, pk, c2 in part if pk == k] for part in merged
+    # --- Step 1: one arrangement of r1 ⊎ r2; per-key degrees. -----------
+    # Every later step reads this one sort: items in (key, side, uid) order.
+    rows, arr = arrange_sides(group, r1, r2, shared, f"{label}/sort")
+    # Keys present in both sides: (key rank, d1, d2), on the key's first server.
+    stats_parts = [
+        [(k, c1, c2) for k, c1, c2 in part if c1 and c2]
+        for part in side_degrees(group, arr, f"{label}/deg")
     ]
     out_total = global_sum(
         group,
         [sum(c1 * c2 for _k, c1, c2 in part) for part in stats_parts],
         f"{label}/out",
     )
-    in_total = r1.total_size() + r2.total_size()
+    in_total = len(rows)
     if out_total == 0:
         return DistRelation.empty(out_name, out_attrs, p)
 
@@ -104,11 +104,11 @@ def binary_join(
     def weight(c1: int, c2: int) -> float:
         return max((c1 + c2) / l_in, (c1 * c2) / l_out)
 
-    light_parts: list[list[tuple[Any, float]]] = []
-    heavy_parts: list[list[tuple[Any, int, int]]] = []
+    light_parts: list[list[tuple[int, float]]] = []
+    heavy_parts: list[list[tuple[int, int, int]]] = []
     for part in stats_parts:
-        lp: list[tuple[Any, float]] = []
-        hp: list[tuple[Any, int, int]] = []
+        lp: list[tuple[int, float]] = []
+        hp: list[tuple[int, int, int]] = []
         for k, c1, c2 in part:
             w = weight(c1, c2)
             if w <= 1.0:
@@ -120,6 +120,8 @@ def binary_join(
 
     from repro.mpc.packing import parallel_packing
 
+    # Each light key's group id lands on its first server, beside the
+    # key's lowest-uid item.
     assignments, _n_groups = parallel_packing(group, light_parts, f"{label}/pack")
 
     # Heavy rectangles: key -> (start, a, b); start indexes a virtual server
@@ -128,9 +130,9 @@ def binary_join(
     heavy_all = group.gather(
         [list(hp) for hp in heavy_parts], f"{label}/heavy-gather", dst=coord
     )
-    heavy_desc: dict[Any, tuple[int, int, int]] = {}
+    heavy_desc: dict[int, tuple[int, int, int]] = {}
     cursor = 0
-    for k, c1, c2 in sorted(heavy_all, key=lambda t: repr(t[0])):
+    for k, c1, c2 in sorted(heavy_all):
         p_v = max(1, math.ceil((c1 * c2) / l_out))
         a = max(1, min(p_v, round(math.sqrt(p_v * c1 / max(1, c2)))))
         b = max(1, math.ceil(p_v / a))
@@ -142,49 +144,48 @@ def binary_join(
     group.broadcast(list(heavy_desc.items()), f"{label}/heavy-bcast", src=coord)
 
     # --- Step 3: route tuples to cells. ----------------------------------
-    # Light: key -> group id (predecessor search against the assignments,
-    # riding the relation's cached sorted run).
-    def lookup_light(rel: DistRelation) -> list[list[tuple[Row, int]]]:
-        found = search_rows(
-            group, rel, shared, assignments, f"{label}/light-lookup"
-        )
-        return [
-            [(row, gid) for key, row, pk, gid in part if pk == key]
-            for part in found
-        ]
+    # Light: a key spanning servers is the last one its first server owns;
+    # the servers after it learn its group id from one carry.
+    tables = [dict(part) for part in assignments]
+    carried = carry_left(
+        group,
+        [max(t.items()) if t else None for t in tables],
+        f"{label}/light/carry",
+    )
+    for table, got in zip(tables, carried):
+        if got is not None:
+            table.setdefault(*got)
 
-    light1 = lookup_light(r1)
-    light2 = lookup_light(r2)
-
-    # Heavy: chunk indices via per-key numbering restricted to heavy keys
-    # (fused onto the same run; numbering is consecutive within the subset).
-    def heavy_rows(rel: DistRelation) -> list[list[tuple[Any, Row, int]]]:
-        return number_rows(
-            group, rel, shared, f"{label}/heavy-number", only_keys=heavy_desc
-        )
-
-    heavy1 = heavy_rows(r1)
-    heavy2 = heavy_rows(r2)
+    # Heavy: chunk indices from one numbering of the heavy keys' items,
+    # consecutive per key and side.
+    key_ranks = arr.ranks >> 1
+    heavy = np.isin(key_ranks, np.fromiter(heavy_desc, np.int64, len(heavy_desc)))
+    nums = number_sorted(group, arr, f"{label}/heavy-number", heavy)
 
     # One physical routing step delivers every cell message.
-    outboxes: list[list[tuple[int, Any]]] = [[] for _ in range(p)]
-    for src in range(p):
-        for row, gid in light1[src]:
-            outboxes[src].append((gid % p, (("L", gid), 1, row)))
-        for row, gid in light2[src]:
-            outboxes[src].append((gid % p, (("L", gid), 2, row)))
-        for k, row, num in heavy1[src]:
-            start, a, b = heavy_desc[k]
-            i = (num - 1) % a
-            for j in range(b):
-                cell = start + i * b + j
-                outboxes[src].append((cell % p, (("H", k, i, j), 1, row)))
-        for k, row, num in heavy2[src]:
-            start, a, b = heavy_desc[k]
-            j = (num - 1) % b
-            for i in range(a):
-                cell = start + i * b + j
-                outboxes[src].append((cell % p, (("H", k, i, j), 2, row)))
+    order, side_of, krs = arr.order.tolist(), (arr.ranks & 1).tolist(), key_ranks.tolist()
+    outboxes: list[list[tuple[int, Any]]] = []
+    for (lo, hi), table in zip(arr.slices(), tables):
+        box: list[tuple[int, Any]] = []
+        for f, side, k, num in zip(order[lo:hi], side_of[lo:hi], krs[lo:hi], nums[lo:hi]):
+            gid = table.get(k)
+            if gid is not None:
+                box.append((gid % p, (("L", gid), side + 1, rows[f])))
+            elif num:
+                start, a, b = heavy_desc[k]
+                if side:
+                    j = (num - 1) % b
+                    box += [
+                        ((start + i * b + j) % p, (("H", k, i, j), 2, rows[f]))
+                        for i in range(a)
+                    ]
+                else:
+                    i = (num - 1) % a
+                    box += [
+                        ((start + i * b + j) % p, (("H", k, i, j), 1, rows[f]))
+                        for j in range(b)
+                    ]
+        outboxes.append(box)
     inboxes = group.exchange(outboxes, f"{label}/shuffle")
 
     # --- Step 4: local cell joins (emission is free). --------------------

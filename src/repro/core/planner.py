@@ -25,8 +25,9 @@ A candidate's price is its predicted ``LoadReport.total``: the units its
 control flow would post, walked over exact counts.  Each PSRS pass is
 charged its sample gather, splitter broadcast and shuffle
 (:func:`repro.mpc.substrate.charge_pass`), each boundary trip ``2(p-1)``,
-each binary join its degree, merge, lookup, numbering and shuffle steps
-with the heavy-key rectangles of :func:`repro.core.binary_join.binary_join`,
+each binary join its one pass over both sides, its boundary trips and its
+shuffle with the heavy-key rectangles of
+:func:`repro.core.binary_join.binary_join`,
 and each paper algorithm its heavy/light split at its own ``tau``.  Only
 *where* rows land is not modelled: a pass moves ``(p-1)/p`` of the rows
 that are not already range-partitioned on its key, and every part holds
@@ -657,15 +658,13 @@ class _Pricer:
         if not key:
             self.cartesian(U, [n1, n2])
             return _Rel({**r1.nodes, **r2.nodes})
-        self.run(U, r1, key, d1)
-        self.run(U, r2, key, d2)
-        U.trip(2)  # degree stitches
-        # Each degree table sits on its run's row-balanced ranges; the merge
-        # balances entries, one per key and side.
-        tables = (d1 > 0).astype(float) + (d2 > 0)
-        f1, f2 = _drift(tables, d1, p), _drift(tables, d2, p)
-        U.sort((np.count_nonzero(d1), f1), (np.count_nonzero(d2), f2))
-        U.trip(2)  # merge carry, OUT sum
+        # One pass over r1 ⊎ r2, on ranges balanced by both sides' rows.
+        both_sides = d1 + d2
+        U.sort(
+            (n1, self.share(U, r1.arranged, key, both_sides)),
+            (n2, self.share(U, r2.arranged, key, both_sides)),
+        )
+        U.trip(2)  # degree stitch, OUT sum
         prod = d1 * d2
         out = prod.sum()
         joined = _Rel({**r1.nodes, **r2.nodes})
@@ -679,11 +678,12 @@ class _Pricer:
         light = both & ~heavy
         # Light groups are numbered in key order, about one per server
         # while no key fills half a group: a side already on ranges of
-        # this key then mostly finds its group on its own server.
+        # this key, balanced like the union, then mostly finds its group
+        # on its own server.
         local = not (light & (weight >= 0.5)).any()
         routed = sum(
             float(d[light].sum())
-            * (self.share(U, rel.arranged, key, d) if local else 1.0)
+            * (self.share(U, rel.arranged, key, both_sides) if local else 1.0)
             for rel, d in ((r1, d1), (r2, d2))
         )
         for c1, c2 in zip(d1[heavy].tolist(), d2[heavy].tolist()):
@@ -697,10 +697,7 @@ class _Pricer:
         U.trip()  # packing
         U.move(n_heavy)
         U.bcast(n_heavy)
-        # The light table, in merge order, routed to each side's run (the
-        # same drift, the other way).
-        U.move(int(light.sum()) * (f1 + f2))
-        U.trip(4)  # light lookups' carries, heavy numberings' stitches
+        U.trip(2)  # light carry, heavy numbering stitch
         U.move(routed)
         return joined
 

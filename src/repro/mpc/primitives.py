@@ -40,6 +40,14 @@ boundary steps):
   (the sum-by-key + multi-search combo used by every heavy/light split,
   fused into a single sort pass plus one boundary round-trip).
 * :func:`distinct_keys` — globally distinct key projections.
+
+*Two-sided* (one union sort of two relations, paid on every call; the
+output-optimal binary join's only sort):
+
+* :func:`arrange_sides` — arrange ``r1 ⊎ r2`` on a shared key, by side.
+* :func:`side_degrees` — both sides' degree tables from that arrangement.
+* :func:`number_sorted` / :func:`carry_left` — per-key numbering and the
+  left-to-right carry over any arrangement.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from repro.mpc.substrate import (
     Arrangement,
     arrange,
     coordinator_for,
+    map_keys,
     orderable,
     projected_keys,
     rank_keys,
@@ -80,6 +89,10 @@ __all__ = [
     "semi_join",
     "match_keys",
     "attach_degrees",
+    "arrange_sides",
+    "side_degrees",
+    "number_sorted",
+    "carry_left",
     "distinct_keys",
     "global_sum",
 ]
@@ -151,11 +164,15 @@ def sample_sort(
 # Per-key scans over an arrangement, stitched across server boundaries
 # ----------------------------------------------------------------------
 
-def _runs(arr: Arrangement) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Runs of equal ranks as each server sees them: the positions in
-    ``arr.order`` where one starts (a rank change, or a server's first
-    item), their lengths, and the ``p + 1`` server boundaries in these."""
-    ranks, n = arr.ranks, len(arr.order)
+def _runs(
+    arr: Arrangement, ranks: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Runs of equal ranks (``arr.ranks``, or ``ranks`` along its order) as
+    each server sees them: the positions in ``arr.order`` where one starts
+    (a rank change, or a server's first item), their lengths, and the
+    ``p + 1`` server boundaries in these."""
+    ranks = arr.ranks if ranks is None else ranks
+    n = len(arr.order)
     start = np.ones(n, bool)
     np.not_equal(ranks[1:], ranks[:-1], out=start[1:])
     start[[c for c in arr.cuts[:-1] if c < n]] = True
@@ -197,13 +214,26 @@ def _fold_sorted(
         for r in np.flatnonzero(lengths > 1).tolist():
             accs[r] = reduce(plus, vals[firsts[r]:firsts[r] + sizes[r]])
     head_keys = list(map(keys.__getitem__, arr.order[heads].tolist()))
+    owned = _stitch_runs(group, arr.ranks[heads].tolist(), accs, bounds, plus, label)
+    return [list(zip(head_keys[lo:hi], accs[lo:hi])) for lo, hi in owned]
 
-    # Boundary stitching: only each server's first and last run can span.
-    summaries = _edge_runs(arr.ranks[heads].tolist(), accs, bounds)
+
+def _stitch_runs(
+    group: Group, ranks: list, accs: list, bounds: list[int],
+    plus: Callable[[Any, Any], Any], label: str,
+) -> list[tuple[int, int]]:
+    """Total the runs that span servers, in one round trip: a key's total
+    lands on the first server of its span, which owns it.
+
+    ``ranks`` and ``accs`` are per run (:func:`_runs`), ``bounds`` the
+    servers' boundaries in them; ``accs`` is updated in place.  Returns
+    each server's ``(lo, hi)`` range of the runs it owns.
+    """
+    # Only each server's first and last run can span.
     replies = _coordinator_roundtrip(
-        group, summaries, _stitch_fn(plus), f"{label}/stitch"
+        group, _edge_runs(ranks, accs, bounds), _stitch_fn(plus), f"{label}/stitch"
     )
-    out_parts: list[list[tuple[Any, Any]]] = []
+    owned: list[tuple[int, int]] = []
     for lo, hi, (first, last) in zip(bounds, bounds[1:], replies):
         if hi - lo > 1 and last is not None:
             if last[0] == "emit":
@@ -215,8 +245,8 @@ def _fold_sorted(
                 accs[lo] = first[1]
             else:  # drop: owned upstream
                 lo += 1
-        out_parts.append(list(zip(head_keys[lo:hi], accs[lo:hi])))
-    return out_parts
+        owned.append((lo, hi))
+    return owned
 
 
 def _stitch_fn(plus: Callable[[Any, Any], Any]) -> Callable[[list[Any]], list[Any]]:
@@ -315,19 +345,20 @@ def count_by_key(
     return fold_by_key(group, rel, key_attrs, label=label, scalar=scalar)
 
 
-def _number_sorted(
+def number_sorted(
     group: Group, arr: Arrangement, label: str, counted: np.ndarray | None = None
 ) -> list[int]:
     """Consecutive numbers 1, 2, ... per run of equal ranks, continued
-    across server boundaries.
+    across server boundaries (one stitch round trip).
 
     Returns one number per item along ``arr.order``; items whose flag in
-    ``counted`` (a flat boolean array) is false are skipped and get 0.
+    ``counted`` (a boolean array along ``arr.order``) is false are skipped
+    and get 0, so the numbering is consecutive within the flagged items.
     """
     heads, lengths, bounds = _runs(arr)
     flags = (
         np.ones(len(arr.order), np.int64) if counted is None
-        else counted[arr.order].astype(np.int64)
+        else counted.astype(np.int64)
     )
     seen = np.cumsum(flags)  # counted items up to and including each position
     before = seen[heads] - flags[heads]  # ... and before each run
@@ -363,7 +394,7 @@ def multi_numbering(
     pairs = [list(part) for part in parts]
     _keys, arr = _sort(group, [list(map(_key0, part)) for part in pairs], label)
     flat, order = _flat(pairs), arr.order.tolist()
-    nums = _number_sorted(group, arr, label)
+    nums = number_sorted(group, arr, label)
     return [
         [(*flat[f], n) for f, n in zip(order[lo:hi], nums[lo:hi])]
         for lo, hi in arr.slices()
@@ -397,28 +428,18 @@ def number_rows(
     rel: DistRelation,
     key_attrs: Sequence[str],
     label: str = "numbering",
-    only_keys: Any | None = None,
     scalar: bool = False,
 ) -> list[list[tuple[Any, Row, int]]]:
-    """Consecutive numbers 1, 2, ... per key over a relation's rows.
-
-    Fused onto the relation's (cached) sorted run; when ``only_keys`` is
-    given (any container supporting ``in``), only rows whose key is a
-    member are numbered and returned — the numbering is consecutive within
-    the restricted set, as the heavy-rectangle chunking of
-    :func:`repro.core.binary_join.binary_join` requires.
-    """
+    """Consecutive numbers 1, 2, ... per key over a relation's rows,
+    fused onto the relation's (cached) sorted run."""
     with prim_span(
         group.cluster, "NumberRows", f"{rel.name}[{','.join(key_attrs)}] {label}"
     ):
         run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
         keys, rows, order = run.keys, _flat(rel.parts), run.arr.order.tolist()
-        counted = None
-        if only_keys is not None:
-            counted = np.fromiter(map(only_keys.__contains__, keys), bool, len(keys))
-        nums = _number_sorted(group, run.arr, label, counted)
+        nums = number_sorted(group, run.arr, label)
         return [
-            [(keys[f], rows[f], n) for f, n in zip(order[lo:hi], nums[lo:hi]) if n]
+            [(keys[f], rows[f], n) for f, n in zip(order[lo:hi], nums[lo:hi])]
             for lo, hi in run.arr.slices()
         ]
 
@@ -463,12 +484,9 @@ def _search(
     Y key <= the X key exists), whether the predecessor's sort key equals
     theirs, and the ``p + 1`` server boundaries in these arrays.
     """
-    sizes = [len(k) for k in keys]
-    union = 2 * rank_keys(keys)[1] + np.repeat(np.arange(len(keys)) & 1, sizes)
-    with prim_span(group.cluster, "SampleSort", label):
-        arr = arrange(group, list(map(add, sizes[::2], sizes[1::2])), union, label)
+    arr = _sort_sides(group, keys, label)
     # Flat union position -> index among the Ys, or among the Xs.
-    tag = union & 1
+    tag = np.repeat(np.arange(len(keys)) & 1, [len(k) for k in keys])
     n_x = np.cumsum(tag)
     index = np.where(tag, n_x - 1, np.arange(len(tag)) - n_x)[arr.order]
     is_y = (arr.ranks & 1) == 0
@@ -485,7 +503,7 @@ def _search(
         y_items[i] if t >= lo else None
         for lo, t, i in zip(arr.cuts, tails.tolist(), tail_ys)
     ]
-    _coordinator_roundtrip(group, trailing, _carries, f"{label}/carry")
+    carry_left(group, trailing, f"{label}/carry")
 
     is_x = ~is_y
     x_last = last[is_x]
@@ -495,8 +513,32 @@ def _search(
     return index[is_x], pred, same, x_cuts
 
 
+def _sort_sides(
+    group: Group, keys: Sequence[list], label: str, span: str | None = None
+) -> Arrangement:
+    """One PSRS pass over two sides' per-source sort keys, under a
+    ``SampleSort`` span (named ``span``, else ``label``).
+
+    ``keys[2 * s]`` and ``keys[2 * s + 1]`` are source ``s``'s side-0 and
+    side-1 keys.  Both sides are ranked together and sorted on
+    ``2 * rank + side``, so at equal keys side 0 comes first; flat
+    positions run over each source's side 0, then its side 1.
+    """
+    sizes = [len(k) for k in keys]
+    union = 2 * rank_keys(keys)[1] + np.repeat(np.arange(len(keys)) & 1, sizes)
+    with prim_span(group.cluster, "SampleSort", span or label):
+        return arrange(group, list(map(add, sizes[::2], sizes[1::2])), union, label)
+
+
+def carry_left(group: Group, summaries: Sequence[Any], label: str) -> list[Any]:
+    """One coordinator round trip in which each server receives the last
+    non-``None`` summary sent from a server to its left (``None`` if none):
+    the carry of every predecessor search."""
+    return _coordinator_roundtrip(group, summaries, _carries, label)
+
+
 def _carries(summaries_list: list[Any]) -> list[Any]:
-    """Prefix carry: each server receives the last Y element to its left."""
+    """Prefix carry: each server receives the last summary to its left."""
     replies: list[Any] = []
     run: Any = None
     for s in summaries_list:
@@ -525,7 +567,8 @@ def search_rows(
 
     Load precondition: the table must be *globally distinct per key* with
     keys (essentially) drawn from ``rel``'s own key values — the degree
-    table / packing-assignment / reduced-separator pattern of every caller.
+    tables both callers look up (:func:`attach_degrees`' ``degree_parts``,
+    the Section 5.1 light-degree product).
     Then each run partition receives at most its own row count in table
     entries and the pass stays linear-load.  For arbitrary duplicated
     filters (plain semi-joins on unreduced inputs) use :func:`multi_search`
@@ -567,7 +610,7 @@ def search_rows(
             entries[t_order[hi - 1]] if lo < hi else None
             for lo, hi in zip(t_cuts, t_cuts[1:])
         ]
-        _coordinator_roundtrip(group, summaries, _carries, f"{label}/carry")
+        carry_left(group, summaries, f"{label}/carry")
         # A row's predecessor is the last entry at or below its rank.  Over
         # all entries at once that is its server's own, else the carry:
         # every entry left of a server's slice is <= all of its rows.
@@ -738,6 +781,57 @@ def _span_totals(summaries_list: list[Any]) -> list[Any]:
             chain[2].append((i, 1))
     flush()
     return [tuple(r) for r in replies]
+
+
+def arrange_sides(
+    group: Group,
+    r1: DistRelation,
+    r2: DistRelation,
+    key_attrs: Sequence[str],
+    label: str,
+) -> tuple[list[Row], Arrangement]:
+    """One PSRS pass over ``r1 ⊎ r2`` on ``key_attrs``, each row flagged
+    with its side: the rows, flat (source ``s``'s ``r1`` part, then its
+    ``r2`` part), and their :class:`Arrangement` on ``2 * key rank +
+    side``, side 0 being ``r1``.  Each key's ``r1`` rows precede its
+    ``r2`` rows, each side in uid order.
+
+    The keys are projected per server as one backend round per side
+    (:func:`~repro.mpc.substrate.map_keys`).  The arrangement belongs to
+    neither relation, so it is paid on every call, like
+    :func:`semi_join`'s union sort.
+    """
+    keys = [map_keys(group, rel, rel.positions(key_attrs)) for rel in (r1, r2)]
+    arr = _sort_sides(
+        group, [part for pair in zip(*keys) for part in pair], label,
+        f"{r1.name} ⊎ {r2.name}[{','.join(key_attrs)}] {label}",
+    )
+    return _flat(part for pair in zip(r1.parts, r2.parts) for part in pair), arr
+
+
+def side_degrees(
+    group: Group, arr: Arrangement, label: str
+) -> list[list[tuple[int, int, int]]]:
+    """Both sides' degree tables from one two-sided arrangement
+    (:func:`arrange_sides`), in one stitch round trip.
+
+    Returns per server ``(key rank, c1, c2)``: how many side-0 and side-1
+    items carry the key (``arr.ranks >> 1``), once per key globally, on
+    the first server of its sorted span.
+    """
+    heads, lengths, bounds = _runs(arr, arr.ranks >> 1)
+    c2 = np.add.reduceat(arr.ranks & 1, heads) if len(heads) else lengths
+    accs = list(zip((lengths - c2).tolist(), c2.tolist()))
+    key_ranks = (arr.ranks[heads] >> 1).tolist()
+    owned = _stitch_runs(group, key_ranks, accs, bounds, _add_pairs, label)
+    return [
+        [(k, c1, c2) for k, (c1, c2) in zip(key_ranks[lo:hi], accs[lo:hi])]
+        for lo, hi in owned
+    ]
+
+
+def _add_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] + b[0], a[1] + b[1]
 
 
 def global_sum(

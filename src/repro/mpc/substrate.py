@@ -58,6 +58,7 @@ __all__ = [
     "coordinator_for",
     "cache_disabled",
     "projected_keys",
+    "map_keys",
     "rank_keys",
     "sample_indices",
     "pick_splitters",
@@ -429,14 +430,7 @@ def sorted_run(
         )
         run = runs.get(cache_key)
         if run is None:
-            # With caching disabled this is the reference path: pass no owner
-            # so backends also skip their worker-local memoization.
-            local = group.map_parts(
-                _sort_part,
-                rel.parts,
-                (pos, bool(scalar)),
-                owner=rel if _ENABLED else None,
-            )
+            local = map_keys(group, rel, pos, scalar)
             flat, ranks = rank_keys(local)
             run = runs[cache_key] = SortedRun(
                 scalar, flat, _arrange([len(k) for k in local], ranks)
@@ -446,6 +440,19 @@ def sorted_run(
             charge_pass(group, label, run.arr)
             paid[cache_key] = group.cluster.epoch
         return run
+
+
+def map_keys(
+    group: Group, rel: DistRelation, pos: Sequence[int], scalar: bool = False
+) -> list[list]:
+    """Per-server key projection of ``rel``'s parts, as one backend round
+    (:meth:`Group.map_parts`): bare values when ``scalar``, else tuples."""
+    # With caching disabled this is the reference path: pass no owner so
+    # backends also skip their worker-local memoization.
+    return group.map_parts(
+        _sort_part, rel.parts, (tuple(pos), bool(scalar)),
+        owner=rel if _ENABLED else None,
+    )
 
 
 def _sort_part(part: list, common: tuple, idx: int) -> list:

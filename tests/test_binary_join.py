@@ -1,14 +1,20 @@
 """Tests for the output-optimal binary join."""
 
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.data.generators import binary_out_controlled, matching_instance, random_instance
 from repro.data.instance import Instance
 from repro.data.relation import Relation
 from repro.mpc import Cluster, distribute_instance
 from repro.mpc.group import Group
+from repro.mpc.primitives import arrange_sides
+from repro.mpc.substrate import cache_disabled
 from repro.core.binary_join import binary_join
 from repro.core.common import local_hash_join
 from repro.data.columns import ColumnBlock
@@ -100,24 +106,37 @@ class TestLoadBounds:
 
     def test_skewed_instance_still_bounded(self):
         p = 16
-        q = catalog.binary_join()
-        rows1 = [(i, "hot") for i in range(500)] + [
-            (i, f"b{i % 50}") for i in range(500)
-        ]
-        rows2 = [("hot", i) for i in range(500)] + [
-            (f"b{i % 50}", i) for i in range(500)
-        ]
-        inst = Instance(
-            q,
-            {
-                "R1": Relation("R1", ("A", "B"), rows1),
-                "R2": Relation("R2", ("B", "C"), rows2),
-            },
-        )
+        inst = skewed_instance()
         got, rep = run_binary(inst, p=p)
         assert got == oracle_rows(inst)
         bound = inst.input_size / p + math.sqrt(len(got) / p)
         assert rep.load <= 12 * bound + 30 * p
+
+    @pytest.mark.parametrize("p", [4, 8, 16])
+    @settings(
+        max_examples=6, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_zipf_heavy_keys_and_a_light_key_over_three_servers(self, p, data):
+        """Both sides carry Zipf-distributed heavy keys, and one light key
+        holds up to ``2 IN / p`` rows (the input budget, so still light): it
+        spans at least three server ranges, so its group id reaches the
+        servers after its first one only through the carry."""
+        inst, light_key = data.draw(zipf_instance(p))
+        cl = Cluster(p)
+        g = cl.root_group()
+        rels = distribute_instance(inst, g)
+        assert len(servers_holding(g, rels, light_key)) >= 3
+        cl.reset()
+        res = binary_join(g, rels["R1"], rels["R2"])
+        rows = res.all_rows()
+        assert len(rows) == len(set(rows))
+        order = tuple(sorted(res.attrs))
+        idx = [res.attrs.index(a) for a in order]
+        assert {tuple(r[i] for i in idx) for r in rows} == oracle_rows(inst)
+        bound = inst.input_size / p + math.sqrt(len(rows) / p)
+        assert cl.snapshot().load <= 12 * bound + 30 * p
 
     def test_no_duplicate_emissions(self):
         inst = binary_out_controlled(600, 5000)
@@ -127,6 +146,113 @@ class TestLoadBounds:
         res = binary_join(g, rels["R1"], rels["R2"])
         rows = res.all_rows()
         assert len(rows) == len(set(rows))
+
+
+def skewed_instance():
+    """One heavy key (500 x 500) beside 50 light ones: every step runs."""
+    rows1 = [(i, "hot") for i in range(500)] + [(i, f"b{i % 50}") for i in range(500)]
+    rows2 = [("hot", i) for i in range(500)] + [(f"b{i % 50}", i) for i in range(500)]
+    return Instance(catalog.binary_join(), {
+        "R1": Relation("R1", ("A", "B"), rows1),
+        "R2": Relation("R2", ("B", "C"), rows2),
+    })
+
+
+class TestOneSort:
+    """Degrees, light lookup and heavy numbering all read one arrangement
+    of ``R1 ⊎ R2``: one PSRS pass per call, posted afresh every call."""
+
+    #: Steps one call posted when each side's run fed the degree counts and
+    #: a third pass merged the two degree tables (deg1, deg2, degmerge).
+    THREE_PASS_STEPS = 32
+
+    @staticmethod
+    def ledger(p, disabled=False):
+        cl = Cluster(p)
+        g = cl.root_group()
+        rels = distribute_instance(skewed_instance(), g)
+        cl.reset()
+        if disabled:
+            with cache_disabled():
+                res = binary_join(g, rels["R1"], rels["R2"])
+        else:
+            res = binary_join(g, rels["R1"], rels["R2"])
+        return res.parts, cl.snapshot().as_dict()
+
+    @pytest.mark.parametrize("p", [4, 8, 16])
+    def test_one_pass_and_fewer_steps(self, p):
+        _parts, report = self.ledger(p)
+        labels = set(report["by_label"])
+        assert [lb for lb in labels if lb.endswith("/sample")] == ["binjoin/sort/sample"]
+        assert not any(
+            part in ("deg1", "deg2", "degmerge")
+            for lb in labels for part in lb.split("/")
+        )
+        assert report["steps"] < self.THREE_PASS_STEPS
+
+    @pytest.mark.parametrize("p", [1, 4, 8])
+    def test_cache_disabled_ledger_equals_the_cached_one(self, p):
+        parts, report = self.ledger(p)
+        assert self.ledger(p, disabled=True) == (parts, report)
+
+    def test_a_second_call_pays_the_pass_again(self):
+        cl = Cluster(8)
+        g = cl.root_group()
+        rels = distribute_instance(skewed_instance(), g)
+        cl.reset()
+        binary_join(g, rels["R1"], rels["R2"])
+        once = cl.snapshot()
+        binary_join(g, rels["R1"], rels["R2"])
+        twice = cl.snapshot()
+        assert twice.steps == 2 * once.steps and twice.total == 2 * once.total
+
+
+@st.composite
+def zipf_instance(draw, p):
+    """``R1(A,B) ⋈ R2(B,C)``: a few Zipf-skewed heavy keys on both sides,
+    single-row light keys, and one light key ``"L"`` on up to ``2 IN / p``
+    rows.
+    Returns the instance and ``"L"``."""
+    skew = draw(st.floats(0.8, 1.6))
+    heavy = draw(st.integers(2, 4))
+    top1, top2 = draw(st.integers(40, 90)), draw(st.integers(40, 90))
+    keys1 = [f"h{i}" for i in range(heavy) for _ in range(max(1, int(top1 / (i + 1) ** skew)))]
+    keys2 = [f"h{i}" for i in range(heavy) for _ in range(max(1, int(top2 / (i + 1) ** skew)))]
+    n_light = draw(st.integers(8 * p, 24 * p))
+    keys1 += [f"l{i}" for i in range(n_light)]
+    keys2 += [f"l{i}" for i in range(0, n_light, 2)]
+    # c1 + c2 <= 2 IN / p, IN counting "L"'s own rows: the input budget.
+    base = len(keys1) + len(keys2)
+    c1 = 2 * base // (p - 2) - 1
+    keys1 += ["L"] * c1
+    keys2 += ["L"]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rng.shuffle(keys1)
+    rng.shuffle(keys2)
+    rows1 = [(i, k) for i, k in enumerate(keys1)]
+    rows2 = [(k, i) for i, k in enumerate(keys2)]
+    inst = Instance(catalog.binary_join(), {
+        "R1": Relation("R1", ("A", "B"), rows1),
+        "R2": Relation("R2", ("B", "C"), rows2),
+    })
+    # "L" stays light on both budgets: rows and output.
+    n_in = len(rows1) + len(rows2)
+    out = len(oracle_rows(inst))
+    assert c1 + 1 <= 2 * n_in / p and c1 <= out / p
+    return inst, "L"
+
+
+def servers_holding(group, rels, key):
+    """The servers the binary join's one arrangement puts ``key``'s rows on."""
+    scratch = Cluster(group.size).root_group()
+    rows, arr = arrange_sides(scratch, rels["R1"], rels["R2"], ("B",), "probe")
+    dest = np.repeat(np.arange(group.size), np.diff(arr.cuts)).tolist()
+    sides = (arr.ranks & 1).tolist()
+    # An R1 row is (A, B), an R2 row (B, C).
+    return {
+        d for f, side, d in zip(arr.order.tolist(), sides, dest)
+        if rows[f][1 - side] == key
+    }
 
 
 def rows_hash_join(attrs1, rows1, attrs2, rows2):
@@ -217,4 +343,4 @@ class TestEmissionOrder:
         def binary(group, query, rels):
             return binary_join(group, rels["R1"], rels["R2"])
 
-        assert part_digest(emit_deck_instance(), binary) == "e1fb21a06abe5bfd"
+        assert part_digest(emit_deck_instance(), binary) == "5ec92a29a1b3f347"

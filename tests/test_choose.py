@@ -63,10 +63,10 @@ HELD_OUT = (
 )
 #: Held-out cases where the pick moves more than 5 % above the least
 #: measured load, with that ratio: the pricer's known misses.  Pinned, so
-#: that a pricer change which mends or worsens one shows here.
-KNOWN_MISSES = {
-    "grid/line3/trap/line3": 1.1540,
-}
+#: that a pricer change which mends or worsens one shows here.  None at
+#: present: ``grid/line3/trap/line3`` (1.154x) picks the least since the
+#: binary join sorts once.
+KNOWN_MISSES: dict[str, float] = {}
 
 
 def _build(name: str) -> tuple:

@@ -158,9 +158,6 @@ class TestRunPaidOncePerExecution:
             lambda g: fold_by_key(g, rel, ("B",), plus=max, label="t-fold"),
             lambda g: search_rows(g, rel, ("B",), table, "t-sr"),
             lambda g: number_rows(g, rel, ("A",), "t-num"),
-            lambda g: number_rows(
-                g, rel, ("B",), "t-numf", only_keys={(0,), (3,), (7,)}
-            ),
         ]
         for call in calls:
             cl.reset()

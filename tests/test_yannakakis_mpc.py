@@ -214,5 +214,5 @@ class TestContainedRelations:
         )
         assert set(joined.all_rows()) == oracle_rows(inst)
         folded = g.cluster.snapshot()
-        assert (folded.steps, folded.load, folded.total) == (211, 1002, 6436)
-        assert (report.steps, report.load, report.total) == (147, 824, 5269)
+        assert (folded.steps, folded.load, folded.total) == (131, 895, 5201)
+        assert (report.steps, report.load, report.total) == (99, 778, 4775)
