@@ -16,6 +16,8 @@ from repro.data.relation import Relation
 from repro.mpc import Cluster, distribute_relation
 from repro.mpc.packing import parallel_packing
 from repro.mpc.primitives import (
+    attach_degrees,
+    fold_by_key,
     multi_numbering,
     multi_search,
     sample_sort,
@@ -56,6 +58,18 @@ def _loads_for(n: int) -> dict[str, int]:
     ys = [(v, v) for v in range(0, n, 7)]
     multi_search(g, parts, [ys[i::P] for i in range(P)])
     out["multi_search"] = cl.snapshot().load
+
+    # The relation-aware readers of the boundary stitch, on the same keys.
+    rel = Relation("H", ("K", "V"), [(k, i) for i, k in enumerate(keys)])
+    cl, g = fresh()
+    dist = distribute_relation(rel, g)
+    values = [[v for _k, v in part] for part in dist.parts]
+    fold_by_key(g, dist, ("K",), plus=max, values=values)
+    out["fold_by_key"] = cl.snapshot().load
+
+    cl, g = fresh()
+    attach_degrees(g, distribute_relation(rel, g), ("K",))
+    out["attach_degrees"] = cl.snapshot().load
 
     cl, g = fresh()
     r1 = Relation("R1", ("A", "B"), [(i, i % 64) for i in range(n)])

@@ -91,9 +91,7 @@ def binhc_join(
         ]
         for e in sorted(query.edges_with(x)):
             rel = working[e]
-            counted = count_by_key(
-                group, rel, (x,), label=f"{label}/deg-{x}-{e}", scalar=True
-            )
+            counted = count_by_key(group, rel, (x,), label=f"{label}/deg-{x}-{e}")
             for i, part in enumerate(counted):
                 per_edge_parts[i].extend(part)
         maxed = sum_by_key(
@@ -123,7 +121,7 @@ def binhc_join(
         for x in attrs_here:
             pos = rel.positions((x,))[0]
             x_parts = [
-                [(row[pos], (row, tags)) for row, tags in part]
+                [((row[pos],), (row, tags)) for row, tags in part]
                 for part in current
             ]
             found = multi_search(

@@ -13,15 +13,13 @@ from repro.mpc.dangling import reduce_instance, remove_dangling
 from repro.mpc.distrel import DistRelation, distribute_instance, distribute_relation
 from repro.mpc.group import Group
 from repro.mpc.hashing import stable_hash
-from repro.mpc.packing import parallel_packing, server_allocation
+from repro.mpc.packing import parallel_packing
 from repro.mpc.primitives import (
     attach_degrees,
     count_by_key,
-    distinct_keys,
     fold_by_key,
     multi_numbering,
     multi_search,
-    number_rows,
     sample_sort,
     search_rows,
     semi_join,
@@ -48,14 +46,11 @@ __all__ = [
     "fold_by_key",
     "count_by_key",
     "multi_numbering",
-    "number_rows",
     "multi_search",
     "search_rows",
     "semi_join",
     "attach_degrees",
-    "distinct_keys",
     "parallel_packing",
-    "server_allocation",
     "remove_dangling",
     "reduce_instance",
     "sorted_run",

@@ -1,20 +1,23 @@
-"""Parallel-packing and server-allocation primitives (paper Section 2).
+"""The parallel-packing primitive (paper Section 2).
 
-* :func:`parallel_packing` — group weighted items (0 < w <= 1) into bins of
-  total weight <= 1 with all but one bin >= 1/2.  Used to pack light
-  sub-instances onto single servers (Sections 3.2 and 4.2).
-* :func:`server_allocation` — turn per-subproblem server demands into
-  disjoint contiguous server ranges every tuple can learn.
+:func:`parallel_packing` groups weighted items (0 < w <= 1) into bins of
+total weight <= 1 with all but one bin >= 1/2.  Used to pack light
+sub-instances onto single servers (Sections 3.2 and 4.2).  Its O(p)
+coordinator step is the one round trip every boundary step shares
+(:func:`~repro.mpc.substrate.coordinator_roundtrip`).  Heavy sub-instances
+need no primitive: their callers lay out contiguous server ranges inline.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Any, Iterable, Sequence
 
 from repro.errors import AllocationError
 from repro.mpc.group import Group
+from repro.mpc.substrate import coordinator_roundtrip
 
-__all__ = ["parallel_packing", "server_allocation"]
+__all__ = ["parallel_packing"]
 
 
 def parallel_packing(
@@ -51,9 +54,8 @@ def parallel_packing(
     # small bin holds > 1 - 1/2 = 1/2.  At most one partial (< 1/2) bin per
     # server remains.
     local_bins_per_server: list[list[list[tuple[Any, float]]]] = []
-    leftovers: list[tuple[int, float, list[Any]] | None] = []
-    full_counts: list[int] = []
-    for server_idx, part in enumerate(parts):
+    leftovers: list[tuple[float, list[Any]] | None] = []
+    for part in parts:
         full: list[list[tuple[Any, float]]] = []
         cur: list[tuple[Any, float]] = []
         cur_w = 0.0
@@ -73,114 +75,47 @@ def parallel_packing(
             else:
                 partial = cur
         local_bins_per_server.append(full)
-        full_counts.append(len(full))
-        if partial:
-            leftovers.append(
-                (server_idx, sum(w for _i, w in partial), [i for i, _w in partial])
-            )
-        else:
-            leftovers.append(None)
+        leftovers.append(
+            (sum(w for _i, w in partial), [i for i, _w in partial]) if partial else None
+        )
 
-    # Prefix sums over full-bin counts (O(p) coordinator traffic), plus
-    # packing of the <= p leftover partial bins into final groups.
-    from repro.mpc.primitives import coordinator_for
-
-    size = group.size
-    coord = coordinator_for(group, label)
-    outboxes: list[list[tuple[int, Any]]] = [[] for _ in range(size)]
-    for i in range(size):
-        outboxes[i].append((coord, (i, full_counts[i], leftovers[i])))
-    inbox = group.exchange(outboxes, f"{label}/gather")[coord]
-    inbox.sort(key=lambda t: t[0])
-
-    offsets = []
-    acc = 0
-    for _i, cnt, _leftover in inbox:
-        offsets.append(acc)
-        acc += cnt
-    n_full = acc
-
-    # First-fit the leftover partial bins (each < 1/2) into shared groups.
-    leftover_group_of_server: dict[int, int] = {}
-    cur_gid = n_full
-    cur_w = 0.0
-    started = False
-    for i, _cnt, leftover in inbox:
-        if leftover is None:
-            continue
-        _srv, w, _ids = leftover
-        if not started:
-            started = True
-            cur_w = w
-        elif cur_w + w <= 1.0 + 1e-12:
-            cur_w += w
-        else:
-            cur_gid += 1
-            cur_w = w
-        leftover_group_of_server[i] = cur_gid
-    n_groups = cur_gid + 1 if started else n_full
-
-    replies: list[tuple[int, int | None]] = [
-        (offsets[idx], leftover_group_of_server.get(inbox[idx][0]))
-        for idx in range(len(inbox))
+    # Prefix sums over full-bin counts, plus packing of the <= p leftover
+    # partial bins into final groups: one O(p) coordinator round trip.
+    summaries = [
+        (len(bins), None if leftover is None else leftover[0])
+        for bins, leftover in zip(local_bins_per_server, leftovers)
     ]
-    outboxes2: list[list[tuple[int, Any]]] = [[] for _ in range(size)]
-    for idx, (i, _cnt, _l) in enumerate(inbox):
-        outboxes2[coord].append((i, replies[idx]))
-    reply_boxes = group.exchange(outboxes2, f"{label}/reply")
+    replies = coordinator_roundtrip(group, summaries, _pack_leftovers, label)
+    n_groups = replies[0][2]
 
     assignment_parts: list[list[tuple[Any, int]]] = []
-    for server_idx in range(size):
-        reply = reply_boxes[server_idx][0] if reply_boxes[server_idx] else (0, None)
-        offset, leftover_gid = reply
-        out: list[tuple[Any, int]] = []
-        for local_gid, bin_items in enumerate(local_bins_per_server[server_idx]):
-            for item_id, _w in bin_items:
-                out.append((item_id, offset + local_gid))
-        if leftovers[server_idx] is not None and leftover_gid is not None:
-            for item_id in leftovers[server_idx][2]:
-                out.append((item_id, leftover_gid))
+    for bins, leftover, (offset, leftover_gid, _n) in zip(
+        local_bins_per_server, leftovers, replies
+    ):
+        out = [
+            (item_id, offset + local_gid)
+            for local_gid, bin_items in enumerate(bins)
+            for item_id, _w in bin_items
+        ]
+        if leftover is not None:
+            out += [(item_id, leftover_gid) for item_id in leftover[1]]
         assignment_parts.append(out)
     return assignment_parts, n_groups
 
 
-def server_allocation(
-    group: Group,
-    demand_parts: Sequence[Iterable[tuple[Any, int]]],
-    label: str = "allocation",
-) -> dict[Any, tuple[int, int]]:
-    """Assign disjoint contiguous local-server ranges to subproblems.
-
-    Args:
-        demand_parts: Per-server ``(subproblem_id, p_j)`` pairs; each
-            subproblem id must appear exactly once globally.
-
-    Returns:
-        ``{subproblem_id: (start, end)}`` with ``end`` exclusive and
-        ``max end <= sum p_j`` (paper Section 2).  The mapping is broadcast
-        so every server can route its tuples; the broadcast cost (number of
-        subproblems, <= O(p) by construction in all callers) is tallied.
-
-    Raises:
-        AllocationError: On duplicate subproblem ids or non-positive demands.
-    """
-    from repro.mpc.primitives import coordinator_for
-
-    coord = coordinator_for(group, label)
-    gathered = group.gather(
-        [list(p) for p in demand_parts], f"{label}/gather", dst=coord
-    )
-    seen: dict[Any, int] = {}
-    for sub_id, pj in gathered:
-        if pj <= 0:
-            raise AllocationError(f"subproblem {sub_id!r} demands {pj} servers")
-        if sub_id in seen:
-            raise AllocationError(f"duplicate subproblem id {sub_id!r}")
-        seen[sub_id] = pj
-    ranges: dict[Any, tuple[int, int]] = {}
-    acc = 0
-    for sub_id in sorted(seen, key=lambda s: (str(type(s)), str(s))):
-        ranges[sub_id] = (acc, acc + seen[sub_id])
-        acc += seen[sub_id]
-    group.broadcast(list(ranges.items()), f"{label}/broadcast", src=coord)
-    return ranges
+def _pack_leftovers(summaries: list) -> list[tuple[int, int | None, int]]:
+    """Coordinator rule of :func:`parallel_packing`: from each server's
+    ``(full bins, leftover weight or None)``, reply ``(offset of its full
+    bins, group of its leftover bin, total group count)``; the leftover
+    bins (each < 1/2) first-fit into groups after the full ones."""
+    offsets = [0, *accumulate(cnt for cnt, _w in summaries)]
+    gid, cur_w = offsets[-1] - 1, None
+    gids: list[int | None] = []
+    for _cnt, w in summaries:
+        if w is not None:
+            if cur_w is not None and cur_w + w <= 1.0 + 1e-12:
+                cur_w += w
+            else:
+                gid, cur_w = gid + 1, w
+        gids.append(None if w is None else gid)
+    return [(off, g, gid + 1) for off, g in zip(offsets, gids)]

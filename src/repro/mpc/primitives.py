@@ -5,9 +5,14 @@ kernel :func:`repro.mpc.substrate.arrange` range-partitions items so that
 equal keys are contiguous *across* servers, then per-key logic scans the
 :class:`~repro.mpc.substrate.Arrangement` — int64 ranks and flat item
 positions in global order, one contiguous slice per server — as arrays,
-fetching items by flat position only to emit, with an O(p) boundary
-round-trip through a coordinator to stitch runs that span server
-boundaries.  Runs of equal keys are runs of equal ranks.  The coordinator
+fetching items by flat position only to emit.  Runs of equal keys are
+runs of equal ranks.  Runs that span server boundaries are joined by one
+stitch (:func:`_stitch`): each server sends its first and last run and
+its run count to a coordinator, which chains the spanning runs
+(:func:`_chain_totals`) and replies ``(before, first, last)`` — what that
+key's run holds upstream, and the global totals of the server's first and
+last runs; every per-key reader takes what it needs from that one reply.
+Predecessor searches carry instead (:func:`carry_left`).  The coordinator
 traffic is O(p) units per primitive plus at most ``n/p + p`` samples per
 sort, never more than the data share the sort balances; partitions stay
 within ``n/p + max(n/p, p^2)`` (DESIGN.md section 2; the paper assumes
@@ -33,13 +38,11 @@ boundary steps):
 * :func:`count_by_key` / :func:`fold_by_key` — per-key aggregation of a
   relation's rows.
 * :func:`search_rows` — predecessor search of a relation's rows in a table.
-* :func:`number_rows` — per-key numbering of a relation's rows.
 * :func:`semi_join` — ``R1 semijoin R2`` via predecessor search, on
   :func:`match_keys`, the equality match the Section 6 fold shares.
 * :func:`attach_degrees` — annotate rows with their key's global degree
   (the sum-by-key + multi-search combo used by every heavy/light split,
-  fused into a single sort pass plus one boundary round-trip).
-* :func:`distinct_keys` — globally distinct key projections.
+  fused into a single sort pass plus one stitch).
 
 *Two-sided* (one union sort of two relations, paid on every call; the
 output-optimal binary join's only sort):
@@ -52,7 +55,7 @@ output-optimal binary join's only sort):
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 from operator import add, itemgetter
 from typing import Any, Callable, Iterable, Sequence
@@ -68,6 +71,7 @@ from repro.mpc.substrate import (
     Arrangement,
     arrange,
     coordinator_for,
+    coordinator_roundtrip,
     map_keys,
     orderable,
     projected_keys,
@@ -85,7 +89,6 @@ __all__ = [
     "count_by_key",
     "fold_by_key",
     "search_rows",
-    "number_rows",
     "semi_join",
     "match_keys",
     "attach_degrees",
@@ -93,34 +96,10 @@ __all__ = [
     "side_degrees",
     "number_sorted",
     "carry_left",
-    "distinct_keys",
     "global_sum",
 ]
 
 _key0 = itemgetter(0)
-
-
-def _coordinator_roundtrip(
-    group: Group,
-    summaries: Sequence[Any],
-    compute: Callable[[list[Any]], list[Any]],
-    label: str,
-) -> list[Any]:
-    """Send one summary per server to a coordinator, compute, reply one each.
-
-    The O(p)-unit coordinator step shared by all boundary-stitching logic.
-    """
-    coord = coordinator_for(group, label)
-    outboxes = [[(coord, (i, s))] for i, s in enumerate(summaries)]
-    inboxes = group.exchange(outboxes, f"{label}/gather")
-    received = sorted(inboxes[coord], key=_key0)
-    replies = compute([s for _, s in received])
-    if len(replies) != group.size:
-        raise MPCError("coordinator must reply to every server")
-    outboxes2: list[list[tuple[int, Any]]] = [[] for _ in range(group.size)]
-    outboxes2[coord] = [(i, r) for i, r in enumerate(replies)]
-    inboxes2 = group.exchange(outboxes2, f"{label}/reply")
-    return [box[0] for box in inboxes2]
 
 
 def _sort(group: Group, keys: Sequence[list], label: str) -> tuple[list, Arrangement]:
@@ -183,7 +162,7 @@ def _runs(
 
 def _edge_runs(ranks: list, accs: list, bounds: list[int]) -> list:
     """Per server, ``(rank, acc)`` of its first and last run and how many
-    runs it has (``None`` without any): what boundary stitching sends."""
+    runs it has (``None`` without any): what :func:`_stitch` sends."""
     return [
         ((ranks[a], accs[a]), (ranks[b - 1], accs[b - 1]), b - a) if a < b else None
         for a, b in zip(bounds, bounds[1:])
@@ -218,75 +197,77 @@ def _fold_sorted(
     return [list(zip(head_keys[lo:hi], accs[lo:hi])) for lo, hi in owned]
 
 
+def _stitch(
+    group: Group, summaries: list, plus: Callable[[Any, Any], Any], label: str
+) -> list:
+    """The one boundary stitch: :func:`_edge_runs` summaries to a
+    coordinator and back in one round trip under ``{label}/stitch``.
+
+    Replies per server ``(before, first, last)`` (``None`` without runs):
+    the acc of its first run's key on the servers before it (``None`` where
+    the key starts here), and the global totals of its first and last runs.
+    """
+    return coordinator_roundtrip(
+        group, summaries, partial(_chain_totals, plus=plus), f"{label}/stitch"
+    )
+
+
+def _chain_totals(summaries: list, plus: Callable[[Any, Any], Any]) -> list:
+    """Coordinator rule of :func:`_stitch`: chain runs of one rank across
+    consecutive servers (skipping empty ones) into one span, folding its
+    accs left to right.
+
+    Only a server's first run can continue a chain, and only its last run
+    can stay open: with several runs, the last key differs from the first.
+    """
+    replies: list[Any] = [None] * len(summaries)
+    span: list[Any] | None = None  # [rank, acc, [(server, slot), ...]]
+
+    def close() -> None:
+        if span is not None:
+            for srv, slot in span[2]:
+                replies[srv][slot] = span[1]
+
+    for i, s in enumerate(summaries):
+        if s is None:
+            continue
+        (first_rank, first_acc), (last_rank, last_acc), n_runs = s
+        replies[i] = [None, None, None]
+        if span is not None and span[0] == first_rank:
+            replies[i][0] = span[1]
+            span[1] = plus(span[1], first_acc)
+        else:
+            close()
+            span = [first_rank, first_acc, []]
+        span[2].append((i, 1))
+        if n_runs > 1:
+            close()
+            span = [last_rank, last_acc, []]
+        span[2].append((i, 2))
+    close()
+    return replies
+
+
 def _stitch_runs(
     group: Group, ranks: list, accs: list, bounds: list[int],
     plus: Callable[[Any, Any], Any], label: str,
 ) -> list[tuple[int, int]]:
-    """Total the runs that span servers, in one round trip: a key's total
+    """Total the runs that span servers (:func:`_stitch`): a key's total
     lands on the first server of its span, which owns it.
 
     ``ranks`` and ``accs`` are per run (:func:`_runs`), ``bounds`` the
-    servers' boundaries in them; ``accs`` is updated in place.  Returns
-    each server's ``(lo, hi)`` range of the runs it owns.
+    servers' boundaries in them; each server's first and last ``accs`` are
+    set to their global totals in place.  Returns each server's ``(lo,
+    hi)`` range of the runs it owns.
     """
-    # Only each server's first and last run can span.
-    replies = _coordinator_roundtrip(
-        group, _edge_runs(ranks, accs, bounds), _stitch_fn(plus), f"{label}/stitch"
-    )
+    replies = _stitch(group, _edge_runs(ranks, accs, bounds), plus, label)
     owned: list[tuple[int, int]] = []
-    for lo, hi, (first, last) in zip(bounds, bounds[1:], replies):
-        if hi - lo > 1 and last is not None:
-            if last[0] == "emit":
-                accs[hi - 1] = last[1]
-            else:
-                hi -= 1
-        if first is not None:
-            if first[0] == "emit":
-                accs[lo] = first[1]
-            else:  # drop: owned upstream
-                lo += 1
+    for lo, hi, reply in zip(bounds, bounds[1:], replies):
+        if reply is not None:
+            before, accs[lo], accs[hi - 1] = reply
+            lo += before is not None  # owned upstream
         owned.append((lo, hi))
     return owned
-
-
-def _stitch_fn(plus: Callable[[Any, Any], Any]) -> Callable[[list[Any]], list[Any]]:
-    """Coordinator logic deciding what happens to boundary runs.
-
-    Reply per server: ``(first_action, last_action)`` where an action is
-    ``None`` (no such run), ``("emit", total)`` or ``("drop",)``.  For a
-    single-run server the two actions collapse into ``first_action``.
-    """
-
-    def stitch(summaries_list: list[Any]) -> list[Any]:
-        replies: list[list[Any]] = [[None, None] for _ in summaries_list]
-        chain: tuple[int, int, Any, Any] | None = None  # (server, slot, rank, acc)
-
-        def flush() -> None:
-            nonlocal chain
-            if chain is not None:
-                srv, slot, _rank, acc = chain
-                replies[srv][slot] = ("emit", acc)
-                chain = None
-
-        for i, s in enumerate(summaries_list):
-            if s is None:
-                continue
-            (first_ok, first_sum), (last_ok, last_sum), n_runs = s
-            if chain is not None and chain[2] == first_ok:
-                chain = (chain[0], chain[1], chain[2], plus(chain[3], first_sum))
-                replies[i][0] = ("drop",)
-            else:
-                flush()
-                chain = (i, 0, first_ok, first_sum)
-            if n_runs > 1:
-                # The last run starts a fresh chain: with several runs the
-                # last key necessarily differs from the first.
-                flush()
-                chain = (i, 1, last_ok, last_sum)
-        flush()
-        return [tuple(r) for r in replies]
-
-    return stitch
 
 
 def sum_by_key(
@@ -313,7 +294,6 @@ def fold_by_key(
     plus: Callable[[Any, Any], Any] | None = None,
     label: str = "fold_by_key",
     values: Sequence[Sequence[Any]] | None = None,
-    scalar: bool = False,
 ) -> list[list[tuple[Any, Any]]]:
     """Per-key aggregation of a relation's rows, fused onto its sorted run.
 
@@ -324,12 +304,11 @@ def fold_by_key(
     Args:
         values: ``values[i][j]`` is row ``j`` of part ``i``'s value
             (aligned with ``rel.parts``); defaults to 1 per row (counting).
-        scalar: Key rows by the bare column value instead of a 1-tuple.
     """
     with prim_span(
         group.cluster, "FoldByKey", f"{rel.name}[{','.join(key_attrs)}] {label}"
     ):
-        run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
+        run = sorted_run(group, rel, key_attrs, label)
         flat_values = None if values is None else _flat(values)
         return _fold_sorted(group, run.arr, run.keys, flat_values, plus, label)
 
@@ -339,10 +318,9 @@ def count_by_key(
     rel: DistRelation,
     key_attrs: Sequence[str],
     label: str = "count_by_key",
-    scalar: bool = False,
 ) -> list[list[tuple[Any, int]]]:
     """Global degree table of ``rel`` on ``key_attrs`` (one sort pass)."""
-    return fold_by_key(group, rel, key_attrs, label=label, scalar=scalar)
+    return fold_by_key(group, rel, key_attrs, label=label)
 
 
 def number_sorted(
@@ -354,6 +332,8 @@ def number_sorted(
     Returns one number per item along ``arr.order``; items whose flag in
     ``counted`` (a boolean array along ``arr.order``) is false are skipped
     and get 0, so the numbering is consecutive within the flagged items.
+    A server's first run continues from the ``before`` :func:`_stitch`
+    replies.
     """
     heads, lengths, bounds = _runs(arr)
     flags = (
@@ -365,20 +345,18 @@ def number_sorted(
     nums = (seen - np.repeat(before, lengths)) * flags
     ends = (heads + lengths).tolist()
 
-    # (first rank, counted in the first run, last rank, counted in the last)
+    # (rank, counted items) of each server's first and last run, from O(p)
+    # slices: the most a run numbers is how many of its items count.
     summaries = [
-        (int(arr.ranks[lo]), int(nums[lo:ends[a]].max()),
-         int(arr.ranks[hi - 1]), int(nums[heads[b - 1]:hi].max()))
+        ((int(arr.ranks[lo]), int(nums[lo:ends[a]].max())),
+         (int(arr.ranks[hi - 1]), int(nums[heads[b - 1]:hi].max())), b - a)
         if lo < hi else None
         for lo, hi, a, b in zip(arr.cuts, arr.cuts[1:], bounds, bounds[1:])
     ]
-    replies = _coordinator_roundtrip(
-        group, summaries, _numbering_offsets, f"{label}/stitch"
-    )
-    # Only a server's very first run continues an upstream span.
-    for lo, a, offset in zip(arr.cuts, bounds, replies):
-        if offset:
-            nums[lo:ends[a]] += offset * flags[lo:ends[a]]
+    replies = _stitch(group, summaries, add, label)
+    for lo, a, reply in zip(arr.cuts, bounds, replies):
+        if reply is not None and reply[0]:
+            nums[lo:ends[a]] += reply[0] * flags[lo:ends[a]]
     return nums.tolist()
 
 
@@ -399,49 +377,6 @@ def multi_numbering(
         [(*flat[f], n) for f, n in zip(order[lo:hi], nums[lo:hi])]
         for lo, hi in arr.slices()
     ]
-
-
-def _numbering_offsets(summaries_list: list[Any]) -> list[Any]:
-    """Per-server offset for its first run (count of that key upstream)."""
-    replies = [0] * len(summaries_list)
-    acc_key: Any = None
-    acc = 0
-    for i, s in enumerate(summaries_list):
-        if s is None:
-            continue
-        first_ok, first_count, last_ok, last_count = s
-        if acc_key is not None and acc_key == first_ok:
-            replies[i] = acc
-        else:
-            replies[i] = 0
-        if first_ok == last_ok:
-            base = replies[i]
-            acc = base + first_count
-        else:
-            acc = last_count
-        acc_key = last_ok
-    return replies
-
-
-def number_rows(
-    group: Group,
-    rel: DistRelation,
-    key_attrs: Sequence[str],
-    label: str = "numbering",
-    scalar: bool = False,
-) -> list[list[tuple[Any, Row, int]]]:
-    """Consecutive numbers 1, 2, ... per key over a relation's rows,
-    fused onto the relation's (cached) sorted run."""
-    with prim_span(
-        group.cluster, "NumberRows", f"{rel.name}[{','.join(key_attrs)}] {label}"
-    ):
-        run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
-        keys, rows, order = run.keys, _flat(rel.parts), run.arr.order.tolist()
-        nums = number_sorted(group, run.arr, label)
-        return [
-            [(keys[f], rows[f], n) for f, n in zip(order[lo:hi], nums[lo:hi])]
-            for lo, hi in run.arr.slices()
-        ]
 
 
 def multi_search(
@@ -533,8 +468,9 @@ def _sort_sides(
 def carry_left(group: Group, summaries: Sequence[Any], label: str) -> list[Any]:
     """One coordinator round trip in which each server receives the last
     non-``None`` summary sent from a server to its left (``None`` if none):
-    the carry of every predecessor search."""
-    return _coordinator_roundtrip(group, summaries, _carries, label)
+    the carry of every predecessor search, the coordinator rule beside
+    :func:`_stitch`'s chain."""
+    return coordinator_roundtrip(group, summaries, _carries, label)
 
 
 def _carries(summaries_list: list[Any]) -> list[Any]:
@@ -555,7 +491,6 @@ def search_rows(
     table_parts: Sequence[Iterable[tuple[Any, Any]]],
     label: str,
     payloads: Sequence[Sequence[Any]] | None = None,
-    scalar: bool = False,
 ) -> list[list[tuple[Any, Any, Any, Any]]]:
     """Predecessor-search every row of ``rel`` against a ``(key, value)`` table.
 
@@ -585,7 +520,7 @@ def search_rows(
     with prim_span(
         group.cluster, "SearchRows", f"{rel.name}[{','.join(key_attrs)}] {label}"
     ):
-        run = sorted_run(group, rel, key_attrs, label, scalar=scalar)
+        run = sorted_run(group, rel, key_attrs, label)
         arr, p = run.arr, group.size
         tables = [list(part) for part in table_parts]
         t_ranks, run_ranks = run.union_ranks([list(map(_key0, t)) for t in tables])
@@ -698,16 +633,15 @@ def attach_degrees(
     key_attrs: Sequence[str],
     label: str = "degrees",
     degree_parts: Sequence[Iterable[tuple[Any, int]]] | None = None,
-    scalar: bool = False,
 ) -> list[list[tuple[Row, int]]]:
     """Annotate each row with the global degree of its key in ``rel``.
 
     The sum-by-key + multi-search combination behind every heavy/light
     decision in the paper's algorithms, fused into one sort pass: counting
     runs and attaching the totals happen on the same sorted arrangement,
-    with a single O(p) boundary round-trip resolving keys that span
-    servers.  If ``degree_parts`` is given (pre-computed ``(key, count)``
-    pairs, e.g. degrees in a *different* relation), it is looked up with
+    with one :func:`_stitch` totalling keys that span servers.  If
+    ``degree_parts`` is given (pre-computed ``(key, count)`` pairs, e.g.
+    degrees in a *different* relation), it is looked up with
     :func:`search_rows` instead.
 
     Returns:
@@ -720,29 +654,18 @@ def attach_degrees(
     ):
         if degree_parts is not None:
             found = search_rows(
-                group, rel, key_attrs, list(degree_parts), f"{label}/lookup",
-                scalar=scalar,
+                group, rel, key_attrs, list(degree_parts), f"{label}/lookup"
             )
             return [
                 [(payload, pv if pk == key else 0) for key, payload, pk, pv in part]
                 for part in found
             ]
 
-        run = sorted_run(group, rel, key_attrs, f"{label}/count", scalar=scalar)
-        arr = run.arr
-
-        # Local run-length counts per server, as (rank, count) summaries.
+        arr = sorted_run(group, rel, key_attrs, f"{label}/count").arr
+        # Local run lengths, with each server's edge runs totalled globally.
         heads, lengths, bounds = _runs(arr)
         degrees = lengths.tolist()
-        replies = _coordinator_roundtrip(
-            group, _edge_runs(arr.ranks[heads].tolist(), degrees, bounds),
-            _span_totals, f"{label}/stitch",
-        )
-        for a, b, (first, last) in zip(bounds, bounds[1:], replies):
-            if last is not None:
-                degrees[b - 1] = last
-            if first is not None:
-                degrees[a] = first
+        _stitch_runs(group, arr.ranks[heads].tolist(), degrees, bounds, add, label)
 
         rows, order = _flat(rel.parts), arr.order.tolist()
         per_row = np.repeat(degrees, lengths).tolist()
@@ -750,37 +673,6 @@ def attach_degrees(
             list(zip(map(rows.__getitem__, order[lo:hi]), per_row[lo:hi]))
             for lo, hi in arr.slices()
         ]
-
-
-def _span_totals(summaries_list: list[Any]) -> list[Any]:
-    """Global totals for each server's first and last (possibly spanning) run."""
-    replies: list[list[Any]] = [[None, None] for _ in summaries_list]
-    chain: list[Any] | None = None  # [rank, acc, [(server, slot), ...]]
-
-    def flush() -> None:
-        nonlocal chain
-        if chain is not None:
-            for srv, slot in chain[2]:
-                replies[srv][slot] = chain[1]
-            chain = None
-
-    for i, s in enumerate(summaries_list):
-        if s is None:
-            continue
-        (first_ok, first_cnt), (last_ok, last_cnt), n_runs = s
-        if chain is not None and chain[0] == first_ok:
-            chain[1] += first_cnt
-            chain[2].append((i, 0))
-        else:
-            flush()
-            chain = [first_ok, first_cnt, [(i, 0)]]
-        if n_runs > 1:
-            flush()
-            chain = [last_ok, last_cnt, [(i, 1)]]
-        else:
-            chain[2].append((i, 1))
-    flush()
-    return [tuple(r) for r in replies]
 
 
 def arrange_sides(
@@ -850,14 +742,3 @@ def global_sum(
     total = sum(gathered)
     group.broadcast([total], f"{label}/bcast", src=coord)
     return total
-
-
-def distinct_keys(
-    group: Group,
-    rel: DistRelation,
-    key_attrs: Sequence[str],
-    label: str = "distinct",
-) -> list[list[Any]]:
-    """Globally distinct projections of ``rel`` onto ``key_attrs``."""
-    counted = count_by_key(group, rel, key_attrs, label=label)
-    return [[key for key, _c in part] for part in counted]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from repro.plan.trace import prim_span
 __all__ = [
     "orderable",
     "coordinator_for",
+    "coordinator_roundtrip",
     "cache_disabled",
     "projected_keys",
     "map_keys",
@@ -126,7 +127,7 @@ def projected_keys(rel: DistRelation, pos: Sequence[int]) -> list[list[Row]]:
     if blocks is not None:
         keys = [list(zip(*[b.column_values(i) for i in pos])) for b in blocks]
     else:
-        keys = [_sort_part(part, (pos, False), 0) for part in rel.parts]
+        keys = [_sort_part(part, pos, 0) for part in rel.parts]
     if _ENABLED:
         cache[pos] = keys
     return keys
@@ -151,6 +152,31 @@ def coordinator_for(group: Group, label: str) -> int:
     recursive algorithms mint depth-specific labels).
     """
     return _coordinator(group.size, label)
+
+
+def coordinator_roundtrip(
+    group: Group,
+    summaries: Sequence[Any],
+    compute: Callable[[list[Any]], list[Any]],
+    label: str,
+) -> list[Any]:
+    """Send one summary per server to a coordinator, compute, reply one each.
+
+    The O(p)-unit coordinator step every boundary stitch, carry and packing
+    pass shares: ``p - 1`` units under ``{label}/gather``, ``p - 1`` under
+    ``{label}/reply``.
+    """
+    coord = coordinator_for(group, label)
+    outboxes = [[(coord, (i, s))] for i, s in enumerate(summaries)]
+    inboxes = group.exchange(outboxes, f"{label}/gather")
+    received = sorted(inboxes[coord], key=itemgetter(0))
+    replies = compute([s for _, s in received])
+    if len(replies) != group.size:
+        raise MPCError("coordinator must reply to every server")
+    outboxes2: list[list[tuple[int, Any]]] = [[] for _ in range(group.size)]
+    outboxes2[coord] = [(i, r) for i, r in enumerate(replies)]
+    inboxes2 = group.exchange(outboxes2, f"{label}/reply")
+    return [box[0] for box in inboxes2]
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +389,6 @@ class SortedRun:
     concatenated in order), which also indexes caller-side payloads.
 
     Attributes:
-        scalar: Whether keys are bare column values (True) or 1+-tuples.
         keys: ``keys[f]`` is the projected key of flat row ``f``; the pass
             ranked them (:func:`rank_keys`).
         arr: The :class:`Arrangement`; the origin ``(src, j)`` ties equal
@@ -371,19 +396,8 @@ class SortedRun:
             the first use in a later epoch bill the pass without re-sorting.
     """
 
-    scalar: bool
     keys: list
     arr: Arrangement
-
-    @property
-    def parts(self) -> list[tuple[list, list[int], list[int]]]:
-        """Per destination, ``(keys, srcs, js)`` in global order."""
-        return self.arr.parts(self.keys)
-
-    @property
-    def splitters(self) -> list[tuple]:
-        """The global ``(key, uid)`` range splitters."""
-        return self.arr.splitters(self.keys)
 
     def union_ranks(self, keys: Sequence[list]) -> tuple[np.ndarray, np.ndarray]:
         """Rank outside per-source ``keys`` in one space with this run's.
@@ -404,12 +418,11 @@ def sorted_run(
     rel: DistRelation,
     key_attrs: Sequence[str],
     label: str,
-    scalar: bool = False,
 ) -> SortedRun:
     """Sort ``rel``'s rows globally by their key projection, paid once per
     execution.
 
-    The relation remembers, per ``(group members, key positions, scalar)``,
+    The relation remembers, per ``(group members, key positions)``,
     the ledger epoch (:attr:`Cluster.epoch`) in which the arrangement was
     last paid for.  In that epoch the rows are already range-partitioned on
     the key and do not move again: a later call posts nothing.  The first
@@ -424,16 +437,16 @@ def sorted_run(
         f"run {rel.name}[{','.join(key_attrs)}] {label}",
     ):
         pos = rel.positions(key_attrs)
-        cache_key = (group.members, pos, bool(scalar))
+        cache_key = (group.members, pos)
         runs: dict[tuple, SortedRun] = (
             rel._substrate.setdefault("runs", {}) if _ENABLED else {}
         )
         run = runs.get(cache_key)
         if run is None:
-            local = map_keys(group, rel, pos, scalar)
+            local = map_keys(group, rel, pos)
             flat, ranks = rank_keys(local)
             run = runs[cache_key] = SortedRun(
-                scalar, flat, _arrange([len(k) for k in local], ranks)
+                flat, _arrange([len(k) for k in local], ranks)
             )
         paid: dict[tuple, int] = rel._substrate.setdefault("paid", {})
         if paid.get(cache_key) != group.cluster.epoch:
@@ -442,29 +455,24 @@ def sorted_run(
         return run
 
 
-def map_keys(
-    group: Group, rel: DistRelation, pos: Sequence[int], scalar: bool = False
-) -> list[list]:
-    """Per-server key projection of ``rel``'s parts, as one backend round
-    (:meth:`Group.map_parts`): bare values when ``scalar``, else tuples."""
+def map_keys(group: Group, rel: DistRelation, pos: Sequence[int]) -> list[list]:
+    """Per-server key tuples of ``rel``'s parts, as one backend round
+    (:meth:`Group.map_parts`)."""
     # With caching disabled this is the reference path: pass no owner so
     # backends also skip their worker-local memoization.
     return group.map_parts(
-        _sort_part, rel.parts, (tuple(pos), bool(scalar)),
+        _sort_part, rel.parts, tuple(pos),
         owner=rel if _ENABLED else None,
     )
 
 
-def _sort_part(part: list, common: tuple, idx: int) -> list:
+def _sort_part(part: list, pos: tuple, idx: int) -> list:
     """Per-server key projection (backend-shippable).
 
-    ``common = (pos, scalar)`` is a pure-data descriptor, so any
+    ``pos``, the key positions, is a pure-data descriptor, so any
     :class:`~repro.mpc.backends.Backend` can run this in a worker process.
-    Returns the projected keys: bare values when ``scalar``, else tuples.
-    Rows are never compared.
+    Returns the projected key tuples.  Rows are never compared.
     """
-    pos, scalar = common
-    if scalar or len(pos) == 1:
-        values = map(itemgetter(pos[0]), part)
-        return list(values) if scalar else list(zip(values))
+    if len(pos) == 1:
+        return list(zip(map(itemgetter(pos[0]), part)))
     return list(map(itemgetter(*pos), part)) if pos else [()] * len(part)

@@ -26,7 +26,7 @@ from repro.mpc.backends import available_backends
 from repro.mpc.primitives import (
     attach_degrees,
     count_by_key,
-    number_rows,
+    search_rows,
     semi_join,
 )
 
@@ -35,7 +35,10 @@ OPS = (
     ("count_b", lambda g, rel, flt, i: count_by_key(g, rel, ("B",), f"c{i}")),
     ("count_a", lambda g, rel, flt, i: count_by_key(g, rel, ("A",), f"a{i}")),
     ("degrees", lambda g, rel, flt, i: attach_degrees(g, rel, ("B",), f"d{i}")),
-    ("number", lambda g, rel, flt, i: number_rows(g, rel, ("A",), f"n{i}")),
+    # line 3's lookup: a degree table searched on the run that counted it.
+    ("lookup", lambda g, rel, flt, i: search_rows(
+        g, rel, ("B",), count_by_key(g, rel, ("B",), f"t{i}"), f"l{i}"
+    )),
     ("semijoin", lambda g, rel, flt, i: semi_join(g, rel, flt, f"s{i}").parts),
 )
 

@@ -336,7 +336,7 @@ class TestBoolIntRegression:
         by_cols = by_cols.aligned(by_cols.attrs)
         assert by_cols.column_parts is not None
         for rel in (by_rows, by_cols):
-            counted = count_by_key(cl.root_group(), rel, ("A",), "cnt", scalar=True)
+            counted = count_by_key(cl.root_group(), rel, ("A",), "cnt")
             assert sorted(c for part in counted for _k, c in part) == [1, 2]
 
     def test_decode_keeps_types_that_orderable_ties(self):

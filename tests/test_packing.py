@@ -1,4 +1,4 @@
-"""Tests for parallel-packing and server-allocation primitives."""
+"""Tests for the parallel-packing primitive."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import AllocationError
 from repro.mpc import Cluster
-from repro.mpc.packing import parallel_packing, server_allocation
+from repro.mpc.packing import parallel_packing
 
 
 def spread(items, p):
@@ -70,31 +70,3 @@ class TestParallelPacking:
         parallel_packing(cl.root_group(), spread(items, p))
         # Only O(p) coordination traffic: no data item ever moves.
         assert cl.snapshot().load <= 4 * p
-
-
-class TestServerAllocation:
-    def test_disjoint_contiguous_ranges(self):
-        cl = Cluster(4)
-        ranges = server_allocation(
-            cl.root_group(), [[("a", 3)], [("b", 2)], [("c", 4)], []]
-        )
-        spans = sorted(ranges.values())
-        assert spans[0][0] == 0
-        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-            assert e1 == s2
-        assert max(e for _s, e in spans) == 3 + 2 + 4
-
-    def test_duplicate_id_raises(self):
-        cl = Cluster(2)
-        with pytest.raises(AllocationError):
-            server_allocation(cl.root_group(), [[("a", 1)], [("a", 2)]])
-
-    def test_nonpositive_demand_raises(self):
-        cl = Cluster(2)
-        with pytest.raises(AllocationError):
-            server_allocation(cl.root_group(), [[("a", 0)], []])
-
-    def test_broadcast_cost_accounted(self):
-        cl = Cluster(4)
-        server_allocation(cl.root_group(), [[("a", 1)], [("b", 1)], [], []])
-        assert cl.snapshot().load >= 2  # every server learns both ranges

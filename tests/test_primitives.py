@@ -1,21 +1,29 @@
 """Tests for the Section 2 MPC primitives."""
 
+import operator
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.relation import Relation
-from repro.mpc import Cluster, distribute_relation
+from repro.mpc import Cluster, DistRelation, distribute_relation
 from repro.mpc.primitives import (
+    attach_degrees,
+    fold_by_key,
     global_sum,
     match_keys,
     multi_numbering,
     multi_search,
+    number_sorted,
     orderable,
     sample_sort,
     semi_join,
     sum_by_key,
 )
+from repro.mpc.substrate import sorted_run
 
 
 def spread(items, p):
@@ -265,3 +273,101 @@ class TestGlobalSum:
         cl = Cluster(4)
         with pytest.raises(MPCError):
             global_sum(cl.root_group(), [1, 2])
+
+
+def check_one_stitch(parts, flags):
+    """Run the stitch's three readers on ``R(K, U)`` (``U`` = flat position)
+    and compare each with a brute-force oracle; returns the run's
+    arrangement.  ``flags[u]`` is whether row ``u`` is numbered."""
+    p = len(parts)
+    cl = Cluster(p)
+    g = cl.root_group()
+    rel = DistRelation("R", ("K", "U"), parts)
+    arr = sorted_run(g, rel, ("K",), "run").arr
+    glob = sorted(row for part in parts for row in part)  # (key, uid) order
+    assert arr.order.tolist() == [u for _k, u in glob]
+    servers = [glob[lo:hi] for lo, hi in arr.slices()]
+    first = {}
+    for d, rows in enumerate(servers):
+        for k, _u in rows:
+            first.setdefault(k, d)
+    degree = Counter(k for k, _u in glob)
+
+    # Tuple concatenation is not commutative: totals must fold in order.
+    folded = fold_by_key(
+        g, rel, ("K",), plus=operator.add, label="f",
+        values=[[(u,) for _k, u in part] for part in parts],
+    )
+    assert folded == [
+        [((k,), tuple(u for kk, u in glob if kk == k)) for k in sorted(first)
+         if first[k] == d]
+        for d in range(p)
+    ]
+    assert attach_degrees(g, rel, ("K",), "d") == [
+        [(row, degree[row[0]]) for row in rows] for rows in servers
+    ]
+    counted = np.array([flags[u] for _k, u in glob], bool)
+    seen, want = Counter(), []
+    for k, u in glob:
+        seen[k] += flags[u]
+        want.append(seen[k] if flags[u] else 0)
+    assert number_sorted(g, arr, "n", counted) == want
+
+    by_label = cl.snapshot().by_label
+    for label in ("f", "d", "n"):
+        for step in ("gather", "reply"):
+            assert by_label.get(f"{label}/stitch/{step}", 0) == p - 1
+    return arr
+
+
+@st.composite
+def stitch_instances(draw):
+    """Rows ``(key, uid)`` over ``p`` sources, only ``live`` of them
+    holding rows: few live sources leave trailing servers empty, and the
+    one heavy key spreads over several servers, single-run inside."""
+    p = draw(st.sampled_from([1, 3, 8, 16]))
+    light = draw(st.lists(st.integers(1, 4), max_size=10))
+    at = draw(st.integers(0, len(light)))
+    counts = [*light[:at], draw(st.integers(0, 8 * p)), *light[at:]]
+    keys = [k for k, c in enumerate(counts) for _ in range(c)]
+    rng = draw(st.randoms(use_true_random=False))
+    live = draw(st.integers(1, p))
+    srcs = sorted(rng.randrange(live) for _ in keys)
+    rng.shuffle(keys)
+    parts = [[] for _ in range(p)]
+    for s, k in zip(srcs, keys):
+        parts[s].append(k)
+    flat = [k for part in parts for k in part]
+    uid = iter(range(len(flat)))
+    parts = [[(k, next(uid)) for k in part] for part in parts]
+    flags = draw(st.lists(st.booleans(), min_size=len(flat), max_size=len(flat)))
+    return parts, flags
+
+
+class TestOneStitch:
+    """``fold_by_key``, ``attach_degrees`` and ``number_sorted`` read one
+    boundary stitch: its ``(before, first, last)`` reply per server."""
+
+    @given(stitch_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_readers_match_the_oracle(self, inst):
+        check_one_stitch(*inst)
+
+    def test_forced_shapes(self):
+        """Empty servers, a key over at least 3 servers, interior servers
+        holding a single run.  Seven sources of at most 16 rows on 16
+        servers sample one row each, their smallest, so the pass cuts seven
+        ranges at those rows: nine servers stay empty, and key 3 spans the
+        ranges of sources 1 to 5."""
+        sources = [[0, 1, 2], [2] + [3] * 7, [3] * 8, [3] * 8, [3] * 8,
+                   [3] * 7 + [4], [4, 5, 6]]
+        keys = [k for src in sources for k in src]
+        uid = iter(range(len(keys)))
+        parts = [[(k, next(uid)) for k in src] for src in sources]
+        parts += [[] for _ in range(16 - len(parts))]
+        arr = check_one_stitch(parts, [u % 3 != 0 for u in range(len(keys))])
+        held = [set(arr.ranks[lo:hi].tolist()) for lo, hi in arr.slices()]
+        assert sum(not h for h in held) == 9
+        spanning = [d for d, h in enumerate(held) if 3 in h]
+        assert len(spanning) >= 3
+        assert all(held[d] == {3} for d in spanning[1:-1])

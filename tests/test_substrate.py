@@ -25,7 +25,6 @@ from repro.mpc.primitives import (
     count_by_key,
     fold_by_key,
     multi_search,
-    number_rows,
     orderable,
     search_rows,
     semi_join,
@@ -157,7 +156,7 @@ class TestRunPaidOncePerExecution:
             lambda g: count_by_key(g, rel, ("B",), "t-cnt"),
             lambda g: fold_by_key(g, rel, ("B",), plus=max, label="t-fold"),
             lambda g: search_rows(g, rel, ("B",), table, "t-sr"),
-            lambda g: number_rows(g, rel, ("A",), "t-num"),
+            lambda g: attach_degrees(g, rel, ("A",), "t-dega"),
         ]
         for call in calls:
             cl.reset()
@@ -207,8 +206,8 @@ class TestRunPaidOncePerExecution:
         assert r3 is not r1
         # Both sort the raw keys: same keys, origins and splitters.
         assert r3.keys == r1.keys
-        assert r3.parts == r1.parts
-        assert r3.splitters == r1.splitters
+        assert r3.arr.parts(r3.keys) == r1.arr.parts(r1.keys)
+        assert r3.arr.splitters(r3.keys) == r1.arr.splitters(r1.keys)
 
 
 _SHAPES = ("even", "skewed", "empty", "single", "heavy", "blocked")
@@ -321,7 +320,7 @@ class TestCachedEqualsBypassed:
                     tab = count_by_key(g, rel, ("B",), "cnt")
                     out.append(tab)
                     out.append(search_rows(g, rel, ("B",), tab, "sr"))
-                    out.append(number_rows(g, rel, ("A", "B"), "num"))
+                    out.append(attach_degrees(g, rel, ("A", "B"), "deg2"))
                     out.append(
                         search_rows(
                             g, rel, ("B",),
@@ -334,7 +333,7 @@ class TestCachedEqualsBypassed:
                 tab = count_by_key(g, rel, ("B",), "cnt")
                 out.append(tab)
                 out.append(search_rows(g, rel, ("B",), tab, "sr"))
-                out.append(number_rows(g, rel, ("A", "B"), "num"))
+                out.append(attach_degrees(g, rel, ("A", "B"), "deg2"))
                 out.append(
                     search_rows(
                         g, rel, ("B",),
