@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.relation import Relation
 from repro.mpc import Cluster, DistRelation, distribute_relation
+from repro.errors import MPCError
 from repro.mpc.primitives import (
     attach_degrees,
+    carry_left,
     fold_by_key,
     global_sum,
     match_keys,
@@ -23,7 +25,7 @@ from repro.mpc.primitives import (
     semi_join,
     sum_by_key,
 )
-from repro.mpc.substrate import sorted_run
+from repro.mpc.substrate import coordinator_roundtrip, sorted_run
 
 
 def spread(items, p):
@@ -268,11 +270,45 @@ class TestGlobalSum:
         assert global_sum(cl.root_group(), [1, 2, 3, 4]) == 10
 
     def test_wrong_arity(self):
-        from repro.errors import MPCError
-
         cl = Cluster(4)
         with pytest.raises(MPCError):
             global_sum(cl.root_group(), [1, 2])
+
+
+class TestCoordinatorRoundtrip:
+    """The one O(p) coordinator trip every stitch, carry and packing pass
+    shares: ``p - 1`` units each way, replies in server order."""
+
+    def test_replies_reach_their_servers(self):
+        p = 5
+        cl = Cluster(p)
+        seen = []
+
+        def compute(summaries):
+            seen.append(list(summaries))
+            return [10 * s for s in summaries]
+
+        out = coordinator_roundtrip(cl.root_group(), [3, 1, 4, 1, 5], compute, "rt")
+        assert seen == [[3, 1, 4, 1, 5]]  # the coordinator sees server order
+        assert out == [30, 10, 40, 10, 50]
+        by_label = cl.snapshot().by_label
+        assert by_label["rt/gather"] == p - 1
+        assert by_label["rt/reply"] == p - 1
+
+    def test_coordinator_must_reply_to_every_server(self):
+        g = Cluster(3).root_group()
+        with pytest.raises(MPCError, match="reply to every server"):
+            coordinator_roundtrip(g, [1, 2, 3], lambda s: s[:-1], "rt")
+
+    def test_carry_left_hands_on_the_last_summary(self):
+        """Each server gets the last non-``None`` summary to its left;
+        empty servers pass the carry through."""
+        p = 6
+        cl = Cluster(p)
+        out = carry_left(cl.root_group(), [None, "a", None, "b", None, "c"], "c")
+        assert out == [None, None, "a", "a", "b", "b"]
+        by_label = cl.snapshot().by_label
+        assert by_label["c/gather"] == by_label["c/reply"] == p - 1
 
 
 def check_one_stitch(parts, flags):
