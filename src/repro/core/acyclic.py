@@ -42,9 +42,24 @@ from repro.mpc.primitives import (
     search_rows,
     semi_join,
 )
-from repro.query.hypergraph import Hypergraph, join_tree
+from repro.query.hypergraph import Hypergraph, JoinTree, join_tree
 
 __all__ = ["acyclic_join"]
+
+
+def split_point(
+    tree: JoinTree, sizes: dict[str, float], out_size: float
+) -> tuple[str, list[str], list[str], float]:
+    """Section 5.1's split of a join tree of at least three relations with
+    ``sizes[n]`` rows each: ``(e0, children, E_bar, tau)``.  ``e0`` is the
+    deepest internal node whose children are all leaves (least name among
+    equals), and ``tau = sqrt(OUT / N_beta)`` with ``N_beta`` the rows
+    outside its children (both at least 1)."""
+    e0 = sorted(tree.internal_nodes_with_leaf_children(), key=lambda n: (-tree.depth(n), n))[0]
+    children = tree.children[e0]
+    e_bar = [n for n in sizes if n != e0 and n not in children]
+    n_beta = max(1, sum(sizes.values()) - sum(sizes[c] for c in children))
+    return e0, children, e_bar, max(1.0, math.sqrt(out_size / n_beta))
 
 
 def acyclic_join(
@@ -52,7 +67,6 @@ def acyclic_join(
     query: Hypergraph,
     rels: dict[str, DistRelation],
     label: str = "acyclic",
-    out_size: int | None = None,
 ) -> DistRelation:
     """Compute an acyclic join with output-optimal load (Theorem 7).
 
@@ -60,7 +74,6 @@ def acyclic_join(
         group: Server group (size p).
         query: An acyclic hypergraph.
         rels: Distributed relations (payload columns allowed).
-        out_size: Skip the OUT computation if the caller already knows it.
 
     Returns:
         Join results in canonical schema order.
@@ -69,8 +82,7 @@ def acyclic_join(
         raise QueryError(f"{query.name} is cyclic")
     working = remove_dangling(group, query, rels, f"{label}/dangling")
     wq, working = reduce_instance(group, query, working, f"{label}/reduce")
-    if out_size is None:
-        out_size = mpc_count(group, wq, working, f"{label}/out")
+    out_size = mpc_count(group, wq, working, f"{label}/out")
     schema = canonical_attrs([working[n].attrs for n in wq.edge_names])
     if out_size == 0:
         return DistRelation.empty("result", schema, group.size)
@@ -97,18 +109,9 @@ def _solve(
         return joined.aligned(schema, "result")
 
     tree = join_tree(query)
-    candidates = tree.internal_nodes_with_leaf_children()
-    if not candidates:  # pragma: no cover - every tree with >= 2 nodes has one
-        raise QueryError("no internal node with all-leaf children")
-    # Prefer a non-root candidate (keeps E_bar non-trivial less often).
-    e0 = sorted(candidates, key=lambda n: (-tree.depth(n), n))[0]
-    children = tree.children[e0]
-    e_bar = [n for n in names if n != e0 and n not in children]
-
-    in_size = sum(rels[n].total_size() for n in names)
-    n_alpha = sum(rels[n].total_size() for n in children)
-    n_beta = max(1, in_size - n_alpha)
-    tau = max(1.0, math.sqrt(out_size / n_beta))
+    e0, children, e_bar, tau = split_point(
+        tree, {n: rels[n].total_size() for n in names}, out_size
+    )
 
     seps = {
         ei: tuple(sorted(query.attrs_of(e0) & query.attrs_of(ei)))

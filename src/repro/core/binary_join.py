@@ -48,6 +48,26 @@ from repro.mpc.primitives import (
 __all__ = ["binary_join"]
 
 
+def budgets(in_size: float, out_size: float, p: int) -> tuple[float, float]:
+    """``(L_in, L_out)``: one server's input and output budget."""
+    return max(1.0, 2.0 * in_size / p), max(1.0, out_size / p)
+
+
+def key_weight(c1, c2, l_in: float, l_out: float):
+    """Per key with ``c1`` and ``c2`` rows on the two sides (arrays), its
+    share of one server's budgets: a key above 1 is heavy."""
+    return np.maximum((c1 + c2) / l_in, c1 * c2 / l_out)
+
+
+def heavy_rectangle(c1: float, c2: float, l_in: float, l_out: float) -> tuple[int, int]:
+    """``(a, b)``: a heavy key's ``a x b`` servers, ``a * b ~ c1 c2 / L_out``
+    shaped to its sides, with no chunk above the input budget."""
+    p_v = max(1, math.ceil(c1 * c2 / l_out))
+    a = max(1, min(p_v, round(math.sqrt(p_v * c1 / max(1, c2)))))
+    b = max(1, math.ceil(p_v / a))
+    return max(a, math.ceil(c1 / l_in)), max(b, math.ceil(c2 / l_in))
+
+
 def binary_join(
     group: Group,
     r1: DistRelation,
@@ -97,26 +117,17 @@ def binary_join(
     if out_total == 0:
         return DistRelation.empty(out_name, out_attrs, p)
 
-    l_in = max(1.0, 2.0 * in_total / p)
-    l_out = max(1.0, out_total / p)
+    l_in, l_out = budgets(in_total, out_total, p)
 
     # --- Step 2: classify keys; plan heavy rectangles. -------------------
-    def weight(c1: int, c2: int) -> float:
-        return max((c1 + c2) / l_in, (c1 * c2) / l_out)
-
+    counts = np.array([kc for part in stats_parts for kc in part], np.int64).reshape(-1, 3)
+    weights = iter(key_weight(counts[:, 1], counts[:, 2], l_in, l_out).tolist())
     light_parts: list[list[tuple[int, float]]] = []
     heavy_parts: list[list[tuple[int, int, int]]] = []
     for part in stats_parts:
-        lp: list[tuple[int, float]] = []
-        hp: list[tuple[int, int, int]] = []
-        for k, c1, c2 in part:
-            w = weight(c1, c2)
-            if w <= 1.0:
-                lp.append((k, max(w, 1e-9)))
-            else:
-                hp.append((k, c1, c2))
-        light_parts.append(lp)
-        heavy_parts.append(hp)
+        tagged = list(zip(part, weights))  # the part's own len(part) weights
+        light_parts.append([(kc[0], max(w, 1e-9)) for kc, w in tagged if w <= 1.0])
+        heavy_parts.append([kc for kc, w in tagged if w > 1.0])
 
     from repro.mpc.packing import parallel_packing
 
@@ -133,12 +144,7 @@ def binary_join(
     heavy_desc: dict[int, tuple[int, int, int]] = {}
     cursor = 0
     for k, c1, c2 in sorted(heavy_all):
-        p_v = max(1, math.ceil((c1 * c2) / l_out))
-        a = max(1, min(p_v, round(math.sqrt(p_v * c1 / max(1, c2)))))
-        b = max(1, math.ceil(p_v / a))
-        # Input-side guarantee: chunks no bigger than the input budget.
-        a = max(a, math.ceil(c1 / l_in))
-        b = max(b, math.ceil(c2 / l_in))
+        a, b = heavy_rectangle(c1, c2, l_in, l_out)
         heavy_desc[k] = (cursor, a, b)
         cursor += a * b
     group.broadcast(list(heavy_desc.items()), f"{label}/heavy-bcast", src=coord)

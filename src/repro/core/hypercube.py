@@ -15,6 +15,8 @@ Two variants:
 
 :func:`optimal_cartesian_shares` and :func:`optimal_join_shares` compute
 integer share vectors (water-filling and a log-space LP, respectively).
+Both variants address their cells through one row-major
+:class:`~repro.mpc.group.Grid`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy.optimize import linprog
 from repro.data.relation import Row, project_row
 from repro.errors import MPCError, QueryError
 from repro.mpc.distrel import DistRelation
-from repro.mpc.group import Group
+from repro.mpc.group import Grid, Group
 from repro.mpc.hashing import stable_hash
 from repro.mpc.primitives import multi_numbering
 from repro.core.common import (
@@ -124,13 +126,16 @@ def optimal_join_shares(
     return shares
 
 
-def _grid_strides(dims: Sequence[int]) -> list[int]:
-    strides = [0] * len(dims)
-    acc = 1
-    for i in reversed(range(len(dims))):
-        strides[i] = acc
-        acc *= dims[i]
-    return strides
+def cartesian_route(sizes: Sequence[int], p: int) -> tuple[list[int], int | None]:
+    """``(shares, stay)`` for a product of sides of ``sizes`` rows: with at
+    most one share above 1, ``stay`` is the side that stays put (the
+    spread one, else the largest); with more, ``stay`` is ``None`` and the
+    spread sides take the grid."""
+    shares = optimal_cartesian_shares(sizes, p)
+    spread = [i for i, share in enumerate(shares) if share > 1]
+    if len(spread) > 1:
+        return shares, None
+    return shares, spread[0] if spread else max(range(len(sizes)), key=sizes.__getitem__)
 
 
 def hypercube_cartesian(
@@ -143,7 +148,8 @@ def hypercube_cartesian(
 
     Output schema: concatenation of the input schemas (must be disjoint).
 
-    The shares :func:`optimal_cartesian_shares` picks decide the route.  A
+    :func:`cartesian_route` decides the route from the shares
+    :func:`optimal_cartesian_shares` picks.  A
     side whose share is 1 meets every grid cell, so it is replicated to
     every cell unnumbered: each cell receives the rows of that side it
     lacks.  When at most one side has a share above 1, every server is a
@@ -168,12 +174,10 @@ def hypercube_cartesian(
     sizes = [r.total_size() for r in rels]
     if any(s == 0 for s in sizes):
         return DistRelation.empty(name, attrs_all, p)
-    shares = optimal_cartesian_shares(sizes, p)
-    spread = [i for i, share in enumerate(shares) if share > 1]
-    if len(spread) > 1:
-        stay, own, inboxes = None, None, _grid_shuffle(group, rels, shares, label)
+    shares, stay = cartesian_route(sizes, p)
+    if stay is None:
+        own, inboxes = None, _grid_shuffle(group, rels, shares, label)
     else:
-        stay = spread[0] if spread else max(range(len(rels)), key=sizes.__getitem__)
         inboxes = _replicate(group, rels, stay, label)
         # The spread side's own parts, as column blocks.
         own = rels[stay].aligned(rels[stay].attrs).column_parts
@@ -212,7 +216,7 @@ def _grid_shuffle(
     """Every side's rows to the grid cells they meet: a side with a share
     above 1 chunked by multi-numbering, a share-1 side whole (chunk 0)."""
     p = group.size
-    strides = _grid_strides(shares)
+    grid = Grid(shares)
     chunk_of: list[list[list[tuple[Row, int]]]] = []
     for idx, rel in enumerate(rels):
         if shares[idx] == 1:
@@ -227,21 +231,13 @@ def _grid_shuffle(
             [[(row, (num - 1) % shares[idx]) for _k, row, num in part] for part in numbered]
         )
 
-    def combos(dims: Sequence[int]) -> list[list[int]]:
-        acc: list[list[int]] = [[]]
-        for d in dims:
-            acc = [c + [v] for c in acc for v in range(d)]
-        return acc
-
     outboxes: list[list[tuple[int, Any]]] = [[] for _ in range(p)]
     for i in range(len(rels)):
-        others = combos([d for j, d in enumerate(shares) if j != i])
+        fixed = [None] * len(rels)
         for src in range(p):
             for row, chunk in chunk_of[i][src]:
-                for combo in others:
-                    coords = combo[:i] + [chunk] + combo[i:]
-                    cell = sum(c * s for c, s in zip(coords, strides))
-                    outboxes[src].append((cell % p, (i, row)))
+                fixed[i] = chunk
+                outboxes[src] += [(cell % p, (i, row)) for cell in grid.cells(tuple(fixed))]
     return group.exchange(outboxes, f"{label}/shuffle")
 
 
@@ -275,35 +271,20 @@ def hypercube_join(
     dims = [max(1, shares.get(a, 1)) for a in attrs]
     if math.prod(dims) > p:
         raise MPCError(f"share product {math.prod(dims)} exceeds group size {p}")
-    strides = _grid_strides(dims)
-    attr_index = {a: i for i, a in enumerate(attrs)}
-
-    def combos(free_dims: list[int]) -> list[list[int]]:
-        acc: list[list[int]] = [[]]
-        for d in free_dims:
-            acc = [c + [v] for c in acc for v in range(d)]
-        return acc
-
+    grid = Grid(dims)
     outboxes: list[list[tuple[int, Any]]] = [[] for _ in range(p)]
     for rel_name in query.edge_names:
         rel = rels[rel_name]
-        edge_attrs = [a for a in attrs if a in query.attrs_of(rel_name)]
-        pos = rel.positions(tuple(edge_attrs))
-        fixed_idx = [attr_index[a] for a in edge_attrs]
-        free_idx = [i for i in range(len(attrs)) if i not in fixed_idx]
-        free_dims = [dims[i] for i in free_idx]
+        fixed_idx = [i for i, a in enumerate(attrs) if a in query.attrs_of(rel_name)]
+        pos = rel.positions(tuple(attrs[i] for i in fixed_idx))
         for src in range(p):
             for row in rel.parts[src]:
-                vals = project_row(row, pos)
-                coords = [0] * len(attrs)
-                for a, v in zip(edge_attrs, vals):
-                    i = attr_index[a]
+                coords: list[int | None] = [None] * len(attrs)
+                for i, v in zip(fixed_idx, project_row(row, pos)):
                     coords[i] = stable_hash(v, salt=salt + i) % dims[i]
-                for combo in combos(free_dims):
-                    for i, v in zip(free_idx, combo):
-                        coords[i] = v
-                    cell = sum(c * s for c, s in zip(coords, strides))
-                    outboxes[src].append((cell % p, (rel_name, row)))
+                outboxes[src] += [
+                    (cell % p, (rel_name, row)) for cell in grid.cells(tuple(coords))
+                ]
     inboxes = group.exchange(outboxes, f"{label}/shuffle")
 
     out_schema = canonical_attrs([rels[n].attrs for n in query.edge_names])

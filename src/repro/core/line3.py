@@ -57,19 +57,23 @@ def is_line3(query: Hypergraph) -> tuple[str, str, str] | None:
     return None
 
 
+def line3_tau(out_size: float, in_size: float) -> float:
+    """The heavy threshold ``tau = sqrt(OUT/IN)`` (at least 1): a B value
+    is heavy if its degree in R1 exceeds it."""
+    return max(1.0, math.sqrt(out_size / max(1, in_size)))
+
+
 def line3_join(
     group: Group,
     query: Hypergraph,
     rels: dict[str, DistRelation],
     label: str = "line3",
-    out_size: int | None = None,
 ) -> DistRelation:
     """Compute a line-3 join with load O(IN/p + sqrt(IN*OUT)/p).
 
     Args:
         query: Must be shaped ``R1(A,B) join R2(B,C) join R3(C,D)`` (any
             names; the path order is auto-detected).
-        out_size: Skip the OUT computation if already known.
 
     Raises:
         QueryError: If the query is not a line-3 join.
@@ -81,12 +85,10 @@ def line3_join(
 
     working = remove_dangling(group, query, rels, f"{label}/dangling")
     schema = canonical_attrs([working[n].attrs for n in query.edge_names])
-    if out_size is None:
-        out_size = mpc_count(group, query, working, f"{label}/out")
+    out_size = mpc_count(group, query, working, f"{label}/out")
     if out_size == 0:
         return DistRelation.empty("result", schema, group.size)
-    in_size = max(1, sum(working[n].total_size() for n in query.edge_names))
-    tau = max(1.0, math.sqrt(out_size / in_size))
+    tau = line3_tau(out_size, sum(working[n].total_size() for n in query.edge_names))
 
     # --- Step 1: classify B values by their degree in R1. ----------------
     # The degree table is counted on r1's sorted run, which the r1 split

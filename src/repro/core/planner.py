@@ -22,18 +22,27 @@ admits them the line-3 (Section 4.2) and r-hierarchical (Section 3.2)
 algorithms — and returns the cheapest.
 
 A candidate's price is its predicted ``LoadReport.total``: the units its
-control flow would post, walked over exact counts.  Each PSRS pass is
-charged its sample gather, splitter broadcast and shuffle
-(:func:`repro.mpc.substrate.charge_pass`), each boundary trip ``2(p-1)``,
-each binary join its one pass over both sides, its boundary trips and its
-shuffle with the heavy-key rectangles of
-:func:`repro.core.binary_join.binary_join`,
-and each paper algorithm its heavy/light split at its own ``tau``.  Only
-*where* rows land is not modelled: a pass moves ``(p-1)/p`` of the rows
-that are not already range-partitioned on its key, and every part holds
-``n/p`` rows.  A total is a sum of message sizes, so it follows from
-counts; the per-server maximum would need placements.  On the instances
-the tests pin, the candidate with the least total also has the least load.
+control flow would post, walked over exact counts.  The walk calls the
+algorithms' own routing rules rather than restating them:
+:func:`~repro.core.binary_join.budgets`,
+:func:`~repro.core.binary_join.key_weight` and
+:func:`~repro.core.binary_join.heavy_rectangle`;
+:func:`~repro.core.hypercube.cartesian_route`;
+:func:`~repro.core.line3.line3_tau`;
+:func:`~repro.core.acyclic.split_point`;
+:func:`~repro.core.rhierarchical.load_budget`,
+:func:`~repro.core.rhierarchical.servers` and
+:func:`~repro.core.rhierarchical.grid_dims`; and
+:meth:`~repro.query.hypergraph.JoinTree.sweeps` for the full reducer.
+Each PSRS pass is charged its sample gather, splitter broadcast and
+shuffle (:func:`repro.mpc.substrate.charge_pass`), each boundary trip
+``2(p-1)``, each binary join its one pass over both sides, its boundary
+trips and its shuffle with the heavy-key rectangles.  Only *where* rows
+land is not modelled: a pass moves ``(p-1)/p`` of the rows that are not
+already range-partitioned on its key, and every part holds ``n/p`` rows.
+A total is a sum of message sizes, so it follows from counts; the
+per-server maximum would need placements, and the least total is not
+always the least load (DESIGN.md §5, "Why a total").
 
 Everything runs in RAM on the coordinator's copy of the instance over one
 :class:`Statistics` object — integer codes of every attribute, the full
@@ -52,8 +61,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.hypercube import optimal_cartesian_shares
-from repro.core.line3 import is_line3
+from repro.core.acyclic import _fold_order, split_point
+from repro.core.binary_join import budgets, heavy_rectangle, key_weight
+from repro.core.hypercube import cartesian_route
+from repro.core.line3 import is_line3, line3_tau
+from repro.core.rhierarchical import grid_dims, load_budget, servers
 from repro.core.yannakakis import Plan, left_deep_plan
 from repro.data.instance import Instance
 from repro.query.classify import is_r_hierarchical
@@ -338,13 +350,11 @@ class Statistics:
 
     # -- the full reducer ---------------------------------------------
     def reduced(self) -> dict[str, _View]:
-        """Dangling-free views: the two semi-join sweeps of
-        :func:`repro.mpc.dangling.remove_dangling`, in RAM."""
+        """Dangling-free views: the full reducer's :meth:`JoinTree.sweeps`,
+        as :func:`repro.mpc.dangling.remove_dangling` runs them, in RAM."""
         if self._reduced is None:
-            jt = self.tree.jt
             views = {n: _View(n, None, None) for n in self.query.edge_names}
-
-            def semi(target: str, source: str) -> None:
+            for target, source, _sweep in self.tree.jt.sweeps():
                 key = self.tree.adj[target][source]
                 source_deg = self.degrees(views[source], key)
                 target_deg = self.degrees(views[target], key)
@@ -352,13 +362,6 @@ class Statistics:
                 keep = (source_deg > 0)[self.codes(views[target], key)]
                 if not keep.all():
                     views[target] = self.filtered(views[target], keep)
-
-            for node in jt.bottom_up():
-                if jt.parent[node] is not None:
-                    semi(jt.parent[node], node)
-            for node in jt.top_down():
-                for child in jt.children[node]:
-                    semi(child, node)
             self._reduced = views
         return self._reduced
 
@@ -628,15 +631,9 @@ class _Pricer:
         return _Rel({next(iter(rel.nodes)): s.filtered(v, keep)}, (key, dv + df))
 
     def dangling(self, U: _Units, tree: _Tree, rels: dict[str, _Rel]) -> dict[str, _Rel]:
-        jt = tree.jt
         out = dict(rels)
-        for node in jt.bottom_up():
-            par = jt.parent[node]
-            if par is not None:
-                out[par] = self.semi_join(U, tree.adj[par][node], out[par], out[node])
-        for node in jt.top_down():
-            for child in jt.children[node]:
-                out[child] = self.semi_join(U, tree.adj[child][node], out[child], out[node])
+        for target, source, _sweep in tree.jt.sweeps():
+            out[target] = self.semi_join(U, tree.adj[target][source], out[target], out[source])
         return out
 
     def reduce(self, U: _Units, rels: dict[str, _Rel]) -> Hypergraph:
@@ -670,10 +667,9 @@ class _Pricer:
         joined = _Rel({**r1.nodes, **r2.nodes})
         if out == 0:
             return joined
-        l_in = max(1.0, 2.0 * (n1 + n2) / p)
-        l_out = max(1.0, out / p)
+        l_in, l_out = budgets(n1 + n2, out, p)
         both = prod > 0
-        weight = np.maximum((d1 + d2) / l_in, prod / l_out)
+        weight = key_weight(d1, d2, l_in, l_out)
         heavy = both & (weight > 1.0)
         light = both & ~heavy
         # Light groups are numbered in key order, about one per server
@@ -687,11 +683,7 @@ class _Pricer:
             for rel, d in ((r1, d1), (r2, d2))
         )
         for c1, c2 in zip(d1[heavy].tolist(), d2[heavy].tolist()):
-            p_v = max(1, math.ceil(c1 * c2 / l_out))
-            a = max(1, min(p_v, round(math.sqrt(p_v * c1 / max(1, c2)))))
-            b = max(1, math.ceil(p_v / a))
-            a = max(a, math.ceil(c1 / l_in))
-            b = max(b, math.ceil(c2 / l_in))
+            a, b = heavy_rectangle(c1, c2, l_in, l_out)
             routed += c1 * b + c2 * a
         n_heavy = int(heavy.sum())
         U.trip()  # packing
@@ -709,17 +701,16 @@ class _Pricer:
         sizes = [int(round(n)) for n in sizes]
         if not all(sizes):
             return
-        shares = optimal_cartesian_shares(sizes, U.p)
-        spread = [i for i, share in enumerate(shares) if share > 1]
-        if len(spread) <= 1:
-            stay = spread[0] if spread else max(range(len(sizes)), key=sizes.__getitem__)
+        shares, stay = cartesian_route(sizes, U.p)
+        if stay is not None:
             U.bcast(sum(sizes) - sizes[stay])
             return
-        for i in spread:
-            # Multi-numbering: a pass on one constant key, which leaves
-            # evenly spread rows in place, and a stitch.
-            U.sort((sizes[i], 0.0))
-            U.trip()
+        for n, share in zip(sizes, shares):
+            if share > 1:
+                # Multi-numbering: a pass on one constant key, which leaves
+                # evenly spread rows in place, and a stitch.
+                U.sort((n, 0.0))
+                U.trip()
         cells = math.prod(shares)
         U.move(sum(n * cells // share for n, share in zip(sizes, shares)))
 
@@ -811,10 +802,9 @@ class _Pricer:
         rels = self.start()
         self.count(U, query, rels)
         out = s.join_size(tree, s.reduced(), s.messages)
-        in_size = max(1.0, sum(s.size(r.view()) for r in rels.values()))
         if out == 0:
             return
-        tau = max(1.0, math.sqrt(out / in_size))
+        tau = line3_tau(out, sum(s.size(r.view()) for r in rels.values()))
         b_key = tree.adj[n1][n2]
         r1, r2, r3 = rels[n1], rels[n2], rels[n3]
         deg = s.degrees(r1.view(), b_key)
@@ -854,8 +844,6 @@ class _Pricer:
     def _acyclic(self, U: _Units, query: Hypergraph, tree: _Tree,
                  rels: dict[str, _Rel], out: float) -> None:
         """:func:`repro.core.acyclic._solve` over counts."""
-        from repro.core.acyclic import _fold_order
-
         s = self.s
         names = list(query.edge_names)
         if len(names) == 1:
@@ -863,13 +851,9 @@ class _Pricer:
         if len(names) == 2:
             self.binary_join(U, tree, rels[names[0]], rels[names[1]])
             return
-        jt = tree.jt
-        e0 = sorted(jt.internal_nodes_with_leaf_children(), key=lambda n: (-jt.depth(n), n))[0]
-        children = jt.children[e0]
-        e_bar = [n for n in names if n != e0 and n not in children]
-        size = {n: s.size(rels[n].view()) for n in names}
-        n_beta = max(1.0, sum(size.values()) - sum(size[c] for c in children))
-        tau = max(1.0, math.sqrt(out / n_beta))
+        e0, children, e_bar, tau = split_point(
+            tree.jt, {n: s.size(rels[n].view()) for n in names}, out
+        )
 
         heavy: dict[str, _Rel] = {}
         light: dict[str, _Rel] = {}
@@ -887,7 +871,7 @@ class _Pricer:
             self.run(U, light[ei], key, light_deg[ei])
             U.trip()
 
-        fold_order = _fold_order(jt, e0, e_bar)
+        fold_order = _fold_order(tree.jt, e0, e_bar)
         for pattern in product(("H", "L"), repeat=len(children)):
             if "H" not in pattern:
                 continue
@@ -977,17 +961,14 @@ class _Pricer:
         rels = self.start()
         wq = self.reduce(U, rels)
         in_size = sum(s.size(r.view()) for r in rels.values())
-        lower = 0.0
+        sizes: dict[frozenset[str], float] = {}
         names = list(wq.edge_names)
         for k in range(1, len(names) + 1):
             for combo in combinations(names, k):
                 sub = Hypergraph({n: wq.attrs_of(n) for n in combo}, name="S")
                 tree, _root, _arr = self.count(U, sub, {n: rels[n] for n in combo})
-                cnt = s.join_size(tree, {n: rels[n].view() for n in combo})
-                if cnt > 0:
-                    lower = max(lower, (cnt / U.p) ** (1.0 / k))
-        budget = max(1.0, in_size / U.p, lower)
-        self._rhier(U, wq, rels, budget)
+                sizes[frozenset(combo)] = s.join_size(tree, {n: rels[n].view() for n in combo})
+        self._rhier(U, wq, rels, load_budget(in_size, sizes, U.p))
 
     def _rhier(self, U: _Units, query: Hypergraph, rels: dict[str, _Rel], budget: float) -> None:
         """:func:`repro.core.rhierarchical._solve` over counts."""
@@ -1046,7 +1027,7 @@ class _Pricer:
             return
         residual = Hypergraph({n: query.attrs_of(n) - {x} for n in names}, name="res")
         for a, d in demand.items():
-            p_a = max(1, min(U.p, math.ceil(d)))
+            p_a = servers(d, U.p)
             if p_a == 1:
                 continue
             sub_rels = {
@@ -1058,27 +1039,19 @@ class _Pricer:
     def _rhier_forest(self, U: _Units, query: Hypergraph, rels: dict[str, _Rel],
                       forest, budget: float) -> None:
         s = self.s
-        g = U.p
         tree_edges = [sorted(forest.tree_edges(r)) for r in forest.roots]
-        dims: list[int] = []
+        demands: list[float] = []
         for edges in tree_edges:
-            in_i = sum(s.size(rels[n].view()) for n in edges)
-            if in_i <= budget:
-                dims.append(1)
-                continue
             demand = 1.0
-            for kk in range(1, len(edges) + 1):
-                for combo in combinations(edges, kk):
-                    sub = Hypergraph({n: query.attrs_of(n) for n in combo}, name="S")
-                    tree, _root, _arr = self.count(U, sub, {n: rels[n] for n in combo})
-                    cnt = s.join_size(tree, {n: rels[n].view() for n in combo})
-                    demand = max(demand, cnt / budget ** kk)
-            dims.append(max(1, math.ceil(demand)))
-        while math.prod(dims) > g:
-            i = max(range(len(dims)), key=lambda j: dims[j])
-            if dims[i] == 1:
-                break
-            dims[i] -= 1
+            if sum(s.size(rels[n].view()) for n in edges) > budget:
+                for kk in range(1, len(edges) + 1):
+                    for combo in combinations(edges, kk):
+                        sub = Hypergraph({n: query.attrs_of(n) for n in combo}, name="S")
+                        tree, _root, _arr = self.count(U, sub, {n: rels[n] for n in combo})
+                        cnt = s.join_size(tree, {n: rels[n].view() for n in combo})
+                        demand = max(demand, cnt / budget ** kk)
+            demands.append(demand)
+        dims = grid_dims(demands, U.p)
         total = math.prod(dims)
         for i, edges in enumerate(tree_edges):
             copies = total // dims[i]

@@ -26,6 +26,7 @@ deterministic copies, so their load is tallied without re-execution.
 from __future__ import annotations
 
 import math
+from itertools import combinations, product
 from typing import Any
 
 from repro.core.aggregates import mpc_group_by_count, mpc_subset_sizes
@@ -40,7 +41,7 @@ from repro.data.relation import Row
 from repro.errors import QueryError
 from repro.mpc.dangling import reduce_instance, remove_dangling
 from repro.mpc.distrel import DistRelation
-from repro.mpc.group import Group
+from repro.mpc.group import Grid, Group
 from repro.mpc.hashing import stable_hash
 from repro.mpc.packing import parallel_packing
 from repro.mpc.primitives import coordinator_for, multi_search, sum_by_key
@@ -62,54 +63,61 @@ def instance_lower_bound_from_sizes(
     return best
 
 
+def load_budget(in_size: float, subset_sizes: dict[frozenset[str], float], p: int) -> float:
+    """The budget ``L = max(IN/p, L_instance(p, R))`` (at least 1) every
+    recursion level of :func:`rhierarchical_join` sizes its groups by."""
+    return max(1.0, in_size / p, instance_lower_bound_from_sizes(subset_sizes, p))
+
+
+def servers(demand: float, g: int) -> int:
+    """A demand of ``max_S |Q(R, S)| / L^|S|`` servers, as a share of a
+    group of ``g``: a heavy value's servers, or a Case 2 grid dimension
+    before the clamp."""
+    return max(1, min(g, math.ceil(demand)))
+
+
+def grid_dims(demands: list[float], g: int) -> list[int]:
+    """Case 2's ``p_1 x ... x p_k``: each tree's servers, the largest
+    shrunk one at a time until the grid fits the group."""
+    dims = [servers(d, g) for d in demands]
+    while math.prod(dims) > g:
+        i = max(range(len(dims)), key=lambda j: dims[j])
+        if dims[i] == 1:
+            break
+        dims[i] -= 1
+    return dims
+
+
 def rhierarchical_join(
     group: Group,
     query: Hypergraph,
     rels: dict[str, DistRelation],
     label: str = "rhier",
-    budget: float | None = None,
-    preprocess: bool = True,
 ) -> DistRelation:
     """Compute an r-hierarchical join with instance-optimal load.
+
+    Dangling removal and reduce run first; the budget is
+    :func:`load_budget` over the reduced instance's subset join sizes.
 
     Args:
         group: The server group (size p).
         query: An r-hierarchical hypergraph.
         rels: Distributed relations (payload columns allowed).
-        budget: Override the load budget L (defaults to
-            ``IN/p + L_instance(p, R)`` computed on the fly).
-        preprocess: Run dangling removal + reduce first.  Callers that
-            already preprocessed (e.g. the acyclic solver's tall-flat
-            sub-join) can skip it.
 
     Returns:
         Join results in canonical schema order over the *reduced* relations'
         columns (reduced-away relations contribute no private columns —
         they have none, being contained in survivors).
     """
-    working = dict(rels)
-    wq = query
-    if preprocess:
-        working = remove_dangling(group, wq, working, f"{label}/dangling")
-        wq, working = reduce_instance(group, wq, working, f"{label}/reduce")
-    else:
-        wq, working_map = wq.reduce()
-        if working_map:
-            raise QueryError(
-                "preprocess=False requires an already-reduced query"
-            )
+    working = remove_dangling(group, query, rels, f"{label}/dangling")
+    wq, working = reduce_instance(group, query, working, f"{label}/reduce")
     if not is_hierarchical(wq):
         raise QueryError(f"{query.name} is not r-hierarchical")
 
-    if budget is None:
-        in_size = sum(working[n].total_size() for n in working)
-        sizes = mpc_subset_sizes(group, wq, working, f"{label}/stats")
-        budget = max(
-            1.0,
-            in_size / group.size,
-            instance_lower_bound_from_sizes(sizes, group.size),
-        )
-    return _solve(group, wq, working, float(budget), label, depth=0)
+    in_size = sum(working[n].total_size() for n in working)
+    sizes = mpc_subset_sizes(group, wq, working, f"{label}/stats")
+    budget = load_budget(in_size, sizes, group.size)
+    return _solve(group, wq, working, budget, label, depth=0)
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +190,6 @@ def _case_tree(
 
     heavy_counts: dict[Any, float] = {a: 1.0 for a in heavy_values}
     if heavy_values:
-        from itertools import combinations
-
         for k in range(1, len(names) + 1):
             for combo in combinations(names, k):
                 sub_query = Hypergraph(
@@ -204,14 +210,12 @@ def _case_tree(
                 # The count for S restricted to value a is |Q_x(R_a, S)|:
                 # the per-value residual-subset size of the recursion target.
                 for a, cnt in entries:
-                    demand = cnt / (budget ** k)
-                    if demand > heavy_counts[a]:
-                        heavy_counts[a] = demand
+                    heavy_counts[a] = max(heavy_counts[a], cnt / budget ** k)
 
     heavy_desc: dict[Any, tuple[int, int]] = {}
     cursor = 0
     for a in sorted(heavy_values, key=repr):
-        p_a = max(1, min(g, math.ceil(heavy_counts[a])))
+        p_a = servers(heavy_counts[a], g)
         heavy_desc[a] = (cursor, p_a)
         cursor += p_a
     group.broadcast(list(heavy_desc.items()), f"{label}/d{depth}/alloc", src=coord)
@@ -313,67 +317,37 @@ def _case_forest(
     k = len(roots)
     tree_edges = [sorted(forest.tree_edges(r)) for r in roots]
 
-    # Per-tree server shares p_i.
-    dims: list[int] = []
+    # Per-tree server demands, clamped into a grid that fits the group.
+    demands: list[float] = []
     for edges in tree_edges:
-        in_i = sum(rels[n].total_size() for n in edges)
-        if in_i <= budget:
-            dims.append(1)
-            continue
-        from itertools import combinations
-
         demand = 1.0
-        for kk in range(1, len(edges) + 1):
-            for combo in combinations(edges, kk):
-                sub_query = Hypergraph(
-                    {n: query.attrs_of(n) for n in combo}, name="S"
-                )
-                cnt = mpc_count(
-                    group, sub_query, {n: rels[n] for n in combo},
-                    f"{label}/d{depth}/cnt",
-                )
-                demand = max(demand, cnt / (budget ** kk))
-        dims.append(max(1, math.ceil(demand)))
-
-    # Clamp the grid into the group.
-    while math.prod(dims) > g:
-        i = max(range(k), key=lambda j: dims[j])
-        if dims[i] == 1:
-            break
-        dims[i] -= 1
+        if sum(rels[n].total_size() for n in edges) > budget:
+            for kk in range(1, len(edges) + 1):
+                for combo in combinations(edges, kk):
+                    sub_query = Hypergraph(
+                        {n: query.attrs_of(n) for n in combo}, name="S"
+                    )
+                    cnt = mpc_count(
+                        group, sub_query, {n: rels[n] for n in combo},
+                        f"{label}/d{depth}/cnt",
+                    )
+                    demand = max(demand, cnt / (budget ** kk))
+        demands.append(demand)
+    dims = grid_dims(demands, g)
+    grid = Grid(dims)
     total = math.prod(dims)
-
-    strides = [0] * k
-    acc = 1
-    for i in reversed(range(k)):
-        strides[i] = acc
-        acc *= dims[i]
+    group.subgroup(list(range(total)))  # recorded in the plan: the grid's servers
 
     # Route each tree's relations into the grid with replication along the
     # other dimensions (the HyperCube input distribution).
-    grid = group.subgroup(list(range(total)))
     outboxes: list[list[tuple[int, Any]]] = [[] for _ in range(g)]
-
-    def cells_with_coord(i: int, v: int) -> list[int]:
-        combos = [[]]
-        for j in range(k):
-            if j == i:
-                combos = [c + [v] for c in combos]
-            else:
-                combos = [c + [w] for c in combos for w in range(dims[j])]
-        return [sum(c * s for c, s in zip(combo, strides)) for combo in combos]
-
-    cell_cache: dict[tuple[int, int], list[int]] = {}
     for i, edges in enumerate(tree_edges):
+        fixed = [None] * k
         for n in edges:
             for src, part in enumerate(rels[n].parts):
                 for row in part:
-                    chunk = stable_hash(row, salt=depth * 31 + i) % dims[i]
-                    key = (i, chunk)
-                    if key not in cell_cache:
-                        cell_cache[key] = cells_with_coord(i, chunk)
-                    for cell in cell_cache[key]:
-                        outboxes[src].append((cell, (i, n, row)))
+                    fixed[i] = stable_hash(row, salt=depth * 31 + i) % dims[i]
+                    outboxes[src] += [(cell, (i, n, row)) for cell in grid.cells(tuple(fixed))]
     # Deliver on the full group (grid cells are the first `total` locals).
     inboxes = group.exchange(outboxes, f"{label}/d{depth}/grid")
 
@@ -386,7 +360,7 @@ def _case_forest(
         )
         parts_per_line: dict[str, list[list[Row]]] = {n: [] for n in edges}
         for v in range(dims[i]):
-            cell = v * strides[i]  # representative line: other coords 0
+            cell = v * grid.strides[i]  # representative line: other coords 0
             for n in edges:
                 parts_per_line[n].append(
                     [row for ti, m, row in inboxes[cell] if ti == i and m == n]
@@ -404,15 +378,10 @@ def _case_forest(
 
     # Each grid cell emits the product of its line results.
     blocks = [ColumnBlock.from_rows([], len(schema))] * g
-    for cell in range(total):
-        rem = cell
+    for cell, coords in enumerate(product(*map(range, dims))):  # row-major
         attrs: tuple[str, ...] = ()
         acc = ColumnBlock(1, ())
-        for i in range(k):
-            attrs, acc = local_hash_join(
-                attrs, acc,
-                results[i].attrs, results[i].column_parts[rem // strides[i]],
-            )
-            rem %= strides[i]
+        for result, c in zip(results, coords):
+            attrs, acc = local_hash_join(attrs, acc, result.attrs, result.column_parts[c])
         blocks[cell] = align_to_schema(acc, attrs, schema)
     return DistRelation.from_column_parts("result", schema, blocks)

@@ -33,15 +33,9 @@ def remove_dangling(
     Returns a new relation mapping in which every remaining tuple extends to
     at least one full join result.
     """
-    tree = join_tree(query)
     out = dict(rels)
-    for node in tree.bottom_up():
-        par = tree.parent[node]
-        if par is not None:
-            out[par] = semi_join(group, out[par], out[node], f"{label}/up")
-    for node in tree.top_down():
-        for child in tree.children[node]:
-            out[child] = semi_join(group, out[child], out[node], f"{label}/down")
+    for target, source, sweep in join_tree(query).sweeps():
+        out[target] = semi_join(group, out[target], out[source], f"{label}/{sweep}")
     return out
 
 

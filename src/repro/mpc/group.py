@@ -21,13 +21,37 @@ entry point ``exchange`` uses, :meth:`Cluster.tally_members
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import MPCError
 from repro.mpc.cluster import Cluster
 from repro.mpc.hashing import stable_hash
 
-__all__ = ["Group"]
+__all__ = ["Grid", "Group"]
+
+
+class Grid:
+    """A ``dims[0] x ... x dims[k-1]`` hypercube of cells, numbered
+    row-major: cell ``sum(coords[i] * strides[i])``.  Every HyperCube route
+    addresses its cells here."""
+
+    def __init__(self, dims: Sequence[int]) -> None:
+        self.dims = tuple(dims)
+        self.strides = tuple(math.prod(self.dims[i + 1:]) for i in range(len(self.dims)))
+        self._cells: dict[tuple[int | None, ...], tuple[int, ...]] = {}
+
+    def cells(self, fixed: tuple[int | None, ...]) -> tuple[int, ...]:
+        """The cells whose coordinate ``i`` is ``fixed[i]`` (``None``: any),
+        in row-major order (memoised)."""
+        got = self._cells.get(fixed)
+        if got is None:
+            got = (0,)
+            for d, stride, c in zip(self.dims, self.strides, fixed):
+                steps = range(d) if c is None else (c,)
+                got = tuple(cell + v * stride for cell in got for v in steps)
+            self._cells[fixed] = got
+        return got
 
 
 class Group:
@@ -90,41 +114,21 @@ class Group:
         (across all existing members), i.e. the server groups that jointly
         compute sub-join ``i`` in paper Section 3.2 Case 2.
         """
-        total = 1
-        for d in dims:
-            total *= d
+        total = math.prod(dims)
         if total > self.size:
             raise MPCError(f"grid {dims} needs {total} servers, group has {self.size}")
         rec = self.cluster.recorder
         if rec is not None:
             rec.record_structural("GridLines", f"dims={list(dims)}")
-        k = len(dims)
-        strides = [0] * k
-        acc = 1
-        for i in reversed(range(k)):
-            strides[i] = acc
-            acc *= dims[i]
-
-        def lin(coords: Sequence[int]) -> int:
-            return sum(c * s for c, s in zip(coords, strides))
-
+        grid = Grid(dims)
         groups: list[Group] = []
-        for i in range(k):
-            other_dims = [dims[j] for j in range(k) if j != i]
-            members: list[tuple[int, ...]] = []
-            for base in self.members:
-                # Iterate over all coordinate combinations of the other dims.
-                combos: list[list[int]] = [[]]
-                for d in other_dims:
-                    combos = [c + [v] for c in combos for v in range(d)]
-                for combo in combos:
-                    coords = list(combo)
-                    line: list[int] = []
-                    for v in range(dims[i]):
-                        full = coords[:i] + [v] + coords[i:]
-                        line.append(base[lin(full)])
-                    members.append(tuple(line))
-            groups.append(Group(self.cluster, members))
+        for i, (d, stride) in enumerate(zip(grid.dims, grid.strides)):
+            # A line starts at each cell whose coordinate i is 0.
+            starts = grid.cells(tuple(0 if j == i else None for j in range(len(dims))))
+            groups.append(Group(self.cluster, [
+                tuple(base[start + v * stride] for v in range(d))
+                for base in self.members for start in starts
+            ]))
         return groups
 
     # ------------------------------------------------------------------

@@ -319,6 +319,14 @@ class JoinTree:
         """Nodes ordered so every node appears after its parent."""
         return list(reversed(self.bottom_up()))
 
+    def sweeps(self) -> list[tuple[str, str, str]]:
+        """The full reducer's semi-joins in order, as ``(target, source,
+        sweep)``: each parent filtered by its children leaf-up
+        (``"up"``), then each child by its parent root-down (``"down"``)."""
+        up = [(self.parent[n], n, "up") for n in self.bottom_up() if self.parent[n] is not None]
+        down = [(c, n, "down") for n in self.top_down() for c in self.children[n]]
+        return up + down
+
     def depth(self, node: str) -> int:
         d = 0
         cur: str | None = node

@@ -1,10 +1,16 @@
-"""Tests for server groups: exchange semantics, subgroups, and families."""
+"""Tests for server groups: exchange semantics, subgroups, families, and
+the row-major grid every HyperCube route addresses."""
+
+import itertools
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import MPCError
 from repro.mpc.cluster import Cluster
-from repro.mpc.group import Group
+from repro.mpc.group import Grid, Group
 
 
 class TestExchange:
@@ -136,3 +142,28 @@ class TestFamilies:
         fam = Group(cl, [(0, 1), (2, 3)])
         sub = fam.subgroup([1])
         assert sub.members == ((1,), (3,))
+
+
+@st.composite
+def grids_and_fixed(draw):
+    """1-4 dimensions of size 1-4, each fixed to a coordinate or free."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    fixed = tuple(draw(st.none() | st.integers(0, d - 1)) for d in dims)
+    return dims, fixed
+
+
+class TestGrid:
+    @given(grids_and_fixed())
+    def test_cells_are_the_row_major_enumeration(self, case):
+        dims, fixed = case
+        grid = Grid(dims)
+        # Brute force: number every coordinate tuple in row-major order
+        # (the last dimension fastest) and keep those that match.
+        expected = tuple(
+            cell
+            for cell, coords in enumerate(itertools.product(*map(range, dims)))
+            if all(f is None or f == c for f, c in zip(fixed, coords))
+        )
+        assert grid.cells(fixed) == expected
+        assert grid.cells(fixed) is grid.cells(fixed)  # memoised
+        assert grid.cells((None,) * len(dims)) == tuple(range(math.prod(dims)))

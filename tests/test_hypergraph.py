@@ -183,6 +183,26 @@ class TestJoinTree:
         tree = join_tree(catalog.line_join(5))
         assert tree.top_down() == list(reversed(tree.bottom_up()))
 
+    @pytest.mark.parametrize("query", [
+        catalog.broom_join(),
+        catalog.fork_join(),
+        catalog.star_join(4),
+        Hypergraph({"R1": ("A", "B"), "R2": ("B", "C"), "S1": ("D",), "S2": ("D", "E")}),
+    ], ids=["broom", "fork", "star4", "disconnected"])
+    def test_sweeps_are_the_two_loop_order(self, query):
+        """The full reducer's order: the up sweep over ``bottom_up``, then
+        the down sweep over ``top_down`` and each node's sorted children."""
+        tree = join_tree(query)
+        expected = [
+            (tree.parent[node], node, "up")
+            for node in tree.bottom_up() if tree.parent[node] is not None
+        ]
+        for node in tree.top_down():
+            for child in tree.children[node]:
+                expected.append((child, node, "down"))
+        assert tree.sweeps() == expected
+        assert len(expected) == 2 * (len(query.edge_names) - 1)
+
     def test_leaves_and_depth(self):
         tree = join_tree(catalog.line3(), root="R1")
         assert tree.depth(tree.root) == 0

@@ -114,12 +114,13 @@ class TestInstanceOptimality:
         bound = inst.input_size / p + l_instance(inst.query, inst, p)
         assert rep.load <= self.RATIO_CAP * bound + 30 * p
 
-    def test_budget_override(self):
+    def test_all_values_light(self):
+        # Every hub value's 12 rows fit the budget IN/p = 18: every value
+        # is light, no server is allocated, and the result is still correct.
         inst = star_instance(3, 6, 4)
-        rep = assert_matches_oracle(
-            inst, rhierarchical_join, p=4, budget=10**9
-        )
-        # A huge budget means everything is light: still correct.
+        rep = assert_matches_oracle(inst, rhierarchical_join, p=4)
+        assert rep.by_label["rhier/d0/alloc"] == 0
+        assert not any(label.startswith("rhier/d0/h/") for label in rep.by_label)
         assert rep.load > 0
 
 
