@@ -68,6 +68,7 @@ from repro.core.line3 import is_line3, line3_tau
 from repro.core.rhierarchical import grid_dims, load_budget, servers
 from repro.core.yannakakis import Plan, left_deep_plan
 from repro.data.instance import Instance
+from repro.mpc.substrate import pick_splitters, sample_count
 from repro.query.classify import is_r_hierarchical
 from repro.query.forests import attribute_forest
 from repro.query.hypergraph import Hypergraph, JoinTree, join_tree
@@ -520,9 +521,10 @@ class _Units:
         if p == 1 or n == 0:
             return
         q, r = divmod(n, p)
-        samples = r * min(p, -(-(q + 1) // p)) + (p - r) * min(p, -(-q // p))
+        samples = r * sample_count(q + 1, p) + (p - r) * sample_count(q, p)
+        splitters = len(pick_splitters(range(samples), p))
         moved = sum(rows * share for rows, share in sides)
-        self.add((samples + moved) * (p - 1) / p + (min(p, samples) - 1) * (p - 1))
+        self.add((samples + moved) * (p - 1) / p + splitters * (p - 1))
 
     def trip(self, k: int = 1) -> None:
         """``k`` coordinator round trips (boundary stitch, carry, packing,

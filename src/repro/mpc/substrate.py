@@ -10,7 +10,7 @@ slice of it between two splitters, and all three communication steps are
 charged to the ledger by their per-server counts (:func:`charge_pass`).
 Callers scan the resulting :class:`Arrangement` as arrays and fetch items
 only when they emit.  Sample and splitter traffic scales with the data:
-``min(p, ceil(n_i / p))`` samples per source (:func:`sample_indices`),
+``min(p, ceil(n_i / p))`` samples per source (:func:`sample_count`),
 ``min(p, #samples)`` ranges (:func:`pick_splitters`).
 
 * **One key rule.**  :func:`rank_keys` alone decides key order and key
@@ -61,6 +61,7 @@ __all__ = [
     "projected_keys",
     "map_keys",
     "rank_keys",
+    "sample_count",
     "sample_indices",
     "pick_splitters",
     "Arrangement",
@@ -183,8 +184,14 @@ def coordinator_roundtrip(
 # The PSRS kernel: the one linear-load sort every primitive reduces to
 # ----------------------------------------------------------------------
 
+def sample_count(n: int, p: int) -> int:
+    """How many samples a sorted part of ``n`` items sends:
+    ``min(p, ceil(n / p))``."""
+    return min(p, -(-n // p))
+
+
 def sample_indices(n: int, p: int) -> list[int]:
-    """The ``s = min(p, ceil(n / p))`` evenly spaced sample positions of a
+    """The ``s =`` :func:`sample_count` evenly spaced sample positions of a
     sorted part of ``n`` items: one sample per ``g = ceil(n / s)`` items.
 
     Samples in proportion to data: the gather of ``S`` samples is at most
@@ -196,7 +203,7 @@ def sample_indices(n: int, p: int) -> list[int]:
     ``(ceil(S / q) + 1) * max(g_i) + sum(g_i)`` items — for even parts
     ``n/p + max(n/p, p^2)``, times at most ``1 + 1/2p``, plus ``O(p)``.
     """
-    s = min(p, -(-n // p))
+    s = sample_count(n, p)
     return [(k * n) // s for k in range(s)]
 
 
