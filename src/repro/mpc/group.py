@@ -138,7 +138,6 @@ class Group:
         self,
         outboxes: Sequence[Iterable[tuple[int, Any]]],
         label: str,
-        count_self: bool = False,
     ) -> list[list[Any]]:
         """Deliver messages and tally the received units on every member.
 
@@ -147,10 +146,9 @@ class Group:
                 server ``i`` as ``(dst_local_index, payload)`` pairs.  One
                 payload is one unit of communication (the model charges a
                 tuple or a machine word each as one unit).
-            label: Ledger label (phase name).
-            count_self: Whether a message from a server to itself costs a
-                unit.  Defaults to False — data a server already holds does
-                not traverse the network.
+            label: Ledger label (phase name).  A message from a server to
+                itself costs nothing: data a server already holds does not
+                traverse the network.
 
         Returns:
             ``inboxes[j]``: payloads received by local server ``j``, in
@@ -173,7 +171,7 @@ class Group:
                 if dst < 0 or dst >= size:
                     raise MPCError(f"destination {dst} out of range [0, {size})")
                 appends[dst](payload)
-                if dst != src or count_self:
+                if dst != src:
                     counts[dst] += 1
         # The replicas of a family receive alike: one batched ledger post.
         self.cluster.tally_members(self.members, counts, label)

@@ -9,7 +9,7 @@ first-class object:
 
 * :mod:`repro.plan.ir` — dataclass ops mirroring the primitive
   vocabulary (`Exchange`, `MapParts`, `SampleSort`, `FoldByKey`,
-  `SearchRows`, `NumberRows`, `SemiJoin`, `MatchKeys`, `AttachDegrees`,
+  `SearchRows`, `SemiJoin`, `MatchKeys`, `AttachDegrees`,
   `Broadcast`, plus structural `Subgroup`/`GridLines`) and the
   `PhysicalPlan` that sequences them.
 * :mod:`repro.plan.trace` — a `TraceRecorder` that captures the op
@@ -32,7 +32,6 @@ from repro.plan.ir import (
     GridLines,
     MapParts,
     MatchKeys,
-    NumberRows,
     Op,
     PhysicalPlan,
     PrimSpan,
@@ -53,7 +52,6 @@ __all__ = [
     "GridLines",
     "MapParts",
     "MatchKeys",
-    "NumberRows",
     "Op",
     "PhysicalPlan",
     "PrimSpan",

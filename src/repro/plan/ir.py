@@ -16,7 +16,7 @@ from one execution of a core driver.  Three op families exist:
   immutable input parts and their owning relation.  Holding them is what
   lets a timed replay re-issue the compute and measure it.
 * **Structure** (:class:`SampleSort`, :class:`FoldByKey`,
-  :class:`SearchRows`, :class:`NumberRows`, :class:`SemiJoin`,
+  :class:`SearchRows`, :class:`SemiJoin`,
   :class:`MatchKeys`, :class:`AttachDegrees` spans; :class:`Subgroup` /
   :class:`GridLines` markers) — the primitive vocabulary of paper
   Section 2 and the grid shape of Section 3.2 Case 2.  Spans scope the
@@ -46,7 +46,6 @@ __all__ = [
     "SampleSort",
     "FoldByKey",
     "SearchRows",
-    "NumberRows",
     "SemiJoin",
     "MatchKeys",
     "AttachDegrees",
@@ -160,11 +159,6 @@ class FoldByKey(PrimSpan):
 @dataclass(eq=False)
 class SearchRows(PrimSpan):
     """Predecessor search of a relation's rows against a keyed table."""
-
-
-@dataclass(eq=False)
-class NumberRows(PrimSpan):
-    """Consecutive per-key numbering of a relation's rows."""
 
 
 @dataclass(eq=False)

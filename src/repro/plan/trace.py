@@ -32,7 +32,6 @@ from repro.plan.ir import (
     GridLines,
     MapParts,
     MatchKeys,
-    NumberRows,
     Op,
     PhysicalPlan,
     PrimSpan,
@@ -48,7 +47,6 @@ _SPAN_CLASSES: dict[str, type[PrimSpan]] = {
     "SampleSort": SampleSort,
     "FoldByKey": FoldByKey,
     "SearchRows": SearchRows,
-    "NumberRows": NumberRows,
     "SemiJoin": SemiJoin,
     "MatchKeys": MatchKeys,
     "AttachDegrees": AttachDegrees,

@@ -141,5 +141,5 @@ def is_out_hierarchical(query: Hypergraph, output_attrs: frozenset[str] | set[st
         return False
     if not y:
         return True
-    projected = query.project(y, drop_empty=True)
+    projected = query.project(y)
     return is_r_hierarchical(projected)

@@ -151,13 +151,14 @@ class Hypergraph:
             raise QueryError("residual query has no edges")
         return Hypergraph(kept, name=name or f"{self.name}-residual")
 
-    def project(self, attrs: Iterable[str], name: str | None = None, drop_empty: bool = True) -> "Hypergraph":
-        """Project every edge onto ``attrs`` (used for out-hierarchical tests)."""
+    def project(self, attrs: Iterable[str], name: str | None = None) -> "Hypergraph":
+        """Project every edge onto ``attrs``, dropping the edges left empty
+        (used for out-hierarchical tests)."""
         keep = frozenset(attrs)
         kept: dict[str, frozenset[str]] = {}
         for n, e in self._edges.items():
             proj = e & keep
-            if proj or not drop_empty:
+            if proj:
                 kept[n] = proj
         if not kept:
             raise QueryError("projection has no edges")

@@ -157,11 +157,6 @@ class TestExchange:
         assert inboxes == [["self", "c"], ["a"], ["b", "d", "e"], []]
         assert cluster.snapshot().totals == (1, 1, 3, 0)  # self-message at 0 is free
 
-    def test_count_self(self):
-        cluster = Cluster(4)
-        cluster.root_group().exchange(OUTBOXES, "x", count_self=True)
-        assert cluster.snapshot().totals == (2, 1, 3, 0)
-
     def test_bad_destination_raises(self):
         cluster = Cluster(4)
         with pytest.raises(MPCError, match="out of range"):

@@ -27,12 +27,6 @@ class TestExchange:
         g.exchange([[(0, "keep")], []], "x")
         assert cl.snapshot().load == 0
 
-    def test_self_messages_counted_when_asked(self):
-        cl = Cluster(2)
-        g = cl.root_group()
-        g.exchange([[(0, "keep")], []], "x", count_self=True)
-        assert cl.snapshot().totals == (1, 0)
-
     def test_bad_destination(self):
         cl = Cluster(2)
         g = cl.root_group()
