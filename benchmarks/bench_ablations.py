@@ -38,11 +38,11 @@ def _tau_ablation():
     rows = []
     # tau -> inf: every B value light -> Q2's order (R1 x R2) x R3 only.
     res = mpc_join(inst.query, inst, p=P, algorithm="yannakakis",
-                   plan=(("R1", "R2"), "R3"))
+                   plan=("R1", "R2", "R3"))
     rows.append(["tau=inf (all light)", res.report.load])
-    # tau -> 0: every B value heavy -> Q1's order R1 x (R2 x R3) only.
+    # tau -> 0: every B value heavy -> Q1's order (R2 x R3) x R1 only.
     res = mpc_join(inst.query, inst, p=P, algorithm="yannakakis",
-                   plan=("R1", ("R2", "R3")))
+                   plan=("R2", "R3", "R1"))
     rows.append(["tau=0 (all heavy)", res.report.load])
     res = mpc_join(inst.query, inst, p=P, algorithm="line3")
     rows.append(["tau=sqrt(OUT/IN) (Sec 4.2)", res.report.load])
@@ -98,7 +98,7 @@ def _planner_ablation():
 
     cl = Cluster(P)
     g = cl.root_group()
-    yannakakis_mpc(g, inst.query, distribute_instance(inst, g), plan=choice.plan)
+    yannakakis_mpc(g, inst.query, distribute_instance(inst, g), plan=choice.order)
     planned = cl.snapshot().load
 
     res = mpc_join(inst.query, inst, p=P, algorithm="line3")

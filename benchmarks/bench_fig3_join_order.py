@@ -11,20 +11,19 @@ import pytest
 
 from _common import print_table
 from repro.core.runner import mpc_join
-from repro.core.yannakakis import left_deep_plan
 from repro.data.generators import line_trap_instance
 
 P = 8
 IN_SIZE = 3000
 OUT_SIZE = 120000
 
-FWD_PLAN = left_deep_plan(["R1", "R2", "R3"])  # (R1 x R2) x R3
-BWD_PLAN = ("R1", ("R2", "R3"))  # R1 x (R2 x R3)
+FWD_PLAN = ("R1", "R2", "R3")  # (R1 x R2) x R3
+BWD_PLAN = ("R2", "R3", "R1")  # (R2 x R3) x R1
 
 
 def _measure(instance):
     out = {}
-    for name, plan in (("(R1*R2)*R3", FWD_PLAN), ("R1*(R2*R3)", BWD_PLAN)):
+    for name, plan in (("(R1*R2)*R3", FWD_PLAN), ("(R2*R3)*R1", BWD_PLAN)):
         res = mpc_join(instance.query, instance, p=P, algorithm="yannakakis", plan=plan)
         out[name] = res.report.load
     res = mpc_join(instance.query, instance, p=P, algorithm="line3")
@@ -42,7 +41,7 @@ def test_fig3_directional_trap(benchmark):
         [[k, v] for k, v in loads.items()],
     )
     # The bad order shuffles the OUT-sized intermediate.
-    assert loads["(R1*R2)*R3"] > 2 * loads["R1*(R2*R3)"]
+    assert loads["(R1*R2)*R3"] > 2 * loads["(R2*R3)*R1"]
 
 
 @pytest.mark.benchmark(group="fig3")
@@ -55,6 +54,6 @@ def test_fig3_doubled_trap(benchmark):
         [[k, v] for k, v in loads.items()],
     )
     # No single order wins; the heavy/light decomposition beats both.
-    both = [loads["(R1*R2)*R3"], loads["R1*(R2*R3)"]]
+    both = [loads["(R1*R2)*R3"], loads["(R2*R3)*R1"]]
     assert loads["line3 (Sec 4.2)"] < min(both)
     assert min(both) > 0.5 * (inst.output_size() / P)

@@ -13,7 +13,6 @@ Run:  python examples/log_pipeline.py
 import random
 
 from repro import Hypergraph, mpc_join
-from repro.core.yannakakis import left_deep_plan
 from repro.data.instance import Instance
 from repro.data.relation import Relation
 
@@ -57,8 +56,8 @@ print(f"IN = {instance.input_size} tuples, OUT = {instance.output_size()} result
 
 # --- The two Yannakakis orders ------------------------------------------
 plans = {
-    "(users*sessions)*events": left_deep_plan(["users", "sessions", "events"]),
-    "users*(sessions*events)": ("users", ("sessions", "events")),
+    "(users*sessions)*events": ("users", "sessions", "events"),
+    "(sessions*events)*users": ("sessions", "events", "users"),
 }
 print(f"\nYannakakis on p={P} servers: the join order changes the load")
 for name, plan in plans.items():

@@ -45,7 +45,7 @@ from repro.core.runner import (
     run_join_algorithm,
 )
 from repro.core.wcoj import line3_worst_case, triangle_worst_case
-from repro.core.yannakakis import default_plan, left_deep_plan, yannakakis_mpc
+from repro.core.yannakakis import yannakakis_mpc
 
 __all__ = [
     "JoinResult",
@@ -65,8 +65,6 @@ __all__ = [
     "optimal_join_shares",
     "binhc_join",
     "yannakakis_mpc",
-    "default_plan",
-    "left_deep_plan",
     "rhierarchical_join",
     "is_line3",
     "line3_join",

@@ -66,7 +66,7 @@ from repro.core.binary_join import budgets, heavy_rectangle, key_weight
 from repro.core.hypercube import cartesian_route
 from repro.core.line3 import is_line3, line3_tau
 from repro.core.rhierarchical import grid_dims, load_budget, servers
-from repro.core.yannakakis import Plan, left_deep_plan
+from repro.core.yannakakis import component_orders
 from repro.data.instance import Instance
 from repro.mpc.substrate import pick_splitters, sample_count
 from repro.query.classify import is_r_hierarchical
@@ -86,12 +86,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlanChoice:
-    """A priced join plan.
+    """A priced fold order.
 
     Attributes:
-        plan: The nested pairwise plan for
-            :func:`repro.core.yannakakis.yannakakis_mpc`.
-        order: The relation fold order the plan encodes.
+        order: The fold order
+            :func:`repro.core.yannakakis.yannakakis_mpc` runs.
         max_intermediate: The largest intermediate join size along the plan
             (the quantity that drives MPC load).
         intermediates: ``intermediates[i]`` is the join size of
@@ -101,7 +100,6 @@ class PlanChoice:
             whole component (its join is the same under every order).
     """
 
-    plan: Plan
     order: tuple[str, ...]
     max_intermediate: int
     intermediates: tuple[int, ...]
@@ -128,54 +126,21 @@ class Choice:
 
 
 def enumerate_fold_orders(query: Hypergraph, limit: int = 64) -> list[tuple[str, ...]]:
-    """Left-deep orders of the relations Yannakakis joins (those of
-    ``query.reduce()``): one connected order per component, components
-    one after another.
+    """Fold orders of the relations Yannakakis joins (those of
+    ``query.reduce()``): one connected order per component
+    (:func:`repro.core.yannakakis.component_orders`), components one after
+    another.  The first is the order an unpriced Yannakakis call folds.
 
-    Every prefix of a component's order induces a connected subtree of the
-    reduced query's join tree, so each pairwise join shares a separator (no
-    accidental Cartesian blowups).  No prefix crosses from one component
-    into another: :func:`repro.core.yannakakis.yannakakis_mpc` folds each
-    component on its own and takes one product at the end.  Enumeration is
-    capped at ``limit`` orders — plenty for the constant-size queries the
-    paper considers.
+    No prefix crosses from one component into another:
+    :func:`repro.core.yannakakis.yannakakis_mpc` folds each component on
+    its own and takes one product at the end.  Enumeration is capped at
+    ``limit`` orders — plenty for the constant-size queries the paper
+    considers.
     """
     return [
         sum(parts, ())
-        for parts in islice(product(*_component_orders(query, limit)), limit)
+        for parts in islice(product(*component_orders(query.reduce()[0], limit)), limit)
     ]
-
-
-def _component_orders(query: Hypergraph, limit: int) -> list[list[tuple[str, ...]]]:
-    """Per connected component of the reduced query (by least relation
-    name), its connected left-deep orders, at most ``limit`` of them."""
-    query, _witness = query.reduce()
-    tree = join_tree(query)
-    neighbors: dict[str, set[str]] = {n: set() for n in query.edge_names}
-    for n, par in tree.parent.items():
-        # A glue edge between components carries an empty separator.
-        if par is not None and tree.separator(n):
-            neighbors[n].add(par)
-            neighbors[par].add(n)
-
-    def connected(names: frozenset[str]) -> list[tuple[str, ...]]:
-        orders: list[tuple[str, ...]] = []
-
-        def grow(prefix: list[str], frontier: set[str]) -> None:
-            if len(orders) >= limit:
-                return
-            if len(prefix) == len(names):
-                orders.append(tuple(prefix))
-                return
-            for nxt in sorted(frontier):
-                new_frontier = (frontier | neighbors[nxt]) - set(prefix) - {nxt}
-                grow(prefix + [nxt], new_frontier)
-
-        for start in sorted(names):
-            grow([start], set(neighbors[start]))
-        return orders
-
-    return [connected(c) for c in sorted(query.connected_components(), key=min)]
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +430,7 @@ def _price_orders(
     """Each component's best connected order, concatenated.  Components
     are priced apart (no prefix crosses between them), so the best and
     worst spread is the worst component's and the orders multiply."""
-    per_component = _component_orders(query, limit)
+    per_component = component_orders(query.reduce()[0], limit)
     size = _prefix_sizer(stats) if any(len(o[0]) > 2 for o in per_component) else None
     order: tuple[str, ...] = ()
     prefixes: tuple[tuple[str, ...], ...] = ()
@@ -491,7 +456,7 @@ def _price_orders(
             "worst": max(quality["worst"], max(worsts)),
             "orders": quality["orders"] * len(worsts),
         }
-    plan = PlanChoice(left_deep_plan(order), order, max(sizes, default=0), sizes, prefixes)
+    plan = PlanChoice(order, max(sizes, default=0), sizes, prefixes)
     return plan, quality
 
 

@@ -19,7 +19,7 @@ queries fall back to worst-case-optimal HyperCube shares
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.acyclic import acyclic_join
 from repro.core.aggregates import (
@@ -35,13 +35,12 @@ from repro.core.line3 import is_line3, line3_join
 from repro.core.planner import choose
 from repro.core.rhierarchical import rhierarchical_join
 from repro.core.wcoj import line3_worst_case, triangle_worst_case
-from repro.core.yannakakis import Plan, yannakakis_mpc
+from repro.core.yannakakis import yannakakis_mpc
 from repro.data.instance import Instance
 from repro.data.relation import Relation
 from repro.errors import QueryError
 from repro.mpc.backends import Backend
 from repro.mpc.cluster import Cluster, LoadReport
-from repro.mpc.dangling import remove_dangling
 from repro.mpc.distrel import DistRelation, distribute_instance
 from repro.query.classify import JoinClass, classify
 from repro.query.ghd import output_join_tree, residual_output_query
@@ -100,7 +99,7 @@ def mpc_join(
     instance: Instance,
     p: int,
     algorithm: str = "auto",
-    plan: Plan | None = None,
+    plan: Sequence[str] | None = None,
     validate: bool = False,
     backend: Backend | str | None = None,
 ) -> JoinResult:
@@ -112,7 +111,7 @@ def mpc_join(
         p: Number of servers.
         algorithm: One of :data:`ALGORITHMS`; ``"auto"`` (see the module
             docstring) runs the chosen candidate with the chosen plan.
-        plan: Pairwise join order (Yannakakis only).
+        plan: Fold order (Yannakakis only).
         validate: Cross-check the emitted results against the RAM oracle
             (raises on mismatch).
         backend: Execution backend (instance, registered name, or ``None``
@@ -128,7 +127,7 @@ def mpc_join(
     if algorithm == "auto" and query.is_acyclic():
         choice = choose(query, instance, p)
         algorithm = choice.algorithm
-        plan = choice.plan.plan if plan is None else plan
+        plan = choice.plan.order if plan is None else plan
     elif algorithm == "auto":
         algorithm = auto_algorithm(query)
     cluster = Cluster(p, backend=backend)
@@ -173,7 +172,7 @@ def run_join_algorithm(
     query: Hypergraph,
     rels: dict[str, "DistRelation"],
     algorithm: str,
-    plan: Plan | None = None,
+    plan: Sequence[str] | None = None,
 ) -> "DistRelation":
     """Engine seam: run a *resolved* algorithm on distributed relations.
 

@@ -70,7 +70,6 @@ from repro.core.runner import (
     run_aggregate_algorithm,
     run_join_algorithm,
 )
-from repro.core.yannakakis import Plan
 from repro.data.instance import Instance
 from repro.data.relation import Relation, Row
 from repro.engine.parser import Binding, ParsedQuery, parse_query
@@ -174,7 +173,7 @@ class PreparedQuery:
     ``yannakakis`` the fold orders' (``units`` empty).  Any other request
     holds no decision (``choice`` is ``None``): a cyclic query, an
     aggregate (its downstream join folds its residual query its own way)
-    or another pinned algorithm.  ``algorithm``, ``plan``, ``plan_order``,
+    or another pinned algorithm.  ``algorithm``, ``plan_order``,
     ``plan_quality`` and ``units`` read the decision.
     """
 
@@ -211,16 +210,10 @@ class PreparedQuery:
         return request
 
     @property
-    def plan(self) -> Plan | None:
-        """The priced Yannakakis fold plan, run when ``algorithm`` is
-        ``yannakakis``."""
-        choice = self.choice
-        return None if choice is None else choice.plan.plan
-
-    @property
     def plan_order(self) -> tuple[str, ...] | None:
-        """The fold order the plan encodes: the reduced query's relations
-        (contained ones are dropped after the full reducer)."""
+        """The priced Yannakakis fold order, run when ``algorithm`` is
+        ``yannakakis``: the reduced query's relations (contained ones are
+        dropped after the full reducer)."""
         choice = self.choice
         return None if choice is None else choice.plan.order
 
@@ -480,7 +473,7 @@ def _run_algorithm(
     parsed = entry.parsed
     if entry.kind == "join":
         result = run_join_algorithm(
-            group, parsed.query, rels, entry.algorithm, plan=entry.plan
+            group, parsed.query, rels, entry.algorithm, plan=entry.plan_order
         )
         out_size = result.total_size()
         return result, None, {"out_size": out_size}, out_size

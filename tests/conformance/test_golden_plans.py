@@ -1,7 +1,7 @@
 """Golden plans: the fold-order pricer pinned *across commits*.
 
 ``golden_plans.json`` freezes what ``price_fold_orders`` returns — the
-chosen order and plan, every prefix size along it, and the best/worst
+chosen order, every prefix size along it, and the best/worst
 quality spread — on every conformance-grid instance (quick size), on every
 query of the four harness decks at smoke and full size, and on the
 Section 4.1 trap constructions.  It was generated by the MPC pricer
@@ -106,7 +106,6 @@ def frozen(choice, quality) -> dict:
     """A priced plan the way the stored file reads (through JSON)."""
     return json.loads(json.dumps({
         "order": choice.order,
-        "plan": choice.plan,
         "max_intermediate": choice.max_intermediate,
         "intermediates": choice.intermediates,
         "quality": quality,

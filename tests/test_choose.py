@@ -90,7 +90,7 @@ def _measured(name: str) -> tuple:
     query, instance, p = _build(name)
     choice = choose(query, instance, p)
     loads = {
-        algo: mpc_join(query, instance, p, algo, plan=choice.plan.plan).report.load
+        algo: mpc_join(query, instance, p, algo, plan=choice.plan.order).report.load
         for algo in candidates(query)
     }
     return query, choice, loads

@@ -171,7 +171,7 @@ class TestDisconnectedQueries:
         parsed = parse_query(text)
         entry = served.prepared
         one_shot = mpc_join(
-            parsed.query, engine.instance_for(parsed), P, entry.algorithm, plan=entry.plan
+            parsed.query, engine.instance_for(parsed), P, entry.algorithm, plan=entry.plan_order
         )
         assert set(served.rows()) == one_shot.row_set() == oracle_rows(inst)
         assert served.report.as_dict() == one_shot.report.as_dict()
@@ -236,7 +236,7 @@ class TestProductRoutes:
         query = Hypergraph({"R0": ("x0",), "R2": ("x1",)}, name="cart")
         inst = random_instance(query, 40, dom, seed=3)
         fold = price_fold_orders(query, inst)[0]
-        report = mpc_join(query, inst, P, "yannakakis", plan=fold.plan).report
+        report = mpc_join(query, inst, P, "yannakakis", plan=fold.order).report
         assert not any("/reduce/" in label for label in report.by_label)
         pricer = _Pricer(Statistics(query, inst), P)
         pricer.yannakakis(fold.order)

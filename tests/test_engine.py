@@ -51,7 +51,7 @@ def test_execute_matches_ram_oracle():
     assert res.metrics.algorithm == res.prepared.algorithm == choice.algorithm
     assert set(res.prepared.units) == set(planner.candidates(parsed.query))
     loads = {
-        name: mpc_join(parsed.query, instance, 4, name, plan=choice.plan.plan).report.load
+        name: mpc_join(parsed.query, instance, 4, name, plan=choice.plan.order).report.load
         for name in choice.units
     }
     assert res.report.load == loads[choice.algorithm] <= loads["line3"]
@@ -155,7 +155,7 @@ def test_a_register_that_flips_the_order_compiles_a_new_entry():
     assert set(res.rows()) == set(ram_yannakakis(instance).rows)
     one_shot = mpc_join(
         instance.query, instance, p=4, algorithm="yannakakis",
-        plan=res.prepared.plan,
+        plan=res.prepared.plan_order,
     )
     assert res.report.as_dict() == one_shot.report.as_dict()
     assert res.relation.parts == one_shot.relation.parts
@@ -196,7 +196,7 @@ def _one_shot_ledger(eng: Engine, res, backend="serial") -> dict:
     if parsed.kind == "join":
         return mpc_join(
             parsed.query, instance, p=eng.p, algorithm=entry.algorithm,
-            plan=entry.plan, backend=backend,
+            plan=entry.plan_order, backend=backend,
         ).report.as_dict()
     return mpc_join_aggregate(
         parsed.query, parsed.output_attrs, instance.with_uniform_annotations(COUNT),
@@ -441,7 +441,7 @@ def test_prepare_yannakakis_prices_a_plan():
     eng = _basic_engine()
     entry = eng.prepare(LINE3, algorithm="yannakakis")
     assert entry.algorithm == "yannakakis"
-    assert entry.plan is not None and len(entry.plan_order) == 3
+    assert len(entry.plan_order) == 3
     assert entry.plan_quality is not None
     assert entry.plan_quality["best"] <= entry.plan_quality["worst"]
     res = eng.execute(LINE3, algorithm="yannakakis")

@@ -168,7 +168,7 @@ def test_engine_matches_one_shot(cell, backend):
 
     ref_payload, ref_ledger = _one_shot(
         parsed, bound, cold.prepared.algorithm,
-        cold.prepared.plan, backend,
+        cold.prepared.plan_order, backend,
     )
     assert _engine_payload(cold) == ref_payload, f"cold outputs differ: {cell}"
     assert cold.report.as_dict() == ref_ledger, f"cold ledger differs: {cell}"
@@ -201,7 +201,7 @@ def test_prepared_yannakakis_plan_replays_identically(backend):
     res = engine.execute(text, algorithm="yannakakis")
     one = mpc_join(
         parsed.query, engine.instance_for(parsed), p=P,
-        algorithm="yannakakis", plan=entry.plan, backend=backend,
+        algorithm="yannakakis", plan=entry.plan_order, backend=backend,
     )
     assert res.relation.attrs == one.relation.attrs
     assert res.relation.parts == one.relation.parts

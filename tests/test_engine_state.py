@@ -153,7 +153,7 @@ class EngineMachine(RuleBasedStateMachine):
         if parsed.kind == "join":
             assert sorted(res.rows()) == sorted(ram_yannakakis(instance).rows)
             one_shot = mpc_join(
-                parsed.query, instance, P, entry.algorithm, plan=entry.plan
+                parsed.query, instance, P, entry.algorithm, plan=entry.plan_order
             )
         else:
             assert dict(zip(res.relation.rows, res.relation.annotations)) == (

@@ -47,7 +47,7 @@ class TestPlanThenExecute:
         inst = line_trap_instance(3, 1200, 12000)
         choice, _quality = price_fold_orders(inst.query, inst)
         res = mpc_join(
-            inst.query, inst, p=8, algorithm="yannakakis", plan=choice.plan
+            inst.query, inst, p=8, algorithm="yannakakis", plan=choice.order
         )
         assert res.row_set() == set(yannakakis(inst).rows)
 

@@ -96,13 +96,13 @@ class TestLine3Correctness:
 class TestLine3Load:
     def test_load_beats_yannakakis_on_large_out(self):
         """Theorem 5 vs Section 4.1: sqrt(IN*OUT)/p << OUT/p when OUT >> IN."""
-        from repro.core.yannakakis import left_deep_plan, yannakakis_mpc
+        from repro.core.yannakakis import yannakakis_mpc
 
         p = 8
         inst = line_trap_instance(3, 1200, 43200, doubled=True)
         new_rep = assert_matches_oracle(inst, line3_join, p=p)
         yan_rep = assert_matches_oracle(
-            inst, yannakakis_mpc, p=p, plan=left_deep_plan(["R1", "R2", "R3"])
+            inst, yannakakis_mpc, p=p, plan=("R1", "R2", "R3")
         )
         assert new_rep.load < yan_rep.load
 

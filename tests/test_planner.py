@@ -78,16 +78,14 @@ class TestBestPlan:
         assert choice.max_intermediate < 0.2 * inst.output_size()
 
     def test_planned_run_beats_bad_plan(self):
-        from repro.core.yannakakis import left_deep_plan
-
         inst = line_trap_instance(3, 1500, 45000, direction="forward")
         choice, _quality = price_fold_orders(inst.query, inst)
 
         good = assert_matches_oracle(
-            inst, yannakakis_mpc, p=8, plan=choice.plan
+            inst, yannakakis_mpc, p=8, plan=choice.order
         )
         bad = assert_matches_oracle(
-            inst, yannakakis_mpc, p=8, plan=left_deep_plan(["R1", "R2", "R3"])
+            inst, yannakakis_mpc, p=8, plan=("R1", "R2", "R3")
         )
         assert good.load < 0.6 * bad.load
 
@@ -102,7 +100,7 @@ class TestBestPlan:
         cl = Cluster(4)
         g = cl.root_group()
         rels = distribute_instance(inst, g)
-        res = yannakakis_mpc(g, inst.query, rels, plan=choice.plan)
+        res = yannakakis_mpc(g, inst.query, rels, plan=choice.order)
         assert set(res.all_rows()) == oracle_rows(inst)
 
     def test_planning_cost_is_linear(self, monkeypatch):
@@ -124,7 +122,7 @@ class TestBestPlan:
         monkeypatch.setattr(Instance, "without_dangling", None)
         inst = random_instance(catalog.binary_join(), 30, 5, seed=2)
         choice, quality = price_fold_orders(inst.query, inst)
-        assert (choice.order, choice.plan) == (("R1", "R2"), ("R1", "R2"))
+        assert choice.order == ("R1", "R2")
         assert (choice.max_intermediate, choice.intermediates) == (0, ())
         assert quality == {"best": 0, "worst": 0, "orders": 2}
 

@@ -1,21 +1,27 @@
-"""Tests for the MPC Yannakakis baseline and join plans."""
+"""Tests for the MPC Yannakakis baseline and its fold orders."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.planner import enumerate_fold_orders
 from repro.core.runner import mpc_join
-from repro.core.yannakakis import default_plan, left_deep_plan, yannakakis_mpc
+from repro.core.yannakakis import component_orders, yannakakis_mpc
 from repro.data.generators import (
     add_dangling,
     line_trap_instance,
     matching_instance,
     random_instance,
 )
+from repro.data.instance import Instance
+from repro.data.relation import Relation
 from repro.engine import Engine, parse_query
 from repro.errors import QueryError
 from repro.mpc import Cluster, distribute_instance
 from repro.mpc.dangling import remove_dangling
 from repro.query import catalog
 from repro.query.hypergraph import Hypergraph
+from repro.ram.joins import multi_join
 from repro.semiring import COUNT
 from tests.conftest import assert_matches_oracle, oracle_rows, run_mpc
 
@@ -39,23 +45,17 @@ class TestCorrectness:
 
 
 class TestPlans:
-    def test_default_plan_covers_all_relations(self):
-        plan = default_plan(catalog.broom_join())
-
-        def leaves(node):
-            if isinstance(node, str):
-                return [node]
-            return leaves(node[0]) + leaves(node[1])
-
-        assert sorted(leaves(plan)) == sorted(catalog.broom_join().edge_names)
-
-    def test_left_deep_plan(self):
-        plan = left_deep_plan(["R1", "R2", "R3"])
-        assert plan == (("R1", "R2"), "R3")
-
-    def test_empty_plan_raises(self):
-        with pytest.raises(QueryError):
-            left_deep_plan([])
+    def test_the_default_is_the_first_connected_order(self):
+        """Without a plan the fold runs the order the chooser's
+        enumeration lists first, and posts what that plan posts."""
+        inst = random_instance(catalog.broom_join(), 60, 6, seed=7)
+        joined = inst.query.reduce()[0]
+        first = sum((orders[0] for orders in component_orders(joined, 1)), ())
+        assert first == enumerate_fold_orders(inst.query)[0]
+        default = run_mpc(inst, yannakakis_mpc, p=4)
+        planned = run_mpc(inst, yannakakis_mpc, p=4, plan=first)
+        assert default[0] == planned[0] == oracle_rows(inst)
+        assert default[1].as_dict() == planned[1].as_dict()
 
     def test_plan_must_cover_query(self):
         inst = matching_instance(catalog.line3(), 5)
@@ -70,8 +70,8 @@ class TestPlans:
 
     def test_both_orders_agree(self):
         inst = line_trap_instance(3, 600, 3000)
-        fwd = left_deep_plan(["R1", "R2", "R3"])
-        bwd = ("R1", ("R2", "R3"))
+        fwd = ("R1", "R2", "R3")
+        bwd = ("R2", "R3", "R1")
         r1 = assert_matches_oracle(inst, yannakakis_mpc, plan=fwd)
         r2 = assert_matches_oracle(inst, yannakakis_mpc, plan=bwd)
         assert r1.load > 0 and r2.load > 0
@@ -81,10 +81,10 @@ class TestPlans:
         the OUT-sized intermediate pays substantially more."""
         inst = line_trap_instance(3, 1500, 45000, direction="forward")
         bad = assert_matches_oracle(
-            inst, yannakakis_mpc, p=8, plan=left_deep_plan(["R1", "R2", "R3"])
+            inst, yannakakis_mpc, p=8, plan=("R1", "R2", "R3")
         )
         good = assert_matches_oracle(
-            inst, yannakakis_mpc, p=8, plan=("R1", ("R2", "R3"))
+            inst, yannakakis_mpc, p=8, plan=("R2", "R3", "R1")
         )
         assert bad.load > 2 * good.load
 
@@ -92,7 +92,7 @@ class TestPlans:
         """Figure 3 (full): no single order is good on the doubled trap."""
         inst = line_trap_instance(3, 1500, 22000, doubled=True)
         loads = []
-        for plan in (left_deep_plan(["R1", "R2", "R3"]), ("R1", ("R2", "R3"))):
+        for plan in (("R1", "R2", "R3"), ("R2", "R3", "R1")):
             rep = assert_matches_oracle(inst, yannakakis_mpc, p=8, plan=plan)
             loads.append(rep.load)
         out_over_p = 2 * 22000 / 8
@@ -155,8 +155,8 @@ class TestContainedRelations:
         query = inst.query
         order = list(query.edge_names)
         dropped = query.reduce()[1]
-        with_all = run_mpc(inst, yannakakis_mpc, p=4, plan=left_deep_plan(order))
-        survivors = left_deep_plan([n for n in order if n not in dropped])
+        with_all = run_mpc(inst, yannakakis_mpc, p=4, plan=order)
+        survivors = [n for n in order if n not in dropped]
         without = run_mpc(inst, yannakakis_mpc, p=4, plan=survivors)
         assert with_all[0] == without[0] == oracle_rows(inst)
         assert with_all[1].as_dict() == without[1].as_dict()
@@ -186,7 +186,7 @@ class TestContainedRelations:
         with pytest.raises(QueryError):
             yannakakis_mpc(
                 g, query, distribute_instance(inst, g),
-                plan=left_deep_plan(survivors), reduce_first=False,
+                plan=survivors, reduce_first=False,
             )
         _rows, report = run_mpc(inst, yannakakis_mpc, p=4, reduce_first=False)
         # Every relation enters exactly one join of its component's fold or
@@ -205,14 +205,62 @@ class TestContainedRelations:
         inst = random_instance(catalog.broom_join(), 120, 6, seed=11)
         query = inst.query
         order = ["R0", "R2", "R3", "R1", "R4", "R5", "R6"]
-        _rows, report = run_mpc(inst, yannakakis_mpc, p=8, plan=left_deep_plan(order))
+        _rows, report = run_mpc(inst, yannakakis_mpc, p=8, plan=order)
 
         g = Cluster(8).root_group()
         reduced = remove_dangling(g, query, distribute_instance(inst, g), "yannakakis/reduce")
         joined = yannakakis_mpc(
-            g, query, reduced, plan=left_deep_plan(order), reduce_first=False
+            g, query, reduced, plan=order, reduce_first=False
         )
         assert set(joined.all_rows()) == oracle_rows(inst)
         folded = g.cluster.snapshot()
         assert (folded.steps, folded.load, folded.total) == (131, 895, 5201)
         assert (report.steps, report.load, report.total) == (99, 778, 4775)
+
+
+#: Small acyclic shapes: connected, disconnected, and with contained
+#: relations (``hub`` is both).
+ORDER_SHAPES = [
+    catalog.line3(),
+    catalog.star_join(3),
+    catalog.CATALOG["fork"],
+    Hypergraph(
+        {"R0": ("x0", "x1"), "R1": ("x1", "x2"), "R2": ("x3", "x4"), "R3": ("x4", "x5")},
+        name="two-paths",
+    ),
+    CONTAINED["q2"],
+    CONTAINED["hub"],
+    CONTAINED["chain"],
+]
+
+
+@st.composite
+def order_instances(draw):
+    query = draw(st.sampled_from(ORDER_SHAPES))
+    # Dense rows over a tiny domain: most draws keep results, and a
+    # prefix that is not connected then joins to more than OUT rows.
+    dom = draw(st.integers(1, 2))
+    rels = {}
+    for edge in query.edge_names:
+        attrs = tuple(sorted(query.attrs_of(edge)))
+        rows = draw(st.sets(st.tuples(*[st.integers(0, dom)] * len(attrs)), min_size=1, max_size=8))
+        rels[edge] = Relation(edge, attrs, rows)
+    return Instance(query, rels)
+
+
+class TestOrderContract:
+    """Every connected order the chooser's enumeration lists is a valid
+    plan: it folds to the oracle's rows, and on the dangling-free instance
+    no prefix of it joins to more than OUT rows (the Yannakakis bound's
+    "every intermediate <= OUT", for the two-sweep reducer)."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(order_instances())
+    def test_every_enumerated_order_folds_to_the_oracle(self, inst):
+        expected = oracle_rows(inst)
+        clean = inst.without_dangling()
+        for order in enumerate_fold_orders(inst.query, limit=8):
+            assert run_mpc(inst, yannakakis_mpc, p=3, plan=order)[0] == expected
+            for k in range(1, len(order) + 1):
+                prefix = multi_join(clean.relations[n] for n in order[:k])
+                assert len(prefix) <= len(expected)
