@@ -81,7 +81,7 @@ def acyclic_join(
     if not query.is_acyclic():
         raise QueryError(f"{query.name} is cyclic")
     working = remove_dangling(group, query, rels, f"{label}/dangling")
-    wq, working = reduce_instance(group, query, working, f"{label}/reduce")
+    wq, working = reduce_instance(query, working)
     out_size = mpc_count(group, wq, working, f"{label}/out")
     schema = canonical_attrs([working[n].attrs for n in wq.edge_names])
     if out_size == 0:

@@ -68,6 +68,7 @@ from repro.core.line3 import is_line3, line3_tau
 from repro.core.rhierarchical import grid_dims, load_budget, servers
 from repro.core.yannakakis import component_orders
 from repro.data.instance import Instance
+from repro.mpc.dangling import reduced_query
 from repro.mpc.substrate import pick_splitters, sample_count
 from repro.query.classify import is_r_hierarchical
 from repro.query.forests import attribute_forest
@@ -603,14 +604,12 @@ class _Pricer:
             out[target] = self.semi_join(U, tree.adj[target][source], out[target], out[source])
         return out
 
-    def reduce(self, U: _Units, rels: dict[str, _Rel]) -> Hypergraph:
-        """:func:`repro.mpc.dangling.reduce_instance`: contained edges
-        semi-join into their containers and leave the query."""
-        query = self.s.query
-        reduced, witness = query.reduce()
-        for removed, survivor in witness.items():
-            key = tuple(sorted(query.attrs_of(removed) & query.attrs_of(survivor)))
-            rels[survivor] = self.semi_join(U, key, rels[survivor], rels.pop(removed))
+    def reduce(self, rels: dict[str, _Rel]) -> Hypergraph:
+        """:func:`repro.mpc.dangling.reduce_instance`: the dropped
+        relations leave the query, and nothing moves."""
+        reduced = reduced_query(self.s.query, self.s.instance.relations)
+        for name in set(rels).difference(reduced.edge_names):
+            del rels[name]
         return reduced
 
     def binary_join(self, U: _Units, tree: _Tree, r1: _Rel, r2: _Rel) -> _Rel:
@@ -801,7 +800,7 @@ class _Pricer:
     def acyclic(self) -> None:
         s, U = self.s, self.root
         rels = self.start()
-        wq = self.reduce(U, rels)
+        wq = self.reduce(rels)
         tree = s.fold_tree()
         self.count(U, wq, rels)
         out = s.join_size(tree, {n: r.view() for n, r in rels.items()})
@@ -926,7 +925,7 @@ class _Pricer:
     def rhierarchical(self) -> None:
         s, U = self.s, self.root
         rels = self.start()
-        wq = self.reduce(U, rels)
+        wq = self.reduce(rels)
         in_size = sum(s.size(r.view()) for r in rels.values())
         sizes: dict[frozenset[str], float] = {}
         names = list(wq.edge_names)

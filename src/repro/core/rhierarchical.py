@@ -110,7 +110,7 @@ def rhierarchical_join(
         they have none, being contained in survivors).
     """
     working = remove_dangling(group, query, rels, f"{label}/dangling")
-    wq, working = reduce_instance(group, query, working, f"{label}/reduce")
+    wq, working = reduce_instance(query, working)
     if not is_hierarchical(wq):
         raise QueryError(f"{query.name} is not r-hierarchical")
 

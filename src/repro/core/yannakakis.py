@@ -3,7 +3,9 @@
 Full reducer (dangling-tuple removal), then the reduce step (Section 3.2,
 footnote 7): a relation whose attributes another relation contains is, once
 dangling tuples are gone, a projection of its container — it adds no column
-and removes no result — so it is dropped, not joined.  The survivors of each connected component are folded by
+and removes no result — so it is dropped, not joined
+(:func:`repro.mpc.dangling.reduced_query`, the one rule every reduce step
+applies).  The survivors of each connected component are folded by
 pairwise output-optimal binary joins, and the component results meet in
 one Cartesian product at the end
 (:func:`repro.core.hypercube.hypercube_cartesian`): no fold crosses the
@@ -37,7 +39,7 @@ from repro.core.binary_join import binary_join
 from repro.core.common import canonical_attrs
 from repro.core.hypercube import hypercube_cartesian
 from repro.errors import QueryError
-from repro.mpc.dangling import remove_dangling
+from repro.mpc.dangling import reduced_query, remove_dangling
 from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.query.hypergraph import Hypergraph, join_tree
@@ -92,9 +94,9 @@ def yannakakis_mpc(
 ) -> DistRelation:
     """Compute an acyclic join with the Yannakakis strategy.
 
-    After the full reducer, every relation ``query.reduce()`` reports as
-    contained is dropped (it is then a projection of its container, so no
-    semi-join runs for it either), and only the survivors are folded: each connected
+    After the full reducer, every relation :func:`reduced_query` drops is
+    gone (it is then a projection of its container, so no semi-join runs
+    for it either), and only the survivors are folded: each connected
     component along the plan restricted to it, then one product of the
     component results (``{label}/product``).
 
@@ -112,10 +114,7 @@ def yannakakis_mpc(
     Returns:
         The join results in canonical schema order.
     """
-    joined = query if not reduce_first else query.without_edges(
-        n for n in query.reduce()[1]
-        if not any(a.startswith("#") for a in rels[n].attrs)
-    )
+    joined = reduced_query(query, rels) if reduce_first else query
     dropped = set(query.edge_names) - set(joined.edge_names)
     if plan is None:
         plan = sum((orders[0] for orders in component_orders(joined, 1)), ())

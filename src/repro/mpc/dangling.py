@@ -5,6 +5,12 @@ does not participate in any join result (Yannakakis [34]; paper Section 2).
 Linear load per semi-join, O(1) rounds total — this is the preprocessing
 step of every multi-round algorithm in the paper.
 
+The reduce step that follows it has one rule, :func:`reduced_query`:
+a contained relation without payload columns is dropped, and nothing
+moves, because the full reducer already left its container holding only
+tuples it allows.  Yannakakis (:func:`repro.core.yannakakis.yannakakis_mpc`)
+and :func:`reduce_instance` (Sections 3.2 and 5.1) both apply it.
+
 Substrate interplay (see :mod:`repro.mpc.substrate` and DESIGN.md): every
 semi-join returns a *fresh* ``DistRelation``, so sweeps never see a stale
 sorted run, while the filter side of the down sweep — one parent filtering
@@ -14,12 +20,14 @@ across consecutive semi-joins.
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
 from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.mpc.primitives import semi_join
 from repro.query.hypergraph import Hypergraph, join_tree
 
-__all__ = ["remove_dangling", "reduce_instance"]
+__all__ = ["remove_dangling", "reduce_instance", "reduced_query"]
 
 
 def remove_dangling(
@@ -39,28 +47,35 @@ def remove_dangling(
     return out
 
 
-def reduce_instance(
-    group: Group,
-    query: Hypergraph,
-    rels: dict[str, DistRelation],
-    label: str = "reduce",
-) -> tuple[Hypergraph, dict[str, DistRelation]]:
-    """Apply the reduce procedure to a dangling-free distributed instance.
+def reduced_query(query: Hypergraph, rels: Mapping[str, Any]) -> Hypergraph:
+    """The query the reduce step leaves: the one rule for which relations
+    it drops.
 
-    Once dangling tuples are gone, a relation whose edge is contained in
-    another edge no longer constrains the join (its tuples are exactly the
-    projections of the containing relation), so it can be dropped — paper
-    Section 3.2, footnote 7.  A defensive semi-join keeps the containing
-    relation consistent even if the caller skipped dangling removal.
-    :func:`repro.core.yannakakis.yannakakis_mpc` applies the same step
-    right after its own full reducer, where it needs no semi-join.
+    Once dangling tuples are gone, a relation whose edge another edge
+    contains (``query.reduce()``) no longer constrains the join: its tuples
+    are exactly the projections of its container (paper Section 3.2,
+    footnote 7), so it is dropped, unless it carries payload (``#...``)
+    columns, which are not a projection of anything.
+    """
+    return query.without_edges(
+        n for n in query.reduce()[1]
+        if not any(a.startswith("#") for a in rels[n].attrs)
+    )
+
+
+def reduce_instance(
+    query: Hypergraph, rels: dict[str, DistRelation]
+) -> tuple[Hypergraph, dict[str, DistRelation]]:
+    """Apply the reduce step to a dangling-free distributed instance: the
+    relations :func:`reduced_query` drops leave, and nothing moves.
+
+    The caller runs :func:`remove_dangling` first; then a container already
+    holds exactly the tuples its contained relations allow.
+    :func:`repro.core.yannakakis.yannakakis_mpc` applies the same rule
+    right after its own full reducer.
 
     Returns:
         ``(reduced_query, reduced_relations)``.
     """
-    reduced_query, witness = query.reduce()
-    out = dict(rels)
-    for removed, survivor in witness.items():
-        out[survivor] = semi_join(group, out[survivor], out[removed], f"{label}/fold")
-        del out[removed]
-    return reduced_query, out
+    reduced = reduced_query(query, rels)
+    return reduced, {n: rel for n, rel in rels.items() if n in reduced}

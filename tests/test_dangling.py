@@ -3,6 +3,7 @@
 from repro.data.generators import add_dangling, matching_instance, random_instance
 from repro.mpc import Cluster, distribute_instance
 from repro.mpc.dangling import reduce_instance, remove_dangling
+from repro.semiring import COUNT
 from repro.query import catalog
 
 
@@ -61,7 +62,7 @@ class TestReduceInstance:
         g = cl.root_group()
         rels = distribute_instance(inst, g)
         rels = remove_dangling(g, inst.query, rels)
-        reduced_q, reduced = reduce_instance(g, inst.query, rels)
+        reduced_q, reduced = reduce_instance(inst.query, rels)
         assert set(reduced_q.edge_names) == {"R2"}
         assert set(reduced) == {"R2"}
         assert reduced["R2"].total_size() == 10
@@ -75,7 +76,7 @@ class TestReduceInstance:
         cl = Cluster(4)
         g = cl.root_group()
         rels = distribute_instance(inst, g)
-        reduced_q, reduced = reduce_instance(g, inst.query, rels)
+        reduced_q, reduced = reduce_instance(inst.query, rels)
         kept = multi_join(
             [reduced[n].to_relation() for n in reduced_q.edge_names]
         )
@@ -86,11 +87,20 @@ class TestReduceInstance:
         }
         assert got == set(expected.rows)
 
+    def test_moves_nothing_and_keeps_payload(self):
+        """The reduce step only drops: a contained relation carrying
+        payload columns stays, and no step is posted."""
+        inst = matching_instance(catalog.simple_r_hierarchical(), 10)
+        cl = Cluster(4)
+        g = cl.root_group()
+        rels = distribute_instance(inst.with_uniform_annotations(COUNT), g, annotate=True)
+        reduced_q, reduced = reduce_instance(inst.query, rels)
+        assert set(reduced_q.edge_names) == set(reduced) == set(inst.query.edge_names)
+        assert cl.snapshot().steps == 0
+
     def test_noop_on_reduced_query(self):
         inst = matching_instance(catalog.line3(), 5)
         cl = Cluster(2)
         g = cl.root_group()
-        reduced_q, reduced = reduce_instance(
-            g, inst.query, distribute_instance(inst, g)
-        )
+        reduced_q, reduced = reduce_instance(inst.query, distribute_instance(inst, g))
         assert set(reduced_q.edge_names) == {"R1", "R2", "R3"}
