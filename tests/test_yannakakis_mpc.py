@@ -57,6 +57,34 @@ class TestPlans:
         assert default[0] == planned[0] == oracle_rows(inst)
         assert default[1].as_dict() == planned[1].as_dict()
 
+    def test_default_plan_covers_all_relations(self):
+        """Every enumerated order, the default first among them, names each
+        relation that is joined exactly once."""
+        q = catalog.broom_join()
+        joined = sorted(q.reduce()[0].edge_names)
+        orders = enumerate_fold_orders(q)
+        assert orders
+        for order in orders:
+            assert sorted(order) == joined
+
+    def test_left_deep_plan(self):
+        """The orders of the line-3 join are its connected left-deep orders:
+        each prefix shares a separator with the next relation."""
+        (orders,) = component_orders(catalog.line3(), 64)
+        assert orders == [
+            ("R1", "R2", "R3"),
+            ("R2", "R1", "R3"),
+            ("R2", "R3", "R1"),
+            ("R3", "R2", "R1"),
+        ]
+
+    def test_empty_plan_raises(self):
+        inst = matching_instance(catalog.line3(), 5)
+        cl = Cluster(2)
+        g = cl.root_group()
+        with pytest.raises(QueryError):
+            yannakakis_mpc(g, inst.query, distribute_instance(inst, g), plan=())
+
     def test_plan_must_cover_query(self):
         inst = matching_instance(catalog.line3(), 5)
         from repro.mpc import Cluster, distribute_instance
