@@ -61,16 +61,11 @@ print(batch.stats.summary())
 assert all(r.metrics.cache_hit for r in batch.results)
 
 # ----------------------------------------------------------------------
-# 3b. The physical plan a cold execution runs (repro explain), traced on
-#     a scratch cluster: the serving path itself records no trace.
+# 3b. Where a cold execution's load goes (repro explain): the query runs
+#     once more on a scratch cluster under a collecting tracer, and each
+#     primitive prints the ledger units it posted.
 # ----------------------------------------------------------------------
-plan = engine.trace_plan(TWO_HOP)
-counts = plan.op_counts()
-print(
-    f"\nphysical plan for two-hop: {len(plan.ops)} ops "
-    f"({counts.get('MapParts', 0)} worker-local, "
-    f"{len(plan.charges())} charges, {plan.charged_units()} units)"
-)
+print("\n" + engine.explain(TWO_HOP))
 
 # ----------------------------------------------------------------------
 # 4. Data evolves: a register drops exactly what read the relation.

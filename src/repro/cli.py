@@ -99,15 +99,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser(
         "explain",
-        help="print the traced physical plan (ops, per-op ledger units) "
-        "without executing on the serving cluster",
+        help="run the query once on a scratch cluster and print the ledger "
+        "units each primitive posted",
     )
     x.add_argument("text", help="e.g. 'Q(A,B) :- R1(A,B), R2(B,C)'")
     add_common(x)
     x.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     x.add_argument("--timings", action="store_true",
-                   help="execute once to warm the backend, then replay the "
-                        "trace one timed round per op: wall=/wire= columns")
+                   help="execute once to warm the backend, then run on it: "
+                        "wall=/wire= columns and the backend rounds")
 
     s = sub.add_parser("serve", help="serve a query workload (engine session)")
     add_common(s)

@@ -42,6 +42,7 @@ from repro.errors import QueryError
 from repro.mpc.backends import Backend
 from repro.mpc.cluster import Cluster, LoadReport
 from repro.mpc.distrel import DistRelation, distribute_instance
+from repro.obs import WireMeter
 from repro.query.classify import JoinClass, classify
 from repro.query.ghd import output_join_tree, residual_output_query
 from repro.query.hypergraph import Hypergraph
@@ -131,9 +132,11 @@ def mpc_join(
     elif algorithm == "auto":
         algorithm = auto_algorithm(query)
     cluster = Cluster(p, backend=backend)
+    # This call's own meter: deltas of the backend's cumulative counter
+    # would count what other callers of a shared backend ship meanwhile.
+    cluster.wire_meter = WireMeter()
     group = cluster.root_group()
     rels = distribute_instance(instance, group)
-    wire_before = cluster.backend.wire_stats().get("bytes_shipped", 0)
     result = run_join_algorithm(group, query, rels, algorithm, plan=plan)
 
     out = JoinResult(
@@ -148,9 +151,7 @@ def mpc_join(
             # Physical bytes the backend shipped across processes for this
             # join (0 for in-process backends).  Purely observational: the
             # ledger above counts logical tuples and never encoded bytes.
-            "wire_bytes": (
-                cluster.backend.wire_stats().get("bytes_shipped", 0) - wire_before
-            ),
+            "wire_bytes": cluster.wire_meter.bytes,
         },
     )
     if validate:
@@ -282,13 +283,15 @@ def mpc_join_aggregate(
             ``"yannakakis"`` for the downstream join on the residual query.
     """
     cluster = Cluster(p, backend=backend)
+    # This call's own meter: deltas of the backend's cumulative counter
+    # would count what other callers of a shared backend ship meanwhile.
+    cluster.wire_meter = WireMeter()
     group = cluster.root_group()
     rels = distribute_instance(instance, group, annotate=True)
     for n, rel in instance.relations.items():
         if not rel.annotated:
             raise QueryError(f"relation {n!r} is not annotated; annotate first")
 
-    wire_before = cluster.backend.wire_stats().get("bytes_shipped", 0)
     relation, scalar, meta = run_aggregate_algorithm(
         group, query, output_attrs, rels, semiring, algorithm=algorithm
     )
@@ -297,9 +300,7 @@ def mpc_join_aggregate(
             "p": p,
             "backend": cluster.backend.name,
             "in_size": instance.input_size,
-            "wire_bytes": (
-                cluster.backend.wire_stats().get("bytes_shipped", 0) - wire_before
-            ),
+            "wire_bytes": cluster.wire_meter.bytes,
         }
     )
     return AggregateResult(

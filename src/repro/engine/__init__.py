@@ -7,8 +7,8 @@ The serving layer over the one-shot entry points of :mod:`repro.core`:
 * :class:`~repro.engine.session.Engine` — a long-lived session holding
   registered base relations, one warm cluster/backend, and a prepared-plan
   cache keyed by canonical query form + bindings, re-priced when data moves.
-* :meth:`~repro.engine.session.Engine.submit_batch` — the concurrent
-  submission front, aggregating per-query metrics into
+* :meth:`~repro.engine.session.Engine.submit_batch` — a workload run in
+  submission order, aggregating per-query metrics into
   :class:`~repro.engine.session.EngineStats`.
 
 See DESIGN.md section 5 and ``examples/serving_session.py``.

@@ -31,11 +31,11 @@ queries.  :class:`Engine` is the serving-side answer:
   entry points use, and records it.  Either way, outputs and the
   per-query :class:`~repro.mpc.cluster.LoadReport` are bit-identical to
   ``mpc_join`` / ``mpc_join_aggregate`` (see ``tests/test_engine_parity``).
-  The serving path records no physical plan: :meth:`Engine.explain`
-  traces one on a scratch serial cluster when asked.  A cold execution
-  that raises is recorded once as failed and re-raised unchanged: fault
-  recovery belongs to the backend (DESIGN.md section 8), and the next
-  call drives it afresh.
+  :meth:`Engine.explain` runs a query once more, on a scratch cluster
+  under a collecting tracer, and renders its primitive spans.  A cold
+  execution that raises is recorded once as failed and re-raised
+  unchanged: fault recovery belongs to the backend (DESIGN.md section
+  8), and the next call drives it afresh.
 * **``export_plan()`` / ``install_plan()``** — a plan travels between
   engines as a *prepared statement*: the query text plus the algorithm
   request as a JSON record, which the receiver prepares on its own data.
@@ -72,13 +72,20 @@ from repro.core.runner import (
 )
 from repro.data.instance import Instance
 from repro.data.relation import Relation, Row
+from repro.engine.explain import render as render_explain
 from repro.engine.parser import Binding, ParsedQuery, parse_query
 from repro.errors import DeadlineExceeded, EngineError, PlanShipError, ReproError
 from repro.mpc.backends import Backend
 from repro.mpc.cluster import Cluster, LoadReport
 from repro.mpc.distrel import DistRelation, distribute_relation
-from repro.obs import MetricsRegistry, NULL_TRACER, WireMeter, percentiles
-from repro.plan import Executor, PhysicalPlan, TraceRecorder
+from repro.obs import (
+    NULL_TRACER,
+    MetricsRegistry,
+    SpanSink,
+    Tracer,
+    WireMeter,
+    percentiles,
+)
 from repro.query.classify import classify
 
 __all__ = [
@@ -579,10 +586,6 @@ class Engine:
             for key in [k for k in self._dist_cache if k[0] == name]:
                 del self._dist_cache[key]
 
-    def relation_names(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._relations))
-
     def _base(self, name: str) -> Relation:
         rel = self._relations.get(name)
         if rel is None:
@@ -936,7 +939,7 @@ class Engine:
         # those bytes belong to this query.  Cleared in the finally no
         # matter how the execution ends — the serving cluster is shared.
         self._cluster.wire_meter = call.meter
-        self._cluster.obs_span = cspan
+        self._cluster.obs_span = cspan if cspan.recording else None
         try:
             with cspan:
                 rels = self._dist_rels(entry, self._group, self._dist_cache)
@@ -1066,85 +1069,54 @@ class Engine:
         return metrics
 
     # ------------------------------------------------------------------
-    # Explain: trace a plan without executing on the serving cluster
+    # Explain: one traced run on a scratch cluster
     # ------------------------------------------------------------------
-    def trace_plan(
-        self, query: str | ParsedQuery, algorithm: str = "auto"
-    ) -> PhysicalPlan:
-        """The physical op schedule a cold execution of ``query`` runs.
-
-        Performs one traced execution on a *scratch* serial cluster (same
-        ``p``, freshly distributed copies of the bound relations) so
-        neither the serving ledger nor the warm backend is touched.  The
-        op schedule is backend-independent — ledgers are, by the
-        conformance contract — so the scratch trace is exactly what the
-        serving cluster executes.
-        """
-        parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
-        with self._lock:
-            entry, _hit = self._resolve(parsed, algorithm)
-            scratch = Cluster(self.p, backend="serial")
-            group = scratch.root_group()
-            rels = self._dist_rels(entry, group, {})
-            rec = scratch.recorder = TraceRecorder()
-            _run_algorithm(entry, group, rels)
-            return rec.finish(
-                query=entry.parsed.text,
-                kind=entry.kind,
-                algorithm=entry.algorithm,
-                p=self.p,
-                backend=self.backend_name,
-            )
-
     def explain(
         self,
         query: str | ParsedQuery,
         algorithm: str = "auto",
         timings: bool = False,
     ) -> str:
-        """Render :meth:`trace_plan` — ops and per-op ledger units.
+        """Run ``query`` once under a collecting tracer and render its
+        primitive spans (:func:`repro.engine.explain.render`).
 
-        With ``timings=True`` the plan is additionally *measured*: the
-        query executes once (warming worker memos and distributed caches
-        into their serving state), then the trace replays per-op on the
-        serving backend (:meth:`timed_replay`), and every Charge/MapParts
-        row gains measured ``wall=``/``wire=`` columns — the ledger's
-        load story and the wall-clock/bytes story, row by row.  Under
+        The run is on a scratch cluster (same ``p``, freshly distributed
+        copies of the bound relations), so the serving ledger and the
+        session stats are untouched.  That cluster is serial, unless
+        ``timings``: then the query first executes once on this engine,
+        warming the backend as serving would, and the scratch run goes
+        over the serving backend, its lines gaining ``wall=``/``wire=``
+        columns and the backend rounds each primitive issued.  Under
         ``auto`` an acyclic join's last line names the algorithm with
         every candidate's predicted units.
         """
+        parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
         if timings:
-            trace, op_timings = self.timed_replay(query, algorithm)
-            text = trace.explain(timings=op_timings)
-        else:
-            text = self.trace_plan(query, algorithm).explain()
-        entry = self.prepare(query, algorithm)
+            self.execute(parsed, algorithm)
+        sink = SpanSink(capacity=sys.maxsize)
+        with self._lock:
+            entry, _hit = self._resolve(parsed, algorithm)
+            scratch = Cluster(
+                self.p, backend=self._cluster.backend if timings else "serial"
+            )
+            group = scratch.root_group()
+            rels = self._dist_rels(entry, group, {})
+            scratch.wire_meter = WireMeter()
+            with Tracer(sink).span("explain", query=entry.parsed.text) as root:
+                scratch.obs_span = root
+                _run_algorithm(entry, group, rels)
+                root.set(wire=scratch.wire_meter.bytes)
+        text = render_explain(
+            sink.records(),
+            scratch.snapshot(),
+            f"kind={entry.kind} algorithm={entry.algorithm} p={self.p} "
+            f"backend={scratch.backend.name}",
+            timings,
+        )
         if entry.units:
             priced = ", ".join(f"{a}={u}" for a, u in entry.units.items())
             text += f"\nalgorithm: {entry.algorithm} (priced: {priced})"
         return text
-
-    def timed_replay(
-        self, query: str | ParsedQuery, algorithm: str = "auto"
-    ) -> tuple[PhysicalPlan, dict[int, dict[str, float]]]:
-        """Measure one per-op replay of the query's physical plan.
-
-        Executes the query once first — warming the backend exactly the
-        way serving would — then traces it (:meth:`trace_plan`) and
-        replays the trace one round per op on a scratch ledger over the
-        *serving* backend with per-op wall/wire measurement
-        (:meth:`Executor.replay <repro.plan.executor.Executor.replay>`).
-        The scratch ledger is discarded; the serving ledger and session
-        stats see only the warming execution.  Returns ``(plan,
-        op_timings)`` with ``op_timings`` keyed by op index (the shape
-        :meth:`PhysicalPlan.explain` accepts).
-        """
-        parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
-        self.execute(parsed, algorithm)
-        trace = self.trace_plan(parsed, algorithm)
-        scratch = Cluster(self.p, backend=self._cluster.backend)
-        stats = Executor(scratch).replay(trace)
-        return trace, stats["op_timings"]
 
     # ------------------------------------------------------------------
     # Plan shipping (DESIGN.md section 10): prepared statements

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import os
 from pathlib import Path
-from typing import Callable
 
 from repro.data.instance import Instance
 from repro.data.relation import Relation
@@ -38,7 +37,6 @@ def read_relation_csv(
     path: str | Path,
     name: str | None = None,
     semiring: Semiring | None = None,
-    weight_parser: Callable[[str], object] = float,
 ) -> Relation:
     """Load a relation from a CSV file with a header row.
 
@@ -46,8 +44,8 @@ def read_relation_csv(
         path: CSV file path.
         name: Relation name (defaults to the file stem).
         semiring: If given and a ``__weight__`` column exists, rows become
-            annotated (duplicates combine with the semiring's plus).
-        weight_parser: Parses weight cells (default ``float``).
+            annotated (duplicates combine with the semiring's plus);
+            weight cells parse as ``float``.
 
     Raises:
         SchemaError: On an empty file or ragged rows.
@@ -73,7 +71,7 @@ def read_relation_csv(
     if w_idx is None:
         return Relation(rel_name, attrs, rows)
     data = [row[:w_idx] + row[w_idx + 1:] for row in rows]
-    weights = [weight_parser(row[w_idx]) for row in rows]
+    weights = [float(row[w_idx]) for row in rows]
     if semiring is None:
         return Relation(rel_name, attrs, data)
     return Relation(rel_name, attrs, data, weights, semiring)

@@ -22,16 +22,17 @@ Initial data placement is free, matching the model.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.errors import DeadlineExceeded, MPCError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpc.backends import Backend
 
-__all__ = ["Cluster", "LoadReport", "kind_split"]
+__all__ = ["Cluster", "LoadReport", "kind_split", "prim_span"]
 
 # One process-wide source of ledger epochs: a value is never handed out
 # twice, so an epoch names one execution on one cluster (ids get recycled).
@@ -137,10 +138,6 @@ class Cluster:
             raise MPCError(f"cluster needs p >= 1, got {p}")
         self.p = p
         self.backend = get_backend(backend)
-        #: Optional :class:`~repro.plan.trace.TraceRecorder` observing the
-        #: ledger (duck-typed; installed by the engine/explain for the
-        #: duration of one traced execution, ``None`` otherwise).
-        self.recorder = None
         #: Optional absolute ``time.monotonic()`` cutoff.  Checked at every
         #: ledger post — i.e. between simulated communication rounds, the
         #: natural cancellation points of the MPC model — so a caller's
@@ -155,8 +152,9 @@ class Cluster:
         #: into every ``Backend.run_ops`` call.  Telemetry only — the
         #: load ledger below never reads either.
         self.wire_meter = None
-        #: Optional :class:`~repro.obs.tracing.Span` under which backend
-        #: rounds of this execution parent their spans (None = untraced).
+        #: Optional recording :class:`~repro.obs.tracing.Span` under which
+        #: this execution's primitive spans (:func:`prim_span`) and backend
+        #: rounds parent theirs; ``None`` means untraced.
         self.obs_span = None
         #: The execution this ledger is recording: advanced by :meth:`reset`,
         #: unique across clusters.  A sorted arrangement paid for in this
@@ -211,9 +209,6 @@ class Cluster:
         self._step_max = step_max
         self._steps += n
         self._by_label[label] = self._by_label.get(label, 0) + step_total * n
-        rec = self.recorder
-        if rec is not None:
-            rec.record_charge(members, counts, label)
 
     def check_deadline(self) -> None:
         """Raise :class:`~repro.errors.DeadlineExceeded` past the cutoff."""
@@ -252,3 +247,38 @@ class Cluster:
 
     def __repr__(self) -> str:
         return f"Cluster<p={self.p}, load={max(self._totals) if self.p else 0}>"
+
+
+_UNTRACED = nullcontext()
+
+
+def prim_span(cluster: Cluster, kind: str, detail: str = ""):
+    """Scope a Section-2 primitive's body in a ``prim.<kind>`` span.
+
+    Untraced (``cluster.obs_span`` is ``None``) this costs one attribute
+    read.  Traced, the span is a child of ``cluster.obs_span`` and becomes
+    it for the body, so nested primitives and the backend rounds the body
+    issues parent under it; on exit it carries the ledger units and steps
+    posted inside it and the wire bytes the cluster's meter counted.
+    """
+    if cluster.obs_span is None:
+        return _UNTRACED
+    return _ledger_span(cluster, kind, detail)
+
+
+@contextmanager
+def _ledger_span(cluster: Cluster, kind: str, detail: str) -> Iterator[None]:
+    parent, meter = cluster.obs_span, cluster.wire_meter
+    units, steps = sum(cluster._totals), cluster._steps
+    wire = meter.bytes if meter is not None else 0
+    span = cluster.obs_span = parent.child(f"prim.{kind}", detail=detail)
+    with span:
+        try:
+            yield
+        finally:
+            cluster.obs_span = parent
+            span.set(
+                units=sum(cluster._totals) - units,
+                steps=cluster._steps - steps,
+                wire=(meter.bytes if meter is not None else 0) - wire,
+            )

@@ -216,9 +216,8 @@ class DistRelation:
     ) -> "DistRelation":
         return DistRelation(name or self.name, self.attrs, parts, owned=owned)
 
-    def empty_like(self, num_parts: int | None = None) -> "DistRelation":
-        n = num_parts if num_parts is not None else self.num_parts
-        return DistRelation.empty(self.name, self.attrs, n)
+    def empty_like(self) -> "DistRelation":
+        return DistRelation.empty(self.name, self.attrs, self.num_parts)
 
     def __repr__(self) -> str:
         return (

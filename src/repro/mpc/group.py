@@ -91,11 +91,6 @@ class Group:
         for i in local_indices:
             if not 0 <= i < self.size:
                 raise MPCError(f"local index {i} out of range [0, {self.size})")
-        rec = self.cluster.recorder
-        if rec is not None:
-            rec.record_structural(
-                "Subgroup", f"{len(local_indices)} of {self.size} servers"
-            )
         return Group(
             self.cluster,
             [tuple(m[i] for i in local_indices) for m in self.members],
@@ -117,9 +112,6 @@ class Group:
         total = math.prod(dims)
         if total > self.size:
             raise MPCError(f"grid {dims} needs {total} servers, group has {self.size}")
-        rec = self.cluster.recorder
-        if rec is not None:
-            rec.record_structural("GridLines", f"dims={list(dims)}")
         grid = Grid(dims)
         groups: list[Group] = []
         for i, (d, stride) in enumerate(zip(grid.dims, grid.strides)):
@@ -199,12 +191,9 @@ class Group:
                 f"expected {self.size} parts, got {len(parts)}"
             )
         cluster = self.cluster
-        rec = cluster.recorder
-        if rec is not None:
-            rec.record_map_parts(fn, parts, common, owner)
         # Routed through run_ops (the backend's only operation) so the
-        # cluster's per-query wire meter and trace span ride along; both
-        # are None outside an engine execution.
+        # cluster's per-query wire meter and trace span ride along; the
+        # span is the innermost open primitive's, or None when untraced.
         return cluster.backend.run_ops(
             [(fn, parts, common, owner)],
             meter=cluster.wire_meter,
@@ -249,9 +238,6 @@ class Group:
         """
         counts = [len(items)] * self.size
         counts[src] = 0
-        rec = self.cluster.recorder
-        if rec is not None:
-            rec.mark_broadcast()
         self.cluster.tally_members(self.members, counts, label)
 
     def gather(

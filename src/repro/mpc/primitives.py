@@ -64,9 +64,9 @@ import numpy as np
 
 from repro.data.relation import Row
 from repro.errors import MPCError
+from repro.mpc.cluster import prim_span
 from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
-from repro.plan.trace import prim_span
 from repro.mpc.substrate import (
     Arrangement,
     arrange,

@@ -48,10 +48,10 @@ import numpy as np
 
 from repro.data.relation import Row
 from repro.errors import MPCError
+from repro.mpc.cluster import prim_span
 from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.mpc.hashing import stable_hash
-from repro.plan.trace import prim_span
 
 __all__ = [
     "orderable",

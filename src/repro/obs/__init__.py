@@ -1,7 +1,7 @@
 """Unified telemetry: metrics registry, span tracing, schema checkers.
 
 See DESIGN.md section 9.  The package is dependency-free (stdlib only)
-and import-cheap: every other layer (engine, plan, backends, CLI,
+and import-cheap: every other layer (engine, mpc, backends, CLI,
 benchmarks) imports from here, never the other way around.
 """
 

@@ -54,18 +54,16 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 )
 
 
-def percentiles(
-    samples: Iterable[float], qs: Sequence[float] = (50.0, 95.0, 99.0)
-) -> dict[str, float]:
+def percentiles(samples: Iterable[float]) -> dict[str, float]:
     """Exact sample percentiles, linearly interpolated between order stats.
 
-    Returns ``{"p50": ..., "p95": ..., "p99": ...}`` (keys follow ``qs``);
-    all zero when ``samples`` is empty.  Shared by
-    :meth:`EngineStats.latency_percentiles` and the benchmark schema so
-    every percentile the repo reports is computed one way.
+    Returns ``{"p50": ..., "p95": ..., "p99": ...}``; all zero when
+    ``samples`` is empty.  :meth:`EngineStats.latency_percentiles` reports
+    through it, so every percentile the engine reports is computed one way.
     """
     values = sorted(samples)
     n = len(values)
+    qs = (50.0, 95.0, 99.0)
     out = {f"p{q:g}": 0.0 for q in qs}
     if not n:
         return out
@@ -82,13 +80,14 @@ class WireMeter:
     """Per-query attribution of wire traffic shipped by a backend.
 
     The backend's cumulative ``wire_stats()`` counters are shared by every
-    query flowing through it, so concurrent callers computing
-    before/after deltas double-count each other's bytes (the
-    ``submit_batch(threads=N)`` bug).  A meter instead travels *with* the
-    call — ``Cluster.wire_meter`` on the cold path, the ``meter=``
+    caller of that backend (``get_backend(None)`` hands one backend to the
+    whole process), so a before/after delta counts whatever another caller
+    shipped in between.  A meter instead travels *with* the call —
+    ``Cluster.wire_meter``, set by the engine's cold path and by the
+    one-shot ``mpc_join``/``mpc_join_aggregate``, and the ``meter=``
     argument of :meth:`Backend.run_ops` — and is bumped exactly where a
-    payload crosses the process boundary, so its totals are per-query by
-    construction, whatever else the backend is serving concurrently.
+    payload crosses the process boundary, so its totals are per-call by
+    construction, whatever else the backend is serving meanwhile.
 
     Not locked: one query's rounds execute sequentially on the calling
     thread, so a single meter is only ever bumped by one thread at a

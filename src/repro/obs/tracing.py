@@ -6,8 +6,14 @@ span tree for one traced query looks like::
 
     query                           (engine, Engine.execute)
       cold_execute                  (past the result cache)
-        backend.round               (one Backend.run_ops call)
-          worker.round              (one worker's slice of that round;
+        prim.<Kind>                 (one Section-2 primitive, nesting as the
+                                     primitives nest; carries the ledger
+                                     units/steps and wire bytes posted in
+                                     it: repro.mpc.cluster.prim_span)
+          backend.round             (one Backend.run_ops call; under the
+                                     primitive that issued it, else
+                                     directly under cold_execute)
+            worker.round            (one worker's slice of that round;
                                      carries worker-reported decode/compute
                                      seconds shipped back over the IPC pipe)
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from repro.data.instance import Instance
 from repro.data.relation import Relation, Row, project_row
-from repro.query.hypergraph import join_tree
+from repro.query.hypergraph import JoinTree, join_tree
 from repro.ram.joins import natural_join
 
 __all__ = [
@@ -49,13 +49,13 @@ def yannakakis(instance: Instance, name: str = "result") -> Relation:
     )
 
 
-def join_size(instance: Instance) -> int:
-    """``|Q(R)|`` without materializing results (counting Yannakakis).
+def _root_counts(instance: Instance, tree: JoinTree) -> dict[Row, int]:
+    """The counting fold: each root tuple's number of full-join extensions.
 
-    Bottom-up over a join tree: each tuple carries the number of result
-    extensions within its subtree; the root sums them.
+    Bottom-up over ``tree``: each tuple carries the number of result
+    extensions within its subtree, and a parent tuple multiplies in the
+    summed counts of its children's tuples that agree with it.
     """
-    tree = join_tree(instance.query)
     query = instance.query
     counts: dict[str, dict[Row, int]] = {
         n: {row: 1 for row in instance.relations[n].rows}
@@ -66,16 +66,13 @@ def join_size(instance: Instance) -> int:
         if par is None:
             continue
         shared = tuple(sorted(query.attrs_of(node) & query.attrs_of(par)))
-        child_rel = instance.relations[node]
-        child_counts = counts[node]
         if shared:
-            pos_c = child_rel.positions(shared)
+            pos_c = instance.relations[node].positions(shared)
             agg: dict[Row, int] = {}
-            for row, c in child_counts.items():
+            for row, c in counts[node].items():
                 k = project_row(row, pos_c)
                 agg[k] = agg.get(k, 0) + c
-            par_rel = instance.relations[par]
-            pos_p = par_rel.positions(shared)
+            pos_p = instance.relations[par].positions(shared)
             new_counts: dict[Row, int] = {}
             for row, c in counts[par].items():
                 factor = agg.get(project_row(row, pos_p), 0)
@@ -83,12 +80,16 @@ def join_size(instance: Instance) -> int:
                     new_counts[row] = c * factor
             counts[par] = new_counts
         else:
-            total = sum(child_counts.values())
-            if total == 0:
-                counts[par] = {}
-            else:
-                counts[par] = {row: c * total for row, c in counts[par].items()}
-    return sum(counts[tree.root].values())
+            total = sum(counts[node].values())
+            counts[par] = (
+                {row: c * total for row, c in counts[par].items()} if total else {}
+            )
+    return counts[tree.root]
+
+
+def join_size(instance: Instance) -> int:
+    """``|Q(R)|`` without materializing results (counting Yannakakis)."""
+    return sum(_root_counts(instance, join_tree(instance.query)).values())
 
 
 def subset_join_sizes(instance: Instance) -> dict[frozenset[str], int]:
@@ -115,44 +116,13 @@ def subset_join_sizes(instance: Instance) -> dict[frozenset[str], int]:
 def group_by_count(instance: Instance, group_attrs: tuple[str, ...]) -> dict[Row, int]:
     """``COUNT(*) GROUP BY group_attrs`` over the full join (RAM oracle)."""
     tree = join_tree(instance.query)
-    query = instance.query
     # Count extensions per root tuple (as in join_size), then aggregate the
     # root tuples by their group key -- valid only when the group attributes
     # all live in the root relation; otherwise fall back to materializing.
-    if set(group_attrs) <= set(query.attrs_of(tree.root)):
-        counts: dict[str, dict[Row, int]] = {
-            n: {row: 1 for row in instance.relations[n].rows}
-            for n in instance.relations
-        }
-        for node in tree.bottom_up():
-            par = tree.parent[node]
-            if par is None:
-                continue
-            shared = tuple(sorted(query.attrs_of(node) & query.attrs_of(par)))
-            child_rel = instance.relations[node]
-            if shared:
-                pos_c = child_rel.positions(shared)
-                agg: dict[Row, int] = {}
-                for row, c in counts[node].items():
-                    k = project_row(row, pos_c)
-                    agg[k] = agg.get(k, 0) + c
-                par_rel = instance.relations[par]
-                pos_p = par_rel.positions(shared)
-                new_counts: dict[Row, int] = {}
-                for row, c in counts[par].items():
-                    factor = agg.get(project_row(row, pos_p), 0)
-                    if factor:
-                        new_counts[row] = c * factor
-                counts[par] = new_counts
-            else:
-                total = sum(counts[node].values())
-                counts[par] = (
-                    {row: c * total for row, c in counts[par].items()} if total else {}
-                )
-        root_rel = instance.relations[tree.root]
-        pos = root_rel.positions(group_attrs)
+    if set(group_attrs) <= set(instance.query.attrs_of(tree.root)):
+        pos = instance.relations[tree.root].positions(group_attrs)
         out: dict[Row, int] = {}
-        for row, c in counts[tree.root].items():
+        for row, c in _root_counts(instance, tree).items():
             k = project_row(row, pos)
             out[k] = out.get(k, 0) + c
         return out

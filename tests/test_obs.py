@@ -12,6 +12,7 @@ worker deaths, where a respawned worker's retry round appears as a fresh
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.obs import (
 from repro.obs.check import validate_prometheus_text, validate_trace_lines
 from repro.query import catalog
 from tests.conftest import threaded_batch
+from tests.test_plan import _top_level_units
 
 BINARY = "Q(A,B,C) :- R1(A,B), R2(B,C)"
 LINE3 = "Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)"
@@ -296,6 +298,40 @@ class TestWireAttribution:
         assert serial_bytes == threaded_bytes
         assert serial_delta == threaded_delta == sum(serial_bytes)
 
+    def test_one_shot_wire_bytes_are_the_calls_own(self):
+        """``mpc_join``/``mpc_join_aggregate`` meter their own call: bytes
+        another caller of a shared backend ships meanwhile are not theirs."""
+        from repro.core.runner import mpc_join, mpc_join_aggregate
+        from repro.mpc.backends.serial import SerialBackend
+        from repro.semiring import COUNT
+
+        class SharedSerial(SerialBackend):
+            shipped = 0
+
+            def run_ops(self, ops, meter=None, span=None):
+                self.shipped += 1000  # another caller's ship, mid-call
+                return super().run_ops(ops, meter=meter, span=span)
+
+            def wire_stats(self):
+                return {"bytes_shipped": self.shipped}
+
+        inst = random_instance(catalog.binary_join(), 180, 20, seed=7)
+        shared = SharedSerial()
+        join = mpc_join(inst.query, inst, p=4, backend=shared)
+        agg = mpc_join_aggregate(
+            inst.query, ("B",), inst.with_uniform_annotations(COUNT), COUNT,
+            p=4, backend=shared,
+        )
+        assert shared.shipped > 0
+        assert join.meta["wire_bytes"] == agg.meta["wire_bytes"] == 0
+        # Alone on a pool, the call's bytes are the backend's delta.
+        pool = MultiprocessBackend(workers=2, backoff_base=0.0)
+        try:
+            res = mpc_join(inst.query, inst, p=4, backend=pool)
+            assert res.meta["wire_bytes"] == pool.wire_stats()["bytes_shipped"] > 0
+        finally:
+            pool.close()
+
     def test_wire_meter_is_additive(self):
         meter = WireMeter()
         meter.add(10)
@@ -404,26 +440,38 @@ class TestBackendSpans:
 
 
 # ----------------------------------------------------------------------
-# Timed replay / explain --timings / CLI
+# explain --timings / CLI
 # ----------------------------------------------------------------------
 
 class TestExplainTimings:
     @pytest.mark.parametrize("backend", ["serial", "multiprocess"])
-    def test_explain_timings_render_per_op_wall(self, backend):
+    def test_explain_timings_render_per_primitive_wall(self, backend):
         eng = _engine(backend, _binary_relations())
         text = eng.explain(BINARY, timings=True)
-        assert "wall=" in text
         plain = eng.explain(BINARY)
         assert "wall=" not in plain
+        assert re.search(r"^  \[SemiJoin\] .*  units=\d+  wall=", text, re.M)
+        assert f"backend={backend}" in text and "backend=serial" in plain
+        # The same run either way: the same units, line by line.
+        assert _top_level_units(text) == _top_level_units(plain)
 
-    def test_timed_replay_parity_with_untimed(self):
+    def test_pool_rounds_show_under_their_primitive(self):
+        backend = MultiprocessBackend(workers=2, backoff_base=0.0)
+        try:
+            eng = _engine(backend, _line3_relations())
+            text = eng.explain(LINE3, algorithm="acyclic", timings=True)
+        finally:
+            backend.close()
+        nested = re.findall(
+            r"^    +backend\.round workers=2  wall=\S+ compute=", text, re.M
+        )
+        assert nested, text
+
+    def test_explain_timings_leave_the_serving_ledger_alone(self):
         eng = _engine("serial", _binary_relations())
         want = eng.execute(BINARY)
-        trace, op_timings = eng.timed_replay(BINARY)
-        assert op_timings
-        assert all(
-            t["wall"] >= 0 and t["wire"] >= 0 for t in op_timings.values()
-        )
+        text = eng.explain(BINARY, timings=True)
+        assert f"ledger: {want.report.total} units over {want.report.steps} steps" in text
         again = eng.execute(BINARY)
         assert again.report.as_dict() == want.report.as_dict()
 
@@ -474,6 +522,26 @@ class TestCli:
         assert rc == 0
         assert validate_trace_lines(trace.read_text().splitlines()) == []
         assert validate_prometheus_text(prom.read_text()) == []
+
+    def test_traced_serve_jsonl_holds_primitive_spans(self, tmp_path, capsys):
+        """Primitive spans ride in the serve trace under ``cold_execute``,
+        carry their ledger units, and keep the JSONL schema-valid."""
+        data, queries = self._write_workload(tmp_path)
+        trace = tmp_path / "trace.jsonl"
+        assert cli_main([
+            "serve", str(data), "-p", "4", "--queries", str(queries),
+            "--trace", str(trace),
+        ]) == 0
+        lines = trace.read_text().splitlines()
+        assert validate_trace_lines(lines) == []
+        recs = [json.loads(line) for line in lines]
+        by_id = {r["span"]: r for r in recs}
+        prims = [r for r in recs if r["name"].startswith("prim.")]
+        assert {"prim.SampleSort", "prim.SemiJoin"} <= {r["name"] for r in prims}
+        for rec in prims:
+            assert isinstance(rec["attrs"]["units"], int)
+            parent = by_id[rec["parent"]]
+            assert parent["name"] == "cold_execute" or parent["name"].startswith("prim.")
 
     def test_checker_cli_passes_on_real_artifacts(self, tmp_path, capsys):
         from repro.obs.check import main as check_main

@@ -1,126 +1,122 @@
-"""Unit tests for the physical plan layer (IR, trace, timed replay), the
-recording LRU, and the fence that keeps tracing off the serving path."""
+"""The one record of an execution: primitive spans and ``explain``; the
+backend's ``run_ops``; the recording LRU; and the fence that keeps an
+untraced execution from opening any span."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
 from repro.data.relation import Relation
 from repro.engine import Engine, session
+from repro.engine.explain import render
 from repro.mpc import Cluster, distribute_relation
 from repro.mpc.backends import get_backend
 from repro.mpc.cluster import kind_split
 from repro.mpc.primitives import attach_degrees, count_by_key, semi_join
-from repro.plan import Broadcast, Charge, Executor, TraceRecorder
+from repro.obs import Span, SpanSink, Tracer
+from tests.conformance.conftest import GRID
 
 
-def _traced_primitives(p: int = 6):
-    """Trace a mixed primitive run; return (plan, report, outputs)."""
-    rel_ram = Relation("R", ("A", "B"), [((i * 7) % 13, i % 5) for i in range(150)])
-    flt_ram = Relation("S", ("B", "C"), [(i % 5, i) for i in range(40)])
+def _traced(run, p: int = 6):
+    """``run(group)`` on a fresh serial cluster under a collecting tracer;
+    returns (outputs, span records, report)."""
     cluster = Cluster(p, backend="serial")
     group = cluster.root_group()
-    rel = distribute_relation(rel_ram, group)
-    flt = distribute_relation(flt_ram, group)
-    rec = TraceRecorder()
-    cluster.recorder = rec
-    outs = (
+    sink = SpanSink(capacity=1 << 16)
+    with Tracer(sink).span("explain", query="prims", wire=0) as root:
+        cluster.obs_span = root
+        out = run(group)
+    cluster.obs_span = None
+    return out, sink.records(), cluster.snapshot()
+
+
+def _mixed(group):
+    rel = distribute_relation(
+        Relation("R", ("A", "B"), [((i * 7) % 13, i % 5) for i in range(150)]), group
+    )
+    flt = distribute_relation(
+        Relation("S", ("B", "C"), [(i % 5, i) for i in range(40)]), group
+    )
+    return (
         attach_degrees(group, rel, ("B",), "deg"),
         count_by_key(group, rel, ("A",), "cnt"),
         semi_join(group, rel, flt, "sj").parts,
     )
-    cluster.recorder = None
-    plan = rec.finish("prims", "join", "none", p, "serial")
-    return plan, cluster.snapshot(), outs
 
 
-class TestTrace:
-    def test_charges_account_for_every_ledger_unit(self):
-        plan, report, _ = _traced_primitives()
-        assert plan.charged_units() == report.total
-        assert len(plan.charges()) == report.steps
+def _children(records, parent):
+    return [r for r in records if r["parent"] == parent["span"]]
+
+
+def _root(records):
+    return next(r for r in records if r["parent"] is None)
+
+
+def _top_level_units(text: str) -> list[int]:
+    """The units of explain's top-level lines (a ``reused`` run posts 0)."""
+    return [
+        int(units or 0)
+        for units in re.findall(r"^  [\[(].*?(?:  units=(\d+)|  reused)", text, re.M)
+    ]
+
+
+class TestPrimitiveSpans:
+    def test_spans_account_for_every_ledger_unit(self):
+        _, records, report = _traced(_mixed)
+        top = _children(records, _root(records))
+        assert top and all(r["name"].startswith("prim.") for r in top)
+        assert sum(r["attrs"]["units"] for r in top) == report.total
+        assert sum(r["attrs"]["steps"] for r in top) == report.steps
 
     def test_primitive_vocabulary_is_recorded(self):
-        plan, _, _ = _traced_primitives()
-        counts = plan.op_counts()
-        for kind in ("AttachDegrees", "FoldByKey", "SemiJoin", "SampleSort"):
-            assert counts.get(kind, 0) >= 1, counts
-        assert counts.get("MapParts", 0) >= 1
-        assert counts.get("Broadcast", 0) >= 1
+        _, records, _ = _traced(_mixed)
+        names = {r["name"] for r in records}
+        for kind in ("AttachDegrees", "FoldByKey", "SemiJoin", "MatchKeys", "SampleSort"):
+            assert f"prim.{kind}" in names, names
 
-    def test_spans_scope_their_steps(self):
-        plan, _, _ = _traced_primitives()
-        span = next(op for op in plan.ops if op.kind == "AttachDegrees")
-        inner = plan.ops[span.start : span.end]
-        assert any(op.kind == "SampleSort" for op in inner)
-        assert all(
-            op.path and op.path[0] == "AttachDegrees" for op in inner
-        )
+    def test_spans_nest_and_parents_hold_their_children(self):
+        _, records, _ = _traced(_mixed)
+        deg = next(r for r in records if r["name"] == "prim.AttachDegrees")
+        assert any(c["name"] == "prim.SampleSort" for c in _children(records, deg))
+        for rec in records:
+            if rec["name"].startswith("prim."):
+                inner = _children(records, rec)
+                assert sum(c["attrs"]["units"] for c in inner) <= rec["attrs"]["units"]
 
-    def test_broadcast_charges_are_tagged(self):
-        plan, _, _ = _traced_primitives()
-        broadcasts = [op for op in plan.ops if isinstance(op, Broadcast)]
-        assert broadcasts and all("splitters" in b.label or "bcast" in b.label
-                                  for b in broadcasts)
-
-    def test_recording_is_pure_observation(self):
-        """Tracing must not change outputs or the ledger."""
-        rel_ram = Relation("R", ("A", "B"), [(i % 9, i % 4) for i in range(120)])
-        ref_cluster = Cluster(5, backend="serial")
-        ref_group = ref_cluster.root_group()
-        ref = count_by_key(ref_group, distribute_relation(rel_ram, ref_group), ("A",), "c")
-        traced_cluster = Cluster(5, backend="serial")
-        traced_cluster.recorder = TraceRecorder()
-        traced_group = traced_cluster.root_group()
-        got = count_by_key(
-            traced_group, distribute_relation(rel_ram, traced_group), ("A",), "c"
-        )
-        traced_cluster.recorder = None
-        assert got == ref
-        assert traced_cluster.snapshot().as_dict() == ref_cluster.snapshot().as_dict()
-
-
-class TestExecutor:
-    def test_replay_ledger_is_bit_identical(self):
-        plan, report, _ = _traced_primitives()
-        fresh = Cluster(plan.p, backend="serial")
-        stats = Executor(fresh).replay(plan)
-        assert fresh.snapshot().as_dict() == report.as_dict()
-        # One timed round per worker-local op, and a timing per op.
-        n_map = plan.op_counts()["MapParts"]
-        assert stats["map_ops"] == stats["backend_requests"] == n_map > 1
-        timed = {i for i, op in enumerate(plan.ops) if op.kind == "MapParts"}
-        timed |= {i for i, op in enumerate(plan.ops) if isinstance(op, Charge)}
-        assert set(stats["op_timings"]) == timed
-
-    def test_explain_mentions_ops_and_units(self):
-        plan, _, _ = _traced_primitives()
-        text = plan.explain()
-        assert "SampleSort" in text and "MapParts" in text
-        assert "units" in text
-        assert "replay" not in text
+    def test_tracing_is_pure_observation(self):
+        """A traced run posts the ledger and returns the outputs an
+        untraced one does."""
+        cluster = Cluster(6, backend="serial")
+        want = _mixed(cluster.root_group())
+        got, _, report = _traced(_mixed)
+        assert got == want
+        assert report.as_dict() == cluster.snapshot().as_dict()
 
     def test_explain_says_where_the_load_went(self):
         """The ledger line and ``LoadReport.summary`` carry one five-way
         split; a run already paid for in the execution reads ``reused``."""
-        cluster = Cluster(6, backend="serial")
-        group = cluster.root_group()
-        rel = distribute_relation(
-            Relation("R", ("A", "B"), [(i % 13, i % 5) for i in range(150)]), group
-        )
-        cluster.recorder = rec = TraceRecorder()
-        attach_degrees(group, rel, ("B",), "deg")
-        count_by_key(group, rel, ("B",), "cnt")
-        cluster.recorder = None
-        report = cluster.snapshot()
-        text = rec.finish("prims", "join", "none", 6, "serial").explain()
+
+        def run(group):
+            rel = distribute_relation(
+                Relation("R", ("A", "B"), [(i % 13, i % 5) for i in range(150)]), group
+            )
+            attach_degrees(group, rel, ("B",), "deg")
+            count_by_key(group, rel, ("B",), "cnt")
+
+        _, records, report = _traced(run)
+        text = render(records, report, "head", timings=False)
         split = kind_split(report.by_label.items())
-        assert f"charge steps: {split}" in text
+        assert f"  ledger: {report.total} units over {report.steps} steps: {split}" in text
         assert split in report.summary()
         assert split.split()[3] == "boundary=20"  # two stitch trips of p - 1 each way
         assert sum(int(kv.split("=")[1]) for kv in split.split()) == report.total
         assert "[SampleSort] run R[B] deg/count  units=" in text
-        assert "[SampleSort] run R[B] cnt  reused" in text and "units=0" not in text
+        assert "[SampleSort] run R[B] cnt  reused" in text
+        assert "(outside primitives)  units=0" in text
+        assert sum(_top_level_units(text)) == report.total
+        assert "wall=" not in text
 
 
 class TestRunOps:
@@ -156,18 +152,46 @@ class TestEngineExplain:
 
     Q = "Q(A,B,C) :- R1(A,B), R2(B,C)"
 
-    def test_trace_plan_and_explain(self):
+    def test_explain_runs_on_a_scratch_cluster(self):
         eng = self._engine()
-        plan = eng.trace_plan(self.Q)
-        assert plan.charged_units() > 0
-        assert plan.op_counts().get("MapParts", 0) >= 1
         text = eng.explain(self.Q)
-        assert "physical plan" in text and "SampleSort" in text
-        # The trace is taken on a scratch cluster: it charges what a cold
-        # execution charges and leaves the serving session untouched.
+        assert text.startswith(f"explain: {self.Q}") and "[SampleSort]" in text
+        # The run is on a scratch cluster: it posts what a cold execution
+        # posts and leaves the serving session untouched.
         assert eng.stats().queries == 0
         res = eng.execute(self.Q)
-        assert plan.charged_units() == res.report.total
+        assert sum(_top_level_units(text)) == res.report.total
+        assert f"  ledger: {res.report.total} units over {res.report.steps} steps" in text
+
+
+def _grid_query(cell):
+    """An engine, query text and algorithm that run ``cell``'s instance."""
+    query, instance, extra = cell.build(1)
+    body = ", ".join(
+        f"{name}({','.join(rel.attrs)})" for name, rel in instance.relations.items()
+    )
+    if cell.kind == "join":
+        head, algorithm = f"Q({','.join(sorted(query.attributes))})", extra
+    elif cell.kind == "aggregate":
+        head, algorithm = f"Q({','.join(extra[0])}; count)", "auto"
+    else:
+        head, algorithm = f"Q({','.join(extra)})", "auto"
+    engine = Engine(p=cell.p, result_cache=False)
+    for name, rel in instance.relations.items():
+        engine.register(rel, name=name)
+    return engine, f"{head} :- {body}", algorithm
+
+
+@pytest.mark.parametrize("cell", GRID, ids=[c.name for c in GRID])
+def test_explain_top_level_units_sum_to_the_report(cell):
+    """On every algorithm of the conformance grid, explain's top-level
+    lines (primitives and the units posted outside them) sum to the
+    ledger total of an execution of the same query."""
+    engine, text, algorithm = _grid_query(cell)
+    explained = engine.explain(text, algorithm)
+    report = engine.execute(text, algorithm).report
+    assert sum(_top_level_units(explained)) == report.total, explained
+    assert f"  ledger: {report.total} units over {report.steps} steps" in explained
 
 
 class TestRecordingLRU:
@@ -330,32 +354,32 @@ def test_cli_explain_smoke(tmp_path, capsys):
     ])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "physical plan" in out
-    assert "MapParts" in out and "units" in out
+    assert out.startswith("explain: Q(A,B,C) :- R1(A,B), R2(B,C)")
+    assert "[SampleSort]" in out and "(outside primitives)  units=" in out
 
 
 # ----------------------------------------------------------------------
-# The serving fence: no path that serves a request records a trace
+# The serving fence: an untraced execution opens no span
 # ----------------------------------------------------------------------
 
-def _refuse_tracing(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a trace was recorded")
+def _refuse_spans(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a span was opened")
 
-    monkeypatch.setattr(TraceRecorder, "__init__", refuse)
+    monkeypatch.setattr(Span, "__init__", refuse)
 
 
 @pytest.mark.parametrize(
     "workload", ["cold_emit", "cold_reduce", "paper_hard", "serve_churn"]
 )
-def test_serving_path_never_records_a_trace(monkeypatch, workload):
+def test_untraced_serving_opens_no_span(monkeypatch, workload):
     """register, prepare, a cold execute, a cached hit and a
-    ``result_cache=False`` re-drive on every harness deck stay off the
-    trace recorder; ``explain`` still traces once the fence is down."""
+    ``result_cache=False`` re-drive on every harness deck open no span on
+    an untraced engine; ``explain`` opens its own once the fence is down."""
     from tests.conformance.test_golden_plans import _decks_module
 
     deck = _decks_module().build_deck(workload, small=True)
-    _refuse_tracing(monkeypatch)
+    _refuse_spans(monkeypatch)
     engine = Engine(deck.p, "serial")
     for name, (attrs, variants) in deck.relations.items():
         engine.register(Relation(name, attrs, variants[0]), name=name)
@@ -371,19 +395,19 @@ def test_serving_path_never_records_a_trace(monkeypatch, workload):
         assert not redrive.metrics.result_cached
         assert redrive.report.as_dict() == cold[query]
     # The fence is live: explain does reach it ...
-    with pytest.raises(AssertionError, match="trace was recorded"):
+    with pytest.raises(AssertionError, match="span was opened"):
         engine.explain(deck.queries[0])
     # ... and renders once it is down.
     monkeypatch.undo()
-    assert "physical plan" in engine.explain(deck.queries[0])
+    assert engine.explain(deck.queries[0]).startswith("explain: ")
     assert "wall=" in engine.explain(deck.queries[0], timings=True)
 
 
-def test_a_fault_the_pool_absorbs_never_records_a_trace(monkeypatch):
+def test_a_fault_the_pool_absorbs_opens_no_span(monkeypatch):
     """The pool's inline rerun after a chaos-injected kill serves untraced."""
     from repro.mpc.backends import FaultInjectingBackend, MultiprocessBackend
 
-    _refuse_tracing(monkeypatch)
+    _refuse_spans(monkeypatch)
     chaos = FaultInjectingBackend(
         inner=MultiprocessBackend(workers=1, retry_budget=0, backoff_base=0.0),
         seed=3, rate=1.0, kinds=("kill",),

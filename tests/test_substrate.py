@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.relation import Relation, project_row
 from repro.mpc import Cluster, cache_disabled, distribute_relation
-from repro.plan import Charge, TraceRecorder
 from repro.mpc.primitives import (
     attach_degrees,
     count_by_key,
@@ -119,14 +118,19 @@ def test_projected_keys_rank_like_orderable(sides, backing):
 
 def charges_of(cl, call):
     """``call()``'s outputs and every ledger post it made, vectors and all."""
-    cl.recorder = rec = TraceRecorder()
+    posts = []
+    post = cl.tally_members
+
+    def spy(members, counts, label):
+        posts.append((label, tuple(map(tuple, members)), tuple(counts)))
+        post(members, counts, label)
+
+    cl.tally_members = spy
     try:
         out = call()
     finally:
-        cl.recorder = None
-    return out, [
-        (op.label, op.members, op.counts) for op in rec.ops if isinstance(op, Charge)
-    ]
+        del cl.tally_members
+    return out, posts
 
 
 def is_sort_step(charge):
