@@ -106,8 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(x)
     x.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     x.add_argument("--timings", action="store_true",
-                   help="execute once to warm the backend, then run on it: "
-                        "wall=/wire= columns and the backend rounds")
+                   help="run on the serving backend instead of a serial "
+                        "scratch one: wall=/wire= columns and the backend "
+                        "rounds")
 
     s = sub.add_parser("serve", help="serve a query workload (engine session)")
     add_common(s)

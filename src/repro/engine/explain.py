@@ -5,7 +5,9 @@ once under a collecting tracer; this module turns the span records into
 text.  Every ``prim.<Kind>`` span (:func:`repro.mpc.cluster.prim_span`)
 is one line with the ledger units posted inside it, nested as the
 primitives nested.  The top-level lines plus one line for the units
-posted outside any primitive sum to the run's ``LoadReport.total``.  With
+posted outside any primitive sum to the run's ``LoadReport.total``; under
+that line, the outside units are split by the ledger label they were
+posted under (each primitive span carries its own units by label).  With
 timings each line also reads its wall time and the wire bytes shipped
 inside it, and the ``backend.round`` spans a primitive issued show under
 it.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Sequence
 
-from repro.mpc.cluster import LoadReport, kind_split
+from repro.mpc.cluster import LEDGER_ATTR, LoadReport, kind_split
 
 __all__ = ["render"]
 
@@ -112,12 +114,21 @@ def render(
     for span in top:
         walk(span, 1)
     prims = [s for s in top if s["name"].startswith("prim.")]
-    outside_units = report.total - sum(s["attrs"]["units"] for s in prims)
+    # The ledger's labels less what the top-level primitives posted under
+    # each: the steps no primitive scopes, by the label they posted.
+    outside = dict(report.by_label)
+    for span in prims:
+        for key, units in span["attrs"].items():
+            if key.startswith(LEDGER_ATTR):
+                outside[key[len(LEDGER_ATTR):]] -= units
     lines.append(
-        f"  (outside primitives)  units={outside_units}"
+        f"  (outside primitives)  units={sum(outside.values())}"
         + cols(
             root["dur"] - sum(s["dur"] for s in top),
             root["attrs"]["wire"] - sum(s["attrs"]["wire"] for s in prims),
         )
+    )
+    lines.extend(
+        f"    {label}  units={units}" for label, units in outside.items() if units
     )
     return "\n".join(lines)

@@ -1083,16 +1083,15 @@ class Engine:
         The run is on a scratch cluster (same ``p``, freshly distributed
         copies of the bound relations), so the serving ledger and the
         session stats are untouched.  That cluster is serial, unless
-        ``timings``: then the query first executes once on this engine,
-        warming the backend as serving would, and the scratch run goes
-        over the serving backend, its lines gaining ``wall=``/``wire=``
-        columns and the backend rounds each primitive issued.  Under
+        ``timings``: then the scratch run goes over the serving backend,
+        its lines gaining ``wall=``/``wire=`` columns and the backend
+        rounds each primitive issued.  Nothing runs before it, so the
+        rounds time what a cold request pays (on a pool this engine has
+        not used yet, the first round also starts the workers).  Under
         ``auto`` an acyclic join's last line names the algorithm with
         every candidate's predicted units.
         """
         parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
-        if timings:
-            self.execute(parsed, algorithm)
         sink = SpanSink(capacity=sys.maxsize)
         with self._lock:
             entry, _hit = self._resolve(parsed, algorithm)

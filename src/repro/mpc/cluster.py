@@ -32,7 +32,7 @@ from repro.errors import DeadlineExceeded, MPCError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpc.backends import Backend
 
-__all__ = ["Cluster", "LoadReport", "kind_split", "prim_span"]
+__all__ = ["Cluster", "LEDGER_ATTR", "LoadReport", "kind_split", "prim_span"]
 
 # One process-wide source of ledger epochs: a value is never handed out
 # twice, so an epoch names one execution on one cluster (ids get recycled).
@@ -251,6 +251,10 @@ class Cluster:
 
 _UNTRACED = nullcontext()
 
+#: Prefix of a primitive span's per-label attrs: ``ledger.<label>`` is the
+#: units posted under ``label`` inside the span.
+LEDGER_ATTR = "ledger."
+
 
 def prim_span(cluster: Cluster, kind: str, detail: str = ""):
     """Scope a Section-2 primitive's body in a ``prim.<kind>`` span.
@@ -259,7 +263,9 @@ def prim_span(cluster: Cluster, kind: str, detail: str = ""):
     read.  Traced, the span is a child of ``cluster.obs_span`` and becomes
     it for the body, so nested primitives and the backend rounds the body
     issues parent under it; on exit it carries the ledger units and steps
-    posted inside it and the wire bytes the cluster's meter counted.
+    posted inside it, those units split by label (one
+    ``ledger.<label>`` attr each) and the wire bytes the cluster's meter
+    counted.
     """
     if cluster.obs_span is None:
         return _UNTRACED
@@ -270,6 +276,7 @@ def prim_span(cluster: Cluster, kind: str, detail: str = ""):
 def _ledger_span(cluster: Cluster, kind: str, detail: str) -> Iterator[None]:
     parent, meter = cluster.obs_span, cluster.wire_meter
     units, steps = sum(cluster._totals), cluster._steps
+    labels = dict(cluster._by_label)
     wire = meter.bytes if meter is not None else 0
     span = cluster.obs_span = parent.child(f"prim.{kind}", detail=detail)
     with span:
@@ -281,4 +288,9 @@ def _ledger_span(cluster: Cluster, kind: str, detail: str) -> Iterator[None]:
                 units=sum(cluster._totals) - units,
                 steps=cluster._steps - steps,
                 wire=(meter.bytes if meter is not None else 0) - wire,
+                **{
+                    LEDGER_ATTR + label: n - labels.get(label, 0)
+                    for label, n in cluster._by_label.items()
+                    if n != labels.get(label, 0)
+                },
             )

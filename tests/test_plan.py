@@ -114,7 +114,10 @@ class TestPrimitiveSpans:
         assert sum(int(kv.split("=")[1]) for kv in split.split()) == report.total
         assert "[SampleSort] run R[B] deg/count  units=" in text
         assert "[SampleSort] run R[B] cnt  reused" in text
-        assert "(outside primitives)  units=0" in text
+        # Every unit is posted inside a primitive, and no line but the
+        # outside one reads ``units=0`` (a reused run prints once).
+        zero = [line for line in text.splitlines() if "units=0" in line]
+        assert zero == ["  (outside primitives)  units=0"]
         assert sum(_top_level_units(text)) == report.total
         assert "wall=" not in text
 
@@ -183,15 +186,36 @@ def _grid_query(cell):
 
 
 @pytest.mark.parametrize("cell", GRID, ids=[c.name for c in GRID])
-def test_explain_top_level_units_sum_to_the_report(cell):
+def test_explain_top_level_units_sum_to_the_report(cell, monkeypatch):
     """On every algorithm of the conformance grid, explain's top-level
     lines (primitives and the units posted outside them) sum to the
-    ledger total of an execution of the same query."""
+    ledger total of an execution of the same query, and the outside
+    line's split by label is what the traced run posted while no
+    primitive span was open."""
     engine, text, algorithm = _grid_query(cell)
+    posted_outside: dict[str, int] = {}
+    tally = Cluster.tally_members
+
+    def spy(self, members, counts, label):
+        span = self.obs_span
+        if span is not None and not span.name.startswith("prim."):
+            units = sum(counts) * len(members)
+            posted_outside[label] = posted_outside.get(label, 0) + units
+        tally(self, members, counts, label)
+
+    monkeypatch.setattr(Cluster, "tally_members", spy)
     explained = engine.explain(text, algorithm)
+    monkeypatch.undo()
     report = engine.execute(text, algorithm).report
     assert sum(_top_level_units(explained)) == report.total, explained
     assert f"  ledger: {report.total} units over {report.steps} steps" in explained
+    rendered = {
+        label: int(units)
+        for label, units in re.findall(r"^    ([^\s\[]\S*)  units=(-?\d+)$", explained, re.M)
+    }
+    assert rendered == {k: v for k, v in posted_outside.items() if v}, explained
+    outside = re.search(r"^  \(outside primitives\)  units=(\d+)", explained, re.M)
+    assert int(outside.group(1)) == sum(posted_outside.values())
 
 
 class TestRecordingLRU:
