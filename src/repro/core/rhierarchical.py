@@ -335,8 +335,6 @@ def _case_forest(
         demands.append(demand)
     dims = grid_dims(demands, g)
     grid = Grid(dims)
-    total = math.prod(dims)
-    group.subgroup(list(range(total)))  # recorded in the plan: the grid's servers
 
     # Route each tree's relations into the grid with replication along the
     # other dimensions (the HyperCube input distribution).
@@ -348,7 +346,7 @@ def _case_forest(
                 for row in part:
                     fixed[i] = stable_hash(row, salt=depth * 31 + i) % dims[i]
                     outboxes[src] += [(cell, (i, n, row)) for cell in grid.cells(tuple(fixed))]
-    # Deliver on the full group (grid cells are the first `total` locals).
+    # Deliver on the full group (grid cells are the first prod(dims) locals).
     inboxes = group.exchange(outboxes, f"{label}/d{depth}/grid")
 
     # Solve each tree once on its line family.

@@ -23,25 +23,30 @@ queries.  :class:`Engine` is the serving-side answer:
   backend round) — is priced on the entry's data when first read,
   normally by its first execution.  An entry lives until a relation it
   reads is registered again; the next request compiles a new one.
-* **``execute()``** — a request takes one of two paths: a result-cache
-  hit (the recorded outputs and ledger of an earlier execution), or a cold
+* **``execute()``** — a request takes one of three paths: a result-cache
+  hit (the recorded outputs and ledger of an earlier execution), a cold
   execution that drives the entry's algorithm through the same
   :func:`~repro.core.runner.run_join_algorithm` /
   :func:`~repro.core.runner.run_aggregate_algorithm` seams the one-shot
-  entry points use, and records it.  Either way, outputs and the
-  per-query :class:`~repro.mpc.cluster.LoadReport` are bit-identical to
-  ``mpc_join`` / ``mpc_join_aggregate`` (see ``tests/test_engine_parity``).
-  :meth:`Engine.explain` runs a query once more, on a scratch cluster
-  under a collecting tracer, and renders its primitive spans.  A cold
-  execution that raises is recorded once as failed and re-raised
-  unchanged: fault recovery belongs to the backend (DESIGN.md section
-  8), and the next call drives it afresh.
+  entry points use and records it, or a failure.  On success, outputs
+  and the per-query :class:`~repro.mpc.cluster.LoadReport` are
+  bit-identical to ``mpc_join`` / ``mpc_join_aggregate`` (see
+  ``tests/test_engine_parity``).  Every request, whatever path it takes
+  and wherever it fails (parse, bind, deadline, cold run), leaves one
+  record: :meth:`Engine._finish` builds its :class:`QueryMetrics`,
+  records it in :class:`EngineStats` and the registry, and closes its
+  root ``query`` span.  A failure is then re-raised unchanged: fault
+  recovery belongs to the backend (DESIGN.md section 8), and the next
+  call drives it afresh.  :meth:`Engine.explain` runs a query once
+  more, on a scratch cluster under a collecting tracer, and renders its
+  primitive spans.
 * **``export_plan()`` / ``install_plan()``** — a plan travels between
   engines as a *prepared statement*: the query text plus the algorithm
   request as a JSON record, which the receiver prepares on its own data.
 * **``submit_batch()``** — run many queries against the shared backend
   in submission order, aggregating per-query metrics into an
-  :class:`EngineStats` report.
+  :class:`EngineStats` report; a failed query's result embeds its one
+  record and its error.
 
 Thread-safety: the engine serializes cluster use behind an internal lock
 (per-query ledgers require exclusive access to the shared ledger), so
@@ -57,6 +62,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
@@ -78,14 +84,7 @@ from repro.errors import DeadlineExceeded, EngineError, PlanShipError, ReproErro
 from repro.mpc.backends import Backend
 from repro.mpc.cluster import Cluster, LoadReport
 from repro.mpc.distrel import DistRelation, distribute_relation
-from repro.obs import (
-    NULL_TRACER,
-    MetricsRegistry,
-    SpanSink,
-    Tracer,
-    WireMeter,
-    percentiles,
-)
+from repro.obs import MetricsRegistry, Span, SpanSink, Tracer, WireMeter, percentiles
 from repro.query.classify import classify
 
 __all__ = [
@@ -111,51 +110,25 @@ RESULT_CACHE_ENTRIES: int | None = 256
 RESULT_CACHE_BYTES: int | None = 128 * 1024 * 1024
 
 
-@dataclass
-class _CachedResult:
-    """A recorded execution, servable until a relation it read changes.
-
-    The simulation is deterministic: re-running an unchanged plan over
-    unchanged registered relations reproduces the same outputs and the
-    same ledger bit for bit, so serving the recording *is* the execution
-    (the same argument by which a sorted run is billed from its recorded
-    counts).  A recording lives under its plan entry's key, and
-    :meth:`Engine.register` drops it with the entry.
-
-    A distributed result is held as a column-backed :class:`DistRelation`
-    nobody reads rows from: every serve hands out a *fresh* lazy relation
-    over the same immutable blocks, so a caller that materializes rows
-    does so on its own copy, which dies with the caller instead of
-    pinning a row view (per-row tuples, pure GC ballast) in the cache.
-    """
-
-    relation: Any
-    scalar: Any
-    report: LoadReport
-    meta: dict[str, Any]
-    out_size: int
-    #: Resident bytes (:meth:`Engine._recording_nbytes`) — the unit the
-    #: engine's recording LRU budgets against.
-    stored_bytes: int = 0
-
-
 @dataclass(slots=True)
 class _Call:
-    """One :meth:`Engine.execute` call's bookkeeping.
+    """One request's bookkeeping, from its entry to :meth:`Engine._finish`.
 
-    Handed to every serving path in place of positional flags;
-    :meth:`Engine._finish` turns it into the call's
-    :class:`QueryMetrics`.  ``hit`` is the :meth:`Engine._resolve`
-    plan-cache outcome.  The last four fields are armed only once the
-    call is past the result cache, so a served recording pays for none
-    of them.
+    ``text`` and ``algorithm`` are what the caller sent; ``parsed`` is set
+    once the text parses, ``entry``/``hit`` once :meth:`Engine._resolve`
+    binds it (the plan-cache outcome), so :meth:`Engine._finish` reports
+    what a failure got as far as.  The last three fields are armed only
+    once the call is past the result cache, so a served recording pays
+    for none of them.
     """
 
-    entry: "PreparedQuery"
-    hit: bool
+    text: str
+    algorithm: str
     t0: float
-    span: Any
-    deadline_at: float | None = None
+    span: Span | None
+    parsed: ParsedQuery | None = None
+    entry: PreparedQuery | None = None
+    hit: bool = False
     faults_before: int = 0
     requests_before: int = 0
     meter: WireMeter | None = None
@@ -282,8 +255,8 @@ class QueryMetrics:
     #: Worker faults (deaths + round timeouts) the backend absorbed while
     #: serving this query — recovered, not failures.
     fault_events: int = 0
-    #: Root trace id of this execution's span tree (``None`` when tracing
-    #: is disabled — the engine's default ``NULL_TRACER``).
+    #: Root trace id of this execution's span tree (``None`` on an
+    #: untraced engine).
     trace_id: str | None = None
 
     # Read by benchmarks/harness/measure.py (warm-or-cold test).
@@ -512,10 +485,9 @@ class Engine:
             counters, so one scrape (:meth:`metrics_text`) shows the
             whole session.
         tracer: :class:`~repro.obs.Tracer` minting one root ``query``
-            span per execution, threaded engine → backend → worker
-            rounds.  ``None`` (default) installs the no-op
-            ``NULL_TRACER``: spans cost one attribute read on the hot
-            path.
+            span per request, threaded engine → backend → worker
+            rounds.  ``None`` (default) traces nothing: no span is
+            constructed on any path.
 
     Example::
 
@@ -532,7 +504,7 @@ class Engine:
         backend: Backend | str | None = None,
         result_cache: bool = True,
         registry: MetricsRegistry | None = None,
-        tracer: Any = None,
+        tracer: Tracer | None = None,
     ) -> None:
         self.p = p
         self.result_cache = result_cache
@@ -543,14 +515,17 @@ class Engine:
         self._plans: dict[tuple, PreparedQuery] = {}
         # (name, edge, variables, aggregate|None) -> DistRelation
         self._dist_cache: dict[tuple, DistRelation] = {}
-        # Recording LRU: plan key -> recording, least recent first.
-        self._recordings: OrderedDict[tuple, _CachedResult] = OrderedDict()
+        # Recording LRU: plan key -> (recording, resident bytes), least
+        # recent first.  A recording is the cold ExecutionResult.
+        self._recordings: OrderedDict[tuple, tuple[ExecutionResult, int]] = (
+            OrderedDict()
+        )
         self._recording_bytes = 0
         self._stats = EngineStats(
             p=p, backend=self._cluster.backend.name, max_per_query=1024
         )
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         # EngineStats and the backend's wire/fault counters join the
         # registry as views (no storage migration — their locking stays
         # where it lives); every scrape shows the merged picture.
@@ -687,32 +662,46 @@ class Engine:
             return 256 + sum(map(sys.getsizeof, held))
         return 256
 
-    def _store_recording(self, key: tuple, recording: _CachedResult) -> None:
-        """Hold a recording under its plan-cache key, within the LRU bounds.
+    def _store_recording(
+        self, key: tuple, recording: ExecutionResult, nbytes: int
+    ) -> None:
+        """Hold a cold execution's result under its plan-cache key, within
+        the LRU bounds, servable until a relation it read changes.
 
-        The LRU budgets resident sizes (:meth:`_recording_nbytes`)
-        alongside an entry count, so a long serving session cannot grow
-        recording memory without limit.
+        The simulation is deterministic: re-running an unchanged plan over
+        unchanged registered relations reproduces the same outputs and the
+        same ledger bit for bit, so serving the recording *is* the
+        execution (the same argument by which a sorted run is billed from
+        its recorded counts).  :meth:`register` drops it with its entry.
+
+        A distributed result is held as a column-backed lazy
+        :class:`DistRelation` nobody reads rows from: every serve hands
+        out a *fresh* lazy relation over the same immutable blocks, so a
+        caller that materializes rows does so on its own copy, which dies
+        with the caller instead of pinning a row view (per-row tuples,
+        pure GC ballast) in the cache.  The LRU budgets ``nbytes``
+        (:meth:`_recording_nbytes`) alongside an entry count, so a long
+        serving session cannot grow recording memory without limit.
         """
         self._drop_recording(key)
         cap_e, cap_b = RESULT_CACHE_ENTRIES, RESULT_CACHE_BYTES
-        if cap_b is not None and recording.stored_bytes > cap_b:
+        if cap_b is not None and nbytes > cap_b:
             # The recording alone exceeds the byte budget: it is not
             # retained (every execution of this query re-drives) — and it
             # must not flush everyone else's recordings on its way out.
             return
-        self._recordings[key] = recording
-        self._recording_bytes += recording.stored_bytes
+        self._recordings[key] = (recording, nbytes)
+        self._recording_bytes += nbytes
         while (cap_e is not None and len(self._recordings) > cap_e) or (
             cap_b is not None and self._recording_bytes > cap_b
         ):
-            _key, victim = self._recordings.popitem(last=False)
-            self._recording_bytes -= victim.stored_bytes
+            _key, (_victim, victim_bytes) = self._recordings.popitem(last=False)
+            self._recording_bytes -= victim_bytes
 
     def _drop_recording(self, key: tuple) -> None:
         old = self._recordings.pop(key, None)
         if old is not None:
-            self._recording_bytes -= old.stored_bytes
+            self._recording_bytes -= old[1]
 
     # ------------------------------------------------------------------
     # Prepare: classify and cache; the decision is priced on first read
@@ -812,7 +801,7 @@ class Engine:
         return entry, False
 
     # ------------------------------------------------------------------
-    # Execute: serve the recording, or run the prepared plan cold
+    # Execute: one body per request, one record per request
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -832,171 +821,145 @@ class Engine:
                 so an expired deadline cancels the query *between
                 simulated communication rounds* and raises
                 :class:`~repro.errors.DeadlineExceeded`; partial ledger
-                state is discarded.
+                state is discarded.  A deadline of zero or less fails
+                the call before anything is served.
 
         Raises:
-            DeadlineExceeded: The deadline expired mid-execution.
-            Exception: Whatever else a cold execution raised (a
-                :class:`~repro.errors.FaultError` the backend could not
-                recover, an :class:`~repro.errors.MPCError` from a worker,
-                ...), unchanged, after recording the call as failed.  The
-                next call drives the backend again.
+            DeadlineExceeded: The deadline expired.
+            Exception: Whatever else the request raised (a parse or bind
+                error, a :class:`~repro.errors.FaultError` the backend
+                could not recover, an :class:`~repro.errors.MPCError`
+                from a worker, ...), unchanged, after recording the call
+                as failed.  The next call drives the backend again.
         """
-        if isinstance(query, PreparedQuery):
-            parsed, algorithm = query.parsed, query.key[2]
-        else:
-            parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
-        # Root of this execution's span tree; costs ~nothing when tracing
-        # is off (NULL_TRACER hands out the no-op NULL_SPAN singleton).
-        span = self.tracer.span("query", query=parsed.text, algorithm=algorithm)
-        try:
-            result = self._execute_traced(parsed, algorithm, deadline, span)
-        except Exception as exc:
-            span.end(error=f"{type(exc).__name__}: {exc}")
-            raise
-        if span.recording:
-            m = result.metrics
-            span.set(
-                path="cached" if m.result_cached else "cold",
-                wire_bytes=m.wire_bytes,
-                load=m.load,
-            )
-        span.end()
+        result = self._serve(query, algorithm, deadline)
+        if result.error is not None:
+            raise result.error
         return result
 
-    def _execute_traced(
+    def _serve(
         self,
-        parsed: ParsedQuery,
+        query: str | ParsedQuery | PreparedQuery,
         algorithm: str,
         deadline: float | None,
-        span: Any,
     ) -> ExecutionResult:
-        """The :meth:`execute` body under one root span.
-
-        ``span`` parents the ``cold_execute`` child span.  Past the
-        result cache the call gets its own :class:`~repro.obs.WireMeter`,
-        which travels into every backend round this query issues, so
-        ``wire_bytes`` is per-query by construction — deltas of the
-        backend's *shared* cumulative counters would double-count
-        concurrent submitters.
+        """Every request's one body: parse, bind, then serve the recording
+        or run cold.  Whatever the request raises is caught here and
+        recorded as ``failed``: the result carries the error.  Each path
+        ends in :meth:`_finish`, so a request is recorded exactly once.
         """
-        with self._lock:
-            entry, hit = self._resolve(parsed, algorithm)
-            call = _Call(entry=entry, hit=hit, t0=time.perf_counter(), span=span)
-            if deadline is not None and deadline <= 0:
-                exc = DeadlineExceeded(
-                    "deadline expired before execution began"
-                )
-                self._finish(call, "failed", error=exc)
-                raise exc
-            cached = self._recordings.get(entry.key) if self.result_cache else None
-            if cached is not None:
-                entry.uses += 1
+        if isinstance(query, PreparedQuery):
+            query, algorithm = query.parsed, query.key[2]
+        text = query.text if isinstance(query, ParsedQuery) else str(query)
+        call = _Call(
+            text, algorithm, time.perf_counter(),
+            None if self.tracer is None
+            else self.tracer.span("query", query=text, algorithm=algorithm),
+        )
+        try:
+            parsed = query if isinstance(query, ParsedQuery) else parse_query(query)
+            call.parsed = parsed
+            with self._lock:
+                entry, call.hit = self._resolve(parsed, algorithm)
+                call.entry = entry
+                if deadline is not None and deadline <= 0:
+                    raise DeadlineExceeded(
+                        "deadline expired before execution began"
+                    )
+                recorded = self.result_cache and self._recordings.get(entry.key)
+                if not recorded:
+                    return self._run_cold(call, deadline)
                 self._recordings.move_to_end(entry.key)
-                metrics = self._finish(
-                    call, "cached", cached.report, cached.out_size
-                )
+                entry.uses += 1
+                recording, _nbytes = recorded
                 return ExecutionResult(
                     prepared=entry,
-                    relation=_lazy_copy(cached.relation),
-                    scalar=cached.scalar,
-                    report=cached.report,
-                    metrics=metrics,
-                    meta=dict(cached.meta),
+                    relation=_lazy_copy(recording.relation),
+                    scalar=recording.scalar,
+                    report=recording.report,
+                    metrics=self._finish(
+                        call, "cached", recording.report, recording.output_size
+                    ),
+                    meta=dict(recording.meta),
                 )
-            if deadline is not None:
-                call.deadline_at = time.monotonic() + deadline
-            call.faults_before = self._fault_level()
-            call.requests_before = self._cluster.backend.requests
-            call.meter = WireMeter()
-            # Cold path: owns the serving cluster, so it runs under the
-            # engine lock end to end.
-            self._cluster.deadline = call.deadline_at
-            try:
-                return self._execute_on_cluster(call)
-            except Exception as exc:
-                # A deadline miss, a fault the backend could not recover,
-                # a worker's error: the partial ledger is discarded, the
-                # call is recorded failed, and the next call on the same
-                # data drives the backend afresh.
-                self._cluster.reset()
-                self._finish(call, "failed", error=exc)
-                raise
-            finally:
-                self._cluster.deadline = None
+        except Exception as exc:
+            report = LoadReport(
+                p=self.p, totals=(0,) * self.p, load=0,
+                max_step_load=0, steps=0, by_label={},
+            )
+            with self._lock:
+                metrics = self._finish(call, "failed", report, error=exc)
+            return ExecutionResult(
+                prepared=call.entry,
+                relation=None,
+                scalar=None,
+                report=report,
+                metrics=metrics,
+                error=exc,
+            )
 
-    def _execute_on_cluster(self, call: _Call) -> ExecutionResult:
-        """One cold execution on the warm serving cluster.
+    def _run_cold(self, call: _Call, deadline: float | None) -> ExecutionResult:
+        """One cold execution on the warm serving cluster, recorded.
 
-        The failure path lives in :meth:`_execute_traced`; this method
-        only runs, records the result, and reports.  Caller holds the
-        lock and has already armed ``self._cluster.deadline``.
+        Caller holds the lock: the cold path owns the serving cluster end
+        to end.  The call's own :class:`~repro.obs.WireMeter` and
+        ``cold_execute`` span ride on the cluster from *before* relation
+        distribution (dist-cache misses ship parts to the workers, and
+        those bytes belong to this query), so ``wire_bytes`` is per-query
+        by construction — deltas of the backend's *shared* cumulative
+        counters would double-count concurrent submitters.  If the run
+        raises, the partial ledger is discarded and the error propagates
+        to :meth:`_serve`, which records it.
         """
-        entry = call.entry
-        cspan = call.span.child("cold_execute", algorithm=entry.algorithm)
-        # Meter and span ride on the cluster from *before* relation
-        # distribution: dist-cache misses ship parts to the workers, and
-        # those bytes belong to this query.  Cleared in the finally no
-        # matter how the execution ends — the serving cluster is shared.
-        self._cluster.wire_meter = call.meter
-        self._cluster.obs_span = cspan if cspan.recording else None
+        entry, cluster = call.entry, self._cluster
+        call.faults_before = self._fault_level()
+        call.requests_before = cluster.backend.requests
         try:
-            with cspan:
+            call.meter = cluster.wire_meter = WireMeter()
+            cspan = cluster.obs_span = (
+                None if call.span is None
+                else call.span.child("cold_execute", algorithm=entry.algorithm)
+            )
+            if deadline is not None:
+                cluster.deadline = time.monotonic() + deadline
+            with cspan or nullcontext():
                 rels = self._dist_rels(entry, self._group, self._dist_cache)
-                self._cluster.reset()
+                cluster.reset()
                 relation, scalar, meta, out_size = _run_algorithm(
                     entry, self._group, rels
                 )
+        except Exception:
+            cluster.reset()
+            raise
         finally:
-            self._cluster.wire_meter = None
-            self._cluster.obs_span = None
-        report = self._cluster.snapshot()
+            # The serving cluster is shared: disarm it however the run ends.
+            cluster.deadline = cluster.wire_meter = cluster.obs_span = None
+        report = cluster.snapshot()
         entry.uses += 1
-        self._stamp_meta(meta, entry, call.meter.bytes)
-        # Record the execution in columnar form.  Every join algorithm
-        # emits column blocks, so the recording is a second lazy relation
-        # over the result's own blocks: nothing is encoded here, and the
-        # caller's row view stays on the caller's object.  (Aggregates
-        # return a ``Relation``, recorded as is.)  The recording backs
-        # the result cache (serve without executing) under the LRU.
-        stored = _lazy_copy(relation)
-        self._store_recording(
-            entry.key,
-            _CachedResult(
-                relation=stored,
-                scalar=scalar,
-                report=report,
-                meta=dict(meta),
-                out_size=out_size,
-                stored_bytes=self._recording_nbytes(stored),
-            ),
-        )
-        # The clock stops after the recording: sizing the result blocks
-        # is part of what a cold request costs its caller.
-        metrics = self._finish(call, "cold", report, out_size)
-        return ExecutionResult(
-            prepared=entry,
-            relation=relation,
-            scalar=scalar,
-            report=report,
-            metrics=metrics,
-            meta=meta,
-        )
-
-    def _stamp_meta(
-        self, meta: dict[str, Any], entry: PreparedQuery, wire_bytes: int
-    ) -> None:
-        """The serving facts every executed result's ``meta`` carries."""
         meta.update(
             algorithm=entry.algorithm,
             p=self.p,
             backend=self.backend_name,
             query_class=entry.query_class,
-            wire_bytes=wire_bytes,
+            wire_bytes=call.meter.bytes,
         )
+        # The recording is a second lazy relation over the result's own
+        # blocks: nothing is encoded, and the caller's row view stays on
+        # the caller's object.  (Aggregates return a ``Relation``,
+        # recorded as is.)  The clock stops after sizing it: that is part
+        # of what a cold request costs its caller.
+        stored = _lazy_copy(relation)
+        nbytes = self._recording_nbytes(stored)
+        metrics = self._finish(call, "cold", report, out_size)
+        self._store_recording(
+            entry.key,
+            ExecutionResult(entry, stored, scalar, report, metrics, dict(meta)),
+            nbytes,
+        )
+        return ExecutionResult(entry, relation, scalar, report, metrics, meta)
 
     # ------------------------------------------------------------------
-    # Reporting: every serving path records through _finish
+    # Reporting: every request records through _finish
     # ------------------------------------------------------------------
     def _fault_level(self) -> int:
         """Cumulative faults the backend has absorbed (deltas per query)."""
@@ -1007,32 +970,31 @@ class Engine:
         self,
         call: _Call,
         path: str,
-        report: LoadReport | None = None,
+        report: LoadReport,
         out_size: int = 0,
         error: Exception | None = None,
     ) -> QueryMetrics:
-        """Build and record one call's :class:`QueryMetrics`.
+        """Build, record and trace one request's :class:`QueryMetrics`.
 
-        Every serving path reports through here.  ``path`` is the
-        registry label — ``cold`` | ``cached`` | ``failed`` — and
-        decides which counters apply: only ``cold`` touched the warm
-        backend (wire bytes, request delta, faults absorbed on the way),
-        and a failure counts as a plan-cache miss (it served nothing
-        from the cache).
+        The only place a request is recorded: into the session's
+        :class:`EngineStats`, the registry
+        (``repro_queries_total``/``repro_query_seconds``, labelled
+        ``path``) and, when traced, the root ``query`` span, which ends
+        here with the same path, error, load and wire bytes.  ``path`` is
+        ``cold`` | ``cached`` | ``failed`` and decides which counters
+        apply: only ``cold`` touched the warm backend (wire bytes, request
+        delta, faults absorbed on the way), and a failure counts as a
+        plan-cache miss (it served nothing from the cache).  Caller holds
+        the lock.
         """
-        entry = call.entry
+        entry, parsed, span = call.entry, call.parsed, call.span
         failed = path == "failed"
         # Reading the decision prices it: a call that failed before its
         # execution read the decision reports the request instead.
-        if callable(entry._choice):
-            algorithm, quality = entry.key[2], None
+        if entry is None or callable(entry._choice):
+            algorithm, quality = call.algorithm, None
         else:
             algorithm, quality = entry.algorithm, entry.plan_quality
-        load = max_step_load = steps = 0
-        if report is not None:
-            load = report.load
-            max_step_load = report.max_step_load
-            steps = report.steps
         # Beyond what every path reports, a field keeps its dataclass
         # default unless the path touched it (a cached hit touches none).
         extra: dict[str, Any] = {}
@@ -1051,21 +1013,36 @@ class Engine:
                 deadline_exceeded=isinstance(error, DeadlineExceeded),
             )
         metrics = QueryMetrics(
-            text=entry.parsed.text,
-            kind=entry.kind,
+            text=call.text if parsed is None else parsed.text,
+            kind="?" if parsed is None else parsed.kind,
             algorithm=algorithm,
             cache_hit=call.hit and not failed,
             result_cached=path == "cached",
-            load=load,
-            max_step_load=max_step_load,
-            steps=steps,
+            load=report.load,
+            max_step_load=report.max_step_load,
+            steps=report.steps,
             out_size=out_size,
             wall_seconds=time.perf_counter() - call.t0,
             plan_quality=quality,
-            trace_id=call.span.trace_id,
+            trace_id=None if span is None else span.trace_id,
             **extra,
         )
-        self._record(metrics, path)
+        self._stats.record(metrics)
+        reg = self.registry
+        reg.counter(
+            "repro_queries_total",
+            help="Queries executed, by serving path.",
+            path=path,
+        ).inc()
+        reg.histogram(
+            "repro_query_seconds",
+            help="Query wall-clock seconds, by serving path.",
+            path=path,
+        ).observe(metrics.wall_seconds)
+        if span is not None:
+            if failed:
+                span.set(error=metrics.error)
+            span.end(path=path, wire_bytes=metrics.wire_bytes, load=metrics.load)
         return metrics
 
     # ------------------------------------------------------------------
@@ -1204,10 +1181,13 @@ class Engine:
         Returns:
             :class:`BatchReport` with per-query results and aggregated
             :class:`EngineStats` for just this batch.  Unlike a direct
-            :meth:`execute`, a failed query does not abort the batch:
+            :meth:`execute`, a query failing with a
+            :class:`~repro.errors.ReproError` does not abort the batch:
             its :class:`ExecutionResult` carries the error (``ok`` is
-            False, the report is empty) so one poisoned query cannot
-            take the whole submission down.
+            False, the report is empty) and the session's one record of
+            it as ``metrics``, so one poisoned query cannot take the
+            whole submission down.  Any other exception is recorded the
+            same way and then escapes.
         """
         if not queries:
             raise EngineError("empty batch")
@@ -1216,10 +1196,9 @@ class Engine:
         stats = EngineStats(p=self.p, backend=self.backend_name)
         for q in queries:
             remaining = cutoff - time.monotonic() if cutoff is not None else None
-            try:
-                res = self.execute(q, deadline=remaining)
-            except ReproError as exc:
-                res = self._failed_result(q, exc)
+            res = self._serve(q, "auto", remaining)
+            if res.error is not None and not isinstance(res.error, ReproError):
+                raise res.error
             results.append(res)
             stats.record(res.metrics)
         stats.prepares = sum(
@@ -1227,66 +1206,9 @@ class Engine:
         )
         return BatchReport(results=results, stats=stats)
 
-    def _failed_result(
-        self, query: str | ParsedQuery | PreparedQuery, exc: ReproError
-    ) -> ExecutionResult:
-        """An error embedded as a result (batch alignment; empty ledger)."""
-        if isinstance(query, PreparedQuery):
-            text = query.parsed.text
-        elif isinstance(query, ParsedQuery):
-            text = query.text
-        else:
-            text = str(query)
-        metrics = QueryMetrics(
-            text=text,
-            kind="?",
-            algorithm="?",
-            cache_hit=False,
-            result_cached=False,
-            load=0,
-            max_step_load=0,
-            steps=0,
-            out_size=0,
-            wall_seconds=0.0,
-            plan_quality=None,
-            failed=True,
-            error=f"{type(exc).__name__}: {exc}",
-            deadline_exceeded=isinstance(exc, DeadlineExceeded),
-        )
-        return ExecutionResult(
-            prepared=None,
-            relation=None,
-            scalar=None,
-            report=LoadReport(
-                p=self.p, totals=(0,) * self.p, load=0,
-                max_step_load=0, steps=0, by_label={},
-            ),
-            metrics=metrics,
-            error=exc,
-        )
-
     # ------------------------------------------------------------------
-    # Observability: registry recording, views, exposition
+    # Observability: registry views, exposition
     # ------------------------------------------------------------------
-    def _record(self, metrics: QueryMetrics, path: str) -> None:
-        """Record one execution into the session stats and the registry.
-
-        ``path`` labels the serving path that handled the query:
-        ``cold`` | ``cached`` | ``failed``.
-        """
-        self._stats.record(metrics)
-        reg = self.registry
-        reg.counter(
-            "repro_queries_total",
-            help="Queries executed, by serving path.",
-            path=path,
-        ).inc()
-        reg.histogram(
-            "repro_query_seconds",
-            help="Query wall-clock seconds, by serving path.",
-            path=path,
-        ).observe(metrics.wall_seconds)
-
     def _engine_view(self) -> dict[str, float]:
         """:class:`EngineStats` counters as registry gauges (a view —
         the stats object stays the storage)."""

@@ -78,11 +78,9 @@ class Backend(ABC):
                 cumulative ``wire_stats()`` counters are shared by all
                 concurrent callers and cannot be).  In-process backends
                 ship nothing and ignore it.
-            span: Optional :class:`~repro.obs.tracing.Span` (or the null
-                sentinel) under which a process-backed backend parents
-                its per-round/per-worker spans.  Backends must treat a
-                span with ``recording`` False — or ``None`` — as "emit
-                nothing".
+            span: Optional :class:`~repro.obs.tracing.Span` under which
+                a process-backed backend parents its per-round/per-worker
+                spans; ``None`` (untraced) means "emit nothing".
 
         Returns:
             Per op, the list of per-part results.

@@ -505,7 +505,7 @@ class MultiprocessBackend(Backend):
         Rounds are serialized under the backend's I/O lock, so one
         backend instance may be driven from several threads.
 
-        When ``span`` is a recording span, one ``backend.round`` child
+        When ``span`` is not ``None`` (traced), one ``backend.round`` child
         covers this whole call — lock wait, dispatch, recovery retries —
         with per-worker ``worker.round`` children beneath it (including
         fresh children for resubmission rounds after a respawn, which is
@@ -514,7 +514,7 @@ class MultiprocessBackend(Backend):
         :meth:`_blob_getter`).
         """
         rspan = None
-        if span is not None and getattr(span, "recording", False):
+        if span is not None:
             rspan = span.child(
                 "backend.round", backend=self.name, ops=len(ops),
             )
@@ -712,7 +712,7 @@ class MultiprocessBackend(Backend):
         """
         conns = self._conns
         assert conns is not None
-        tracing = span is not None and getattr(span, "recording", False)
+        tracing = span is not None
         ctx = (span.trace_id, span.span_id) if tracing else None
         wspans: dict[int, Any] = {}
         sent: list[int] = []

@@ -14,7 +14,7 @@ from repro.obs.metrics import (
     WireMeter,
     percentiles,
 )
-from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Span, SpanSink, Tracer
+from repro.obs.tracing import Span, SpanSink, Tracer
 
 __all__ = [
     "Counter",
@@ -27,6 +27,4 @@ __all__ = [
     "Span",
     "SpanSink",
     "Tracer",
-    "NULL_SPAN",
-    "NULL_TRACER",
 ]

@@ -26,10 +26,10 @@ produces a fresh ``worker.round`` child under the same ``backend.round``
 parent — trace continuity across chaos-injected deaths falls out of the
 parenting, not of any worker-side state.
 
-Disabled tracing is the default and must stay near-free: ``NULL_TRACER``
-returns the singleton ``NULL_SPAN`` whose every method is a no-op and
-whose ``recording`` flag is ``False`` — hot paths check ``span.recording``
-once and skip all attribute assembly.
+Untraced is ``None``, from the engine to the worker: an engine built
+without a tracer holds ``tracer = None`` and hands ``None`` wherever a
+span would go, so hot paths test ``span is None`` once and construct
+nothing.
 
 JSONL record schema (one object per line, validated by
 ``repro.obs.check``)::
@@ -49,7 +49,7 @@ import time
 from collections import deque
 from typing import Any
 
-__all__ = ["Span", "SpanSink", "Tracer", "NULL_SPAN", "NULL_TRACER"]
+__all__ = ["Span", "SpanSink", "Tracer"]
 
 #: The JSONL record fields, in emission order (schema contract).
 SPAN_FIELDS = ("trace", "span", "parent", "name", "ts", "dur", "attrs")
@@ -114,18 +114,14 @@ class SpanSink:
 class Span:
     """One timed operation.  End exactly once; usable as a context manager.
 
-    ``recording`` is the hot-path gate: code handed a span checks it
-    before assembling attributes, so the disabled sentinel costs one
-    attribute read.  ``ts`` is wall-clock (epoch) for cross-run
-    correlation; ``dur`` is measured with ``perf_counter`` for precision.
+    ``ts`` is wall-clock (epoch) for cross-run correlation; ``dur`` is
+    measured with ``perf_counter`` for precision.
     """
 
     __slots__ = (
         "_sink", "trace_id", "span_id", "parent_id", "name",
         "ts", "_t0", "attrs", "_ended",
     )
-
-    recording = True
 
     def __init__(
         self, sink: SpanSink, name: str, trace_id: str,
@@ -173,42 +169,6 @@ class Span:
         self.end()
 
 
-class _NullSpan:
-    """The disabled-tracing sentinel: every operation is a no-op.
-
-    A singleton (``NULL_SPAN``) so identity checks and ``recording``
-    reads are all a disabled hot path ever pays.  ``trace_id`` is None,
-    which keeps ``QueryMetrics.trace_id = span.trace_id`` uniform across
-    enabled/disabled engines.
-    """
-
-    __slots__ = ()
-
-    recording = False
-    trace_id = None
-    span_id = None
-    parent_id = None
-    name = ""
-    attrs: dict = {}
-
-    def child(self, name: str, **attrs: Any) -> "_NullSpan":
-        return self
-
-    def set(self, **attrs: Any) -> None:
-        pass
-
-    def end(self, **attrs: Any) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
-
 # Trace ids carry the coordinator pid so JSONL from concurrent processes
 # appended to one file can never collide.
 _TOKEN = f"{os.getpid():x}"
@@ -216,8 +176,6 @@ _TOKEN = f"{os.getpid():x}"
 
 class Tracer:
     """Mints root spans into one :class:`SpanSink`."""
-
-    enabled = True
 
     def __init__(self, sink: SpanSink | None = None) -> None:
         self.sink = sink if sink is not None else SpanSink()
@@ -230,22 +188,3 @@ class Tracer:
 
     def close(self) -> None:
         self.sink.close()
-
-
-class _NullTracer:
-    """Disabled tracer: hands out ``NULL_SPAN``, never allocates."""
-
-    enabled = False
-    sink = None
-
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-NULL_TRACER = _NullTracer()

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.core import planner
 from repro.core.line3 import is_line3
-from repro.core.runner import mpc_join, mpc_join_aggregate
+from repro.core.runner import ALGORITHMS, mpc_join, mpc_join_aggregate
 from repro.data.generators import (
     add_dangling,
     line_trap_instance,
@@ -16,14 +19,22 @@ from repro.data.generators import (
 from repro.data.relation import Relation
 from repro.engine import Engine, parse_query
 from repro.engine import session as session_module
-from repro.errors import DeadlineExceeded, EngineError, FaultError, MPCError
+from repro.errors import (
+    DeadlineExceeded,
+    EngineError,
+    FaultError,
+    MPCError,
+    ParseError,
+)
 from repro.mpc import Cluster
 from repro.mpc.backends import MultiprocessBackend, SerialBackend, get_backend
+from repro.obs import SpanSink, Tracer
 from repro.query import catalog
 from repro.ram import group_by_count, join_size
 from repro.ram.yannakakis import yannakakis as ram_yannakakis
 from repro.semiring import COUNT
 from tests.conftest import threaded_batch
+from tests.test_plan import _refuse_spans
 
 
 def _basic_engine(p: int = 4) -> Engine:
@@ -299,6 +310,130 @@ def test_a_non_fault_error_from_a_cold_execution_is_recorded_failed():
     stats = eng.stats()
     assert (stats.queries, stats.failures) == (1, 1)
     assert 'repro_queries_total{path="failed"} 1' in eng.metrics_text()
+
+
+# ----------------------------------------------------------------------
+# One record per request: every failure is recorded once, by _finish
+# ----------------------------------------------------------------------
+def _miss_mid_run(monkeypatch) -> None:
+    """A deadline that expires after the run's first ledger step."""
+    real = Cluster.check_deadline
+
+    def miss(self):
+        if self.deadline is not None and self._steps >= 1:
+            raise DeadlineExceeded("injected")
+        real(self)
+
+    monkeypatch.setattr(Cluster, "check_deadline", miss)
+
+
+def _pinned(eng: Engine, algorithm: str):
+    """A prepared statement for BINARY whose algorithm request is
+    ``algorithm`` (``prepare`` refuses an unknown one, a batch takes it)."""
+    entry = eng.prepare(BINARY)
+    return dataclasses.replace(entry, key=(*entry.key[:2], algorithm))
+
+
+#: kind -> (request builder, deadline, exception type, message).  The
+#: messages are the ones a direct ``execute`` raised before failures were
+#: recorded in one place; they must not change.
+FAILURES = {
+    "unparsable": (lambda eng: "Q(A :- R1(A", None, ParseError,
+                   "bad rule head 'Q(A'"),
+    "unknown-relation": (lambda eng: "Q(A,B) :- Nope(A,B)", None, EngineError,
+                         "no registered relation 'Nope'; registered: ['R1', 'R2']"),
+    "unknown-algorithm": (lambda eng: _pinned(eng, "quantum"), None, EngineError,
+                          f"unknown algorithm 'quantum'; pick from {ALGORITHMS}"),
+    "arity-mismatch": (lambda eng: "Q(A) :- R1(A)", None, EngineError,
+                       "atom R1(A) has arity 1 but relation 'R1' has columns "
+                       "('A', 'B')"),
+    "deadline-zero": (lambda eng: BINARY, 0, DeadlineExceeded,
+                      "deadline expired before execution began"),
+    "deadline-mid-run": (lambda eng: BINARY, 3600.0, DeadlineExceeded, "injected"),
+}
+
+
+def _binary_engine(**kwargs) -> Engine:
+    eng = Engine(p=4, backend="serial", **kwargs)
+    eng.register(Relation("R1", ("A", "B"), [(i, i % 5) for i in range(40)]))
+    eng.register(Relation("R2", ("B", "C"), [(i % 5, i % 7) for i in range(40)]))
+    return eng
+
+
+def _failed_count(eng: Engine) -> int:
+    found = re.search(
+        r'^repro_queries_total\{path="failed"\} (\d+)', eng.metrics_text(), re.M
+    )
+    return int(found.group(1)) if found else 0
+
+
+@pytest.mark.parametrize("kind", list(FAILURES))
+def test_a_failed_request_leaves_one_record(monkeypatch, kind):
+    """Whatever fails -- parse, bind, algorithm, deadline before or during
+    the run -- ``execute`` raises what it always raised, and the request
+    leaves one record: the session's ``per_query`` entry, one more
+    ``repro_queries_total{path="failed"}`` and one ``query`` span with
+    ``path="failed"`` and the error.  ``submit_batch`` embeds that same
+    record."""
+    build, deadline, exc_type, message = FAILURES[kind]
+    if kind == "deadline-mid-run":
+        _miss_mid_run(monkeypatch)
+    sink = SpanSink()
+    eng = _binary_engine(tracer=Tracer(sink))
+    request = build(eng)
+
+    with pytest.raises(exc_type) as info:
+        eng.execute(request, deadline=deadline)
+    assert str(info.value) == message
+    record = eng.stats().per_query[-1]
+    assert (eng.stats().queries, eng.stats().failures) == (1, 1)
+    assert record.failed and record.error == f"{exc_type.__name__}: {message}"
+    assert record.deadline_exceeded == (exc_type is DeadlineExceeded)
+    assert (record.load, record.steps, record.wire_bytes) == (0, 0, 0)
+    assert _failed_count(eng) == 1
+    roots = [r for r in sink.records() if r["name"] == "query"]
+    assert len(roots) == 1 and roots[0]["trace"] == record.trace_id
+    assert roots[0]["attrs"]["path"] == "failed"
+    assert roots[0]["attrs"]["error"] == record.error
+
+    report = eng.submit_batch([request], budget=deadline)
+    (res,) = report.results
+    assert not res.ok and type(res.error) is exc_type
+    assert res.metrics is eng.stats().per_query[-1]
+    assert res.metrics.error == record.error
+    assert res.metrics.text == record.text and res.metrics.kind == record.kind
+    assert res.metrics.algorithm == record.algorithm
+    assert eng.stats().queries == 2 and _failed_count(eng) == 2
+    assert len([r for r in sink.records() if r["name"] == "query"]) == 2
+
+    # Untraced, the same failures construct no span.
+    _refuse_spans(monkeypatch)
+    if kind == "deadline-mid-run":
+        _miss_mid_run(monkeypatch)
+    plain = _binary_engine()
+    request = build(plain)
+    with pytest.raises(exc_type):
+        plain.execute(request, deadline=deadline)
+    assert not plain.submit_batch([request], budget=deadline).results[0].ok
+    assert plain.stats().failures == 2 and _failed_count(plain) == 2
+
+
+def test_a_non_repro_error_escapes_the_batch_once_recorded(monkeypatch):
+    """A cold run that raises something other than a ``ReproError`` (a
+    bug, not a query's failure) is recorded failed and escapes
+    ``submit_batch``; the batch does not swallow it."""
+
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(session_module, "run_join_algorithm", broken)
+    eng = _basic_engine()
+    with pytest.raises(ValueError, match="boom"):
+        eng.submit_batch([BINARY, LINE3])
+    stats = eng.stats()
+    assert (stats.queries, stats.failures) == (1, 1)
+    assert stats.per_query[-1].error == "ValueError: boom"
+    assert _failed_count(eng) == 1
 
 
 def _count_pricing(monkeypatch) -> list:
@@ -746,10 +881,10 @@ def test_aggregate_recording_is_charged_as_the_rows_it_holds():
 
     eng = _basic_engine()
     res = eng.execute("Q(B; count) :- R1(A,B), R2(B,C)")
-    recording = eng._recordings[res.prepared.key]
+    recording, stored_bytes = eng._recordings[res.prepared.key]
     rel = recording.relation
     assert isinstance(rel, Relation) and len(rel) == 5
     assert rel._cols is None
-    assert recording.stored_bytes >= sys.getsizeof(rel.rows) + sum(
+    assert stored_bytes >= sys.getsizeof(rel.rows) + sum(
         map(sys.getsizeof, rel.rows)
     )

@@ -3,7 +3,8 @@
 The observability contract under test is DESIGN.md section 9: telemetry
 is a read-only side channel.  It never touches the LoadReport ledger
 (parity is asserted wherever traced and untraced runs are compared), it
-is near-free when disabled (``NULL_SPAN``), and span
+constructs no span when disabled (an untraced engine's tracer is
+``None``), and span
 trees stay well-formed across every backend — including chaos-injected
 worker deaths, where a respawned worker's retry round appears as a fresh
 ``worker.round`` child under the same ``backend.round`` parent.
@@ -20,12 +21,11 @@ from repro.cli import main as cli_main
 from repro.data.generators import random_instance
 from repro.data.relation import Relation
 from repro.engine import Engine
+from repro.errors import EngineError
 from repro.mpc.backends import FaultInjectingBackend, MultiprocessBackend
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
-    NULL_SPAN,
-    NULL_TRACER,
     SpanSink,
     Tracer,
     WireMeter,
@@ -34,7 +34,7 @@ from repro.obs import (
 from repro.obs.check import validate_prometheus_text, validate_trace_lines
 from repro.query import catalog
 from tests.conftest import threaded_batch
-from tests.test_plan import _top_level_units
+from tests.test_plan import _refuse_spans, _top_level_units
 
 BINARY = "Q(A,B,C) :- R1(A,B), R2(B,C)"
 LINE3 = "Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)"
@@ -166,17 +166,21 @@ class TestPercentiles:
 # ----------------------------------------------------------------------
 
 class TestTracing:
-    def test_null_tracer_is_a_recording_free_singleton(self):
-        span = NULL_TRACER.span("query", q="x")
-        assert span is NULL_SPAN
-        assert span.recording is False
-        assert span.trace_id is None
-        assert span.child("inner", a=1) is span
-        span.set(a=1)
-        span.end()
-        with span:
-            pass
-        assert span.attrs == {}
+    def test_untraced_engine_constructs_no_span(self, monkeypatch):
+        """Untraced is ``None``: an engine built without a tracer keeps
+        ``None`` and constructs no span on a cold run, a cached hit, a
+        failed request or a batch."""
+        _refuse_spans(monkeypatch)
+        eng = _engine("serial", _binary_relations())
+        eng.result_cache = True
+        assert eng.tracer is None
+        cold = eng.execute(BINARY)
+        assert eng.execute(BINARY).metrics.result_cached
+        assert cold.metrics.trace_id is None
+        with pytest.raises(EngineError):
+            eng.execute("Q(A,B) :- Nope(A,B)")
+        report = eng.submit_batch([BINARY, "Q(A :- R1(A"])
+        assert [r.ok for r in report.results] == [True, False]
 
     def test_span_tree_emits_schema_valid_jsonl(self, tmp_path):
         path = tmp_path / "trace.jsonl"

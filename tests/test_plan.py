@@ -312,7 +312,7 @@ class TestRecordingLRU:
         for text in queries:
             res = eng.execute(text)
             assert res.output_size > 1000
-            recording = eng._recordings[res.prepared.key]
+            recording, stored_bytes = eng._recordings[res.prepared.key]
             arrays, dictionaries = {}, {}
             for block in recording.relation.column_parts:
                 for col in block.columns:
@@ -322,7 +322,7 @@ class TestRecordingLRU:
                         map(sys.getsizeof, col.dictionary or ())
                     )
             resident = sum(arrays.values()) + sum(dictionaries.values())
-            assert resident <= recording.stored_bytes <= 1.25 * resident, text
+            assert resident <= stored_bytes <= 1.25 * resident, text
 
     def test_unbounded_when_none(self, monkeypatch):
         monkeypatch.setattr(session, "RESULT_CACHE_ENTRIES", None)
