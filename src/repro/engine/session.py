@@ -981,11 +981,11 @@ class Engine:
         (``repro_queries_total``/``repro_query_seconds``, labelled
         ``path``) and, when traced, the root ``query`` span, which ends
         here with the same path, error, load and wire bytes.  ``path`` is
-        ``cold`` | ``cached`` | ``failed`` and decides which counters
-        apply: only ``cold`` touched the warm backend (wire bytes, request
-        delta, faults absorbed on the way), and a failure counts as a
-        plan-cache miss (it served nothing from the cache).  Caller holds
-        the lock.
+        ``cold`` | ``cached`` | ``failed``, and a failure counts as a
+        plan-cache miss (it served nothing from the cache).  Only a call
+        that reached the warm backend (a cold run, or a failed one that
+        got that far: its meter is armed) reports wire bytes, the request
+        delta and the faults absorbed on the way.  Caller holds the lock.
         """
         entry, parsed, span = call.entry, call.parsed, call.span
         failed = path == "failed"
@@ -998,7 +998,7 @@ class Engine:
         # Beyond what every path reports, a field keeps its dataclass
         # default unless the path touched it (a cached hit touches none).
         extra: dict[str, Any] = {}
-        if path == "cold":
+        if call.meter is not None:
             extra.update(
                 wire_bytes=call.meter.bytes,
                 backend_requests=(
@@ -1006,7 +1006,7 @@ class Engine:
                 ),
                 fault_events=self._fault_level() - call.faults_before,
             )
-        elif failed:
+        if failed:
             extra.update(
                 failed=True,
                 error=f"{type(error).__name__}: {error}",

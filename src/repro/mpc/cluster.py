@@ -164,6 +164,11 @@ class Cluster:
         self._step_max: int = 0
         self._steps: int = 0
         self._by_label: dict[str, int] = {}
+        #: This epoch's sample gathers: the coordinator each ``(members,
+        #: label)`` pass took, and the global ids already holding one
+        #: (:func:`~repro.mpc.substrate.charge_pass`).
+        self._gathers: dict[tuple, int] = {}
+        self._gathered: set[int] = set()
 
     # ------------------------------------------------------------------
     def tally_members(
@@ -231,12 +236,15 @@ class Cluster:
 
     def reset(self) -> None:
         """Clear the ledger and start a new epoch: the next execution pays
-        for its own sorts (data placement is unaffected)."""
+        for its own sorts and places its own sample gathers (data placement
+        is unaffected)."""
         self.epoch = next(_EPOCHS)
         self._totals = [0] * self.p
         self._step_max = 0
         self._steps = 0
         self._by_label.clear()
+        self._gathers.clear()
+        self._gathered.clear()
 
     # ------------------------------------------------------------------
     def root_group(self):

@@ -150,7 +150,10 @@ def coordinator_for(group: Group, label: str) -> int:
     boundary-stitching traffic evenly instead of hot-spotting one server —
     the simulation analogue of the aggregation trees of [14, 18].  Labels
     repeat across primitive calls, so the choice is memoized (bounded:
-    recursive algorithms mint depth-specific labels).
+    recursive algorithms mint depth-specific labels).  A PSRS sample
+    gather, up to ``n / p + p`` units rather than ``O(p)``, starts here
+    and moves on to a server no other gather of its execution holds
+    (:func:`charge_pass`).
     """
     return _coordinator(group.size, label)
 
@@ -190,21 +193,32 @@ def sample_count(n: int, p: int) -> int:
     return min(p, -(-n // p))
 
 
-def sample_indices(n: int, p: int) -> list[int]:
-    """The ``s =`` :func:`sample_count` evenly spaced sample positions of a
-    sorted part of ``n`` items: one sample per ``g = ceil(n / s)`` items.
+def sample_indices(n: int, p: int, src: int) -> list[int]:
+    """The ``s =`` :func:`sample_count` regularly spaced sample positions of
+    source ``src``'s sorted part of ``n`` items, staggered by source:
+    ``((k * p + src) * n) // (s * p)`` for ``k < s``.
+
+    Every source samples one item per ``g = n / s`` items, source ``src``
+    offset by ``src / p`` of a gap (source 0 at ``k * n / s``).  Unstaggered,
+    every source would sample the same local quantiles, the gathered samples
+    would form ``s`` clusters of ``p`` near-equal keys, and splitters would
+    fall inside clusters: on seeded draws of uniform random keys the
+    largest range averaged 2.70x the mean at ``p = 16`` with 75 items per
+    source.  Staggered, the union of samples on equal parts of one
+    distribution sits at ``p * s`` evenly spaced quantiles (1.58x on the
+    same draws).
 
     Samples in proportion to data: the gather of ``S`` samples is at most
-    ``n_total / p + p`` units, never more than the data share it balances,
-    and a sample stands for the same number of items on every source.  With
-    per-source spacings ``g_i`` and ``q = min(p, S)`` ranges
-    (:func:`pick_splitters`), a range holds at most ``ceil(S / q) + 1``
-    sample gaps plus one partial gap per source, so no partition exceeds
+    ``n_total / p + p`` units, never more than the data share it balances.
+    The stagger moves no sample out of its own gap, so with per-source
+    spacings ``g_i`` and ``q = min(p, S)`` ranges (:func:`pick_splitters`),
+    a range still holds at most ``ceil(S / q) + 1`` sample gaps plus one
+    partial gap per source, and no partition exceeds
     ``(ceil(S / q) + 1) * max(g_i) + sum(g_i)`` items — for even parts
     ``n/p + max(n/p, p^2)``, times at most ``1 + 1/2p``, plus ``O(p)``.
     """
     s = sample_count(n, p)
-    return [(k * n) // s for k in range(s)]
+    return [((k * p + src) * n) // (s * p) for k in range(s)]
 
 
 def pick_splitters(flat: Sequence, p: int) -> list:
@@ -306,14 +320,15 @@ def _arrange(sizes: Sequence[int], ranks: np.ndarray) -> Arrangement:
     if p == 1:
         return Arrangement(order, ranks[order], srcs, starts, [0, n], [], None)
 
-    # Regular sampling: evenly spaced pivots of each source's sorted items
-    # (a stable sort of the source ids along the global order lists them),
-    # each counted as one unit of communication at the coordinator.
+    # Regular sampling, staggered by source: regularly spaced pivots of each
+    # source's sorted items (a stable sort of the source ids along the
+    # global order lists them), each counted as one unit of communication
+    # at the coordinator.
     by_src = np.argsort(srcs, kind="stable")
     picks: list[int] = []
     sample_sizes = []
     for s, n_s in enumerate(sizes):
-        idxs = sample_indices(n_s, p)
+        idxs = sample_indices(n_s, p, s)
         picks += [offsets[s] + i for i in idxs]
         sample_sizes.append(len(idxs))
     # Positions in the global order sort the samples by (key, uid).
@@ -362,9 +377,41 @@ def psrs(
     return arr.parts(flat), arr.splitters(flat), arr.charges
 
 
+def _gather_coordinator(group: Group, label: str) -> int:
+    """The server that gathers pass ``label``'s samples in this epoch.
+
+    The first charge of ``label`` in a ledger epoch takes
+    :func:`coordinator_for`, or, if an earlier gather of the epoch already
+    sits on that server (by global id; a family's first member stands for
+    it), the next free member of ``group``, cyclically; once every member
+    holds one, the members start over.  A label charged again in the epoch
+    keeps its server.  No load is read.
+    """
+    cluster = group.cluster
+    key = (group.members, label)
+    coord = cluster._gathers.get(key)
+    if coord is None:
+        ids = group.members[0]
+        taken = cluster._gathered
+        if taken.issuperset(ids):
+            taken.difference_update(ids)
+        coord = coordinator_for(group, label)
+        while ids[coord] in taken:
+            coord = (coord + 1) % group.size
+        taken.add(ids[coord])
+        cluster._gathers[key] = coord
+    return coord
+
+
 def charge_pass(group: Group, label: str, arr: Arrangement) -> None:
     """Post one PSRS pass's three steps — sample gather, splitter
     broadcast, shuffle — to the ledger by their per-server counts.
+
+    The gather goes to one server per pass and execution
+    (:func:`_gather_coordinator`): two passes of one execution share a
+    gathering server only once every member of the group holds one, so
+    the ``n / p + p``-unit gathers of one query do not stack on the server
+    a label hash happens to pick twice.
 
     Delivery is not a backend's to vary: :meth:`Group.exchange` delivers
     in process and only its counts reach :meth:`Cluster.tally_members`,
@@ -376,7 +423,7 @@ def charge_pass(group: Group, label: str, arr: Arrangement) -> None:
     if arr.charges is None:
         return
     sample_sizes, received = arr.charges
-    coord = coordinator_for(group, label)
+    coord = _gather_coordinator(group, label)
     counts = [0] * group.size
     counts[coord] = sum(sample_sizes) - sample_sizes[coord]
     group.cluster.tally_members(group.members, counts, f"{label}/sample")

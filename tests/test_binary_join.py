@@ -207,12 +207,21 @@ class TestOneSort:
         assert twice.steps == 2 * once.steps and twice.total == 2 * once.total
 
 
+#: Mid-domain names for the spanning light key, middle first: ``"l4~"``
+#: sorts after every ``l4…`` key and before ``"l5"``.
+_MID_KEYS = ["l4~", "l5~", "l3~", "l6~", "l2~", "l7~", "l1~", "l8~"]
+
+
 @st.composite
 def zipf_instance(draw, p):
     """``R1(A,B) ⋈ R2(B,C)``: a few Zipf-skewed heavy keys on both sides,
-    single-row light keys, and one light key ``"L"`` on up to ``2 IN / p``
-    rows.
-    Returns the instance and ``"L"``."""
+    single-row light keys, and one light key on up to ``2 IN / p`` rows.
+
+    At that budget the key's rows fill about two ranges of the balanced
+    sort, so whether they span three depends on where its run starts.
+    The key is named to sort mid-domain among the light keys, at the
+    first of :data:`_MID_KEYS` whose run spans at least three servers.
+    Returns the instance and the key."""
     skew = draw(st.floats(0.8, 1.6))
     heavy = draw(st.integers(2, 4))
     top1, top2 = draw(st.integers(40, 90)), draw(st.integers(40, 90))
@@ -221,25 +230,29 @@ def zipf_instance(draw, p):
     n_light = draw(st.integers(8 * p, 24 * p))
     keys1 += [f"l{i}" for i in range(n_light)]
     keys2 += [f"l{i}" for i in range(0, n_light, 2)]
-    # c1 + c2 <= 2 IN / p, IN counting "L"'s own rows: the input budget.
+    # c1 + c2 <= 2 IN / p, IN counting the key's own rows: the input budget.
     base = len(keys1) + len(keys2)
     c1 = 2 * base // (p - 2) - 1
-    keys1 += ["L"] * c1
-    keys2 += ["L"]
+    keys1 += [None] * c1
+    keys2 += [None]
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     rng.shuffle(keys1)
     rng.shuffle(keys2)
-    rows1 = [(i, k) for i, k in enumerate(keys1)]
-    rows2 = [(k, i) for i, k in enumerate(keys2)]
-    inst = Instance(catalog.binary_join(), {
-        "R1": Relation("R1", ("A", "B"), rows1),
-        "R2": Relation("R2", ("B", "C"), rows2),
-    })
-    # "L" stays light on both budgets: rows and output.
+    for light_key in _MID_KEYS:
+        rows1 = [(i, light_key if k is None else k) for i, k in enumerate(keys1)]
+        rows2 = [(light_key if k is None else k, i) for i, k in enumerate(keys2)]
+        inst = Instance(catalog.binary_join(), {
+            "R1": Relation("R1", ("A", "B"), rows1),
+            "R2": Relation("R2", ("B", "C"), rows2),
+        })
+        g = Cluster(p).root_group()
+        if len(servers_holding(g, distribute_instance(inst, g), light_key)) >= 3:
+            break
+    # The key stays light on both budgets: rows and output.
     n_in = len(rows1) + len(rows2)
     out = len(oracle_rows(inst))
     assert c1 + 1 <= 2 * n_in / p and c1 <= out / p
-    return inst, "L"
+    return inst, light_key
 
 
 def servers_holding(group, rels, key):

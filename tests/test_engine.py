@@ -418,6 +418,33 @@ def test_a_failed_request_leaves_one_record(monkeypatch, kind):
     assert plain.stats().failures == 2 and _failed_count(plain) == 2
 
 
+def test_a_failed_cold_run_reports_what_it_shipped(monkeypatch):
+    """A cold run that fails mid-execution on a pool still reports the
+    bytes its meter counted and the backend requests it made."""
+    backend = MultiprocessBackend(workers=1)
+    try:
+        eng = Engine(p=4, backend=backend)
+        eng.register(Relation("R1", ("A", "B"), [(i, i % 5) for i in range(40)]))
+        eng.register(Relation("R2", ("B", "C"), [(i % 5, i % 7) for i in range(40)]))
+        shipped = backend.wire_stats()["bytes_shipped"]
+        requests = backend.requests
+
+        def miss(self):  # once the pool has served the run a round
+            if self.deadline is not None and backend.requests > requests:
+                raise DeadlineExceeded("injected")
+
+        monkeypatch.setattr(Cluster, "check_deadline", miss)
+        with pytest.raises(DeadlineExceeded, match="injected"):
+            eng.execute(BINARY, deadline=3600.0)
+        record = eng.stats().per_query[-1]
+        assert record.failed and record.wire_bytes > 0
+        assert record.wire_bytes == backend.wire_stats()["bytes_shipped"] - shipped
+        assert record.backend_requests == backend.requests - requests > 0
+        assert eng.stats().total_wire_bytes == record.wire_bytes
+    finally:
+        backend.close()
+
+
 def test_a_non_repro_error_escapes_the_batch_once_recorded(monkeypatch):
     """A cold run that raises something other than a ``ReproError`` (a
     bug, not a query's failure) is recorded failed and escapes

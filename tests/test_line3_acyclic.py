@@ -211,7 +211,7 @@ class TestEmissionOrder:
     CASES = {
         "line3/random": (lambda: add_dangling(
             random_instance(catalog.line3(), 80, 40, seed=3), 160, seed=5),
-            line3_join, 8, "92d67665f5024456"),
+            line3_join, 8, "2258cd6dbbf05c46"),
         "line3/hard": (lambda: line3_random_hard(72, 576, seed=1), line3_join, 16,
                        "41e99405a664568c"),
         "line3/trap": (lambda: yannakakis_trap_doubled(72, 288), line3_join, 16,

@@ -35,7 +35,7 @@ def oracle_pass(cluster, keys, label):
     if p == 1:
         return [[uid for _ok, uid in local[0]]], []
     coord = coordinator_for(group, label)
-    samples = [[d[i] for i in sample_indices(len(d), p)] if d else [] for d in local]
+    samples = [[d[i] for i in sample_indices(len(d), p, s)] for s, d in enumerate(local)]
     flat = sorted(group.gather(samples, f"{label}/sample", dst=coord))
     splitters = pick_splitters(flat, p)
     group.broadcast(splitters, f"{label}/splitters", src=coord)

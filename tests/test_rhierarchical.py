@@ -149,9 +149,9 @@ class TestEmissionOrder:
         "q2": (lambda: random_instance(
             catalog.q2_r_hierarchical(), 80,
             {"x1": 27, "x2": 800, "x3": 6, "x4": 800, "x5": 6}, seed=11), 8,
-            "eab17d92559ba028"),
+            "ce8b7d8e2a6bbf3c"),
         "matching": (lambda: matching_instance(catalog.star_join(3), 60), 8,
-                     "6eb7d1187b0ebaa8"),
+                     "d3ae97f22c729133"),
         "extremal": (lambda: rhier_extremal(catalog.star_join(3), 24, 432), 16,
                      "bd47b859cfb01890"),
     }

@@ -29,6 +29,7 @@ from repro.mpc.primitives import (
     semi_join,
 )
 from repro.mpc.substrate import (
+    coordinator_for,
     projected_keys,
     psrs,
     rank_keys,
@@ -277,6 +278,61 @@ class TestSampleAndRangeRules:
         parts, splitters, _ = psrs(cl.root_group(), [[2], [1]] + [[]] * 14, "t")
         assert [ks for ks, _s, _j in parts[:3]] == [[1], [2], []]
         assert len(splitters) == 1 and cl.snapshot().total <= 2 + 15 + 2
+
+
+class TestStaggeredSampling:
+    """Each source samples its own offset into the gaps, so the gathered
+    samples sit at evenly spaced quantiles, not in clusters of ``p``."""
+
+    @pytest.mark.parametrize("p, per_source, bound", [(16, 75, 1.7), (8, 50, 1.3)])
+    def test_largest_range_stays_near_the_mean(self, p, per_source, bound):
+        """Mean over seeded draws of largest range / mean range.  With every
+        source sampling the same local positions it read 2.70 and 1.56."""
+        ratios = []
+        for seed in range(200):
+            rng = random.Random(seed)
+            keys = [[rng.random() for _ in range(per_source)] for _ in range(p)]
+            parts, _spl, _charges = psrs(Cluster(p).root_group(), keys, "t")
+            ratios.append(max(len(ks) for ks, _s, _j in parts) / per_source)
+        assert sum(ratios) / len(ratios) <= bound
+
+
+def gatherer(cl, g, label):
+    """The global id of the server that gathered pass ``label``'s samples."""
+    keys = [[(s * 7 + j) % 97 for j in range(40)] for s in range(g.size)]
+    _out, posts = charges_of(cl, lambda: psrs(g, keys, label))
+    (counts,) = [c for lab, _m, c in posts if lab == f"{label}/sample"]
+    (coord,) = [i for i, c in enumerate(counts) if c]
+    return g.members[0][coord]
+
+
+class TestOneGatherPerServer:
+    """Within one execution (ledger epoch) the sample gathers of distinct
+    passes sit on distinct servers until every member holds one."""
+
+    def test_distinct_until_every_server_holds_one(self):
+        p = 8
+        cl = Cluster(p)
+        g = cl.root_group()
+        labels = [f"pass{i}" for i in range(3 * p)]
+        assert len({coordinator_for(g, lab) for lab in labels[:p]}) < p
+        first = [gatherer(cl, g, lab) for lab in labels]
+        for k in range(3):
+            assert sorted(first[k * p:(k + 1) * p]) == list(range(p))
+        # A label charged again in the epoch keeps its server.
+        assert [gatherer(cl, g, lab) for lab in labels] == first
+        # The next epoch starts over from the label hash.
+        cl.reset()
+        assert gatherer(cl, g, labels[5]) == coordinator_for(g, labels[5])
+
+    def test_servers_are_taken_by_global_id(self):
+        cl = Cluster(4)
+        root = cl.root_group()
+        sub = root.subgroup([2, 3])
+        on_2 = next(lab for lab in map(str, range(100)) if coordinator_for(root, lab) == 2)
+        on_sub_0 = next(lab for lab in map(str, range(100)) if coordinator_for(sub, lab) == 0)
+        assert gatherer(cl, root, on_2) == 2
+        assert gatherer(cl, sub, on_sub_0) == 3
 
 
 # Hypothesis value pools: homogeneous and heterogeneous columns.
