@@ -9,8 +9,10 @@ subroutine everywhere (Sections 1.3, 4, 5).  Strategy:
 2. A key is *light* if it fits one server's budget
    (``d1+d2 <= IN/p`` and ``OUT_v <= OUT/p``): light keys are grouped with
    parallel-packing so each server receives O(IN/p) input and produces
-   O(OUT/p) output.  A key's group id lands on the first server of its
-   span, beside its tuples; one carry tells the servers after it.
+   O(OUT/p) output.  A key's group id and the group's server land on the
+   first server of the key's span, beside its tuples; one carry tells the
+   servers after it.  A group packed on one server stays on it while that
+   server holds O(1) groups, so most light tuples do not move again.
 3. A *heavy* key gets its own rectangle of ``a x b`` servers with
    ``a*b ~ p * OUT_v / OUT``: its R1 tuples split into ``a`` balanced chunks
    (multi-numbering on the same arrangement), its R2 tuples into ``b``,
@@ -131,8 +133,8 @@ def binary_join(
 
     from repro.mpc.packing import parallel_packing
 
-    # Each light key's group id lands on its first server, beside the
-    # key's lowest-uid item.
+    # Each light key's (group id, server) lands on its first server,
+    # beside the key's lowest-uid item.
     assignments, _n_groups = parallel_packing(group, light_parts, f"{label}/pack")
 
     # Heavy rectangles: key -> (start, a, b); start indexes a virtual server
@@ -151,7 +153,7 @@ def binary_join(
 
     # --- Step 3: route tuples to cells. ----------------------------------
     # Light: a key spanning servers is the last one its first server owns;
-    # the servers after it learn its group id from one carry.
+    # the servers after it learn its group id and server from one carry.
     tables = [dict(part) for part in assignments]
     carried = carry_left(
         group,
@@ -174,9 +176,10 @@ def binary_join(
     for (lo, hi), table in zip(arr.slices(), tables):
         box: list[tuple[int, Any]] = []
         for f, side, k, num in zip(order[lo:hi], side_of[lo:hi], krs[lo:hi], nums[lo:hi]):
-            gid = table.get(k)
-            if gid is not None:
-                box.append((gid % p, (("L", gid), side + 1, rows[f])))
+            placed = table.get(k)
+            if placed is not None:
+                gid, dest = placed
+                box.append((dest, (("L", gid), side + 1, rows[f])))
             elif num:
                 start, a, b = heavy_desc[k]
                 if side:

@@ -40,6 +40,9 @@ shuffle (:func:`repro.mpc.substrate.charge_pass`), each boundary trip
 trips and its shuffle with the heavy-key rectangles.  Only *where* rows
 land is not modelled: a pass moves ``(p-1)/p`` of the rows that are not
 already range-partitioned on its key, and every part holds ``n/p`` rows.
+A semi-join's survivors and a binary join's result are taken to sit on
+ranges of their key (the join's light groups stay where its sort put
+them), so a later pass on that key moves only as far as the ranges drift.
 A total is a sum of message sizes, so it follows from counts; the
 per-server maximum would need placements, and the least total is not
 always the least load (DESIGN.md §5, "Why a total").
@@ -630,7 +633,7 @@ class _Pricer:
         U.trip(2)  # degree stitch, OUT sum
         prod = d1 * d2
         out = prod.sum()
-        joined = _Rel({**r1.nodes, **r2.nodes})
+        joined = _Rel({**r1.nodes, **r2.nodes}, (key, both_sides))
         if out == 0:
             return joined
         l_in, l_out = budgets(n1 + n2, out, p)
@@ -638,14 +641,15 @@ class _Pricer:
         weight = key_weight(d1, d2, l_in, l_out)
         heavy = both & (weight > 1.0)
         light = both & ~heavy
-        # Light groups are numbered in key order, about one per server
-        # while no key fills half a group: a side already on ranges of
-        # this key, balanced like the union, then mostly finds its group
-        # on its own server.
-        local = not (light & (weight >= 0.5)).any()
+        # Light groups stay on the server the one sort put their rows on
+        # (parallel_packing's placement): a base relation's light rows are
+        # priced as the share that sort moves them, a proxy for the
+        # overflow and leftover groups the pricer does not place.  An
+        # intermediate's keys carry output weight, so its servers overflow
+        # their group cap: its light rows are priced as a full move.
         routed = sum(
             float(d[light].sum())
-            * (self.share(U, rel.arranged, key, both_sides) if local else 1.0)
+            * (self.share(U, rel.arranged, key, both_sides) if len(rel.nodes) == 1 else 1.0)
             for rel, d in ((r1, d1), (r2, d2))
         )
         for c1, c2 in zip(d1[heavy].tolist(), d2[heavy].tolist()):

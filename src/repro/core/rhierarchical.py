@@ -176,7 +176,10 @@ def _case_tree(
         light_parts.append(lp)
         heavy_parts.append(hp)
 
-    assignments, _ = parallel_packing(group, light_parts, f"{label}/d{depth}/pack")
+    # Its rows are not arranged on ``x``, so a group's packing server
+    # means nothing to them: light groups go to ``gid % g``.
+    packed, _ = parallel_packing(group, light_parts, f"{label}/d{depth}/pack")
+    assignments = [[(a, gid) for a, (gid, _dest) in part] for part in packed]
 
     # Heavy values: subset join sizes per value via COUNT GROUP BY x.
     coord = coordinator_for(group, f"{label}/d{depth}")

@@ -63,10 +63,19 @@ HELD_OUT = (
 )
 #: Held-out cases where the pick moves more than 5 % above the least
 #: measured load, with that ratio: the pricer's known misses.  Pinned, so
-#: that a pricer change which mends or worsens one shows here.  None at
-#: present: ``grid/line3/trap/line3`` (1.154x) picks the least since the
-#: binary join sorts once.
-KNOWN_MISSES: dict[str, float] = {}
+#: that a pricer change which mends or worsens one shows here.  Both are
+#: the grid's fork at its ``R2 R3 R4 R1`` order, where the pricer takes
+#: the last join's light rows (an intermediate's) as a full move: on the
+#: ``p = 5`` cell that shuffle is priced 1127 units and measures 322, so
+#: Yannakakis is overpriced (3292 predicted, 2560 measured) and the
+#: Section 5.1 algorithm wins (2385 predicted, 2680 measured).  Pricing
+#: those rows as staying put mends both, but sends ``random/star3/{1,2}``,
+#: ``random/fork/1`` and ``grid/line3/trap/line3`` to Yannakakis at
+#: 1.27-2.95x the least, and ``deck/cold_emit/full/0`` at 1.06x.
+KNOWN_MISSES: dict[str, float] = {
+    "grid/acyclic/uniform/acyclic": 1.0627,     # 644 against Yannakakis's 606
+    "grid/acyclic/uniform/yannakakis": 1.0728,  # 604 against Yannakakis's 563
+}
 
 
 def _build(name: str) -> tuple:
@@ -127,6 +136,15 @@ def test_held_out_choice_is_near_the_least(name):
     else:
         assert chosen <= loads[auto_algorithm(query)]
         assert ratio <= 1.05
+
+
+def test_the_picks_sum_no_higher_than_when_light_groups_stayed_put():
+    """The picks' measured loads over every case: 30,026 while light
+    groups went to ``gid % p``, 27,934 once they stayed on the server the
+    sort put them on (the least over the candidates is 27,847)."""
+    picked = [loads[choice.algorithm] for _q, choice, loads in map(_measured, CASES + HELD_OUT)]
+    assert len(picked) == 37
+    assert sum(picked) <= 27_934
 
 
 def _engine_on(instance, p: int = 8) -> Engine:

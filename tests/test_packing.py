@@ -1,8 +1,11 @@
 """Tests for the parallel-packing primitive."""
 
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AllocationError
 from repro.mpc import Cluster
@@ -70,3 +73,57 @@ class TestParallelPacking:
         parallel_packing(cl.root_group(), spread(items, p))
         # Only O(p) coordination traffic: no data item ever moves.
         assert cl.snapshot().load <= 4 * p
+
+
+@st.composite
+def split_weights(draw):
+    """Random weights on ``p`` servers, split at random: some draws put
+    most items on one server, so its full bins pass the cap."""
+    p = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.floats(0.001, 1.0, allow_nan=False), max_size=80))
+    crowded = draw(st.integers(0, p - 1))
+    servers = draw(st.lists(
+        st.one_of(st.integers(0, p - 1), st.just(crowded)),
+        min_size=len(weights), max_size=len(weights),
+    ))
+    parts = [[] for _ in range(p)]
+    for i, (w, server) in enumerate(zip(weights, servers)):
+        parts[server].append((i, w))
+    return parts
+
+
+class TestPlacement:
+    """Each group's server, as :func:`parallel_packing`'s docstring bounds it."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(split_weights())
+    def test_servers_keep_their_bins_up_to_the_cap(self, parts):
+        p = len(parts)
+        assign, n_groups = parallel_packing(Cluster(p).root_group(), parts)
+        cap = math.ceil(n_groups / p)
+        weight_of = {i: w for part in parts for i, w in part}
+        placed: dict[int, int] = {}
+        sources: dict[int, set[int]] = {}
+        weights: dict[int, float] = {}
+        for src, part in enumerate(assign):
+            for item, (gid, dest) in part:
+                assert 0 <= dest < p
+                assert placed.setdefault(gid, dest) == dest  # one server per group
+                sources.setdefault(gid, set()).add(src)
+                weights[gid] = weights.get(gid, 0.0) + weight_of[item]
+        assert sorted(placed) == list(range(n_groups))
+        # O(1) groups per server in all: at most the cap plus one leftover.
+        held = [0] * p
+        for dest in placed.values():
+            held[dest] += 1
+        assert max(held, default=0) <= cap + 1
+        for server in range(p):
+            # A server's full bins: its own items only, weight >= 1/2 (a
+            # leftover group is partial bins, each < 1/2, of one or more
+            # servers).  The first ``cap`` stay on it, the rest leave.
+            full = sorted(
+                gid for gid, srcs in sources.items()
+                if srcs == {server} and weights[gid] >= 0.5 - 1e-9
+            )
+            kept = [gid for gid in full if placed[gid] == server]
+            assert kept == full[:cap]

@@ -159,6 +159,7 @@ class TestEngineExplain:
         eng = self._engine()
         text = eng.explain(self.Q)
         assert text.startswith(f"explain: {self.Q}") and "[SampleSort]" in text
+        assert "[ParallelPacking] yannakakis/join1/pack  units=" in text
         # The run is on a scratch cluster: it posts what a cold execution
         # posts and leaves the serving session untouched.
         assert eng.stats().queries == 0
@@ -214,6 +215,8 @@ def test_explain_top_level_units_sum_to_the_report(cell, monkeypatch):
         for label, units in re.findall(r"^    ([^\s\[]\S*)  units=(-?\d+)$", explained, re.M)
     }
     assert rendered == {k: v for k, v in posted_outside.items() if v}, explained
+    # Packing posts inside its own span: explain names those units.
+    assert not [label for label in posted_outside if "/pack/" in label], explained
     outside = re.search(r"^  \(outside primitives\)  units=(\d+)", explained, re.M)
     assert int(outside.group(1)) == sum(posted_outside.values())
 

@@ -242,8 +242,8 @@ class TestContainedRelations:
         )
         assert set(joined.all_rows()) == oracle_rows(inst)
         folded = g.cluster.snapshot()
-        assert (folded.steps, folded.load, folded.total) == (131, 789, 5371)
-        assert (report.steps, report.load, report.total) == (99, 679, 4684)
+        assert (folded.steps, folded.load, folded.total) == (131, 686, 4865)
+        assert (report.steps, report.load, report.total) == (99, 548, 4035)
 
 
 #: Small acyclic shapes: connected, disconnected, and with contained
