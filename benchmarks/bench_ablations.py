@@ -94,7 +94,7 @@ def _skew_ablation():
 
 def _planner_ablation():
     inst = line_trap_instance(3, 2000, 30000, doubled=True)
-    choice, _quality = price_fold_orders(inst.query, inst)
+    choice, _quality = price_fold_orders(inst.query, inst, P)
 
     cl = Cluster(P)
     g = cl.root_group()

@@ -452,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         for prefix, size in zip(plan.prefixes, plan.intermediates):
             print(f"  |{' * '.join(prefix)}| = {size}")
         print(f"max intermediate: best={quality['best']} worst={quality['worst']}")
-        print(f"predicted units on p={args.servers}:")
+        print(f"predicted load on p={args.servers}:")
         for name, units in choice.units.items():
             print(f"  {name}: {units}")
         print(f"chosen: {choice.algorithm}")

@@ -23,19 +23,26 @@ subroutine everywhere (Sections 1.3, 4, 5).  Strategy:
 One PSRS pass in all, before the one shuffle to the cells.  The
 arrangement belongs to neither input, so it is paid on every call.  Each
 result pair is produced on exactly one server (no duplicate emission).
+
+The shuffle is simulated as index arrays, never as row tuples: per
+message its sending and receiving server, cell, side, key rank and row
+index.  Its per-server counts are the ledger post (one
+:meth:`~repro.mpc.cluster.Cluster.tally_members` call, under a
+``RouteCells`` primitive span), and each server's cells are gathered from
+the inputs' column parts (:meth:`~repro.data.columns.ColumnBlock.take`)
+and joined on integer ``(cell, key rank)`` codes.  A column-backed input
+never builds its row view here; a row-backed one is encoded once.
 """
 
 from __future__ import annotations
 
 import math
-from operator import itemgetter
-from typing import Any
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.common import gather_join
 from repro.data.columns import ColumnBlock
-from repro.data.relation import Row
+from repro.mpc.cluster import prim_span
 from repro.mpc.distrel import DistRelation
 from repro.mpc.group import Group
 from repro.mpc.primitives import (
@@ -98,13 +105,11 @@ def binary_join(
     p = group.size
     extra2 = tuple(a for a in r2.attrs if a not in set(r1.attrs))
     out_attrs = r1.attrs + extra2
-    pos1 = r1.positions(shared)
-    pos2 = r2.positions(shared)
     pos2_extra = r2.positions(extra2)
 
     # --- Step 1: one arrangement of r1 ⊎ r2; per-key degrees. -----------
     # Every later step reads this one sort: items in (key, side, uid) order.
-    rows, arr = arrange_sides(group, r1, r2, shared, f"{label}/sort")
+    arr = arrange_sides(group, r1, r2, shared, f"{label}/sort")
     # Keys present in both sides: (key rank, d1, d2), on the key's first server.
     stats_parts = [
         [(k, c1, c2) for k, c1, c2 in part if c1 and c2]
@@ -115,7 +120,7 @@ def binary_join(
         [sum(c1 * c2 for _k, c1, c2 in part) for part in stats_parts],
         f"{label}/out",
     )
-    in_total = len(rows)
+    in_total = len(arr.order)
     if out_total == 0:
         return DistRelation.empty(out_name, out_attrs, p)
 
@@ -135,7 +140,7 @@ def binary_join(
 
     # Each light key's (group id, server) lands on its first server,
     # beside the key's lowest-uid item.
-    assignments, _n_groups = parallel_packing(group, light_parts, f"{label}/pack")
+    assignments, n_groups = parallel_packing(group, light_parts, f"{label}/pack")
 
     # Heavy rectangles: key -> (start, a, b); start indexes a virtual server
     # span mapped onto physical servers modulo p.
@@ -154,73 +159,124 @@ def binary_join(
     # --- Step 3: route tuples to cells. ----------------------------------
     # Light: a key spanning servers is the last one its first server owns;
     # the servers after it learn its group id and server from one carry.
-    tables = [dict(part) for part in assignments]
-    carried = carry_left(
-        group,
-        [max(t.items()) if t else None for t in tables],
-        f"{label}/light/carry",
+    # That carried entry is the one the key's first server holds, so one
+    # table indexed by key rank serves every server.
+    carry_left(
+        group, [max(part, default=None) for part in assignments], f"{label}/light/carry"
     )
-    for table, got in zip(tables, carried):
-        if got is not None:
-            table.setdefault(*got)
-
+    key_ranks = arr.ranks >> 1
+    n_keys = int(key_ranks[-1]) + 1
+    light_cell = np.full(n_keys, -1, np.int64)
+    light_dest = np.zeros(n_keys, np.int64)
+    for part in assignments:
+        for k, (gid, dest) in part:
+            light_cell[k], light_dest[k] = gid, dest
     # Heavy: chunk indices from one numbering of the heavy keys' items,
     # consecutive per key and side.
-    key_ranks = arr.ranks >> 1
+    rect = np.zeros((3, n_keys), np.int64)  # start, a, b per key rank
+    for k, desc in heavy_desc.items():
+        rect[:, k] = desc
     heavy = np.isin(key_ranks, np.fromiter(heavy_desc, np.int64, len(heavy_desc)))
-    nums = number_sorted(group, arr, f"{label}/heavy-number", heavy)
+    nums = np.array(number_sorted(group, arr, f"{label}/heavy-number", heavy), np.int64)
 
-    # One physical routing step delivers every cell message.
-    order, side_of, krs = arr.order.tolist(), (arr.ranks & 1).tolist(), key_ranks.tolist()
-    outboxes: list[list[tuple[int, Any]]] = []
-    for (lo, hi), table in zip(arr.slices(), tables):
-        box: list[tuple[int, Any]] = []
-        for f, side, k, num in zip(order[lo:hi], side_of[lo:hi], krs[lo:hi], nums[lo:hi]):
-            placed = table.get(k)
-            if placed is not None:
-                gid, dest = placed
-                box.append((dest, (("L", gid), side + 1, rows[f])))
-            elif num:
-                start, a, b = heavy_desc[k]
-                if side:
-                    j = (num - 1) % b
-                    box += [
-                        ((start + i * b + j) % p, (("H", k, i, j), 2, rows[f]))
-                        for i in range(a)
-                    ]
-                else:
-                    i = (num - 1) % a
-                    box += [
-                        ((start + i * b + j) % p, (("H", k, i, j), 1, rows[f]))
-                        for j in range(b)
-                    ]
-        outboxes.append(box)
-    inboxes = group.exchange(outboxes, f"{label}/shuffle")
+    with prim_span(group.cluster, "RouteCells", f"{r1.name} ⋈ {r2.name} {label}/shuffle"):
+        routed = _route(arr, key_ranks, light_cell, light_dest, rect, nums, n_groups, p)
+        received = np.bincount(routed.dest[routed.dest != routed.src], minlength=p)
+        group.cluster.tally_members(group.members, received.tolist(), f"{label}/shuffle")
 
     # --- Step 4: local cell joins (emission is free). --------------------
-    # Each inbox side is encoded once and joined on ``(cell number, key)``:
-    # cells in first-arrival order, side 1 in arrival order within a cell.
-    arity1, arity2 = len(r1.attrs), len(r2.attrs)
-    key1, key2 = itemgetter(*pos1), itemgetter(*pos2)
+    # Each server joins what it received on integer ``(cell, key rank)``
+    # codes, gathering both sides straight from the input column parts:
+    # cells in first-arrival order, each side in arrival order within a
+    # cell, side 1 rows each followed by their side 2 matches.
+    side1 = r1.block()
+    side2 = r2.block().select(pos2_extra)
+    inbox = np.argsort(routed.dest, kind="stable")  # per server, arrival order
+    bounds = np.searchsorted(routed.dest[inbox], np.arange(p + 1)).tolist()
     blocks: list[ColumnBlock] = []
-    for inbox in inboxes:
-        cells: dict[Any, tuple[list[Row], list[Row]]] = {}
-        for cell_id, side, row in inbox:
-            sides = cells.setdefault(cell_id, ([], []))
-            sides[side - 1].append(row)
-        rows1: list[Row] = []
-        rows2: list[Row] = []
-        cell_of1, cell_of2 = [], []
-        for n, (cell1, cell2) in enumerate(cells.values()):
-            if cell1 and cell2:
-                rows1 += cell1
-                rows2 += cell2
-                cell_of1 += [n] * len(cell1)
-                cell_of2 += [n] * len(cell2)
-        blocks.append(gather_join(
-            ColumnBlock.from_rows(rows1, arity1),
-            list(zip(cell_of1, map(key1, rows1))),
-            ColumnBlock.from_rows(rows2, arity2).select(pos2_extra),
-            list(zip(cell_of2, map(key2, rows2))),
+    for lo, hi in zip(bounds, bounds[1:]):
+        got = inbox[lo:hi]
+        idx1, idx2 = _cell_join(routed.cell[got], routed.side[got], routed.key[got], n_keys)
+        picked = routed.row[got]
+        blocks.append(ColumnBlock(
+            len(idx1), side1.take(picked[idx1]).columns + side2.take(picked[idx2]).columns
         ))
     return DistRelation.from_column_parts(out_name, out_attrs, blocks)
+
+
+class _Messages(NamedTuple):
+    """The cell messages of one binary join, one entry per message, in
+    sending order (by sending server, then along the arrangement)."""
+
+    src: np.ndarray   # sending server
+    dest: np.ndarray  # receiving server
+    cell: np.ndarray  # light group id, or n_groups + the heavy cell's virtual server
+    side: np.ndarray  # 0: an r1 row, 1: an r2 row
+    key: np.ndarray   # key rank
+    row: np.ndarray   # the row's index in its side's concatenated parts
+
+
+def _route(arr, key_ranks, light_cell, light_dest, rect, nums, n_groups: int, p: int) -> _Messages:
+    """Every cell message, as arrays: a light item goes once to its group's
+    server; an item of a heavy key with rectangle ``a x b`` goes to a row
+    (side 1: ``b`` cells) or a column (side 2: ``a`` cells) of it, chosen
+    by its number; every other item (its key is on one side only) stays."""
+    side = arr.ranks & 1
+    light = light_cell[key_ranks] >= 0
+    start, a, b = rect[:, key_ranks]
+    reps = np.where(light, 1, np.where(nums > 0, np.where(side == 1, a, b), 0))
+    item = np.repeat(np.arange(len(reps)), reps)
+    first = np.cumsum(reps) - reps
+    copy = np.arange(len(item)) - first[item]  # which of the item's messages
+    num = nums[item] - 1
+    side_m, a_m, b_m = side[item], a[item], b[item]
+    i = np.where(side_m == 1, copy, num % np.maximum(a_m, 1))
+    j = np.where(side_m == 1, num % np.maximum(b_m, 1), copy)
+    virtual = start[item] + i * b_m + j
+    key_m = key_ranks[item]
+    lit = light[item]
+    # Flat position -> the row's index in its side's concatenated parts:
+    # source s holds its r1 rows, then its r2 rows, from flat starts[s].
+    n_src = np.diff(arr.starts)
+    srcs = arr.srcs.astype(np.int64)
+    j_src = arr.order - arr.starts[srcs]
+    n1 = np.bincount(srcs[side == 0], minlength=p)
+    off = np.stack([np.cumsum(n1) - n1, np.cumsum(n_src - n1) - (n_src - n1) - n1])
+    row = j_src + off[side, srcs]
+    held = np.repeat(np.arange(p), np.diff(arr.cuts))
+    return _Messages(
+        src=held[item],
+        dest=np.where(lit, light_dest[key_m], virtual % p),
+        cell=np.where(lit, light_cell[key_m], n_groups + virtual),
+        side=side_m,
+        key=key_m,
+        row=row[item],
+    )
+
+
+def _cell_join(cell, side, key, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """One server's local join over the messages it received, in arrival
+    order: the positions of matching side 1 and side 2 messages, pair by
+    pair in emission order.  Only cells holding both sides join; cells
+    run in first-arrival order and each side in arrival order within its
+    cell; pairs match on ``(cell, key rank)``."""
+    cells, first, which = np.unique(cell, return_index=True, return_inverse=True)
+    arrival = np.empty(len(cells), np.int64)
+    arrival[np.argsort(first)] = np.arange(len(cells))
+    both = (np.bincount(which, side == 0, len(cells)) > 0) & (
+        np.bincount(which, side == 1, len(cells)) > 0
+    )
+    code = arrival[which] * n_keys + key
+    sides = []
+    for s in (0, 1):
+        at = np.flatnonzero((side == s) & both[which])
+        sides.append(at[np.argsort(arrival[which[at]], kind="stable")])
+    left, right = sides
+    right = right[np.argsort(code[right], kind="stable")]
+    right_codes = code[right]
+    lo = np.searchsorted(right_codes, code[left], "left")
+    matches = np.searchsorted(right_codes, code[left], "right") - lo
+    pair_left = np.repeat(np.arange(len(left)), matches)
+    pair_first = np.cumsum(matches) - matches
+    pair_right = np.repeat(lo, matches) + np.arange(len(pair_left)) - pair_first[pair_left]
+    return left[pair_left], right[pair_right]

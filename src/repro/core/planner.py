@@ -2,15 +2,14 @@
 
 Section 4.1's observation, turned into a feature: in the RAM model the
 Yannakakis join order never matters asymptotically, but in MPC a plan that
-shuffles a large intermediate result pays its size divided by p.
-:func:`price_fold_orders` enumerates the join-tree-consistent fold orders,
-*prices* each one by its maximum intermediate join size, and returns the
-best plan together with the best/worst spread.  The orders are those of
-the *reduced* query: after the full reducer a contained relation is a
-projection of its container, and Yannakakis drops it instead of joining
-it (:func:`repro.core.yannakakis.yannakakis_mpc`).  Yannakakis folds each
-connected component on its own and takes one product of the results, so
-an order is one connected order per component.
+shuffles a large intermediate result pays for it.
+:func:`price_fold_orders` enumerates the join-tree-consistent fold orders
+and *prices* each one by the load :func:`choose` ranks the candidates
+with.  The orders are those of the *reduced* query: after the full reducer
+a contained relation is a projection of its container, and Yannakakis
+drops it instead of joining it (:func:`repro.core.yannakakis.yannakakis_mpc`).
+Yannakakis folds each connected component on its own and takes one
+product of the results, so an order is one connected order per component.
 
 The paper's output-optimal algorithms (Theorems 3, 5, 7) beat that planned
 Yannakakis run only asymptotically, once ``IN >= p^2`` or ``p^3``; below
@@ -21,12 +20,16 @@ priced fold order, the Section 5.1 acyclic algorithm, and where the shape
 admits them the line-3 (Section 4.2) and r-hierarchical (Section 3.2)
 algorithms — and returns the cheapest.
 
-A candidate's price is its predicted ``LoadReport.total``: the units its
-control flow would post, walked over exact counts.  The walk calls the
-algorithms' own routing rules rather than restating them:
+One quantity ranks both: the predicted ``LoadReport.load``, the units the
+busiest server receives, from the units the candidate's control flow
+would post per server, walked over exact counts.  The walk calls the
+algorithms' own rules rather than restating them:
 :func:`~repro.core.binary_join.budgets`,
 :func:`~repro.core.binary_join.key_weight` and
-:func:`~repro.core.binary_join.heavy_rectangle`;
+:func:`~repro.core.binary_join.heavy_rectangle`; the PSRS kernel
+(:func:`~repro.mpc.substrate._arrange`) and packing's placement
+(:func:`~repro.mpc.packing.pack_local`,
+:func:`~repro.mpc.packing.place_groups`);
 :func:`~repro.core.hypercube.cartesian_route`;
 :func:`~repro.core.line3.line3_tau`;
 :func:`~repro.core.acyclic.split_point`;
@@ -34,24 +37,26 @@ algorithms' own routing rules rather than restating them:
 :func:`~repro.core.rhierarchical.servers` and
 :func:`~repro.core.rhierarchical.grid_dims`; and
 :meth:`~repro.query.hypergraph.JoinTree.sweeps` for the full reducer.
-Each PSRS pass is charged its sample gather, splitter broadcast and
-shuffle (:func:`repro.mpc.substrate.charge_pass`), each boundary trip
-``2(p-1)``, each binary join its one pass over both sides, its boundary
-trips and its shuffle with the heavy-key rectangles.  Only *where* rows
-land is not modelled: a pass moves ``(p-1)/p`` of the rows that are not
-already range-partitioned on its key, and every part holds ``n/p`` rows.
-A semi-join's survivors and a binary join's result are taken to sit on
-ranges of their key (the join's light groups stay where its sort put
-them), so a later pass on that key moves only as far as the ranges drift.
-A total is a sum of message sizes, so it follows from counts; the
-per-server maximum would need placements, and the least total is not
-always the least load (DESIGN.md §5, "Why a total").
+
+Rows are placed where the algorithms put them.  A binary join's one sort
+is the kernel itself, run on the rows each server holds per key and
+side; its light keys go where packing places their groups, its heavy
+keys over their rectangles, and its result stays there, so a later pass
+on the same key moves what those cells do not already hold, and a pass on
+another key follows each row to the server its old key put it on,
+through the join tree.  Other passes sit on ranges of their key, each
+code's rows spread over its stretch of the ranges, and move what the old
+and new stretches do not share; a pass over rows that sit on no key moves
+``(p-1)/p`` of them.  A step whose placement is not modelled (samples,
+broadcasts, boundary trips, the Section 5.1 and r-hierarchical shuffles)
+posts evenly.  A walk stops once its busiest server passes the least load
+already priced (it cannot win); its price is where it stopped.
 
 Everything runs in RAM on the coordinator's copy of the instance over one
-:class:`Statistics` object — integer codes of every attribute, the full
-reducer's survivors, per-key degree counts and the prefix messages of a
-counting Yannakakis — and communicates nothing: no cluster, no backend
-round, no ledger charge.
+:class:`Statistics` object — integer codes of every attribute, their key
+order, the full reducer's survivors, per-key degree counts and the prefix
+messages of a counting Yannakakis — and communicates nothing: no
+cluster, no backend round, no ledger charge.
 """
 
 from __future__ import annotations
@@ -72,7 +77,8 @@ from repro.core.rhierarchical import grid_dims, load_budget, servers
 from repro.core.yannakakis import component_orders
 from repro.data.instance import Instance
 from repro.mpc.dangling import reduced_query
-from repro.mpc.substrate import pick_splitters, sample_count
+from repro.mpc.packing import pack_local, place_groups
+from repro.mpc.substrate import _arrange, pick_splitters, rank_keys, sample_count
 from repro.query.classify import is_r_hierarchical
 from repro.query.forests import attribute_forest
 from repro.query.hypergraph import Hypergraph, JoinTree, join_tree
@@ -94,20 +100,22 @@ class PlanChoice:
 
     Attributes:
         order: The fold order
-            :func:`repro.core.yannakakis.yannakakis_mpc` runs.
-        max_intermediate: The largest intermediate join size along the plan
-            (the quantity that drives MPC load).
+            :func:`repro.core.yannakakis.yannakakis_mpc` runs: the one
+            with the least predicted load.
+        max_intermediate: The largest intermediate join size along the plan.
         intermediates: ``intermediates[i]`` is the join size of
             ``prefixes[i]``.
         prefixes: The priced prefixes: per connected component, in order,
             every prefix of its fold of at least two relations except the
             whole component (its join is the same under every order).
+        units: Yannakakis's predicted ``LoadReport.load`` along ``order``.
     """
 
     order: tuple[str, ...]
     max_intermediate: int
     intermediates: tuple[int, ...]
     prefixes: tuple[tuple[str, ...], ...]
+    units: int
 
 
 @dataclass(frozen=True)
@@ -115,12 +123,15 @@ class Choice:
     """What ``algorithm="auto"`` runs on one (query, data, p).
 
     Attributes:
-        algorithm: The candidate with the least predicted units (ties go
+        algorithm: The candidate with the least predicted load (ties go
             to the earlier entry of ``units``).
-        plan: The priced Yannakakis fold order (:func:`price_fold_orders`),
-            run when ``algorithm == "yannakakis"``.
-        quality: The fold orders' best/worst spread.
-        units: Every candidate's predicted ``LoadReport.total``.
+        plan: The Yannakakis fold order with the least predicted load
+            (:func:`price_fold_orders`), run when ``algorithm ==
+            "yannakakis"``.
+        quality: The fold orders' best/worst largest-intermediate spread.
+        units: Every candidate's predicted ``LoadReport.load``; a
+            candidate priced past the least stops there, and reads where
+            it stopped.
     """
 
     algorithm: str
@@ -201,6 +212,9 @@ class Statistics:
         self.instance = instance
         self._keys: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
         self._spaces: dict[tuple[str, ...], int] = {}
+        #: Per one-attribute key, its distinct values in code order.
+        self._values: dict[tuple[str, ...], list] = {}
+        self._orders: dict[tuple[str, ...], np.ndarray] = {}
         self._sizes: dict[str, int] = {
             n: len(instance.relations[n]) for n in query.edge_names
         }
@@ -248,6 +262,7 @@ class Statistics:
                 remap = np.fromiter(map(index.__getitem__, distinct), np.int64, len(distinct))
                 self._keys[(n, key)] = remap[local]
             self._spaces[key] = len(index)
+            self._values[key] = list(index)
         else:
             # The attributes' own codes in mixed radix, compacted after
             # each attribute so the radix stays below the row count.
@@ -266,6 +281,99 @@ class Statistics:
     def space(self, key: tuple[str, ...]) -> int:
         """How many codes keys over ``key`` can take."""
         return self._spaces[key]
+
+    def key_order(self, key: tuple[str, ...]) -> np.ndarray:
+        """The codes of ``key`` in the order a sort on ``key`` puts them:
+        values ranked by :func:`~repro.mpc.substrate.rank_keys`, and a
+        key of several attributes by its attributes' ranks in turn, as
+        tuples compare."""
+        got = self._orders.get(key)
+        if got is None:
+            if key not in self._spaces:
+                self._encode(key)
+            if len(key) < 2:
+                values = self._values.get(key, [()])
+                got = np.argsort(rank_keys([values])[1], kind="stable")
+            else:
+                holders = [n for n in self._sizes if (n, key) in self._keys]
+                codes = np.concatenate([self._keys[(n, key)] for n in holders])
+                first = np.unique(codes, return_index=True)[1]
+                ranks = []
+                for a in key:
+                    rank = np.empty(self.space((a,)), np.int64)
+                    rank[self.key_order((a,))] = np.arange(len(rank))
+                    ranks.append(rank[np.concatenate(
+                        [self.key_codes(n, (a,)) for n in holders]
+                    )[first]])
+                got = np.lexsort(ranks[::-1])
+            self._orders[key] = got
+        return got
+
+    def spread(self, placed: "_Placed", p: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where ``placed``'s rows sit: per code, its column, and per
+        server and column the code's share on the server (a last, zero
+        column stands for every code the rows do not hold)."""
+        got = placed._memo.get(p)
+        if got is None:
+            keys, share = placed.keys, placed.share
+            if keys is None:
+                order = self.key_order(placed.key)
+                keys = order[placed.weight[order] > 0]
+                share = _overlaps(_stretches(placed.weight[keys], p), p)
+            col = np.full(len(placed.weight), len(keys))
+            col[keys] = np.arange(len(keys))
+            got = placed._memo[p] = (col, np.hstack([share, np.zeros((p, 1))]))
+        return got
+
+    def moved(self, placed: "_Placed", rows: np.ndarray, new: np.ndarray, p: int) -> np.ndarray:
+        """The rows (``rows`` per code) each server receives when a pass on
+        ``placed.key`` puts the codes, in key order, on ``p`` ranges
+        balanced by the per-code weights ``new``.
+
+        Rows on ranges sit in key order on ranges balanced by
+        ``placed.weight``, each code's rows spread evenly over its stretch
+        of the old and of the new ranges, in the same order: a row stays
+        when both stretches put it on one server.  Rows spread per code
+        stay, on each server, with the part of their code's new stretch
+        there.
+        """
+        order = self.key_order(placed.key)
+        keys = order[new[order] > 0]
+        r = rows[keys]
+        if not r.sum():
+            return np.zeros(p)
+        ys = _stretches(new[keys], p)
+        mass = np.concatenate(([0.0], np.cumsum(r)))
+        at = np.arange(p + 1)
+        # Cumulative rows at each range boundary, a code's rows spread
+        # evenly over its stretch.
+        now = np.interp(at, ys, mass)
+        if placed.keys is None:
+            old = np.interp(at, _stretches(placed.weight[keys], p), mass)
+            stay = np.maximum(
+                0.0, np.minimum(old[1:], now[1:]) - np.maximum(old[:-1], now[:-1])
+            )
+        else:
+            col, share = self.spread(placed, p)
+            stay = (_overlaps(ys, p) * share[:, col[keys]] * r).sum(axis=1)
+        return np.maximum(0.0, np.diff(now) - stay)
+
+    def split(self, view: _View, spread: tuple[np.ndarray, np.ndarray],
+              old: tuple[str, ...], key: tuple[str, ...], keys: np.ndarray) -> np.ndarray:
+        """``view``'s rows per server and code ``keys[j]`` of ``key``, each
+        row where its code of ``old`` sits (``spread``, as
+        :meth:`spread` gives it)."""
+        col, share = spread
+        m = len(keys)
+        at = np.full(self.space(key), -1)
+        at[keys] = np.arange(m)
+        j = at[self.codes(view, key)]
+        kept = j >= 0
+        w = share[:, col[self.codes(view, old)[kept]]] * self.ones(view)[kept]
+        p = len(share)
+        return np.bincount(
+            (np.arange(p)[:, None] * m + j[kept]).ravel(), w.ravel(), minlength=p * m
+        ).reshape(p, m)
 
     def codes(self, view: _View, key: tuple[str, ...]) -> np.ndarray:
         got = view._memo.get(key)
@@ -302,7 +410,14 @@ class Statistics:
         return np.ones(self.rows(view)) if view.w is None else view.w
 
     def degrees(self, view: _View, key: tuple[str, ...], w: np.ndarray | None = None) -> np.ndarray:
-        """Rows (or weight ``w``) of ``view`` per code of ``key``."""
+        """Rows (or weight ``w``) of ``view`` per code of ``key``; weights
+        split by server (rows x servers) count per code and server."""
+        if w is None and view.w is not None and view.w.ndim == 2:
+            w = view.w
+        if w is not None and w.ndim == 2:
+            n, p = self.space(key), w.shape[1]
+            at = self.codes(view, key)[:, None] * p + np.arange(p)
+            return np.bincount(at.ravel(), w.ravel(), minlength=n * p).reshape(n, p)
         if w is None:
             got = view._memo.get(("deg", key))
             if got is None:
@@ -344,8 +459,11 @@ class Statistics:
         w = self.ones(nodes[u])
         for v, key in tree.adj[u].items():
             if v != skip and v in nodes:
-                msg = self.message(tree, nodes, v, u, memo)
-                w = w * msg[self.codes(nodes[u], key)]
+                msg = self.message(tree, nodes, v, u, memo)[self.codes(nodes[u], key)]
+                # A view split by server (rows x servers) splits what it reaches.
+                w = (w[:, None] if w.ndim < msg.ndim else w) * (
+                    msg[:, None] if msg.ndim < w.ndim else msg
+                )
         return w
 
     def message(
@@ -407,60 +525,84 @@ def _prefix_sizer(stats: Statistics):
 
 
 def price_fold_orders(
-    query: Hypergraph, instance: Instance, limit: int = 64
+    query: Hypergraph, instance: Instance, p: int, limit: int = 64
 ) -> tuple[PlanChoice, dict[str, int]]:
-    """The fold order minimizing the largest intermediate join, and the
-    best/worst spread over all orders, from one pricing pass.
+    """The fold order with the least predicted load on ``p`` servers, and
+    the best/worst spread of the orders' largest intermediates, from one
+    pricing pass.
 
-    Every connected prefix of every enumerated order (over the reduced
-    query, see :func:`enumerate_fold_orders`) is sized exactly on the full
-    reducer's survivors (see :func:`_prefix_sizer`); the first order
-    attaining the minimum wins.  The gap between ``best`` and ``worst`` is
-    Section 4.1's join-order sensitivity.  A component of at most two
-    relations has no intermediate; when no component of the reduced query
-    has more, nothing is reduced or counted.
+    Every enumerated order (over the reduced query, see
+    :func:`enumerate_fold_orders`) is walked by the pricer :func:`choose`
+    ranks the candidates with, over one :class:`Statistics`; the first
+    order attaining the least load wins.  Two orders that differ only in
+    which of their first two relations opens the fold join the same two
+    relations first; the first of them is walked for both.  A component
+    of at most two relations keeps its first order.  Every connected prefix is sized
+    exactly on the full reducer's survivors (see :func:`_prefix_sizer`);
+    the gap between the ``best`` and ``worst`` largest intermediate is
+    Section 4.1's join-order sensitivity.
 
     Raises:
         CyclicQueryError: If the query is cyclic (a :class:`QueryError`).
     """
-    components = query.reduce()[0].connected_components()
-    stats = Statistics(query, instance) if max(map(len, components)) > 2 else None
-    return _price_orders(query, stats, limit)
+    return _price_orders(query, Statistics(query, instance), p, limit)
 
 
 def _price_orders(
-    query: Hypergraph, stats: Statistics | None, limit: int = 64
+    query: Hypergraph, stats: Statistics, p: int, limit: int = 64
 ) -> tuple[PlanChoice, dict[str, int]]:
-    """Each component's best connected order, concatenated.  Components
-    are priced apart (no prefix crosses between them), so the best and
-    worst spread is the worst component's and the orders multiply."""
+    """Each component's order with the least predicted load,
+    concatenated.  Components are priced apart (no prefix crosses between
+    them, and their folds post independently), so the best and worst
+    spread is the worst component's and the orders multiply."""
     per_component = component_orders(query.reduce()[0], limit)
     size = _prefix_sizer(stats) if any(len(o[0]) > 2 for o in per_component) else None
-    order: tuple[str, ...] = ()
+    chosen = [orders[0] for orders in per_component]
+    units: float | None = None
+
+    def walk(bound: float | None = None) -> float:
+        pricer = _Pricer(stats, p, bound)
+        try:
+            pricer.yannakakis(sum(chosen, ()))
+        except _Over:
+            return math.inf
+        return pricer.load
+
     prefixes: tuple[tuple[str, ...], ...] = ()
     sizes: tuple[int, ...] = ()
     quality = {"best": 0, "worst": 0, "orders": 1}
-    for orders in per_component:
-        best: tuple | None = None
-        worsts: list[int] = []
-        for cand in orders:
-            # The component's whole join is the same under every order.
-            heads = tuple(cand[:k] for k in range(2, len(cand)))
-            cand_sizes = tuple(size(frozenset(h)) for h in heads)
-            worst = max(cand_sizes, default=0)
-            worsts.append(worst)
-            if best is None or worst < best[0]:
-                best = (worst, cand, heads, cand_sizes)
-        assert best is not None
-        order += best[1]
-        prefixes += best[2]
-        sizes += best[3]
+    for i, orders in enumerate(per_component):
+        # The component's whole join is the same under every order.
+        heads = [tuple(cand[:k] for k in range(2, len(cand))) for cand in orders]
+        cand_sizes = [tuple(size(frozenset(h)) for h in hs) for hs in heads]
+        worsts = [max(cs, default=0) for cs in cand_sizes]
+        best = 0
+        if len(orders[0]) > 2:
+            # Two orders that differ only in which relation opens the fold
+            # join the same two relations first: the first of them stands
+            # for both.  Smaller intermediates are walked first, and an
+            # order past the least so far stops there.
+            first: dict = {}
+            for j, cand in enumerate(orders):
+                first.setdefault((frozenset(cand[:2]), cand[2:]), j)
+            priced: dict[int, float] = {}
+            for j in sorted(first.values(), key=lambda j: (worsts[j], j)):
+                chosen[i] = orders[j]
+                priced[j] = walk(min(priced.values(), default=None))
+            best = min(priced, key=lambda j: (priced[j], j))
+            units = priced[best]
+        chosen[i] = orders[best]
+        prefixes += heads[best]
+        sizes += cand_sizes[best]
         quality = {
-            "best": max(quality["best"], best[0]),
+            "best": max(quality["best"], min(worsts)),
             "worst": max(quality["worst"], max(worsts)),
             "orders": quality["orders"] * len(worsts),
         }
-    plan = PlanChoice(order, max(sizes, default=0), sizes, prefixes)
+    if units is None or len(per_component) > 1:
+        units = walk()
+    order = sum(chosen, ())
+    plan = PlanChoice(order, max(sizes, default=0), sizes, prefixes, int(round(units)))
     return plan, quality
 
 
@@ -468,23 +610,57 @@ def _price_orders(
 # The ledger model
 # ----------------------------------------------------------------------
 
+class _Over(Exception):
+    """A walk's busiest server passed its bound: it cannot price least."""
+
+
 class _Units:
     """Predicted units posted on a group of ``p`` servers with ``m``
-    members (a family's replicas each post the same counts)."""
+    members (a family's replicas each post the same counts), per server
+    of the root group: a step whose placement is modelled posts per
+    server (``at``), any other spreads evenly (``even``, per server).
+    Past ``bound`` on any server the walk stops (:class:`_Over`)."""
 
-    def __init__(self, p: int, m: int = 1, total: list[float] | None = None) -> None:
+    def __init__(self, p: int, m: int = 1, root: "_Units | None" = None,
+                 bound: float | None = None) -> None:
         self.p, self.m = p, m
-        self.total = total if total is not None else [0.0]
+        if root is None:
+            self.at, self.even, self.peak, self.bound = np.zeros(p), 0.0, 0.0, bound
+        self.root = root or self
 
     def sub(self, p: int, m: int = 1) -> "_Units":
-        return _Units(p, self.m * m, self.total)
+        return _Units(p, self.m * m, self.root)
 
-    def add(self, units: float) -> None:
-        self.total[0] += self.m * units
+    def add(self, units: float | np.ndarray) -> None:
+        """Post ``units`` (per root server when an array of that length,
+        else spread evenly)."""
+        root = self.root
+        if type(units) is not np.ndarray:
+            root.even += self.m * units / len(root.at)
+        elif len(units) == len(root.at):
+            root.at += self.m * units
+            root.peak = float(root.at.max())
+        else:
+            root.even += self.m * float(units.sum()) / len(root.at)
+        if root.bound is not None and root.peak + root.even > root.bound:
+            raise _Over
 
-    def sort(self, *sides: tuple[float, float]) -> None:
-        """One PSRS pass over sides of ``(rows, share that moves)`` spread
-        evenly: samples, splitter broadcast, and the moving rows."""
+    @property
+    def servers(self) -> np.ndarray:
+        """Per root server, the units posted."""
+        return self.root.at + self.root.even
+
+    def side(self, rows: float, moved: float | np.ndarray) -> None:
+        """Rows of a pass that move: a share of ``rows`` sent to random
+        servers, or the rows each server receives (an array)."""
+        if isinstance(moved, np.ndarray):
+            self.add(moved)
+        else:
+            self.add(rows * moved * (self.p - 1) / self.p)
+
+    def sort(self, *sides: tuple[float, float | np.ndarray]) -> None:
+        """One PSRS pass over sides of ``(rows, what moves)`` (see
+        :meth:`side`): samples, splitter broadcast, and the moving rows."""
         p = self.p
         n = int(round(sum(rows for rows, _ in sides)))
         if p == 1 or n == 0:
@@ -492,8 +668,19 @@ class _Units:
         q, r = divmod(n, p)
         samples = r * sample_count(q + 1, p) + (p - r) * sample_count(q, p)
         splitters = len(pick_splitters(range(samples), p))
-        moved = sum(rows * share for rows, share in sides)
-        self.add((samples + moved) * (p - 1) / p + splitters * (p - 1))
+        self.add((samples * (p - 1) / p) + splitters * (p - 1))
+        for rows, moved in sides:
+            self.side(rows, moved)
+
+    def sorted(self, arr) -> None:
+        """One PSRS pass the kernel arranged: its sample gather and
+        splitter broadcast, spread evenly, and the rows each server
+        receives."""
+        if arr.charges is None:
+            return
+        samples, received = arr.charges
+        self.add(sum(samples) * (self.p - 1) / self.p + len(arr.spl) * (self.p - 1))
+        self.add(np.array(received, float))
 
     def trip(self, k: int = 1) -> None:
         """``k`` coordinator round trips (boundary stitch, carry, packing,
@@ -503,37 +690,93 @@ class _Units:
     def bcast(self, items: float) -> None:
         self.add(items * (self.p - 1))
 
-    def move(self, items: float) -> None:
-        self.add(items * (self.p - 1) / self.p)
+    def move(self, items: float | np.ndarray) -> None:
+        """Items sent to random servers, or received per server (an array)."""
+        self.side(1.0, items) if isinstance(items, np.ndarray) else self.side(items, 1.0)
 
 
-def _drift(new: np.ndarray, old: np.ndarray, p: int) -> float:
-    """The share of items that leave their server when ranges balanced by
-    per-key weights ``old`` are redrawn balanced by ``new`` (or back).
+def _stretches(weight: np.ndarray, p: int) -> np.ndarray:
+    """Where ranges balanced by ``weight`` (per code, in key order) put
+    each code, in server units: code ``i`` fills ``[out[i], out[i+1])``
+    and server ``s`` holds ``[s, s + 1)``."""
+    cum = np.concatenate(([0.0], np.cumsum(weight)))
+    return cum * (p / cum[-1]) if cum[-1] else cum
 
-    Keys sit in value order, which counts do not reveal, so it is taken as
-    random: the two cumulative shares then part like a random walk over
-    the per-key share differences, by about their root sum of squares,
-    against ranges ``1/p`` wide.  Equal profiles move nothing; a table of
-    one entry per key re-sorted off row-balanced ranges moves by its
-    degrees' skew.
-    """
-    total_new, total_old = float(new.sum()), float(old.sum())
-    if not total_new or not total_old:
-        return 0.0
-    gap = new * (1.0 / total_new) - old * (1.0 / total_old)
-    return min(1.0, p * math.sqrt(float(gap @ gap)) / 2)
+
+def _psrs(held: Sequence[np.ndarray]):
+    """The :class:`~repro.mpc.substrate.Arrangement` one PSRS pass makes of
+    sides ``held`` (rows per server and key, keys in key order; side ``t``
+    of key ``j`` ranked ``2 j + t``), by the kernel itself
+    (:func:`~repro.mpc.substrate._arrange`) on the counts rounded."""
+    counts = np.rint(np.stack(held, axis=1)).astype(np.int64)
+    ranks = 2 * np.arange(counts.shape[2])[None, :] + np.arange(counts.shape[1])[:, None]
+    at = np.nonzero(counts)
+    return _arrange(counts.sum(axis=(1, 2)).tolist(), np.repeat(ranks[at[1:]], counts[at]))
+
+
+def _place_light(first: np.ndarray, weight: np.ndarray, p: int) -> np.ndarray:
+    """Where :func:`~repro.core.binary_join.binary_join` puts its light
+    keys (in key order, with their ``weight``): each server packs the keys
+    whose rows start on it (``first``), in key order
+    (:func:`~repro.mpc.packing.pack_local`), and the coordinator places
+    the groups (:func:`~repro.mpc.packing.place_groups`).  Returns each
+    key's server."""
+    cuts = np.searchsorted(first, np.arange(p + 1)).tolist()
+    w = np.maximum(weight, 1e-9).tolist()
+    local = [pack_local(w[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    servers, leftover = place_groups([(n, partial) for _b, n, partial in local])
+    gids: list[int] = []
+    offset = 0
+    for (bins, n_full, _w), left in zip(local, leftover):
+        gids += [offset + b if b >= 0 else left for b in bins]
+        offset += n_full
+    return np.array(servers, np.int64)[np.array(gids, np.int64)]
+
+
+def _overlaps(stretch: np.ndarray, p: int) -> np.ndarray:
+    """Per server and code (in key order), the share of the code's
+    stretch on the server (``p x codes``; a code of no width counts where
+    it starts)."""
+    lo, hi = stretch[:-1], stretch[1:]
+    n = len(lo)
+    first = np.minimum(lo.astype(np.int64), p - 1)
+    last = np.clip(np.ceil(hi).astype(np.int64) - 1, first, p - 1)
+    out = np.zeros((p, n))
+    one = first == last
+    out[first[one], np.flatnonzero(one)] = 1.0
+    span = np.flatnonzero(~one)
+    if len(span):
+        k = last[span] - first[span] + 1
+        code = np.repeat(span, k)
+        srv = first[code] + np.arange(len(code)) - np.repeat(np.cumsum(k) - k, k)
+        part = np.minimum(hi[code], srv + 1) - np.maximum(lo[code], srv)
+        out[srv, code] = part / (hi[code] - lo[code])
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Placed:
+    """Where a relation's rows sit, by code of ``key``: on ranges balanced
+    by the per-code ``weight``, or (``keys`` given, as a binary join's
+    cells leave its result) code ``keys[j]``'s rows spread over the
+    servers by ``share[:, j]``."""
+
+    key: tuple[str, ...]
+    weight: np.ndarray
+    keys: np.ndarray | None = None
+    share: np.ndarray | None = None
+    _memo: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(eq=False)
 class _Rel:
     """A distributed relation as the pricer sees it: the join of ``nodes``
-    (views, connected in the current join tree), the key its parts are
-    range-partitioned on with the per-key weights those ranges balance,
-    and the keys its sorted run is paid for on."""
+    (views, connected in the current join tree), where its rows sit
+    (``None``: dealt evenly, on no key), and the keys its sorted run is
+    paid for on."""
 
     nodes: dict[str, _View]
-    arranged: tuple[tuple[str, ...], np.ndarray] | None = None
+    arranged: _Placed | None = None
     paid: set = field(default_factory=set)
 
     def view(self) -> _View:
@@ -544,13 +787,21 @@ class _Rel:
 class _Pricer:
     """One candidate's walk over counts; ``units`` accumulates its total."""
 
-    def __init__(self, stats: Statistics, p: int) -> None:
+    def __init__(self, stats: Statistics, p: int, bound: float | None = None) -> None:
         self.s = stats
-        self.root = _Units(p)
+        self.root = _Units(p, bound=bound)
+        #: Each binary join's predicted cell shuffle, in walk order.
+        self.shuffles: list[float] = []
 
     @property
     def units(self) -> float:
-        return self.root.total[0]
+        """The predicted ``LoadReport.total``."""
+        return float(self.root.servers.sum())
+
+    @property
+    def load(self) -> float:
+        """The predicted ``LoadReport.load``: the largest server's units."""
+        return float(self.root.servers.max())
 
     # -- helpers --------------------------------------------------------
     def size(self, tree: _Tree, rel: _Rel) -> float:
@@ -570,19 +821,49 @@ class _Pricer:
                     return key, self.s.degrees(rel.nodes[u], key, w)
         raise ValueError("relations are not adjacent in the join tree")
 
-    @staticmethod
-    def share(U: _Units, arranged, key: tuple[str, ...], deg: np.ndarray) -> float:
-        """The share of rows with per-key counts ``deg`` a pass on ``key``
-        moves, given how their parts are ``arranged``."""
-        if arranged is None or arranged[0] != key:
+    def share(self, U: _Units, arranged: _Placed | None, key: tuple[str, ...],
+              rows: np.ndarray, new: np.ndarray) -> float | np.ndarray:
+        """What a pass on ``key`` onto ranges balanced by ``new`` moves of
+        rows ``rows`` per key code (see :meth:`_Units.side`): the rows each
+        server receives when they sit arranged on ``key``, else all of
+        them, to random servers."""
+        if arranged is None or arranged.key != key or U.p != len(U.root.at):
             return 1.0
-        return _drift(deg, arranged[1], U.p)
+        return self.s.moved(arranged, rows, new, U.p)
+
+    def held(self, U: _Units, tree: _Tree, rel: _Rel, other: _Rel,
+             key: tuple[str, ...], deg: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """``rel``'s rows per server and code ``keys[j]`` of ``key`` (its
+        separator toward ``other``, ``deg`` rows per code): dealt evenly
+        when it sits on no key; else each row where its code of the key it
+        sits on puts it, counted through the join tree one server at a
+        time."""
+        p = U.p
+        placed = rel.arranged
+        if placed is None:
+            return np.outer(np.full(p, 1.0 / p), deg[keys])
+        spread = self.s.spread(placed, p)
+        if placed.key == key:
+            col, share = spread
+            return share[:, col[keys]] * deg[keys]
+        rels = self.s.instance.relations
+        u = next((u for u, v in rel.nodes.items()
+                  if set(placed.key) <= set(rels[v.base].attrs)), None)
+        if u is None:
+            return np.outer(np.full(p, 1.0 / p), deg[keys])
+        if len(rel.nodes) == 1:
+            return self.s.split(rel.nodes[u], spread, placed.key, key, keys)
+        view = rel.nodes[u]
+        col, share = spread
+        on = (share[:, col[self.s.codes(view, placed.key)]] * self.s.ones(view)).T
+        split = _Rel({**rel.nodes, u: _View(view.base, view.idx, on)})
+        return self.toward(tree, split, other)[1][keys].T
 
     def run(self, U: _Units, rel: _Rel, key: tuple[str, ...], deg: np.ndarray) -> None:
         """A relation-aware primitive's sorted run: paid once."""
         if key not in rel.paid:
             rel.paid.add(key)
-            U.sort((deg.sum(), self.share(U, rel.arranged, key, deg)))
+            U.sort((deg.sum(), self.share(U, rel.arranged, key, deg, deg)))
 
     # -- primitives -----------------------------------------------------
     def semi_join(self, U: _Units, key: tuple[str, ...], rel: _Rel, flt: _Rel) -> _Rel:
@@ -593,13 +874,14 @@ class _Pricer:
             empty = np.zeros(s.rows(v), bool)
             return rel if s.rows(f) else _Rel({next(iter(rel.nodes)): s.filtered(v, empty)})
         dv, df = s.degrees(v, key), s.degrees(f, key)
+        both = dv + df
         U.sort(
-            (dv.sum(), self.share(U, rel.arranged, key, dv)),
-            (df.sum(), self.share(U, flt.arranged, key, df)),
+            (dv.sum(), self.share(U, rel.arranged, key, dv, both)),
+            (df.sum(), self.share(U, flt.arranged, key, df, both)),
         )
         U.trip()
         keep = (df > 0)[s.codes(v, key)]
-        return _Rel({next(iter(rel.nodes)): s.filtered(v, keep)}, (key, dv + df))
+        return _Rel({next(iter(rel.nodes)): s.filtered(v, keep)}, _Placed(key, both))
 
     def dangling(self, U: _Units, tree: _Tree, rels: dict[str, _Rel]) -> dict[str, _Rel]:
         out = dict(rels)
@@ -624,44 +906,58 @@ class _Pricer:
         if not key:
             self.cartesian(U, [n1, n2])
             return _Rel({**r1.nodes, **r2.nodes})
-        # One pass over r1 ⊎ r2, on ranges balanced by both sides' rows.
-        both_sides = d1 + d2
-        U.sort(
-            (n1, self.share(U, r1.arranged, key, both_sides)),
-            (n2, self.share(U, r2.arranged, key, both_sides)),
-        )
+        # One pass over r1 ⊎ r2: the PSRS kernel itself, run on the rows
+        # each server holds per key and side (the keys either side holds,
+        # in key order).
+        order = self.s.key_order(key)
+        keys = order[(d1 + d2)[order] > 0]
+        arr = _psrs([
+            self.held(U, tree, r1, r2, key, d1, keys), self.held(U, tree, r2, r1, key, d2, keys)
+        ])
+        U.sorted(arr)
         U.trip(2)  # degree stitch, OUT sum
-        prod = d1 * d2
+        # Rows per server and key where the sort leaves them.
+        m = len(keys)
+        dest = np.repeat(np.arange(p), np.diff(arr.cuts))
+        lands = np.bincount(dest * m + (arr.ranks >> 1), minlength=p * m).reshape(p, m)
+        rows = lands.sum(axis=0)
+        e1, e2 = d1[keys], d2[keys]
+        prod = e1 * e2
         out = prod.sum()
-        joined = _Rel({**r1.nodes, **r2.nodes}, (key, both_sides))
+        nodes = {**r1.nodes, **r2.nodes}
         if out == 0:
-            return joined
+            return _Rel(nodes, _Placed(key, d1 + d2, keys, lands / np.maximum(rows, 1.0)))
         l_in, l_out = budgets(n1 + n2, out, p)
-        both = prod > 0
-        weight = key_weight(d1, d2, l_in, l_out)
-        heavy = both & (weight > 1.0)
-        light = both & ~heavy
-        # Light groups stay on the server the one sort put their rows on
-        # (parallel_packing's placement): a base relation's light rows are
-        # priced as the share that sort moves them, a proxy for the
-        # overflow and leftover groups the pricer does not place.  An
-        # intermediate's keys carry output weight, so its servers overflow
-        # their group cap: its light rows are priced as a full move.
-        routed = sum(
-            float(d[light].sum())
-            * (self.share(U, rel.arranged, key, both_sides) if len(rel.nodes) == 1 else 1.0)
-            for rel, d in ((r1, d1), (r2, d2))
-        )
-        for c1, c2 in zip(d1[heavy].tolist(), d2[heavy].tolist()):
+        weight = key_weight(e1, e2, l_in, l_out)
+        heavy = (prod > 0) & (weight > 1.0)
+        lit = np.flatnonzero((prod > 0) & ~heavy)
+        # Light rows move unless their group stays on the server the one
+        # sort put them on (parallel_packing's placement).
+        server = _place_light(np.argmax(lands[:, lit] > 0, axis=0), weight[lit], p)
+        routed = np.bincount(server, rows[lit] - lands[server, lit], minlength=p).astype(float)
+        # A heavy key's rectangle takes the next a x b virtual servers, in
+        # key order; each cell receives an a-th of its r1 rows and a b-th
+        # of its r2 rows, from servers at random.  The result sits where its
+        # cells are: a light key's on its group's server, a heavy key's over
+        # its rectangle.
+        share = np.zeros((p, m))
+        share[server, lit] = 1.0
+        cursor = 0
+        for j in np.flatnonzero(heavy).tolist():
+            c1, c2 = float(e1[j]), float(e2[j])
             a, b = heavy_rectangle(c1, c2, l_in, l_out)
-            routed += c1 * b + c2 * a
+            cells = np.bincount((cursor + np.arange(a * b)) % p, minlength=p)
+            routed += cells * ((c1 / a + c2 / b) * (p - 1) / p)
+            share[:, j] = cells / (a * b)
+            cursor += a * b
         n_heavy = int(heavy.sum())
         U.trip()  # packing
         U.move(n_heavy)
         U.bcast(n_heavy)
         U.trip(2)  # light carry, heavy numbering stitch
         U.move(routed)
-        return joined
+        self.shuffles.append(float(routed.sum()))
+        return _Rel(nodes, _Placed(key, d1 * d2, keys, share))
 
     @staticmethod
     def cartesian(U: _Units, sizes: Sequence[float]) -> None:
@@ -705,19 +1001,20 @@ class _Pricer:
                 continue
             deg = s.degrees(rels[node].view(), key)
             if node in folded:
-                U.sort((deg.sum(), self.share(U, folded[node], key, deg)))
+                U.sort((deg.sum(), self.share(U, folded[node], key, deg, deg)))
             else:
                 self.run(U, rels[node], key, deg)
             U.trip()
             table = (deg > 0).astype(float)
             par_deg = s.degrees(rels[par].view(), key)
             arranged = folded[par] if par in folded else rels[par].arranged
+            union = par_deg + table
             U.sort(
-                (par_deg.sum(), self.share(U, arranged, key, par_deg)),
-                (table.sum(), _drift(table, deg, U.p)),
+                (par_deg.sum(), self.share(U, arranged, key, par_deg, union)),
+                (table.sum(), self.share(U, _Placed(key, deg), key, table, union)),
             )
             U.trip()
-            folded[par] = (key, par_deg + table)
+            folded[par] = _Placed(key, union)
         top = tree.jt.root
         if root is None:
             U.trip()
@@ -748,18 +1045,19 @@ class _Pricer:
         s, p = self.s, self.root.p
         reduced = s.reduced()
         if p not in s.opening:
-            arranged: dict[str, tuple | None] = dict.fromkeys(reduced)
+            arranged: dict[str, _Placed | None] = dict.fromkeys(reduced)
             U = _Units(p)
             for target, source, key, d_target, d_source in s.sweep:
                 if not key:  # across components: no message
                     continue
+                union = d_target + d_source
                 U.sort(
-                    (d_target.sum(), self.share(U, arranged[target], key, d_target)),
-                    (d_source.sum(), self.share(U, arranged[source], key, d_source)),
+                    (d_target.sum(), self.share(U, arranged[target], key, d_target, union)),
+                    (d_source.sum(), self.share(U, arranged[source], key, d_source, union)),
                 )
                 U.trip()
-                arranged[target] = (key, d_target + d_source)
-            s.opening[p] = U.total[0], arranged
+                arranged[target] = _Placed(key, union)
+            s.opening[p] = U.servers, arranged
         units, arranged = s.opening[p]
         self.root.add(units)
         return {n: _Rel({n: view}, arranged[n]) for n, view in reduced.items()}
@@ -786,12 +1084,13 @@ class _Pricer:
             view = rel.view()
             own = s.degrees(view, b_key)
             self.run(U, rel, b_key, own)
-            U.move(np.count_nonzero(deg) * _drift(own, deg, U.p))
+            table = (deg > 0).astype(float)
+            U.side(table.sum(), self.share(U, _Placed(b_key, deg), b_key, table, own))
             U.trip()
             heavy = deg[s.codes(view, b_key)] > tau
             halves[name] = (
-                _Rel({name: s.filtered(view, heavy)}, (b_key, own)),
-                _Rel({name: s.filtered(view, ~heavy)}, (b_key, own)),
+                _Rel({name: s.filtered(view, heavy)}, _Placed(b_key, own)),
+                _Rel({name: s.filtered(view, ~heavy)}, _Placed(b_key, own)),
             )
         (h1, l1), (h2, l2) = halves[n1], halves[n2]
         if s.size(h1.view()) and s.size(h2.view()):
@@ -835,8 +1134,8 @@ class _Pricer:
             self.run(U, rels[ei], key, deg)
             U.trip()
             is_heavy = deg[s.codes(view, key)] >= tau
-            heavy[ei] = _Rel({ei: s.filtered(view, is_heavy)}, (key, deg))
-            light[ei] = _Rel({ei: s.filtered(view, ~is_heavy)}, (key, deg))
+            heavy[ei] = _Rel({ei: s.filtered(view, is_heavy)}, _Placed(key, deg))
+            light[ei] = _Rel({ei: s.filtered(view, ~is_heavy)}, _Placed(key, deg))
             light_deg[ei] = s.degrees(light[ei].view(), key)
             self.run(U, light[ei], key, light_deg[ei])
             U.trip()
@@ -867,17 +1166,19 @@ class _Pricer:
         for i, ei in enumerate(children):
             key = tree.adj[e0][ei]
             own = s.degrees(r0, key)
-            table = light_deg[ei] > 0
+            table = (light_deg[ei] > 0).astype(float)
+            at_light = _Placed(key, light_deg[ei])
             if i == 0:
                 self.run(U, rels[e0], key, own)
-                U.move(table.sum() * _drift(own, light_deg[ei], U.p))
+                U.side(table.sum(), self.share(U, at_light, key, table, own))
             else:
+                union = own + table
                 U.sort(
-                    (own.sum(), self.share(U, arranged, key, own)),
-                    (table.sum(), _drift(own, light_deg[ei], U.p)),
+                    (own.sum(), self.share(U, arranged, key, own, union)),
+                    (table.sum(), self.share(U, at_light, key, table, union)),
                 )
             U.trip()
-            arranged = (key, own)
+            arranged = _Placed(key, own)
             prod = prod * light_deg[ei][s.codes(r0, key)]
         is_h0 = prod >= tau
         if is_h0.any():
@@ -957,9 +1258,10 @@ class _Pricer:
         key = (x,)
         views = {n: rels[n].view() for n in names}
         degs = {n: s.degrees(views[n], key) for n in names}
-        U.sort(*((degs[n].sum(), self.share(U, rels[n].arranged, key, degs[n])) for n in names))
-        U.trip()
         in_a = sum(degs.values())
+        U.sort(*((degs[n].sum(), self.share(U, rels[n].arranged, key, degs[n], in_a))
+                 for n in names))
+        U.trip()
         present = in_a > 0
         heavy_codes = np.flatnonzero(present & (in_a > budget))
         n_light = int(np.count_nonzero(present)) - len(heavy_codes)
@@ -977,19 +1279,22 @@ class _Pricer:
                     sub_views = {n: views[n] for n in combo}
                     w = s.weights(tree, sub_views, root)
                     root_deg = degs[root]
-                    U.sort((root_deg.sum(), self.share(U, arranged, key, root_deg)))
+                    U.sort((root_deg.sum(), self.share(U, arranged, key, root_deg, root_deg)))
                     U.trip()
                     per_value = s.degrees(views[root], key, w)
                     U.move(np.count_nonzero(per_value[heavy_codes]))
                     for a in demand:
                         demand[a] = max(demand[a], per_value[a] / budget ** k)
         U.bcast(len(heavy_codes))  # allocation
+        table = present.astype(float)
+        table[heavy_codes] = 0.0
         for n in names:
             # Each relation's rows meet the light values' table, which sits
             # on the ranges that balanced every relation's rows together.
+            union = degs[n] + table
             U.sort(
-                (degs[n].sum(), self.share(U, rels[n].arranged, key, degs[n])),
-                (n_light, _drift(degs[n], in_a, U.p)),
+                (degs[n].sum(), self.share(U, rels[n].arranged, key, degs[n], union)),
+                (n_light, self.share(U, _Placed(key, in_a), key, table, union)),
             )
             U.trip()
         U.move(sum(d.sum() for d in degs.values()))
@@ -1046,21 +1351,27 @@ def candidates(query: Hypergraph) -> tuple[str, ...]:
 
 def choose(query: Hypergraph, instance: Instance, p: int) -> Choice:
     """The applicable candidate with the least predicted load on ``p``
-    servers: a pure function of (query, data, p).
+    servers, Yannakakis at its own least-load fold order
+    (:func:`price_fold_orders`' rule): a pure function of (query, data, p).
 
     Raises:
         CyclicQueryError: If the query is cyclic (cyclic queries are not
             priced; see :func:`repro.core.runner.auto_algorithm`).
     """
     stats = Statistics(query, instance)
-    plan, quality = _price_orders(query, stats)
+    plan, quality = _price_orders(query, stats, p)
     units: dict[str, int] = {}
     for name in candidates(query):
-        pricer = _Pricer(stats, p)
         if name == "yannakakis":
-            pricer.yannakakis(plan.order)
-        else:
+            units[name] = plan.units
+            continue
+        # A candidate past the least so far stops there: its units are
+        # where it stopped.
+        pricer = _Pricer(stats, p, min(units.values()))
+        try:
             getattr(pricer, name)()
-        units[name] = int(round(pricer.units))
+        except _Over:
+            pass
+        units[name] = int(round(pricer.load))
     best = min(units, key=units.__getitem__)
     return Choice(best, plan, quality, units)

@@ -113,18 +113,23 @@ class Column:
             return np.fromiter(d, object, len(d))[np.asarray(self.data)].tolist()
         return list(self.data)
 
-    def approx_nbytes(self) -> int:
+    def approx_nbytes(self, seen: set[int] | None = None) -> int:
         """Approximate resident size (cache-accounting, not wire size).
 
         Typed arrays report their exact buffer size; dictionary values
-        and raw objects are estimated via :func:`sys.getsizeof`.  Shared
-        dictionaries are counted once per referencing column — an
-        overcount, i.e. conservative for the cache bounds built on this.
+        and raw objects are estimated via :func:`sys.getsizeof`.  A
+        dictionary is counted unless its ``id`` is in ``seen`` (then added
+        to it): blocks gathered from one source share their dictionaries,
+        so a caller summing many columns passes one set.
         """
         if self.kind == "i":
             return self.data.itemsize * len(self.data)
         if self.kind == "d":
             base = self.data.itemsize * len(self.data)
+            if seen is not None:
+                if id(self.dictionary) in seen:
+                    return base
+                seen.add(id(self.dictionary))
             return base + sum(map(sys.getsizeof, self.dictionary or ()))
         return sum(map(sys.getsizeof, self.data))
 
@@ -226,14 +231,15 @@ class ColumnBlock:
     def take(self, idx: Sequence[int]) -> "ColumnBlock":
         """Rows ``idx[0], idx[1], ...`` as a new block (shared dicts).
 
-        Equals ``[rows[i] for i in idx]`` on the row view; repeats and any
-        order are allowed, which is what makes it the emit kernel of every
-        local join (gather each side by its list of matching positions).
+        Equals ``[rows[i] for i in idx]`` on the row view (``idx`` a
+        sequence or an integer array); repeats and any order are allowed,
+        which is what makes it the emit kernel of every local join (gather
+        each side by its list of matching positions).
         Typed buffers are gathered at C speed; only codes move.
         """
-        at = np.fromiter(idx, np.int64, len(idx))
-        return ColumnBlock(len(idx), [
-            Column("o", [c.data[i] for i in idx]) if c.kind == "o"
+        at = np.asarray(idx, dtype=np.int64)
+        return ColumnBlock(len(at), [
+            Column("o", list(map(c.data.__getitem__, at.tolist()))) if c.kind == "o"
             else Column(c.kind, _gather(c.data, at), c.dictionary)
             for c in self.columns
         ])
@@ -257,9 +263,9 @@ class ColumnBlock:
             [_concat_columns(cols) for cols in zip(*[b.columns for b in full])],
         )
 
-    def approx_nbytes(self) -> int:
+    def approx_nbytes(self, seen: set[int] | None = None) -> int:
         """Approximate resident size of all columns (see ``Column``)."""
-        return 64 + sum(c.approx_nbytes() for c in self.columns)
+        return 64 + sum(c.approx_nbytes(seen) for c in self.columns)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnBlock<{self.n} rows x {self.arity} cols>"
@@ -283,6 +289,12 @@ def _concat_columns(cols: Sequence[Column]) -> Column:
     if kinds != {"d"}:
         # Kinds disagree (or an object column is involved): re-encode.
         return encode_column([v for c in cols for v in c.values()])
+    if all(c.dictionary is cols[0].dictionary for c in cols):
+        # Gathered from one source: the codes already agree.
+        data = array("q")
+        for c in cols:
+            data.extend(c.data)
+        return Column("d", data, cols[0].dictionary)
     # Merge dictionaries on encode_column's own ``(type, value)`` keys; the
     # codes of every later dictionary are remapped in one C-speed gather.
     dictionary = list(cols[0].dictionary)

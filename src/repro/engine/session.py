@@ -646,7 +646,8 @@ class Engine:
 
         A join result is priced from block metadata,
         ``ColumnBlock.approx_nbytes``: typed arrays at itemsize x length
-        plus the dictionary values each column references — O(dictionary),
+        plus the dictionary values the columns reference, each dictionary
+        once (parts gathered from one input share theirs) — O(dictionary),
         no pass over the rows.  An aggregate result is a row-backed
         ``Relation`` and is priced as held: the row container, each row
         tuple, every cell value (shared values once per reference, an
@@ -655,7 +656,8 @@ class Engine:
         magnitude under what the LRU actually keeps.
         """
         if isinstance(stored, DistRelation):
-            return 256 + sum(b.approx_nbytes() for b in stored.column_parts)
+            seen: set[int] = set()
+            return 256 + sum(b.approx_nbytes(seen) for b in stored.column_parts)
         if isinstance(stored, Relation):
             rows, anns = stored.rows, stored.annotations or ()
             held = chain((rows, anns), rows, chain.from_iterable(rows), anns)
@@ -769,11 +771,11 @@ class Engine:
             or not query.is_acyclic()
         ):
             return None
+        p = self.p
         if algorithm == "yannakakis":
             return lambda: Choice(
-                "yannakakis", *price_fold_orders(query, instance), units={}
+                "yannakakis", *price_fold_orders(query, instance, p), units={}
             )
-        p = self.p
         return lambda: choose(query, instance, p)
 
     def _resolve(

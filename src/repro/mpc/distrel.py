@@ -119,6 +119,16 @@ class DistRelation:
         """Columnar view, or ``None`` if this relation is row-backed."""
         return self._cols
 
+    def block(self) -> ColumnBlock:
+        """Every part's rows in sequence, as one column block: a
+        column-backed relation's parts concatenated, a row-backed one's
+        rows encoded once (one dictionary per column)."""
+        if self._cols is not None:
+            return ColumnBlock.concat(self._cols)
+        return ColumnBlock.from_rows(
+            [row for part in self._parts for row in part], len(self.attrs)
+        )
+
     def column_values(self, part_idx: int, col: int) -> list:
         """One part's values in one column (no row materialization needed)."""
         if self._cols is not None:

@@ -6,8 +6,11 @@ sub-instances onto single servers (Sections 3.2 and 4.2); the paper
 leaves free which server a group goes to, so a group built on one server
 stays there while that server holds O(1) groups.  Its O(p) coordinator
 step is the one round trip every boundary step shares
-(:func:`~repro.mpc.substrate.coordinator_roundtrip`).  Heavy sub-instances
-need no primitive: their callers lay out contiguous server ranges inline.
+(:func:`~repro.mpc.substrate.coordinator_roundtrip`).  Its two rules are
+pure functions the pricer calls too (:mod:`repro.core.planner`): a
+server's own bins (:func:`pack_local`) and the coordinator's placement
+of every group (:func:`place_groups`).  Heavy sub-instances need no
+primitive: their callers lay out contiguous server ranges inline.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.mpc.cluster import prim_span
 from repro.mpc.group import Group
 from repro.mpc.substrate import coordinator_roundtrip
 
-__all__ = ["parallel_packing"]
+__all__ = ["pack_local", "parallel_packing", "place_groups"]
 
 
 def parallel_packing(
@@ -69,93 +72,117 @@ def parallel_packing(
             if not 0 < w <= 1 + 1e-12:
                 raise AllocationError(f"weight {w} of item {item_id!r} not in (0, 1]")
 
-    # Local grouping: items of weight >= 1/2 each take their own bin; small
-    # items accumulate until the next one would overflow 1, so every closed
-    # small bin holds > 1 - 1/2 = 1/2.  At most one partial (< 1/2) bin per
-    # server remains.
-    local_bins_per_server: list[list[list[tuple[Any, float]]]] = []
-    leftovers: list[tuple[float, list[Any]] | None] = []
-    for part in parts:
-        full: list[list[tuple[Any, float]]] = []
-        cur: list[tuple[Any, float]] = []
-        cur_w = 0.0
-        for item_id, w in part:
-            if w >= 0.5:
-                full.append([(item_id, w)])
-                continue
-            if cur_w + w > 1.0 + 1e-12:
-                full.append(cur)
-                cur, cur_w = [], 0.0
-            cur.append((item_id, w))
-            cur_w += w
-        partial: list[tuple[Any, float]] = []
-        if cur:
-            if cur_w >= 0.5:
-                full.append(cur)
-            else:
-                partial = cur
-        local_bins_per_server.append(full)
-        leftovers.append(
-            (sum(w for _i, w in partial), [i for i, _w in partial]) if partial else None
-        )
+    local = [pack_local([w for _i, w in part]) for part in parts]
 
     # Prefix sums over full-bin counts, packing of the <= p leftover
     # partial bins into final groups, and every group's server: one O(p)
     # coordinator round trip.
-    summaries = [
-        (len(bins), None if leftover is None else leftover[0])
-        for bins, leftover in zip(local_bins_per_server, leftovers)
-    ]
     with prim_span(group.cluster, "ParallelPacking", label):
-        replies = coordinator_roundtrip(group, summaries, _pack_leftovers, label)
+        replies = coordinator_roundtrip(
+            group, [(n_full, partial) for _bins, n_full, partial in local],
+            _pack_leftovers, label,
+        )
     n_groups = replies[0][2]
     p = group.size
 
     assignment_parts: list[list[tuple[Any, tuple[int, int]]]] = []
-    for src, (bins, leftover, (offset, leftover_gid, _n, moved)) in enumerate(
-        zip(local_bins_per_server, leftovers, replies)
+    for src, (part, (bins, n_full, _w), (offset, leftover_gid, _n, moved)) in enumerate(
+        zip(parts, local, replies)
     ):
-        dests = [src] * (len(bins) - len(moved)) + list(moved)
-        out = [
-            (item_id, (offset + local_gid, dest))
-            for local_gid, (bin_items, dest) in enumerate(zip(bins, dests))
-            for item_id, _w in bin_items
+        dests = [src] * (n_full - len(moved)) + list(moved)
+        placed = [
+            (offset + b, dests[b]) if b >= 0 else (leftover_gid, leftover_gid % p)
+            for b in bins
         ]
-        if leftover is not None:
-            out += [(item_id, (leftover_gid, leftover_gid % p)) for item_id in leftover[1]]
-        assignment_parts.append(out)
+        # Bin by bin, the leftover bin last; items in arrival order within one.
+        by_bin = sorted(range(len(part)), key=lambda i: bins[i] if bins[i] >= 0 else n_full)
+        assignment_parts.append([(part[i][0], placed[i]) for i in by_bin])
     return assignment_parts, n_groups
 
 
-def _pack_leftovers(summaries: list) -> list[tuple[int, int | None, int, tuple[int, ...]]]:
-    """Coordinator rule of :func:`parallel_packing`: from each server's
-    ``(full bins, leftover weight or None)``, reply ``(offset of its full
-    bins, group of its leftover bin, total group count, servers of its
-    full bins past the cap)``; the leftover bins (each < 1/2) first-fit
-    into groups after the full ones, and the groups are placed as
-    :func:`parallel_packing` sets out."""
+def pack_local(weights: Sequence[float]) -> tuple[list[int], int, float | None]:
+    """One server's local grouping, in arrival order: an item of weight
+    >= 1/2 takes a bin of its own; smaller items accumulate until the next
+    one would overflow 1, so every closed small bin holds more than 1/2.
+
+    Returns each item's full bin (numbered in closing order; ``-1`` for
+    the partial bin), the number of full bins, and the partial bin's
+    weight (``None`` when every bin is full, i.e. holds at least 1/2).
+    """
+    bins: list[int] = []
+    n_full = 0
+    cur: list[int] = []
+    cur_w = 0.0
+    for w in weights:
+        if w >= 0.5:
+            bins.append(n_full)
+            n_full += 1
+            continue
+        if cur_w + w > 1.0 + 1e-12:
+            for i in cur:
+                bins[i] = n_full
+            n_full += 1
+            cur, cur_w = [], 0.0
+        cur.append(len(bins))
+        bins.append(-1)
+        cur_w += w
+    if cur and cur_w >= 0.5:
+        for i in cur:
+            bins[i] = n_full
+        return bins, n_full + 1, None
+    return bins, n_full, cur_w if cur else None
+
+
+def place_groups(summaries: Sequence[tuple[int, float | None]]) -> tuple[list[int], list[int | None]]:
+    """The coordinator's rule, pure: from each server's ``(full bins,
+    partial bin weight or None)``, every group's server and each server's
+    leftover group.
+
+    Group ids number server 0's full bins, then server 1's, ..., then the
+    leftover groups, which the partial bins (each < 1/2) first-fit into.
+    Returns ``servers`` (``servers[gid]`` is group ``gid``'s server) and,
+    per server, the group its partial bin joined (``None`` without one).
+    The placement is :func:`parallel_packing`'s: each server keeps its
+    first ``cap = ceil(groups / p)`` full bins, leftover group ``gid``
+    goes to ``gid % p``, and each overflow bin to the server holding the
+    fewest groups so far (the lowest index on a tie).
+    """
     p = len(summaries)
     offsets = [0, *accumulate(cnt for cnt, _w in summaries)]
     gid, cur_w = offsets[-1] - 1, None
-    gids: list[int | None] = []
+    leftover: list[int | None] = []
     for _cnt, w in summaries:
         if w is not None:
             if cur_w is not None and cur_w + w <= 1.0 + 1e-12:
                 cur_w += w
             else:
                 gid, cur_w = gid + 1, w
-        gids.append(None if w is None else gid)
+        leftover.append(None if w is None else gid)
     n_groups = gid + 1
     cap = -(-n_groups // p)
     held = [min(cnt, cap) for cnt, _w in summaries]
     for g in range(offsets[-1], n_groups):
         held[g % p] += 1
-    moved: list[tuple[int, ...]] = []
-    for cnt, _w in summaries:
-        dests = []
+    servers: list[int] = []
+    for src, (cnt, _w) in enumerate(summaries):
+        servers += [src] * min(cnt, cap)
         for _ in range(cnt - cap):
             dest = min(range(p), key=held.__getitem__)
             held[dest] += 1
-            dests.append(dest)
-        moved.append(tuple(dests))
-    return [(off, g, n_groups, m) for off, g, m in zip(offsets, gids, moved)]
+            servers.append(dest)
+    servers += [g % p for g in range(offsets[-1], n_groups)]
+    return servers, leftover
+
+
+def _pack_leftovers(summaries: list) -> list[tuple[int, int | None, int, list[int]]]:
+    """Coordinator step of :func:`parallel_packing`: reply to each server
+    ``(offset of its full bins, group of its leftover bin, total group
+    count, servers of its full bins past the cap)``, by
+    :func:`place_groups`."""
+    servers, leftover = place_groups(summaries)
+    cap = -(-len(servers) // len(summaries))
+    offsets = [0, *accumulate(cnt for cnt, _w in summaries)]
+    return [
+        (off, g, len(servers), servers[off + cap:end])
+        for off, end, g in zip(offsets, offsets[1:], leftover)
+    ]

@@ -681,24 +681,29 @@ def arrange_sides(
     r2: DistRelation,
     key_attrs: Sequence[str],
     label: str,
-) -> tuple[list[Row], Arrangement]:
+) -> Arrangement:
     """One PSRS pass over ``r1 ⊎ r2`` on ``key_attrs``, each row flagged
-    with its side: the rows, flat (source ``s``'s ``r1`` part, then its
-    ``r2`` part), and their :class:`Arrangement` on ``2 * key rank +
-    side``, side 0 being ``r1``.  Each key's ``r1`` rows precede its
+    with its side: the :class:`Arrangement` on ``2 * key rank + side``,
+    side 0 being ``r1``, of the rows in flat order (source ``s``'s ``r1``
+    part, then its ``r2`` part).  Each key's ``r1`` rows precede its
     ``r2`` rows, each side in uid order.
 
-    The keys are projected per server as one backend round per side
-    (:func:`~repro.mpc.substrate.map_keys`).  The arrangement belongs to
-    neither relation, so it is paid on every call, like
-    :func:`semi_join`'s union sort.
+    A row-backed side's keys are projected per server as one backend
+    round (:func:`~repro.mpc.substrate.map_keys`); a column-backed side's
+    are read off its key columns (:func:`~repro.mpc.substrate.projected_keys`),
+    so no row tuple is built.  The arrangement belongs to neither
+    relation, so it is paid on every call, like :func:`semi_join`'s union
+    sort.
     """
-    keys = [map_keys(group, rel, rel.positions(key_attrs)) for rel in (r1, r2)]
-    arr = _sort_sides(
+    keys = [
+        projected_keys(rel, pos) if rel.column_parts is not None
+        else map_keys(group, rel, pos)
+        for rel, pos in ((r1, r1.positions(key_attrs)), (r2, r2.positions(key_attrs)))
+    ]
+    return _sort_sides(
         group, [part for pair in zip(*keys) for part in pair], label,
         f"{r1.name} ⊎ {r2.name}[{','.join(key_attrs)}] {label}",
     )
-    return _flat(part for pair in zip(r1.parts, r2.parts) for part in pair), arr
 
 
 def side_degrees(

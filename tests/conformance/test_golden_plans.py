@@ -4,10 +4,11 @@
 chosen order, every prefix size along it, and the best/worst
 quality spread — on every conformance-grid instance (quick size), on every
 query of the four harness decks at smoke and full size, and on the
-Section 4.1 trap constructions.  It was generated by the MPC pricer
-(``remove_dangling`` plus one ``mpc_count`` per connected prefix on a
-scratch cluster) at the last commit that had one; this test demands the
-RAM pricer returns exactly that.
+Section 4.1 trap constructions, each priced on its own ``p``
+(:func:`case_p`).  The prefix sizes were first generated by the MPC
+pricer (``remove_dangling`` plus one ``mpc_count`` per connected prefix
+on a scratch cluster); the chosen orders were regenerated when fold
+orders began to be ranked by predicted load.
 
 The file changes only when a PR *means* to change which plan wins.
 Regenerate with
@@ -102,6 +103,18 @@ def build_case(name: str) -> tuple[Hypergraph, Instance]:
     return instance.query, instance
 
 
+def case_p(name: str) -> int:
+    """The servers a case is priced on: a grid cell's or a deck's own
+    ``p``, else 8."""
+    family, _, rest = name.partition("/")
+    if family == "grid":
+        return next(c.p for c in grid.GRID if c.name == rest)
+    if family == "deck":
+        workload, size, _i = rest.split("/")
+        return _deck_engine(workload, size)[0].p
+    return 8
+
+
 def frozen(choice, quality) -> dict:
     """A priced plan the way the stored file reads (through JSON)."""
     return json.loads(json.dumps({
@@ -124,12 +137,12 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("name", CASES)
 def test_priced_plan_matches_golden(name, golden):
     query, instance = build_case(name)
-    assert frozen(*price_fold_orders(query, instance)) == golden[name]
+    assert frozen(*price_fold_orders(query, instance, case_p(name))) == golden[name]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python -m tests.conformance.test_golden_plans --write")
-    out = {name: frozen(*price_fold_orders(*build_case(name))) for name in CASES}
+    out = {name: frozen(*price_fold_orders(*build_case(name), case_p(name))) for name in CASES}
     GOLDEN_PATH.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(out)} cases to {GOLDEN_PATH}")

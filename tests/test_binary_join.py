@@ -1,5 +1,6 @@
 """Tests for the output-optimal binary join."""
 
+import hashlib
 import math
 import random
 
@@ -12,7 +13,7 @@ from repro.data.generators import binary_out_controlled, matching_instance, rand
 from repro.data.instance import Instance
 from repro.data.relation import Relation
 from repro.mpc import Cluster, distribute_instance
-from repro.mpc.group import Group
+from repro.mpc.distrel import DistRelation
 from repro.mpc.primitives import arrange_sides
 from repro.mpc.substrate import cache_disabled
 from repro.core.binary_join import binary_join
@@ -258,7 +259,8 @@ def zipf_instance(draw, p):
 def servers_holding(group, rels, key):
     """The servers the binary join's one arrangement puts ``key``'s rows on."""
     scratch = Cluster(group.size).root_group()
-    rows, arr = arrange_sides(scratch, rels["R1"], rels["R2"], ("B",), "probe")
+    arr = arrange_sides(scratch, rels["R1"], rels["R2"], ("B",), "probe")
+    rows = [row for pair in zip(rels["R1"].parts, rels["R2"].parts) for part in pair for row in part]
     dest = np.repeat(np.arange(group.size), np.diff(arr.cuts)).tolist()
     sides = (arr.ranks & 1).tolist()
     # An R1 row is (A, B), an R2 row (B, C).
@@ -322,35 +324,15 @@ class TestEmissionOrder:
             ("A",), [(1,), (2,)], ("B",), [("x",), ("y",), ("z",)]
         )[1]
 
-    @pytest.mark.parametrize("p", [4, 8])
-    def test_cell_joins_equal_the_row_loops(self, p, monkeypatch):
-        """Replay the shuffle's inboxes through the old per-cell row loops."""
-        inboxes = {}
-        exchange = Group.exchange
+    @pytest.mark.parametrize("p, digest", [(4, "1ee3e28a24b097e4"), (8, "841d6d718a1ca7da")])
+    def test_cell_joins_equal_the_row_loops(self, p, digest):
+        """The array cell joins emit, part by part, what the per-cell row
+        loops emitted over the shuffle's inboxes (digests pinned from the
+        last commit that routed rows as messages)."""
+        def binary(group, query, rels):
+            return binary_join(group, rels["R1"], rels["R2"])
 
-        def recording(self, outboxes, label, *args, **kwargs):
-            got = exchange(self, outboxes, label, *args, **kwargs)
-            inboxes[label] = got
-            return got
-
-        monkeypatch.setattr(Group, "exchange", recording)
-        inst = emit_deck_instance()
-        cl = Cluster(p)
-        g = cl.root_group()
-        rels = distribute_instance(inst, g)
-        res = binary_join(g, rels["R1"], rels["R2"])
-        want_parts = []
-        for inbox in inboxes["binjoin/shuffle"]:
-            cells = {}
-            for cell_id, side, row in inbox:
-                cells.setdefault(cell_id, ([], []))[side - 1].append(row)
-            want_parts.append([
-                row
-                for rows1, rows2 in cells.values()
-                for row in rows_hash_join(rels["R1"].attrs, rows1, rels["R2"].attrs, rows2)[1]
-            ])
-        assert res.parts == want_parts
-        assert res.total_size() > 10 * inst.input_size
+        assert part_digest(emit_deck_instance(), binary, p=p) == digest
 
     def test_per_part_output_equals_the_row_emitting_commit(self):
         # Re-pinned once, when light groups began to stay on the server the
@@ -359,3 +341,60 @@ class TestEmissionOrder:
             return binary_join(group, rels["R1"], rels["R2"])
 
         assert part_digest(emit_deck_instance(), binary) == "841d6d718a1ca7da"
+
+
+class TestRowsOnlyAtTheEdge:
+    """Two column-backed intermediates join without building a row view:
+    keys come off the key columns and cells are gathered from the input
+    column parts.  Pinned from the last commit that routed row tuples."""
+
+    @staticmethod
+    def intermediates(p):
+        # Key B: values 0 and 1 are heavy, the rest light; ``#w:R1`` is an
+        # int payload and ``tag`` an object-kind column (lists).
+        rows1 = [
+            (i, 0 if i % 3 == 0 else (1 if i % 5 == 0 else 2 + i % 40), i % 7)
+            for i in range(600)
+        ]
+        rows2 = [
+            (0 if j % 4 == 0 else (1 if j % 6 == 0 else 2 + j % 55), f"c{j}", [j % 3])
+            for j in range(500)
+        ]
+
+        def blocks(rows):
+            return [ColumnBlock.from_rows(rows[s::p], 3) for s in range(p)]
+
+        return (
+            DistRelation.from_column_parts("R12", ("A", "B", "#w:R1"), blocks(rows1)),
+            DistRelation.from_column_parts("R34", ("B", "C", "tag"), blocks(rows2)),
+        )
+
+    def test_output_and_ledger_equal_the_row_routing_commit(self, monkeypatch):
+        p = 8
+        r1, r2 = self.intermediates(p)
+        assert {c.kind for b in r2.column_parts for c in b.columns} == {"d", "i", "o"}
+
+        def refuse(_self):
+            raise AssertionError("binary_join built a row view")
+
+        monkeypatch.setattr(DistRelation, "parts", property(refuse))
+        cl = Cluster(p)
+        res = binary_join(cl.root_group(), r1, r2)
+        monkeypatch.undo()
+        digest = hashlib.sha256(repr((res.attrs, res.parts)).encode()).hexdigest()[:16]
+        assert (digest, res.total_size()) == ("ebfa757ccb2c2a49", 30300)
+        report = cl.snapshot().as_dict()
+        assert {k: report[k] for k in ("load", "total", "steps", "max_step_load")} == {
+            "load": 504, "total": 2380, "steps": 16, "max_step_load": 353,
+        }
+        assert report["totals"] == [240, 237, 504, 369, 249, 206, 362, 213]
+        assert report["by_label"] == {
+            "binjoin/deg/stitch/gather": 7, "binjoin/deg/stitch/reply": 7,
+            "binjoin/heavy-bcast": 7, "binjoin/heavy-gather": 1,
+            "binjoin/heavy-number/stitch/gather": 7, "binjoin/heavy-number/stitch/reply": 7,
+            "binjoin/light/carry/gather": 7, "binjoin/light/carry/reply": 7,
+            "binjoin/out/bcast": 7, "binjoin/out/gather": 7,
+            "binjoin/pack/gather": 7, "binjoin/pack/reply": 7,
+            "binjoin/shuffle": 1223, "binjoin/sort/sample": 56,
+            "binjoin/sort/shuffle": 974, "binjoin/sort/splitters": 49,
+        }

@@ -154,7 +154,7 @@ def _predicted_product(inst: Instance) -> int:
     ]
     units = _Units(P)
     _Pricer.cartesian(units, sizes)
-    return int(round(units.total[0]))
+    return int(round(units.servers.sum()))
 
 
 class TestDisconnectedQueries:
@@ -235,7 +235,7 @@ class TestProductRoutes:
         across the empty separator moves nothing and is priced at 0."""
         query = Hypergraph({"R0": ("x0",), "R2": ("x1",)}, name="cart")
         inst = random_instance(query, 40, dom, seed=3)
-        fold = price_fold_orders(query, inst)[0]
+        fold = price_fold_orders(query, inst, P)[0]
         report = mpc_join(query, inst, P, "yannakakis", plan=fold.order).report
         assert not any("/reduce/" in label for label in report.by_label)
         pricer = _Pricer(Statistics(query, inst), P)

@@ -102,13 +102,13 @@ def test_same_structure_different_binding_is_a_distinct_plan():
 def test_a_register_that_keeps_the_order_compiles_a_new_entry():
     eng = _basic_engine()
     first = eng.execute(LINE3)
-    eng.register(Relation("R2", ("B", "C"), [(i % 3, i % 11) for i in range(80)]))
+    eng.register(Relation("R2", ("B", "C"), [(i % 4, i % 7) for i in range(40)]))
     res = eng.execute(LINE3)
     assert not res.metrics.cache_hit and res.prepared is not first.prepared
     instance = eng.instance_for(parse_query(LINE3))
     assert set(res.rows()) == set(ram_yannakakis(instance).rows)
     # The new entry describes the *new* data, exactly.
-    choice, quality = planner.price_fold_orders(instance.query, instance)
+    choice, quality = planner.price_fold_orders(instance.query, instance, eng.p)
     assert res.prepared.plan_order == choice.order == first.prepared.plan_order
     assert res.metrics.plan_quality == res.prepared.plan_quality == quality
     assert quality != first.metrics.plan_quality

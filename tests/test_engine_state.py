@@ -166,7 +166,7 @@ class EngineMachine(RuleBasedStateMachine):
             )
         assert res.report.as_dict() == one_shot.report.as_dict()
         if entry.plan_order is not None:
-            fold, quality = price_fold_orders(parsed.query, instance)
+            fold, quality = price_fold_orders(parsed.query, instance, P)
             assert (entry.plan_order, entry.plan_quality) == (fold.order, quality)
         if parsed.kind == "join" and algorithm == "auto":
             choice = choose(parsed.query, instance, P)

@@ -45,7 +45,7 @@ class TestCsvToJoinPipeline:
 class TestPlanThenExecute:
     def test_planner_feeds_yannakakis(self):
         inst = line_trap_instance(3, 1200, 12000)
-        choice, _quality = price_fold_orders(inst.query, inst)
+        choice, _quality = price_fold_orders(inst.query, inst, 8)
         res = mpc_join(
             inst.query, inst, p=8, algorithm="yannakakis", plan=choice.order
         )

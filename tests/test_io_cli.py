@@ -157,9 +157,9 @@ class TestCli:
             "contained: R2 in R0, R3 in R0",
             "components: R0,R1,R4,R5 x R6",
             "orders considered: 8",
-            "best order:  R0 -> R1 -> R4 -> R5 -> R6",
+            "best order:  R0 -> R4 -> R1 -> R5 -> R6",
         ]
-        assert lines[4:6] == ["  |R0 * R1| = 69", "  |R0 * R1 * R4| = 69"]
+        assert lines[4:6] == ["  |R0 * R4| = 23", "  |R0 * R4 * R1| = 69"]
 
     def test_cli_agreement_with_oracle(self, tmp_path, capsys):
         """count via CLI == RAM oracle on a fresh instance."""

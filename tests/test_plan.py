@@ -5,9 +5,11 @@ untraced execution from opening any span."""
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 
+from repro.core.binary_join import binary_join
 from repro.data.relation import Relation
 from repro.engine import Engine, session
 from repro.engine.explain import render
@@ -16,6 +18,7 @@ from repro.mpc.backends import get_backend
 from repro.mpc.cluster import kind_split
 from repro.mpc.primitives import attach_degrees, count_by_key, semi_join
 from repro.obs import Span, SpanSink, Tracer
+from tests.conformance import test_golden_plans as golden_plans
 from tests.conformance.conftest import GRID
 
 
@@ -194,19 +197,9 @@ def test_explain_top_level_units_sum_to_the_report(cell, monkeypatch):
     line's split by label is what the traced run posted while no
     primitive span was open."""
     engine, text, algorithm = _grid_query(cell)
-    posted_outside: dict[str, int] = {}
-    tally = Cluster.tally_members
-
-    def spy(self, members, counts, label):
-        span = self.obs_span
-        if span is not None and not span.name.startswith("prim."):
-            units = sum(counts) * len(members)
-            posted_outside[label] = posted_outside.get(label, 0) + units
-        tally(self, members, counts, label)
-
-    monkeypatch.setattr(Cluster, "tally_members", spy)
-    explained = engine.explain(text, algorithm)
-    monkeypatch.undo()
+    explained, posted_outside, join_shuffles = _explain_outside(
+        engine, text, algorithm, monkeypatch
+    )
     report = engine.execute(text, algorithm).report
     assert sum(_top_level_units(explained)) == report.total, explained
     assert f"  ledger: {report.total} units over {report.steps} steps" in explained
@@ -219,6 +212,51 @@ def test_explain_top_level_units_sum_to_the_report(cell, monkeypatch):
     assert not [label for label in posted_outside if "/pack/" in label], explained
     outside = re.search(r"^  \(outside primitives\)  units=(\d+)", explained, re.M)
     assert int(outside.group(1)) == sum(posted_outside.values())
+    # binary_join routes its cells inside a primitive span.
+    assert not join_shuffles, explained
+
+
+def _explain_outside(engine, text, algorithm, monkeypatch):
+    """``engine.explain``'s text, the units posted while no primitive span
+    was open, by label, and the labels of those that binary_join posted
+    as shuffles."""
+    posted_outside: dict[str, int] = {}
+    join_shuffles: set[str] = set()
+    tally = Cluster.tally_members
+
+    def spy(self, members, counts, label):
+        span = self.obs_span
+        if span is not None and not span.name.startswith("prim."):
+            units = sum(counts) * len(members)
+            posted_outside[label] = posted_outside.get(label, 0) + units
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not binary_join.__code__:
+                frame = frame.f_back
+            if frame is not None and label.endswith("/shuffle"):
+                join_shuffles.add(label)
+        tally(self, members, counts, label)
+
+    monkeypatch.setattr(Cluster, "tally_members", spy)
+    explained = engine.explain(text, algorithm)
+    monkeypatch.undo()
+    return explained, posted_outside, join_shuffles
+
+
+@pytest.mark.parametrize(
+    "workload, i",
+    [(w, i) for w in golden_plans.WORKLOADS for i in range(golden_plans.QUERIES_PER_DECK)],
+)
+def test_deck_queries_route_binary_join_cells_inside_a_primitive(workload, i, monkeypatch):
+    """No deck query leaves a binary join's cell shuffle on explain's
+    ``(outside primitives)`` line."""
+    deck, _engine = golden_plans._deck_engine(workload, "full")
+    engine = Engine(deck.p, "serial", result_cache=False)
+    for name, (attrs, variants) in deck.relations.items():
+        engine.register(Relation(name, attrs, variants[0]), name=name)
+    explained, _outside, join_shuffles = _explain_outside(
+        engine, deck.queries[i], "auto", monkeypatch
+    )
+    assert not join_shuffles, explained
 
 
 class TestRecordingLRU:

@@ -72,14 +72,14 @@ class TestBestPlan:
     def test_picks_the_good_direction_on_trap(self):
         """Figure 3: the planner must avoid the OUT-sized intermediate."""
         inst = line_trap_instance(3, 1500, 45000, direction="forward")
-        choice, _quality = price_fold_orders(inst.query, inst)
+        choice, _quality = price_fold_orders(inst.query, inst, 8)
         # Forward trap: R1 x R2 is OUT-sized; the plan must not start there.
         assert set(choice.order[:2]) != {"R1", "R2"}
         assert choice.max_intermediate < 0.2 * inst.output_size()
 
     def test_planned_run_beats_bad_plan(self):
         inst = line_trap_instance(3, 1500, 45000, direction="forward")
-        choice, _quality = price_fold_orders(inst.query, inst)
+        choice, _quality = price_fold_orders(inst.query, inst, 8)
 
         good = assert_matches_oracle(
             inst, yannakakis_mpc, p=8, plan=choice.order
@@ -92,11 +92,11 @@ class TestBestPlan:
     def test_cyclic_rejected(self):
         inst = random_instance(catalog.triangle(), 10, 3, seed=1)
         with pytest.raises(QueryError):
-            price_fold_orders(inst.query, inst)
+            price_fold_orders(inst.query, inst, 8)
 
     def test_correctness_of_chosen_plan(self):
         inst = random_instance(catalog.broom_join(), 40, 5, seed=123)
-        choice, _quality = price_fold_orders(inst.query, inst)
+        choice, _quality = price_fold_orders(inst.query, inst, 8)
         cl = Cluster(4)
         g = cl.root_group()
         rels = distribute_instance(inst, g)
@@ -112,7 +112,7 @@ class TestBestPlan:
         monkeypatch.setattr(Cluster, "__init__", refuse)
         monkeypatch.setattr(Group, "exchange", refuse)
         inst = line_trap_instance(3, 4000, 40000)
-        choice, quality = price_fold_orders(inst.query, inst)
+        choice, quality = price_fold_orders(inst.query, inst, 8)
         assert quality["best"] == choice.max_intermediate == max(choice.intermediates)
 
     def test_two_relations_price_nothing(self, monkeypatch):
@@ -121,7 +121,7 @@ class TestBestPlan:
 
         monkeypatch.setattr(Instance, "without_dangling", None)
         inst = random_instance(catalog.binary_join(), 30, 5, seed=2)
-        choice, quality = price_fold_orders(inst.query, inst)
+        choice, quality = price_fold_orders(inst.query, inst, 8)
         assert choice.order == ("R1", "R2")
         assert (choice.max_intermediate, choice.intermediates) == (0, ())
         assert quality == {"best": 0, "worst": 0, "orders": 2}
@@ -130,18 +130,18 @@ class TestBestPlan:
 class TestPlanQuality:
     def test_trap_gap_detected(self):
         inst = line_trap_instance(3, 1500, 45000, direction="forward")
-        _choice, q = price_fold_orders(inst.query, inst)
+        _choice, q = price_fold_orders(inst.query, inst, 8)
         assert q["worst"] > 5 * q["best"]
 
     def test_doubled_trap_all_orders_bad(self):
         """Figure 3 (full): even the best order has an OUT-scale intermediate."""
         inst = line_trap_instance(3, 1500, 22000, doubled=True)
-        _choice, q = price_fold_orders(inst.query, inst)
+        _choice, q = price_fold_orders(inst.query, inst, 8)
         assert q["best"] > 0.4 * inst.output_size()
 
     def test_uniform_instance_orders_similar(self):
         inst = matching_instance(catalog.line3(), 100)
-        _choice, q = price_fold_orders(inst.query, inst)
+        _choice, q = price_fold_orders(inst.query, inst, 8)
         assert q["worst"] == q["best"]
 
 
