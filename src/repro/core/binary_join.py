@@ -37,7 +37,7 @@ never builds its row view here; a row-backed one is encoded once.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -75,6 +75,22 @@ def heavy_rectangle(c1: float, c2: float, l_in: float, l_out: float) -> tuple[in
     a = max(1, min(p_v, round(math.sqrt(p_v * c1 / max(1, c2)))))
     b = max(1, math.ceil(p_v / a))
     return max(a, math.ceil(c1 / l_in)), max(b, math.ceil(c2 / l_in))
+
+
+def heavy_layout(
+    heavy: Iterable[tuple[int, float, float]], l_in: float, l_out: float
+) -> dict[int, tuple[int, int, int]]:
+    """Where heavy keys' rectangles go: from ``(key, c1, c2)`` triples,
+    ``key -> (start, a, b)``, the keys in order, each taking the next
+    ``a x b`` virtual servers; virtual server ``v`` is physical server
+    ``v % p``."""
+    layout: dict[int, tuple[int, int, int]] = {}
+    cursor = 0
+    for k, c1, c2 in sorted(heavy):
+        a, b = heavy_rectangle(c1, c2, l_in, l_out)
+        layout[k] = (cursor, a, b)
+        cursor += a * b
+    return layout
 
 
 def binary_join(
@@ -142,18 +158,12 @@ def binary_join(
     # beside the key's lowest-uid item.
     assignments, n_groups = parallel_packing(group, light_parts, f"{label}/pack")
 
-    # Heavy rectangles: key -> (start, a, b); start indexes a virtual server
-    # span mapped onto physical servers modulo p.
+    # Heavy rectangles: key -> (start, a, b) (heavy_layout).
     coord = coordinator_for(group, label)
     heavy_all = group.gather(
         [list(hp) for hp in heavy_parts], f"{label}/heavy-gather", dst=coord
     )
-    heavy_desc: dict[int, tuple[int, int, int]] = {}
-    cursor = 0
-    for k, c1, c2 in sorted(heavy_all):
-        a, b = heavy_rectangle(c1, c2, l_in, l_out)
-        heavy_desc[k] = (cursor, a, b)
-        cursor += a * b
+    heavy_desc = heavy_layout(heavy_all, l_in, l_out)
     group.broadcast(list(heavy_desc.items()), f"{label}/heavy-bcast", src=coord)
 
     # --- Step 3: route tuples to cells. ----------------------------------

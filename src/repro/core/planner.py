@@ -26,10 +26,9 @@ would post per server, walked over exact counts.  The walk calls the
 algorithms' own rules rather than restating them:
 :func:`~repro.core.binary_join.budgets`,
 :func:`~repro.core.binary_join.key_weight` and
-:func:`~repro.core.binary_join.heavy_rectangle`; the PSRS kernel
+:func:`~repro.core.binary_join.heavy_layout`; the PSRS kernel
 (:func:`~repro.mpc.substrate._arrange`) and packing's placement
-(:func:`~repro.mpc.packing.pack_local`,
-:func:`~repro.mpc.packing.place_groups`);
+(:func:`~repro.mpc.packing.place_items`);
 :func:`~repro.core.hypercube.cartesian_route`;
 :func:`~repro.core.line3.line3_tau`;
 :func:`~repro.core.acyclic.split_point`;
@@ -64,20 +63,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, count, islice, product
+from itertools import chain, combinations, count, islice, product
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.acyclic import _fold_order, split_point
-from repro.core.binary_join import budgets, heavy_rectangle, key_weight
+from repro.core.binary_join import budgets, heavy_layout, key_weight
 from repro.core.hypercube import cartesian_route
 from repro.core.line3 import is_line3, line3_tau
 from repro.core.rhierarchical import grid_dims, load_budget, servers
 from repro.core.yannakakis import component_orders
 from repro.data.instance import Instance
 from repro.mpc.dangling import reduced_query
-from repro.mpc.packing import pack_local, place_groups
+from repro.mpc.packing import place_items
 from repro.mpc.substrate import _arrange, pick_splitters, rank_keys, sample_count
 from repro.query.classify import is_r_hierarchical
 from repro.query.forests import attribute_forest
@@ -108,14 +107,12 @@ class PlanChoice:
         prefixes: The priced prefixes: per connected component, in order,
             every prefix of its fold of at least two relations except the
             whole component (its join is the same under every order).
-        units: Yannakakis's predicted ``LoadReport.load`` along ``order``.
     """
 
     order: tuple[str, ...]
     max_intermediate: int
     intermediates: tuple[int, ...]
     prefixes: tuple[tuple[str, ...], ...]
-    units: int
 
 
 @dataclass(frozen=True)
@@ -537,22 +534,27 @@ def price_fold_orders(
     order attaining the least load wins.  Two orders that differ only in
     which of their first two relations opens the fold join the same two
     relations first; the first of them is walked for both.  A component
-    of at most two relations keeps its first order.  Every connected prefix is sized
-    exactly on the full reducer's survivors (see :func:`_prefix_sizer`);
-    the gap between the ``best`` and ``worst`` largest intermediate is
-    Section 4.1's join-order sensitivity.
+    of at most two relations keeps its first order, and a query with no
+    larger component is neither reduced nor walked.  Every connected
+    prefix is sized exactly on the full reducer's survivors (see
+    :func:`_prefix_sizer`); the gap between the ``best`` and ``worst``
+    largest intermediate is Section 4.1's join-order sensitivity.
 
     Raises:
         CyclicQueryError: If the query is cyclic (a :class:`QueryError`).
     """
-    return _price_orders(query, Statistics(query, instance), p, limit)
+    components = query.reduce()[0].connected_components()
+    stats = Statistics(query, instance) if max(map(len, components)) > 2 else None
+    return _price_orders(query, stats, p, limit)[:2]
 
 
 def _price_orders(
-    query: Hypergraph, stats: Statistics, p: int, limit: int = 64
-) -> tuple[PlanChoice, dict[str, int]]:
+    query: Hypergraph, stats: Statistics | None, p: int, limit: int = 64
+) -> tuple[PlanChoice, dict[str, int], float | None]:
     """Each component's order with the least predicted load,
-    concatenated.  Components are priced apart (no prefix crosses between
+    concatenated, the spread, and the predicted load of the whole order
+    when one walk priced it (one component of more than two relations),
+    else ``None``.  Components are priced apart (no prefix crosses between
     them, and their folds post independently), so the best and worst
     spread is the worst component's and the orders multiply."""
     per_component = component_orders(query.reduce()[0], limit)
@@ -599,11 +601,9 @@ def _price_orders(
             "worst": max(quality["worst"], max(worsts)),
             "orders": quality["orders"] * len(worsts),
         }
-    if units is None or len(per_component) > 1:
-        units = walk()
     order = sum(chosen, ())
-    plan = PlanChoice(order, max(sizes, default=0), sizes, prefixes, int(round(units)))
-    return plan, quality
+    plan = PlanChoice(order, max(sizes, default=0), sizes, prefixes)
+    return plan, quality, units if len(per_component) == 1 else None
 
 
 # ----------------------------------------------------------------------
@@ -717,20 +717,13 @@ def _psrs(held: Sequence[np.ndarray]):
 def _place_light(first: np.ndarray, weight: np.ndarray, p: int) -> np.ndarray:
     """Where :func:`~repro.core.binary_join.binary_join` puts its light
     keys (in key order, with their ``weight``): each server packs the keys
-    whose rows start on it (``first``), in key order
-    (:func:`~repro.mpc.packing.pack_local`), and the coordinator places
-    the groups (:func:`~repro.mpc.packing.place_groups`).  Returns each
-    key's server."""
+    whose rows start on it (``first``), in key order, and the coordinator
+    places the groups (:func:`~repro.mpc.packing.place_items`).  Returns
+    each key's server."""
     cuts = np.searchsorted(first, np.arange(p + 1)).tolist()
     w = np.maximum(weight, 1e-9).tolist()
-    local = [pack_local(w[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    servers, leftover = place_groups([(n, partial) for _b, n, partial in local])
-    gids: list[int] = []
-    offset = 0
-    for (bins, n_full, _w), left in zip(local, leftover):
-        gids += [offset + b if b >= 0 else left for b in bins]
-        offset += n_full
-    return np.array(servers, np.int64)[np.array(gids, np.int64)]
+    gids, servers = place_items([w[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+    return np.array(servers, np.int64)[np.fromiter(chain.from_iterable(gids), np.int64, len(w))]
 
 
 def _overlaps(stretch: np.ndarray, p: int) -> np.ndarray:
@@ -942,14 +935,13 @@ class _Pricer:
         # its rectangle.
         share = np.zeros((p, m))
         share[server, lit] = 1.0
-        cursor = 0
-        for j in np.flatnonzero(heavy).tolist():
-            c1, c2 = float(e1[j]), float(e2[j])
-            a, b = heavy_rectangle(c1, c2, l_in, l_out)
-            cells = np.bincount((cursor + np.arange(a * b)) % p, minlength=p)
-            routed += cells * ((c1 / a + c2 / b) * (p - 1) / p)
+        layout = heavy_layout(
+            ((j, float(e1[j]), float(e2[j])) for j in np.flatnonzero(heavy).tolist()), l_in, l_out
+        )
+        for j, (start, a, b) in layout.items():
+            cells = np.bincount((start + np.arange(a * b)) % p, minlength=p)
+            routed += cells * ((e1[j] / a + e2[j] / b) * (p - 1) / p)
             share[:, j] = cells / (a * b)
-            cursor += a * b
         n_heavy = int(heavy.sum())
         U.trip()  # packing
         U.move(n_heavy)
@@ -1359,12 +1351,13 @@ def choose(query: Hypergraph, instance: Instance, p: int) -> Choice:
             priced; see :func:`repro.core.runner.auto_algorithm`).
     """
     stats = Statistics(query, instance)
-    plan, quality = _price_orders(query, stats, p)
-    units: dict[str, int] = {}
-    for name in candidates(query):
-        if name == "yannakakis":
-            units[name] = plan.units
-            continue
+    plan, quality, load = _price_orders(query, stats, p)
+    if load is None:
+        pricer = _Pricer(stats, p)
+        pricer.yannakakis(plan.order)
+        load = pricer.load
+    units: dict[str, int] = {"yannakakis": int(round(load))}
+    for name in candidates(query)[1:]:
         # A candidate past the least so far stops there: its units are
         # where it stopped.
         pricer = _Pricer(stats, p, min(units.values()))

@@ -6,11 +6,11 @@ sub-instances onto single servers (Sections 3.2 and 4.2); the paper
 leaves free which server a group goes to, so a group built on one server
 stays there while that server holds O(1) groups.  Its O(p) coordinator
 step is the one round trip every boundary step shares
-(:func:`~repro.mpc.substrate.coordinator_roundtrip`).  Its two rules are
-pure functions the pricer calls too (:mod:`repro.core.planner`): a
-server's own bins (:func:`pack_local`) and the coordinator's placement
-of every group (:func:`place_groups`).  Heavy sub-instances need no
-primitive: their callers lay out contiguous server ranges inline.
+(:func:`~repro.mpc.substrate.coordinator_roundtrip`).  Its grouping and
+placement are one pure function, :func:`place_items`, which the pricer
+calls too (:mod:`repro.core.planner`).  Heavy sub-instances need no
+primitive: their callers lay out contiguous server ranges
+(:func:`~repro.core.binary_join.heavy_layout`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.mpc.cluster import prim_span
 from repro.mpc.group import Group
 from repro.mpc.substrate import coordinator_roundtrip
 
-__all__ = ["pack_local", "parallel_packing", "place_groups"]
+__all__ = ["pack_local", "parallel_packing", "place_items"]
 
 
 def parallel_packing(
@@ -41,24 +41,13 @@ def parallel_packing(
     Returns:
         ``(assignment_parts, n_groups)`` where assignments are
         ``(item_id, (group_id, server))`` pairs (same distribution as the
-        input), group ids run ``0..n_groups-1`` and ``server`` is the
-        group's destination, a local index of ``group``.  Guarantees:
-        every group's total weight is <= 1, and all but at most one group
-        have weight >= 1/2, so ``n_groups <= 1 + 2 * total_weight`` (paper
-        Section 2).
-
-    Placement.  A full bin holds items of one server only, so it can stay
-    there: with ``m = n_groups`` and ``cap = ceil(m / p)``, each server
-    keeps its first ``min(bins, cap)`` full bins.  The leftover groups,
-    packed from the servers' partial bins, go to ``group_id % p``;
-    their ids are consecutive and there are at most ``p`` of them, so each
-    server receives at most one.  Each overflow bin (a server's full bins
-    past ``cap``) then goes to the server holding the fewest groups so
-    far, the lowest index on a tie; fewer than ``m`` groups are placed
-    before it, so that server holds fewer than ``cap`` and ends with at
-    most ``cap``.  In all, every server holds at most ``cap + 1`` groups:
-    O(1) whenever the total weight is O(p), as the binary join's budgets
-    make it.  Items of a kept bin do not move.
+        input; each server's bin by bin, its partial bin last, items in
+        arrival order within a bin), group ids run ``0..n_groups-1`` and
+        ``server`` is the group's destination, a local index of ``group``.
+        Guarantees: every group's total weight is <= 1, and all but at
+        most one group have weight >= 1/2, so ``n_groups <= 1 + 2 *
+        total_weight`` (paper Section 2).  The grouping and placement are
+        :func:`place_items`'.
 
     Note:
         The paper recurses on the p leftover partial bins; with
@@ -72,32 +61,21 @@ def parallel_packing(
             if not 0 < w <= 1 + 1e-12:
                 raise AllocationError(f"weight {w} of item {item_id!r} not in (0, 1]")
 
-    local = [pack_local([w for _i, w in part]) for part in parts]
-
-    # Prefix sums over full-bin counts, packing of the <= p leftover
-    # partial bins into final groups, and every group's server: one O(p)
-    # coordinator round trip.
+    gids, servers = place_items([[w for _i, w in part] for part in parts])
+    # One O(p) coordinator round trip: each server sends its full-bin count
+    # and partial weight, and learns its full bins' offset, its partial
+    # bin's group and its overflow bins' servers, from which its items'
+    # groups and their servers follow (place_items reads them off for
+    # every server at once).
     with prim_span(group.cluster, "ParallelPacking", label):
-        replies = coordinator_roundtrip(
-            group, [(n_full, partial) for _bins, n_full, partial in local],
-            _pack_leftovers, label,
-        )
-    n_groups = replies[0][2]
-    p = group.size
+        gids = coordinator_roundtrip(group, gids, list, label)
 
     assignment_parts: list[list[tuple[Any, tuple[int, int]]]] = []
-    for src, (part, (bins, n_full, _w), (offset, leftover_gid, _n, moved)) in enumerate(
-        zip(parts, local, replies)
-    ):
-        dests = [src] * (n_full - len(moved)) + list(moved)
-        placed = [
-            (offset + b, dests[b]) if b >= 0 else (leftover_gid, leftover_gid % p)
-            for b in bins
-        ]
-        # Bin by bin, the leftover bin last; items in arrival order within one.
-        by_bin = sorted(range(len(part)), key=lambda i: bins[i] if bins[i] >= 0 else n_full)
-        assignment_parts.append([(part[i][0], placed[i]) for i in by_bin])
-    return assignment_parts, n_groups
+    for part, got in zip(parts, gids):
+        # Bin by bin, the partial bin last; items in arrival order within one.
+        by_bin = sorted(range(len(part)), key=got.__getitem__)
+        assignment_parts.append([(part[i][0], (got[i], servers[got[i]])) for i in by_bin])
+    return assignment_parts, len(servers)
 
 
 def pack_local(weights: Sequence[float]) -> tuple[list[int], int, float | None]:
@@ -133,56 +111,52 @@ def pack_local(weights: Sequence[float]) -> tuple[list[int], int, float | None]:
     return bins, n_full, cur_w if cur else None
 
 
-def place_groups(summaries: Sequence[tuple[int, float | None]]) -> tuple[list[int], list[int | None]]:
-    """The coordinator's rule, pure: from each server's ``(full bins,
-    partial bin weight or None)``, every group's server and each server's
-    leftover group.
+def place_items(weights: Sequence[Sequence[float]]) -> tuple[list[list[int]], list[int]]:
+    """:func:`parallel_packing`'s grouping and placement, pure: from each
+    server's item weights (in arrival order), per server each item's group
+    id, and per group id its server.
 
-    Group ids number server 0's full bins, then server 1's, ..., then the
-    leftover groups, which the partial bins (each < 1/2) first-fit into.
-    Returns ``servers`` (``servers[gid]`` is group ``gid``'s server) and,
-    per server, the group its partial bin joined (``None`` without one).
-    The placement is :func:`parallel_packing`'s: each server keeps its
-    first ``cap = ceil(groups / p)`` full bins, leftover group ``gid``
-    goes to ``gid % p``, and each overflow bin to the server holding the
-    fewest groups so far (the lowest index on a tie).
+    Each server packs its own items (:func:`pack_local`).  Group ids
+    number server 0's full bins, then server 1's, ..., then the leftover
+    groups, which the partial bins (each < 1/2) first-fit into.  With
+    ``m`` groups and ``cap = ceil(m / p)``, each server keeps its first
+    ``min(bins, cap)`` full bins, so their items do not move.  Leftover
+    group ``gid`` goes to ``gid % p``: their ids are consecutive and there
+    are at most ``p`` of them, so each server receives at most one.  Each
+    overflow bin (a server's full bins past ``cap``) then goes to the
+    server holding the fewest groups so far, the lowest index on a tie;
+    fewer than ``m`` groups are placed before it, so that server holds
+    fewer than ``cap`` and ends with at most ``cap``.  In all, every
+    server holds at most ``cap + 1`` groups: O(1) whenever the total
+    weight is O(p), as the binary join's budgets make it.
     """
-    p = len(summaries)
-    offsets = [0, *accumulate(cnt for cnt, _w in summaries)]
+    local = [pack_local(w) for w in weights]
+    p = len(local)
+    offsets = [0, *accumulate(n_full for _b, n_full, _w in local)]
     gid, cur_w = offsets[-1] - 1, None
-    leftover: list[int | None] = []
-    for _cnt, w in summaries:
+    leftover: list[int] = []
+    for _bins, _n, w in local:
         if w is not None:
             if cur_w is not None and cur_w + w <= 1.0 + 1e-12:
                 cur_w += w
             else:
                 gid, cur_w = gid + 1, w
-        leftover.append(None if w is None else gid)
+        leftover.append(gid)
     n_groups = gid + 1
     cap = -(-n_groups // p)
-    held = [min(cnt, cap) for cnt, _w in summaries]
+    held = [min(n_full, cap) for _b, n_full, _w in local]
     for g in range(offsets[-1], n_groups):
         held[g % p] += 1
     servers: list[int] = []
-    for src, (cnt, _w) in enumerate(summaries):
-        servers += [src] * min(cnt, cap)
-        for _ in range(cnt - cap):
+    for src, (_bins, n_full, _w) in enumerate(local):
+        servers += [src] * min(n_full, cap)
+        for _ in range(n_full - cap):
             dest = min(range(p), key=held.__getitem__)
             held[dest] += 1
             servers.append(dest)
     servers += [g % p for g in range(offsets[-1], n_groups)]
-    return servers, leftover
-
-
-def _pack_leftovers(summaries: list) -> list[tuple[int, int | None, int, list[int]]]:
-    """Coordinator step of :func:`parallel_packing`: reply to each server
-    ``(offset of its full bins, group of its leftover bin, total group
-    count, servers of its full bins past the cap)``, by
-    :func:`place_groups`."""
-    servers, leftover = place_groups(summaries)
-    cap = -(-len(servers) // len(summaries))
-    offsets = [0, *accumulate(cnt for cnt, _w in summaries)]
-    return [
-        (off, g, len(servers), servers[off + cap:end])
-        for off, end, g in zip(offsets, offsets[1:], leftover)
+    gids = [
+        [off + b if b >= 0 else left for b in bins]
+        for (bins, _n, _w), off, left in zip(local, offsets, leftover)
     ]
+    return gids, servers

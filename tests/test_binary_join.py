@@ -324,15 +324,15 @@ class TestEmissionOrder:
             ("A",), [(1,), (2,)], ("B",), [("x",), ("y",), ("z",)]
         )[1]
 
-    @pytest.mark.parametrize("p, digest", [(4, "1ee3e28a24b097e4"), (8, "841d6d718a1ca7da")])
-    def test_cell_joins_equal_the_row_loops(self, p, digest):
+    def test_cell_joins_equal_the_row_loops(self):
         """The array cell joins emit, part by part, what the per-cell row
-        loops emitted over the shuffle's inboxes (digests pinned from the
-        last commit that routed rows as messages)."""
+        loops emitted over the shuffle's inboxes on p = 4 (digest pinned
+        from the last commit that routed rows as messages; p = 8 is the
+        next test)."""
         def binary(group, query, rels):
             return binary_join(group, rels["R1"], rels["R2"])
 
-        assert part_digest(emit_deck_instance(), binary, p=p) == digest
+        assert part_digest(emit_deck_instance(), binary, p=4) == "1ee3e28a24b097e4"
 
     def test_per_part_output_equals_the_row_emitting_commit(self):
         # Re-pinned once, when light groups began to stay on the server the

@@ -122,12 +122,16 @@ def test_choice_moves_no_more_than_the_class_pick_and_near_the_least(name):
 @pytest.mark.parametrize("name", DOUBLED_TRAPS)
 def test_the_figure_3_crossover_survives(name):
     """On the doubled traps every fold order shuffles an OUT-sized
-    intermediate.  The pick is the least measured load over every
-    candidate and fold order, and on the two line traps that is a
-    heavy/light algorithm; on the Yannakakis trap at this size, Yannakakis
-    at R2 R3 R1 measures least (843 against ``line3``'s 859)."""
+    intermediate: no fold order beats the heavy/light algorithms by more
+    than 2 %, and the pick is the least measured load over every candidate
+    and fold order.  On the two line traps that is a heavy/light
+    algorithm.  On the Yannakakis trap at this size it is Yannakakis at
+    R2 R3 R1, 843 against ``line3``'s 859 (its other orders measure 850 to
+    865): the crossover is a tie there, and ``auto`` takes the least."""
     _query, choice, loads = _measured(name)
-    assert loads[choice.algorithm] == _least_over_orders(name)
+    least = _least_over_orders(name)
+    assert loads[choice.algorithm] == least
+    assert min(loads[a] for a in ("line3", "acyclic") if a in loads) <= 1.02 * least
     if name != "trap/yannakakis-doubled":
         assert choice.algorithm in ("line3", "acyclic")
 

@@ -116,10 +116,13 @@ class TestBestPlan:
         assert quality["best"] == choice.max_intermediate == max(choice.intermediates)
 
     def test_two_relations_price_nothing(self, monkeypatch):
-        """No intermediate exists, so the instance is not even reduced."""
+        """No intermediate exists and there is no order to choose, so the
+        instance is not even reduced, nor counted, nor walked."""
+        from repro.core import planner
         from repro.data.instance import Instance
 
         monkeypatch.setattr(Instance, "without_dangling", None)
+        monkeypatch.setattr(planner, "Statistics", None)
         inst = random_instance(catalog.binary_join(), 30, 5, seed=2)
         choice, quality = price_fold_orders(inst.query, inst, 8)
         assert choice.order == ("R1", "R2")
