@@ -23,7 +23,7 @@ from repro.mpc.cluster import prim_span
 from repro.mpc.group import Group
 from repro.mpc.substrate import coordinator_roundtrip
 
-__all__ = ["pack_local", "parallel_packing", "place_items"]
+__all__ = ["parallel_packing", "place_items"]
 
 
 def parallel_packing(
@@ -78,7 +78,7 @@ def parallel_packing(
     return assignment_parts, len(servers)
 
 
-def pack_local(weights: Sequence[float]) -> tuple[list[int], int, float | None]:
+def _pack_local(weights: Sequence[float]) -> tuple[list[int], int, float | None]:
     """One server's local grouping, in arrival order: an item of weight
     >= 1/2 takes a bin of its own; smaller items accumulate until the next
     one would overflow 1, so every closed small bin holds more than 1/2.
@@ -116,7 +116,7 @@ def place_items(weights: Sequence[Sequence[float]]) -> tuple[list[list[int]], li
     server's item weights (in arrival order), per server each item's group
     id, and per group id its server.
 
-    Each server packs its own items (:func:`pack_local`).  Group ids
+    Each server packs its own items (:func:`_pack_local`).  Group ids
     number server 0's full bins, then server 1's, ..., then the leftover
     groups, which the partial bins (each < 1/2) first-fit into.  With
     ``m`` groups and ``cap = ceil(m / p)``, each server keeps its first
@@ -130,7 +130,7 @@ def place_items(weights: Sequence[Sequence[float]]) -> tuple[list[list[int]], li
     server holds at most ``cap + 1`` groups: O(1) whenever the total
     weight is O(p), as the binary join's budgets make it.
     """
-    local = [pack_local(w) for w in weights]
+    local = [_pack_local(w) for w in weights]
     p = len(local)
     offsets = [0, *accumulate(n_full for _b, n_full, _w in local)]
     gid, cur_w = offsets[-1] - 1, None
