@@ -25,8 +25,9 @@ from repro.core.runner import mpc_join
 from repro.core.yannakakis import yannakakis_mpc
 from repro.data.generators import line_trap_instance
 from repro.data.instance import Instance
-from repro.data.relation import Relation
+from repro.data.relation import Relation, project_row
 from repro.mpc import Cluster, distribute_instance
+from repro.mpc.hashing import stable_hash
 from repro.query import catalog
 
 P = 8
@@ -84,8 +85,9 @@ def _skew_ablation():
     cl = Cluster(p)
     g = cl.root_group()
     rels = distribute_instance(inst, g)
-    rels["R1"].rehash(g, ("B",), "hash")
-    rels["R2"].rehash(g, ("B",), "hash")
+    for rel in (rels["R1"], rels["R2"]):
+        pos = rel.positions(("B",))
+        g.route(rel.parts, lambda row: stable_hash(project_row(row, pos)) % p, "hash")
     out.append(["plain hash join (ablated)", cl.snapshot().load])
     out_size = hot_d1 * hot_d2 + light
     bound = inst.input_size / p + math.sqrt(out_size / p)

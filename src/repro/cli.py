@@ -126,10 +126,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fault-schedule seed for --chaos (default: "
                         "REPRO_CHAOS_SEED env or 1)")
     s.add_argument("--replicas", type=int, default=1,
-                   help="serve through the sharded front door with this "
-                        "many engine replicas (routing, admission, "
-                        "micro-batching, shipping prepared statements); "
-                        "--budget applies to single-replica mode only")
+                   help="serve through the front door with this many "
+                        "engine replicas, each holding every relation "
+                        "(routing by query text, admission, "
+                        "micro-batching); --budget applies to "
+                        "single-replica mode only")
     s.add_argument("--shed-after", type=int, default=64,
                    help="per-replica backlog bound before admission sheds "
                         "(front-door mode only)")
@@ -174,6 +175,7 @@ def _serve_frontdoor(args, workload, tracer=None) -> int:
     import os
     from pathlib import Path
 
+    from repro.errors import AdmissionRejected
     from repro.io import read_relation_csv
     from repro.mpc.backends.chaos import CHAOS_SEED_ENV
     from repro.serve import Frontdoor
@@ -207,13 +209,14 @@ def _serve_frontdoor(args, workload, tracer=None) -> int:
                 # Per-round percentiles: drop last round's counters and
                 # histograms, keep the registered stat views.
                 door.registry.reset()
-            futures = door.submit_many(workload, best_effort=True)
-            for fut in futures:
+            futures = []
+            for text in workload:
                 try:
-                    res = fut.result()
-                except Exception as exc:  # shed at the door
+                    futures.append(door.submit(text))
+                except AdmissionRejected as exc:
                     print(f"REJECTED: {exc}")
-                    continue
+            for fut in futures:
+                res = fut.result()
                 if not res.ok:
                     print(f"FAILED {res.metrics.text!r}: {res.metrics.error}")
         print("front door:")

@@ -105,14 +105,14 @@ class DeadlineExceeded(FaultError):
 class PlanShipError(EngineError):
     """A plan could not be exported or installed as a prepared statement.
 
-    Raised on export when the engine holds no plan-cache entry for the
-    query, and on install when the bytes are not a JSON object with
-    exactly the string fields ``algorithm`` and ``query``, or when that
-    query cannot be prepared on the receiver (parse error, unknown
-    relation or algorithm; the underlying error is chained).  An install
-    rejected with this error leaves the receiver's plan cache untouched:
-    its next execution of the query simply prepares it, exactly as if
-    nothing had been shipped.
+    Raised by :meth:`repro.engine.session.Engine.export_plan` when the
+    engine holds no plan-cache entry for the query, and by
+    :meth:`~repro.engine.session.Engine.install_plan` when the bytes are
+    not a JSON object with exactly the string fields ``algorithm`` and
+    ``query``, or when that query cannot be prepared on the receiver
+    (parse error, unknown relation or algorithm; the underlying error is
+    chained).  A rejected install leaves the receiver's plan cache
+    untouched.  The front door ships no plans.
     """
 
 
@@ -120,7 +120,7 @@ class AdmissionRejected(EngineError):
     """The serving front door shed a request at admission.
 
     Raised synchronously by :meth:`repro.serve.Frontdoor.submit` when the
-    target replica's backlog has reached the configured ``shed_after``
-    bound.  Nothing was enqueued or executed; the caller may retry later
-    or route elsewhere.
+    replica the query text hashes to has a backlog at the configured
+    ``shed_after`` bound.  Nothing was enqueued, executed or recorded by
+    any engine; the caller may retry later.
     """

@@ -36,8 +36,8 @@ from typing import Iterable, Sequence
 # ``encode_column`` stays importable from here: the column-fence tests
 # patch it under this module's name too.
 from repro.data.columns import ColumnBlock, encode_column, pack_blob  # noqa: F401
-from repro.data.relation import Relation, Row, project_row
-from repro.errors import MPCError, SchemaError
+from repro.data.relation import Relation, Row
+from repro.errors import SchemaError
 from repro.mpc.group import Group
 
 __all__ = ["DistRelation", "distribute_instance", "distribute_relation"]
@@ -204,18 +204,6 @@ class DistRelation:
     def to_relation(self) -> Relation:
         """Materialize as a (deduplicated) RAM relation."""
         return Relation(self.name, self.attrs, self.all_rows())
-
-    def rehash(self, group: Group, key_attrs: Sequence[str], label: str, salt: int = 0) -> "DistRelation":
-        """Hash-partition by the given attributes (counts as communication)."""
-        if self.num_parts != group.size:
-            raise MPCError(
-                f"relation has {self.num_parts} parts but group size is {group.size}"
-            )
-        pos = self.positions(key_attrs)
-        parts = group.hash_route(
-            self.parts, lambda row: project_row(row, pos), label, salt=salt
-        )
-        return DistRelation(self.name, self.attrs, parts, owned=True)
 
     def with_parts(
         self,

@@ -26,7 +26,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import MPCError
 from repro.mpc.cluster import Cluster
-from repro.mpc.hashing import stable_hash
 
 __all__ = ["Grid", "Group"]
 
@@ -214,20 +213,6 @@ class Group:
             [(dest_fn(item), item) for item in part] for part in parts
         ]
         return self.exchange(outboxes, label)
-
-    def hash_route(
-        self,
-        parts: Sequence[Iterable[Any]],
-        key_fn: Callable[[Any], Any],
-        label: str,
-        salt: int = 0,
-    ) -> list[list[Any]]:
-        """Route items by a stable hash of their key: equal keys
-        (``1``/``True``/``1.0``) land on one server."""
-        size = self.size
-        return self.route(
-            parts, lambda item: stable_hash(key_fn(item), salt) % size, label
-        )
 
     def broadcast(self, items: Sequence[Any], label: str, src: int = 0) -> None:
         """Replicate ``items`` (held by local server ``src``) to every server.

@@ -742,8 +742,9 @@ def global_sum(
     """
     if len(values) != group.size:
         raise MPCError("need exactly one value per local server")
-    coord = coordinator_for(group, label)
-    gathered = group.gather([[v] for v in values], f"{label}/gather", dst=coord)
-    total = sum(gathered)
-    group.broadcast([total], f"{label}/bcast", src=coord)
-    return total
+    with prim_span(group.cluster, "GlobalSum", label):
+        coord = coordinator_for(group, label)
+        gathered = group.gather([[v] for v in values], f"{label}/gather", dst=coord)
+        total = sum(gathered)
+        group.broadcast([total], f"{label}/bcast", src=coord)
+        return total

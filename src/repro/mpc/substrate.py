@@ -170,17 +170,18 @@ def coordinator_roundtrip(
     pass shares: ``p - 1`` units under ``{label}/gather``, ``p - 1`` under
     ``{label}/reply``.
     """
-    coord = coordinator_for(group, label)
-    outboxes = [[(coord, (i, s))] for i, s in enumerate(summaries)]
-    inboxes = group.exchange(outboxes, f"{label}/gather")
-    received = sorted(inboxes[coord], key=itemgetter(0))
-    replies = compute([s for _, s in received])
-    if len(replies) != group.size:
-        raise MPCError("coordinator must reply to every server")
-    outboxes2: list[list[tuple[int, Any]]] = [[] for _ in range(group.size)]
-    outboxes2[coord] = [(i, r) for i, r in enumerate(replies)]
-    inboxes2 = group.exchange(outboxes2, f"{label}/reply")
-    return [box[0] for box in inboxes2]
+    with prim_span(group.cluster, "CoordinatorRoundtrip", label):
+        coord = coordinator_for(group, label)
+        outboxes = [[(coord, (i, s))] for i, s in enumerate(summaries)]
+        inboxes = group.exchange(outboxes, f"{label}/gather")
+        received = sorted(inboxes[coord], key=itemgetter(0))
+        replies = compute([s for _, s in received])
+        if len(replies) != group.size:
+            raise MPCError("coordinator must reply to every server")
+        outboxes2: list[list[tuple[int, Any]]] = [[] for _ in range(group.size)]
+        outboxes2[coord] = [(i, r) for i, r in enumerate(replies)]
+        inboxes2 = group.exchange(outboxes2, f"{label}/reply")
+        return [box[0] for box in inboxes2]
 
 
 # ----------------------------------------------------------------------

@@ -40,16 +40,6 @@ class TestDistRelation:
         assert d.attrs == ("A", "#w:R")
         assert d.all_rows() == [(1, 3)]
 
-    def test_rehash_costs_and_groups(self):
-        rel = Relation("R", ("A", "B"), [(i % 3, i) for i in range(60)])
-        cl = Cluster(4)
-        g = cl.root_group()
-        d = distribute_relation(rel, g)
-        h = d.rehash(g, ("A",), "x")
-        assert cl.snapshot().load > 0
-        non_empty = [p for p in h.parts if p]
-        assert len(non_empty) <= 3  # three distinct keys
-
     def test_positions_missing_raises(self):
         d = DistRelation("R", ("A",), [[]])
         with pytest.raises(SchemaError):
@@ -58,13 +48,6 @@ class TestDistRelation:
     def test_to_relation_dedupes(self):
         d = DistRelation("R", ("A",), [[(1,)], [(1,)]])
         assert len(d.to_relation()) == 1
-
-    def test_mismatched_group_rejected(self):
-        rel = Relation("R", ("A",), [(1,)])
-        cl = Cluster(4)
-        d = distribute_relation(rel, cl.root_group())
-        with pytest.raises(MPCError):
-            d.rehash(cl.root_group().subgroup([0, 1]), ("A",), "x")
 
 
 class TestCommonHelpers:

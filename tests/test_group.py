@@ -41,23 +41,6 @@ class TestExchange:
 
 
 class TestRoutingHelpers:
-    def test_hash_route_deterministic(self):
-        cl = Cluster(4)
-        g = cl.root_group()
-        parts = [[("k%d" % i, i)] for i in range(4)]
-        a = g.hash_route(parts, lambda t: t[0], "x")
-        cl2 = Cluster(4)
-        b = cl2.root_group().hash_route(parts, lambda t: t[0], "x")
-        assert a == b
-
-    def test_hash_route_groups_equal_keys(self):
-        cl = Cluster(4)
-        g = cl.root_group()
-        parts = [[("k", i)] for i in range(4)]
-        routed = g.hash_route(parts, lambda t: t[0], "x")
-        non_empty = [p for p in routed if p]
-        assert len(non_empty) == 1 and len(non_empty[0]) == 4
-
     def test_broadcast_costs_everyone(self):
         cl = Cluster(3)
         g = cl.root_group()

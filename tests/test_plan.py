@@ -16,7 +16,8 @@ from repro.engine.explain import render
 from repro.mpc import Cluster, distribute_relation
 from repro.mpc.backends import get_backend
 from repro.mpc.cluster import kind_split
-from repro.mpc.primitives import attach_degrees, count_by_key, semi_join
+from repro.mpc.primitives import attach_degrees, count_by_key, global_sum, semi_join
+from repro.mpc.substrate import coordinator_roundtrip
 from repro.obs import Span, SpanSink, Tracer
 from tests.conformance import test_golden_plans as golden_plans
 from tests.conformance.conftest import GRID
@@ -197,7 +198,7 @@ def test_explain_top_level_units_sum_to_the_report(cell, monkeypatch):
     line's split by label is what the traced run posted while no
     primitive span was open."""
     engine, text, algorithm = _grid_query(cell)
-    explained, posted_outside, join_shuffles = _explain_outside(
+    explained, posted_outside, unscoped = _explain_outside(
         engine, text, algorithm, monkeypatch
     )
     report = engine.execute(text, algorithm).report
@@ -212,16 +213,27 @@ def test_explain_top_level_units_sum_to_the_report(cell, monkeypatch):
     assert not [label for label in posted_outside if "/pack/" in label], explained
     outside = re.search(r"^  \(outside primitives\)  units=(\d+)", explained, re.M)
     assert int(outside.group(1)) == sum(posted_outside.values())
-    # binary_join routes its cells inside a primitive span.
-    assert not join_shuffles, explained
+    # binary_join routes its cells, and every coordinator round trip and
+    # global_sum posts, inside a primitive span.
+    assert not unscoped, explained
+
+
+#: The functions that post only inside a primitive span, each with the
+#: label suffixes it posts there: binary_join's cell shuffle, every
+#: coordinator round trip (stitches, carries, packing) and global_sum.
+_SCOPED = {
+    binary_join.__code__: ("/shuffle",),
+    coordinator_roundtrip.__code__: ("/gather", "/reply"),
+    global_sum.__code__: ("/gather", "/bcast"),
+}
 
 
 def _explain_outside(engine, text, algorithm, monkeypatch):
     """``engine.explain``'s text, the units posted while no primitive span
-    was open, by label, and the labels of those that binary_join posted
-    as shuffles."""
+    was open, by label, and the labels among those that a :data:`_SCOPED`
+    function posted (the innermost such caller decides)."""
     posted_outside: dict[str, int] = {}
-    join_shuffles: set[str] = set()
+    unscoped: set[str] = set()
     tally = Cluster.tally_members
 
     def spy(self, members, counts, label):
@@ -230,16 +242,16 @@ def _explain_outside(engine, text, algorithm, monkeypatch):
             units = sum(counts) * len(members)
             posted_outside[label] = posted_outside.get(label, 0) + units
             frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not binary_join.__code__:
+            while frame is not None and frame.f_code not in _SCOPED:
                 frame = frame.f_back
-            if frame is not None and label.endswith("/shuffle"):
-                join_shuffles.add(label)
+            if frame is not None and label.endswith(_SCOPED[frame.f_code]):
+                unscoped.add(label)
         tally(self, members, counts, label)
 
     monkeypatch.setattr(Cluster, "tally_members", spy)
     explained = engine.explain(text, algorithm)
     monkeypatch.undo()
-    return explained, posted_outside, join_shuffles
+    return explained, posted_outside, unscoped
 
 
 @pytest.mark.parametrize(
@@ -247,16 +259,17 @@ def _explain_outside(engine, text, algorithm, monkeypatch):
     [(w, i) for w in golden_plans.WORKLOADS for i in range(golden_plans.QUERIES_PER_DECK)],
 )
 def test_deck_queries_route_binary_join_cells_inside_a_primitive(workload, i, monkeypatch):
-    """No deck query leaves a binary join's cell shuffle on explain's
+    """No deck query leaves a binary join's cell shuffle, a coordinator
+    round trip's ``…/gather``/``…/reply`` or a ``global_sum`` on explain's
     ``(outside primitives)`` line."""
     deck, _engine = golden_plans._deck_engine(workload, "full")
     engine = Engine(deck.p, "serial", result_cache=False)
     for name, (attrs, variants) in deck.relations.items():
         engine.register(Relation(name, attrs, variants[0]), name=name)
-    explained, _outside, join_shuffles = _explain_outside(
+    explained, _outside, unscoped = _explain_outside(
         engine, deck.queries[i], "auto", monkeypatch
     )
-    assert not join_shuffles, explained
+    assert not unscoped, explained
 
 
 class TestRecordingLRU:
