@@ -11,6 +11,8 @@ takes the first request and waits there, so the backlog stays put.
 from __future__ import annotations
 
 import re
+import threading
+import time
 from contextlib import ExitStack
 
 import pytest
@@ -167,6 +169,58 @@ def test_an_escaping_error_fails_its_batch_not_the_worker(monkeypatch):
         monkeypatch.undo()
         assert door.submit(QUERIES[0]).result(timeout=10).ok
         assert door.pending() == (0,)
+
+
+def _wait_for(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def test_close_serves_queued_requests():
+    """``close`` refuses new requests at once and serves the ones it
+    admitted before: the stop sentinel queues behind them."""
+    door = _door(replicas=1)
+    stall = _stalled(door)
+    try:
+        futures = [door.submit(q) for q in QUERIES[:3]]
+        closer = threading.Thread(target=door.close)
+        closer.start()
+        _wait_for(lambda: door._closed)
+        with pytest.raises(EngineError, match="closed"):
+            door.submit(QUERIES[0])
+        assert closer.is_alive()  # waiting on the stalled replica
+    finally:
+        stall.close()
+    closer.join(timeout=30)
+    assert not closer.is_alive()
+    assert all(f.done() and f.result().ok for f in futures)
+    assert door.pending() == (0,)
+    assert door.engines[0].stats().queries == 3
+
+
+def test_batch_window_coalesces_a_backlog_up_to_the_cap(monkeypatch):
+    """Requests queued behind a busy replica reach its engine in one
+    ``submit_batch`` of at most 16 texts."""
+    with _door(replicas=1, batch_window=0.05) as door:
+        (engine,) = door.engines
+        sizes: list[int] = []
+        submit_batch = engine.submit_batch
+
+        def spy(texts):
+            sizes.append(len(texts))
+            return submit_batch(texts)
+
+        monkeypatch.setattr(engine, "submit_batch", spy)
+        with _stalled(door):
+            futures = [door.submit(QUERIES[0])]
+            _wait_for(lambda: sizes)  # the worker is inside the first batch
+            futures += [door.submit(QUERIES[i % len(QUERIES)]) for i in range(17)]
+        assert all(f.result(timeout=30).ok for f in futures)
+        assert sizes == [1, 16, 1]
+        s = door.stats()
+        assert (s.admitted, s.batches, s.coalesced) == (18, 3, 15)
 
 
 def test_closed_door_admits_nothing():

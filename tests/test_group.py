@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import MPCError
 from repro.mpc.cluster import Cluster
 from repro.mpc.group import Grid, Group
+from repro.mpc.hashing import stable_hash
 
 
 class TestExchange:
@@ -54,6 +55,33 @@ class TestRoutingHelpers:
         got = g.gather([["a"], ["b"], ["c"]], "x", dst=1)
         assert sorted(got) == ["a", "b", "c"]
         assert cl.snapshot().totals == (0, 2, 0)
+
+
+    def test_route_sends_each_item_where_its_function_says(self):
+        cl = Cluster(3)
+        g = cl.root_group()
+        routed = g.route([[0, 4], [2, 5], [1]], lambda v: v % 3, "x")
+        # Inboxes fill in sender order; the item server 0 keeps is free.
+        assert routed == [[0], [4, 1], [2, 5]]
+        assert cl.snapshot().totals == (0, 2, 2)
+
+    def test_route_by_stable_hash_groups_equal_keys(self):
+        """Routing on a stable hash of the key, as the plain-hash join
+        ablation does, puts all rows of a key on one server, the same
+        server on every cluster."""
+        parts = [[("k", i), ("m", i)] for i in range(4)]
+
+        def dest(row):
+            return stable_hash(row[0]) % 4
+
+        routed = Cluster(4).root_group().route(parts, dest, "x")
+        assert routed == Cluster(4).root_group().route(parts, dest, "x")
+        for key in ("k", "m"):
+            holders = [j for j, box in enumerate(routed) if any(r[0] == key for r in box)]
+            assert holders == [dest((key,))]
+            assert sorted(r for r in routed[holders[0]] if r[0] == key) == [
+                (key, i) for i in range(4)
+            ]
 
 
 class TestSubgroups:

@@ -89,6 +89,30 @@ class TestPrimitiveSpans:
                 inner = _children(records, rec)
                 assert sum(c["attrs"]["units"] for c in inner) <= rec["attrs"]["units"]
 
+    def test_coordinator_trips_and_global_sums_are_primitives(self):
+        """A coordinator round trip and a ``global_sum`` each open one
+        primitive span that holds all of its units."""
+        p = 5
+
+        def run(group):
+            return (
+                coordinator_roundtrip(group, list(range(p)), lambda s: s[::-1], "rt"),
+                global_sum(group, list(range(p)), "gs"),
+            )
+
+        out, records, report = _traced(run, p)
+        assert out == ([4, 3, 2, 1, 0], 10)
+        top = _children(records, _root(records))
+        assert [(r["name"], r["attrs"]["detail"]) for r in top] == [
+            ("prim.CoordinatorRoundtrip", "rt"),
+            ("prim.GlobalSum", "gs"),
+        ]
+        assert [r["attrs"]["units"] for r in top] == [2 * (p - 1), 2 * (p - 1)]
+        assert sum(r["attrs"]["units"] for r in top) == report.total
+        rt, gs = (r["attrs"] for r in top)
+        assert rt["ledger.rt/gather"] == rt["ledger.rt/reply"] == p - 1
+        assert gs["ledger.gs/gather"] == gs["ledger.gs/bcast"] == p - 1
+
     def test_tracing_is_pure_observation(self):
         """A traced run posts the ledger and returns the outputs an
         untraced one does."""

@@ -274,6 +274,14 @@ class TestGlobalSum:
         with pytest.raises(MPCError):
             global_sum(cl.root_group(), [1, 2])
 
+    def test_costs_one_gather_and_one_broadcast(self):
+        p = 5
+        cl = Cluster(p)
+        assert global_sum(cl.root_group(), [2] * p, "gs") == 2 * p
+        by_label = cl.snapshot().by_label
+        assert by_label["gs/gather"] == p - 1
+        assert by_label["gs/bcast"] == p - 1
+
 
 class TestCoordinatorRoundtrip:
     """The one O(p) coordinator trip every stitch, carry and packing pass
